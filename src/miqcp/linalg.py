@@ -2,12 +2,13 @@
 
 Matrices are row-major lists of lists of Rat; vectors are lists of Rat.
 Instances are desk scale, so everything is dense and copied freely.
+One fraction-free kernel, ``_eliminate``, serves rank, det, solve, null space, inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionError, NotPsdError, PreconditionError
@@ -128,47 +129,43 @@ def quad_form(h_mat: Matrix, x: Vector):
 # ---------------------------------------------------------------------------
 # elimination: rank, row basis, determinant, solving
 
-def _scaled_integer_rows(a: Matrix):
-    """Each row multiplied by the lcm of its denominators (rank preserved)."""
-    out = []
-    for row in a:
-        ell = lcm(*[denom(e) for e in row]) if row else 1
-        out.append([numer(e) * (ell // denom(e)) for e in row])
-    return out
+def _eliminate(a: Matrix) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer-scaled rows.
+
+    Pivots go left to right, each on the unused row of smallest magnitude
+    (first on ties); every other row, also one with f = 0, becomes
+    (p row - f pivot_row) / prev, an exact division.  Returns (work, pivots,
+    rows, d, sign, scale): work[:rank] = d RREF(A) and the rest is zero,
+    work[i] came from input row rows[i], d is the last pivot (1 if none),
+    sign the parity of the swaps, scale the product of the row scalings.
+    """
+    m, n = shape(a)
+    ells = [lcm(*[denom(e) for e in row]) for row in a]
+    work = [[numer(e) * (ell // denom(e)) for e in row] for row, ell in zip(a, ells)]
+    rows, pivots, sign, prev = list(range(m)), [], 1, 1
+    for col in range(n):
+        r = len(pivots)
+        nonzero = [i for i in range(r, m) if work[i][col] != 0]
+        if not nonzero:
+            continue
+        piv = min(nonzero, key=lambda i: abs(work[i][col]))
+        work[r], work[piv] = work[piv], work[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        sign = sign if piv == r else -sign
+        prow, p = work[r], work[r][col]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[col]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(col)
+        prev = p
+    return work, pivots, rows, prev, sign, prod(ells)
 
 
 def rank_with_basis(a: Matrix) -> tuple:
-    """Rank over Q and the indices of a set of linearly independent rows.
-
-    Fraction-free (Bareiss) elimination on integer-scaled rows, so all
-    intermediate values are integers.
-    """
-    m, n = shape(a)
-    work = _scaled_integer_rows(a)
-    rows = list(range(m))
-    r = 0
-    prev = 1
-    col = 0
-    while r < m and col < n:
-        piv = None
-        best = None
-        for i in range(r, m):
-            v = work[i][col]
-            if v != 0 and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv is None:
-            col += 1
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            for j in range(col + 1, n):
-                work[i][j] = (work[r][col] * work[i][j] - work[i][col] * work[r][j]) // prev
-            work[i][col] = 0
-        prev = work[r][col]
-        r += 1
-        col += 1
-    return r, sorted(rows[:r])
+    """Rank over Q and the indices of a set of linearly independent rows."""
+    _, pivots, rows, _, _, _ = _eliminate(a)
+    return len(pivots), sorted(rows[: len(pivots)])
 
 
 def rank(a: Matrix) -> int:
@@ -176,37 +173,12 @@ def rank(a: Matrix) -> int:
 
 
 def det(a: Matrix):
-    """Exact determinant of a square matrix (Bareiss on scaled rows)."""
+    """Exact determinant of a square matrix."""
     m, n = shape(a)
     if m != n:
         raise DimensionError("det of a non-square matrix")
-    if n == 0:
-        return ONE
-    work = []
-    scaling = ONE
-    for row in a:
-        ell = lcm(*[denom(e) for e in row])
-        scaling *= ell
-        work.append([numer(e) * (ell // denom(e)) for e in row])
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if work[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[k][k] * work[i][j] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return Rat(sign * work[n - 1][n - 1]) / scaling
+    _, pivots, _, d, sign, scale = _eliminate(a)
+    return Rat(sign * d, scale) if len(pivots) == n else ZERO
 
 
 def gauss_solve(a: Matrix, b: Vector) -> Optional[Vector]:
@@ -217,84 +189,34 @@ def gauss_solve(a: Matrix, b: Vector) -> Optional[Vector]:
     m, n = shape(a)
     if len(b) != m:
         raise DimensionError("gauss_solve shape mismatch")
-    work = [row[:] + [b[i]] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if work[i][n] != 0:
-            return None
+    work, pivots, _, d, _, _ = _eliminate([row + [bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
     x = [ZERO] * n
-    for i, col in enumerate(pivots):
-        x[col] = work[i][n]
+    for row, col in zip(work, pivots):
+        x[col] = Rat(row[n], d)
     return x
 
 
 def null_space(a: Matrix) -> Matrix:
     """Columns spanning {x : A x = 0}, as an n x k matrix (k = n - rank)."""
-    m, n = shape(a)
-    work = copy_mat(a)
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    _, n = shape(a)
+    work, pivots, _, d, _, _ = _eliminate(a)
     free = [j for j in range(n) if j not in pivots]
-    cols = []
-    for j in free:
-        v = [ZERO] * n
-        v[j] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -work[i][j]
-        cols.append(v)
-    return [[c[i] for c in cols] for i in range(n)]
+    out = [[ONE if i == j else ZERO for j in free] for i in range(n)]
+    for row, col in zip(work, pivots):
+        out[col] = [Rat(-row[j], d) for j in free]
+    return out
 
 
 def inverse(a: Matrix) -> Matrix:
     m, n = shape(a)
     if m != n:
         raise DimensionError("inverse of a non-square matrix")
-    work = [row[:] + ident_row[:] for row, ident_row in zip(copy_mat(a), identity(n))]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("matrix is singular")
-        work[r], work[piv] = work[piv], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(n):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
-        r += 1
-    return [row[n:] for row in work]
+    work, pivots, _, d, _, _ = _eliminate([row + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular")
+    return [[Rat(x, d) for x in row[n:]] for row in work]
 
 
 # ---------------------------------------------------------------------------

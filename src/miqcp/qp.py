@@ -75,10 +75,6 @@ class QpObjective:
         h_vec_new = [dot(mt[i], lin) for i in range(tau.n_prime)]
         return QpObjective(h_new, h_vec_new)
 
-    def constant_shift(self, xbar: Vector):
-        """Value of the dropped constant term q(xbar)."""
-        return self.value(xbar)
-
 
 @dataclass
 class QpResult:

@@ -8,6 +8,7 @@ both keep values canonical (gcd-reduced, positive denominator) at all times.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Union
 
 try:
@@ -25,13 +26,19 @@ class RationalParseError(ValueError):
     """A token could not be read as an exact rational."""
 
 
+_TOKEN = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+
+
 def rat(value: RatLike) -> Rat:
-    """Coerce an int, ``a/b`` string, or rational to a canonical Rat."""
+    """Coerce an int (not a bool), ``-?\\d+(/\\d+)?`` string, or rational to a canonical Rat."""
     if isinstance(value, float):
         raise RationalParseError(f"refusing float {value!r}; use 'a/b' strings")
+    if not (type(value) is int or isinstance(value, Rat)
+            or isinstance(value, str) and _TOKEN.fullmatch(value)):
+        raise RationalParseError(f"not a rational: {value!r}")
     try:
         return Rat(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except ZeroDivisionError as exc:
         raise RationalParseError(f"not a rational: {value!r} ({exc})") from exc
 
 

@@ -62,6 +62,32 @@ def test_parse_rejects_floats():
     assert "float" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("n", 1.7, "n"),
+        ("n", "1", "n"),
+        ("n", True, "n"),
+        ("p", 1.0, "p"),
+        ("p", None, "p"),
+        ("w", ["1e3", 0], "w[0]"),
+        ("w", [1, "1.5"], "w[1]"),
+        ("w", [" 3 ", 0], "w[0]"),
+        ("w", [True, 0], "w[0]"),
+        ("w", ["1/-2", 0], "w[0]"),
+        ("w", ["+1", 0], "w[0]"),
+    ],
+)
+def test_parse_rejects_inexact_or_mistyped(tmp_path, field, value, path):
+    bad = dict(MINIMAL, **{field: value})
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance(json.dumps(bad))
+    assert exc.value.path == path
+    code, payload = run("solve", write_instance(tmp_path, bad))
+    assert code == 2
+    assert payload["error"].startswith(f"{path}: ")
+
+
 def test_parse_rejects_non_psd():
     bad = dict(MINIMAL, objective={"H": [[-1]], "h": [0]})
     with pytest.raises(InstanceParseError) as exc:
@@ -236,16 +262,3 @@ def test_console_entrypoint_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["value"] == "1/4"
-
-
-def test_bad_threads_env(tmp_path):
-    env_backup = os.environ.get("MIQCP_THREADS")
-    os.environ["MIQCP_THREADS"] = "zero"
-    try:
-        rc = main(["solve", fixture("halfpoint.json")])
-        assert rc == 2
-    finally:
-        if env_backup is None:
-            os.environ.pop("MIQCP_THREADS", None)
-        else:
-            os.environ["MIQCP_THREADS"] = env_backup

@@ -46,6 +46,14 @@ def test_rank_dependent_rows():
     assert rank(mat([[2, 4], [1, 2]])) == 1
 
 
+def test_row_basis_pivots_on_smallest_magnitude():
+    # the pivot rule fixes which rows form the basis, and with it every
+    # generalized inverse built on row_basis_permute
+    assert rank_with_basis(mat([[2, 4], [1, 2]])) == (1, [1])
+    assert rank_with_basis(mat([[1, 0], [-1, 0], [0, 3]])) == (2, [0, 2])
+    assert rank_with_basis(mat([[0, 5], [3, 1], [-2, 1]])) == (2, [1, 2])
+
+
 def test_rank_matches_transpose_randomized():
     rng = random.Random(7)
     for _ in range(120):
@@ -192,6 +200,25 @@ def test_det_matches_cofactor_expansion():
         assert det(a) == cofactor(a)
 
 
+def _rational_matrix_with_dependencies(rng, m, n):
+    """Random rational m x n matrix, some rows zero or multiples of others."""
+    a = rmat(rng, m, n, lo=-5, hi=5, denoms=(1, 2, 3, 7))
+    for i in range(m):
+        u = rng.random()
+        if u < 0.2 and i > 0:
+            c = Rat(rng.randint(-3, 3), rng.randint(1, 3))
+            a[i] = [c * v for v in a[rng.randrange(i)]]
+        elif u < 0.3:
+            a[i] = [Rat(0)] * n
+    return a
+
+
+def _free_columns(a, n):
+    """Columns that do not raise the rank of the columns before them."""
+    cols = [[row[:j] for row in a] for j in range(n + 1)]
+    return [j for j in range(n) if _gauss_rank(cols[j + 1]) == _gauss_rank(cols[j])]
+
+
 def test_gauss_solve_and_null_space():
     a = mat([[1, 2, 3], [2, 4, 6]])
     b = [Rat(1), Rat(2)]
@@ -204,6 +231,45 @@ def test_gauss_solve_and_null_space():
         col = [ns[i][j] for i in range(3)]
         assert mat_vec(a, col) == [0, 0]
     assert gauss_solve(a, [Rat(1), Rat(3)]) is None
+
+    # canonical forms the callers rely on: null column j is the unit vector of
+    # the j-th free variable completed to A v = 0; free variables of a
+    # solution are zero.  A matrix with no rows is [] and carries no width, so
+    # the empty shapes are 0 x 0 and m x 0.
+    assert null_space([]) == [] and gauss_solve([], []) == []
+    assert null_space([[], []]) == [] and rank_with_basis([[], []]) == (0, [])
+    assert gauss_solve([[], []], [Rat(0), Rat(0)]) == []
+    assert gauss_solve([[], []], [Rat(0), Rat(1)]) is None
+    rng = random.Random(41)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = _rational_matrix_with_dependencies(rng, m, n)
+        r = _gauss_rank(a)
+        free = _free_columns(a, n)
+        assert len(free) == n - r
+
+        ns = null_space(a)
+        assert len(ns) == n and all(len(row) == len(free) for row in ns)
+        for j, fj in enumerate(free):
+            v = [ns[i][j] for i in range(n)]
+            assert mat_vec(a, v) == [0] * m
+            assert [v[f] for f in free] == [Rat(int(f == fj)) for f in free]
+
+        if rng.random() < 0.5:
+            b = mat_vec(a, rmat(rng, 1, n, lo=-3, hi=3, denoms=(1, 2))[0])
+        else:
+            b = rmat(rng, 1, m, lo=-4, hi=4, denoms=(1, 5))[0]
+        x = gauss_solve(a, b)
+        consistent = _gauss_rank([row + [bi] for row, bi in zip(a, b)]) == r
+        assert (x is not None) == consistent
+        if x is not None:
+            assert mat_vec(a, x) == b
+            assert all(x[f] == 0 for f in free)
+
+        rk, basis = rank_with_basis(a)
+        assert rk == r == len(basis) == len(set(basis))
+        assert basis == sorted(basis) and all(0 <= i < m for i in basis)
+        assert _gauss_rank([a[i] for i in basis]) == r
 
 
 def test_inverse_roundtrip():
