@@ -12,7 +12,7 @@ from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionError, NotPsdError, PreconditionError
-from .rational import Rat, ZERO, ONE, is_integral, numer, denom, rround
+from .rational import Rat, ZERO, ONE, is_integral, rround
 
 Vector = list
 Matrix = list
@@ -93,10 +93,22 @@ def dot(x: Vector, y: Vector):
 
 
 def _dot(x, y):
-    acc = ZERO
+    """sum x_i y_i as one unreduced fraction num / den, reduced once at the end.
+
+    Reads only ``numerator``/``denominator``, so int entries work too; the
+    result is always a Rat.
+    """
+    num, den = 0, 1
     for a, b in zip(x, y):
-        acc += a * b
-    return acc
+        t = a.numerator * b.numerator
+        if t:
+            td = a.denominator * b.denominator
+            if td == den:
+                num += t
+            else:
+                num = num * td + t * den
+                den *= td
+    return Rat(num, den)
 
 
 def norm_sq(x: Vector):
@@ -129,6 +141,15 @@ def quad_form(h_mat: Matrix, x: Vector):
 # ---------------------------------------------------------------------------
 # elimination: rank, row basis, determinant, solving
 
+def integer_row(row: Vector) -> tuple:
+    """(ell row, ell): the row as integers, scaled by the lcm ell of its denominators."""
+    dens = [e.denominator for e in row]
+    ell = lcm(*dens)
+    if ell == 1:
+        return [e.numerator for e in row], 1
+    return [e.numerator * (ell // de) for e, de in zip(row, dens)], ell
+
+
 def _eliminate(a: Matrix) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer-scaled rows.
 
@@ -140,8 +161,8 @@ def _eliminate(a: Matrix) -> tuple:
     sign the parity of the swaps, scale the product of the row scalings.
     """
     m, n = shape(a)
-    ells = [lcm(*[denom(e) for e in row]) for row in a]
-    work = [[numer(e) * (ell // denom(e)) for e in row] for row, ell in zip(a, ells)]
+    scaled = [integer_row(row) for row in a]
+    work = [row for row, _ in scaled]
     rows, pivots, sign, prev = list(range(m)), [], 1, 1
     for col in range(n):
         r = len(pivots)
@@ -159,7 +180,7 @@ def _eliminate(a: Matrix) -> tuple:
                 work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(col)
         prev = p
-    return work, pivots, rows, prev, sign, prod(ells)
+    return work, pivots, rows, prev, sign, prod(ell for _, ell in scaled)
 
 
 def rank_with_basis(a: Matrix) -> tuple:

@@ -10,6 +10,7 @@ reported on every result for observability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Optional
 
 from .errors import DimensionError
@@ -19,11 +20,11 @@ from .linalg import (
     dot,
     gauss_solve,
     identity,
+    integer_row,
     ldlt_psd_check,
     mat_vec,
     null_space,
     quad_form,
-    rank,
     transpose,
     vec_add,
     vec_scale,
@@ -117,13 +118,26 @@ def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
 
 
 def _independent_active_rows(poly: Polyhedron, x: Vector) -> List[int]:
+    """The tight rows, in order, that are independent of the rows chosen before.
+
+    One incremental pass: each tight row, scaled to integers, is reduced
+    against the echelon rows already chosen and kept if anything is left.
+    """
     chosen = []
-    rows = []
+    echelon = []  # (pivot column, primitive integer row)
     for i, s in enumerate(poly.slacks(x)):
-        if s == 0:
-            if rank(rows + [poly.w_mat[i]]) > len(chosen):
-                chosen.append(i)
-                rows.append(poly.w_mat[i])
+        if s != 0:
+            continue
+        row, _ = integer_row(poly.w_mat[i])
+        for col, b in echelon:
+            f = row[col]
+            if f:
+                row = [b[col] * u - f * v for u, v in zip(row, b)]
+        col = next((j for j, u in enumerate(row) if u), None)
+        if col is not None:
+            g = gcd(*row)
+            chosen.append(i)
+            echelon.append((col, [u // g for u in row]))
     return chosen
 
 

@@ -1,17 +1,29 @@
 """Exact two-phase primal simplex with Bland's rule.
 
-Solves min c^T x over {x : W x <= w} with x free, entirely in rational
-arithmetic.  Returns exact optima with dual certificates, exact
-unboundedness rays, and Farkas certificates on infeasibility.
+Solves min c^T x over {x : W x <= w} with x free, exactly.  Returns exact
+optima with dual certificates, exact unboundedness rays, and Farkas
+certificates on infeasibility.
+
+The tableau is integer with one common denominator: rows hold Python ints
+N and the tableau is N / d, d > 0.  Pivots are fraction-free (Edmonds 1967,
+Bareiss 1968; in a simplex, Azulay & Pique 2001): every row becomes
+(p row - f pivot_row) / d, an exact division, and d becomes p.  The pivots
+are those of the same method on a rational tableau: integer scaling of the
+rows and of the phase-1 cost is by positive constants, which leave Bland's
+choice, the ratio test and its ties unchanged.  Rationals are read from the
+inputs through ``numerator``/``denominator`` and built only for the outputs,
+as ``Rat(int, int)``; both ``fractions.Fraction`` and gmpy2's ``mpq`` offer
+that, though no test run covers the gmpy2 backend yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import DimensionError
-from .linalg import Matrix, Vector, dot
+from .linalg import Matrix, Vector, dot, integer_row
 from .rational import Rat, ZERO, ONE
 
 OPTIMAL = "optimal"
@@ -54,117 +66,139 @@ def solve_lp(w_mat: Matrix, w_rhs: Vector, c: Vector) -> LpResult:
         return LpResult(INFEASIBLE, farkas=farkas)
 
     # Standard form: z = (x+, x-, s) >= 0 with rows scaled so b >= 0, plus
-    # artificial variables forming the phase-1 identity basis.  The
-    # artificial columns double as an explicit copy of B^-1, which is where
-    # the dual values are read off.
-    sigma = [(-ONE if w_rhs[i] < 0 else ONE) for i in range(m)]
+    # artificial variables forming the phase-1 identity basis.  Columns are
+    # numbered in that order (x+ 0..n-1, x- n..2n-1, s 2n..ncols-1, artificial
+    # from ncols on); Bland's rule and the ties of the ratio test use these
+    # numbers.  Row i is also multiplied by s_i, the lcm of its denominators:
+    # the data turns integer and artificial i becomes s_i a_i, so its column
+    # stays e_i.  The tableau is tab / d, with d = |det B| > 0 and integer
+    # tab (Bareiss 1968).  Only the x+ and slack columns and the right-hand
+    # side are stored: the x- column is minus the x+ column, and artificial
+    # column i is slack column i over sigma_i s_i, so the slack reduced costs
+    # carry the dual values.
+    sigma = [(-1 if w_rhs[i] < 0 else 1) for i in range(m)]
     ncols = 2 * n + m
-    total = ncols + m
+    rhs = n + m
+    scale = []
     tab = []
     for i in range(m):
-        row = [ZERO] * (total + 1)
-        for j in range(n):
-            v = sigma[i] * w_mat[i][j]
-            row[j] = v
-            row[n + j] = -v
-        row[2 * n + i] = sigma[i]
-        row[ncols + i] = ONE
-        row[total] = sigma[i] * w_rhs[i]
+        ints, si = integer_row(w_mat[i] + [w_rhs[i]])
+        row = [sigma[i] * v for v in ints]
+        row[n:n] = [0] * m
+        row[n + i] = sigma[i] * si
         tab.append(row)
+        scale.append(si)
     basis = [ncols + i for i in range(m)]
+    d = 1
 
-    def pivot(r, jcol):
-        inv = ONE / tab[r][jcol]
-        rr = tab[r]
-        if inv != 1:
-            for j in range(total + 1):
-                if rr[j] != 0:
-                    rr[j] *= inv
-        nz = [j for j in range(total + 1) if rr[j] != 0]
-        for i in range(m):
+    def column(j):
+        """Stored column and sign of column j."""
+        if j < n:
+            return j, 1
+        if j < 2 * n:
+            return j - n, -1
+        return j - n, 1
+
+    def pivot(r, j):
+        """Bareiss pivot on (r, j); a reduced-cost row in tab[m] rides along.
+
+        Every other row becomes (p row - f prow) / d, an exact division,
+        also one with f = 0 in the pivot column; then d = p.
+        """
+        nonlocal d
+        col, sign = column(j)
+        prow = tab[r]
+        p = sign * prow[col]
+        if p < 0:
+            p = -p
+            prow = tab[r] = [-v for v in prow]
+        for i, row in enumerate(tab):
             if i != r:
-                ti = tab[i]
-                f = ti[jcol]
-                if f != 0:
-                    for j in nz:
-                        ti[j] -= f * rr[j]
-        basis[r] = jcol
+                f = sign * row[col]
+                if f:
+                    tab[i] = [(p * v - f * u) // d for v, u in zip(row, prow)]
+                elif p != d:
+                    tab[i] = [p * v // d for v in row]
+        d = p
+        basis[r] = j
 
     def build_red(cost):
-        red = cost[:] + [ZERO]
+        """d times the reduced costs of the integer cost vector, stored columns."""
+        red = [d * cj for cj in cost[:n]] + [d * cj for cj in cost[2 * n:ncols]] + [0]
         for i in range(m):
             cb = cost[basis[i]]
-            if cb != 0:
-                ti = tab[i]
-                for j in range(total + 1):
-                    if ti[j] != 0:
-                        red[j] -= cb * ti[j]
+            if cb:
+                red = [u - cb * v for u, v in zip(red, tab[i])]
         return red
 
     def run(cost):
         """Bland loop over real columns; returns (status, red_row, enter_col)."""
-        red = build_red(cost)
+        tab.append(build_red(cost))
+        red = tab[m]
         while True:
-            enter = next((j for j in range(ncols) if red[j] < 0), None)
+            enter = next((j for j in range(n) if red[j] < 0), None)
             if enter is None:
-                return OPTIMAL, red, None
+                enter = next((n + j for j in range(n) if red[j] > 0), None)
+            if enter is None:
+                enter = next((n + j for j in range(n, rhs) if red[j] < 0), None)
+            if enter is None:
+                return OPTIMAL, tab.pop(), None
+            # min ratio tab[i][rhs] / a_i over a_i > 0, ties to the lower basis index
+            col, sign = column(enter)
             leave = None
-            best = None
             for i in range(m):
-                a = tab[i][enter]
+                a = sign * tab[i][col]
                 if a > 0:
-                    key = (tab[i][total] / a, basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                    t = tab[i][rhs]
+                    if leave is None:
+                        leave, best_t, best_a = i, t, a
+                    else:
+                        here, best = t * best_a, best_t * a
+                        if here < best or (here == best and basis[i] < basis[leave]):
+                            leave, best_t, best_a = i, t, a
             if leave is None:
-                return UNBOUNDED, red, enter
+                return UNBOUNDED, tab.pop(), enter
             pivot(leave, enter)
-            f = red[enter]
-            if f != 0:
-                rr = tab[leave]
-                for j in range(total + 1):
-                    if rr[j] != 0:
-                        red[j] -= f * rr[j]
+            red = tab[m]
 
-    # Phase 1: minimize the artificial sum.
-    cost1 = [ZERO] * ncols + [ONE] * m
+    # Phase 1: minimize the artificial sum, times ell = lcm(s): artificial i
+    # costs ell / s_i in the scaled variable s_i a_i.
+    ell = lcm(*scale)
+    cost1 = [0] * ncols + [ell // si for si in scale]
     status, red1, _ = run(cost1)
     assert status == OPTIMAL  # bounded below by 0
-    if -red1[total] > 0:
-        # y_i = 1 - red1[artificial_i]; mu = -sigma * y is a Farkas certificate
-        mu = [-sigma[i] * (ONE - red1[ncols + i]) for i in range(m)]
-        return LpResult(INFEASIBLE, farkas=mu)
+    if -red1[rhs] > 0:
+        # mu = -sigma (1 - y), y the phase-1 duals, is a Farkas certificate;
+        # it is the reduced cost of the slack columns
+        return LpResult(INFEASIBLE, farkas=[Rat(v, ell * d) for v in red1[n:rhs]])
 
     # Drive artificials out of the basis where possible; a row with no real
     # nonzero entry is redundant and stays inert (basic artificial at zero).
     for i in range(m):
         if basis[i] >= ncols:
-            jnew = next((j for j in range(ncols) if tab[i][j] != 0), None)
-            if jnew is not None:
-                pivot(i, jnew)
+            k = next((k for k in range(rhs) if tab[i][k] != 0), None)
+            if k is not None:
+                pivot(i, k if k < n else n + k)
 
-    # Phase 2.
-    cost2 = [ZERO] * (total)
-    for j in range(n):
-        cost2[j] = c[j]
-        cost2[n + j] = -c[j]
+    # Phase 2, on the cost scaled to integers by lc = lcm(den c).
+    cost_c, lc = integer_row(c)
+    cost2 = cost_c + [-v for v in cost_c] + [0] * (2 * m)
     status, red2, enter = run(cost2)
 
-    def current_x():
-        zvals = [ZERO] * total
-        for i in range(m):
-            zvals[basis[i]] = tab[i][total]
-        return [zvals[j] - zvals[n + j] for j in range(n)]
+    def x_part(entries):
+        """Rat(z+ - z-, d) from (column, d z_column) pairs."""
+        out = [0] * n
+        for b, v in entries:
+            if b < n:
+                out[b] += v
+            elif b < 2 * n:
+                out[b - n] -= v
+        return [Rat(v, d) for v in out]
 
+    x = x_part(zip(basis, [row[rhs] for row in tab]))
     if status == UNBOUNDED:
-        d = [ZERO] * total
-        d[enter] = ONE
-        for i in range(m):
-            d[basis[i]] = -tab[i][enter]
-        ray = [d[j] - d[n + j] for j in range(n)]
-        return LpResult(UNBOUNDED, x=current_x(), ray=ray)
+        col, sign = column(enter)
+        ray = x_part([(enter, d)] + [(b, -sign * row[col]) for b, row in zip(basis, tab)])
+        return LpResult(UNBOUNDED, x=x, ray=ray)
+    return LpResult(OPTIMAL, x, dot(c, x), dual=[Rat(v, lc * d) for v in red2[n:rhs]])
 
-    x = current_x()
-    mu = [-sigma[i] * (-red2[ncols + i]) for i in range(m)]
-    return LpResult(OPTIMAL, x, dot(c, x), dual=mu)

@@ -1,0 +1,296 @@
+"""The integer simplex tableau against the Fraction tableau it replaced.
+
+``_reference_solve_lp`` is the earlier two-phase simplex on a Fraction
+tableau.  ``solve_lp`` must take the same pivots, so the two results agree
+field for field; each result also carries a certificate that is checked
+here without trusting either solver.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from miqcp.linalg import _dot, rank
+from miqcp.polyhedra import Polyhedron
+from miqcp.qp import _independent_active_rows
+from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _reference_solve_lp(w_mat, w_rhs, c):
+    """min c^T x s.t. W x <= w on a Fraction tableau (Bland's rule)."""
+    m = len(w_mat)
+    n = len(c)
+    if m == 0:
+        if all(cj == 0 for cj in c):
+            return LpResult(OPTIMAL, [ZERO] * n, ZERO, dual=[])
+        ray = [(-ONE if cj > 0 else (ONE if cj < 0 else ZERO)) for cj in c]
+        return LpResult(UNBOUNDED, x=[ZERO] * n, ray=ray)
+    if n == 0:
+        if all(wi >= 0 for wi in w_rhs):
+            return LpResult(OPTIMAL, [], ZERO, dual=[ZERO] * m)
+        bad = next(i for i in range(m) if w_rhs[i] < 0)
+        farkas = [ZERO] * m
+        farkas[bad] = ONE
+        return LpResult(INFEASIBLE, farkas=farkas)
+
+    sigma = [(-ONE if w_rhs[i] < 0 else ONE) for i in range(m)]
+    ncols = 2 * n + m
+    total = ncols + m
+    tab = []
+    for i in range(m):
+        row = [ZERO] * (total + 1)
+        for j in range(n):
+            v = sigma[i] * w_mat[i][j]
+            row[j] = v
+            row[n + j] = -v
+        row[2 * n + i] = sigma[i]
+        row[ncols + i] = ONE
+        row[total] = sigma[i] * w_rhs[i]
+        tab.append(row)
+    basis = [ncols + i for i in range(m)]
+
+    def pivot(r, jcol):
+        inv = ONE / tab[r][jcol]
+        rr = tab[r]
+        if inv != 1:
+            for j in range(total + 1):
+                if rr[j] != 0:
+                    rr[j] *= inv
+        nz = [j for j in range(total + 1) if rr[j] != 0]
+        for i in range(m):
+            if i != r:
+                ti = tab[i]
+                f = ti[jcol]
+                if f != 0:
+                    for j in nz:
+                        ti[j] -= f * rr[j]
+        basis[r] = jcol
+
+    def build_red(cost):
+        red = cost[:] + [ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb != 0:
+                ti = tab[i]
+                for j in range(total + 1):
+                    if ti[j] != 0:
+                        red[j] -= cb * ti[j]
+        return red
+
+    def run(cost):
+        red = build_red(cost)
+        while True:
+            enter = next((j for j in range(ncols) if red[j] < 0), None)
+            if enter is None:
+                return OPTIMAL, red, None
+            leave = None
+            best = None
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    key = (tab[i][total] / a, basis[i])
+                    if best is None or key < best:
+                        best = key
+                        leave = i
+            if leave is None:
+                return UNBOUNDED, red, enter
+            pivot(leave, enter)
+            f = red[enter]
+            if f != 0:
+                rr = tab[leave]
+                for j in range(total + 1):
+                    if rr[j] != 0:
+                        red[j] -= f * rr[j]
+
+    cost1 = [ZERO] * ncols + [ONE] * m
+    status, red1, _ = run(cost1)
+    assert status == OPTIMAL
+    if -red1[total] > 0:
+        mu = [-sigma[i] * (ONE - red1[ncols + i]) for i in range(m)]
+        return LpResult(INFEASIBLE, farkas=mu)
+
+    for i in range(m):
+        if basis[i] >= ncols:
+            jnew = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if jnew is not None:
+                pivot(i, jnew)
+
+    cost2 = [ZERO] * (total)
+    for j in range(n):
+        cost2[j] = c[j]
+        cost2[n + j] = -c[j]
+    status, red2, enter = run(cost2)
+
+    def current_x():
+        zvals = [ZERO] * total
+        for i in range(m):
+            zvals[basis[i]] = tab[i][total]
+        return [zvals[j] - zvals[n + j] for j in range(n)]
+
+    if status == UNBOUNDED:
+        d = [ZERO] * total
+        d[enter] = ONE
+        for i in range(m):
+            d[basis[i]] = -tab[i][enter]
+        ray = [d[j] - d[n + j] for j in range(n)]
+        return LpResult(UNBOUNDED, x=current_x(), ray=ray)
+
+    x = current_x()
+    mu = [-sigma[i] * (-red2[ncols + i]) for i in range(m)]
+    return LpResult(OPTIMAL, x, sum((a * b for a, b in zip(c, x)), ZERO), dual=mu)
+
+
+def _naive_dot(x, y):
+    acc = ZERO
+    for a, b in zip(x, y):
+        acc += a * b
+    return acc
+
+
+def _entry(rng, big):
+    if rng.random() < 0.3:
+        return ZERO
+    den = rng.choice((1, 1, 2, 3, 7)) if not big else rng.randint(1, 10**12)
+    return Fraction(rng.randint(-9 * den, 9 * den), den)
+
+
+def _random_lp(rng):
+    """A small LP mixing the structures the solver meets.
+
+    Rows are random, or pass through a common vertex (degenerate), or come
+    as an equality pair, a duplicate or a zero row; large denominators and
+    contradicting pairs appear too.
+    """
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 9)
+    big = rng.random() < 0.3
+    vertex = [_entry(rng, big) for _ in range(n)]
+    rows, rhs = [], []
+    while len(rows) < m:
+        kind = rng.random()
+        if kind < 0.1 and rows:
+            i = rng.randrange(len(rows))
+            rows.append(rows[i][:])
+            rhs.append(rhs[i])
+        elif kind < 0.2 and rows:
+            i = rng.randrange(len(rows))
+            shift = ZERO if rng.random() < 0.7 else Fraction(rng.randint(1, 3))
+            rows.append([-v for v in rows[i]])
+            rhs.append(-rhs[i] - shift)  # an equality pair, or an empty slab
+        elif kind < 0.25:
+            rows.append([ZERO] * n)
+            rhs.append(Fraction(rng.randint(-1, 2)))
+        else:
+            row = [_entry(rng, big) for _ in range(n)]
+            at_vertex = _naive_dot(row, vertex)
+            rows.append(row)
+            rhs.append(at_vertex if kind < 0.6 else at_vertex + _entry(rng, big))
+    c = [_entry(rng, big) for _ in range(n)]
+    return rows, rhs, c
+
+
+def _check_certificate(res, w_mat, w_rhs, c):
+    m, n = len(w_mat), len(c)
+    cols = [[w_mat[i][j] for i in range(m)] for j in range(n)]
+    if res.status == OPTIMAL:
+        slack = [b - _naive_dot(row, res.x) for row, b in zip(w_mat, w_rhs)]
+        assert all(s >= 0 for s in slack)
+        assert all(mu >= 0 for mu in res.dual)
+        assert all(cj + _naive_dot(col, res.dual) == 0 for cj, col in zip(c, cols))
+        assert all(mu * s == 0 for mu, s in zip(res.dual, slack))
+        assert res.value == _naive_dot(c, res.x)
+    elif res.status == INFEASIBLE:
+        mu = res.farkas
+        assert all(v >= 0 for v in mu)
+        assert all(_naive_dot(col, mu) == 0 for col in cols)
+        assert _naive_dot(mu, w_rhs) < 0
+    else:
+        assert res.status == UNBOUNDED
+        assert all(_naive_dot(row, res.x) <= b for row, b in zip(w_mat, w_rhs))
+        assert all(_naive_dot(row, res.ray) <= 0 for row in w_mat)
+        assert _naive_dot(c, res.ray) < 0
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    rng = random.Random(20231101)
+    seen = set()
+    for _ in range(400):
+        w_mat, w_rhs, c = _random_lp(rng)
+        res = solve_lp(w_mat, w_rhs, c)
+        assert res == _reference_solve_lp(w_mat, w_rhs, c)
+        _check_certificate(res, w_mat, w_rhs, c)
+        seen.add(res.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("w_mat, w_rhs, c", [
+    ([], [], [ONE, ZERO, -ONE]),
+    ([], [], [ZERO, ZERO]),
+    ([[], []], [ONE, ZERO], []),
+    ([[], []], [ONE, -ONE], []),
+    ([[ONE], [-ONE]], [Fraction(1, 3), Fraction(-1, 3)], [Fraction(5, 7)]),
+    ([[ONE], [-ONE]], [ZERO, -ONE], [ONE]),
+    ([[ONE, ONE]], [ONE], [-ONE, -ONE]),
+    ([[ZERO, ZERO], [ONE, ZERO]], [ZERO, ONE], [-ONE, ZERO]),
+])
+def test_edge_shapes_match_reference(w_mat, w_rhs, c):
+    res = solve_lp(w_mat, w_rhs, c)
+    assert res == _reference_solve_lp(w_mat, w_rhs, c)
+    if w_mat and c:
+        _check_certificate(res, w_mat, w_rhs, c)
+
+
+def test_int_entries_give_the_same_result():
+    w_mat = [[1, 2], [-3, 1], [0, -1]]
+    w_rhs = [4, 3, 0]
+    c = [-1, -1]
+    frac = solve_lp([[Fraction(v) for v in r] for r in w_mat],
+                    [Fraction(v) for v in w_rhs], [Fraction(v) for v in c])
+    assert solve_lp(w_mat, w_rhs, c) == frac
+    assert frac.x == [4, 0] and frac.value == -4
+
+
+def test_dot_matches_naive_fraction_sum():
+    rng = random.Random(5)
+    assert _dot([], []) == 0 and isinstance(_dot([], []), Fraction)
+    assert _dot([2, 3], [4, -1]) == 5
+    assert _dot([Fraction(1, 3), 2], [3, Fraction(1, 2)]) == 2
+    for _ in range(500):
+        k = rng.randint(0, 7)
+        big = rng.random() < 0.5
+        x = [_entry(rng, big) for _ in range(k)]
+        y = [_entry(rng, big) if rng.random() < 0.7 else rng.randint(-5, 5) for _ in range(k)]
+        got = _dot(x, y)
+        assert got == _naive_dot(x, y)
+        assert isinstance(got, Fraction)
+
+
+def _greedy_rank_rows(poly, x):
+    chosen, rows = [], []
+    for i, s in enumerate(poly.slacks(x)):
+        if s == 0 and rank(rows + [poly.w_mat[i]]) > len(chosen):
+            chosen.append(i)
+            rows.append(poly.w_mat[i])
+    return chosen
+
+
+def test_independent_active_rows_match_greedy_rank():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        x = [_entry(rng, False) for _ in range(n)]
+        rows, rhs = [], []
+        for _ in range(rng.randint(0, 9)):
+            if rows and rng.random() < 0.3:
+                a, b = rng.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+                row = [Fraction(rng.randint(-2, 2)) * u + v for u, v in zip(rows[a], rows[b])]
+            else:
+                row = [_entry(rng, rng.random() < 0.3) for _ in range(n)]
+            rows.append(row)
+            tight = rng.random() < 0.7
+            rhs.append(_naive_dot(row, x) + (0 if tight else Fraction(rng.randint(1, 4))))
+        poly = Polyhedron(rows, rhs, _n_hint=n)
+        assert _independent_active_rows(poly, x) == _greedy_rank_rows(poly, x)
