@@ -108,39 +108,6 @@ def stationary_affine_subspace(obj: QpObjective) -> Tuple[Matrix, Vector]:
     return rows, rhs
 
 
-def _round_to_grid(x: Vector, frac_bits: int) -> Vector:
-    scale = 1 << frac_bits
-    return [Rat(rround(v * scale), scale) for v in x]
-
-
-def _small_witness(q: ConvexQuadraticSet, xbar: Vector) -> Vector:
-    """A feasible point with q-value < eta and small bit size, if one is easy.
-
-    The inner-cube construction only needs some feasible point with strictly
-    slack quadratic; a coarser witness gives a much larger cube because the
-    cube radius divides by 2^size(witness).
-    """
-    probe = _fulldim_probe(q.poly)
-    candidates = []
-    if probe.point is not None and q.obj.value(probe.point) < q.eta:
-        mid = vec_scale(Rat(1, 2), vec_add(xbar, probe.point))
-        candidates.extend([probe.point, mid])
-    best = xbar
-    best_size = size_of_seq(xbar)
-    for cand in candidates:
-        for bits in (0, 2, 4, 8, 16, 24):
-            rounded = _round_to_grid(cand, bits)
-            if q.poly.contains(rounded) and q.obj.value(rounded) < q.eta:
-                s = size_of_seq(rounded)
-                if s < best_size:
-                    best, best_size = rounded, s
-                break
-        s = size_of_seq(cand)
-        if s < best_size and q.poly.contains(cand) and q.obj.value(cand) < q.eta:
-            best, best_size = cand, s
-    return best
-
-
 def cqs_bit_size(q: ConvexQuadraticSet) -> int:
     return scaled_integer_system_size(
         [q.poly.w_mat, q.obj.h_mat], [q.poly.w_rhs, q.obj.h_vec], [q.eta]
@@ -196,7 +163,6 @@ def inner_polytope(
                 "inner_polytope: declared box does not contain a point below eta"
             )
         xbar = res2.x
-    xbar = _small_witness(q, xbar)
     qval = obj.value(xbar)
     alpha = Rat(1 << size_of_seq([v for row in obj.h_mat for v in row] + list(obj.h_vec)))
     beta = Rat(1 << size_of_seq(xbar)) + 1
@@ -253,6 +219,27 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     return best
 
 
+def _level_case(
+    q: ConvexQuadraticSet, bounded_hint: bool = False
+) -> Tuple[str, QpResult, Optional[QpResult]]:
+    """The case split of the module docstring: (tag, face_min, free_min).
+
+    face_min is the minimum of q over P; free_min, the minimum over all of
+    space, is computed only when face_min equals eta and is None otherwise.
+    The tag is EMPTY_SET, FULL_DIM, LOW_DIM_AFFINE or LOW_DIM_FACE as if P
+    were full-dimensional; a face minimum of -infinity is FULL_DIM.
+    """
+    face_min = qp_min(q.obj, q.poly, check_psd=False, bounded_hint=bounded_hint)
+    if not face_min.is_optimal or face_min.value < q.eta:
+        return FULL_DIM, face_min, None
+    if face_min.value > q.eta:
+        return EMPTY_SET, face_min, None
+    free_min = qp_min(q.obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
+    if free_min.is_optimal and free_min.value == q.eta:
+        return LOW_DIM_AFFINE, face_min, free_min
+    return LOW_DIM_FACE, face_min, free_min
+
+
 def tangent_face(
     q: ConvexQuadraticSet,
     _face_min: Optional[QpResult] = None,
@@ -261,28 +248,25 @@ def tangent_face(
     """The proper face of P containing Q when min over P equals eta.
 
     The supporting hyperplane is grad q(xbar)^T (x - xbar) = 0 at a
-    minimizer xbar of q over P; for H = 0 it is h^T x = eta.  The face is
-    returned as P's system with its tight rows set to equality.
+    minimizer xbar of q over P (h^T x = eta when H = 0).  The face is
+    returned as P's system with its tight rows set to equality.  A caller
+    that already has both minima of a LOW_DIM_FACE set passes them.
     """
-    poly, obj, eta = q.poly, q.obj, q.eta
+    poly, obj = q.poly, q.obj
     probe = _fulldim_probe(poly)
     if probe.status != "full_dim":
         raise PreconditionError("tangent_face: P must be full-dimensional")
-    res = _face_min or qp_min(obj, poly, check_psd=False)
-    if not res.is_optimal or res.value != eta:
-        raise PreconditionError("tangent_face: min over P must equal eta")
-    if obj.is_zero_quadratic():
-        normal, offset = list(obj.h_vec), eta
-    else:
-        free = _free_min or qp_min(obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
-        if free.is_optimal and free.value == eta:
-            raise PreconditionError("tangent_face: unconstrained min equals eta")
-        xbar = res.x
-        normal = obj.gradient(xbar)
-        offset = dot(normal, xbar)
-        if all(v == 0 for v in normal):
-            raise AssertionError("zero gradient contradicts eta_tilde < eta")
-    hyper = poly.with_equality(list(normal), offset)
+    if _face_min is None or _free_min is None:
+        tag, _face_min, _ = _level_case(q)
+        if tag != LOW_DIM_FACE:
+            raise PreconditionError(
+                "tangent_face: needs min over P = eta > min over all of space"
+            )
+    xbar = _face_min.x
+    normal = obj.gradient(xbar)
+    if all(v == 0 for v in normal):
+        raise AssertionError("zero gradient contradicts eta_tilde < eta")
+    hyper = poly.with_equality(normal, dot(normal, xbar))
     tight = implicit_equalities(hyper)
     own = [i for i in tight if i < poly.m]
     face_rows = [[-v for v in poly.w_mat[i]] for i in own]
@@ -298,35 +282,24 @@ def classify_fulldim(
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return FulldimCertificate(EMPTY_SET)
+    face_min = free_min = None
     if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
         # identically-zero quadratic: Q is P itself
-        if eta < 0:
-            return FulldimCertificate(EMPTY_SET)
-        if probe.status == "full_dim":
-            return FulldimCertificate(FULL_DIM, polytope=inner_polytope(q))
-        return FulldimCertificate(
-            LOW_DIM_POLY, implicit_rows=implicit_equalities(poly, probe)
-        )
-    face_min = qp_min(obj, poly, check_psd=False)
-    eta_bar_finite = face_min.is_optimal
-    if eta_bar_finite and face_min.value > eta:
+        tag = EMPTY_SET if eta < 0 else FULL_DIM
+    else:
+        tag, face_min, free_min = _level_case(q)
+    if tag == EMPTY_SET:
         return FulldimCertificate(EMPTY_SET)
-    if eta_bar_finite and face_min.value == eta:
-        free_min = qp_min(obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
-        if free_min.is_optimal and free_min.value == eta:
-            rows, rhs = stationary_affine_subspace(obj)
-            return FulldimCertificate(LOW_DIM_AFFINE, eq_rows=rows, eq_rhs=rhs)
-        if probe.status == "full_dim":
-            face = tangent_face(q, _face_min=face_min, _free_min=free_min)
-            return FulldimCertificate(LOW_DIM_FACE, face=face)
-        return FulldimCertificate(
-            LOW_DIM_POLY, implicit_rows=implicit_equalities(poly, probe)
-        )
-    # eta_bar < eta (possibly -infinity): Q nonempty
+    if tag == LOW_DIM_AFFINE:
+        rows, rhs = stationary_affine_subspace(obj)
+        return FulldimCertificate(LOW_DIM_AFFINE, eq_rows=rows, eq_rhs=rhs)
     if probe.status != "full_dim":
         return FulldimCertificate(
             LOW_DIM_POLY, implicit_rows=implicit_equalities(poly, probe)
         )
+    if tag == LOW_DIM_FACE:
+        face = tangent_face(q, _face_min=face_min, _free_min=free_min)
+        return FulldimCertificate(LOW_DIM_FACE, face=face)
     polytope = inner_polytope(q, declared_box, _face_min=face_min)
     return FulldimCertificate(FULL_DIM, polytope=polytope)
 
@@ -338,6 +311,20 @@ class _ReduceOutcome:
     face_min: Optional[QpResult]  # min of the reduced quadratic over the reduced P
 
 
+def _reduce_step(
+    tau_acc: AffineParam, cur: ConvexQuadraticSet, poly: Polyhedron
+) -> Union[Empty, _ReduceOutcome]:
+    """Reduce poly, a subset of cur's polyhedron, and carry cur's quadratic
+    through its map x = xbar + M x' (eta' = eta - q(xbar))."""
+    out = fulldim_reduce_polyhedron(poly)
+    if isinstance(out, Empty):
+        return EMPTY
+    tau, reduced = out
+    obj = cur.obj
+    q2 = ConvexQuadraticSet(reduced, obj.map_through(tau), cur.eta - obj.value(tau.xbar))
+    return _ReduceOutcome(tau_acc.compose(tau), q2, None)
+
+
 def _fulldim_reduce_cqs_impl(
     q: ConvexQuadraticSet,
     bounded_hint: bool = False,
@@ -347,49 +334,31 @@ def _fulldim_reduce_cqs_impl(
     cur = q
     for _ in range(q.n + 2):
         if cur.obj.is_zero_quadratic():
-            # the quadratic degenerates to one linear row; reduce as a polyhedron
-            aug = cur.poly.with_rows([list(cur.obj.h_vec)], [cur.eta])
-            out = fulldim_reduce_polyhedron(aug)
-            if isinstance(out, Empty):
-                return EMPTY
-            tau2, p2 = out
-            q2 = ConvexQuadraticSet(p2, cur.obj.map_through(tau2),
-                                    cur.eta - cur.obj.value(tau2.xbar))
-            return _ReduceOutcome(tau_acc.compose(tau2), q2, None)
+            # Q is the polyhedron P with h^T x <= eta: finish as a polyhedron
+            h = cur.obj.h_vec
+            if any(v != 0 for v in h):
+                return _reduce_step(tau_acc, cur, cur.poly.with_rows([h], [cur.eta]))
+            return EMPTY if cur.eta < 0 else _reduce_step(tau_acc, cur, cur.poly)
 
-        out = fulldim_reduce_polyhedron(cur.poly)
-        if isinstance(out, Empty):
+        step = _reduce_step(tau_acc, cur, cur.poly)
+        if isinstance(step, Empty):
             return EMPTY
-        tau1, f_red = out
-        cur = ConvexQuadraticSet(
-            f_red, cur.obj.map_through(tau1), cur.eta - cur.obj.value(tau1.xbar)
-        )
-        tau_acc = tau_acc.compose(tau1)
+        tau_acc, cur = step.tau, step.q
 
         if cur.obj.is_zero_quadratic():
             continue  # substitution may have killed H; restart on the new face
 
-        face_min = qp_min(cur.obj, cur.poly, check_psd=False, bounded_hint=bounded_hint)
-        eta_bar_finite = face_min.is_optimal
-        if eta_bar_finite and face_min.value > cur.eta:
+        tag, face_min, free_min = _level_case(cur, bounded_hint)
+        if tag == EMPTY_SET:
             return EMPTY
-        if not eta_bar_finite or face_min.value < cur.eta:
+        if tag == FULL_DIM:
             return _ReduceOutcome(tau_acc, cur, face_min)
-
-        free_min = qp_min(cur.obj, Polyhedron([], [], _n_hint=cur.n), check_psd=False)
-        if free_min.is_optimal and free_min.value == cur.eta:
+        if tag == LOW_DIM_AFFINE:
             # Q = F intersected with the stationary subspace; finish as polyhedron
-            rows, rhs = stationary_affine_subspace(cur.obj)
             sys_poly = cur.poly
-            for row, b in zip(rows, rhs):
+            for row, b in zip(*stationary_affine_subspace(cur.obj)):
                 sys_poly = sys_poly.with_equality(row, b)
-            out2 = fulldim_reduce_polyhedron(sys_poly)
-            if isinstance(out2, Empty):
-                return EMPTY
-            tau2, p2 = out2
-            q2 = ConvexQuadraticSet(p2, cur.obj.map_through(tau2),
-                                    cur.eta - cur.obj.value(tau2.xbar))
-            return _ReduceOutcome(tau_acc.compose(tau2), q2, None)
+            return _reduce_step(tau_acc, cur, sys_poly)
 
         # tangent-face descent: dimension strictly decreases
         face = tangent_face(cur, _face_min=face_min, _free_min=free_min)

@@ -21,10 +21,6 @@ Matrix = list
 # ---------------------------------------------------------------------------
 # construction and elementwise helpers
 
-def vec(entries) -> Vector:
-    return [Rat(e) for e in entries]
-
-
 def mat(rows) -> Matrix:
     out = [[Rat(e) for e in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
@@ -113,14 +109,6 @@ def _dot(x, y):
 
 def norm_sq(x: Vector):
     return _dot(x, x)
-
-
-def is_zero_vec(x: Vector) -> bool:
-    return all(a == 0 for a in x)
-
-
-def is_zero_mat(a: Matrix) -> bool:
-    return all(e == 0 for row in a for e in row)
 
 
 def is_integer_mat(a: Matrix) -> bool:

@@ -294,9 +294,8 @@ def grow_simplex(
     vol_trace = [sim.volume_scale()]
     for _ in range(_MAX_SWEEPS):
         expanded = False
-        facets = compute_facets(sim.vertices)
         for i in range(p + 1):
-            normal, offset = facets[i]
+            normal, offset = sim.facets[i]
             gap = offset - dot(normal, sim.vertices[i])
             found = None
             for sense in (1, -1):
@@ -327,17 +326,15 @@ def grow_simplex(
                     break
             if found is not None:
                 new_vertex = _project(found, p)
-                old_scale = sim.volume_scale()
                 cand = [list(v) for v in sim.vertices]
                 cand[i] = new_vertex
                 sim = make_simplex(cand)
                 new_scale = sim.volume_scale()
-                assert new_scale * 2 >= old_scale * 3, "3/2 volume law violated"
+                assert new_scale * 2 >= vol_trace[-1] * 3, "3/2 volume law violated"
                 vol_trace.append(new_scale)
                 expanded = True
                 break
         if not expanded:
-            sim.facets = facets
             return sim, vol_trace
     raise AssertionError("grow_simplex failed to terminate; is Q bounded?")
 

@@ -8,6 +8,7 @@ from miqcp.cqs import (
     FULL_DIM,
     LOW_DIM_AFFINE,
     LOW_DIM_FACE,
+    LOW_DIM_POLY,
     ConvexQuadraticSet,
     classify_fulldim,
     fulldim_reduce_cqs,
@@ -18,10 +19,17 @@ from miqcp.cqs import (
 from miqcp.diophantine import EMPTY, Empty
 from miqcp.errors import PreconditionError
 from miqcp.linalg import det, gauss_solve, mat, mat_mul, mat_vec, transpose
-from miqcp.polyhedra import Polyhedron, is_fulldim_polyhedron, lp_min
+import miqcp.polyhedra
+from miqcp.polyhedra import (
+    Polyhedron,
+    fulldim_reduce_polyhedron,
+    is_fulldim_polyhedron,
+    lp_min,
+)
 from miqcp.qp import QpObjective, qp_min
 from miqcp.rational import Rat, is_integral
 from miqcp.simplex import OPTIMAL
+from miqcp.solver import _milp_cqs
 
 from test_polyhedra import box, enumerate_vertices
 
@@ -180,6 +188,74 @@ def test_classify_consistency_with_characterization():
             and (not res.is_optimal or res.value < eta)
         )
         assert (cert.tag == FULL_DIM) == full
+
+
+def _random_level_set(rng):
+    """A set in a box of R^n, n <= 3, that falls into any of the five cases."""
+    n = rng.randint(1, 3)
+    poly = box([-2] * n, [2] * n, p=rng.randint(0, n))
+    for _ in range(rng.randint(0, 2)):
+        row = [Rat(rng.randint(-2, 2)) for _ in range(n)]
+        if any(v != 0 for v in row):
+            poly = poly.with_rows([row], [Rat(rng.randint(-1, 3))])
+    if rng.random() < 0.3:
+        row = [Rat(rng.randint(-2, 2)) for _ in range(n)]
+        if any(v != 0 for v in row):
+            poly = poly.with_equality(row, Rat(rng.randint(-3, 3), rng.choice([1, 2])))
+    l_mat = [[Rat(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    h_mat = mat_mul(transpose(l_mat), l_mat) if l_mat else [[Rat(0)] * n for _ in range(n)]
+    h_vec = [Rat(rng.randint(-3, 3)) if rng.random() < 0.7 else Rat(0) for _ in range(n)]
+    obj = QpObjective(h_mat, h_vec)
+    eta = Rat(rng.randint(-2, 4))
+    if rng.random() < 0.5:
+        # put eta on the minimum over P: the stationary and tangent-face cases
+        res = qp_min(obj, poly)
+        if res.is_optimal:
+            eta = res.value
+    return ConvexQuadraticSet(poly, obj, eta)
+
+
+def test_classify_agrees_with_reduction():
+    # FULL_DIM exactly when the reduction keeps the dimension; EMPTY_SET
+    # only where the reduction finds no mixed-integer point
+    rng = random.Random(4242)
+    tags = set()
+    for _ in range(400):
+        q = _random_level_set(rng)
+        tag = classify_fulldim(q).tag
+        tags.add(tag)
+        out = fulldim_reduce_cqs(q)
+        keeps_dim = not isinstance(out, Empty) and out[0].n_prime == q.n
+        assert (tag == FULL_DIM) == keeps_dim
+        if tag == EMPTY_SET:
+            assert out == EMPTY
+    assert tags == {FULL_DIM, EMPTY_SET, LOW_DIM_AFFINE, LOW_DIM_FACE, LOW_DIM_POLY}
+
+
+def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
+    # q identically zero: Q is P (eta >= 0) or empty (eta < 0), so the
+    # reduction must cost what reducing P costs, and nothing when eta < 0
+    calls = []
+    solve_lp = miqcp.polyhedra.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
+    poly = box([-2, -1, 0], [3, 1, 2], p=2)
+    assert fulldim_reduce_polyhedron(poly)[1] is poly
+    expected = len(calls)
+    calls.clear()
+    q = _milp_cqs(poly)
+    out = fulldim_reduce_cqs(q)
+    assert len(calls) == expected
+    tau, q2 = out
+    assert (tau.n_prime, tau.xbar) == (3, [0, 0, 0])
+    assert q2.poly.w_mat == poly.w_mat and q2.poly.w_rhs == poly.w_rhs
+    calls.clear()
+    assert fulldim_reduce_cqs(ConvexQuadraticSet(poly, q.obj, Rat(-1))) == EMPTY
+    assert calls == []
 
 
 def substitution_identity_holds(q, tau, q2, samples):
