@@ -108,6 +108,39 @@ def stationary_affine_subspace(obj: QpObjective) -> Tuple[Matrix, Vector]:
     return rows, rhs
 
 
+def _round_to_grid(x: Vector, frac_bits: int) -> Vector:
+    scale = 1 << frac_bits
+    return [Rat(rround(v * scale), scale) for v in x]
+
+
+def _small_witness(q: ConvexQuadraticSet, xbar: Vector) -> Vector:
+    """A feasible point with q-value < eta and small bit size, if one is easy.
+
+    The inner-cube construction only needs some feasible point with strictly
+    slack quadratic; a coarser witness gives a much larger cube because the
+    cube radius divides by 2^size(witness).
+    """
+    probe = _fulldim_probe(q.poly)
+    candidates = []
+    if probe.point is not None and q.obj.value(probe.point) < q.eta:
+        mid = vec_scale(Rat(1, 2), vec_add(xbar, probe.point))
+        candidates.extend([probe.point, mid])
+    best = xbar
+    best_size = size_of_seq(xbar)
+    for cand in candidates:
+        for bits in (0, 2, 4, 8, 16, 24):
+            rounded = _round_to_grid(cand, bits)
+            if q.poly.contains(rounded) and q.obj.value(rounded) < q.eta:
+                s = size_of_seq(rounded)
+                if s < best_size:
+                    best, best_size = rounded, s
+                break
+        s = size_of_seq(cand)
+        if s < best_size and q.poly.contains(cand) and q.obj.value(cand) < q.eta:
+            best, best_size = cand, s
+    return best
+
+
 def cqs_bit_size(q: ConvexQuadraticSet) -> int:
     return scaled_integer_system_size(
         [q.poly.w_mat, q.obj.h_mat], [q.poly.w_rhs, q.obj.h_vec], [q.eta]
@@ -163,6 +196,7 @@ def inner_polytope(
                 "inner_polytope: declared box does not contain a point below eta"
             )
         xbar = res2.x
+    xbar = _small_witness(q, xbar)
     qval = obj.value(xbar)
     alpha = Rat(1 << size_of_seq([v for row in obj.h_mat for v in row] + list(obj.h_vec)))
     beta = Rat(1 << size_of_seq(xbar)) + 1
@@ -221,43 +255,48 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
 
 def _level_case(
     q: ConvexQuadraticSet, bounded_hint: bool = False
-) -> Tuple[str, QpResult, Optional[QpResult]]:
-    """The case split of the module docstring: (tag, face_min, free_min).
+) -> Tuple[str, Optional[QpResult]]:
+    """The case split of the module docstring: (tag, face_min).
 
-    face_min is the minimum of q over P; free_min, the minimum over all of
-    space, is computed only when face_min equals eta and is None otherwise.
     The tag is EMPTY_SET, FULL_DIM, LOW_DIM_AFFINE or LOW_DIM_FACE as if P
-    were full-dimensional; a face minimum of -infinity is FULL_DIM.
+    were full-dimensional.  face_min is the minimum of q over P; a minimum
+    of -infinity is FULL_DIM.  The minimum over all of space is computed
+    only when face_min equals eta.  An identically-zero q makes Q = P (or
+    empty when eta < 0) and needs no QP; face_min is then None.
     """
-    face_min = qp_min(q.obj, q.poly, check_psd=False, bounded_hint=bounded_hint)
-    if not face_min.is_optimal or face_min.value < q.eta:
-        return FULL_DIM, face_min, None
-    if face_min.value > q.eta:
-        return EMPTY_SET, face_min, None
-    free_min = qp_min(q.obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
-    if free_min.is_optimal and free_min.value == q.eta:
-        return LOW_DIM_AFFINE, face_min, free_min
-    return LOW_DIM_FACE, face_min, free_min
+    obj, eta = q.obj, q.eta
+    if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
+        return (EMPTY_SET if eta < 0 else FULL_DIM), None
+    face_min = qp_min(obj, q.poly, check_psd=False, bounded_hint=bounded_hint)
+    if not face_min.is_optimal or face_min.value < eta:
+        return FULL_DIM, face_min
+    if face_min.value > eta:
+        return EMPTY_SET, face_min
+    free_min = qp_min(obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
+    if free_min.is_optimal and free_min.value == eta:
+        return LOW_DIM_AFFINE, face_min
+    return LOW_DIM_FACE, face_min
 
 
 def tangent_face(
     q: ConvexQuadraticSet,
     _face_min: Optional[QpResult] = None,
-    _free_min: Optional[QpResult] = None,
+    _free_min: Optional[object] = None,
 ) -> Polyhedron:
     """The proper face of P containing Q when min over P equals eta.
 
     The supporting hyperplane is grad q(xbar)^T (x - xbar) = 0 at a
     minimizer xbar of q over P (h^T x = eta when H = 0).  The face is
     returned as P's system with its tight rows set to equality.  A caller
-    that already has both minima of a LOW_DIM_FACE set passes them.
+    whose `_level_case` gave LOW_DIM_FACE passes its face minimum and
+    `_free_min=True`; `_free_min` is read only for presence.
     """
     poly, obj = q.poly, q.obj
     probe = _fulldim_probe(poly)
     if probe.status != "full_dim":
         raise PreconditionError("tangent_face: P must be full-dimensional")
     if _face_min is None or _free_min is None:
-        tag, _face_min, _ = _level_case(q)
+        tag, _face_min = _level_case(q)
         if tag != LOW_DIM_FACE:
             raise PreconditionError(
                 "tangent_face: needs min over P = eta > min over all of space"
@@ -278,16 +317,11 @@ def classify_fulldim(
     q: ConvexQuadraticSet, declared_box: Optional[Tuple[Vector, Vector]] = None
 ) -> FulldimCertificate:
     """Three-way classification with a checkable certificate per case."""
-    poly, obj, eta = q.poly, q.obj, q.eta
+    poly, obj = q.poly, q.obj
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return FulldimCertificate(EMPTY_SET)
-    face_min = free_min = None
-    if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
-        # identically-zero quadratic: Q is P itself
-        tag = EMPTY_SET if eta < 0 else FULL_DIM
-    else:
-        tag, face_min, free_min = _level_case(q)
+    tag, face_min = _level_case(q)
     if tag == EMPTY_SET:
         return FulldimCertificate(EMPTY_SET)
     if tag == LOW_DIM_AFFINE:
@@ -298,7 +332,7 @@ def classify_fulldim(
             LOW_DIM_POLY, implicit_rows=implicit_equalities(poly, probe)
         )
     if tag == LOW_DIM_FACE:
-        face = tangent_face(q, _face_min=face_min, _free_min=free_min)
+        face = tangent_face(q, _face_min=face_min, _free_min=True)
         return FulldimCertificate(LOW_DIM_FACE, face=face)
     polytope = inner_polytope(q, declared_box, _face_min=face_min)
     return FulldimCertificate(FULL_DIM, polytope=polytope)
@@ -338,7 +372,8 @@ def _fulldim_reduce_cqs_impl(
             h = cur.obj.h_vec
             if any(v != 0 for v in h):
                 return _reduce_step(tau_acc, cur, cur.poly.with_rows([h], [cur.eta]))
-            return EMPTY if cur.eta < 0 else _reduce_step(tau_acc, cur, cur.poly)
+            tag, _ = _level_case(cur)  # q is identically zero: no QP
+            return EMPTY if tag == EMPTY_SET else _reduce_step(tau_acc, cur, cur.poly)
 
         step = _reduce_step(tau_acc, cur, cur.poly)
         if isinstance(step, Empty):
@@ -348,7 +383,7 @@ def _fulldim_reduce_cqs_impl(
         if cur.obj.is_zero_quadratic():
             continue  # substitution may have killed H; restart on the new face
 
-        tag, face_min, free_min = _level_case(cur, bounded_hint)
+        tag, face_min = _level_case(cur, bounded_hint)
         if tag == EMPTY_SET:
             return EMPTY
         if tag == FULL_DIM:
@@ -361,7 +396,7 @@ def _fulldim_reduce_cqs_impl(
             return _reduce_step(tau_acc, cur, sys_poly)
 
         # tangent-face descent: dimension strictly decreases
-        face = tangent_face(cur, _face_min=face_min, _free_min=free_min)
+        face = tangent_face(cur, _face_min=face_min, _free_min=True)
         if on_descent is not None:
             on_descent(cur.n)
         cur = ConvexQuadraticSet(face, cur.obj, cur.eta)
