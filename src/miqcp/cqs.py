@@ -288,14 +288,14 @@ def tangent_face(
     The supporting hyperplane is grad q(xbar)^T (x - xbar) = 0 at a
     minimizer xbar of q over P (h^T x = eta when H = 0).  The face is
     returned as P's system with its tight rows set to equality.  A caller
-    whose `_level_case` gave LOW_DIM_FACE passes its face minimum and
-    `_free_min=True`; `_free_min` is read only for presence.
+    that has shown P full-dimensional and got LOW_DIM_FACE from `_level_case`
+    passes its face minimum and `_free_min=True`; `_free_min` is read only
+    for presence, and the full-dimensionality check is skipped.
     """
     poly, obj = q.poly, q.obj
-    probe = _fulldim_probe(poly)
-    if probe.status != "full_dim":
-        raise PreconditionError("tangent_face: P must be full-dimensional")
     if _face_min is None or _free_min is None:
+        if _fulldim_probe(poly).status != "full_dim":
+            raise PreconditionError("tangent_face: P must be full-dimensional")
         tag, _face_min = _level_case(q)
         if tag != LOW_DIM_FACE:
             raise PreconditionError(

@@ -1,29 +1,33 @@
 """Exact convex quadratic programming over polyhedra.
 
-Primal active-set method in rational arithmetic: iterate working sets of
-constraint rows, solve each equality-constrained subproblem exactly through
-its KKT system, and accept only on a verified certificate.  Worst-case
-exponential, which is acceptable at desk scale; iteration counts are
-reported on every result for observability.
+Primal active-set method: iterate working sets of constraint rows, solve
+each equality-constrained subproblem exactly in the null space of the
+working rows, and accept only on a verified KKT certificate.  The loop runs
+on Python ints: the rows, H and h are scaled to integers once per call and
+the iterate is an int vector over one positive denominator, so scalars are
+touched only through ``numerator``/``denominator`` and ``Rat(int, int)``.
+Every integer system is the rational one with positively scaled rows and a
+common column scale, so iterates, tie-breaks and certificates are those of
+the rational method.  Worst-case exponential, which is acceptable at desk
+scale; iteration counts are reported on every result for observability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import List, Optional
 
 from .errors import DimensionError
 from .linalg import (
     Matrix,
     Vector,
+    _eliminate,
     dot,
-    gauss_solve,
-    identity,
     integer_row,
     ldlt_psd_check,
     mat_vec,
-    null_space,
     quad_form,
     transpose,
     vec_add,
@@ -66,14 +70,11 @@ class QpObjective:
         H' = M^T H M and h' = M^T (2 H xbar + h); the dropped constant is
         xbar^T H xbar + h^T xbar.
         """
-        n = len(tau.xbar)
-        mt = [[tau.m[i][j] for i in range(n)] for j in range(tau.n_prime)]
-        h_cols = [[sum((self.h_mat[a][b] * tau.m[b][j] for b in range(n)), ZERO)
-                   for j in range(tau.n_prime)] for a in range(n)]
-        h_new = [[sum((mt[i][a] * h_cols[a][j] for a in range(n)), ZERO)
-                  for j in range(tau.n_prime)] for i in range(tau.n_prime)]
+        mt = transpose(tau.m)  # the columns of M
+        h_cols = [mat_vec(self.h_mat, col) for col in mt]  # the columns of H M
+        h_new = [mat_vec(h_cols, col) for col in mt]
         lin = self.gradient(tau.xbar)
-        h_vec_new = [dot(mt[i], lin) for i in range(tau.n_prime)]
+        h_vec_new = [dot(col, lin) for col in mt]
         return QpObjective(h_new, h_vec_new)
 
 
@@ -117,18 +118,29 @@ def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
     return None
 
 
-def _independent_active_rows(poly: Polyhedron, x: Vector) -> List[int]:
+def _idot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _integer_system(poly: Polyhedron) -> tuple:
+    """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, ells[i] > 0."""
+    pairs = [integer_row(row + [b]) for row, b in zip(poly.w_mat, poly.w_rhs)]
+    return [row for row, _ in pairs], [ell for _, ell in pairs]
+
+
+def _independent_active_rows(rows: List[List[int]], x_num: List[int], x_den: int) -> List[int]:
     """The tight rows, in order, that are independent of the rows chosen before.
 
-    One incremental pass: each tight row, scaled to integers, is reduced
-    against the echelon rows already chosen and kept if anything is left.
+    rows are integer [A_i | b_i] (see `_integer_system`), the point is
+    x_num / x_den.  One incremental pass: each tight row is reduced against
+    the echelon rows already chosen and kept if anything is left.
     """
     chosen = []
     echelon = []  # (pivot column, primitive integer row)
-    for i, s in enumerate(poly.slacks(x)):
-        if s != 0:
+    for i, full in enumerate(rows):
+        row = full[:-1]
+        if _idot(row, x_num) != full[-1] * x_den:
             continue
-        row, _ = integer_row(poly.w_mat[i])
         for col, b in echelon:
             f = row[col]
             if f:
@@ -139,6 +151,28 @@ def _independent_active_rows(poly: Polyhedron, x: Vector) -> List[int]:
             chosen.append(i)
             echelon.append((col, [u // g for u in row]))
     return chosen
+
+
+def _null_basis(rows: List[List[int]], n: int) -> List[List[int]]:
+    """Integer columns spanning {z : rows z = 0}, one per free column.
+
+    Each is d times the corresponding column of `linalg.null_space` (d the
+    last Bareiss pivot, of either sign): the step and the descent
+    orientation qp_min derives from a basis are unchanged by scaling it.
+    """
+    if not rows:
+        return [[int(i == j) for i in range(n)] for j in range(n)]
+    work, pivots, _, d, _, _ = _eliminate(rows)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        col = [0] * n
+        col[j] = d
+        for row, c in zip(work, pivots):
+            col[c] = -row[j]
+        basis.append(col)
+    return basis
 
 
 def qp_min(
@@ -163,99 +197,133 @@ def qp_min(
     feas = lp_min([ZERO] * n, poly)
     if feas.status == INFEASIBLE:
         return QpResult(INFEASIBLE)
-    x = feas.x
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
 
     if not bounded_hint:
         ray = descent_ray(obj, poly)
         if ray is not None:
-            return QpResult(UNBOUNDED, point=x, ray=ray)
+            return QpResult(UNBOUNDED, point=feas.x, ray=ray)
 
-    active = _independent_active_rows(poly, x)
+    # Integer data: rows[i] = ells[i] [W_i | w_i]; scale H = h_int and
+    # scale h = lin.  The iterate is x = x_num / x_den in lowest terms, and
+    # grad = scale x_den (2 H x + h).  Every system below is the rational
+    # one with rows scaled by positive factors and its columns by a common
+    # one, so pivots, solutions and tie-breaks are those of the Fraction loop.
+    rows, ells = _integer_system(poly)
+    a_rows = [row[:-1] for row in rows]
+    flat, scale = integer_row([v for row in obj.h_mat for v in row] + list(obj.h_vec))
+    h_int = [flat[i * n:(i + 1) * n] for i in range(n)]
+    lin = flat[n * n:]
+    x_num, x_den = integer_row(feas.x)
+    h_x = [_idot(row, x_num) for row in h_int]
+    grad = [2 * u + x_den * c for u, c in zip(h_x, lin)]
+
+    active = _independent_active_rows(rows, x_num, x_den)
+    basis_for = None  # the working set that basis and red_hess belong to
     iterations = 0
     cap = _ITERATION_CAP_FACTOR * (poly.m + n + 10)
     while True:
         iterations += 1
         if iterations > cap:
             raise RuntimeError("qp_min: active-set iteration cap exceeded")
-        w_a = [poly.w_mat[i] for i in active]
-        nsp = null_space(w_a) if active else identity(n)
-        k = len(nsp[0]) if nsp else 0
-        grad = obj.gradient(x)
+        if active != basis_for:
+            basis_for = list(active)
+            # the working-set rows are independent, so n of them leave no freedom
+            basis = [] if len(active) == n else _null_basis([a_rows[i] for i in active], n)
+            h_basis = [[_idot(row, z) for row in h_int] for z in basis]
+            red_hess = [[2 * _idot(z, hz) for hz in h_basis] for z in basis]
 
-        step_dir = None
-        full_step_len = None
-        if k > 0:
-            ncols = [[nsp[i][j] for i in range(n)] for j in range(k)]
-            gr = [dot(col, grad) for col in ncols]
-            hn = [mat_vec(obj.h_mat, col) for col in ncols]  # k vectors in R^n
-            hr = [[dot(ncols[i], hn[j]) for j in range(k)] for i in range(k)]
-            two_hr = [[2 * v for v in row] for row in hr]
-            sol = gauss_solve(two_hr, [-v for v in gr])
-            if sol is None:
+        # the move is x + t step / step_den; step_den is None for a ray
+        step = None
+        step_den = None
+        if basis:
+            k = len(basis)
+            red_grad = [_idot(z, grad) for z in basis]
+            work, pivots, _, d, _, _ = _eliminate(
+                [hrow + [-g] for hrow, g in zip(red_hess, red_grad)])
+            if pivots and pivots[-1] == k:
                 # relaxed subproblem unbounded: move along a null direction
                 # of the reduced Hessian with nonzero reduced gradient
-                for_col = None
-                for col in _matrix_columns(null_space(hr)):
-                    t = dot(gr, col)
+                for col in _null_basis(red_hess, k):
+                    t = _idot(red_grad, col)
                     if t != 0:
-                        for_col = col if t < 0 else [-v for v in col]
+                        coef = col if t < 0 else [-v for v in col]
                         break
-                assert for_col is not None
-                step_dir = [sum((ncols[j][i] * for_col[j] for j in range(k)), ZERO)
-                            for i in range(n)]
-                full_step_len = None  # unbounded direction, must hit a row
+                else:
+                    raise AssertionError("unbounded subproblem needs a descent null direction")
+                step = [_idot(zrow, coef) for zrow in zip(*basis)]
             else:
-                step = [sum((ncols[j][i] * sol[j] for j in range(k)), ZERO)
-                        for i in range(n)]
-                if any(v != 0 for v in step):
-                    step_dir = step
-                    full_step_len = ONE
+                coef = [0] * k
+                for row, c in zip(work, pivots):
+                    coef[c] = row[k]
+                cand = [_idot(zrow, coef) for zrow in zip(*basis)]
+                if any(cand):
+                    # the subproblem optimum is x + cand / (d x_den)
+                    step = cand if d > 0 else [-v for v in cand]
+                    step_den = abs(d) * x_den
 
-        if step_dir is None:
+        if step is None:
             # x is optimal for the working set; check multipliers
             if not active:
-                if any(v != 0 for v in grad):
+                if any(grad):
                     raise AssertionError("stationarity must hold with empty working set")
-                return QpResult(OPTIMAL, x, obj.value(x), active=[], lam=[],
-                                iterations=iterations)
-            lam = gauss_solve(transpose(w_a), [-v for v in grad])
-            assert lam is not None, "EQP-optimal point must admit multipliers"
-            if all(v >= 0 for v in lam):
-                return QpResult(OPTIMAL, x, obj.value(x), active=list(active),
-                                lam=lam, iterations=iterations)
-            drop = min(i for i, v in zip(active, lam) if v < 0)
+                return _optimal(x_num, x_den, h_x, lin, scale, [], [], iterations)
+            m_a = len(active)
+            work, pivots, _, d, _, _ = _eliminate(
+                [list(col) + [-g] for col, g in zip(zip(*(a_rows[i] for i in active)), grad)])
+            if pivots and pivots[-1] == m_a:
+                raise AssertionError("EQP-optimal point must admit multipliers")
+            # lam_i = ells[i] mult_i / (|d| scale x_den)
+            mult = [0] * m_a
+            for row, c in zip(work, pivots):
+                mult[c] = row[m_a] if d > 0 else -row[m_a]
+            drop = next((i for i, v in zip(active, mult) if v < 0), None)
+            if drop is None:
+                lam_den = abs(d) * scale * x_den
+                lam = [Rat(ells[i] * v, lam_den) for i, v in zip(active, mult)]
+                return _optimal(x_num, x_den, h_x, lin, scale, list(active), lam, iterations)
             active.remove(drop)
             continue
 
-        # ratio test over rows outside the working set
+        # ratio test over rows outside the working set: the slack of row i
+        # over its step rate is (b_i x_den - A_i x_num) / (A_i step), up to
+        # a factor common to all rows; ties keep the first row
         blocking = None
-        best = None
-        for i in range(poly.m):
-            if i in active:
+        best = None  # (num, den) with den > 0
+        in_active = set(active)
+        for i, row in enumerate(a_rows):
+            if i in in_active:
                 continue
-            wd = dot(poly.w_mat[i], step_dir)
-            if wd > 0:
-                ratio = (poly.w_rhs[i] - dot(poly.w_mat[i], x)) / wd
-                if best is None or ratio < best:
-                    best = ratio
+            rate = _idot(row, step)
+            if rate > 0:
+                slack = rows[i][-1] * x_den - _idot(row, x_num)
+                if best is None or slack * best[1] < best[0] * rate:
+                    best = (slack, rate)
                     blocking = i
-        if full_step_len is not None and (best is None or best >= full_step_len):
-            x = vec_add(x, step_dir)  # reach the subproblem optimum
-            continue
-        assert best is not None, "boundedness check excludes free descent rays"
-        x = vec_add(x, vec_scale(best, step_dir))
-        active.append(blocking)
-        active.sort()
+        if step_den is not None and (best is None or best[0] * step_den >= best[1] * x_den):
+            # reach the subproblem optimum
+            x_num = [u * step_den + v * x_den for u, v in zip(x_num, step)]
+            x_den *= step_den
+        else:
+            if best is None:
+                raise AssertionError("boundedness check excludes free descent rays")
+            slack, rate = best
+            x_num = [u * rate + slack * v for u, v in zip(x_num, step)]
+            x_den *= rate
+            active.append(blocking)
+            active.sort()
+        g = gcd(x_den, *x_num)
+        x_num, x_den = [v // g for v in x_num], x_den // g
+        h_x = [_idot(row, x_num) for row in h_int]
+        grad = [2 * u + x_den * c for u, c in zip(h_x, lin)]
 
 
-def _matrix_columns(a: Matrix):
-    if not a:
-        return []
-    rows = len(a)
-    cols = len(a[0])
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult:
+    """The Optimal result at x = x_num / x_den, with h_x = scale H x_num."""
+    value = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
+    x = [Rat(v, x_den) for v in x_num]
+    return QpResult(OPTIMAL, x, value, active=active, lam=lam, iterations=iterations)
 
 
 def qp_min_on_slice(

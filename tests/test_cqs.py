@@ -19,6 +19,7 @@ from miqcp.cqs import (
 from miqcp.diophantine import EMPTY, Empty
 from miqcp.errors import PreconditionError
 from miqcp.linalg import det, gauss_solve, mat, mat_mul, mat_vec, transpose
+import miqcp.cqs
 import miqcp.polyhedra
 from miqcp.polyhedra import (
     Polyhedron,
@@ -286,12 +287,24 @@ def test_reduce_point_quadratic_spec_example():
     assert is_integral(tau.xbar[0])
 
 
-def test_reduce_tangent_descent_spec_example():
+def test_reduce_tangent_descent_spec_example(monkeypatch):
     # Q = {x1 >= 1, x1^2 <= 1, -5 <= x2 <= 5}, p = 2: descend to x1 = 1 then
     # reduce to a 1-dim full-dim interval with p' = 1
     poly = Polyhedron(mat([[-1, 0], [0, 1], [0, -1]]), [Rat(-1), Rat(5), Rat(5)], p=2)
     q = cqs(poly, [[1, 0], [0, 0]], [0, 0], 1)
+    probed = []
+    probe = miqcp.polyhedra._fulldim_probe
+
+    def counting_probe(p):
+        probed.append(p)
+        return probe(p)
+
+    monkeypatch.setattr(miqcp.polyhedra, "_fulldim_probe", counting_probe)
+    monkeypatch.setattr(miqcp.cqs, "_fulldim_probe", counting_probe)
     out = fulldim_reduce_cqs(q)
+    # the face descent reuses the reduction's verdict on its full-dimensional
+    # polyhedron instead of probing it again
+    assert len(probed) == 4
     assert not isinstance(out, Empty)
     tau, q2 = out
     assert tau.p_prime == 1 and tau.n_prime == 1

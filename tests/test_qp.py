@@ -1,15 +1,50 @@
+"""Exact convex QP: small cases, oracles, and the integer active-set loop
+against the Fraction loop it replaced.
+
+``_reference_qp_min`` is the earlier active-set method on Fraction vectors.
+``qp_min`` must visit the same iterates, so the two results agree field for
+field; every Optimal result's KKT certificate is checked independently.
+"""
+
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from miqcp.diophantine import AffineParam
 from miqcp.errors import NotPsdError
-from miqcp.linalg import dot, mat, mat_mul, transpose
-from miqcp.polyhedra import Polyhedron
-from miqcp.qp import QpObjective, check_kkt, qp_min, qp_min_on_slice
-from miqcp.rational import Rat
+from miqcp.linalg import (
+    dot,
+    gauss_solve,
+    identity,
+    mat,
+    mat_mul,
+    mat_vec,
+    null_space,
+    transpose,
+    vec_add,
+    vec_scale,
+)
+from miqcp.polyhedra import Polyhedron, lp_min
+import miqcp.qp
+from miqcp.qp import (
+    QpObjective,
+    QpResult,
+    _ITERATION_CAP_FACTOR,
+    check_kkt,
+    descent_ray,
+    qp_min,
+    qp_min_on_slice,
+)
+from miqcp.rational import Rat, ZERO, ONE
 from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from test_polyhedra import box
+from test_simplex import _greedy_rank_rows
 
 
 def test_qp_interior_minimum():
@@ -225,3 +260,290 @@ def test_qp_randomized_kkt_certificates():
             if poly.contains(y):
                 assert obj.value(y) >= res.value
         solved += 1
+
+
+# ---------------------------------------------------------------------------
+# the integer active-set loop against the Fraction loop it replaced
+
+def _reference_qp_min(obj, poly, check_psd=True, bounded_hint=False):
+    """The active-set loop on Fraction vectors that qp_min replaced."""
+    if check_psd:
+        obj.validate_psd()
+    n = obj.n
+
+    feas = lp_min([ZERO] * n, poly)
+    if feas.status == INFEASIBLE:
+        return QpResult(INFEASIBLE)
+    x = feas.x
+    if n == 0:
+        return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
+
+    if not bounded_hint:
+        ray = descent_ray(obj, poly)
+        if ray is not None:
+            return QpResult(UNBOUNDED, point=x, ray=ray)
+
+    active = _greedy_rank_rows(poly, x)
+    iterations = 0
+    cap = _ITERATION_CAP_FACTOR * (poly.m + n + 10)
+    while True:
+        iterations += 1
+        if iterations > cap:
+            raise RuntimeError("qp_min: active-set iteration cap exceeded")
+        w_a = [poly.w_mat[i] for i in active]
+        nsp = null_space(w_a) if active else identity(n)
+        k = len(nsp[0]) if nsp else 0
+        grad = obj.gradient(x)
+
+        step_dir = None
+        full_step_len = None
+        if k > 0:
+            ncols = [[nsp[i][j] for i in range(n)] for j in range(k)]
+            gr = [dot(col, grad) for col in ncols]
+            hn = [mat_vec(obj.h_mat, col) for col in ncols]  # k vectors in R^n
+            hr = [[dot(ncols[i], hn[j]) for j in range(k)] for i in range(k)]
+            two_hr = [[2 * v for v in row] for row in hr]
+            sol = gauss_solve(two_hr, [-v for v in gr])
+            if sol is None:
+                # relaxed subproblem unbounded: move along a null direction
+                # of the reduced Hessian with nonzero reduced gradient
+                for_col = None
+                for col in _matrix_columns(null_space(hr)):
+                    t = dot(gr, col)
+                    if t != 0:
+                        for_col = col if t < 0 else [-v for v in col]
+                        break
+                assert for_col is not None
+                step_dir = [sum((ncols[j][i] * for_col[j] for j in range(k)), ZERO)
+                            for i in range(n)]
+                full_step_len = None  # unbounded direction, must hit a row
+            else:
+                step = [sum((ncols[j][i] * sol[j] for j in range(k)), ZERO)
+                        for i in range(n)]
+                if any(v != 0 for v in step):
+                    step_dir = step
+                    full_step_len = ONE
+
+        if step_dir is None:
+            # x is optimal for the working set; check multipliers
+            if not active:
+                if any(v != 0 for v in grad):
+                    raise AssertionError("stationarity must hold with empty working set")
+                return QpResult(OPTIMAL, x, obj.value(x), active=[], lam=[],
+                                iterations=iterations)
+            lam = gauss_solve(transpose(w_a), [-v for v in grad])
+            assert lam is not None, "EQP-optimal point must admit multipliers"
+            if all(v >= 0 for v in lam):
+                return QpResult(OPTIMAL, x, obj.value(x), active=list(active),
+                                lam=lam, iterations=iterations)
+            drop = min(i for i, v in zip(active, lam) if v < 0)
+            active.remove(drop)
+            continue
+
+        # ratio test over rows outside the working set
+        blocking = None
+        best = None
+        for i in range(poly.m):
+            if i in active:
+                continue
+            wd = dot(poly.w_mat[i], step_dir)
+            if wd > 0:
+                ratio = (poly.w_rhs[i] - dot(poly.w_mat[i], x)) / wd
+                if best is None or ratio < best:
+                    best = ratio
+                    blocking = i
+        if full_step_len is not None and (best is None or best >= full_step_len):
+            x = vec_add(x, step_dir)  # reach the subproblem optimum
+            continue
+        assert best is not None, "boundedness check excludes free descent rays"
+        x = vec_add(x, vec_scale(best, step_dir))
+        active.append(blocking)
+        active.sort()
+
+
+def _matrix_columns(a):
+    if not a:
+        return []
+    rows = len(a)
+    cols = len(a[0])
+    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def _rat(rng, big=False):
+    den = rng.randint(1, 10**9) if big else rng.choice((1, 1, 1, 2, 3))
+    return Fraction(rng.randint(-4 * den, 4 * den), den)
+
+
+def _random_objective(rng, n, kind):
+    """PSD H of full rank, singular (rank < n) or zero, with a random h."""
+    big = rng.random() < 0.2
+    if kind == "zero":
+        h_mat = [[ZERO] * n for _ in range(n)]
+    else:
+        k = n if kind == "full" else rng.randint(1, max(1, n - 1))
+        l_mat = [[_rat(rng, big) for _ in range(n)] for _ in range(k)]
+        if kind == "full":
+            for i in range(n):
+                l_mat[i][i] += 5  # diagonally dominant, so nonsingular
+        h_mat = mat_mul(transpose(l_mat), l_mat)
+        if kind == "singular" and n == 1:
+            h_mat = [[ZERO]]
+    return QpObjective(h_mat, [_rat(rng, big) for _ in range(n)])
+
+
+def _random_qp(rng):
+    """(obj, poly, bounded_hint) mixing the structures the active set meets.
+
+    A box (half the time) bounds the region; on top come random rows, rows
+    through a common vertex (more tight rows than n), equality pairs,
+    duplicate and zero rows, and now and then a contradicting pair.
+    """
+    n = rng.randint(1, 4)
+    obj = _random_objective(rng, n, rng.choice(("full", "full", "singular", "zero")))
+    bounded = rng.random() < 0.5
+    rows, rhs = [], []
+    if bounded:
+        r = rng.choice((1, 3, 10))
+        b = box([-r] * n, [r] * n)
+        rows, rhs = [row[:] for row in b.w_mat], list(b.w_rhs)
+    vertex = [_rat(rng) for _ in range(n)]
+    for _ in range(rng.randint(0, 6)):
+        shape = rng.random()
+        if shape < 0.35:
+            row = [_rat(rng, rng.random() < 0.2) for _ in range(n)]
+            rows.append(row)
+            rhs.append(dot(row, vertex) + rng.choice((0, 1, Fraction(1, 3))))
+        elif shape < 0.65:
+            for _ in range(rng.randint(2, n + 2)):  # degenerate vertex
+                row = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                rows.append(row)
+                rhs.append(dot(row, vertex))
+        elif shape < 0.75:
+            row = [_rat(rng) for _ in range(n)]  # equality pair
+            rows += [row, [-v for v in row]]
+            rhs += [dot(row, vertex), -dot(row, vertex)]
+        elif shape < 0.85 and rows:
+            i = rng.randrange(len(rows))  # duplicate
+            rows.append(rows[i][:])
+            rhs.append(rhs[i])
+        elif shape < 0.95:
+            rows.append([ZERO] * n)  # zero row
+            rhs.append(Fraction(rng.randint(0, 2)))
+        else:
+            row = [_rat(rng) for _ in range(n)]  # contradicting pair
+            rows += [row, [-v for v in row]]
+            rhs += [ONE, -2 * ONE]
+    poly = Polyhedron(rows, rhs, _n_hint=n)
+    return obj, poly, bounded and rng.random() < 0.5
+
+
+def _check_against_reference(obj, poly, bounded_hint):
+    got = qp_min(obj, poly, bounded_hint=bounded_hint)
+    assert got == _reference_qp_min(obj, poly, bounded_hint=bounded_hint)
+    if got.status == OPTIMAL:
+        assert check_kkt(obj, poly, got)
+    return got
+
+
+def test_qp_min_matches_fraction_reference_on_random_qps():
+    rng = random.Random(5)
+    statuses = {}
+    moved = 0
+    for _ in range(400):
+        got = _check_against_reference(*_random_qp(rng))
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+        moved += got.status == OPTIMAL and got.iterations > 2
+    assert statuses[OPTIMAL] >= 200 and statuses[INFEASIBLE] >= 10
+    assert statuses[UNBOUNDED] >= 10 and moved >= 50
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _qp_case(draw):
+    n = draw(st.integers(1, 3))
+    l_mat = draw(st.lists(st.lists(_small, min_size=n, max_size=n), min_size=0, max_size=n))
+    h_mat = mat_mul(transpose(l_mat), l_mat) if l_mat else [[ZERO] * n for _ in range(n)]
+    h_vec = draw(st.lists(_small, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_small, min_size=n, max_size=n), max_size=6))
+    rhs = draw(st.lists(_small, min_size=len(rows), max_size=len(rows)))
+    return QpObjective(h_mat, h_vec), Polyhedron(rows, rhs, _n_hint=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_qp_case())
+def test_qp_min_matches_fraction_reference_property(case):
+    obj, poly = case
+    _check_against_reference(obj, poly, False)
+
+
+def test_qp_min_iterate_stays_in_lowest_terms(monkeypatch):
+    # A long walk over many facets: the integers handed to the elimination
+    # kernel stay as small as the rational data they stand for, which an
+    # iterate kept over an ever-growing denominator would break.
+    sizes = []
+    eliminate = miqcp.qp._eliminate
+
+    def recording(rows):
+        sizes.append(max((abs(v) for row in rows for v in row), default=0).bit_length())
+        return eliminate(rows)
+
+    monkeypatch.setattr(miqcp.qp, "_eliminate", recording)
+    rng = random.Random(3)
+    n = 3
+    rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(40)]
+    poly = box([-50] * n, [50] * n).with_rows(rows, [Fraction(40)] * len(rows))
+    obj = QpObjective(identity(n), [Fraction(-400), Fraction(300), Fraction(-200)])
+    res = qp_min(obj, poly)
+    assert res.status == OPTIMAL and check_kkt(obj, poly, res)
+    assert res.iterations >= 4
+    assert max(sizes) <= 64
+
+
+def test_bounded_hint_on_unbounded_qp_trips_assertion():
+    # min -x over x >= 0 with a wrong bounded_hint
+    obj = QpObjective(mat([[0]]), [Rat(-1)])
+    poly = Polyhedron(mat([[-1]]), [Rat(0)])
+    assert qp_min(obj, poly).status == UNBOUNDED
+    with pytest.raises(AssertionError):
+        qp_min(obj, poly, bounded_hint=True)
+
+
+def test_bounded_hint_assertion_survives_optimized_mode():
+    code = (
+        "from miqcp.linalg import mat\n"
+        "from miqcp.polyhedra import Polyhedron\n"
+        "from miqcp.qp import QpObjective, qp_min\n"
+        "from miqcp.rational import Rat\n"
+        "try:\n"
+        "    qp_min(QpObjective(mat([[0]]), [Rat(-1)]), Polyhedron(mat([[-1]]), [Rat(0)]),\n"
+        "           bounded_hint=True)\n"
+        "except AssertionError:\n"
+        "    print('assertion')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "assertion"
+
+
+def test_map_through_matches_triple_loop():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        n_prime = rng.randint(0, n)
+        obj = _random_objective(rng, n, rng.choice(("full", "singular", "zero")))
+        m = [[_rat(rng, rng.random() < 0.3) for _ in range(n_prime)] for _ in range(n)]
+        tau = AffineParam([_rat(rng) for _ in range(n)], m, 0, n_prime)
+        mt = [[m[i][j] for i in range(n)] for j in range(n_prime)]
+        h_cols = [[sum((obj.h_mat[a][b] * m[b][j] for b in range(n)), ZERO)
+                   for j in range(n_prime)] for a in range(n)]
+        h_new = [[sum((mt[i][a] * h_cols[a][j] for a in range(n)), ZERO)
+                  for j in range(n_prime)] for i in range(n_prime)]
+        lin = obj.gradient(tau.xbar)
+        mapped = obj.map_through(tau)
+        assert mapped.h_mat == h_new
+        assert mapped.h_vec == [dot(mt[i], lin) for i in range(n_prime)]
