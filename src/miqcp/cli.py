@@ -19,13 +19,14 @@ from .lattice import LATTICE_POINT, LatticeBasis, flatness
 from .linalg import dot, is_integer_mat, mat_eq, mat_mul, mat_vec
 from .polyhedra import Polyhedron, recession_ray_check
 from .qp import QpObjective
-from .rational import Rat, RationalParseError, rat, rat_str
+from .rational import RationalParseError, rat, rat_str
 from .rounding import sandwich
 from .solver import (
     INFEASIBLE_STATUS,
     UNBOUNDED_STATUS,
     MicqpInstance,
     Trace,
+    _milp_cqs,
     boundedness,
     feasibility,
     optimize,
@@ -180,9 +181,7 @@ def _solve_payload(res, inst: MicqpInstance) -> dict:
 def _cqs_or_milp(parsed: ParsedInstance) -> ConvexQuadraticSet:
     if parsed.quad is not None:
         return parsed.quad
-    n = parsed.micqp.poly.n
-    zero = QpObjective([[Rat(0)] * n for _ in range(n)], [Rat(0)] * n)
-    return ConvexQuadraticSet(parsed.micqp.poly, zero, Rat(0))
+    return _milp_cqs(parsed.micqp.poly)
 
 
 def _emit_tau(tau: AffineParam) -> dict:

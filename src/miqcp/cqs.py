@@ -13,7 +13,8 @@ preserving affine maps along the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .bounds import magnitude_bound, scaled_integer_system_size
@@ -33,11 +34,18 @@ from .simplex import INFEASIBLE
 
 @dataclass
 class ConvexQuadraticSet:
-    """{x : W x <= w, x^T H x + h^T x <= eta} with leading integer variables."""
+    """{x : W x <= w, x^T H x + h^T x <= eta} with leading integer variables.
+
+    Nothing writes to poly, obj or eta after construction, so a set keeps
+    its `_level_case` (computed once per object); the memo takes no part in
+    equality or repr.
+    """
 
     poly: Polyhedron
     obj: QpObjective
     eta: Rat
+    _level: Optional[Tuple[str, Optional[QpResult]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.obj.n != self.poly.n:
@@ -157,35 +165,35 @@ def theoretical_box(q: ConvexQuadraticSet, exponent_class: int = 4):
 def inner_polytope(
     q: ConvexQuadraticSet,
     declared_box: Optional[Tuple[Vector, Vector]] = None,
-    _face_min: Optional[QpResult] = None,
     bounded_hint: bool = False,
 ) -> Polyhedron:
     """A full-dimensional polytope (P intersected with a cube) inside Q.
 
-    Requires P full-dimensional and min q over P strictly below eta.  The
-    cube radius delta comes from an exact Lipschitz bound for the quadratic
-    on [-beta, beta]^n; when the minimum over P is -infinity the witness is
-    re-minimized over the declared box (or the symbolic magnitude box).
+    Requires P full-dimensional and the FULL_DIM case of q's `_level_case`
+    (min q over P < eta), whose minimum it reads.  An identically-zero q
+    makes Q = P: the cube is the unit cube around P's probe point.
+    Otherwise the cube radius delta comes from an exact Lipschitz bound for
+    the quadratic on [-beta, beta]^n; when the minimum over P is -infinity
+    the witness is re-minimized over the declared box (or the symbolic
+    magnitude box).
     """
     poly, obj, eta = q.poly, q.obj, q.eta
     n = q.n
     if n == 0:
         raise PreconditionError("inner_polytope: zero-dimensional set")
-    if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
+    tag, res = _level_case(q, bounded_hint)
+    if tag != FULL_DIM:
+        raise PreconditionError("inner_polytope: min over P is not below eta")
+    if res is None:
         # the quadratic is identically zero: Q is the polyhedron itself
-        if eta < 0:
-            raise PreconditionError("inner_polytope: identically-zero quadratic, eta < 0")
         probe = _fulldim_probe(poly)
         if probe.status != "full_dim":
             raise PreconditionError("inner_polytope: P is not full-dimensional")
         center = probe.point
         return poly.with_box([v - 1 for v in center], [v + 1 for v in center])
-    res = _face_min or qp_min(obj, poly, check_psd=False, bounded_hint=bounded_hint)
     if res.status == INFEASIBLE:
         raise PreconditionError("inner_polytope: polyhedron is empty")
     if res.is_optimal:
-        if res.value >= eta:
-            raise PreconditionError("inner_polytope: min over P is not below eta")
         xbar = res.x
     else:
         lo, hi = declared_box if declared_box is not None else theoretical_box(q, 4)
@@ -217,8 +225,6 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     monotone in the radius, so binary search applies.  The Lipschitz delta
     stays as the guaranteed floor.
     """
-    import itertools
-
     n = q.n
     if n > 12 or delta >= 1:
         return delta
@@ -260,10 +266,20 @@ def _level_case(
 
     The tag is EMPTY_SET, FULL_DIM, LOW_DIM_AFFINE or LOW_DIM_FACE as if P
     were full-dimensional.  face_min is the minimum of q over P; a minimum
-    of -infinity is FULL_DIM.  The minimum over all of space is computed
-    only when face_min equals eta.  An identically-zero q makes Q = P (or
-    empty when eta < 0) and needs no QP; face_min is then None.
+    of -infinity (or an empty P) is FULL_DIM.  The minimum over all of
+    space is computed only when face_min equals eta.  An identically-zero q
+    makes Q = P (or empty when eta < 0) and needs no QP; face_min is then
+    None.  The answer is kept on q under the first caller's bounded_hint,
+    which, when correct, only skips the QP's unboundedness probe.
     """
+    if q._level is None:
+        q._level = _split_level(q, bounded_hint)
+    return q._level
+
+
+def _split_level(
+    q: ConvexQuadraticSet, bounded_hint: bool
+) -> Tuple[str, Optional[QpResult]]:
     obj, eta = q.obj, q.eta
     if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
         return (EMPTY_SET if eta < 0 else FULL_DIM), None
@@ -278,30 +294,28 @@ def _level_case(
     return LOW_DIM_FACE, face_min
 
 
-def tangent_face(
-    q: ConvexQuadraticSet,
-    _face_min: Optional[QpResult] = None,
-    _free_min: Optional[object] = None,
-) -> Polyhedron:
+def tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
     """The proper face of P containing Q when min over P equals eta.
 
-    The supporting hyperplane is grad q(xbar)^T (x - xbar) = 0 at a
-    minimizer xbar of q over P (h^T x = eta when H = 0).  The face is
-    returned as P's system with its tight rows set to equality.  A caller
-    that has shown P full-dimensional and got LOW_DIM_FACE from `_level_case`
-    passes its face minimum and `_free_min=True`; `_free_min` is read only
-    for presence, and the full-dimensionality check is skipped.
+    Requires P full-dimensional and the LOW_DIM_FACE case of `_level_case`
+    (min over P = eta > min over all of space).  The supporting hyperplane
+    is grad q(xbar)^T (x - xbar) = 0 at the minimizer xbar of q over P kept
+    in q's level case (h^T x = eta when H = 0).  The face is returned as P's
+    system with its tight rows set to equality.
     """
+    if _fulldim_probe(q.poly).status != "full_dim":
+        raise PreconditionError("tangent_face: P must be full-dimensional")
+    if _level_case(q)[0] != LOW_DIM_FACE:
+        raise PreconditionError(
+            "tangent_face: needs min over P = eta > min over all of space"
+        )
+    return _tangent_face(q)
+
+
+def _tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
+    """`tangent_face` for a caller that has shown its preconditions."""
     poly, obj = q.poly, q.obj
-    if _face_min is None or _free_min is None:
-        if _fulldim_probe(poly).status != "full_dim":
-            raise PreconditionError("tangent_face: P must be full-dimensional")
-        tag, _face_min = _level_case(q)
-        if tag != LOW_DIM_FACE:
-            raise PreconditionError(
-                "tangent_face: needs min over P = eta > min over all of space"
-            )
-    xbar = _face_min.x
+    xbar = _level_case(q)[1].x
     normal = obj.gradient(xbar)
     if all(v == 0 for v in normal):
         raise AssertionError("zero gradient contradicts eta_tilde < eta")
@@ -321,33 +335,22 @@ def classify_fulldim(
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return FulldimCertificate(EMPTY_SET)
-    tag, face_min = _level_case(q)
+    tag, _ = _level_case(q)
     if tag == EMPTY_SET:
         return FulldimCertificate(EMPTY_SET)
     if tag == LOW_DIM_AFFINE:
         rows, rhs = stationary_affine_subspace(obj)
         return FulldimCertificate(LOW_DIM_AFFINE, eq_rows=rows, eq_rhs=rhs)
     if probe.status != "full_dim":
-        return FulldimCertificate(
-            LOW_DIM_POLY, implicit_rows=implicit_equalities(poly, probe)
-        )
+        return FulldimCertificate(LOW_DIM_POLY, implicit_rows=implicit_equalities(poly))
     if tag == LOW_DIM_FACE:
-        face = tangent_face(q, _face_min=face_min, _free_min=True)
-        return FulldimCertificate(LOW_DIM_FACE, face=face)
-    polytope = inner_polytope(q, declared_box, _face_min=face_min)
-    return FulldimCertificate(FULL_DIM, polytope=polytope)
-
-
-@dataclass
-class _ReduceOutcome:
-    tau: AffineParam
-    q: ConvexQuadraticSet
-    face_min: Optional[QpResult]  # min of the reduced quadratic over the reduced P
+        return FulldimCertificate(LOW_DIM_FACE, face=_tangent_face(q))
+    return FulldimCertificate(FULL_DIM, polytope=inner_polytope(q, declared_box))
 
 
 def _reduce_step(
     tau_acc: AffineParam, cur: ConvexQuadraticSet, poly: Polyhedron
-) -> Union[Empty, _ReduceOutcome]:
+) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
     """Reduce poly, a subset of cur's polyhedron, and carry cur's quadratic
     through its map x = xbar + M x' (eta' = eta - q(xbar))."""
     out = fulldim_reduce_polyhedron(poly)
@@ -356,14 +359,17 @@ def _reduce_step(
     tau, reduced = out
     obj = cur.obj
     q2 = ConvexQuadraticSet(reduced, obj.map_through(tau), cur.eta - obj.value(tau.xbar))
-    return _ReduceOutcome(tau_acc.compose(tau), q2, None)
+    return tau_acc.compose(tau), q2
 
 
-def _fulldim_reduce_cqs_impl(
+def fulldim_reduce_cqs(
     q: ConvexQuadraticSet,
     bounded_hint: bool = False,
     on_descent=None,
-) -> Union[Empty, _ReduceOutcome]:
+) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
+    """Empty, or tau and a full-dimensional Q' with Q = tau(Q') and
+    mixed-integer points in bijection.  on_descent(dim), when given, is
+    called at each tangent-face descent."""
     tau_acc = identity_param(q.n, q.p)
     cur = q
     for _ in range(q.n + 2):
@@ -378,16 +384,16 @@ def _fulldim_reduce_cqs_impl(
         step = _reduce_step(tau_acc, cur, cur.poly)
         if isinstance(step, Empty):
             return EMPTY
-        tau_acc, cur = step.tau, step.q
+        tau_acc, cur = step
 
         if cur.obj.is_zero_quadratic():
             continue  # substitution may have killed H; restart on the new face
 
-        tag, face_min = _level_case(cur, bounded_hint)
+        tag, _ = _level_case(cur, bounded_hint)
         if tag == EMPTY_SET:
             return EMPTY
         if tag == FULL_DIM:
-            return _ReduceOutcome(tau_acc, cur, face_min)
+            return tau_acc, cur
         if tag == LOW_DIM_AFFINE:
             # Q = F intersected with the stationary subspace; finish as polyhedron
             sys_poly = cur.poly
@@ -396,19 +402,12 @@ def _fulldim_reduce_cqs_impl(
             return _reduce_step(tau_acc, cur, sys_poly)
 
         # tangent-face descent: dimension strictly decreases
-        face = tangent_face(cur, _face_min=face_min, _free_min=True)
+        face = _tangent_face(cur)
         if on_descent is not None:
             on_descent(cur.n)
         cur = ConvexQuadraticSet(face, cur.obj, cur.eta)
     raise AssertionError("face descent failed to terminate within n iterations")
 
 
-def fulldim_reduce_cqs(
-    q: ConvexQuadraticSet, bounded_hint: bool = False
-) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
-    """Empty, or tau and a full-dimensional Q' with Q = tau(Q') and
-    mixed-integer points in bijection."""
-    out = _fulldim_reduce_cqs_impl(q, bounded_hint=bounded_hint)
-    if isinstance(out, Empty):
-        return EMPTY
-    return out.tau, out.q
+# the name the solver imports; a benchmark layer hooks it
+_fulldim_reduce_cqs_impl = fulldim_reduce_cqs

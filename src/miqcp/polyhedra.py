@@ -27,7 +27,12 @@ from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
 
 @dataclass
 class Polyhedron:
-    """{x in R^n : W x <= w} with the first p variables marked integer."""
+    """{x in R^n : W x <= w} with the first p variables marked integer.
+
+    Nothing writes to w_mat or w_rhs after construction, so a polyhedron
+    keeps its `_fulldim_probe` (one LP per object); the memo takes no part
+    in equality or repr.
+    """
 
     w_mat: Matrix
     w_rhs: Vector
@@ -52,6 +57,8 @@ class Polyhedron:
         return self._n_hint
 
     _n_hint: int = field(default=0, repr=False)
+    _probe: Optional[_FulldimProbe] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
         return all(dot(row, x) <= b for row, b in zip(self.w_mat, self.w_rhs))
@@ -129,14 +136,20 @@ def recession_ray_check(poly: Polyhedron, ray: Vector) -> bool:
 class _FulldimProbe:
     status: str                     # "empty" | "flat" | "full_dim"
     point: Optional[Vector] = None  # feasible point; interior when full_dim
-    max_slack: Optional[Rat] = None
 
 
 def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
-    """One LP (max t : Wx + t <= w) deciding empty / flat / full-dimensional."""
+    """One LP (max t : Wx + t <= w) deciding empty / flat / full-dimensional,
+    run once per polyhedron object."""
+    if poly._probe is None:
+        poly._probe = _probe_lp(poly)
+    return poly._probe
+
+
+def _probe_lp(poly: Polyhedron) -> _FulldimProbe:
     n, m = poly.n, poly.m
     if m == 0:
-        return _FulldimProbe("full_dim", [ZERO] * n, None)
+        return _FulldimProbe("full_dim", [ZERO] * n)
     ext_rows = [row[:] + [ONE] for row in poly.w_mat]
     c = [ZERO] * n + [-ONE]
     res = solve_lp(ext_rows, poly.w_rhs, c)
@@ -147,12 +160,12 @@ def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
             raise AssertionError("interior LP ray does not increase slack")
         k = max(ONE, (ONE - t0) / dt)
         x = [a + k * b for a, b in zip(res.x[:n], res.ray[:n])]
-        return _FulldimProbe("full_dim", x, None)
+        return _FulldimProbe("full_dim", x)
     tstar = -res.value
     if tstar > 0:
-        return _FulldimProbe("full_dim", res.x[:n], tstar)
+        return _FulldimProbe("full_dim", res.x[:n])
     if tstar == 0:
-        return _FulldimProbe("flat", res.x[:n], tstar)
+        return _FulldimProbe("flat", res.x[:n])
     return _FulldimProbe("empty")
 
 
@@ -161,13 +174,13 @@ def is_fulldim_polyhedron(poly: Polyhedron) -> bool:
     return _fulldim_probe(poly).status == "full_dim"
 
 
-def implicit_equalities(poly: Polyhedron, _probe: Optional[_FulldimProbe] = None) -> List[int]:
+def implicit_equalities(poly: Polyhedron) -> List[int]:
     """Indices i with W_i x = w_i on all of P, found by per-row LPs.
 
     Rows with positive slack at any discovered feasible point are pruned
     without an LP.  Raises on an empty polyhedron.
     """
-    probe = _probe or _fulldim_probe(poly)
+    probe = _fulldim_probe(poly)
     if probe.status == "empty":
         raise PreconditionError("implicit_equalities: polyhedron is empty")
     if probe.status == "full_dim":
@@ -205,7 +218,7 @@ def fulldim_reduce_polyhedron(
         return EMPTY
     if probe.status == "full_dim":
         return identity_param(poly.n, poly.p), poly
-    eq_idx = implicit_equalities(poly, probe)
+    eq_idx = implicit_equalities(poly)
     if not eq_idx:
         raise AssertionError("flat polyhedron must have an implicit equality")
     w_eq = [poly.w_mat[i] for i in eq_idx]

@@ -94,6 +94,17 @@ class QpResult:
         return self.status == OPTIMAL
 
 
+def recession_cone(obj: QpObjective, poly: Polyhedron) -> tuple:
+    """(rows, rhs) of {r : W r <= 0, H r = 0, h^T r <= 0}: +-H_i r <= 0 for
+    each nonzero row of H, and h^T r <= 0 last."""
+    rows = [row[:] for row in poly.w_mat]
+    for hrow in obj.h_mat:
+        if any(v != 0 for v in hrow):
+            rows += [hrow[:], [-v for v in hrow]]
+    rows.append(obj.h_vec[:])
+    return rows, [ZERO] * len(rows)
+
+
 def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
     """A ray with W r <= 0, H r = 0, h^T r <= -1, or None.
 
@@ -101,17 +112,8 @@ def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
     over a nonempty polyhedron.
     """
     n = obj.n
-    rows = [row[:] for row in poly.w_mat]
-    rhs = [ZERO] * poly.m
-    for hrow in obj.h_mat:
-        if all(v == 0 for v in hrow):
-            continue
-        rows.append(hrow[:])
-        rhs.append(ZERO)
-        rows.append([-v for v in hrow])
-        rhs.append(ZERO)
-    rows.append(obj.h_vec[:])
-    rhs.append(-ONE)
+    rows, rhs = recession_cone(obj, poly)
+    rhs[-1] = -ONE
     res = lp_min([ZERO] * n, Polyhedron(rows, rhs, _n_hint=n))
     if res.status == OPTIMAL:
         return res.x

@@ -10,6 +10,7 @@ the projection of the set onto the leading p coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .cqs import (
@@ -22,15 +23,16 @@ from .errors import PreconditionError
 from .linalg import (
     Matrix,
     Vector,
-    det,
     dot,
-    inverse,
+    integer_row,
+    inverse_with_det,
     mat_vec,
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, lp_min
-from .rational import Rat, ZERO, ONE
+from .polyhedra import Polyhedron, _fulldim_probe, lp_min
+from .qp import recession_cone
+from .rational import Rat, ZERO, ONE, rround
 from .simplex import OPTIMAL
 
 _MAX_ESCALATION = 128
@@ -53,14 +55,31 @@ def ceil_sqrt(p: int) -> int:
 
 @dataclass
 class Simplex:
-    """Full-dimensional simplex in R^p by vertices and facet inequalities.
+    """Full-dimensional simplex in R^p by its vertices v_0..v_p, which
+    nothing writes to after construction.
 
-    facets[i] = (normal, offset) supports all vertices except vertex i:
-    normal . v_j = offset for j != i and normal . v_i < offset.
+    One inverse of the edge matrix E (column j is v_{j+1} - v_0) gives
+    b_mat = E^-1, volume = |det E| and the facets: b_mat_i . (v_j - v_0) is
+    [j = i + 1], so -b_mat_i is normal to the facet opposite v_{i+1} and
+    sum_i b_mat_i to the one opposite v_0.  Normals are primitive integer
+    vectors (small normals keep the probe subproblems small), and
+    facets[i] = (normal, offset) has normal . v_j = offset for j != i and
+    normal . v_i < offset.  Affinely dependent vertices raise
+    PreconditionError (E is singular).
     """
 
     vertices: List[Vector]
-    facets: List[Tuple[Vector, Rat]] = field(default_factory=list)
+    b_mat: Matrix = field(init=False, repr=False, compare=False)
+    volume: Rat = field(init=False, repr=False, compare=False)
+    facets: List[Tuple[Vector, Rat]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.b_mat, det_e = inverse_with_det(self.edge_matrix())
+        self.volume = abs(det_e)
+        normals = [_primitive([sum(col) for col in zip(*self.b_mat)])]
+        normals += [_primitive([-v for v in row]) for row in self.b_mat]
+        v0, v1 = self.vertices[0], self.vertices[1]
+        self.facets = [(nrm, dot(nrm, v1 if i == 0 else v0)) for i, nrm in enumerate(normals)]
 
     @property
     def p(self) -> int:
@@ -70,13 +89,6 @@ class Simplex:
         v0 = self.vertices[0]
         return [[self.vertices[j + 1][i] - v0[i] for j in range(self.p)]
                 for i in range(self.p)]
-
-    def volume_scale(self):
-        """|det of the edge matrix| (p! times the volume)."""
-        return abs(det(self.edge_matrix()))
-
-    def is_nondegenerate(self) -> bool:
-        return self.volume_scale() != 0
 
     def check_facets(self) -> bool:
         for i, (normal, offset) in enumerate(self.facets):
@@ -91,73 +103,27 @@ class Simplex:
 
 
 def _primitive(normal: Vector) -> Vector:
-    """Scale a rational direction to a primitive integer vector."""
-    from math import gcd, lcm
-
-    from .rational import denom, numer
-
-    ell = lcm(*[denom(v) for v in normal])
-    ints = [numer(v) * (ell // denom(v)) for v in normal]
-    g = gcd(*[abs(v) for v in ints])
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Rat(v) for v in ints]
-
-
-def compute_facets(vertices: List[Vector]) -> List[Tuple[Vector, Rat]]:
-    """Facet (normal, offset) opposite each vertex, from exact null spaces.
-
-    Normals are scaled to primitive integer vectors; the expansion rule is
-    scale-invariant, and small normals keep the probe subproblems small.
-    """
-    p = len(vertices) - 1
-    facets = []
-    for i in range(p + 1):
-        others = [v for j, v in enumerate(vertices) if j != i]
-        if p == 1:
-            normal = [ONE]
-        else:
-            rows = [[others[j][t] - others[0][t] for t in range(p)]
-                    for j in range(1, p)]
-            ns = null_space(rows)
-            normal = _primitive([ns[t][0] for t in range(p)])
-        offset = dot(normal, others[0])
-        val = dot(normal, vertices[i])
-        if val == offset:
-            raise PreconditionError("degenerate simplex: vertex on opposite facet")
-        if val > offset:
-            normal = [-v for v in normal]
-            offset = -offset
-        facets.append((normal, offset))
-    return facets
+    """The positive multiple of a nonzero rational vector that is a
+    primitive integer vector."""
+    ints, _ = integer_row(normal)
+    g = gcd(*ints)
+    return [Rat(v // g) for v in ints]
 
 
 def make_simplex(vertices: List[Vector]) -> Simplex:
-    s = Simplex([list(v) for v in vertices])
-    s.facets = compute_facets(s.vertices)
-    return s
+    """The `Simplex` on copies of the vertices."""
+    return Simplex([list(v) for v in vertices])
 
 
 def cqs_is_bounded(q: ConvexQuadraticSet) -> bool:
     """Q bounded iff its recession cone {Wr <= 0, Hr = 0, h.r <= 0} is {0}."""
     n = q.n
-    rows = [row[:] for row in q.poly.w_mat]
-    rhs = [ZERO] * len(rows)
-    for hrow in q.obj.h_mat:
-        rows.append(list(hrow))
-        rhs.append(ZERO)
-        rows.append([-v for v in hrow])
-        rhs.append(ZERO)
-    rows.append(list(q.obj.h_vec))
-    rhs.append(ZERO)
+    rows, rhs = recession_cone(q.obj, q.poly)
     for i in range(n):
         for sign in (ONE, -ONE):
             cap = [ZERO] * n
             cap[i] = sign
-            probe = Polyhedron(rows + [cap], rhs + [ONE], _n_hint=n)
-            c = [ZERO] * n
-            c[i] = -sign
-            res = lp_min(c, probe)
+            res = lp_min([-v for v in cap], Polyhedron(rows + [cap], rhs + [ONE], _n_hint=n))
             assert res.status == OPTIMAL  # capped, feasible at r = 0
             if res.value < 0:
                 return False
@@ -249,8 +215,6 @@ def _simplify_accepted_point(
     simplex just as validly, so mix slightly toward an interior anchor and
     round to a coarse grid, verifying everything exactly.
     """
-    from .rational import rround
-
     base = pt
     if anchor is not None:
         for theta in (Rat(1, 8), Rat(1, 64)):
@@ -283,15 +247,12 @@ def grow_simplex(
     n = q.n
     if len(s0.vertices) != p + 1:
         raise PreconditionError("grow_simplex: simplex has wrong vertex count")
-    vertices = [list(v) for v in s0.vertices]
-    sim = make_simplex(vertices)
-    if not sim.is_nondegenerate():
-        raise PreconditionError("grow_simplex: seed simplex is degenerate")
+    sim = s0
     if check:
-        for v in vertices:
+        for v in sim.vertices:
             if _slice_membership(q, v) is None:
                 raise PreconditionError("grow_simplex: seed vertex outside proj(Q)")
-    vol_trace = [sim.volume_scale()]
+    vol_trace = [sim.volume]
     for _ in range(_MAX_SWEEPS):
         expanded = False
         for i in range(p + 1):
@@ -329,9 +290,8 @@ def grow_simplex(
                 cand = [list(v) for v in sim.vertices]
                 cand[i] = new_vertex
                 sim = make_simplex(cand)
-                new_scale = sim.volume_scale()
-                assert new_scale * 2 >= vol_trace[-1] * 3, "3/2 volume law violated"
-                vol_trace.append(new_scale)
+                assert sim.volume * 2 >= vol_trace[-1] * 3, "3/2 volume law violated"
+                vol_trace.append(sim.volume)
                 expanded = True
                 break
         if not expanded:
@@ -348,7 +308,8 @@ def _slice_membership(q: ConvexQuadraticSet, y_proj: Vector) -> Optional[Vector]
 
 @dataclass(frozen=True)
 class SandwichResult:
-    """B(a, r) <= B (proj_p Q) <= B(a, R) with B = inverse edge matrix.
+    """B(a, r) <= B (proj_p Q) <= B(a, R) with B = simplex.b_mat, the
+    inverse of the grown simplex's edge matrix.
 
     r = 1/(p + ceil_sqrt(p)) and R = 2 ceil_sqrt(p), so R/r <= 4 ceil_sqrt(p)^3.
     """
@@ -366,23 +327,23 @@ def sandwich(
     inner: Optional[Polyhedron] = None,
     check: bool = True,
 ) -> SandwichResult:
-    """Two concentric balls sandwiching the normalized projection of Q."""
+    """Two concentric balls sandwiching the normalized projection of Q.
+
+    Seeds and grows a simplex inside `inner` (by default the polytope of
+    `classify_fulldim`) and normalizes by the grown simplex's b_mat.
+    """
     if inner is None:
         cert = classify_fulldim(q)
         if cert.tag != FULL_DIM:
             raise PreconditionError("sandwich: Q is not full-dimensional")
         inner = cert.polytope
     seed = seed_simplex(q, p, inner=inner, check=check)
-    from .polyhedra import _fulldim_probe
-
     anchor = _fulldim_probe(inner).point
     grown, _trace = grow_simplex(q, p, make_simplex(seed), check=False, anchor=anchor)
-    v0 = grown.vertices[0]
-    m_tilde = grown.edge_matrix()
-    b_mat = inverse(m_tilde)
+    b_mat = grown.b_mat
     k = ceil_sqrt(p)
     r = Rat(1, p + k)
     big_r = Rat(2 * k)
     a_tilde = [Rat(1, p + k)] * p
-    a = vec_add(a_tilde, mat_vec(b_mat, v0))
+    a = vec_add(a_tilde, mat_vec(b_mat, grown.vertices[0]))
     return SandwichResult(b_mat, a, r, big_r, grown)

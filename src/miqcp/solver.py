@@ -21,20 +21,20 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from math import lcm
 from typing import List, Optional, Tuple
 
-from .bounds import magnitude_bound
 from .cqs import (
     ConvexQuadraticSet,
     _fulldim_reduce_cqs_impl,
-    cqs_bit_size,
     inner_polytope,
     quadratic_feasible_point,
+    theoretical_box,
 )
 from .diophantine import Empty, parametrize_mixed_integer_solutions
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness
-from .linalg import Vector, dot, inverse, mat_vec, norm_sq
+from .linalg import Vector, dot, mat_vec, norm_sq
 from .polyhedra import Polyhedron, lp_min
 from .qp import QpObjective, descent_ray, qp_min, qp_min_on_slice
 from .rational import (
@@ -48,7 +48,7 @@ from .rational import (
     sqrt_upper_bound,
 )
 from .simplex import INFEASIBLE, OPTIMAL
-from .rounding import ceil_sqrt, sandwich
+from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
 
 OPTIMAL_STATUS = "optimal"
 INFEASIBLE_STATUS = "infeasible"
@@ -141,8 +141,6 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
 
 
 def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
-    from .rounding import cqs_is_bounded
-
     if declared_box is not None:
         lo, hi = declared_box
         poly = _merge_duplicate_rows(q.poly.with_box(lo, hi))
@@ -155,10 +153,8 @@ def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
         RuntimeWarning,
         stacklevel=3,
     )
-    bound = magnitude_bound(cqs_bit_size(q), 4)
-    return ConvexQuadraticSet(
-        q.poly.with_box([-bound] * q.n, [bound] * q.n), q.obj, q.eta
-    )
+    lo, hi = theoretical_box(q, 4)
+    return ConvexQuadraticSet(q.poly.with_box(lo, hi), q.obj, q.eta)
 
 
 def feasibility(
@@ -180,7 +176,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="empty_after_reduction")
         return None
-    tau, q2, face_min = out.tau, out.q, out.face_min
+    tau, q2 = out
     p2 = q2.p
 
     if p2 == 0:
@@ -190,12 +186,12 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
             trace.record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
-    inner = inner_polytope(q2, _face_min=face_min, bounded_hint=True)
+    inner = inner_polytope(q2, bounded_hint=True)
     sw = sandwich(q2, p2, inner=inner, check=False)
     outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
 
     if outcome.tag == LATTICE_POINT:
-        y = mat_vec(inverse(sw.b_mat), outcome.z)
+        y = mat_vec(sw.simplex.edge_matrix(), outcome.z)  # y = B^-1 z
         assert all(is_integral(v) for v in y)
         point = quadratic_feasible_point(
             q2.obj, q2.poly.with_first_coords_fixed(y), q2.eta, bounded_hint=True
@@ -278,8 +274,6 @@ def _denominator_bound(inst: MicqpInstance) -> int:
     Cramer bounds every point denominator by that.  The value q(x*) then has
     denominator at most lcm(H, h denominators) times the point bound squared.
     """
-    from math import lcm
-
     n = inst.poly.n
     ell_obj = 1
     for row in inst.obj.h_mat:
@@ -304,7 +298,26 @@ def _denominator_bound(inst: MicqpInstance) -> int:
 
 
 def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
-    """Accurate solve: feasibility, boundedness, then the exact optimum."""
+    """Accurate solve: feasibility, boundedness, then the exact optimum.
+
+    The probe loop keeps lo < v: lo a level no feasible value is below (the
+    continuous minimum, then failed probe levels), v the best candidate (a
+    slice-QP optimum).  Candidate denominators are <= D =
+    `_denominator_bound`, so distinct candidates differ by >= 1/D^2, and
+    the loop ends when v - lo < 1/D^2 or the probe at v - gap,
+    gap = 1/(2 D^2), fails.  After every 8th improvement the probe is the
+    midpoint (lo + v)/2 if that is below v - gap, except right after a
+    failed midpoint, which only raised lo.
+
+    At most 9 M + 17 = O(log((v0 - lo0) D^2)) probes run, M being
+    log2((v0 - lo0) D^2) + 1.  v - lo never grows; a midpoint probe needs
+    v - lo > 1/D^2 and halves it either way, so at most M run, and every
+    failure but the last is a midpoint.  As a success clears
+    after_failed_midpoint, the probe after each 8th success is a midpoint
+    unless v - lo <= 1/D^2, and then at most one probe follows.
+    So at most M + 1 blocks of 8 successes complete: <= 8 (M + 2) successes
+    and <= M + 1 failures.
+    """
     x_feas = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
     if x_feas is None:
         return SolveStatus(INFEASIBLE_STATUS)
@@ -331,11 +344,12 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     gap = Rat(1, 2 * dbound * dbound)
     min_spacing = Rat(1, dbound * dbound)
     improvements = 0
+    after_failed_midpoint = False
     while v > lo:
         if v - lo < min_spacing:
             break  # only one candidate value fits in (lo, v]
         probe_at = v - gap
-        if improvements and improvements % 8 == 0:
+        if improvements and improvements % 8 == 0 and not after_failed_midpoint:
             midpoint = (lo + v) / 2
             if midpoint < probe_at:
                 probe_at = midpoint
@@ -348,12 +362,14 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
             if probe_at == v - gap:
                 break  # no candidate below v: v is the optimum
             lo = probe_at
+            after_failed_midpoint = True
             continue
         improved = qp_min_on_slice(inst.obj, inst.poly, found[:p], check_psd=False,
                                    bounded_hint=True)
         assert improved.is_optimal and improved.value <= probe_at
         x_best, v = improved.x, improved.value
         improvements += 1
+        after_failed_midpoint = False
     return SolveStatus(OPTIMAL_STATUS, x=x_best, value=v)
 
 

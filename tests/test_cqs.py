@@ -244,10 +244,13 @@ def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
         return solve_lp(*args)
 
     monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
-    poly = box([-2, -1, 0], [3, 1, 2], p=2)
-    assert fulldim_reduce_polyhedron(poly)[1] is poly
+    # the baseline runs on an equal, separate polyhedron: a polyhedron keeps
+    # its probe, so reducing the same object again would cost no LP
+    ref = box([-2, -1, 0], [3, 1, 2], p=2)
+    assert fulldim_reduce_polyhedron(ref)[1] is ref
     expected = len(calls)
     calls.clear()
+    poly = box([-2, -1, 0], [3, 1, 2], p=2)
     q = _milp_cqs(poly)
     out = fulldim_reduce_cqs(q)
     assert len(calls) == expected
@@ -257,6 +260,41 @@ def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
     calls.clear()
     assert fulldim_reduce_cqs(ConvexQuadraticSet(poly, q.obj, Rat(-1))) == EMPTY
     assert calls == []
+
+
+def test_classify_fulldim_probes_its_polyhedron_once(monkeypatch):
+    # classify_fulldim probes P, and the inner polytope's witness search
+    # reads the same probe instead of running the LP again
+    calls = []
+    solve_lp = miqcp.polyhedra.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
+    poly = box([-2, -1, 0], [3, 1, 2], p=2)
+    q = cqs(poly, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], 4)
+    assert classify_fulldim(q).tag == FULL_DIM
+    probe_rows = [row + [Rat(1)] for row in poly.w_mat]
+    assert sum(1 for w_mat, _, _ in calls if w_mat == probe_rows) == 1
+
+
+def test_level_case_is_kept_on_the_set(monkeypatch):
+    # the reduction's split of Q' serves inner_polytope: no second QP
+    q = cqs(box([-2, -2], [2, 2], p=1), [[1, 0], [0, 1]], [-1, 0], 3)
+    tau, q2 = fulldim_reduce_cqs(q)
+    calls = []
+    qp = miqcp.cqs.qp_min
+    monkeypatch.setattr(miqcp.cqs, "qp_min", lambda *a, **k: calls.append(a) or qp(*a, **k))
+    inner = inner_polytope(q2)
+    assert calls == []
+    assert is_fulldim_polyhedron(inner)
+    # the memos take no part in equality or repr
+    fresh = Polyhedron(q2.poly.w_mat, q2.poly.w_rhs, q2.poly.p)
+    assert q2.poly._probe is not None and fresh._probe is None
+    assert q2 == ConvexQuadraticSet(fresh, q2.obj, q2.eta)
+    assert repr(q2) == repr(ConvexQuadraticSet(fresh, q2.obj, q2.eta))
 
 
 def substitution_identity_holds(q, tau, q2, samples):
@@ -292,19 +330,18 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
     # reduce to a 1-dim full-dim interval with p' = 1
     poly = Polyhedron(mat([[-1, 0], [0, 1], [0, -1]]), [Rat(-1), Rat(5), Rat(5)], p=2)
     q = cqs(poly, [[1, 0], [0, 0]], [0, 0], 1)
-    probed = []
-    probe = miqcp.polyhedra._fulldim_probe
+    calls = []
+    solve_lp = miqcp.polyhedra.solve_lp
 
-    def counting_probe(p):
-        probed.append(p)
-        return probe(p)
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
 
-    monkeypatch.setattr(miqcp.polyhedra, "_fulldim_probe", counting_probe)
-    monkeypatch.setattr(miqcp.cqs, "_fulldim_probe", counting_probe)
+    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
     out = fulldim_reduce_cqs(q)
     # the face descent reuses the reduction's verdict on its full-dimensional
-    # polyhedron instead of probing it again
-    assert len(probed) == 4
+    # polyhedron and its face minimum instead of computing them again
+    assert len(calls) == 15
     assert not isinstance(out, Empty)
     tau, q2 = out
     assert tau.p_prime == 1 and tau.n_prime == 1

@@ -1,10 +1,11 @@
 import random
+from math import gcd, lcm
 
 import pytest
 
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
-from miqcp.linalg import dot, mat, mat_vec, norm_sq, vec_sub
+from miqcp.linalg import det, dot, identity, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat, ZERO
@@ -12,7 +13,6 @@ from miqcp.rounding import (
     SandwichResult,
     Simplex,
     ceil_sqrt,
-    compute_facets,
     cqs_is_bounded,
     grow_simplex,
     make_simplex,
@@ -71,7 +71,7 @@ def test_seed_simplex_3d_projected_to_2d():
     pts = seed_simplex(q, 2)
     assert len(pts) == 3
     sim = make_simplex(pts)
-    assert sim.is_nondegenerate()
+    assert sim.volume > 0
 
 
 def test_seed_simplex_rejects_flat_set():
@@ -84,6 +84,70 @@ def test_seed_simplex_rejects_flat_set():
 def test_compute_facets_normalization():
     sim = make_simplex([[Rat(0), Rat(0)], [Rat(1), Rat(0)], [Rat(0), Rat(1)]])
     assert sim.check_facets()
+
+
+def _reference_primitive(normal):
+    ell = lcm(*[v.denominator for v in normal])
+    ints = [v.numerator * (ell // v.denominator) for v in normal]
+    g = gcd(*[abs(v) for v in ints])
+    return [Rat(v // g) for v in ints]
+
+
+def _reference_compute_facets(vertices):
+    """Facet (normal, offset) opposite each vertex from exact null spaces:
+    the construction `Simplex` replaced, kept as its reference."""
+    p = len(vertices) - 1
+    facets = []
+    for i in range(p + 1):
+        others = [v for j, v in enumerate(vertices) if j != i]
+        if p == 1:
+            normal = [Rat(1)]
+        else:
+            rows = [[others[j][t] - others[0][t] for t in range(p)]
+                    for j in range(1, p)]
+            ns = null_space(rows)
+            normal = _reference_primitive([ns[t][0] for t in range(p)])
+        offset = dot(normal, others[0])
+        val = dot(normal, vertices[i])
+        if val == offset:
+            raise PreconditionError("degenerate simplex: vertex on opposite facet")
+        if val > offset:
+            normal = [-v for v in normal]
+            offset = -offset
+        facets.append((normal, offset))
+    return facets
+
+
+def test_simplex_facts_match_null_space_reference():
+    # facets, |det E| and B = E^-1 from one inverse equal the null-space
+    # facets, a separate determinant and the true inverse
+    rng = random.Random(6060)
+    cases = [[[Rat(1)], [Rat(1)]],
+             [[Rat(0), Rat(0)], [Rat(1), Rat(2)], [Rat(3), Rat(6)]]]
+    for trial in range(300):
+        p = 1 + trial % 4
+        den = rng.choice([1, 3, 10 ** 9, 2 ** 61 - 1])
+        span = rng.choice([2, 10 ** 6])
+        cases.append([[Rat(rng.randint(-span, span), rng.randint(1, den)) for _ in range(p)]
+                      for _ in range(p + 1)])
+    degenerate = 0
+    for vertices in cases:
+        p = len(vertices) - 1
+        e_mat = [[vertices[j + 1][i] - vertices[0][i] for j in range(p)] for i in range(p)]
+        if det(e_mat) == 0:
+            degenerate += 1
+            with pytest.raises(PreconditionError):
+                _reference_compute_facets(vertices)
+            with pytest.raises(PreconditionError):
+                make_simplex(vertices)
+            continue
+        sim = make_simplex(vertices)
+        assert sim.facets == _reference_compute_facets(vertices)
+        assert all(v.denominator == 1 for normal, _ in sim.facets for v in normal)
+        assert sim.volume == abs(det(e_mat)) == abs(det(sim.edge_matrix()))
+        assert mat_mul(sim.b_mat, e_mat) == identity(p)
+        assert sim.check_facets()
+    assert 2 < degenerate < 30
 
 
 def test_grow_interval_spec_example():

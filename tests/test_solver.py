@@ -255,3 +255,39 @@ def test_optimize_matches_oracle_randomized():
         if a.status == OPTIMAL_STATUS:
             assert a.value == b.value
         done += 1
+
+
+# A radius-10^11 instance (p = 2, n = 3) whose probe loop used to stall:
+# every probe after a failed midpoint was another midpoint, 208 feasibility
+# calls in all.  Its exact optimum at x = (46371068989, -18430764205,
+# -18714425032) is the value below.
+STALL_INSTANCE = (
+    '{"W": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], '
+    '"box": {"hi": [100000000000, 100000000000, 100000000000], '
+    '"lo": [-100000000000, -100000000000, -100000000000]}, "n": 3, '
+    '"objective": {"H": [[5, 1, 2], [1, 4, 0], [2, 0, 4]], '
+    '"h": ["-2463940229482/7", "382927829622/7", -35768875700]}, "p": 2, '
+    '"w": [100000000000, 100000000000, 100000000000, 100000000000, 100000000000, '
+    '100000000000]}'
+)
+
+
+def test_probe_after_failed_midpoint_is_the_optimality_probe(monkeypatch):
+    import miqcp.solver
+    from miqcp.cli import parse_instance
+
+    inst = parse_instance(STALL_INSTANCE).micqp
+    calls = []
+    feas = miqcp.solver.feasibility
+
+    def counted(*args):
+        calls.append(args)
+        return feas(*args)
+
+    monkeypatch.setattr(miqcp.solver, "feasibility", counted)
+    res = optimize(inst)
+    assert res.is_optimal
+    assert res.value == Rat(-8330531235901806030625)
+    assert res.x == [Rat(46371068989), Rat(-18430764205), Rat(-18714425032)]
+    assert inst.obj.value(res.x) == res.value and inst.poly.contains(res.x)
+    assert len(calls) <= 30
