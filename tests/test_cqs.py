@@ -233,9 +233,8 @@ def test_classify_agrees_with_reduction():
     assert tags == {FULL_DIM, EMPTY_SET, LOW_DIM_AFFINE, LOW_DIM_FACE, LOW_DIM_POLY}
 
 
-def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
-    # q identically zero: Q is P (eta >= 0) or empty (eta < 0), so the
-    # reduction must cost what reducing P costs, and nothing when eta < 0
+def _count_lps(monkeypatch):
+    """Record every later LP of the polyhedra module: the list of call arguments."""
     calls = []
     solve_lp = miqcp.polyhedra.solve_lp
 
@@ -244,6 +243,13 @@ def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
         return solve_lp(*args)
 
     monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
+    return calls
+
+
+def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
+    # q identically zero: Q is P (eta >= 0) or empty (eta < 0), so the
+    # reduction must cost what reducing P costs, and nothing when eta < 0
+    calls = _count_lps(monkeypatch)
     # the baseline runs on an equal, separate polyhedron: a polyhedron keeps
     # its probe, so reducing the same object again would cost no LP
     ref = box([-2, -1, 0], [3, 1, 2], p=2)
@@ -265,14 +271,7 @@ def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
 def test_classify_fulldim_probes_its_polyhedron_once(monkeypatch):
     # classify_fulldim probes P, and the inner polytope's witness search
     # reads the same probe instead of running the LP again
-    calls = []
-    solve_lp = miqcp.polyhedra.solve_lp
-
-    def counted(*args):
-        calls.append(args)
-        return solve_lp(*args)
-
-    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
+    calls = _count_lps(monkeypatch)
     poly = box([-2, -1, 0], [3, 1, 2], p=2)
     q = cqs(poly, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], 4)
     assert classify_fulldim(q).tag == FULL_DIM
@@ -330,14 +329,7 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
     # reduce to a 1-dim full-dim interval with p' = 1
     poly = Polyhedron(mat([[-1, 0], [0, 1], [0, -1]]), [Rat(-1), Rat(5), Rat(5)], p=2)
     q = cqs(poly, [[1, 0], [0, 0]], [0, 0], 1)
-    calls = []
-    solve_lp = miqcp.polyhedra.solve_lp
-
-    def counted(*args):
-        calls.append(args)
-        return solve_lp(*args)
-
-    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
+    calls = _count_lps(monkeypatch)
     out = fulldim_reduce_cqs(q)
     # the face descent reuses the reduction's verdict on its full-dimensional
     # polyhedron and its face minimum instead of computing them again
