@@ -1,37 +1,39 @@
 """Exact LLL reduction and the flatness dichotomy.
 
 The lattice generated by the columns of an invertible rational matrix is
-reduced with delta = 3/4 in exact Gram-Schmidt arithmetic.  The flatness
-routine then either places a lattice point inside a given ball (Babai's
-nearest plane on the reduced basis) or certifies a thin integer direction
-whose width over the ball is at most p * 2^(p(p-1)/4).
+reduced with delta = 3/4 by integral LLL (de Weger 1987; Cohen 1993,
+Alg. 2.6.7): the columns are scaled by the lcm s of their denominators, and
+the Gram determinants d_i and the numbers lambda_ij = d_{j+1} mu_ij, all
+Python ints, are updated in place by each size reduction and each swap, so
+no Gram-Schmidt vector is ever formed.  The flatness routine then either
+places a lattice point inside a given ball (Babai's nearest plane, read
+from the same integers) or certifies a thin integer direction whose width
+over the ball is at most p * 2^(p(p-1)/4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .errors import DimensionError, PreconditionError
-from .linalg import (
-    Matrix,
-    UnimodularCert,
-    Vector,
-    det,
-    dot,
-    identity,
-    inverse,
-    norm_sq,
-    vec_sub,
-)
-from .rational import Rat, ZERO, rround
+from .linalg import Matrix, UnimodularCert, Vector, _idot, inverse, norm_sq, vec_sub
+from .rational import Rat
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Lattice {B mu : mu integer}, generated by the columns of b_mat."""
+    """Lattice {B mu : mu integer}, generated by the columns of b_mat.
+
+    A basis returned by `lll_reduce` keeps the integral Gram-Schmidt data of
+    its reduction, which `babai_nearest_plane` reads.  Nothing writes to
+    b_mat after construction, so the memo stays valid; it takes no part in
+    equality or repr.
+    """
 
     b_mat: Matrix
+    _gso: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -44,72 +46,130 @@ class LatticeBasis:
     def validate(self):
         if any(len(row) != self.p for row in self.b_mat):
             raise DimensionError("lattice basis must be square")
-        if det(self.b_mat) == 0:
-            raise PreconditionError("lattice basis is singular")
 
 
-def _gram_schmidt(cols: List[Vector]) -> Tuple[List[Vector], List[List[Rat]]]:
-    star = []
-    mu = [[ZERO] * len(cols) for _ in cols]
-    for i, b in enumerate(cols):
-        v = list(b)
-        for j in range(i):
-            denom = norm_sq(star[j])
-            mu[i][j] = dot(b, star[j]) / denom
-            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
-        star.append(v)
-    return star, mu
+def _integral_gso(basis: LatticeBasis) -> tuple:
+    """(s, cols, d, lam): the columns times the lcm s of every denominator,
+    as ints, their Gram determinants d[0] = 1, d[i+1] = |b*_0|^2 ... |b*_i|^2,
+    and lam[i][j] = d[j+1] mu_ij for j < i, all ints (Cohen 1993, 2.6.7).
+
+    Raises PreconditionError when some d_i is 0, that is, when the columns
+    are linearly dependent.
+    """
+    if basis._gso is not None:
+        return basis._gso
+    basis.validate()
+    b_mat, p = basis.b_mat, basis.p
+    s = lcm(*(e.denominator for row in b_mat for e in row))
+    cols = [[b_mat[i][j].numerator * (s // b_mat[i][j].denominator) for i in range(p)]
+            for j in range(p)]
+    d = [1] + [0] * p
+    lam = [[0] * p for _ in range(p)]
+    for k in range(p):
+        lk = lam[k]
+        for j in range(k + 1):
+            u = _idot(cols[k], cols[j])
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            elif u == 0:
+                raise PreconditionError("lattice basis is singular")
+            else:
+                d[k + 1] = u
+    return s, cols, d, lam
 
 
 def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
-    """LLL with delta = 3/4; returns the reduced basis and U with Bred = B U."""
-    basis.validate()
+    """LLL with delta = 3/4; returns the reduced basis and U with Bred = B U.
+
+    Column k is size-reduced against j = k-1 down to 0 (Cohen's REDI,
+    q = round(mu_kj) with ties toward +infinity, only where 2 |mu_kj| > 1),
+    then tested by Lovasz's condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2)
+    |b*_{k-1}|^2, which reads 4 d_{k+1} d_{k-1} >= 3 d_k^2 - 4 lam_{k,k-1}^2
+    on the integers; a failed test swaps columns k-1 and k (Cohen's SWAPI)
+    and steps back to max(k-1, 1).
+    """
+    s, cols, d, lam = _integral_gso(basis)
+    # copies: a reduced input basis keeps these lists as its memo
+    cols, d, lam = cols[:], d[:], [row[:] for row in lam]
     p = basis.p
-    cols = basis.columns()
-    u = identity(p)
-    uinv = identity(p)
+    ucols = [[int(i == j) for i in range(p)] for j in range(p)]  # columns of U
+    uinv = [[int(i == j) for j in range(p)] for i in range(p)]  # rows of U^-1
 
-    def col_addmul(dst, src, k):
-        cols[dst] = [a + k * b for a, b in zip(cols[dst], cols[src])]
-        for row in u:
-            row[dst] += k * row[src]
-        uinv[src] = [x - k * y for x, y in zip(uinv[src], uinv[dst])]
-
-    def col_swap(c1, c2):
-        cols[c1], cols[c2] = cols[c2], cols[c1]
-        for row in u:
-            row[c1], row[c2] = row[c2], row[c1]
-        uinv[c1], uinv[c2] = uinv[c2], uinv[c1]
-
-    star, mu = _gram_schmidt(cols)
     k = 1
     while k < p:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if 2 * abs(mu[k][j]) > 1:
-                col_addmul(k, j, -rround(mu[k][j]))
-                star, mu = _gram_schmidt(cols)
-        if norm_sq(star[k]) >= (Rat(3, 4) - mu[k][k - 1] ** 2) * norm_sq(star[k - 1]):
+            dj, l = d[j + 1], lk[j]
+            if 2 * abs(l) > dj:
+                q = (2 * l + dj) // (2 * dj)
+                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+                ucols[k] = [a - q * b for a, b in zip(ucols[k], ucols[j])]
+                uinv[j] = [a + q * b for a, b in zip(uinv[j], uinv[k])]
+                lk[j] = l - q * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        l = lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
             k += 1
-        else:
-            col_swap(k, k - 1)
-            star, mu = _gram_schmidt(cols)
-            k = max(k - 1, 1)
+            continue
+        cols[k - 1], cols[k] = cols[k], cols[k - 1]
+        ucols[k - 1], ucols[k] = ucols[k], ucols[k - 1]
+        uinv[k - 1], uinv[k] = uinv[k], uinv[k - 1]
+        lk1 = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        dk, dk1 = d[k], d[k + 1]
+        b = (d[k - 1] * dk1 + l * l) // dk
+        for i in range(k + 1, p):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - l * t) // dk
+            li[k - 1] = (b * t + l * li[k]) // dk1
+        d[k] = b
+        k = max(k - 1, 1)
 
-    reduced = [[cols[j][i] for j in range(p)] for i in range(p)]
-    return LatticeBasis(reduced), UnimodularCert(u, uinv)
+    reduced = LatticeBasis([[Rat(cols[j][i], s) for j in range(p)] for i in range(p)])
+    object.__setattr__(reduced, "_gso", (s, cols, d, lam))
+    u = [[Rat(ucols[j][i]) for j in range(p)] for i in range(p)]
+    return reduced, UnimodularCert(u, [[Rat(x) for x in row] for row in uinv])
 
 
 def babai_nearest_plane(reduced: LatticeBasis, target: Vector) -> Vector:
-    """Nearest-plane rounding of target in the (reduced) basis; a lattice point."""
-    cols = reduced.columns()
-    star, _mu = _gram_schmidt(cols)
-    t = list(target)
-    z = [ZERO] * reduced.p
-    for i in range(reduced.p - 1, -1, -1):
-        coeff = rround(dot(t, star[i]) / norm_sq(star[i]))
-        t = [a - coeff * b for a, b in zip(t, cols[i])]
-        z = [a + coeff * b for a, b in zip(z, cols[i])]
-    return z
+    """Nearest-plane rounding of target in the (reduced) basis; a lattice point.
+
+    This is size reduction of one more vector, the target, against the
+    basis, from the last column down, rounding every coefficient
+    (ties toward +infinity).  The target is scaled by the lcm t of its
+    denominators on top of the basis scale s, so its lam_j are t times the
+    true ones.
+    """
+    s, cols, d, lam = _integral_gso(reduced)
+    p = reduced.p
+    if len(target) != p:
+        raise DimensionError("babai_nearest_plane: target has wrong dimension")
+    t = lcm(*(x.denominator for x in target))
+    vec = [x.numerator * (t // x.denominator) * s for x in target]
+    lt = [0] * p
+    for j in range(p):
+        u = _idot(vec, cols[j])
+        lj = lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lt[i] * lj[i]) // d[i]
+        lt[j] = u
+    z = [0] * p
+    for i in range(p - 1, -1, -1):
+        tdi = t * d[i + 1]
+        q = (2 * lt[i] + tdi) // (2 * tdi)
+        if q:
+            z = [a + q * b for a, b in zip(z, cols[i])]
+            li = lam[i]
+            for j in range(i):
+                lt[j] -= q * t * li[j]
+    return [Rat(x, s) for x in z]
 
 
 LATTICE_POINT = "lattice_point"

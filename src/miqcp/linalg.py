@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionError, NotPsdError, PreconditionError
@@ -107,6 +108,11 @@ def _dot(x, y):
     return Rat(num, den)
 
 
+def _idot(x, y) -> int:
+    """sum x_i y_i of two int vectors."""
+    return sum(map(mul, x, y))
+
+
 def norm_sq(x: Vector):
     return _dot(x, x)
 
@@ -147,9 +153,12 @@ def _eliminate(a: Matrix) -> tuple:
     rows, d, sign, scale): work[:rank] = d RREF(A) and the rest is zero,
     work[i] came from input row rows[i], d is the last pivot (1 if none),
     sign the parity of the swaps, scale the product of the row scalings.
+    A row that already holds ints is used as it is, not copied, so a row of
+    work may be an input row: neither this loop nor a caller writes to one.
     """
     m, n = shape(a)
-    scaled = [integer_row(row) for row in a]
+    scaled = [(row, 1) if all(type(e) is int for e in row) else integer_row(row)
+              for row in a]
     work = [row for row, _ in scaled]
     rows, pivots, sign, prev = list(range(m)), [], 1, 1
     for col in range(n):

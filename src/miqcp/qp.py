@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 from typing import List, Optional
 
 from .errors import DimensionError
@@ -24,6 +23,7 @@ from .linalg import (
     Matrix,
     Vector,
     _eliminate,
+    _idot,
     dot,
     integer_row,
     ldlt_psd_check,
@@ -118,10 +118,6 @@ def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
     if res.status == OPTIMAL:
         return res.x
     return None
-
-
-def _idot(a, b) -> int:
-    return sum(map(mul, a, b))
 
 
 def _integer_system(poly: Polyhedron) -> tuple:

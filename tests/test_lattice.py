@@ -1,6 +1,16 @@
+"""LLL reduction, nearest plane and flatness, and integral LLL against the
+Fraction Gram-Schmidt LLL it replaced.
+
+``_reference_lll_reduce`` and ``_reference_babai_nearest_plane`` recompute
+the whole Gram-Schmidt basis in Fractions after every step.  The integral
+versions must take the same steps, so the reduced basis, U, U^-1, Babai's
+point and every flatness outcome agree field for field.
+"""
+
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miqcp.errors import PreconditionError
 from miqcp.lattice import (
@@ -13,6 +23,7 @@ from miqcp.lattice import (
     lll_reduce,
     width_bound_sq,
 )
+from miqcp.linalg import UnimodularCert
 from miqcp.linalg import (
     det,
     dot,
@@ -26,32 +37,30 @@ from miqcp.linalg import (
     norm_sq,
     vec_sub,
 )
-from miqcp.rational import Rat, is_integral
+from miqcp.rational import Rat, ZERO, is_integral, rround
 
 
-def _gram_schmidt_norms(basis):
-    cols = basis.columns()
+def _reference_gram_schmidt(cols):
     star = []
+    mu = [[ZERO] * len(cols) for _ in cols]
     for i, b in enumerate(cols):
         v = list(b)
-        for s in star:
-            coef = dot(b, s) / norm_sq(s)
-            v = [a - coef * c for a, c in zip(v, s)]
+        for j in range(i):
+            denom = norm_sq(star[j])
+            mu[i][j] = dot(b, star[j]) / denom
+            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
         star.append(v)
-    return star
+    return star, mu
 
 
 def assert_lll_reduced(basis):
-    cols = basis.columns()
-    star = _gram_schmidt_norms(basis)
+    star, mu = _reference_gram_schmidt(basis.columns())
     p = basis.p
     for i in range(p):
         for j in range(i):
-            mu = dot(cols[i], star[j]) / norm_sq(star[j])
-            assert 2 * abs(mu) <= 1
+            assert 2 * abs(mu[i][j]) <= 1
     for k in range(1, p):
-        mu = dot(cols[k], star[k - 1]) / norm_sq(star[k - 1])
-        assert norm_sq(star[k]) >= (Rat(3, 4) - mu * mu) * norm_sq(star[k - 1])
+        assert norm_sq(star[k]) >= (Rat(3, 4) - mu[k][k - 1] ** 2) * norm_sq(star[k - 1])
 
 
 def test_lll_identity_unchanged():
@@ -153,3 +162,194 @@ def test_flatness_invariants_randomized():
             assert all(is_integral(v) for v in bt_d)
             assert 4 * r * r * norm_sq(out.d) <= width_bound_sq(p)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# integral LLL against the Fraction Gram-Schmidt LLL it replaced
+
+
+def _reference_lll_reduce(basis):
+    if det(basis.b_mat) == 0:
+        raise PreconditionError("lattice basis is singular")
+    p = basis.p
+    cols = basis.columns()
+    u = identity(p)
+    uinv = identity(p)
+
+    def col_addmul(dst, src, k):
+        cols[dst] = [a + k * b for a, b in zip(cols[dst], cols[src])]
+        for row in u:
+            row[dst] += k * row[src]
+        uinv[src] = [x - k * y for x, y in zip(uinv[src], uinv[dst])]
+
+    def col_swap(c1, c2):
+        cols[c1], cols[c2] = cols[c2], cols[c1]
+        for row in u:
+            row[c1], row[c2] = row[c2], row[c1]
+        uinv[c1], uinv[c2] = uinv[c2], uinv[c1]
+
+    star, mu = _reference_gram_schmidt(cols)
+    k = 1
+    while k < p:
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(mu[k][j]) > 1:
+                col_addmul(k, j, -rround(mu[k][j]))
+                star, mu = _reference_gram_schmidt(cols)
+        if norm_sq(star[k]) >= (Rat(3, 4) - mu[k][k - 1] ** 2) * norm_sq(star[k - 1]):
+            k += 1
+        else:
+            col_swap(k, k - 1)
+            star, mu = _reference_gram_schmidt(cols)
+            k = max(k - 1, 1)
+
+    reduced = [[cols[j][i] for j in range(p)] for i in range(p)]
+    return LatticeBasis(reduced), UnimodularCert(u, uinv)
+
+
+def _reference_babai_nearest_plane(reduced, target):
+    cols = reduced.columns()
+    star, _mu = _reference_gram_schmidt(cols)
+    t = list(target)
+    z = [ZERO] * reduced.p
+    for i in range(reduced.p - 1, -1, -1):
+        coeff = rround(dot(t, star[i]) / norm_sq(star[i]))
+        t = [a - coeff * b for a, b in zip(t, cols[i])]
+        z = [a + coeff * b for a, b in zip(z, cols[i])]
+    return z
+
+
+def _reference_flatness(a, r, reduced):
+    """`flatness` on the basis whose reference reduction is reduced."""
+    z = _reference_babai_nearest_plane(reduced, a)
+    if norm_sq(vec_sub(z, a)) <= r * r:
+        return FlatnessOutcome(LATTICE_POINT, z=list(z))
+    return FlatnessOutcome(THIN_DIRECTION, d=list(min(inverse(reduced.b_mat), key=norm_sq)))
+
+
+def _assert_matches_reference(b_mat, a, r):
+    """Both LLLs on B, then Babai and flatness; the tag of the flatness
+    outcome, or None when B is singular (both must then refuse it)."""
+    try:
+        want_red, want_u = _reference_lll_reduce(LatticeBasis(b_mat))
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            lll_reduce(LatticeBasis(b_mat))
+        with pytest.raises(PreconditionError):
+            flatness(a, r, LatticeBasis(b_mat))
+        return None
+    red, u = lll_reduce(LatticeBasis(b_mat))
+    assert red.b_mat == want_red.b_mat
+    assert u.u == want_u.u and u.uinv == want_u.uinv
+    # the reduced basis carries its integral data; a plain basis computes it
+    assert babai_nearest_plane(red, a) == _reference_babai_nearest_plane(want_red, a)
+    assert babai_nearest_plane(LatticeBasis(b_mat), a) == \
+        _reference_babai_nearest_plane(LatticeBasis(b_mat), a)
+    out = flatness(a, r, LatticeBasis(b_mat))
+    assert out == _reference_flatness(a, r, want_red)
+    return out.tag
+
+
+_BIG_DEN = (1 << 61) - 1
+
+
+def _rational_matrix(rng, p, den):
+    return [[Rat(rng.randint(-99, 99), rng.randint(1, den)) for _ in range(p)]
+            for _ in range(p)]
+
+
+def _random_case(rng, kind, p):
+    """(B, a, r) of one kind: rational, market split, near-dependent or singular.
+
+    Denominators reach 2^61 - 1 for p <= 5; larger p keep them small, since
+    the Fraction reference costs seconds per basis there.
+    """
+    den = rng.choice((1, 7, 1 << 20, _BIG_DEN) if p <= 5 else (1, 2, 7))
+    b_mat = _rational_matrix(rng, p, den)
+    if kind == "msplit":
+        # the knapsack lattice of a . x = rhs: identity over a weighted last row
+        weights = [rng.randint(0, 100) for _ in range(p - 1)]
+        rhs = sum(w for w in weights if rng.random() < 0.5) or 1
+        b_mat = [[Rat(int(i == j)) for j in range(p)] for i in range(p - 1)]
+        b_mat.append([Rat(1000 * w) for w in weights] + [Rat(1000 * rhs)])
+    elif kind == "near" and p > 1:
+        # column k a multiple of column j, then moved off it by 2^-40
+        j, k = rng.sample(range(p), 2)
+        c = Rat(rng.randint(-5, 5), rng.randint(1, 3))
+        for row in b_mat:
+            row[k] = c * row[j]
+        b_mat[rng.randrange(p)][k] += Rat(rng.choice((-1, 1)), 1 << 40)
+    elif kind == "singular":
+        # column k a rational combination of the others (zero when p = 1)
+        k = rng.randrange(p)
+        coef = [Rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)]
+        for row in b_mat:
+            row[k] = sum((c * v for i, (c, v) in enumerate(zip(coef, row)) if i != k), ZERO)
+    a_den = rng.choice((1, 4, _BIG_DEN))
+    a = [Rat(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, a_den)) for _ in range(p)]
+    r = rng.choice((ZERO, Rat(rng.randint(1, 40), rng.randint(1, 9)), Rat(10 ** 6)))
+    return b_mat, a, r
+
+
+def test_integral_lll_matches_fraction_reference():
+    rng = random.Random(2027)
+    tags = []
+    for kind in ("rational", "msplit", "near", "singular"):
+        for p in range(1, 9):
+            for _ in range(10):
+                tags.append((kind, _assert_matches_reference(*_random_case(rng, kind, p))))
+    assert len(tags) == 320
+    assert all(tag is None for kind, tag in tags if kind == "singular")
+    found = {tag for kind, tag in tags if kind != "singular"}
+    assert found == {LATTICE_POINT, THIN_DIRECTION}
+    assert sum(tag is None for _, tag in tags) <= 90
+
+
+_entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _lattice_case(draw):
+    p = draw(st.integers(1, 5))
+    b_mat = draw(st.lists(st.lists(_entry, min_size=p, max_size=p), min_size=p, max_size=p))
+    a = draw(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50),
+                      min_size=p, max_size=p))
+    r = draw(st.fractions(min_value=0, max_value=30, max_denominator=7))
+    return b_mat, a, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_case())
+def test_integral_lll_matches_fraction_reference_property(case):
+    _assert_matches_reference(*case)
+
+
+def test_lll_lovasz_equality_keeps_the_pair():
+    # |b*_1|^2 = (3/4 - mu^2) |b*_0|^2 exactly, once with mu = 1/2 and once
+    # with mu = 0: the test passes and, the later columns being orthogonal
+    # and long, the basis is already reduced
+    for cols in ([[2, 0, 0], [1, 1, 1], [0, 5, -5]],
+                 [[2, 0, 0, 0], [0, 1, 1, 1], [0, 4, -4, 0], [0, 4, 4, -8]]):
+        b_mat = [list(row) for row in zip(*mat(cols))]
+        red, u = lll_reduce(LatticeBasis(b_mat))
+        want_red, want_u = _reference_lll_reduce(LatticeBasis(b_mat))
+        assert red.b_mat == want_red.b_mat == b_mat
+        assert u.u == want_u.u == identity(len(cols))
+
+
+def test_babai_rounds_ties_up():
+    # the target sits halfway between lattice points in both coordinates
+    assert babai_nearest_plane(LatticeBasis(identity(2)), [Rat(1, 2), Rat(-3, 2)]) == [1, -1]
+    skew = LatticeBasis(mat([[2, 1], [0, 2]]))
+    target = [Rat(3, 2), Rat(1)]
+    assert babai_nearest_plane(skew, target) == _reference_babai_nearest_plane(skew, target)
+
+
+def test_lll_result_keeps_no_shared_state():
+    # reducing a reduced basis again must not disturb the data its Babai reads
+    basis = LatticeBasis(mat([[1, 1000001], [0, 1]]))
+    red, _ = lll_reduce(basis)
+    again, u = lll_reduce(red)
+    assert again.b_mat == red.b_mat and u.u == identity(2)
+    target = [Rat(7, 3), Rat(-5, 2)]
+    assert babai_nearest_plane(red, target) == _reference_babai_nearest_plane(red, target)
+    assert red == LatticeBasis(red.b_mat) and repr(red) == repr(LatticeBasis(red.b_mat))

@@ -88,6 +88,24 @@ def test_feasibility_finds_point_on_line():
     assert 2 * x[0] + x[1] == 1
 
 
+def test_continuous_leaf_reuses_the_reduction_qp(monkeypatch):
+    # p = 0: the reduction's minimum of q over P is already a point of Q
+    import miqcp.cqs
+
+    calls = []
+    qp_min = miqcp.cqs.qp_min
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qp_min(*args, **kwargs)
+
+    monkeypatch.setattr(miqcp.cqs, "qp_min", counted)
+    q = cqs_of(box([-1, -1], [1, 1]), [[1, 0], [0, 1]], [-1, 0], 1)
+    x = feasibility(q, BOX5_2D)
+    assert x is not None and q.contains(x)
+    assert len(calls) == 1
+
+
 def test_feasibility_trace_depth_le_p():
     poly = box([-3, -3, -3], [3, 3, 3], p=2)
     q = cqs_of(poly, [[2, 1, 0], [1, 2, 0], [0, 0, 1]], [0, 0, 1], 3)
