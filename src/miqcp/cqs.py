@@ -87,7 +87,21 @@ def quadratic_feasible_point(
     Minimizes q over the polyhedron; when that is unbounded below, walks the
     certified descent ray (H r = 0, h.r <= -1) far enough to clear eta.
     """
-    res = qp_min(obj, poly, check_psd=False, bounded_hint=bounded_hint)
+    return _point_below(obj, eta, qp_min(obj, poly, check_psd=False, bounded_hint=bounded_hint))
+
+
+def set_feasible_point(q: ConvexQuadraticSet, bounded_hint: bool = False) -> Optional[Vector]:
+    """A point of Q, or None: `quadratic_feasible_point` on Q's own data,
+    read from the minimum of q over P that `_level_case` keeps on q."""
+    _, face_min = _level_case(q, bounded_hint)
+    if face_min is None:  # q is identically zero: no QP was run
+        return quadratic_feasible_point(q.obj, q.poly, q.eta, bounded_hint)
+    return _point_below(q.obj, q.eta, face_min)
+
+
+def _point_below(obj: QpObjective, eta, res: QpResult) -> Optional[Vector]:
+    """A point of the polyhedron with q(x) <= eta, or None, given res, the
+    minimum of q over it."""
     if res.status == INFEASIBLE:
         return None
     if res.is_optimal:

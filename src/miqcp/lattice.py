@@ -6,14 +6,14 @@ Alg. 2.6.7): the columns are scaled by the lcm s of their denominators, and
 the Gram determinants d_i and the numbers lambda_ij = d_{j+1} mu_ij, all
 Python ints, are updated in place by each size reduction and each swap, so
 no Gram-Schmidt vector is ever formed.  The flatness routine then either
-places a lattice point inside a given ball (Babai's nearest plane, read
-from the same integers) or certifies a thin integer direction whose width
-over the ball is at most p * 2^(p(p-1)/4).
+places a lattice point inside a given ball (Babai's nearest plane, on the
+same integers of the reduced basis) or certifies a thin integer direction
+whose width over the ball is at most p * 2^(p(p-1)/4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import List, Optional, Tuple
 
@@ -24,16 +24,9 @@ from .rational import Rat
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Lattice {B mu : mu integer}, generated by the columns of b_mat.
-
-    A basis returned by `lll_reduce` keeps the integral Gram-Schmidt data of
-    its reduction, which `babai_nearest_plane` reads.  Nothing writes to
-    b_mat after construction, so the memo stays valid; it takes no part in
-    equality or repr.
-    """
+    """Lattice {B mu : mu integer}, generated by the columns of b_mat."""
 
     b_mat: Matrix
-    _gso: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -56,8 +49,6 @@ def _integral_gso(basis: LatticeBasis) -> tuple:
     Raises PreconditionError when some d_i is 0, that is, when the columns
     are linearly dependent.
     """
-    if basis._gso is not None:
-        return basis._gso
     basis.validate()
     b_mat, p = basis.b_mat, basis.p
     s = lcm(*(e.denominator for row in b_mat for e in row))
@@ -92,8 +83,6 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
     and steps back to max(k-1, 1).
     """
     s, cols, d, lam = _integral_gso(basis)
-    # copies: a reduced input basis keeps these lists as its memo
-    cols, d, lam = cols[:], d[:], [row[:] for row in lam]
     p = basis.p
     ucols = [[int(i == j) for i in range(p)] for j in range(p)]  # columns of U
     uinv = [[int(i == j) for j in range(p)] for i in range(p)]  # rows of U^-1
@@ -133,7 +122,6 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
         k = max(k - 1, 1)
 
     reduced = LatticeBasis([[Rat(cols[j][i], s) for j in range(p)] for i in range(p)])
-    object.__setattr__(reduced, "_gso", (s, cols, d, lam))
     u = [[Rat(ucols[j][i]) for j in range(p)] for i in range(p)]
     return reduced, UnimodularCert(u, [[Rat(x) for x in row] for row in uinv])
 
@@ -143,7 +131,8 @@ def babai_nearest_plane(reduced: LatticeBasis, target: Vector) -> Vector:
 
     This is size reduction of one more vector, the target, against the
     basis, from the last column down, rounding every coefficient
-    (ties toward +infinity).  The target is scaled by the lcm t of its
+    (ties toward +infinity), on the integral Gram-Schmidt data of b_mat as
+    it is at the call.  The target is scaled by the lcm t of its
     denominators on top of the basis scale s, so its lam_j are t times the
     true ones.
     """

@@ -27,9 +27,9 @@ from typing import List, Optional, Tuple
 from .cqs import (
     ConvexQuadraticSet,
     _fulldim_reduce_cqs_impl,
-    _level_case,
     inner_polytope,
     quadratic_feasible_point,
+    set_feasible_point,
     theoretical_box,
 )
 from .diophantine import Empty, parametrize_mixed_integer_solutions
@@ -181,12 +181,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     p2 = q2.p
 
     if p2 == 0:
-        # the minimum of q over P, kept on q2 by the reduction, is a point of Q
-        _, face_min = _level_case(q2, bounded_hint=True)
-        if face_min is not None and face_min.is_optimal and face_min.value <= q2.eta:
-            point = face_min.x
-        else:
-            point = quadratic_feasible_point(q2.obj, q2.poly, q2.eta, bounded_hint=True)
+        point = set_feasible_point(q2, bounded_hint=True)
         assert point is not None, "full-dimensional reduced set cannot be empty"
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="continuous")

@@ -13,6 +13,8 @@ from miqcp.cqs import (
     classify_fulldim,
     fulldim_reduce_cqs,
     inner_polytope,
+    quadratic_feasible_point,
+    set_feasible_point,
     stationary_affine_subspace,
     tangent_face,
 )
@@ -29,7 +31,7 @@ from miqcp.polyhedra import (
 )
 from miqcp.qp import QpObjective, qp_min
 from miqcp.rational import Rat, is_integral
-from miqcp.simplex import OPTIMAL
+from miqcp.simplex import OPTIMAL, UNBOUNDED
 from miqcp.solver import _milp_cqs
 
 from test_polyhedra import box, enumerate_vertices
@@ -294,6 +296,29 @@ def test_level_case_is_kept_on_the_set(monkeypatch):
     assert q2.poly._probe is not None and fresh._probe is None
     assert q2 == ConvexQuadraticSet(fresh, q2.obj, q2.eta)
     assert repr(q2) == repr(ConvexQuadraticSet(fresh, q2.obj, q2.eta))
+
+
+def test_set_feasible_point_reads_the_level_case(monkeypatch):
+    # the point is quadratic_feasible_point's, and once the level case is
+    # known it costs no QP
+    rng = random.Random(77)
+    half_plane = Polyhedron(mat([[1, 0]]), [Rat(0)])  # q -> -infinity along -e1
+    cases = [_random_level_set(rng) for _ in range(200)]
+    cases.append(cqs(half_plane, [[0, 0], [0, 1]], [1, 0], -5))
+    calls = []
+    qp = miqcp.cqs.qp_min
+    monkeypatch.setattr(miqcp.cqs, "qp_min", lambda *a, **k: calls.append(a) or qp(*a, **k))
+    found = set()
+    for q in cases:
+        want = quadratic_feasible_point(q.obj, q.poly, q.eta)
+        _, face_min = miqcp.cqs._level_case(q)
+        calls.clear()
+        x = set_feasible_point(q)
+        assert x == want
+        assert len(calls) == (face_min is None)  # a zero q runs its LP as a QP
+        assert x is None or q.contains(x)
+        found.add((x is None, face_min.status if face_min else None))
+    assert found >= {(False, OPTIMAL), (True, OPTIMAL), (False, UNBOUNDED), (False, None)}
 
 
 def substitution_identity_holds(q, tau, q2, samples):

@@ -345,11 +345,16 @@ def test_babai_rounds_ties_up():
 
 
 def test_lll_result_keeps_no_shared_state():
-    # reducing a reduced basis again must not disturb the data its Babai reads
+    # the reduction leaves its input alone, and Babai reads b_mat as it is
+    # at the call, also after an edit in place
     basis = LatticeBasis(mat([[1, 1000001], [0, 1]]))
     red, _ = lll_reduce(basis)
+    assert basis.b_mat == mat([[1, 1000001], [0, 1]])
     again, u = lll_reduce(red)
     assert again.b_mat == red.b_mat and u.u == identity(2)
     target = [Rat(7, 3), Rat(-5, 2)]
     assert babai_nearest_plane(red, target) == _reference_babai_nearest_plane(red, target)
-    assert red == LatticeBasis(red.b_mat) and repr(red) == repr(LatticeBasis(red.b_mat))
+    red.b_mat[1][1] *= 3
+    edited = babai_nearest_plane(red, target)
+    assert edited == _reference_babai_nearest_plane(red, target)
+    assert edited != _reference_babai_nearest_plane(again, target)
