@@ -22,7 +22,16 @@ from .diophantine import (
 from .errors import DimensionError, PreconditionError
 from .linalg import Matrix, Vector, dot
 from .rational import Rat, ZERO, ONE
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+from .simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LpResult,
+    LpStart,
+    phase1,
+    phase2,
+    solve_lp,
+)
 
 
 @dataclass
@@ -30,8 +39,12 @@ class Polyhedron:
     """{x in R^n : W x <= w} with the first p variables marked integer.
 
     Nothing writes to w_mat or w_rhs after construction, so a polyhedron
-    keeps its `_fulldim_probe` (one LP per object); the memo takes no part
-    in equality or repr.
+    keeps two memos, each computed at most once per object and taking no
+    part in equality or repr:
+
+    - `_probe`, its `_fulldim_probe` (one LP);
+    - `_start`, the simplex phase-1 state of W x <= w (tableau, basis and
+      d, or the Farkas vector), from which `lp_min` runs only phase 2.
     """
 
     w_mat: Matrix
@@ -58,6 +71,8 @@ class Polyhedron:
 
     _n_hint: int = field(default=0, repr=False)
     _probe: Optional[_FulldimProbe] = field(
+        default=None, init=False, repr=False, compare=False)
+    _start: Optional[LpStart] = field(
         default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
@@ -119,10 +134,16 @@ class Polyhedron:
 
 
 def lp_min(c: Vector, poly: Polyhedron) -> LpResult:
-    """Exact min of c^T x over the polyhedron, with certificates."""
+    """Exact min of c^T x over the polyhedron, with certificates.
+
+    Phase 1 runs on the first call for a polyhedron object, and each call
+    runs phase 2 from its start, so the result equals solve_lp's.
+    """
     if len(c) != poly.n:
         raise DimensionError("lp_min: objective length != n")
-    return solve_lp(poly.w_mat, poly.w_rhs, c)
+    if poly._start is None:
+        poly._start = phase1(poly.w_mat, poly.w_rhs, poly.n)
+    return phase2(poly._start, c)
 
 
 def recession_ray_check(poly: Polyhedron, ray: Vector) -> bool:

@@ -116,15 +116,23 @@ def make_simplex(vertices: List[Vector]) -> Simplex:
 
 
 def cqs_is_bounded(q: ConvexQuadraticSet) -> bool:
-    """Q bounded iff its recession cone {Wr <= 0, Hr = 0, h.r <= 0} is {0}."""
+    """Q bounded iff its recession cone C = {Wr <= 0, Hr = 0, h.r <= 0} is {0}.
+
+    The 2n coordinate LPs max +-r_i run over one polyhedron, C capped by
+    the unit box [-1, 1]^n, so they share one simplex phase 1.  The verdict
+    is C's: a nonzero r in C scales to r / max_i |r_i|, which lies in C and
+    in the box and has a coordinate +-1, so some LP has a positive maximum.
+    """
     n = q.n
     rows, rhs = recession_cone(q.obj, q.poly)
+    capped = Polyhedron(rows, rhs, _n_hint=n).with_box([-ONE] * n, [ONE] * n)
     for i in range(n):
         for sign in (ONE, -ONE):
-            cap = [ZERO] * n
-            cap[i] = sign
-            res = lp_min([-v for v in cap], Polyhedron(rows + [cap], rhs + [ONE], _n_hint=n))
-            assert res.status == OPTIMAL  # capped, feasible at r = 0
+            c = [ZERO] * n
+            c[i] = -sign
+            res = lp_min(c, capped)
+            if res.status != OPTIMAL:  # capped, feasible at r = 0
+                raise AssertionError("capped recession-cone LP ended " + res.status)
             if res.value < 0:
                 return False
     return True
@@ -162,7 +170,8 @@ def seed_simplex(
             raise PreconditionError("seed_simplex: Q is not full-dimensional")
         inner = cert.polytope
     first = lp_min(_lift_direction([ONE], n), inner)
-    assert first.status == OPTIMAL
+    if first.status != OPTIMAL:
+        raise AssertionError("seed LP over the inner polytope ended " + first.status)
     points = [_project(first.x, p)]
     while len(points) < p + 1:
         t = len(points) - 1
@@ -176,7 +185,9 @@ def seed_simplex(
         c_full = _lift_direction(c_proj, n)
         lo = lp_min(c_full, inner)
         hi = lp_min([-v for v in c_full], inner)
-        assert lo.status == OPTIMAL and hi.status == OPTIMAL
+        if lo.status != OPTIMAL or hi.status != OPTIMAL:
+            raise AssertionError(
+                f"seed LPs over the inner polytope ended {lo.status}, {hi.status}")
         base = dot(c_proj, points[0])
         if dot(c_proj, _project(lo.x, p)) != base:
             points.append(_project(lo.x, p))

@@ -235,50 +235,78 @@ def test_classify_agrees_with_reduction():
     assert tags == {FULL_DIM, EMPTY_SET, LOW_DIM_AFFINE, LOW_DIM_FACE, LOW_DIM_POLY}
 
 
-def _count_lps(monkeypatch):
-    """Record every later LP of the polyhedra module: the list of call arguments."""
-    calls = []
-    solve_lp = miqcp.polyhedra.solve_lp
+class _LpCount:
+    """Every later LP of the polyhedra module, counted two ways.
 
-    def counted(*args):
-        calls.append(args)
-        return solve_lp(*args)
+    ``solves`` counts LP solves and ``phase1`` simplex phase-1 runs: a
+    ``solve_lp`` call is one of each (``direct`` keeps its arguments), and
+    ``lp_min`` runs phase 1 once per polyhedron object and phase 2 per call.
+    """
 
-    monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted)
-    return calls
+    def __init__(self, monkeypatch):
+        self.direct, self.starts, self.resumed = [], 0, 0
+        solve_lp, phase1, phase2 = (miqcp.polyhedra.solve_lp, miqcp.polyhedra.phase1,
+                                    miqcp.polyhedra.phase2)
+
+        def counted_solve(*args):
+            self.direct.append(args)
+            return solve_lp(*args)
+
+        def counted_phase1(*args):
+            self.starts += 1
+            return phase1(*args)
+
+        def counted_phase2(*args):
+            self.resumed += 1
+            return phase2(*args)
+
+        monkeypatch.setattr(miqcp.polyhedra, "solve_lp", counted_solve)
+        monkeypatch.setattr(miqcp.polyhedra, "phase1", counted_phase1)
+        monkeypatch.setattr(miqcp.polyhedra, "phase2", counted_phase2)
+
+    @property
+    def solves(self) -> int:
+        return len(self.direct) + self.resumed
+
+    @property
+    def phase1(self) -> int:
+        return len(self.direct) + self.starts
+
+    def clear(self):
+        self.direct, self.starts, self.resumed = [], 0, 0
 
 
 def test_zero_quadratic_reduction_costs_the_polyhedron_lps(monkeypatch):
     # q identically zero: Q is P (eta >= 0) or empty (eta < 0), so the
     # reduction must cost what reducing P costs, and nothing when eta < 0
-    calls = _count_lps(monkeypatch)
+    lps = _LpCount(monkeypatch)
     # the baseline runs on an equal, separate polyhedron: a polyhedron keeps
     # its probe, so reducing the same object again would cost no LP
     ref = box([-2, -1, 0], [3, 1, 2], p=2)
     assert fulldim_reduce_polyhedron(ref)[1] is ref
-    expected = len(calls)
-    calls.clear()
+    assert (lps.solves, lps.phase1) == (1, 1)
+    lps.clear()
     poly = box([-2, -1, 0], [3, 1, 2], p=2)
     q = _milp_cqs(poly)
     out = fulldim_reduce_cqs(q)
-    assert len(calls) == expected
+    assert (lps.solves, lps.phase1) == (1, 1)
     tau, q2 = out
     assert (tau.n_prime, tau.xbar) == (3, [0, 0, 0])
     assert q2.poly.w_mat == poly.w_mat and q2.poly.w_rhs == poly.w_rhs
-    calls.clear()
+    lps.clear()
     assert fulldim_reduce_cqs(ConvexQuadraticSet(poly, q.obj, Rat(-1))) == EMPTY
-    assert calls == []
+    assert (lps.solves, lps.phase1) == (0, 0)
 
 
 def test_classify_fulldim_probes_its_polyhedron_once(monkeypatch):
     # classify_fulldim probes P, and the inner polytope's witness search
     # reads the same probe instead of running the LP again
-    calls = _count_lps(monkeypatch)
+    lps = _LpCount(monkeypatch)
     poly = box([-2, -1, 0], [3, 1, 2], p=2)
     q = cqs(poly, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], 4)
     assert classify_fulldim(q).tag == FULL_DIM
     probe_rows = [row + [Rat(1)] for row in poly.w_mat]
-    assert sum(1 for w_mat, _, _ in calls if w_mat == probe_rows) == 1
+    assert sum(1 for w_mat, _, _ in lps.direct if w_mat == probe_rows) == 1
 
 
 def test_level_case_is_kept_on_the_set(monkeypatch):
@@ -354,11 +382,12 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
     # reduce to a 1-dim full-dim interval with p' = 1
     poly = Polyhedron(mat([[-1, 0], [0, 1], [0, -1]]), [Rat(-1), Rat(5), Rat(5)], p=2)
     q = cqs(poly, [[1, 0], [0, 0]], [0, 0], 1)
-    calls = _count_lps(monkeypatch)
+    lps = _LpCount(monkeypatch)
     out = fulldim_reduce_cqs(q)
     # the face descent reuses the reduction's verdict on its full-dimensional
-    # polyhedron and its face minimum instead of computing them again
-    assert len(calls) == 15
+    # polyhedron and its face minimum instead of computing them again; each
+    # polyhedron runs simplex phase 1 once for all of its LPs
+    assert (lps.solves, lps.phase1) == (15, 10)
     assert not isinstance(out, Empty)
     tau, q2 = out
     assert tau.p_prime == 1 and tau.n_prime == 1

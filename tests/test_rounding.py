@@ -6,9 +6,10 @@ import pytest
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
 from miqcp.linalg import det, dot, identity, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub
-from miqcp.polyhedra import Polyhedron
-from miqcp.qp import QpObjective
-from miqcp.rational import Rat, ZERO
+from miqcp.polyhedra import Polyhedron, implicit_equalities, lp_min
+from miqcp.qp import QpObjective, recession_cone
+from miqcp.rational import Rat, ZERO, ONE
+from miqcp.simplex import OPTIMAL
 from miqcp.rounding import (
     SandwichResult,
     Simplex,
@@ -21,6 +22,7 @@ from miqcp.rounding import (
     _slice_membership,
 )
 
+from test_cqs import _LpCount
 from test_polyhedra import box
 
 
@@ -49,11 +51,73 @@ def test_exact_ratio_law():
         assert big_r / r <= 4 * k ** 3
 
 
+def _reference_cqs_is_bounded(q):
+    """The per-cap rule: one polyhedron per coordinate LP, the recession
+    cone with the single cap row +-r_i <= 1."""
+    n = q.n
+    rows, rhs = recession_cone(q.obj, q.poly)
+    for i in range(n):
+        for sign in (ONE, -ONE):
+            cap = [ZERO] * n
+            cap[i] = sign
+            res = lp_min([-v for v in cap], Polyhedron(rows + [cap], rhs + [ONE], _n_hint=n))
+            assert res.status == OPTIMAL
+            if res.value < 0:
+                return False
+    return True
+
+
+def _random_cone_set(rng):
+    """A convex quadratic set whose recession cone is random: W from small
+    integers, H = L^T L of random rank, h random or zero."""
+    n = rng.randint(1, 4)
+    w_mat = [[Rat(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(0, 2 * n))]
+    w_rhs = [Rat(rng.randint(-2, 5)) for _ in w_mat]
+    ell = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    h_mat = [[Rat(sum(row[i] * row[j] for row in ell)) for j in range(n)] for i in range(n)]
+    h_vec = [Rat(rng.randint(-3, 3)) if rng.random() < 0.6 else ZERO for _ in range(n)]
+    poly = Polyhedron(w_mat, w_rhs, _n_hint=n)
+    return ConvexQuadraticSet(poly, QpObjective(h_mat, h_vec), Rat(rng.randint(0, 9)))
+
+
 def test_cqs_is_bounded():
     assert cqs_is_bounded(inactive_quadratic_box([0, 0], [1, 1], 1))
     ray_poly = Polyhedron(mat([[0, -1]]), [Rat(0)])  # x2 >= 0 only
     q = ConvexQuadraticSet(ray_poly, QpObjective(mat([[1, 0], [0, 0]]), [Rat(0), Rat(0)]), Rat(9))
     assert not cqs_is_bounded(q)
+    # one capped polyhedron gives the verdict of the per-cap rule
+    rng = random.Random(808)
+    verdicts = set()
+    for _ in range(150):
+        q = _random_cone_set(rng)
+        want = _reference_cqs_is_bounded(q)
+        assert cqs_is_bounded(q) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_cqs_is_bounded_runs_one_phase1(monkeypatch):
+    lps = _LpCount(monkeypatch)
+    assert cqs_is_bounded(inactive_quadratic_box([0, 0, 0], [1, 1, 1], 3))
+    assert (lps.solves, lps.phase1) == (6, 1)
+
+
+def test_seed_simplex_runs_one_phase1(monkeypatch):
+    # p = 3: 2p + 1 LPs over the inner polytope, one phase 1 among them
+    q = inactive_quadratic_box([0, 0, 0], [2, 1, 3], 3)
+    inner = box([0, 0, 0], [2, 1, 3], p=3)
+    lps = _LpCount(monkeypatch)
+    points = seed_simplex(q, 3, inner=inner, check=False)
+    assert len(points) == 4
+    assert (lps.solves, lps.phase1) == (7, 1)
+
+
+def test_implicit_equalities_run_one_phase1(monkeypatch):
+    # the probe is its own LP (one solve_lp); the 4 per-row LPs share one phase 1
+    poly = box([0, 0, 0], [2, 2, 2], p=3).with_equality([ONE, -ONE, ZERO], ZERO)
+    lps = _LpCount(monkeypatch)
+    assert implicit_equalities(poly) == [6, 7]
+    assert (lps.solves, lps.phase1) == (5, 2)
 
 
 def test_seed_simplex_interval():

@@ -6,13 +6,15 @@ field for field; each result also carries a certificate that is checked
 here without trusting either solver.
 """
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+import miqcp.polyhedra
 from miqcp.linalg import _dot, integer_row, rank
-from miqcp.polyhedra import Polyhedron
+from miqcp.polyhedra import Polyhedron, lp_min
 from miqcp.qp import _independent_active_rows, _integer_system
 from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
 
@@ -251,6 +253,102 @@ def test_int_entries_give_the_same_result():
                     [Fraction(v) for v in w_rhs], [Fraction(v) for v in c])
     assert solve_lp(w_mat, w_rhs, c) == frac
     assert frac.x == [4, 0] and frac.value == -4
+
+
+def _random_objective(rng, n):
+    if rng.random() < 0.1:
+        return [ZERO] * n
+    big = rng.random() < 0.3
+    return [_entry(rng, big) for _ in range(n)]
+
+
+def _count_phase1(monkeypatch):
+    """The list of arguments of each later phase-1 run that lp_min keeps."""
+    runs = []
+    phase1 = miqcp.polyhedra.phase1
+
+    def counted(*args):
+        runs.append(args)
+        return phase1(*args)
+
+    monkeypatch.setattr(miqcp.polyhedra, "phase1", counted)
+    return runs
+
+
+def test_lp_min_from_the_kept_start_matches_reference(monkeypatch):
+    # one Polyhedron per LP system, many objectives: phase 1 runs once, and
+    # every phase 2 from its start gives the reference result
+    runs = _count_phase1(monkeypatch)
+    rng = random.Random(20261018)
+    systems = [_random_lp(rng)[:2] for _ in range(240)]
+    systems += [([], [], 3), ([], [], 0), ([[], []], [ONE, ZERO], 0),
+                ([[], []], [ONE, -ONE], 0),
+                ([[ONE], [-ONE]], [Fraction(1, 3), Fraction(-1, 3)], 1)]
+    seen = set()
+    for system in systems:
+        w_mat, w_rhs = system[:2]
+        n = len(w_mat[0]) if w_mat else system[2]
+        poly = Polyhedron(w_mat, w_rhs, _n_hint=n)
+        farkas = set()
+        runs.clear()
+        for c in [_random_objective(rng, n) for _ in range(5)] + [[ZERO] * n]:
+            res = lp_min(c, poly)
+            assert res == _reference_solve_lp(w_mat, w_rhs, c)
+            if w_mat and c:
+                _check_certificate(res, w_mat, w_rhs, c)
+            seen.add((res.status, len(w_mat) == 0, n == 0))
+            if res.status == INFEASIBLE:
+                farkas.add(tuple(res.farkas))
+        assert len(runs) == 1
+        assert len(farkas) <= 1  # one Farkas vector for every c
+    assert {(OPTIMAL, False, False), (INFEASIBLE, False, False), (UNBOUNDED, False, False),
+            (OPTIMAL, True, False), (UNBOUNDED, True, False), (OPTIMAL, True, True),
+            (OPTIMAL, False, True), (INFEASIBLE, False, True)} <= seen
+
+
+def test_phase1_runs_once_per_object(monkeypatch):
+    runs = _count_phase1(monkeypatch)
+    rows = [[ONE, ZERO], [ZERO, ONE], [-ONE, -ONE]]
+    rhs = [ONE, ONE, ZERO]
+    first = Polyhedron(rows, rhs)
+    for c in ([ONE, ZERO], [ZERO, -ONE], [ONE, ONE]):
+        lp_min(c, first)
+    assert len(runs) == 1
+    # an equal polyhedron is another object: the start is kept on the
+    # object, not looked up by equality
+    second = Polyhedron([r[:] for r in rows], list(rhs))
+    assert second == first and second._start is None
+    assert lp_min([ONE, ZERO], second) == lp_min([ONE, ZERO], first)
+    assert len(runs) == 2
+    assert second._start is not first._start
+    # the memo takes no part in equality or repr
+    assert first == Polyhedron(rows, rhs) and repr(first) == repr(Polyhedron(rows, rhs))
+
+
+def test_results_share_no_list_with_the_start():
+    # mutating what lp_min returned must leave the next result and the
+    # kept start unchanged
+    rng = random.Random(7)
+    statuses = set()
+    for _ in range(150):
+        w_mat, w_rhs, _ = _random_lp(rng)
+        n = len(w_mat[0])
+        poly = Polyhedron(w_mat, w_rhs)
+        objectives = [_random_objective(rng, n) for _ in range(4)]
+        lp_min(objectives[0], poly)
+        kept = copy.deepcopy(poly._start)
+        for c in objectives:
+            want = _reference_solve_lp(w_mat, w_rhs, c)
+            got = lp_min(c, poly)
+            assert got == want
+            statuses.add(got.status)
+            for vec in (got.x, got.dual, got.ray, got.farkas):
+                if vec:
+                    vec[0] += 1
+                    vec.append(ONE)
+            assert lp_min(c, poly) == want
+            assert poly._start == kept
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
 def test_dot_matches_naive_fraction_sum():
