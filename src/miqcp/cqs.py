@@ -79,23 +79,21 @@ LOW_DIM_POLY = "low_dim_poly"
 EMPTY_SET = "empty_set"
 
 
-def quadratic_feasible_point(
-    obj: QpObjective, poly: Polyhedron, eta, bounded_hint: bool = False
-) -> Optional[Vector]:
+def quadratic_feasible_point(obj: QpObjective, poly: Polyhedron, eta) -> Optional[Vector]:
     """A point of {x in poly : q(x) <= eta}, or None (exact decision).
 
     Minimizes q over the polyhedron; when that is unbounded below, walks the
-    certified descent ray (H r = 0, h.r <= -1) far enough to clear eta.
+    certified descent ray (H r = 0, h.r = -1) far enough to clear eta.
     """
-    return _point_below(obj, eta, qp_min(obj, poly, check_psd=False, bounded_hint=bounded_hint))
+    return _point_below(obj, eta, qp_min(obj, poly, check_psd=False))
 
 
-def set_feasible_point(q: ConvexQuadraticSet, bounded_hint: bool = False) -> Optional[Vector]:
+def set_feasible_point(q: ConvexQuadraticSet) -> Optional[Vector]:
     """A point of Q, or None: `quadratic_feasible_point` on Q's own data,
     read from the minimum of q over P that `_level_case` keeps on q."""
-    _, face_min = _level_case(q, bounded_hint)
+    _, face_min = _level_case(q)
     if face_min is None:  # q is identically zero: no QP was run
-        return quadratic_feasible_point(q.obj, q.poly, q.eta, bounded_hint)
+        return quadratic_feasible_point(q.obj, q.poly, q.eta)
     return _point_below(q.obj, q.eta, face_min)
 
 
@@ -179,7 +177,6 @@ def theoretical_box(q: ConvexQuadraticSet, exponent_class: int = 4):
 def inner_polytope(
     q: ConvexQuadraticSet,
     declared_box: Optional[Tuple[Vector, Vector]] = None,
-    bounded_hint: bool = False,
 ) -> Polyhedron:
     """A full-dimensional polytope (P intersected with a cube) inside Q.
 
@@ -195,7 +192,7 @@ def inner_polytope(
     n = q.n
     if n == 0:
         raise PreconditionError("inner_polytope: zero-dimensional set")
-    tag, res = _level_case(q, bounded_hint)
+    tag, res = _level_case(q)
     if tag != FULL_DIM:
         raise PreconditionError("inner_polytope: min over P is not below eta")
     if res is None:
@@ -273,9 +270,7 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     return best
 
 
-def _level_case(
-    q: ConvexQuadraticSet, bounded_hint: bool = False
-) -> Tuple[str, Optional[QpResult]]:
+def _level_case(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     """The case split of the module docstring: (tag, face_min).
 
     The tag is EMPTY_SET, FULL_DIM, LOW_DIM_AFFINE or LOW_DIM_FACE as if P
@@ -283,21 +278,18 @@ def _level_case(
     of -infinity (or an empty P) is FULL_DIM.  The minimum over all of
     space is computed only when face_min equals eta.  An identically-zero q
     makes Q = P (or empty when eta < 0) and needs no QP; face_min is then
-    None.  The answer is kept on q under the first caller's bounded_hint,
-    which, when correct, only skips the QP's unboundedness probe.
+    None.  The answer depends on q alone, so it is kept on q.
     """
     if q._level is None:
-        q._level = _split_level(q, bounded_hint)
+        q._level = _split_level(q)
     return q._level
 
 
-def _split_level(
-    q: ConvexQuadraticSet, bounded_hint: bool
-) -> Tuple[str, Optional[QpResult]]:
+def _split_level(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     obj, eta = q.obj, q.eta
     if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
         return (EMPTY_SET if eta < 0 else FULL_DIM), None
-    face_min = qp_min(obj, q.poly, check_psd=False, bounded_hint=bounded_hint)
+    face_min = qp_min(obj, q.poly, check_psd=False)
     if not face_min.is_optimal or face_min.value < eta:
         return FULL_DIM, face_min
     if face_min.value > eta:
@@ -377,9 +369,7 @@ def _reduce_step(
 
 
 def fulldim_reduce_cqs(
-    q: ConvexQuadraticSet,
-    bounded_hint: bool = False,
-    on_descent=None,
+    q: ConvexQuadraticSet, on_descent=None,
 ) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
     """Empty, or tau and a full-dimensional Q' with Q = tau(Q') and
     mixed-integer points in bijection.  on_descent(dim), when given, is
@@ -403,7 +393,7 @@ def fulldim_reduce_cqs(
         if cur.obj.is_zero_quadratic():
             continue  # substitution may have killed H; restart on the new face
 
-        tag, _ = _level_case(cur, bounded_hint)
+        tag, _ = _level_case(cur)
         if tag == EMPTY_SET:
             return EMPTY
         if tag == FULL_DIM:

@@ -296,11 +296,12 @@ def column_reduce_unimodular(a1: Matrix) -> tuple:
 
     A1 must have full row rank.  Integer elementary column operations only
     (nearest-quotient Euclidean reduction per row, smallest pivot first),
-    so U stays unimodular; entries of A1 may be rational.
+    so U stays unimodular; entries of A1 may be rational.  Rows 0..i-1 are
+    lower triangular with a nonzero diagonal once reduced, so row i depends
+    on them exactly when its columns i..n-1 are zero; the loop raises
+    PreconditionError there, which covers every rank-deficient A1.
     """
     r, n = shape(a1)
-    if r and rank(a1) != r:
-        raise PreconditionError("column_reduce_unimodular needs full row rank")
     work = copy_mat(a1)
     u = identity(n)
     uinv = identity(n)

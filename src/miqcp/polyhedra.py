@@ -107,6 +107,8 @@ class Polyhedron:
         return self.with_rows(rows, rhs)
 
     def with_first_coords_fixed(self, values: Vector) -> "Polyhedron":
+        if len(values) > self.n:
+            raise DimensionError("with_first_coords_fixed: more pins than variables")
         out = self
         for i, v in enumerate(values):
             row = [ZERO] * self.n

@@ -2,7 +2,9 @@
 
 Primal active-set method: iterate working sets of constraint rows, solve
 each equality-constrained subproblem exactly in the null space of the
-working rows, and accept only on a verified KKT certificate.  The loop runs
+working rows, and accept only on a verified KKT certificate.  The same loop
+certifies unboundedness: a zero-curvature descent step that no row blocks
+is a ray r with W r <= 0, H r = 0 and h^T r < 0.  The loop runs
 on Python ints: the rows, H and h are scaled to integers once per call and
 the iterate is an int vector over one positive denominator, so scalars are
 touched only through ``numerator``/``denominator`` and ``Rat(int, int)``.
@@ -34,7 +36,7 @@ from .linalg import (
     vec_scale,
 )
 from .polyhedra import Polyhedron, lp_min
-from .rational import Rat, ZERO, ONE
+from .rational import Rat, ZERO
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 _ITERATION_CAP_FACTOR = 60
@@ -84,7 +86,7 @@ class QpResult:
     x: Optional[Vector] = None
     value: Optional[Rat] = None
     point: Optional[Vector] = None      # feasible point on unbounded results
-    ray: Optional[Vector] = None        # W r <= 0, H r = 0, h^T r <= -1
+    ray: Optional[Vector] = None        # W r <= 0, H r = 0, h^T r = -1
     active: Optional[List[int]] = None  # working set of the KKT certificate
     lam: Optional[Vector] = None        # multipliers for the active rows
     iterations: int = 0
@@ -103,21 +105,6 @@ def recession_cone(obj: QpObjective, poly: Polyhedron) -> tuple:
             rows += [hrow[:], [-v for v in hrow]]
     rows.append(obj.h_vec[:])
     return rows, [ZERO] * len(rows)
-
-
-def descent_ray(obj: QpObjective, poly: Polyhedron) -> Optional[Vector]:
-    """A ray with W r <= 0, H r = 0, h^T r <= -1, or None.
-
-    Nonemptiness of this set characterizes unboundedness of the objective
-    over a nonempty polyhedron.
-    """
-    n = obj.n
-    rows, rhs = recession_cone(obj, poly)
-    rhs[-1] = -ONE
-    res = lp_min([ZERO] * n, Polyhedron(rows, rhs, _n_hint=n))
-    if res.status == OPTIMAL:
-        return res.x
-    return None
 
 
 def _integer_system(poly: Polyhedron) -> tuple:
@@ -173,18 +160,16 @@ def _null_basis(rows: List[List[int]], n: int) -> List[List[int]]:
     return basis
 
 
-def qp_min(
-    obj: QpObjective,
-    poly: Polyhedron,
-    check_psd: bool = True,
-    bounded_hint: bool = False,
-) -> QpResult:
+def qp_min(obj: QpObjective, poly: Polyhedron, check_psd: bool = True) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
-    Returns Infeasible, Unbounded (with a feasible point and a certified
-    descent ray), or Optimal with an exact KKT certificate.  bounded_hint
-    skips the unboundedness probe; pass it only when the feasible region is
-    known bounded (a wrong hint trips an assertion, never a wrong answer).
+    Returns Infeasible, Optimal with an exact KKT certificate, or Unbounded
+    with a feasible point and a ray r (W r <= 0, H r = 0, h^T r = -1).  The
+    active-set loop finds the ray itself: when the step of a working set is
+    a null direction z of the reduced Hessian with descent and no row
+    outside the set blocks it, the working rows give W z = 0 and every
+    other row has rate <= 0, z^T H z = 0 gives H z = 0 (H is PSD), and the
+    reduced gradient gives h^T z < 0.
     """
     if obj.n != poly.n:
         raise DimensionError("qp_min: objective and polyhedron dimensions differ")
@@ -197,11 +182,6 @@ def qp_min(
         return QpResult(INFEASIBLE)
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
-
-    if not bounded_hint:
-        ray = descent_ray(obj, poly)
-        if ray is not None:
-            return QpResult(UNBOUNDED, point=feas.x, ray=ray)
 
     # Integer data: rows[i] = ells[i] [W_i | w_i]; scale H = h_int and
     # scale h = lin.  The iterate is x = x_num / x_den in lowest terms, and
@@ -305,7 +285,15 @@ def qp_min(
             x_den *= step_den
         else:
             if best is None:
-                raise AssertionError("boundedness check excludes free descent rays")
+                # no row blocks the ray step: H step = 0, so
+                # lin.step = scale h.step < 0 and the ray has h.ray = -1
+                h_step = _idot(lin, step)
+                return QpResult(
+                    UNBOUNDED,
+                    point=[Rat(v, x_den) for v in x_num],
+                    ray=[Rat(scale * v, -h_step) for v in step],
+                    iterations=iterations,
+                )
             slack, rate = best
             x_num = [u * rate + slack * v for u, v in zip(x_num, step)]
             x_den *= rate
@@ -325,21 +313,10 @@ def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult
 
 
 def qp_min_on_slice(
-    obj: QpObjective,
-    poly: Polyhedron,
-    fixed: Vector,
-    check_psd: bool = True,
-    bounded_hint: bool = False,
+    obj: QpObjective, poly: Polyhedron, fixed: Vector, check_psd: bool = True
 ) -> QpResult:
     """qp_min with the first len(fixed) coordinates pinned by equality rows."""
-    if len(fixed) > poly.n:
-        raise DimensionError("qp_min_on_slice: more pins than variables")
-    return qp_min(
-        obj,
-        poly.with_first_coords_fixed(fixed),
-        check_psd=check_psd,
-        bounded_hint=bounded_hint,
-    )
+    return qp_min(obj, poly.with_first_coords_fixed(fixed), check_psd=check_psd)
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

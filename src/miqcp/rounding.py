@@ -203,13 +203,9 @@ def seed_simplex(
 def _cut_feasible_point(
     q: ConvexQuadraticSet, cut_row: Vector, cut_rhs
 ) -> Optional[Vector]:
-    """A point of Q with cut_row . x <= cut_rhs, or None (exact decision).
-
-    Callers guarantee Q bounded (a grow precondition), so the QP skips its
-    unboundedness probe.
-    """
+    """A point of Q with cut_row . x <= cut_rhs, or None (exact decision)."""
     poly = q.poly.with_rows([list(cut_row)], [cut_rhs])
-    return quadratic_feasible_point(q.obj, poly, q.eta, bounded_hint=True)
+    return quadratic_feasible_point(q.obj, poly, q.eta)
 
 
 def _simplify_accepted_point(
@@ -311,10 +307,8 @@ def grow_simplex(
 
 
 def _slice_membership(q: ConvexQuadraticSet, y_proj: Vector) -> Optional[Vector]:
-    """A witness x in Q with proj(x) = y_proj, or None (Q must be bounded)."""
-    return quadratic_feasible_point(
-        q.obj, q.poly.with_first_coords_fixed(y_proj), q.eta, bounded_hint=True
-    )
+    """A witness x in Q with proj(x) = y_proj, or None."""
+    return quadratic_feasible_point(q.obj, q.poly.with_first_coords_fixed(y_proj), q.eta)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness
 from .linalg import Vector, dot, mat_vec, norm_sq
 from .polyhedra import Polyhedron, lp_min
-from .qp import QpObjective, descent_ray, qp_min, qp_min_on_slice
+from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import (
     Rat,
     ZERO,
@@ -48,7 +48,7 @@ from .rational import (
     rfloor,
     sqrt_upper_bound,
 )
-from .simplex import INFEASIBLE, OPTIMAL
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
 
 OPTIMAL_STATUS = "optimal"
@@ -172,7 +172,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     if trace is not None:
         on_descent = lambda dim: trace.record(depth=depth, p=q.p,
                                               event="face_descent", ambient_dim=dim)
-    out = _fulldim_reduce_cqs_impl(q, bounded_hint=True, on_descent=on_descent)
+    out = _fulldim_reduce_cqs_impl(q, on_descent=on_descent)
     if isinstance(out, Empty):
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="empty_after_reduction")
@@ -181,22 +181,20 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     p2 = q2.p
 
     if p2 == 0:
-        point = set_feasible_point(q2, bounded_hint=True)
+        point = set_feasible_point(q2)
         assert point is not None, "full-dimensional reduced set cannot be empty"
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
-    inner = inner_polytope(q2, bounded_hint=True)
+    inner = inner_polytope(q2)
     sw = sandwich(q2, p2, inner=inner, check=False)
     outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
 
     if outcome.tag == LATTICE_POINT:
         y = mat_vec(sw.simplex.edge_matrix(), outcome.z)  # y = B^-1 z
         assert all(is_integral(v) for v in y)
-        point = quadratic_feasible_point(
-            q2.obj, q2.poly.with_first_coords_fixed(y), q2.eta, bounded_hint=True
-        )
+        point = quadratic_feasible_point(q2.obj, q2.poly.with_first_coords_fixed(y), q2.eta)
         assert point is not None, "inner-ball lattice point must lift"
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="lattice_point")
@@ -245,18 +243,20 @@ def boundedness(
 ) -> BoundednessResult:
     """Unbounded iff a mixed-integer feasible point and a descent ray coexist.
 
-    On an infeasible instance the answer is Bounded (vacuously); callers
-    report infeasibility first.
+    The ray (W r <= 0, H r = 0, h^T r = -1) is the one qp_min certifies
+    when the continuous relaxation is unbounded, which, given the point,
+    happens exactly when such a ray exists.  On an infeasible instance the
+    answer is Bounded (vacuously); callers report infeasibility first.
     """
     x = feasible_point
     if x is None:
         x = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
         if x is None:
             return BoundednessResult(False)
-    ray = descent_ray(inst.obj, inst.poly)
-    if ray is None:
+    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    if cont.status != UNBOUNDED:
         return BoundednessResult(False)
-    return BoundednessResult(True, point=x, ray=ray)
+    return BoundednessResult(True, point=x, ray=cont.ray)
 
 
 def _milp_cqs(poly: Polyhedron) -> ConvexQuadraticSet:
@@ -301,6 +301,10 @@ def _denominator_bound(inst: MicqpInstance) -> int:
 def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     """Accurate solve: feasibility, boundedness, then the exact optimum.
 
+    One continuous QP over the whole polyhedron decides boundedness (its
+    certified ray, with the mixed-integer feasible point) and, when
+    bounded, gives the optimum for p = 0 and the lower bracket lo otherwise.
+
     The probe loop keeps lo < v: lo a level no feasible value is below (the
     continuous minimum, then failed probe levels), v the best candidate (a
     slice-QP optimum).  Candidate denominators are <= D =
@@ -322,22 +326,16 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     x_feas = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
     if x_feas is None:
         return SolveStatus(INFEASIBLE_STATUS)
-    ray = descent_ray(inst.obj, inst.poly)
-    if ray is not None:
-        return SolveStatus(UNBOUNDED_STATUS, point=x_feas, ray=ray)
-
+    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    if cont.status == UNBOUNDED:
+        return SolveStatus(UNBOUNDED_STATUS, point=x_feas, ray=cont.ray)
+    assert cont.is_optimal, "a feasible polyhedron keeps the QP feasible"
     p = inst.poly.p
     if p == 0:
-        cont = qp_min(inst.obj, inst.poly, check_psd=False)
-        assert cont.is_optimal
         return SolveStatus(OPTIMAL_STATUS, x=cont.x, value=cont.value)
-
-    cont = qp_min(inst.obj, inst.poly, check_psd=False, bounded_hint=True)
-    assert cont.is_optimal, "no descent ray means the continuous problem is bounded"
     lo = cont.value
 
-    best = qp_min_on_slice(inst.obj, inst.poly, x_feas[:p], check_psd=False,
-                           bounded_hint=True)
+    best = qp_min_on_slice(inst.obj, inst.poly, x_feas[:p], check_psd=False)
     assert best.is_optimal
     x_best, v = best.x, best.value
 
@@ -365,8 +363,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
             lo = probe_at
             after_failed_midpoint = True
             continue
-        improved = qp_min_on_slice(inst.obj, inst.poly, found[:p], check_psd=False,
-                                   bounded_hint=True)
+        improved = qp_min_on_slice(inst.obj, inst.poly, found[:p], check_psd=False)
         assert improved.is_optimal and improved.value <= probe_at
         x_best, v = improved.x, improved.value
         improvements += 1
@@ -404,13 +401,12 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
                 witness = probe.x
     if not feasible_slices:
         return SolveStatus(INFEASIBLE_STATUS)
-    ray = descent_ray(inst.obj, inst.poly)
-    if ray is not None:
-        return SolveStatus(UNBOUNDED_STATUS, point=witness, ray=ray)
+    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    if cont.status == UNBOUNDED:
+        return SolveStatus(UNBOUNDED_STATUS, point=witness, ray=cont.ray)
     best_x, best_v = None, None
     for pins in feasible_slices:
-        res = qp_min_on_slice(inst.obj, inst.poly, pins, check_psd=False,
-                              bounded_hint=True)
+        res = qp_min_on_slice(inst.obj, inst.poly, pins, check_psd=False)
         assert res.is_optimal
         if best_v is None or res.value < best_v:
             best_x, best_v = res.x, res.value

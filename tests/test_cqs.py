@@ -386,8 +386,9 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
     out = fulldim_reduce_cqs(q)
     # the face descent reuses the reduction's verdict on its full-dimensional
     # polyhedron and its face minimum instead of computing them again; each
-    # polyhedron runs simplex phase 1 once for all of its LPs
-    assert (lps.solves, lps.phase1) == (15, 10)
+    # polyhedron runs simplex phase 1 once for all of its LPs, and each QP
+    # decides unboundedness in its own loop, with no recession-cone LP
+    assert (lps.solves, lps.phase1) == (13, 8)
     assert not isinstance(out, Empty)
     tau, q2 = out
     assert tau.p_prime == 1 and tau.n_prime == 1

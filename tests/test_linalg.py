@@ -132,8 +132,14 @@ def test_column_reduce_already_reduced():
 
 
 def test_column_reduce_rejects_rank_deficient():
-    with pytest.raises(PreconditionError):
-        column_reduce_unimodular(mat([[1, 2], [2, 4]]))
+    for a1 in (
+        [[1, 2], [2, 4]],
+        [[0, 0], [1, 2]],  # zero first row
+        [[1, 2, 0], [0, 1, 3], [1, 3, 3]],  # third row = first + second
+        [[1, 0], [0, 1], [1, 1]],  # more rows than columns
+    ):
+        with pytest.raises(PreconditionError):
+            column_reduce_unimodular(mat(a1))
 
 
 def test_column_reduce_randomized_contract():

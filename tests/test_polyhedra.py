@@ -4,7 +4,7 @@ import random
 import pytest
 
 from miqcp.diophantine import EMPTY, AffineParam, Empty
-from miqcp.errors import PreconditionError
+from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import det, dot, gauss_solve, mat, mat_vec
 from miqcp.polyhedra import (
     Polyhedron,
@@ -208,6 +208,13 @@ def test_reduce_furthermore_clause():
     tau, reduced = out
     assert tau.p_prime <= 1
     assert is_fulldim_polyhedron(reduced)
+
+
+def test_with_first_coords_fixed_rejects_too_many_pins():
+    poly = box([0, 0], [1, 1])
+    assert poly.with_first_coords_fixed([Rat(0), Rat(1)]).contains([Rat(0), Rat(1)])
+    with pytest.raises(DimensionError):
+        poly.with_first_coords_fixed([Rat(0), Rat(0), Rat(0)])
 
 
 def test_recession_ray_check_cases():

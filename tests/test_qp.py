@@ -1,22 +1,23 @@
 """Exact convex QP: small cases, oracles, and the integer active-set loop
 against the Fraction loop it replaced.
 
-``_reference_qp_min`` is the earlier active-set method on Fraction vectors.
-``qp_min`` must visit the same iterates, so the two results agree field for
+``_reference_qp_min`` is the earlier active-set method on Fraction vectors,
+with unboundedness decided up front by a recession-cone LP.  ``qp_min`` must
+visit the same iterates, so Optimal and Infeasible results agree field for
 field; every Optimal result's KKT certificate is checked independently.
+``qp_min`` finds unboundedness in its own loop, so an Unbounded result must
+match the reference's status and carry an exact certificate: a feasible
+point and a ray r with W r <= 0, H r = 0 and h^T r = -1.
 """
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from miqcp.diophantine import AffineParam
-from miqcp.errors import NotPsdError
+from miqcp.errors import DimensionError, NotPsdError
 from miqcp.linalg import (
     dot,
     gauss_solve,
@@ -36,9 +37,9 @@ from miqcp.qp import (
     QpResult,
     _ITERATION_CAP_FACTOR,
     check_kkt,
-    descent_ray,
     qp_min,
     qp_min_on_slice,
+    recession_cone,
 )
 from miqcp.rational import Rat, ZERO, ONE
 from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -69,7 +70,7 @@ def test_qp_linear_descent_unbounded():
     assert res.status == UNBOUNDED
     assert poly.contains(res.point)
     r = res.ray
-    assert dot(obj.h_vec, r) <= -1
+    assert dot(obj.h_vec, r) == -1
     assert all(dot(row, r) <= 0 for row in poly.w_mat)
     # strictly decreasing along the ray
     vals = [obj.value([p + lam * d for p, d in zip(res.point, r)]) for lam in (1, 10, 100)]
@@ -108,6 +109,25 @@ def test_qp_unconstrained_unbounded_singular():
     obj = QpObjective(mat([[1, 0], [0, 0]]), [Rat(0), Rat(1)])
     res = qp_min(obj, Polyhedron([], [], _n_hint=2))
     assert res.status == UNBOUNDED
+    assert res.ray == [0, -1]
+
+
+def test_qp_ray_found_after_dropping_a_row():
+    # min x - y over x, y >= 0 starts at the vertex (0, 0) with both rows
+    # working; y >= 0 has a negative multiplier, and once it is dropped the
+    # step along +y is a free descent ray
+    obj = QpObjective(mat([[0, 0], [0, 0]]), [Rat(1), Rat(-1)])
+    poly = Polyhedron(mat([[-1, 0], [0, -1]]), [Rat(0), Rat(0)])
+    res = qp_min(obj, poly)
+    assert res.status == UNBOUNDED and res.iterations == 2
+    assert res.point == [0, 0] and res.ray == [0, 1]
+    _assert_unbounded_certificate(obj, poly, res)
+
+
+def test_qp_slice_rejects_too_many_pins():
+    obj = QpObjective(mat([[1]]), [Rat(0)])
+    with pytest.raises(DimensionError):
+        qp_min_on_slice(obj, box([0], [1]), [Rat(0), Rat(0)])
 
 
 def test_qp_slice_pins():
@@ -265,8 +285,24 @@ def test_qp_randomized_kkt_certificates():
 # ---------------------------------------------------------------------------
 # the integer active-set loop against the Fraction loop it replaced
 
-def _reference_qp_min(obj, poly, check_psd=True, bounded_hint=False):
-    """The active-set loop on Fraction vectors that qp_min replaced."""
+def descent_ray(obj, poly):
+    """A ray with W r <= 0, H r = 0, h^T r <= -1, or None.
+
+    Nonemptiness of this set characterizes unboundedness of the objective
+    over a nonempty polyhedron.
+    """
+    n = obj.n
+    rows, rhs = recession_cone(obj, poly)
+    rhs[-1] = -ONE
+    res = lp_min([ZERO] * n, Polyhedron(rows, rhs, _n_hint=n))
+    if res.status == OPTIMAL:
+        return res.x
+    return None
+
+
+def _reference_qp_min(obj, poly, check_psd=True):
+    """The active-set loop on Fraction vectors that qp_min replaced, with
+    unboundedness decided first by the recession-cone LP."""
     if check_psd:
         obj.validate_psd()
     n = obj.n
@@ -278,10 +314,9 @@ def _reference_qp_min(obj, poly, check_psd=True, bounded_hint=False):
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
 
-    if not bounded_hint:
-        ray = descent_ray(obj, poly)
-        if ray is not None:
-            return QpResult(UNBOUNDED, point=x, ray=ray)
+    ray = descent_ray(obj, poly)
+    if ray is not None:
+        return QpResult(UNBOUNDED, point=x, ray=ray)
 
     active = _greedy_rank_rows(poly, x)
     iterations = 0
@@ -392,7 +427,7 @@ def _random_objective(rng, n, kind):
 
 
 def _random_qp(rng):
-    """(obj, poly, bounded_hint) mixing the structures the active set meets.
+    """(obj, poly) mixing the structures the active set meets.
 
     A box (half the time) bounds the region; on top come random rows, rows
     through a common vertex (more tight rows than n), equality pairs,
@@ -433,13 +468,25 @@ def _random_qp(rng):
             row = [_rat(rng) for _ in range(n)]  # contradicting pair
             rows += [row, [-v for v in row]]
             rhs += [ONE, -2 * ONE]
-    poly = Polyhedron(rows, rhs, _n_hint=n)
-    return obj, poly, bounded and rng.random() < 0.5
+    return obj, Polyhedron(rows, rhs, _n_hint=n)
 
 
-def _check_against_reference(obj, poly, bounded_hint):
-    got = qp_min(obj, poly, bounded_hint=bounded_hint)
-    assert got == _reference_qp_min(obj, poly, bounded_hint=bounded_hint)
+def _assert_unbounded_certificate(obj, poly, res):
+    r = res.ray
+    assert poly.contains(res.point)
+    assert all(dot(row, r) <= 0 for row in poly.w_mat)
+    assert all(v == 0 for v in mat_vec(obj.h_mat, r))
+    assert dot(obj.h_vec, r) == -1
+
+
+def _check_against_reference(obj, poly):
+    got = qp_min(obj, poly)
+    want = _reference_qp_min(obj, poly)
+    if want.status == UNBOUNDED:
+        assert got.status == UNBOUNDED
+        _assert_unbounded_certificate(obj, poly, got)
+    else:
+        assert got == want
     if got.status == OPTIMAL:
         assert check_kkt(obj, poly, got)
     return got
@@ -449,12 +496,15 @@ def test_qp_min_matches_fraction_reference_on_random_qps():
     rng = random.Random(5)
     statuses = {}
     moved = 0
+    late_rays = 0
     for _ in range(400):
         got = _check_against_reference(*_random_qp(rng))
         statuses[got.status] = statuses.get(got.status, 0) + 1
         moved += got.status == OPTIMAL and got.iterations > 2
+        late_rays += got.status == UNBOUNDED and got.iterations >= 2
     assert statuses[OPTIMAL] >= 200 and statuses[INFEASIBLE] >= 10
     assert statuses[UNBOUNDED] >= 10 and moved >= 50
+    assert late_rays >= 5
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -475,7 +525,7 @@ def _qp_case(draw):
 @given(_qp_case())
 def test_qp_min_matches_fraction_reference_property(case):
     obj, poly = case
-    _check_against_reference(obj, poly, False)
+    _check_against_reference(obj, poly)
 
 
 def test_qp_min_iterate_stays_in_lowest_terms(monkeypatch):
@@ -499,35 +549,6 @@ def test_qp_min_iterate_stays_in_lowest_terms(monkeypatch):
     assert res.status == OPTIMAL and check_kkt(obj, poly, res)
     assert res.iterations >= 4
     assert max(sizes) <= 64
-
-
-def test_bounded_hint_on_unbounded_qp_trips_assertion():
-    # min -x over x >= 0 with a wrong bounded_hint
-    obj = QpObjective(mat([[0]]), [Rat(-1)])
-    poly = Polyhedron(mat([[-1]]), [Rat(0)])
-    assert qp_min(obj, poly).status == UNBOUNDED
-    with pytest.raises(AssertionError):
-        qp_min(obj, poly, bounded_hint=True)
-
-
-def test_bounded_hint_assertion_survives_optimized_mode():
-    code = (
-        "from miqcp.linalg import mat\n"
-        "from miqcp.polyhedra import Polyhedron\n"
-        "from miqcp.qp import QpObjective, qp_min\n"
-        "from miqcp.rational import Rat\n"
-        "try:\n"
-        "    qp_min(QpObjective(mat([[0]]), [Rat(-1)]), Polyhedron(mat([[-1]]), [Rat(0)]),\n"
-        "           bounded_hint=True)\n"
-        "except AssertionError:\n"
-        "    print('assertion')\n"
-    )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "assertion"
 
 
 def test_map_through_matches_triple_loop():

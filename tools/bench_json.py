@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_json.py --out BENCH_8.json
+    python3 tools/bench_json.py --out BENCH_9.json
 
 Each workload named in ``BENCHMARK.json`` runs once through
 ``perfbench/run.py`` at ``--trace 0`` (end-to-end metrics: ``solve_s``,
