@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import FlatnessOutcome, LatticeBasis, babai_nearest_plane, flatness, lll_reduce
-from .linalg import UnimodularCert, column_reduce_unimodular, rank, rank_with_basis, row_basis_permute
+from .linalg import UnimodularCert, column_reduce_unimodular, rank, rank_with_basis
 from .polyhedra import (
     Polyhedron,
     fulldim_reduce_polyhedron,
@@ -75,8 +75,8 @@ __all__ = [
     "IntegerReflexiveGinv",
     "LatticeBasis",
     "LpResult",
-    "MicqpError",
     "MicqpInstance",
+    "MiqcpError",
     "NotPsdError",
     "Polyhedron",
     "PreconditionError",
@@ -116,7 +116,6 @@ __all__ = [
     "rat",
     "rat_str",
     "recession_ray_check",
-    "row_basis_permute",
     "sandwich",
     "seed_simplex",
     "solve_lp",

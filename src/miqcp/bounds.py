@@ -12,17 +12,12 @@ from typing import Iterable
 from .rational import Rat, denom, numer, size_of
 
 
-def magnitude_bound(s: int, exponent_class: int) -> Rat:
-    """2 ** (2**(exponent_class + 1) * s**2) as an exact rational.
-
-    exponent_class 4, 6, 8 correspond to the three box/value bounds used by
-    the feasibility, optimization, and projection arguments.
-    """
+def magnitude_bound(s: int) -> Rat:
+    """2 ** (2**5 * s**2) as an exact rational: the coordinate bound of the
+    feasibility argument for data of bit size s."""
     if s < 1:
         raise ValueError("size must be >= 1")
-    if exponent_class not in (4, 6, 8):
-        raise ValueError("exponent_class must be 4, 6, or 8")
-    return Rat(1 << ((1 << (exponent_class + 1)) * s * s))
+    return Rat(1 << (32 * s * s))
 
 
 def scaled_integer_system_size(matrices: Iterable, vectors: Iterable, scalars: Iterable) -> int:

@@ -83,12 +83,10 @@ def _objective_at(block, path, n) -> QpObjective:
         for j in range(i):
             if h_mat[i][j] != h_mat[j][i]:
                 raise InstanceParseError(f"{path}.H[{i}][{j}]", "H is not symmetric")
-    obj = QpObjective(h_mat, h_vec)
     try:
-        obj.validate_psd()
+        return QpObjective(h_mat, h_vec)
     except NotPsdError as exc:
         raise InstanceParseError(f"{path}.H", f"not PSD ({exc})") from exc
-    return obj
 
 
 class ParsedInstance:
@@ -97,14 +95,20 @@ class ParsedInstance:
         self.quad = quad
 
 
-def parse_instance(text: str) -> ParsedInstance:
-    """Validated instance, or InstanceParseError with a JSON path and reason."""
+def _json_object(text: str) -> dict:
+    """The JSON object in text, or InstanceParseError at path $."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceParseError("$", "top level must be an object")
+    return data
+
+
+def parse_instance(text: str) -> ParsedInstance:
+    """Validated instance, or InstanceParseError with a JSON path and reason."""
+    data = _json_object(text)
     for key in ("n", "p"):
         if type(data.get(key)) is not int:
             raise InstanceParseError(key, "must be a JSON integer")
@@ -222,7 +226,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
     tr = Trace() if trace else None
     try:
         if command == "ginv":
-            data = json.loads(text)
+            data = _json_object(text)
             a = _matrix_at(data.get("A"), "A")
             g = integer_reflexive_ginv(a)
             aga = mat_mul(mat_mul(a, g.asharp), a)
@@ -241,7 +245,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
             }
 
         if command == "flatness":
-            data = json.loads(text)
+            data = _json_object(text)
             b_mat = _matrix_at(data.get("B"), "B")
             a_vec = _vector_at(data.get("a"), "a", len(b_mat))
             r_val = _rat_at(data.get("r"), "r")
@@ -311,11 +315,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
                 "instance": _reduced_instance_json(q2, obj2, offset),
                 "tau": _emit_tau(tau),
             }
-    except InstanceParseError as exc:
-        return 2, {"error": str(exc)}
-    except json.JSONDecodeError as exc:
-        return 2, {"error": f"invalid JSON: {exc}"}
-    except MiqcpError as exc:
+    except MiqcpError as exc:  # InstanceParseError included
         return 2, {"error": str(exc)}
     raise AssertionError("unreachable")
 

@@ -85,7 +85,7 @@ def quadratic_feasible_point(obj: QpObjective, poly: Polyhedron, eta) -> Optiona
     Minimizes q over the polyhedron; when that is unbounded below, walks the
     certified descent ray (H r = 0, h.r = -1) far enough to clear eta.
     """
-    return _point_below(obj, eta, qp_min(obj, poly, check_psd=False))
+    return _point_below(obj, eta, qp_min(obj, poly))
 
 
 def set_feasible_point(q: ConvexQuadraticSet) -> Optional[Vector]:
@@ -128,8 +128,8 @@ def stationary_affine_subspace(obj: QpObjective) -> Tuple[Matrix, Vector]:
     return rows, rhs
 
 
-def _round_to_grid(x: Vector, frac_bits: int) -> Vector:
-    scale = 1 << frac_bits
+def _round_to_grid(x: Vector, bits: int) -> Vector:
+    scale = 1 << bits
     return [Rat(rround(v * scale), scale) for v in x]
 
 
@@ -167,26 +167,24 @@ def cqs_bit_size(q: ConvexQuadraticSet) -> int:
     )
 
 
-def theoretical_box(q: ConvexQuadraticSet, exponent_class: int = 4):
-    """Symbolic +-2^(2^class+1 s^2) coordinate box (no declared box given)."""
-    bound = magnitude_bound(cqs_bit_size(q), exponent_class)
+def theoretical_box(q: ConvexQuadraticSet):
+    """Symbolic +-2^(2^5 s^2) coordinate box (no declared box given)."""
+    bound = magnitude_bound(cqs_bit_size(q))
     n = q.n
     return [-bound] * n, [bound] * n
 
 
-def inner_polytope(
-    q: ConvexQuadraticSet,
-    declared_box: Optional[Tuple[Vector, Vector]] = None,
-) -> Polyhedron:
+def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
     """A full-dimensional polytope (P intersected with a cube) inside Q.
 
     Requires P full-dimensional and the FULL_DIM case of q's `_level_case`
     (min q over P < eta), whose minimum it reads.  An identically-zero q
     makes Q = P: the cube is the unit cube around P's probe point.
-    Otherwise the cube radius delta comes from an exact Lipschitz bound for
-    the quadratic on [-beta, beta]^n; when the minimum over P is -infinity
-    the witness is re-minimized over the declared box (or the symbolic
-    magnitude box).
+    Otherwise the cube is centred at a witness xbar with q(xbar) < eta:
+    the minimizer, or, when the minimum over P is -infinity, a point on
+    the certified ray (H r = 0 and h.r = -1, so q falls by lambda along
+    lambda r).  Its radius delta comes from an exact Lipschitz bound for
+    the quadratic on [-beta, beta]^n.
     """
     poly, obj, eta = q.poly, q.obj, q.eta
     n = q.n
@@ -207,14 +205,9 @@ def inner_polytope(
     if res.is_optimal:
         xbar = res.x
     else:
-        lo, hi = declared_box if declared_box is not None else theoretical_box(q, 4)
-        boxed = poly.with_box(lo, hi)
-        res2 = qp_min(obj, boxed, check_psd=False)
-        if not res2.is_optimal or res2.value >= eta:
-            raise PreconditionError(
-                "inner_polytope: declared box does not contain a point below eta"
-            )
-        xbar = res2.x
+        # q(point + lam ray) = q(point) - lam, and lam > q(point) - eta
+        lam = Rat(max(0, rfloor(obj.value(res.point) - eta)) + 1)
+        xbar = vec_add(res.point, vec_scale(lam, res.ray))
     xbar = _small_witness(q, xbar)
     qval = obj.value(xbar)
     alpha = Rat(1 << size_of_seq([v for row in obj.h_mat for v in row] + list(obj.h_vec)))
@@ -289,12 +282,12 @@ def _split_level(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     obj, eta = q.obj, q.eta
     if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
         return (EMPTY_SET if eta < 0 else FULL_DIM), None
-    face_min = qp_min(obj, q.poly, check_psd=False)
+    face_min = qp_min(obj, q.poly)
     if not face_min.is_optimal or face_min.value < eta:
         return FULL_DIM, face_min
     if face_min.value > eta:
         return EMPTY_SET, face_min
-    free_min = qp_min(obj, Polyhedron([], [], _n_hint=q.n), check_psd=False)
+    free_min = qp_min(obj, Polyhedron([], [], _n_hint=q.n))
     if free_min.is_optimal and free_min.value == eta:
         return LOW_DIM_AFFINE, face_min
     return LOW_DIM_FACE, face_min
@@ -333,10 +326,12 @@ def _tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
     return poly.with_rows(face_rows, face_rhs)
 
 
-def classify_fulldim(
-    q: ConvexQuadraticSet, declared_box: Optional[Tuple[Vector, Vector]] = None
-) -> FulldimCertificate:
-    """Three-way classification with a checkable certificate per case."""
+def classify_fulldim(q: ConvexQuadraticSet) -> FulldimCertificate:
+    """Three-way classification with a checkable certificate per case.
+
+    P keeps its probe and q its level case, so on a set that
+    `fulldim_reduce_cqs` returned this runs no LP or QP beyond the ones the
+    inner polytope needs anyway."""
     poly, obj = q.poly, q.obj
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
@@ -351,7 +346,7 @@ def classify_fulldim(
         return FulldimCertificate(LOW_DIM_POLY, implicit_rows=implicit_equalities(poly))
     if tag == LOW_DIM_FACE:
         return FulldimCertificate(LOW_DIM_FACE, face=_tangent_face(q))
-    return FulldimCertificate(FULL_DIM, polytope=inner_polytope(q, declared_box))
+    return FulldimCertificate(FULL_DIM, polytope=inner_polytope(q))
 
 
 def _reduce_step(

@@ -22,7 +22,7 @@ from .linalg import (
     inverse,
     mat_mul,
     mat_vec,
-    row_basis_permute,
+    rank_with_basis,
     shape,
     vec_add,
     vec_sub,
@@ -47,23 +47,22 @@ class IntegerReflexiveGinv:
 def integer_reflexive_ginv(a: Matrix) -> IntegerReflexiveGinv:
     """Integer reflexive generalized inverse of a rational matrix.
 
-    Construction: permute a row basis to the top, column-reduce it with a
-    unimodular U so A1 U = [K1 | 0], then A# = U [[K1^-1, 0], [0, 0]] Wperm.
+    Construction: take a row basis A1 (rows basis[0..r-1] of A),
+    column-reduce it with a unimodular U so A1 U = [K1 | 0], then
+    A# = U [[K1^-1, 0], [0, 0]] Wperm with Wperm the permutation moving the
+    basis rows to the top.  Wperm only places columns: column i of
+    U[:, :r] K1^-1 becomes column basis[i] of A#, and the rest are zero.
     """
     m, n = shape(a)
-    wperm, a1, _a2 = row_basis_permute(a)
-    r = len(a1)
+    r, basis = rank_with_basis(a)
+    asharp = zeros(n, m)
     if r == 0:
-        return IntegerReflexiveGinv(zeros(n, m), UnimodularCert(identity(n), identity(n)), 0)
-    u, k1 = column_reduce_unimodular(a1)
-    k1_inv = inverse(k1)
-    # K#_I = [[K1^-1, 0], [0, 0]] is n x m; A# = U K#_I Wperm collapses to
-    # (first r columns of U) K1^-1 (first r rows of Wperm.u)
-    ksharp = zeros(n, m)
-    for i in range(r):
-        for j in range(r):
-            ksharp[i][j] = k1_inv[i][j]
-    asharp = mat_mul(mat_mul(u.u, ksharp), wperm.u)
+        return IntegerReflexiveGinv(asharp, UnimodularCert(identity(n), identity(n)), 0)
+    u, k1 = column_reduce_unimodular([a[i] for i in basis])
+    uk = mat_mul([u_row[:r] for u_row in u.u], inverse(k1))  # U[:, :r] K1^-1
+    for row, uk_row in zip(asharp, uk):
+        for col, v in zip(basis, uk_row):
+            row[col] = v
     return IntegerReflexiveGinv(asharp, u, r)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DimensionError, NotPsdError, PreconditionError
 from .rational import Rat, ZERO, ONE, is_integral, rround
@@ -265,32 +265,6 @@ class UnimodularCert:
         )
 
 
-def permutation_cert(perm: Sequence[int]) -> UnimodularCert:
-    """UnimodularCert for x -> x[perm]; row i of U is e_{perm[i]}."""
-    n = len(perm)
-    u = zeros(n, n)
-    uinv = zeros(n, n)
-    for i, j in enumerate(perm):
-        u[i][j] = ONE
-        uinv[j][i] = ONE
-    return UnimodularCert(u, uinv)
-
-
-def row_basis_permute(a: Matrix) -> tuple:
-    """Permutation moving a row basis of A to the top.
-
-    Returns (wperm, a1, a2): wperm is a permutation UnimodularCert with
-    wperm.u @ A stacking a1 (r independent rows) over a2.
-    """
-    m, _ = shape(a)
-    r, basis = rank_with_basis(a)
-    rest = [i for i in range(m) if i not in basis]
-    perm = list(basis) + rest
-    a1 = [a[i][:] for i in basis]
-    a2 = [a[i][:] for i in rest]
-    return permutation_cert(perm), a1, a2
-
-
 def column_reduce_unimodular(a1: Matrix) -> tuple:
     """Unimodular U with A1 U = [K1 | 0], K1 square invertible.
 
@@ -359,7 +333,7 @@ def ldlt_psd_check(h: Matrix):
         raise DimensionError("ldlt_psd_check needs a square matrix")
     if not mat_eq(h, transpose(h)):
         raise PreconditionError("ldlt_psd_check needs a symmetric matrix")
-    a = copy_mat(h)
+    a = [[Rat(v) for v in row] for row in h]  # int entries must not divide to floats
     idx = list(range(n))
     pivots = []
     for k in range(n):

@@ -44,10 +44,23 @@ _ITERATION_CAP_FACTOR = 60
 
 @dataclass(frozen=True)
 class QpObjective:
-    """x^T H x + h^T x with H symmetric positive semidefinite."""
+    """x^T H x + h^T x with H symmetric positive semidefinite.
+
+    Construction checks the shapes and runs the exact LDL^T test once, so
+    every objective is PSD: a non-square or mis-sized H raises
+    DimensionError, an asymmetric one PreconditionError, and one that is
+    not PSD NotPsdError (with the failing pivot).  A reduced objective
+    M^T H M is PSD whenever H is, so its check always passes.
+    """
 
     h_mat: Matrix
     h_vec: Vector
+
+    def __post_init__(self):
+        n = len(self.h_vec)
+        if len(self.h_mat) != n or any(len(row) != n for row in self.h_mat):
+            raise DimensionError("QpObjective: H must be n x n with n = len(h)")
+        ldlt_psd_check(self.h_mat)
 
     @property
     def n(self) -> int:
@@ -58,10 +71,6 @@ class QpObjective:
 
     def gradient(self, x: Vector) -> Vector:
         return vec_add(vec_scale(2, mat_vec(self.h_mat, x)), self.h_vec)
-
-    def validate_psd(self):
-        """Raises NotPsdError (with the failing pivot) if H is not PSD."""
-        ldlt_psd_check(self.h_mat)
 
     def is_zero_quadratic(self) -> bool:
         return all(v == 0 for row in self.h_mat for v in row)
@@ -160,7 +169,7 @@ def _null_basis(rows: List[List[int]], n: int) -> List[List[int]]:
     return basis
 
 
-def qp_min(obj: QpObjective, poly: Polyhedron, check_psd: bool = True) -> QpResult:
+def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
     Returns Infeasible, Optimal with an exact KKT certificate, or Unbounded
@@ -173,8 +182,6 @@ def qp_min(obj: QpObjective, poly: Polyhedron, check_psd: bool = True) -> QpResu
     """
     if obj.n != poly.n:
         raise DimensionError("qp_min: objective and polyhedron dimensions differ")
-    if check_psd:
-        obj.validate_psd()
     n = obj.n
 
     feas = lp_min([ZERO] * n, poly)
@@ -312,11 +319,9 @@ def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult
     return QpResult(OPTIMAL, x, value, active=active, lam=lam, iterations=iterations)
 
 
-def qp_min_on_slice(
-    obj: QpObjective, poly: Polyhedron, fixed: Vector, check_psd: bool = True
-) -> QpResult:
+def qp_min_on_slice(obj: QpObjective, poly: Polyhedron, fixed: Vector) -> QpResult:
     """qp_min with the first len(fixed) coordinates pinned by equality rows."""
-    return qp_min(obj, poly.with_first_coords_fixed(fixed), check_psd=check_psd)
+    return qp_min(obj, poly.with_first_coords_fixed(fixed))
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

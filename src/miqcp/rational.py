@@ -1,20 +1,16 @@
 """Arbitrary-precision rational scalars and the bit-size measure.
 
-Every quantity in this package is an exact rational.  ``Rat`` is gmpy2's
-``mpq`` when available (much faster) and ``fractions.Fraction`` otherwise;
-both keep values canonical (gcd-reduced, positive denominator) at all times.
+Every quantity in this package is an exact rational.  ``Rat`` is
+``fractions.Fraction``, which keeps values canonical (gcd-reduced, positive
+denominator) at all times.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction as Rat
 from typing import Iterable, Union
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
 
 RatLike = Union[int, str, "Rat"]
 
@@ -80,16 +76,16 @@ def isqrt_ceil(n: int) -> int:
     return k if k * k == n else k + 1
 
 
-def sqrt_upper_bound(q, frac_bits: int = 32) -> Rat:
-    """Rational U with U >= sqrt(q) and U - sqrt(q) <= 2**-frac_bits (q >= 0).
+def sqrt_upper_bound(q) -> Rat:
+    """Rational U with U >= sqrt(q) and U - sqrt(q) <= 2**-32 (q >= 0).
 
-    Computed from the integer square root of the ceiling of q * 4**frac_bits,
-    so the bound is exact; no floating point is involved.
+    Computed from the integer square root of the ceiling of q * 4**32, so
+    the bound is exact; no floating point is involved.
     """
     q = Rat(q)
     if q < 0:
         raise ValueError("sqrt_upper_bound of a negative number")
-    scale = 1 << frac_bits
+    scale = 1 << 32
     scaled = q * scale * scale
     return Rat(isqrt_ceil(rceil(scaled)), scale)
 

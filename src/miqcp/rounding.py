@@ -326,22 +326,16 @@ class SandwichResult:
     simplex: Simplex
 
 
-def sandwich(
-    q: ConvexQuadraticSet,
-    p: int,
-    inner: Optional[Polyhedron] = None,
-    check: bool = True,
-) -> SandwichResult:
+def sandwich(q: ConvexQuadraticSet, p: int, check: bool = True) -> SandwichResult:
     """Two concentric balls sandwiching the normalized projection of Q.
 
-    Seeds and grows a simplex inside `inner` (by default the polytope of
-    `classify_fulldim`) and normalizes by the grown simplex's b_mat.
+    Seeds and grows a simplex inside the inner polytope of
+    `classify_fulldim` and normalizes by the grown simplex's b_mat.
     """
-    if inner is None:
-        cert = classify_fulldim(q)
-        if cert.tag != FULL_DIM:
-            raise PreconditionError("sandwich: Q is not full-dimensional")
-        inner = cert.polytope
+    cert = classify_fulldim(q)
+    if cert.tag != FULL_DIM:
+        raise PreconditionError("sandwich: Q is not full-dimensional")
+    inner = cert.polytope
     seed = seed_simplex(q, p, inner=inner, check=check)
     anchor = _fulldim_probe(inner).point
     grown, _trace = grow_simplex(q, p, make_simplex(seed), check=False, anchor=anchor)

@@ -12,8 +12,7 @@ are those of the same method on a rational tableau: integer scaling of the
 rows and of the phase-1 cost is by positive constants, which leave Bland's
 choice, the ratio test and its ties unchanged.  Rationals are read from the
 inputs through ``numerator``/``denominator`` and built only for the outputs,
-as ``Rat(int, int)``; both ``fractions.Fraction`` and gmpy2's ``mpq`` offer
-that, though no test run covers the gmpy2 backend yet.
+as ``Rat(int, int)``.
 
 Phase 1 depends only on (W, w), not on c, and any feasible basis is a valid
 start for phase 2 (Dantzig's two-phase method; Chvatal 1983, ch. 8).  So

@@ -27,7 +27,6 @@ from typing import List, Optional, Tuple
 from .cqs import (
     ConvexQuadraticSet,
     _fulldim_reduce_cqs_impl,
-    inner_polytope,
     quadratic_feasible_point,
     set_feasible_point,
     theoretical_box,
@@ -154,7 +153,7 @@ def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
         RuntimeWarning,
         stacklevel=3,
     )
-    lo, hi = theoretical_box(q, 4)
+    lo, hi = theoretical_box(q)
     return ConvexQuadraticSet(q.poly.with_box(lo, hi), q.obj, q.eta)
 
 
@@ -187,8 +186,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
             trace.record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
-    inner = inner_polytope(q2)
-    sw = sandwich(q2, p2, inner=inner, check=False)
+    sw = sandwich(q2, p2, check=False)
     outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
 
     if outcome.tag == LATTICE_POINT:
@@ -253,7 +251,7 @@ def boundedness(
         x = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
         if x is None:
             return BoundednessResult(False)
-    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    cont = qp_min(inst.obj, inst.poly)
     if cont.status != UNBOUNDED:
         return BoundednessResult(False)
     return BoundednessResult(True, point=x, ray=cont.ray)
@@ -326,7 +324,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     x_feas = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
     if x_feas is None:
         return SolveStatus(INFEASIBLE_STATUS)
-    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    cont = qp_min(inst.obj, inst.poly)
     if cont.status == UNBOUNDED:
         return SolveStatus(UNBOUNDED_STATUS, point=x_feas, ray=cont.ray)
     assert cont.is_optimal, "a feasible polyhedron keeps the QP feasible"
@@ -335,7 +333,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
         return SolveStatus(OPTIMAL_STATUS, x=cont.x, value=cont.value)
     lo = cont.value
 
-    best = qp_min_on_slice(inst.obj, inst.poly, x_feas[:p], check_psd=False)
+    best = qp_min_on_slice(inst.obj, inst.poly, x_feas[:p])
     assert best.is_optimal
     x_best, v = best.x, best.value
 
@@ -363,7 +361,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
             lo = probe_at
             after_failed_midpoint = True
             continue
-        improved = qp_min_on_slice(inst.obj, inst.poly, found[:p], check_psd=False)
+        improved = qp_min_on_slice(inst.obj, inst.poly, found[:p])
         assert improved.is_optimal and improved.value <= probe_at
         x_best, v = improved.x, improved.value
         improvements += 1
@@ -381,7 +379,7 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
         raise PreconditionError("oracle_optimize requires a declared box")
     p = inst.poly.p
     if p == 0:
-        res = qp_min(inst.obj, inst.poly, check_psd=False)
+        res = qp_min(inst.obj, inst.poly)
         if res.status == INFEASIBLE:
             return SolveStatus(INFEASIBLE_STATUS)
         if res.status == OPTIMAL:
@@ -401,12 +399,12 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
                 witness = probe.x
     if not feasible_slices:
         return SolveStatus(INFEASIBLE_STATUS)
-    cont = qp_min(inst.obj, inst.poly, check_psd=False)
+    cont = qp_min(inst.obj, inst.poly)
     if cont.status == UNBOUNDED:
         return SolveStatus(UNBOUNDED_STATUS, point=witness, ray=cont.ray)
     best_x, best_v = None, None
     for pins in feasible_slices:
-        res = qp_min_on_slice(inst.obj, inst.poly, pins, check_psd=False)
+        res = qp_min_on_slice(inst.obj, inst.poly, pins)
         assert res.is_optimal
         if best_v is None or res.value < best_v:
             best_x, best_v = res.x, res.value

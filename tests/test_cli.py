@@ -93,6 +93,7 @@ def test_parse_rejects_non_psd():
     with pytest.raises(InstanceParseError) as exc:
         parse_instance(json.dumps(bad))
     assert "PSD" in str(exc.value)
+    assert exc.value.path == "objective.H"
 
 
 def test_parse_rejects_dimension_mismatch():
@@ -218,6 +219,16 @@ def test_empty_reduction_status(tmp_path):
     code, payload = run("reduce-fulldim", path)
     assert code == 0
     assert payload == {"status": "empty"}
+
+
+@pytest.mark.parametrize("command", ["ginv", "flatness"])
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", "\"A\"", "{"])
+def test_matrix_commands_need_a_top_level_object(tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, payload = run(command, str(path))
+    assert code == 2
+    assert payload["error"].startswith("$: ")
 
 
 def test_unknown_command_exit2(tmp_path):

@@ -128,13 +128,30 @@ def test_inner_polytope_precondition():
         inner_polytope(q)
 
 
-def test_inner_polytope_unbounded_min_with_declared_box():
-    # min of x1 over {x1 free} is -inf; declared box supplies the witness
+def test_inner_polytope_unbounded_min_walks_the_ray():
+    # min of x1 over {x1 free} is -inf; the witness is a point on qp_min's
+    # certified ray, so no search box is needed
     poly = Polyhedron([], [], _n_hint=1)
     q = cqs(poly, [[0]], [1], 0)
-    pol = inner_polytope(q, declared_box=([Rat(-5)], [Rat(5)]))
+    assert qp_min(q.obj, poly).status == UNBOUNDED
+    pol = inner_polytope(q)
     assert is_fulldim_polyhedron(pol)
     for v in enumerate_vertices(pol):
+        assert q.contains(v)
+
+
+def test_classify_fulldim_unbounded_min_over_orthant():
+    # P = {x, y >= 0} and q = y^2 - x <= 1: q falls without bound along x
+    poly = Polyhedron(mat([[-1, 0], [0, -1]]), [Rat(0), Rat(0)])
+    q = cqs(poly, [[0, 0], [0, 1]], [-1, 0], 1)
+    res = qp_min(q.obj, poly)
+    assert res.status == UNBOUNDED and res.ray == [1, 0]
+    cert = classify_fulldim(q)
+    assert cert.tag == FULL_DIM
+    assert is_fulldim_polyhedron(cert.polytope)
+    vertices = enumerate_vertices(cert.polytope)
+    assert len(vertices) == 4
+    for v in vertices:
         assert q.contains(v)
 
 

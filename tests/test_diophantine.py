@@ -12,13 +12,16 @@ from miqcp.diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from miqcp.linalg import (
+    column_reduce_unimodular,
     identity,
+    inverse,
     is_integer_mat,
     mat,
     mat_eq,
     mat_mul,
     mat_vec,
     rank,
+    rank_with_basis,
     shape,
     zeros,
 )
@@ -72,14 +75,54 @@ def test_ginv_zero_matrix():
     assert mat_eq(g.asharp, zeros(3, 2))
 
 
-def test_ginv_randomized_identities():
+def test_ginv_zero_row_above_basis():
+    # the basis row sits below a zero row: its column of A# is filled and
+    # the zero row's column stays zero
+    a = mat([[0, 0], [1, 2]])
+    g = integer_reflexive_ginv(a)
+    assert g.r == 1
+    assert mat_eq(g.asharp, mat([[0, 1], [0, 0]]))
+    assert ginv_identities_hold(a, g)
+
+
+def _random_ginv_cases():
     rng = random.Random(42)
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[Rat(rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
+        yield [[Rat(rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
+
+
+def test_ginv_randomized_identities():
+    for a in _random_ginv_cases():
         g = integer_reflexive_ginv(a)
         assert ginv_identities_hold(a, g)
         assert g.r == rank(a)
+
+
+def _asharp_by_permutation(a):
+    """A# = U [[K1^-1, 0], [0, 0]] Wperm by two dense products, Wperm the
+    permutation matrix moving the row basis of A to the top."""
+    m, n = shape(a)
+    r, basis = rank_with_basis(a)
+    if r == 0:
+        return zeros(n, m)
+    wperm = zeros(m, m)
+    for i, j in enumerate(list(basis) + [i for i in range(m) if i not in basis]):
+        wperm[i][j] = Rat(1)
+    u, k1 = column_reduce_unimodular([a[i][:] for i in basis])
+    k1_inv = inverse(k1)
+    ksharp = zeros(n, m)
+    for i in range(r):
+        for j in range(r):
+            ksharp[i][j] = k1_inv[i][j]
+    return mat_mul(mat_mul(u.u, ksharp), wperm)
+
+
+def test_ginv_places_the_columns_of_the_permutation_formula():
+    fixed = [identity(3), mat([[1, 2]]), mat([[2, 0], [0, 0]]), zeros(2, 3),
+             mat([[0, 0], [1, 2]])]
+    for a in fixed + list(_random_ginv_cases()):
+        assert mat_eq(integer_reflexive_ginv(a).asharp, _asharp_by_permutation(a))
 
 
 def tau_points(param, y_range, z_values):

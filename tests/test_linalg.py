@@ -21,7 +21,6 @@ from miqcp.linalg import (
     null_space,
     rank,
     rank_with_basis,
-    row_basis_permute,
     shape,
     transpose,
     zeros,
@@ -48,7 +47,7 @@ def test_rank_dependent_rows():
 
 def test_row_basis_pivots_on_smallest_magnitude():
     # the pivot rule fixes which rows form the basis, and with it every
-    # generalized inverse built on row_basis_permute
+    # integer reflexive generalized inverse
     assert rank_with_basis(mat([[2, 4], [1, 2]])) == (1, [1])
     assert rank_with_basis(mat([[1, 0], [-1, 0], [0, 3]])) == (2, [0, 2])
     assert rank_with_basis(mat([[0, 5], [3, 1], [-2, 1]])) == (2, [1, 2])
@@ -86,30 +85,6 @@ def test_rank_against_plain_elimination():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = rmat(rng, m, n, lo=-4, hi=4, denoms=(1, 2, 5))
         assert rank(a) == _gauss_rank(a)
-
-
-def test_row_basis_permute_identity():
-    wp, a1, a2 = row_basis_permute(identity(2))
-    assert mat_eq(wp.u, identity(2))
-    assert mat_eq(a1, identity(2))
-    assert a2 == []
-
-
-def test_row_basis_permute_swaps_zero_row_down():
-    a = mat([[0, 0], [1, 2]])
-    wp, a1, a2 = row_basis_permute(a)
-    assert a1 == mat([[1, 2]])
-    assert a2 == mat([[0, 0]])
-    assert mat_eq(mat_mul(wp.u, a), a1 + a2)
-    assert rank(a1) == rank(a)
-    assert wp.check()
-
-
-def test_row_basis_permute_zero_matrix():
-    a = zeros(2, 3)
-    wp, a1, a2 = row_basis_permute(a)
-    assert a1 == []
-    assert mat_eq(a2, a)
 
 
 def test_column_reduce_single_row():
@@ -301,6 +276,13 @@ def test_psd_pivot_report():
     with pytest.raises(NotPsdError) as exc:
         ldlt_psd_check(mat([[0, 1], [1, 0]]))
     assert exc.value.pivot_index in (0, 1)
+
+
+def test_psd_check_is_exact_on_plain_ints():
+    # a singular Gram matrix (rank 1) given as Python ints: no step of the
+    # factorization may divide them to floats
+    v = [19, -10, -16, -25]
+    assert is_psd([[a * b for b in v] for a in v])
 
 
 def test_psd_randomized_gram_matrices():

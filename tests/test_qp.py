@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from miqcp.diophantine import AffineParam
-from miqcp.errors import DimensionError, NotPsdError
+from miqcp.errors import DimensionError, NotPsdError, PreconditionError
 from miqcp.linalg import (
     dot,
     gauss_solve,
@@ -92,9 +92,19 @@ def test_qp_infeasible():
 
 
 def test_qp_rejects_non_psd():
-    obj = QpObjective(mat([[-1]]), [Rat(0)])
+    # the objective checks itself, so no non-PSD H reaches qp_min
     with pytest.raises(NotPsdError):
-        qp_min(obj, box([0], [1]))
+        QpObjective(mat([[-1]]), [Rat(0)])
+
+
+def test_objective_rejects_asymmetric_or_misshapen_h():
+    with pytest.raises(PreconditionError):
+        QpObjective(mat([[1, 1], [0, 1]]), [Rat(0), Rat(0)])
+    with pytest.raises(DimensionError):
+        QpObjective(mat([[1, 0], [0, 1]]), [Rat(0)])
+    with pytest.raises(DimensionError):
+        QpObjective(mat([[1, 0]]), [Rat(0), Rat(0)])
+    assert QpObjective([], []).n == 0
 
 
 def test_qp_unconstrained_min():
@@ -300,11 +310,9 @@ def descent_ray(obj, poly):
     return None
 
 
-def _reference_qp_min(obj, poly, check_psd=True):
+def _reference_qp_min(obj, poly):
     """The active-set loop on Fraction vectors that qp_min replaced, with
     unboundedness decided first by the recession-cone LP."""
-    if check_psd:
-        obj.validate_psd()
     n = obj.n
 
     feas = lp_min([ZERO] * n, poly)

@@ -31,9 +31,9 @@ BOX5_2D = ([Rat(-5), Rat(-5)], [Rat(5), Rat(5)])
 
 
 def test_magnitude_bound_values():
-    assert magnitude_bound(1, 4) == Rat(2) ** 32
-    assert magnitude_bound(2, 4) == Rat(2) ** 128
-    assert magnitude_bound(1, 8) == Rat(2) ** 512
+    assert magnitude_bound(1) == Rat(2) ** 32
+    assert magnitude_bound(2) == Rat(2) ** 128
+    assert magnitude_bound(3) == Rat(2) ** 288
 
 
 def test_feasibility_no_integer_in_open_interval():
