@@ -6,10 +6,10 @@ big integers and only used when an instance does not declare a bounding box.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable
 
-from .rational import Rat, denom, numer, size_of
+from .linalg import integer_row
+from .rational import Rat, size_of
 
 
 def magnitude_bound(s: int) -> Rat:
@@ -29,17 +29,12 @@ def scaled_integer_system_size(matrices: Iterable, vectors: Iterable, scalars: I
     """
     total = 0
     dims = 0
-    mats = list(matrices)
-    vecs = list(vectors)
-    for a, b in zip(mats, vecs):
+    for a, b in zip(matrices, vectors):
         for row, rhs in zip(a, b + [Rat(0)] * (len(a) - len(b))):
-            ell = lcm(*([denom(v) for v in row] + [denom(rhs)]))
-            for v in row:
-                total += size_of(Rat(numer(v) * (ell // denom(v))))
-            total += size_of(Rat(numer(rhs) * (ell // denom(rhs))))
+            ints, _ = integer_row(list(row) + [rhs])
+            total += sum(size_of(v) for v in ints)
             dims += 1 + len(row)
     for s in scalars:
-        ell = denom(s)
-        total += size_of(Rat(numer(s)))
-        total += size_of(Rat(ell))
+        ints, ell = integer_row([s])
+        total += size_of(ints[0]) + size_of(ell)
     return max(1, total + dims)

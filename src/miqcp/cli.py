@@ -228,6 +228,9 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
         if command == "ginv":
             data = _json_object(text)
             a = _matrix_at(data.get("A"), "A")
+            if a and not a[0]:
+                # A# of an m x 0 matrix has no rows: a list of rows would lose m
+                raise InstanceParseError("A", "rows must have at least one column")
             g = integer_reflexive_ginv(a)
             aga = mat_mul(mat_mul(a, g.asharp), a)
             gag = mat_mul(mat_mul(g.asharp, a), g.asharp)

@@ -88,6 +88,12 @@ def quadratic_feasible_point(obj: QpObjective, poly: Polyhedron, eta) -> Optiona
     return _point_below(obj, eta, qp_min(obj, poly))
 
 
+def slice_point(q: ConvexQuadraticSet, y: Vector) -> Optional[Vector]:
+    """A point x of Q with leading coordinates x[:len(y)] = y, or None
+    (exact decision)."""
+    return quadratic_feasible_point(q.obj, q.poly.with_first_coords_fixed(y), q.eta)
+
+
 def set_feasible_point(q: ConvexQuadraticSet) -> Optional[Vector]:
     """A point of Q, or None: `quadratic_feasible_point` on Q's own data,
     read from the minimum of q over P that `_level_case` keeps on q."""
@@ -177,7 +183,8 @@ def theoretical_box(q: ConvexQuadraticSet):
 def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
     """A full-dimensional polytope (P intersected with a cube) inside Q.
 
-    Requires P full-dimensional and the FULL_DIM case of q's `_level_case`
+    Requires P full-dimensional, which P's kept probe decides (no LP after
+    `classify_fulldim`), and the FULL_DIM case of q's `_level_case`
     (min q over P < eta), whose minimum it reads.  An identically-zero q
     makes Q = P: the cube is the unit cube around P's probe point.
     Otherwise the cube is centred at a witness xbar with q(xbar) < eta:
@@ -190,18 +197,16 @@ def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
     n = q.n
     if n == 0:
         raise PreconditionError("inner_polytope: zero-dimensional set")
+    probe = _fulldim_probe(poly)
+    if probe.status != "full_dim":
+        raise PreconditionError("inner_polytope: P is not full-dimensional")
     tag, res = _level_case(q)
     if tag != FULL_DIM:
         raise PreconditionError("inner_polytope: min over P is not below eta")
     if res is None:
         # the quadratic is identically zero: Q is the polyhedron itself
-        probe = _fulldim_probe(poly)
-        if probe.status != "full_dim":
-            raise PreconditionError("inner_polytope: P is not full-dimensional")
         center = probe.point
         return poly.with_box([v - 1 for v in center], [v + 1 for v in center])
-    if res.status == INFEASIBLE:
-        raise PreconditionError("inner_polytope: polyhedron is empty")
     if res.is_optimal:
         xbar = res.x
     else:

@@ -81,11 +81,11 @@ class Polyhedron:
     def slacks(self, x: Vector) -> Vector:
         return [b - dot(row, x) for row, b in zip(self.w_mat, self.w_rhs)]
 
-    def with_rows(self, rows: Matrix, rhs: Vector, p: Optional[int] = None) -> "Polyhedron":
+    def with_rows(self, rows: Matrix, rhs: Vector) -> "Polyhedron":
         return Polyhedron(
             [r[:] for r in self.w_mat] + [r[:] for r in rows],
             list(self.w_rhs) + list(rhs),
-            self.p if p is None else p,
+            self.p,
             _n_hint=self.n,
         )
 
@@ -93,28 +93,26 @@ class Polyhedron:
         return self.with_rows([row, [-v for v in row]], [b, -b])
 
     def with_box(self, lo: Vector, hi: Vector) -> "Polyhedron":
+        """P with lo_i <= x_i <= hi_i on the leading len(lo) coordinates,
+        as the row pairs x_i <= hi_i, -x_i <= -lo_i in coordinate order."""
         n = self.n
+        if len(lo) != len(hi) or len(lo) > n:
+            raise DimensionError("with_box: bounds need equal lengths <= n")
         rows, rhs = [], []
-        for i in range(n):
+        for i, (a, b) in enumerate(zip(lo, hi)):
             e_pos = [ZERO] * n
             e_pos[i] = ONE
             rows.append(e_pos)
-            rhs.append(Rat(hi[i]))
+            rhs.append(Rat(b))
             e_neg = [ZERO] * n
             e_neg[i] = -ONE
             rows.append(e_neg)
-            rhs.append(-Rat(lo[i]))
+            rhs.append(-Rat(a))
         return self.with_rows(rows, rhs)
 
     def with_first_coords_fixed(self, values: Vector) -> "Polyhedron":
-        if len(values) > self.n:
-            raise DimensionError("with_first_coords_fixed: more pins than variables")
-        out = self
-        for i, v in enumerate(values):
-            row = [ZERO] * self.n
-            row[i] = ONE
-            out = out.with_equality(row, Rat(v))
-        return out
+        """P with x_i = values[i] on the leading len(values) coordinates."""
+        return self.with_box(values, values)
 
     def map_through(self, tau: AffineParam) -> "Polyhedron":
         """Image description {x' : W M x' <= w - W xbar}.

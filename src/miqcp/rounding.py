@@ -16,8 +16,10 @@ from typing import List, Optional, Tuple
 from .cqs import (
     FULL_DIM,
     ConvexQuadraticSet,
+    _round_to_grid,
     classify_fulldim,
     quadratic_feasible_point,
+    slice_point,
 )
 from .errors import PreconditionError
 from .linalg import (
@@ -32,7 +34,7 @@ from .linalg import (
 )
 from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import recession_cone
-from .rational import Rat, ZERO, ONE, rround
+from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL
 
 _MAX_ESCALATION = 128
@@ -40,23 +42,16 @@ _MAX_SWEEPS = 100000
 
 
 def ceil_sqrt(p: int) -> int:
-    """Smallest k with k*k >= p, by integer binary search."""
+    """Smallest k with k*k >= p, for p >= 1."""
     if p < 1:
         raise PreconditionError("ceil_sqrt needs p >= 1")
-    lo, hi = 0, p
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * mid >= p:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return isqrt_ceil(p)
 
 
 @dataclass
 class Simplex:
-    """Full-dimensional simplex in R^p by its vertices v_0..v_p, which
-    nothing writes to after construction.
+    """Full-dimensional simplex in R^p on copies of its vertices
+    v_0..v_p, which nothing writes to after construction.
 
     One inverse of the edge matrix E (column j is v_{j+1} - v_0) gives
     b_mat = E^-1, volume = |det E| and the facets: b_mat_i . (v_j - v_0) is
@@ -74,6 +69,7 @@ class Simplex:
     facets: List[Tuple[Vector, Rat]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.vertices = [list(v) for v in self.vertices]
         self.b_mat, det_e = inverse_with_det(self.edge_matrix())
         self.volume = abs(det_e)
         normals = [_primitive([sum(col) for col in zip(*self.b_mat)])]
@@ -110,11 +106,6 @@ def _primitive(normal: Vector) -> Vector:
     return [Rat(v // g) for v in ints]
 
 
-def make_simplex(vertices: List[Vector]) -> Simplex:
-    """The `Simplex` on copies of the vertices."""
-    return Simplex([list(v) for v in vertices])
-
-
 def cqs_is_bounded(q: ConvexQuadraticSet) -> bool:
     """Q bounded iff its recession cone C = {Wr <= 0, Hr = 0, h.r <= 0} is {0}.
 
@@ -146,33 +137,19 @@ def _lift_direction(c_proj: Vector, n: int) -> Vector:
     return list(c_proj) + [ZERO] * (n - len(c_proj))
 
 
-def seed_simplex(
-    q: ConvexQuadraticSet,
-    p: int,
-    inner: Optional[Polyhedron] = None,
-    check: bool = True,
-) -> List[Vector]:
+def seed_simplex(q: ConvexQuadraticSet, p: int, inner: Polyhedron) -> List[Vector]:
     """p+1 points of proj_p(Q) that are affinely independent.
 
-    Works inside a full-dimensional polytope F contained in Q, extending the
-    projected set one direction at a time: minimize and maximize a lifted
-    normal direction over F; at least one of the two optima must leave the
-    current affine hull.
+    inner is a full-dimensional polytope contained in Q, such as the one
+    `classify_fulldim` certifies.  The projected set grows one direction at
+    a time: minimize and maximize a lifted normal direction over inner; at
+    least one of the two optima leaves the current affine hull.  An inner
+    that is empty, unbounded or flat raises PreconditionError.
     """
     n = q.n
     if not 1 <= p <= n:
         raise PreconditionError("seed_simplex needs 1 <= p <= n")
-    if check and not cqs_is_bounded(q):
-        raise PreconditionError("seed_simplex: Q is unbounded")
-    if inner is None:
-        cert = classify_fulldim(q)
-        if cert.tag != FULL_DIM:
-            raise PreconditionError("seed_simplex: Q is not full-dimensional")
-        inner = cert.polytope
-    first = lp_min(_lift_direction([ONE], n), inner)
-    if first.status != OPTIMAL:
-        raise AssertionError("seed LP over the inner polytope ended " + first.status)
-    points = [_project(first.x, p)]
+    points = [_project(_inner_argmin(_lift_direction([ONE], n), inner), p)]
     while len(points) < p + 1:
         t = len(points) - 1
         if t == 0:
@@ -183,21 +160,27 @@ def seed_simplex(
             ns = null_space(rows)
             c_proj = [ns[i][0] for i in range(p)]
         c_full = _lift_direction(c_proj, n)
-        lo = lp_min(c_full, inner)
-        hi = lp_min([-v for v in c_full], inner)
-        if lo.status != OPTIMAL or hi.status != OPTIMAL:
-            raise AssertionError(
-                f"seed LPs over the inner polytope ended {lo.status}, {hi.status}")
+        lo = _project(_inner_argmin(c_full, inner), p)
+        hi = _project(_inner_argmin([-v for v in c_full], inner), p)
         base = dot(c_proj, points[0])
-        if dot(c_proj, _project(lo.x, p)) != base:
-            points.append(_project(lo.x, p))
-        elif dot(c_proj, _project(hi.x, p)) != base:
-            points.append(_project(hi.x, p))
+        if dot(c_proj, lo) != base:
+            points.append(lo)
+        elif dot(c_proj, hi) != base:
+            points.append(hi)
         else:
-            raise AssertionError(
-                "both extreme points lie in the current hull; F not full-dimensional"
-            )
+            raise PreconditionError(
+                "seed_simplex: both extreme points lie in the current hull; "
+                "inner is not full-dimensional")
     return points
+
+
+def _inner_argmin(c: Vector, inner: Polyhedron) -> Vector:
+    res = lp_min(c, inner)
+    if res.status != OPTIMAL:
+        raise PreconditionError(
+            "seed_simplex: an LP over inner ended " + res.status
+            + "; inner must be a nonempty polytope")
+    return res.x
 
 
 def _cut_feasible_point(
@@ -211,7 +194,7 @@ def _cut_feasible_point(
 def _simplify_accepted_point(
     q: ConvexQuadraticSet,
     pt: Vector,
-    anchor: Optional[Vector],
+    anchor: Vector,
     cut_row: Vector,
     cut_rhs0,
 ) -> Vector:
@@ -223,92 +206,82 @@ def _simplify_accepted_point(
     round to a coarse grid, verifying everything exactly.
     """
     base = pt
-    if anchor is not None:
-        for theta in (Rat(1, 8), Rat(1, 64)):
-            mix = [a + theta * (b - a) for a, b in zip(pt, anchor)]
-            if dot(cut_row, mix) <= cut_rhs0 and q.contains(mix):
-                base = mix
-                break
+    for theta in (Rat(1, 8), Rat(1, 64)):
+        mix = [a + theta * (b - a) for a, b in zip(pt, anchor)]
+        if dot(cut_row, mix) <= cut_rhs0 and q.contains(mix):
+            base = mix
+            break
     for bits in (4, 8, 16, 32, 64):
-        scale = 1 << bits
-        rounded = [Rat(rround(v * scale), scale) for v in base]
+        rounded = _round_to_grid(base, bits)
         if dot(cut_row, rounded) <= cut_rhs0 and q.contains(rounded):
             return rounded
     return pt
+
+
+def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Optional[Vector]:
+    """A point of Q whose projection may replace vertex i of sim at a 3/2
+    push, or None when facet i admits none.
+
+    Both expansion sets are one cut row . x <= rhs on Q: sense +1 asks for
+    normal . y >= offset + step (beyond the facet), sense -1 for
+    normal . y <= offset - step (behind vertex i), so row = -sense normal
+    and rhs = -sense offset - step.  step starts at 3/2 of the gap between
+    vertex i and its facet and doubles while points are found, so a long
+    run of accepted pushes costs one probe per doubling.
+    """
+    normal, offset = sim.facets[i]
+    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    for sense in (1, -1):
+        row = _lift_direction([-sense * v for v in normal], q.n)
+        rhs0 = -sense * offset
+        last_good = None
+        step = step0
+        for _k in range(_MAX_ESCALATION):
+            pt = _cut_feasible_point(q, row, rhs0 - step)
+            if pt is None:
+                break
+            last_good = pt
+            step = step * 2
+        if last_good is not None:
+            return _simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)
+    return None
 
 
 def grow_simplex(
     q: ConvexQuadraticSet,
     p: int,
     s0: Simplex,
+    anchor: Vector,
     check: bool = True,
-    anchor: Optional[Vector] = None,
 ) -> Tuple[Simplex, List]:
     """Expand s0 inside proj_p(Q) until no facet admits a 3/2 push.
 
-    Probes both expansion sets per facet, escalating the push threshold
-    geometrically so that a long run of accepted pushes costs one probe per
-    doubling.  Returns the final simplex and the exact trace of edge-matrix
-    determinants (each accepted push multiplies the volume by >= 3/2).
+    Each accepted point is mixed toward anchor, a point of Q that is best
+    interior (`sandwich` passes its inner polytope's probe point), and
+    rounded, when that keeps it in Q and beyond the push (see `_push`).
+    check verifies that every vertex of s0 lies in proj_p(Q).  Returns the
+    final simplex and the exact trace of edge-matrix determinants (each
+    accepted push multiplies the volume by >= 3/2).
     """
-    n = q.n
     if len(s0.vertices) != p + 1:
         raise PreconditionError("grow_simplex: simplex has wrong vertex count")
+    if check and any(slice_point(q, v) is None for v in s0.vertices):
+        raise PreconditionError("grow_simplex: seed vertex outside proj(Q)")
     sim = s0
-    if check:
-        for v in sim.vertices:
-            if _slice_membership(q, v) is None:
-                raise PreconditionError("grow_simplex: seed vertex outside proj(Q)")
     vol_trace = [sim.volume]
     for _ in range(_MAX_SWEEPS):
-        expanded = False
         for i in range(p + 1):
-            normal, offset = sim.facets[i]
-            gap = offset - dot(normal, sim.vertices[i])
-            found = None
-            for sense in (1, -1):
-                # sense +1 pushes beyond the facet, -1 pushes behind vertex i
-                last_good = None
-                step = Rat(3, 2) * gap
-                if sense == 1:
-                    base_row = _lift_direction([-v for v in normal], n)
-                    base_rhs = -(offset + step)
-                else:
-                    base_row = _lift_direction(list(normal), n)
-                    base_rhs = offset - step
-                cur_step = step
-                for _k in range(_MAX_ESCALATION):
-                    if sense == 1:
-                        cut_rhs = -(offset + cur_step)
-                    else:
-                        cut_rhs = offset - cur_step
-                    pt = _cut_feasible_point(q, base_row, cut_rhs)
-                    if pt is None:
-                        break
-                    last_good = pt
-                    cur_step = cur_step * 2
-                if last_good is not None:
-                    found = _simplify_accepted_point(
-                        q, last_good, anchor, base_row, base_rhs
-                    )
-                    break
+            found = _push(q, sim, i, anchor)
             if found is not None:
-                new_vertex = _project(found, p)
-                cand = [list(v) for v in sim.vertices]
-                cand[i] = new_vertex
-                sim = make_simplex(cand)
-                assert sim.volume * 2 >= vol_trace[-1] * 3, "3/2 volume law violated"
-                vol_trace.append(sim.volume)
-                expanded = True
                 break
-        if not expanded:
+        else:
             return sim, vol_trace
+        cand = list(sim.vertices)
+        cand[i] = _project(found, p)
+        sim = Simplex(cand)
+        assert sim.volume * 2 >= vol_trace[-1] * 3, "3/2 volume law violated"
+        vol_trace.append(sim.volume)
     raise AssertionError("grow_simplex failed to terminate; is Q bounded?")
-
-
-def _slice_membership(q: ConvexQuadraticSet, y_proj: Vector) -> Optional[Vector]:
-    """A witness x in Q with proj(x) = y_proj, or None."""
-    return quadratic_feasible_point(q.obj, q.poly.with_first_coords_fixed(y_proj), q.eta)
 
 
 @dataclass(frozen=True)
@@ -330,15 +303,19 @@ def sandwich(q: ConvexQuadraticSet, p: int, check: bool = True) -> SandwichResul
     """Two concentric balls sandwiching the normalized projection of Q.
 
     Seeds and grows a simplex inside the inner polytope of
-    `classify_fulldim` and normalizes by the grown simplex's b_mat.
+    `classify_fulldim` and normalizes by the grown simplex's b_mat.  Growing
+    needs Q bounded; check verifies that (2n LPs), for callers that have
+    not shown it.
     """
     cert = classify_fulldim(q)
     if cert.tag != FULL_DIM:
         raise PreconditionError("sandwich: Q is not full-dimensional")
+    if check and not cqs_is_bounded(q):
+        raise PreconditionError("sandwich: Q is unbounded")
     inner = cert.polytope
-    seed = seed_simplex(q, p, inner=inner, check=check)
+    seed = seed_simplex(q, p, inner)
     anchor = _fulldim_probe(inner).point
-    grown, _trace = grow_simplex(q, p, make_simplex(seed), check=False, anchor=anchor)
+    grown, _trace = grow_simplex(q, p, Simplex(seed), anchor, check=False)
     b_mat = grown.b_mat
     k = ceil_sqrt(p)
     r = Rat(1, p + k)

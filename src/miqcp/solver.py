@@ -21,32 +21,22 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .cqs import (
     ConvexQuadraticSet,
     _fulldim_reduce_cqs_impl,
-    quadratic_feasible_point,
     set_feasible_point,
+    slice_point,
     theoretical_box,
 )
 from .diophantine import Empty, parametrize_mixed_integer_solutions
 from .errors import DimensionError, PreconditionError
-from .lattice import LATTICE_POINT, LatticeBasis, flatness
-from .linalg import Vector, dot, mat_vec, norm_sq
-from .polyhedra import Polyhedron, lp_min
+from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
+from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
+from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import QpObjective, qp_min, qp_min_on_slice
-from .rational import (
-    Rat,
-    ZERO,
-    denom,
-    is_integral,
-    numer,
-    rceil,
-    rfloor,
-    sqrt_upper_bound,
-)
+from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
 
@@ -118,10 +108,9 @@ class Trace:
 
 
 def gamma_band_bound_sq(p: int) -> Rat:
-    """(4 ceil_sqrt(p)^3 p 2^(p(p-1)/4))^2, exact (the exponent doubles)."""
-    k = ceil_sqrt(p)
-    base = 4 * k ** 3 * p
-    return Rat(base * base * (1 << (p * (p - 1) // 2)))
+    """(4 ceil_sqrt(p)^3 p 2^(p(p-1)/4))^2: the sandwich ratio R/r squared
+    times the flatness width bound squared, exact."""
+    return 16 * ceil_sqrt(p) ** 6 * width_bound_sq(p)
 
 
 def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
@@ -162,8 +151,22 @@ def feasibility(
     declared_box: Optional[Tuple[Vector, Vector]] = None,
     trace: Optional[Trace] = None,
 ) -> Optional[Vector]:
-    """A point of Q with integer leading coordinates, or None if none exists."""
-    return _feas_rec(_boxed(q, declared_box), 0, trace)
+    """A point of Q with integer leading coordinates, or None if none exists.
+
+    A declared box that misses a nonempty polyhedron breaks its promise in
+    the one way that is cheap to see: instead of None, PreconditionError.
+    The check runs only on a None answer, whose first reduction has probed
+    the boxed polyhedron already unless q is linear and nonzero; the
+    unboxed probe runs only when the boxed polyhedron is empty.
+    """
+    boxed = _boxed(q, declared_box)
+    x = _feas_rec(boxed, 0, trace)
+    if (x is None and declared_box is not None
+            and _fulldim_probe(boxed.poly).status == "empty"
+            and _fulldim_probe(q.poly).status != "empty"):
+        raise PreconditionError(
+            "box: the declared box misses the nonempty constraint polyhedron")
+    return x
 
 
 def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Optional[Vector]:
@@ -192,7 +195,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     if outcome.tag == LATTICE_POINT:
         y = mat_vec(sw.simplex.edge_matrix(), outcome.z)  # y = B^-1 z
         assert all(is_integral(v) for v in y)
-        point = quadratic_feasible_point(q2.obj, q2.poly.with_first_coords_fixed(y), q2.eta)
+        point = slice_point(q2, y)
         assert point is not None, "inner-ball lattice point must lift"
         if trace is not None:
             trace.record(depth=depth, p=q.p, event="lattice_point")
@@ -234,11 +237,7 @@ class BoundednessResult:
     ray: Optional[Vector] = None
 
 
-def boundedness(
-    inst: MicqpInstance,
-    feasible_point: Optional[Vector] = None,
-    trace: Optional[Trace] = None,
-) -> BoundednessResult:
+def boundedness(inst: MicqpInstance, trace: Optional[Trace] = None) -> BoundednessResult:
     """Unbounded iff a mixed-integer feasible point and a descent ray coexist.
 
     The ray (W r <= 0, H r = 0, h^T r = -1) is the one qp_min certifies
@@ -246,11 +245,9 @@ def boundedness(
     happens exactly when such a ray exists.  On an infeasible instance the
     answer is Bounded (vacuously); callers report infeasibility first.
     """
-    x = feasible_point
+    x = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
     if x is None:
-        x = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
-        if x is None:
-            return BoundednessResult(False)
+        return BoundednessResult(False)
     cont = qp_min(inst.obj, inst.poly)
     if cont.status != UNBOUNDED:
         return BoundednessResult(False)
@@ -274,24 +271,11 @@ def _denominator_bound(inst: MicqpInstance) -> int:
     denominator at most lcm(H, h denominators) times the point bound squared.
     """
     n = inst.poly.n
-    ell_obj = 1
-    for row in inst.obj.h_mat:
-        for v in row:
-            ell_obj = lcm(ell_obj, denom(2 * v))
-    for v in inst.obj.h_vec:
-        ell_obj = lcm(ell_obj, denom(v))
-    ell = ell_obj
-    for row, b in zip(inst.poly.w_mat, inst.poly.w_rhs):
-        for v in row:
-            ell = lcm(ell, denom(v))
-        ell = lcm(ell, denom(b))
-    amax = ell  # unit pin rows scale to L
-    for row in inst.obj.h_mat:
-        for v in row:
-            amax = max(amax, abs(numer(2 * v)) * (ell // denom(2 * v)))
-    for row in inst.poly.w_mat:
-        for v in row:
-            amax = max(amax, abs(numer(v)) * (ell // denom(v)))
+    two_h = [2 * v for row in inst.obj.h_mat for v in row]
+    w_entries = [v for row in inst.poly.w_mat for v in row]
+    _, ell_obj = integer_row(two_h + list(inst.obj.h_vec))
+    ints, ell = integer_row(two_h + w_entries + list(inst.obj.h_vec) + list(inst.poly.w_rhs))
+    amax = max([ell] + [abs(v) for v in ints[:len(two_h) + len(w_entries)]])
     d_point = (2 * n * amax * amax) ** max(1, n)
     return ell_obj * d_point * d_point
 

@@ -15,6 +15,7 @@ from miqcp.cqs import (
     ConvexQuadraticSet,
     classify_fulldim,
     fulldim_reduce_cqs,
+    slice_point,
     FULL_DIM,
 )
 from miqcp.diophantine import (
@@ -49,7 +50,7 @@ from miqcp.linalg import (
 from miqcp.polyhedra import Polyhedron, is_fulldim_polyhedron, fulldim_reduce_polyhedron
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat, is_integral
-from miqcp.rounding import ceil_sqrt, sandwich, _slice_membership
+from miqcp.rounding import ceil_sqrt, sandwich
 from miqcp.solver import (
     INFEASIBLE_STATUS,
     OPTIMAL_STATUS,
@@ -283,7 +284,7 @@ def test_criterion_4_sandwich():
             samples.append([v + res.r / p for v in res.a])
             for z in samples:
                 y = mat_vec(binv, z)
-                assert _slice_membership(q, y) is not None
+                assert slice_point(q, y) is not None
             # outer containment: every box-enumerated point of Q lands in B(a, R)
             for cand in itertools.product(range(-radius, radius + 1), repeat=n):
                 x = [Rat(v) for v in cand]

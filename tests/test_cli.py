@@ -231,6 +231,22 @@ def test_matrix_commands_need_a_top_level_object(tmp_path, command, text):
     assert payload["error"].startswith("$: ")
 
 
+def test_ginv_rejects_a_matrix_without_columns(tmp_path):
+    path = write_instance(tmp_path, {"A": [[]]})
+    code, payload = run("ginv", path)
+    assert code == 2
+    assert payload["error"].startswith("A: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "feasible", "bounded"])
+def test_declared_box_missing_the_polyhedron_exit2(tmp_path, command):
+    # x in [0, 3] with p = 1 is feasible, but not inside the declared box [5, 6]
+    inst = dict(MINIMAL, W=[[1], [-1]], w=[3, 0], box={"lo": [5], "hi": [6]})
+    code, payload = run(command, write_instance(tmp_path, inst))
+    assert code == 2
+    assert payload["error"].startswith("box: ")
+
+
 def test_unknown_command_exit2(tmp_path):
     path = write_instance(tmp_path, MINIMAL)
     code, payload = run("frobnicate", path)

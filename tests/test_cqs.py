@@ -128,6 +128,17 @@ def test_inner_polytope_precondition():
         inner_polytope(q)
 
 
+def test_inner_polytope_rejects_a_flat_polyhedron():
+    # [0, 1]^2 cut by x1 = 0 is flat, though min q over it (0) is below eta
+    flat = box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(0))
+    q = cqs(flat, [[1, 0], [0, 1]], [0, 0], 9)
+    with pytest.raises(PreconditionError):
+        inner_polytope(q)
+    # the zero-quadratic branch checks the same probe
+    with pytest.raises(PreconditionError):
+        inner_polytope(cqs(flat, [[0, 0], [0, 0]], [0, 0], 9))
+
+
 def test_inner_polytope_unbounded_min_walks_the_ray():
     # min of x1 over {x1 free} is -inf; the witness is a point on qp_min's
     # certified ray, so no search box is needed

@@ -217,6 +217,58 @@ def test_with_first_coords_fixed_rejects_too_many_pins():
         poly.with_first_coords_fixed([Rat(0), Rat(0), Rat(0)])
 
 
+def _reference_with_box(poly, lo, hi):
+    """The full-length box as `with_box` built it before it bounded only
+    the leading len(lo) coordinates."""
+    n = poly.n
+    rows, rhs = [], []
+    for i in range(n):
+        e_pos = [Rat(0)] * n
+        e_pos[i] = Rat(1)
+        rows.append(e_pos)
+        rhs.append(Rat(hi[i]))
+        e_neg = [Rat(0)] * n
+        e_neg[i] = Rat(-1)
+        rows.append(e_neg)
+        rhs.append(-Rat(lo[i]))
+    return poly.with_rows(rows, rhs)
+
+
+def _reference_with_first_coords_fixed(poly, values):
+    """One `with_equality` per pin: the loop `with_box(v, v)` replaced."""
+    out = poly
+    for i, v in enumerate(values):
+        row = [Rat(0)] * poly.n
+        row[i] = Rat(1)
+        out = out.with_equality(row, Rat(v))
+    return out
+
+
+def test_with_box_and_pins_match_the_reference_rows():
+    rng = random.Random(3131)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 3)
+        poly = Polyhedron([[Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                           for _ in range(m)],
+                          [Rat(rng.randint(-5, 5)) for _ in range(m)], rng.randint(0, n), _n_hint=n)
+        lo = [Rat(rng.randint(-9, 0), rng.randint(1, 4)) for _ in range(n)]
+        hi = [a + rng.randint(0, 5) for a in lo]
+        for got, want in [
+            (poly.with_box(lo, hi), _reference_with_box(poly, lo, hi)),
+            (poly.with_first_coords_fixed(lo[:n - 1]),
+             _reference_with_first_coords_fixed(poly, lo[:n - 1])),
+            (poly.with_first_coords_fixed(hi), _reference_with_first_coords_fixed(poly, hi)),
+        ]:
+            assert (got.w_mat, got.w_rhs, got.p, got.n) == (want.w_mat, want.w_rhs, want.p, want.n)
+    # a shorter box bounds only the leading coordinates
+    short = box([0, 0, 0], [1, 1, 1]).with_box([Rat(2)], [Rat(3)])
+    assert short.m == 8 and short.w_mat[6:] == [[1, 0, 0], [-1, 0, 0]]
+    assert short.w_rhs[6:] == [3, -2]
+    with pytest.raises(DimensionError):
+        box([0], [1]).with_box([Rat(0)], [Rat(1), Rat(2)])
+
+
 def test_recession_ray_check_cases():
     poly = Polyhedron(mat([[1, -1]]), [Rat(0)])
     assert recession_ray_check(poly, [Rat(0), Rat(0)])

@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 
-from miqcp.cqs import ConvexQuadraticSet
+from miqcp.cqs import ConvexQuadraticSet, classify_fulldim, slice_point
 from miqcp.errors import PreconditionError
 from miqcp.linalg import det, dot, identity, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub
 from miqcp.polyhedra import Polyhedron, implicit_equalities, lp_min
@@ -16,10 +16,8 @@ from miqcp.rounding import (
     ceil_sqrt,
     cqs_is_bounded,
     grow_simplex,
-    make_simplex,
     sandwich,
     seed_simplex,
-    _slice_membership,
 )
 
 from test_cqs import _LpCount
@@ -40,6 +38,30 @@ def test_ceil_sqrt_values():
     for p in range(1, 200):
         k = ceil_sqrt(p)
         assert k * k >= p and (k - 1) * (k - 1) < p
+
+
+def _reference_ceil_sqrt(p):
+    """The integer binary search `ceil_sqrt` used before `isqrt_ceil`."""
+    lo, hi = 0, p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * mid >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_ceil_sqrt_matches_the_binary_search():
+    rng = random.Random(200)
+    big = [rng.getrandbits(200) | (1 << 199) for _ in range(5)]
+    roots = [rng.getrandbits(100) | (1 << 99) for _ in range(2)]
+    big += [k * k + d for k in roots for d in (-1, 0, 1)]  # 200-bit squares and neighbours
+    for p in list(range(1, 10 ** 4 + 1)) + big:
+        assert ceil_sqrt(p) == _reference_ceil_sqrt(p)
+    for p in (0, -3):
+        with pytest.raises(PreconditionError):
+            ceil_sqrt(p)
 
 
 def test_exact_ratio_law():
@@ -107,7 +129,7 @@ def test_seed_simplex_runs_one_phase1(monkeypatch):
     q = inactive_quadratic_box([0, 0, 0], [2, 1, 3], 3)
     inner = box([0, 0, 0], [2, 1, 3], p=3)
     lps = _LpCount(monkeypatch)
-    points = seed_simplex(q, 3, inner=inner, check=False)
+    points = seed_simplex(q, 3, inner)
     assert len(points) == 4
     assert (lps.solves, lps.phase1) == (7, 1)
 
@@ -122,31 +144,50 @@ def test_implicit_equalities_run_one_phase1(monkeypatch):
 
 def test_seed_simplex_interval():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    pts = seed_simplex(q, 1)
+    pts = seed_simplex(q, 1, classify_fulldim(q).polytope)
     assert len(pts) == 2
     assert pts[0] != pts[1]
     for y in pts:
         assert 0 <= y[0] <= 1
-        assert _slice_membership(q, y) is not None
+        assert slice_point(q, y) is not None
 
 
 def test_seed_simplex_3d_projected_to_2d():
     q = inactive_quadratic_box([0, 0, 0], [1, 1, 1], 2)
-    pts = seed_simplex(q, 2)
+    pts = seed_simplex(q, 2, classify_fulldim(q).polytope)
     assert len(pts) == 3
-    sim = make_simplex(pts)
+    sim = Simplex(pts)
     assert sim.volume > 0
 
 
 def test_seed_simplex_rejects_flat_set():
-    poly = box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(0))
-    q = ConvexQuadraticSet(poly, QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)]), Rat(9))
+    # a flat inner polytope (the segment x1 = 0) is a caller's error
+    q = inactive_quadratic_box([0, 0], [1, 1], 1)
+    flat = box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(0))
     with pytest.raises(PreconditionError):
-        seed_simplex(q, 1)
+        seed_simplex(q, 1, flat)
+    # and so are an empty and an unbounded one
+    with pytest.raises(PreconditionError):
+        seed_simplex(q, 1, box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(2)))
+    with pytest.raises(PreconditionError):
+        seed_simplex(q, 1, Polyhedron(mat([[1, 0]]), [Rat(0)]))
+
+
+def test_sandwich_refuses_flat_or_unbounded_sets():
+    # the checks seed_simplex made before it took its polytope from sandwich
+    flat = box([0, 0], [1, 1], p=1).with_equality([Rat(1), Rat(0)], Rat(0))
+    disc = QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)])
+    with pytest.raises(PreconditionError, match="full-dimensional"):
+        sandwich(ConvexQuadraticSet(flat, disc, Rat(9)), 1)
+    # x1^2 <= 9 over the half-plane x2 >= 0 is full-dimensional but unbounded
+    half_plane = Polyhedron(mat([[0, -1]]), [Rat(0)], p=1)
+    strip = ConvexQuadraticSet(half_plane, QpObjective(mat([[1, 0], [0, 0]]), [Rat(0), Rat(0)]), Rat(9))
+    with pytest.raises(PreconditionError, match="unbounded"):
+        sandwich(strip, 1)
 
 
 def test_compute_facets_normalization():
-    sim = make_simplex([[Rat(0), Rat(0)], [Rat(1), Rat(0)], [Rat(0), Rat(1)]])
+    sim = Simplex([[Rat(0), Rat(0)], [Rat(1), Rat(0)], [Rat(0), Rat(1)]])
     assert sim.check_facets()
 
 
@@ -203,9 +244,9 @@ def test_simplex_facts_match_null_space_reference():
             with pytest.raises(PreconditionError):
                 _reference_compute_facets(vertices)
             with pytest.raises(PreconditionError):
-                make_simplex(vertices)
+                Simplex(vertices)
             continue
-        sim = make_simplex(vertices)
+        sim = Simplex(vertices)
         assert sim.facets == _reference_compute_facets(vertices)
         assert all(v.denominator == 1 for normal, _ in sim.facets for v in normal)
         assert sim.volume == abs(det(e_mat)) == abs(det(sim.edge_matrix()))
@@ -214,11 +255,14 @@ def test_simplex_facts_match_null_space_reference():
     assert 2 < degenerate < 30
 
 
+CENTER = [Rat(1, 2), Rat(1, 2)]  # the anchor: an interior point of [0, 1]^2
+
+
 def test_grow_interval_spec_example():
     # proj interval [0, 1]; seed [0, 1/8] grows to width >= 2/3 quickly
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    s0 = make_simplex([[Rat(0)], [Rat(1, 8)]])
-    grown, trace = grow_simplex(q, 1, s0)
+    s0 = Simplex([[Rat(0)], [Rat(1, 8)]])
+    grown, trace = grow_simplex(q, 1, s0, CENTER)
     width = abs(grown.vertices[1][0] - grown.vertices[0][0])
     assert width >= Rat(2, 3)
     # every accepted expansion multiplied the volume by >= 3/2
@@ -233,17 +277,17 @@ def test_grow_interval_spec_example():
 def test_grow_fixed_point():
     # a simplex already certified maximal stays unchanged
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    s0 = make_simplex([[Rat(0)], [Rat(1)]])
-    grown, trace = grow_simplex(q, 1, s0)
+    s0 = Simplex([[Rat(0)], [Rat(1)]])
+    grown, trace = grow_simplex(q, 1, s0, CENTER)
     assert sorted(v[0] for v in grown.vertices) == [0, 1]
     assert len(trace) == 1
 
 
 def test_grow_rejects_outside_seed():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    s0 = make_simplex([[Rat(0)], [Rat(7)]])
+    s0 = Simplex([[Rat(0)], [Rat(7)]])
     with pytest.raises(PreconditionError):
-        grow_simplex(q, 1, s0)
+        grow_simplex(q, 1, s0, CENTER)
 
 
 def test_sandwich_formulas_p1():
@@ -287,7 +331,7 @@ def test_sandwich_inner_ball_membership_box2d():
     binv = inverse(res.b_mat)
     for z in _ball_samples_inside(res.a, res.r, 2):
         y = mat_vec(binv, z)
-        assert _slice_membership(q, y) is not None, f"inner sample {z} escaped"
+        assert slice_point(q, y) is not None, f"inner sample {z} escaped"
 
 
 def test_sandwich_outer_ball_contains_integer_points():

@@ -1,24 +1,31 @@
+import random
+from math import lcm
+
 import pytest
 
-from miqcp.bounds import magnitude_bound
+from miqcp.bounds import magnitude_bound, scaled_integer_system_size
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective
-from miqcp.rational import Rat, is_integral
+from miqcp.rational import Rat, denom, is_integral, numer, size_of
+from miqcp.rounding import ceil_sqrt
 from miqcp.solver import (
     INFEASIBLE_STATUS,
     OPTIMAL_STATUS,
     UNBOUNDED_STATUS,
     MicqpInstance,
     Trace,
+    _denominator_bound,
     boundedness,
     feasibility,
+    gamma_band_bound_sq,
     optimize,
     oracle_optimize,
 )
 
+from corpus import corpus
 from test_polyhedra import box
 
 
@@ -309,3 +316,98 @@ def test_probe_after_failed_midpoint_is_the_optimality_probe(monkeypatch):
     assert res.x == [Rat(46371068989), Rat(-18430764205), Rat(-18714425032)]
     assert inst.obj.value(res.x) == res.value and inst.poly.contains(res.x)
     assert len(calls) <= 30
+
+
+def test_declared_box_that_misses_the_polyhedron_raises():
+    # x in [0, 3] with p = 1 has integer points, none of them in [5, 6]
+    poly = box([0], [3], p=1)
+    obj = QpObjective(mat([[1]]), [Rat(0)])
+    far = ([Rat(5)], [Rat(6)])
+    with pytest.raises(PreconditionError, match="box"):
+        optimize(MicqpInstance(obj, poly, far))
+    with pytest.raises(PreconditionError, match="box"):
+        feasibility(cqs_of(poly, [[1]], [0], 100), far)
+    # an empty polyhedron is infeasible whatever the box
+    empty = Polyhedron(mat([[1], [-1]]), [Rat(0), Rat(-1)], p=1)
+    assert feasibility(cqs_of(empty, [[1]], [0], 100), far) is None
+    assert optimize(MicqpInstance(obj, empty, far)).status == INFEASIBLE_STATUS
+
+
+def _reference_gamma_band_bound_sq(p):
+    """The formula `gamma_band_bound_sq` had before it reused
+    `width_bound_sq`."""
+    k = ceil_sqrt(p)
+    base = 4 * k ** 3 * p
+    return Rat(base * base * (1 << (p * (p - 1) // 2)))
+
+
+def test_gamma_band_bound_sq_matches_the_reference():
+    for p in range(1, 17):
+        assert gamma_band_bound_sq(p) == _reference_gamma_band_bound_sq(p)
+
+
+def _reference_denominator_bound(inst):
+    """`_denominator_bound` as it was before it scaled through `integer_row`."""
+    n = inst.poly.n
+    ell_obj = 1
+    for row in inst.obj.h_mat:
+        for v in row:
+            ell_obj = lcm(ell_obj, denom(2 * v))
+    for v in inst.obj.h_vec:
+        ell_obj = lcm(ell_obj, denom(v))
+    ell = ell_obj
+    for row, b in zip(inst.poly.w_mat, inst.poly.w_rhs):
+        for v in row:
+            ell = lcm(ell, denom(v))
+        ell = lcm(ell, denom(b))
+    amax = ell
+    for row in inst.obj.h_mat:
+        for v in row:
+            amax = max(amax, abs(numer(2 * v)) * (ell // denom(2 * v)))
+    for row in inst.poly.w_mat:
+        for v in row:
+            amax = max(amax, abs(numer(v)) * (ell // denom(v)))
+    d_point = (2 * n * amax * amax) ** max(1, n)
+    return ell_obj * d_point * d_point
+
+
+def _reference_scaled_integer_system_size(matrices, vectors, scalars):
+    """`scaled_integer_system_size` as it was before it scaled through
+    `integer_row`."""
+    total = 0
+    dims = 0
+    for a, b in zip(list(matrices), list(vectors)):
+        for row, rhs in zip(a, b + [Rat(0)] * (len(a) - len(b))):
+            ell = lcm(*([denom(v) for v in row] + [denom(rhs)]))
+            for v in row:
+                total += size_of(Rat(numer(v) * (ell // denom(v))))
+            total += size_of(Rat(numer(rhs) * (ell // denom(rhs))))
+            dims += 1 + len(row)
+    for s in scalars:
+        total += size_of(Rat(numer(s))) + size_of(Rat(denom(s)))
+    return max(1, total + dims)
+
+
+def _random_rational_instance(rng):
+    n = rng.randint(1, 4)
+    m = rng.randint(0, 4)
+
+    def r():
+        return Rat(rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 7, 10 ** 9, 2 ** 61 - 1]))
+
+    l_mat = [[r() for _ in range(n)] for _ in range(rng.randint(0, n))]
+    h_mat = [[sum((row[i] * row[j] for row in l_mat), Rat(0)) for j in range(n)]
+             for i in range(n)]
+    poly = Polyhedron([[r() for _ in range(n)] for _ in range(m)], [r() for _ in range(m)],
+                      rng.randint(0, n), _n_hint=n)
+    return MicqpInstance(QpObjective(h_mat, [r() for _ in range(n)]), poly), r()
+
+
+def test_scaled_sizes_match_the_references():
+    insts = [(inst, Rat(-7, 3)) for _, inst in corpus()]
+    rng = random.Random(4242)
+    insts += [_random_rational_instance(rng) for _ in range(60)]
+    for inst, eta in insts:
+        assert _denominator_bound(inst) == _reference_denominator_bound(inst)
+        args = ([inst.poly.w_mat, inst.obj.h_mat], [inst.poly.w_rhs, inst.obj.h_vec], [eta])
+        assert scaled_integer_system_size(*args) == _reference_scaled_integer_system_size(*args)
