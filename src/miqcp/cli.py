@@ -74,9 +74,18 @@ def _matrix_at(value, path, rows=None, cols=None):
     return out
 
 
-def _objective_at(block, path, n) -> QpObjective:
+def _check_keys(block: dict, path: str, known) -> None:
+    """InstanceParseError at the first key of block (sorted) that is not
+    in known: a misspelled key would otherwise be dropped silently."""
+    for key in sorted(block):
+        if key not in known:
+            raise InstanceParseError(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _objective_at(block, path, n, extra=()) -> QpObjective:
     if not isinstance(block, dict):
         raise InstanceParseError(path, "expected an object with H and h")
+    _check_keys(block, path, ("H", "h") + extra)
     h_mat = _matrix_at(block.get("H"), f"{path}.H", rows=n, cols=n)
     h_vec = _vector_at(block.get("h"), f"{path}.h", n)
     for i in range(n):
@@ -95,20 +104,22 @@ class ParsedInstance:
         self.quad = quad
 
 
-def _json_object(text: str) -> dict:
-    """The JSON object in text, or InstanceParseError at path $."""
+def _json_object(text: str, known) -> dict:
+    """The JSON object in text, or InstanceParseError at path $ (or at the
+    first top-level key that is not in known)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceParseError("$", "top level must be an object")
+    _check_keys(data, "", known)
     return data
 
 
 def parse_instance(text: str) -> ParsedInstance:
     """Validated instance, or InstanceParseError with a JSON path and reason."""
-    data = _json_object(text)
+    data = _json_object(text, ("n", "p", "W", "w", "objective", "box", "quad_constraint"))
     for key in ("n", "p"):
         if type(data.get(key)) is not int:
             raise InstanceParseError(key, "must be a JSON integer")
@@ -127,6 +138,7 @@ def parse_instance(text: str) -> ParsedInstance:
         blk = data["box"]
         if not isinstance(blk, dict):
             raise InstanceParseError("box", "expected an object with lo and hi")
+        _check_keys(blk, "box", ("lo", "hi"))
         lo = _vector_at(blk.get("lo"), "box.lo", n)
         hi = _vector_at(blk.get("hi"), "box.hi", n)
         if any(a > b for a, b in zip(lo, hi)):
@@ -136,7 +148,7 @@ def parse_instance(text: str) -> ParsedInstance:
     quad = None
     if data.get("quad_constraint") is not None:
         blk = data["quad_constraint"]
-        qobj = _objective_at(blk, "quad_constraint", n)
+        qobj = _objective_at(blk, "quad_constraint", n, extra=("eta",))
         if "eta" not in blk:
             raise InstanceParseError("quad_constraint.eta", "missing")
         eta = _rat_at(blk["eta"], "quad_constraint.eta")
@@ -197,7 +209,7 @@ def _emit_tau(tau: AffineParam) -> dict:
     }
 
 
-def _reduced_instance_json(q: ConvexQuadraticSet, obj: QpObjective, offset) -> dict:
+def _reduced_instance_json(q: ConvexQuadraticSet, obj: QpObjective) -> dict:
     return {
         "n": q.n,
         "p": q.p,
@@ -209,7 +221,6 @@ def _reduced_instance_json(q: ConvexQuadraticSet, obj: QpObjective, offset) -> d
             "h": _emit_vec(q.obj.h_vec),
             "eta": rat_str(q.eta),
         },
-        "objective_offset": rat_str(offset),
     }
 
 
@@ -226,7 +237,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
     tr = Trace() if trace else None
     try:
         if command == "ginv":
-            data = _json_object(text)
+            data = _json_object(text, ("A",))
             a = _matrix_at(data.get("A"), "A")
             if a and not a[0]:
                 # A# of an m x 0 matrix has no rows: a list of rows would lose m
@@ -248,7 +259,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
             }
 
         if command == "flatness":
-            data = _json_object(text)
+            data = _json_object(text, ("B", "a", "r"))
             b_mat = _matrix_at(data.get("B"), "B")
             a_vec = _vector_at(data.get("a"), "a", len(b_mat))
             r_val = _rat_at(data.get("r"), "r")
@@ -312,10 +323,10 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
                 return 0, {"status": "empty"}
             tau, q2 = out
             obj2 = parsed.micqp.obj.map_through(tau)
-            offset = parsed.micqp.obj.value(tau.xbar)
             return 0, {
                 "status": "reduced",
-                "instance": _reduced_instance_json(q2, obj2, offset),
+                "instance": _reduced_instance_json(q2, obj2),
+                "objective_offset": rat_str(parsed.micqp.obj.value(tau.xbar)),
                 "tau": _emit_tau(tau),
             }
     except MiqcpError as exc:  # InstanceParseError included

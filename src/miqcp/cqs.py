@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple, Union
 from .bounds import magnitude_bound, scaled_integer_system_size
 from .diophantine import EMPTY, AffineParam, Empty, identity_param
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, dot, vec_add, vec_scale
+from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
 from .polyhedra import (
     Polyhedron,
     _fulldim_probe,
@@ -233,6 +233,17 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     checking the 2^n vertices certifies the whole cube; containment is
     monotone in the radius, so binary search applies.  The Lipschitz delta
     stays as the guaranteed floor.
+
+    No vertex is evaluated.  With g = 2 H xbar + h, the vertex xbar + rho s
+    of sign vector s has q(xbar + rho s) - q(xbar) = rho g.s + rho^2 s^T H s,
+    and s and -s share s^T H s, so the worse of the two exceeds q(xbar) by
+    rho |g.s| + rho^2 s^T H s.  g, H and the slack eta - q(xbar) are scaled
+    to integers by one positive factor, the pair (|g.s|, s^T H s) is kept
+    for each of the 2^(n-1) sign vectors with s[0] = +1, and a radius
+    rho = num/den passes when num den |g.s| + num^2 s^T H s <= slack den^2
+    for every pair.  That is the vertex test q <= eta (a vertex on q = eta
+    passes) multiplied through by positive numbers, so every radius the
+    search certifies is the one the vertex loop certified.
     """
     n = q.n
     if n > 12 or delta >= 1:
@@ -242,12 +253,20 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     if k_max <= 0:
         return delta
 
+    obj = q.obj
+    scaled, _ = integer_row(obj.gradient(xbar) + [v for row in obj.h_mat for v in row]
+                            + [q.eta - obj.value(xbar)])
+    g, slack = scaled[:n], scaled[-1]
+    h = [scaled[n * (i + 1):n * (i + 2)] for i in range(n)]
+    pairs = []
+    for tail in itertools.product((1, -1), repeat=n - 1):
+        s = (1,) + tail
+        pairs.append((abs(_idot(g, s)), _idot(s, [_idot(row, s) for row in h])))
+
     def cube_ok(rad):
-        for signs in itertools.product((-1, 1), repeat=n):
-            vertex = [x + s * rad for x, s in zip(xbar, signs)]
-            if q.obj.value(vertex) > q.eta:
-                return False
-        return True
+        num, den = numer(rad), denom(rad)
+        lin, quad, cap = num * den, num * num, slack * den * den
+        return all(lin * a + quad * b <= cap for a, b in pairs)
 
     lo_k, hi_k = 0, k_max
     while lo_k < hi_k:

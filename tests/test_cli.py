@@ -197,11 +197,18 @@ def test_reduce_fulldim_roundtrip(tmp_path):
     assert payload["status"] == "reduced"
     assert payload["tau"]["p_prime"] == 1
     assert payload["tau"]["n_prime"] == 1
-    # round-trip: the emitted reduced instance re-parses to an equal value
-    reduced = dict(payload["instance"])
-    offset = reduced.pop("objective_offset")
-    reparsed = parse_instance(json.dumps(reduced))
-    assert reparsed.micqp.poly.n == payload["tau"]["n_prime"]
+    # round-trip: the emitted reduced instance re-parses as it is, and the
+    # offset beside tau restores the objective: f(tau(x')) = f'(x') + offset
+    reduced = payload["instance"]
+    reparsed = parse_instance(json.dumps(reduced)).micqp
+    assert reparsed.poly.n == payload["tau"]["n_prime"]
+    offset = Rat(payload["objective_offset"])
+    original = parse_instance(json.dumps(inst)).micqp
+    xbar = [Rat(v) for v in payload["tau"]["xbar"]]
+    m_mat = [[Rat(v) for v in row] for row in payload["tau"]["M"]]
+    for xp in ([Rat(0)], [Rat(3)], [Rat(-7, 2)]):
+        x = [xb + sum(r * v for r, v in zip(row, xp)) for xb, row in zip(xbar, m_mat)]
+        assert original.obj.value(x) == reparsed.obj.value(xp) + offset
     emitted_again = run("reduce-fulldim", str(write_instance(tmp_path, reduced, "re.json")))
     assert emitted_again[0] == 0
 
@@ -236,6 +243,26 @@ def test_ginv_rejects_a_matrix_without_columns(tmp_path):
     code, payload = run("ginv", path)
     assert code == 2
     assert payload["error"].startswith("A: ")
+
+
+@pytest.mark.parametrize(
+    "command, payload, path",
+    [
+        ("solve", dict(MINIMAL, Box={"lo": [-5], "hi": [5]}), "Box"),
+        ("solve", dict(MINIMAL, objective={"H": [[1]], "hh": [0]}), "objective.hh"),
+        ("solve", dict(MINIMAL, objective={"H": [[1]], "h": [0], "eta": 1}), "objective.eta"),
+        ("solve", dict(MINIMAL, box={"lo": [-5], "hi": [5], "Lo": [0]}), "box.Lo"),
+        ("feasible", dict(MINIMAL, quad_constraint={"H": [[1]], "h": [0], "Eta": 1}),
+         "quad_constraint.Eta"),
+        ("ginv", {"A": [[1, 2]], "b": [1]}, "b"),
+        ("flatness", {"B": [[1]], "a": ["1/2"], "r": "1/4", "R": "1"}, "R"),
+    ],
+)
+def test_unknown_keys_exit2_with_their_path(tmp_path, command, payload, path):
+    # a misspelled key must not be dropped: "Box" would run the solve unboxed
+    code, out = run(command, write_instance(tmp_path, payload))
+    assert code == 2
+    assert out["error"] == f"{path}: unknown key"
 
 
 @pytest.mark.parametrize("command", ["solve", "feasible", "bounded"])

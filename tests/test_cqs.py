@@ -30,7 +30,7 @@ from miqcp.polyhedra import (
     lp_min,
 )
 from miqcp.qp import QpObjective, qp_min
-from miqcp.rational import Rat, is_integral
+from miqcp.rational import ONE, Rat, denom, is_integral, numer, rfloor
 from miqcp.simplex import OPTIMAL, UNBOUNDED
 from miqcp.solver import _milp_cqs
 
@@ -149,6 +149,128 @@ def test_inner_polytope_unbounded_min_walks_the_ray():
     assert is_fulldim_polyhedron(pol)
     for v in enumerate_vertices(pol):
         assert q.contains(v)
+
+
+def _reference_enlarge_cube(q, xbar, delta):
+    """The vertex loop `_enlarge_cube` replaced: q on Fractions at all 2^n
+    vertices of each cube the binary search and the dyadic shrink test."""
+    n = q.n
+    if n > 12 or delta >= 1:
+        return delta
+    inv = ONE / delta
+    k_max = (numer(inv) // denom(inv)).bit_length() - 1
+    if k_max <= 0:
+        return delta
+
+    def cube_ok(rad):
+        for signs in itertools.product((-1, 1), repeat=n):
+            vertex = [x + s * rad for x, s in zip(xbar, signs)]
+            if q.obj.value(vertex) > q.eta:
+                return False
+        return True
+
+    lo_k, hi_k = 0, k_max
+    while lo_k < hi_k:
+        mid = (lo_k + hi_k + 1) // 2
+        if cube_ok(delta * (1 << mid)):
+            lo_k = mid
+        else:
+            hi_k = mid - 1
+    best = delta * (1 << lo_k)
+    # shrink to a nearby dyadic radius: containment is monotone, so any
+    # radius in [best/2, best] is still certified, and a small denominator
+    # keeps every downstream subproblem small
+    inv_best = ONE / best
+    j = max(1, (numer(inv_best) // denom(inv_best)).bit_length() + 1)
+    dyadic = Rat(rfloor(best * (1 << j)), 1 << j)
+    if dyadic > 0 and cube_ok(dyadic):
+        return dyadic
+    return best
+
+
+def _cube_case(rng, n, kind, far):
+    """(q, xbar, delta): a seeded quadratic of the given kind ("pd",
+    "singular" or "linear"), a witness xbar with q(xbar) < eta whose
+    entries carry large denominators (and sit near 10^12 when far), and a
+    radius delta < 1/2 that the search can grow."""
+    if kind == "linear":
+        h_mat = [[Rat(0)] * n for _ in range(n)]
+    else:
+        rank = n if kind == "pd" else rng.randint(0, n - 1)
+        l_mat = [[Rat(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rank)]
+        h_mat = mat_mul(transpose(l_mat), l_mat) if rank else [[Rat(0)] * n for _ in range(n)]
+        if kind == "pd":
+            h_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(h_mat)]
+    h_vec = [Rat(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
+    obj = QpObjective(h_mat, h_vec)
+    offset = 10 ** 12 if far else 0
+    xbar = [offset + Rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(10 ** 8, 10 ** 9))
+            for _ in range(n)]
+    slack = Rat(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+    eta = obj.value(xbar) + slack
+    scale = 1 + sum(abs(v) for v in obj.gradient(xbar)) + n * sum(abs(v) for row in h_mat for v in row)
+    delta = min(Rat(1, 3), slack / (scale * rng.randint(1, 1 << 20)))
+    q = ConvexQuadraticSet(Polyhedron([], [], _n_hint=n), obj, eta)
+    return q, xbar, delta
+
+
+def test_enlarge_cube_matches_vertex_reference():
+    rng = random.Random(1212)
+    grown = 0
+    for n in range(1, 7):
+        for kind in ("pd", "singular", "linear"):
+            for far in (False, True):
+                for _ in range(3):
+                    q, xbar, delta = _cube_case(rng, n, kind, far)
+                    got = miqcp.cqs._enlarge_cube(q, xbar, delta)
+                    assert got == _reference_enlarge_cube(q, xbar, delta)
+                    grown += got > delta
+    assert grown > 0  # the search did certify larger cubes, not only the floor
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_enlarge_cube_accepts_a_vertex_on_the_level(n):
+    # eta is the largest q over the vertices of the cube of radius 2^-4, and
+    # the floor 2^-10 is dyadic, so that radius is certified only if a
+    # vertex with q = eta passes
+    rng = random.Random(n)
+    for kind in ("pd", "singular", "linear"):
+        q, xbar, _ = _cube_case(rng, n, kind, far=False)
+        rad = Rat(1, 16)
+        eta = max(q.obj.value([x + s * rad for x, s in zip(xbar, signs)])
+                  for signs in itertools.product((-1, 1), repeat=n))
+        q = ConvexQuadraticSet(q.poly, q.obj, eta)
+        delta = Rat(1, 1 << 10)
+        assert miqcp.cqs._enlarge_cube(q, xbar, delta) == rad
+        assert _reference_enlarge_cube(q, xbar, delta) == rad
+
+
+def test_enlarge_cube_early_returns():
+    # n = 13 skips the 2^n vertex bound; a floor >= 1 is already the cap
+    q13 = cqs(Polyhedron([], [], _n_hint=13), [[Rat(i == j) for j in range(13)] for i in range(13)],
+              [0] * 13, 1000)
+    assert miqcp.cqs._enlarge_cube(q13, [Rat(0)] * 13, Rat(1, 1024)) == Rat(1, 1024)
+    q2 = cqs(Polyhedron([], [], _n_hint=2), [[1, 0], [0, 1]], [0, 0], 1000)
+    for delta in (Rat(1), Rat(3, 2)):
+        assert miqcp.cqs._enlarge_cube(q2, [Rat(0)] * 2, delta) is delta
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_enlarge_cube_evaluates_q_once(monkeypatch, n):
+    # the search decides every radius on integer pairs: q is evaluated at
+    # xbar only, never at a cube vertex
+    q, xbar, delta = _cube_case(random.Random(n), n, "pd", far=False)
+    calls = []
+    value = QpObjective.value
+
+    def counted(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(QpObjective, "value", counted)
+    got = miqcp.cqs._enlarge_cube(q, xbar, delta)
+    assert got > delta  # the search ran and grew the cube
+    assert len(calls) <= 1
 
 
 def test_classify_fulldim_unbounded_min_over_orthant():
