@@ -144,7 +144,7 @@ def integer_row(row: Vector) -> tuple:
     return [e.numerator * (ell // de) for e, de in zip(row, dens)], ell
 
 
-def _eliminate(a: Matrix) -> tuple:
+def _eliminate(a: Matrix, forward_only: bool = False) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer-scaled rows.
 
     Pivots go left to right, each on the unused row of smallest magnitude
@@ -155,6 +155,11 @@ def _eliminate(a: Matrix) -> tuple:
     sign the parity of the swaps, scale the product of the row scalings.
     A row that already holds ints is used as it is, not copied, so a row of
     work may be an input row: neither this loop nor a caller writes to one.
+
+    forward_only eliminates only below each pivot, so work[:rank] is an
+    echelon form, not d RREF(A).  Pivot choice reads only unused rows, and
+    those are updated the same way either way, so pivots, rows, d, sign and
+    scale are those of the full elimination.
     """
     m, n = shape(a)
     scaled = [(row, 1) if all(type(e) is int for e in row) else integer_row(row)
@@ -171,8 +176,9 @@ def _eliminate(a: Matrix) -> tuple:
         rows[r], rows[piv] = rows[piv], rows[r]
         sign = sign if piv == r else -sign
         prow, p = work[r], work[r][col]
-        for i, row in enumerate(work):
+        for i in range(r + 1 if forward_only else 0, m):
             if i != r:
+                row = work[i]
                 f = row[col]
                 work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(col)
@@ -182,7 +188,7 @@ def _eliminate(a: Matrix) -> tuple:
 
 def rank_with_basis(a: Matrix) -> tuple:
     """Rank over Q and the indices of a set of linearly independent rows."""
-    _, pivots, rows, _, _, _ = _eliminate(a)
+    _, pivots, rows, _, _, _ = _eliminate(a, forward_only=True)
     return len(pivots), sorted(rows[: len(pivots)])
 
 
@@ -195,7 +201,7 @@ def det(a: Matrix):
     m, n = shape(a)
     if m != n:
         raise DimensionError("det of a non-square matrix")
-    _, pivots, _, d, sign, scale = _eliminate(a)
+    _, pivots, _, d, sign, scale = _eliminate(a, forward_only=True)
     return Rat(sign * d, scale) if len(pivots) == n else ZERO
 
 

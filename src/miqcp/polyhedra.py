@@ -45,6 +45,9 @@ class Polyhedron:
     - `_probe`, its `_fulldim_probe` (one LP);
     - `_start`, the simplex phase-1 state of W x <= w (tableau, basis and
       d, or the Farkas vector), from which `lp_min` runs only phase 2.
+
+    `_box`, also outside equality and repr, is the declared box (lo, hi)
+    when the solver built this polyhedron as another cut by that box.
     """
 
     w_mat: Matrix
@@ -73,6 +76,8 @@ class Polyhedron:
     _probe: Optional[_FulldimProbe] = field(
         default=None, init=False, repr=False, compare=False)
     _start: Optional[LpStart] = field(
+        default=None, init=False, repr=False, compare=False)
+    _box: Optional[Tuple[Vector, Vector]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:

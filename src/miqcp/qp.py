@@ -16,11 +16,11 @@ scale; iteration counts are reported on every result for observability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import List, Optional
 
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 from .linalg import (
     Matrix,
     Vector,
@@ -50,17 +50,21 @@ class QpObjective:
     every objective is PSD: a non-square or mis-sized H raises
     DimensionError, an asymmetric one PreconditionError, and one that is
     not PSD NotPsdError (with the failing pivot).  A reduced objective
-    M^T H M is PSD whenever H is, so its check always passes.
+    M^T H M is PSD whenever H is, so its check always passes.  The same
+    pivots decide `definite`: H is positive definite iff every one is
+    positive, and then q has one minimizer over any nonempty polyhedron.
     """
 
     h_mat: Matrix
     h_vec: Vector
+    definite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.h_vec)
         if len(self.h_mat) != n or any(len(row) != n for row in self.h_mat):
             raise DimensionError("QpObjective: H must be n x n with n = len(h)")
-        ldlt_psd_check(self.h_mat)
+        pivots = ldlt_psd_check(self.h_mat)
+        object.__setattr__(self, "definite", all(d > 0 for d in pivots))
 
     @property
     def n(self) -> int:
@@ -169,7 +173,7 @@ def _null_basis(rows: List[List[int]], n: int) -> List[List[int]]:
     return basis
 
 
-def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
+def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
     Returns Infeasible, Optimal with an exact KKT certificate, or Unbounded
@@ -179,16 +183,24 @@ def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     outside the set blocks it, the working rows give W z = 0 and every
     other row has rate <= 0, z^T H z = 0 gives H z = 0 (H is PSD), and the
     reduced gradient gives h^T z < 0.
+
+    The loop starts at start, a point of the polyhedron, or, when start is
+    None, at the simplex phase-1 point of `lp_min`.  A start outside the
+    polyhedron raises PreconditionError.  When obj is definite the answer
+    (x and value) is the one minimizer whatever the start; the working set,
+    multipliers and iteration count may differ.
     """
     if obj.n != poly.n:
         raise DimensionError("qp_min: objective and polyhedron dimensions differ")
     n = obj.n
-
-    feas = lp_min([ZERO] * n, poly)
-    if feas.status == INFEASIBLE:
-        return QpResult(INFEASIBLE)
-    if n == 0:
-        return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
+    given = start is not None
+    if not given:
+        feas = lp_min([ZERO] * n, poly)
+        if feas.status == INFEASIBLE:
+            return QpResult(INFEASIBLE)
+        start = feas.x
+    elif len(start) != n:
+        raise DimensionError("qp_min: start length != n")
 
     # Integer data: rows[i] = ells[i] [W_i | w_i]; scale H = h_int and
     # scale h = lin.  The iterate is x = x_num / x_den in lowest terms, and
@@ -197,10 +209,14 @@ def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     # one, so pivots, solutions and tie-breaks are those of the Fraction loop.
     rows, ells = _integer_system(poly)
     a_rows = [row[:-1] for row in rows]
+    x_num, x_den = integer_row(start)
+    if given and any(_idot(a, x_num) > row[-1] * x_den for a, row in zip(a_rows, rows)):
+        raise PreconditionError("qp_min: start lies outside the polyhedron")
+    if n == 0:
+        return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
     flat, scale = integer_row([v for row in obj.h_mat for v in row] + list(obj.h_vec))
     h_int = [flat[i * n:(i + 1) * n] for i in range(n)]
     lin = flat[n * n:]
-    x_num, x_den = integer_row(feas.x)
     h_x = [_idot(row, x_num) for row in h_int]
     grad = [2 * u + x_den * c for u, c in zip(h_x, lin)]
 

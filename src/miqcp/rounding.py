@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from .cqs import (
     FULL_DIM,
     ConvexQuadraticSet,
+    _level_case,
     _round_to_grid,
     classify_fulldim,
     quadratic_feasible_point,
@@ -183,14 +184,6 @@ def _inner_argmin(c: Vector, inner: Polyhedron) -> Vector:
     return res.x
 
 
-def _cut_feasible_point(
-    q: ConvexQuadraticSet, cut_row: Vector, cut_rhs
-) -> Optional[Vector]:
-    """A point of Q with cut_row . x <= cut_rhs, or None (exact decision)."""
-    poly = q.poly.with_rows([list(cut_row)], [cut_rhs])
-    return quadratic_feasible_point(q.obj, poly, q.eta)
-
-
 def _simplify_accepted_point(
     q: ConvexQuadraticSet,
     pt: Vector,
@@ -218,6 +211,18 @@ def _simplify_accepted_point(
     return pt
 
 
+def _start_on_cut(lp_x: Vector, minimizer: Vector, row: Vector, rhs) -> Vector:
+    """The point of P nearest minimizer on the segment [lp_x, minimizer]
+    that satisfies row . x <= rhs, given row . lp_x <= rhs: minimizer itself,
+    or where the segment meets row . x = rhs."""
+    far = dot(row, minimizer)
+    if far <= rhs:
+        return minimizer
+    near = dot(row, lp_x)
+    lam = (rhs - near) / (far - near)
+    return [a + lam * (b - a) for a, b in zip(lp_x, minimizer)]
+
+
 def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Optional[Vector]:
     """A point of Q whose projection may replace vertex i of sim at a 3/2
     push, or None when facet i admits none.
@@ -228,19 +233,40 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     and rhs = -sense offset - step.  step starts at 3/2 of the gap between
     vertex i and its facet and doubles while points are found, so a long
     run of accepted pushes costs one probe per doubling.
+
+    One LP per run, min row . x over P (phase 2 on P's kept start), serves
+    every probe of the run.  A cut below its minimum misses P, so the run
+    ends there with no QP, exactly where the infeasible QP ended it.  When
+    H is definite the probe's minimizer is unique, so its QP starts on the
+    cut instead of at a phase-1 point of the cut polyhedron: on the segment
+    from the LP argmin to the last minimizer known in P (q's minimum over
+    P, then the run's last accepted point), see `_start_on_cut`.  Either
+    way every probe returns the point it returned from a phase-1 start.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    # q's minimum over P: optimal when H is definite and P is not empty
+    face_min = _level_case(q)[1] if q.obj.definite else None
     for sense in (1, -1):
         row = _lift_direction([-sense * v for v in normal], q.n)
         rhs0 = -sense * offset
+        lp = lp_min(row, q.poly)
+        bounded = lp.is_optimal
+        known = face_min.x if bounded and face_min is not None else None
         last_good = None
         step = step0
         for _k in range(_MAX_ESCALATION):
-            pt = _cut_feasible_point(q, row, rhs0 - step)
+            rhs = rhs0 - step
+            if bounded and lp.value > rhs:
+                break
+            start = None if known is None else _start_on_cut(lp.x, known, row, rhs)
+            cut = q.poly.with_rows([row], [rhs])
+            pt = quadratic_feasible_point(q.obj, cut, q.eta, start)
             if pt is None:
                 break
             last_good = pt
+            if known is not None:
+                known = pt
             step = step * 2
         if last_good is not None:
             return _simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)

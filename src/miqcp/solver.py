@@ -129,11 +129,24 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
     return Polyhedron(rows, rhs, poly.p, _n_hint=poly.n)
 
 
+def _box_poly(poly: Polyhedron, declared_box) -> Polyhedron:
+    """A new polyhedron: P cut by the declared box, duplicate rows merged,
+    which remembers the box it was cut by."""
+    lo, hi = declared_box
+    boxed = _merge_duplicate_rows(poly.with_box(lo, hi))
+    boxed._box = declared_box
+    return boxed
+
+
 def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
+    """Q cut by the declared box, or, without one, by the symbolic bound
+    when Q is unbounded.  A set whose polyhedron `_box_poly` cut by this
+    box already, as `optimize` hands its probes, is returned as it is, so
+    its polyhedron's kept probe and phase-1 start serve again."""
     if declared_box is not None:
-        lo, hi = declared_box
-        poly = _merge_duplicate_rows(q.poly.with_box(lo, hi))
-        return ConvexQuadraticSet(poly, q.obj, q.eta)
+        if q.poly._box == declared_box:
+            return q
+        return ConvexQuadraticSet(_box_poly(q.poly, declared_box), q.obj, q.eta)
     if cqs_is_bounded(q):
         return q
     warnings.warn(
@@ -154,19 +167,28 @@ def feasibility(
     """A point of Q with integer leading coordinates, or None if none exists.
 
     A declared box that misses a nonempty polyhedron breaks its promise in
-    the one way that is cheap to see: instead of None, PreconditionError.
-    The check runs only on a None answer, whose first reduction has probed
-    the boxed polyhedron already unless q is linear and nonzero; the
-    unboxed probe runs only when the boxed polyhedron is empty.
+    the one way that is cheap to see: instead of None, PreconditionError
+    (see `_check_box`).
     """
     boxed = _boxed(q, declared_box)
     x = _feas_rec(boxed, 0, trace)
-    if (x is None and declared_box is not None
-            and _fulldim_probe(boxed.poly).status == "empty"
-            and _fulldim_probe(q.poly).status != "empty"):
+    if x is None and declared_box is not None:
+        _check_box(boxed.poly, q.poly)
+    return x
+
+
+def _check_box(boxed: Polyhedron, poly: Polyhedron) -> None:
+    """PreconditionError when the box that made boxed out of poly misses a
+    nonempty poly.
+
+    A caller runs it only on a None answer, whose first reduction has
+    probed the boxed polyhedron already unless q is linear and nonzero;
+    the unboxed probe runs only when the boxed polyhedron is empty.
+    """
+    if (_fulldim_probe(boxed).status == "empty"
+            and _fulldim_probe(poly).status != "empty"):
         raise PreconditionError(
             "box: the declared box misses the nonempty constraint polyhedron")
-    return x
 
 
 def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Optional[Vector]:
@@ -304,9 +326,17 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     unless v - lo <= 1/D^2, and then at most one probe follows.
     So at most M + 1 blocks of 8 successes complete: <= 8 (M + 2) successes
     and <= M + 1 failures.
+
+    P is boxed once per call: the MILP check and every level-set probe run
+    on that one new polyhedron object, which `feasibility` keeps as it is,
+    so its full-dimensionality probe and phase 1 run once.
     """
-    x_feas = feasibility(_milp_cqs(inst.poly), inst.declared_box, trace)
+    box = inst.declared_box
+    poly = inst.poly if box is None else _box_poly(inst.poly, box)
+    x_feas = feasibility(_milp_cqs(poly), box, trace)
     if x_feas is None:
+        if box is not None:
+            _check_box(poly, inst.poly)
         return SolveStatus(INFEASIBLE_STATUS)
     cont = qp_min(inst.obj, inst.poly)
     if cont.status == UNBOUNDED:
@@ -334,11 +364,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
             midpoint = (lo + v) / 2
             if midpoint < probe_at:
                 probe_at = midpoint
-        found = feasibility(
-            ConvexQuadraticSet(inst.poly, inst.obj, probe_at),
-            inst.declared_box,
-            trace,
-        )
+        found = feasibility(ConvexQuadraticSet(poly, inst.obj, probe_at), box, trace)
         if found is None:
             if probe_at == v - gap:
                 break  # no candidate below v: v is the optimum

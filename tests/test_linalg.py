@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from miqcp.errors import NotPsdError, PreconditionError
 from miqcp.linalg import (
     UnimodularCert,
+    _eliminate,
     column_reduce_unimodular,
     det,
     gauss_solve,
@@ -192,6 +193,42 @@ def _rational_matrix_with_dependencies(rng, m, n):
         elif u < 0.3:
             a[i] = [Rat(0)] * n
     return a
+
+
+def _gauss_jordan_rank_with_basis(a):
+    """`rank_with_basis` as it was: the full Gauss-Jordan elimination."""
+    _, pivots, rows, _, _, _ = _eliminate(a)
+    return len(pivots), sorted(rows[:len(pivots)])
+
+
+def test_forward_elimination_keeps_rank_basis_and_pivots():
+    # clearing only below each pivot leaves the unused rows, and with them
+    # every pivot choice, as they were; det reads the same last pivot
+    rng = random.Random(4242)
+    cases = [zeros(3, 2), [[Rat(0)] * 4, [Rat(1), Rat(2), Rat(0), Rat(0)]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(_rational_matrix_with_dependencies(rng, m, n))
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        cases.append(rmat(rng, n, n, lo=-10 ** 6, hi=10 ** 6, denoms=(1, 3, 10 ** 9)))
+    deficient = 0
+    for a in cases:
+        m, n = shape(a)
+        assert rank_with_basis(a) == _gauss_jordan_rank_with_basis(a)
+        full = _eliminate(a)
+        work, pivots, rows, d, sign, scale = _eliminate(a, forward_only=True)
+        assert (pivots, rows, d, sign, scale) == full[1:]
+        r = len(pivots)
+        deficient += r < min(m, n)
+        # an echelon form: zero below each pivot, and zero rows after the rank
+        for k, col in enumerate(pivots):
+            assert work[k][col] != 0 and all(work[i][col] == 0 for i in range(k + 1, m))
+        assert all(v == 0 for row in work[r:] for v in row)
+        if m == n:
+            gj_det = Rat(sign * d, scale) if r == n else Rat(0)
+            assert det(a) == gj_det
+    assert deficient > 50
 
 
 def _free_columns(a, n):

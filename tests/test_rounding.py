@@ -1,15 +1,27 @@
+import importlib.util
 import random
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from miqcp.cqs import ConvexQuadraticSet, classify_fulldim, slice_point
+import miqcp.cli
+import miqcp.cqs
+import miqcp.polyhedra
+import miqcp.rounding as rounding
+import miqcp.solver
+from miqcp.cqs import (
+    ConvexQuadraticSet,
+    classify_fulldim,
+    quadratic_feasible_point,
+    slice_point,
+)
 from miqcp.errors import PreconditionError
 from miqcp.linalg import det, dot, identity, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub
-from miqcp.polyhedra import Polyhedron, implicit_equalities, lp_min
+from miqcp.polyhedra import Polyhedron, _fulldim_probe, implicit_equalities, lp_min
 from miqcp.qp import QpObjective, recession_cone
 from miqcp.rational import Rat, ZERO, ONE
-from miqcp.simplex import OPTIMAL
+from miqcp.simplex import OPTIMAL, UNBOUNDED
 from miqcp.rounding import (
     SandwichResult,
     Simplex,
@@ -20,6 +32,7 @@ from miqcp.rounding import (
     seed_simplex,
 )
 
+import corpus
 from test_cqs import _LpCount
 from test_polyhedra import box
 
@@ -355,3 +368,196 @@ def test_sandwich_facet_certificate():
         gap = offset - dot(normal, sim.vertices[i])
         for yval in (Rat(0), Rat(1, 3), Rat(1)):
             assert abs(offset - normal[0] * yval) <= Rat(3, 2) * gap
+
+
+# --- the grow loop's LP bracket and definite warm start -----------------------
+
+
+def _reference_cut_feasible_point(q, cut_row, cut_rhs):
+    """A point of Q with cut_row . x <= cut_rhs, or None (exact decision)."""
+    poly = q.poly.with_rows([list(cut_row)], [cut_rhs])
+    return quadratic_feasible_point(q.obj, poly, q.eta)
+
+
+def _reference_push(q, sim, i, anchor):
+    """`rounding._push` before the LP bracket and the definite warm start:
+    one QP from a phase-1 point on every cut of a run."""
+    normal, offset = sim.facets[i]
+    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    for sense in (1, -1):
+        row = rounding._lift_direction([-sense * v for v in normal], q.n)
+        rhs0 = -sense * offset
+        last_good = None
+        step = step0
+        for _k in range(rounding._MAX_ESCALATION):
+            pt = _reference_cut_feasible_point(q, row, rhs0 - step)
+            if pt is None:
+                break
+            last_good = pt
+            step = step * 2
+        if last_good is not None:
+            return rounding._simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)
+    return None
+
+
+def _grow_inputs(q, p):
+    """The seed simplex and anchor `sandwich` hands `grow_simplex`."""
+    inner = classify_fulldim(q).polytope
+    return Simplex(seed_simplex(q, p, inner)), _fulldim_probe(inner).point
+
+
+def _assert_same_trajectory(monkeypatch, q, p):
+    s0, anchor = _grow_inputs(q, p)
+    grown, trace = grow_simplex(q, p, s0, anchor, check=False)
+    with monkeypatch.context() as m:
+        m.setattr(rounding, "_push", _reference_push)
+        ref_grown, ref_trace = grow_simplex(q, p, s0, anchor, check=False)
+    assert grown.vertices == ref_grown.vertices
+    assert trace == ref_trace
+    return len(trace) - 1
+
+
+def _gram(rng, k, n):
+    ell = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    return [[Rat(sum(row[i] * row[j] for row in ell)) for j in range(n)] for i in range(n)]
+
+
+def _seeded_set(rng, n, p, h_mat, h_vec, poly=None):
+    """Q = P and q(x) <= eta with P a box cut by a row through an interior
+    point, and eta above q at the box centre."""
+    if poly is None:
+        radius = rng.randint(2, 6)
+        row = [Rat(rng.randint(-2, 2)) for _ in range(n)]
+        poly = box([-radius] * n, [radius] * n, p=p).with_rows([row], [Rat(rng.randint(1, radius))])
+    obj = QpObjective(h_mat, h_vec)
+    eta = obj.value([ZERO] * n) + rng.randint(1, 40)
+    return ConvexQuadraticSet(poly, obj, eta)
+
+
+def _pd_set(rng, n, p):
+    gram = _gram(rng, rng.randint(0, n), n)
+    h_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(gram)]
+    return _seeded_set(rng, n, p, h_mat, [Rat(rng.randint(-4, 4), 3) for _ in range(n)])
+
+
+def test_grow_trajectory_unchanged_on_definite_sets(monkeypatch):
+    rng = random.Random(1301)
+    moved = 0
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        q = _pd_set(rng, n, rng.randint(1, n))
+        assert q.obj.definite
+        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+    assert moved > 8
+
+
+def test_grow_trajectory_unchanged_on_singular_and_zero_quadratics(monkeypatch):
+    rng = random.Random(1302)
+    moved = 0
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        gram = _gram(rng, rng.randint(1, n - 1), n)  # rank < n
+        q = _seeded_set(rng, n, rng.randint(1, n), gram,
+                        [Rat(rng.randint(-3, 3)) for _ in range(n)])
+        assert not q.obj.definite
+        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        zero = [[ZERO] * n for _ in range(n)]
+        q = _seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n)
+        q = ConvexQuadraticSet(q.poly, q.obj, ZERO)  # q = 0: Q = P
+        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+    assert moved > 8
+
+
+def test_grow_trajectory_unchanged_when_the_run_lp_is_unbounded(monkeypatch):
+    # P = {x2 >= -1, x1 + x2 <= 4} is unbounded; the disc x1^2 + x2^2 <= 9 is not
+    statuses = []
+    lp = rounding.lp_min
+
+    def recording(c, poly):
+        res = lp(c, poly)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(rounding, "lp_min", recording)
+    poly = Polyhedron(mat([[0, -1], [1, 1]]), [Rat(1), Rat(4)], p=2)
+    q = ConvexQuadraticSet(poly, QpObjective(identity(2), [ZERO, ZERO]), Rat(9))
+    assert cqs_is_bounded(q)
+    assert _assert_same_trajectory(monkeypatch, q, 2) > 0
+    assert UNBOUNDED in statuses and OPTIMAL in statuses
+
+
+def _load_pdepth_family():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pdepth_family
+
+
+def _sandwiched_sets(monkeypatch, inst):
+    """Every (Q, p) that `optimize` hands `sandwich` on inst."""
+    seen = []
+    sandwich_fn = miqcp.solver.sandwich
+
+    def recording(q, p, check=True):
+        seen.append((q, p))
+        return sandwich_fn(q, p, check)
+
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "sandwich", recording)
+        miqcp.solver.optimize(inst)
+    return seen
+
+
+# pdepth_p2 and gen_24 sandwich definite and semidefinite sets; on gen_24
+# and gen_27 a warm start of the semidefinite QPs moves the trajectory
+@pytest.mark.parametrize("source", ["pdepth_p2", "gen_24", "gen_27"])
+def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
+    if source.startswith("pdepth"):
+        entry = next(e for e in _load_pdepth_family()(2024) if e["name"] == source)
+        inst = miqcp.cli.parse_instance(entry["text"]).micqp
+    else:
+        inst = dict(corpus.corpus())[source]
+    sets = _sandwiched_sets(monkeypatch, inst)
+    assert any(not q.obj.definite for q, _ in sets)
+    assert any(q.obj.definite for q, _ in sets) == (source != "gen_27")
+    for q, p in sets:
+        _assert_same_trajectory(monkeypatch, q, p)
+
+
+def test_definite_grow_runs_no_phase1_on_a_cut(monkeypatch):
+    rng = random.Random(1303)
+    q = _pd_set(rng, 3, 2)
+    s0, anchor = _grow_inputs(q, 2)  # keeps q's minimum over P and P's start
+    starts = []
+    phase1 = miqcp.polyhedra.phase1
+
+    def recording(w_mat, w_rhs, n):
+        starts.append(len(w_mat))
+        return phase1(w_mat, w_rhs, n)
+
+    monkeypatch.setattr(miqcp.polyhedra, "phase1", recording)
+    _, trace = grow_simplex(q, 2, s0, anchor, check=False)
+    assert len(trace) > 2
+    assert starts == []
+    # the phase-1 start runs one on every cut polyhedron it probes
+    monkeypatch.setattr(rounding, "_push", _reference_push)
+    grow_simplex(q, 2, s0, anchor, check=False)
+    assert starts and set(starts) == {q.poly.m + 1}
+
+
+def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
+    # [0, 1] is all of proj Q, so every cut of both runs misses P
+    q = inactive_quadratic_box([0, 0], [1, 1], 1)
+    classify_fulldim(q)  # q's minimum over P, as `sandwich` keeps it
+    s0 = Simplex([[Rat(0)], [Rat(1)]])
+    qps = []
+    qp_min = miqcp.cqs.qp_min
+    monkeypatch.setattr(miqcp.cqs, "qp_min", lambda *a: qps.append(a) or qp_min(*a))
+    grown, trace = grow_simplex(q, 1, s0, CENTER, check=False)
+    assert len(trace) == 1 and qps == []
+    monkeypatch.setattr(rounding, "_push", _reference_push)
+    grow_simplex(q, 1, s0, CENTER, check=False)
+    assert len(qps) == 4  # one infeasible QP per (facet, sense) run

@@ -3,6 +3,8 @@ from math import lcm
 
 import pytest
 
+import miqcp.polyhedra
+import miqcp.solver
 from miqcp.bounds import magnitude_bound, scaled_integer_system_size
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
@@ -18,6 +20,7 @@ from miqcp.solver import (
     MicqpInstance,
     Trace,
     _denominator_bound,
+    _merge_duplicate_rows,
     boundedness,
     feasibility,
     gamma_band_bound_sq,
@@ -331,6 +334,50 @@ def test_declared_box_that_misses_the_polyhedron_raises():
     empty = Polyhedron(mat([[1], [-1]]), [Rat(0), Rat(-1)], p=1)
     assert feasibility(cqs_of(empty, [[1]], [0], 100), far) is None
     assert optimize(MicqpInstance(obj, empty, far)).status == INFEASIBLE_STATUS
+
+
+def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
+    # the MILP check and every level-set probe share one boxed polyhedron;
+    # boxing afresh for each of them (as before) gives the same answer and
+    # the same recursion, but probes an equal polyhedron once per call
+    probed = []
+    probe_lp = miqcp.polyhedra._probe_lp
+    monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
+                        lambda poly: probed.append(poly) or probe_lp(poly))
+    cases = [inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:16]
+    repeated = 0
+    for inst in cases:
+        boxed = _merge_duplicate_rows(inst.poly.with_box(*inst.declared_box))
+        with monkeypatch.context() as m:
+            m.setattr(miqcp.solver, "_box_poly",
+                      lambda poly, b: _merge_duplicate_rows(poly.with_box(*b)))
+            probed.clear()
+            ref_trace = Trace()
+            ref = optimize(inst, ref_trace)
+            ref_probes = sum(poly == boxed for poly in probed)
+        probed.clear()
+        trace = Trace()
+        assert optimize(inst, trace) == ref
+        assert trace.nodes == ref_trace.nodes
+        assert sum(poly == boxed for poly in probed) == 1
+        repeated += ref_probes > 1
+    assert repeated >= 5
+
+
+def test_a_set_boxed_by_the_solver_is_not_boxed_again():
+    poly = box([0, 0], [4, 4], p=2).with_rows([[Rat(1), Rat(1)]], [Rat(5)])
+    declared = ([Rat(1), Rat(0)], [Rat(3), Rat(4)])
+    boxed = miqcp.solver._box_poly(poly, declared)
+    q = cqs_of(boxed, [[1, 0], [0, 1]], [0, 0], 9)
+    assert miqcp.solver._boxed(q, declared) is q
+    # a caller's polyhedron is boxed afresh, even one with the box's rows
+    again = miqcp.solver._boxed(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 9), declared).poly
+    assert again == boxed and again is not boxed
+    same_rows = cqs_of(Polyhedron(boxed.w_mat, boxed.w_rhs, 2), [[1, 0], [0, 1]], [0, 0], 9)
+    assert miqcp.solver._boxed(same_rows, declared).poly is not same_rows.poly
+    # and so is the solver's under another box
+    other = ([Rat(2), Rat(0)], [Rat(3), Rat(4)])
+    assert miqcp.solver._boxed(q, other).poly == miqcp.solver._box_poly(poly, other)
 
 
 def _reference_gamma_band_bound_sq(p):
