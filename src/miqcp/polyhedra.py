@@ -20,7 +20,7 @@ from .diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, dot
+from .linalg import Matrix, Vector, dot, integer_row
 from .rational import Rat, ZERO, ONE
 from .simplex import (
     INFEASIBLE,
@@ -39,12 +39,14 @@ class Polyhedron:
     """{x in R^n : W x <= w} with the first p variables marked integer.
 
     Nothing writes to w_mat or w_rhs after construction, so a polyhedron
-    keeps two memos, each computed at most once per object and taking no
+    keeps three memos, each computed at most once per object and taking no
     part in equality or repr:
 
     - `_probe`, its `_fulldim_probe` (one LP);
     - `_start`, the simplex phase-1 state of W x <= w (tableau, basis and
-      d, or the Farkas vector), from which `lp_min` runs only phase 2.
+      d, or the Farkas vector), from which `lp_min` runs only phase 2;
+    - `_ints`, its `integer_system`, which `with_rows` extends by the new
+      rows when the parent already holds it.
 
     `_box`, also outside equality and repr, is the declared box (lo, hi)
     when the solver built this polyhedron as another cut by that box.
@@ -77,6 +79,8 @@ class Polyhedron:
         default=None, init=False, repr=False, compare=False)
     _start: Optional[LpStart] = field(
         default=None, init=False, repr=False, compare=False)
+    _ints: Optional[Tuple[List[List[int]], List[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
     _box: Optional[Tuple[Vector, Vector]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -87,12 +91,16 @@ class Polyhedron:
         return [b - dot(row, x) for row, b in zip(self.w_mat, self.w_rhs)]
 
     def with_rows(self, rows: Matrix, rhs: Vector) -> "Polyhedron":
-        return Polyhedron(
+        out = Polyhedron(
             [r[:] for r in self.w_mat] + [r[:] for r in rows],
             list(self.w_rhs) + list(rhs),
             self.p,
             _n_hint=self.n,
         )
+        if self._ints is not None:
+            new_rows, new_ells = _integer_rows(rows, rhs)
+            out._ints = (self._ints[0] + new_rows, self._ints[1] + new_ells)
+        return out
 
     def with_equality(self, row: Vector, b) -> "Polyhedron":
         return self.with_rows([row, [-v for v in row]], [b, -b])
@@ -149,6 +157,19 @@ def lp_min(c: Vector, poly: Polyhedron) -> LpResult:
     if poly._start is None:
         poly._start = phase1(poly.w_mat, poly.w_rhs, poly.n)
     return phase2(poly._start, c)
+
+
+def integer_system(poly: Polyhedron) -> Tuple[List[List[int]], List[int]]:
+    """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, ells[i] > 0,
+    computed once per polyhedron object.  Nothing writes to the lists."""
+    if poly._ints is None:
+        poly._ints = _integer_rows(poly.w_mat, poly.w_rhs)
+    return poly._ints
+
+
+def _integer_rows(w_mat: Matrix, w_rhs: Vector) -> Tuple[List[List[int]], List[int]]:
+    pairs = [integer_row(list(row) + [b]) for row, b in zip(w_mat, w_rhs)]
+    return [row for row, _ in pairs], [ell for _, ell in pairs]
 
 
 def recession_ray_check(poly: Polyhedron, ray: Vector) -> bool:

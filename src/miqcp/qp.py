@@ -4,10 +4,11 @@ Primal active-set method: iterate working sets of constraint rows, solve
 each equality-constrained subproblem exactly in the null space of the
 working rows, and accept only on a verified KKT certificate.  The same loop
 certifies unboundedness: a zero-curvature descent step that no row blocks
-is a ray r with W r <= 0, H r = 0 and h^T r < 0.  The loop runs
-on Python ints: the rows, H and h are scaled to integers once per call and
-the iterate is an int vector over one positive denominator, so scalars are
-touched only through ``numerator``/``denominator`` and ``Rat(int, int)``.
+is a ray r with W r <= 0, H r = 0 and h^T r < 0.  The loop runs on
+Python ints: the rows are scaled to integers once per polyhedron and H and
+h once per objective (each keeps its scaling), and the iterate is an int
+vector over one positive denominator, so scalars are touched only through
+``numerator``/``denominator`` and ``Rat(int, int)``.
 Every integer system is the rational one with positively scaled rows and a
 common column scale, so iterates, tie-breaks and certificates are those of
 the rational method.  Worst-case exponential, which is acceptable at desk
@@ -28,6 +29,7 @@ from .linalg import (
     _idot,
     dot,
     integer_row,
+    inverse,
     ldlt_psd_check,
     mat_vec,
     quad_form,
@@ -35,7 +37,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .polyhedra import Polyhedron, lp_min
+from .polyhedra import Polyhedron, integer_system, lp_min
 from .rational import Rat, ZERO
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -53,11 +55,17 @@ class QpObjective:
     M^T H M is PSD whenever H is, so its check always passes.  The same
     pivots decide `definite`: H is positive definite iff every one is
     positive, and then q has one minimizer over any nonempty polyhedron.
+
+    Two memos are computed on first use and, like `definite`, take no part
+    in equality or repr: `integer_form` and, for a definite objective,
+    `free_minimum`.
     """
 
     h_mat: Matrix
     h_vec: Vector
     definite: bool = field(init=False, repr=False, compare=False)
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _free: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.h_vec)
@@ -65,6 +73,31 @@ class QpObjective:
             raise DimensionError("QpObjective: H must be n x n with n = len(h)")
         pivots = ldlt_psd_check(self.h_mat)
         object.__setattr__(self, "definite", all(d > 0 for d in pivots))
+
+    def integer_form(self) -> tuple:
+        """(h_int, lin, scale): scale H = h_int and scale h = lin as ints,
+        scale > 0 the lcm of all their denominators."""
+        if self._ints is None:
+            n = self.n
+            flat, scale = integer_row([v for row in self.h_mat for v in row] + list(self.h_vec))
+            object.__setattr__(
+                self, "_ints", ([flat[i * n:(i + 1) * n] for i in range(n)], flat[n * n:], scale))
+        return self._ints
+
+    def free_minimum(self) -> tuple:
+        """((xb_num, xb_den), (hi_num, hi_den), q(xbar)): the minimizer
+        xbar = -H^-1 h / 2 of q over all of space and H^-1, each as ints
+        over one positive denominator.  H must be definite: a singular H
+        raises PreconditionError."""
+        if self._free is None:
+            n = self.n
+            h_inv = inverse(self.h_mat)
+            xbar = [-v / 2 for v in mat_vec(h_inv, self.h_vec)]
+            flat, den = integer_row([v for row in h_inv for v in row])
+            hi_num = [flat[i * n:(i + 1) * n] for i in range(n)]
+            object.__setattr__(
+                self, "_free", (integer_row(xbar), (hi_num, den), self.value(xbar)))
+        return self._free
 
     @property
     def n(self) -> int:
@@ -120,18 +153,13 @@ def recession_cone(obj: QpObjective, poly: Polyhedron) -> tuple:
     return rows, [ZERO] * len(rows)
 
 
-def _integer_system(poly: Polyhedron) -> tuple:
-    """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, ells[i] > 0."""
-    pairs = [integer_row(row + [b]) for row, b in zip(poly.w_mat, poly.w_rhs)]
-    return [row for row, _ in pairs], [ell for _, ell in pairs]
-
-
 def _independent_active_rows(rows: List[List[int]], x_num: List[int], x_den: int) -> List[int]:
     """The tight rows, in order, that are independent of the rows chosen before.
 
-    rows are integer [A_i | b_i] (see `_integer_system`), the point is
-    x_num / x_den.  One incremental pass: each tight row is reduced against
-    the echelon rows already chosen and kept if anything is left.
+    rows are integer [A_i | b_i] (see `polyhedra.integer_system`), the
+    point is x_num / x_den.  One incremental pass: each tight row is
+    reduced against the echelon rows already chosen and kept if anything
+    is left.
     """
     chosen = []
     echelon = []  # (pivot column, primitive integer row)
@@ -202,21 +230,20 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
     elif len(start) != n:
         raise DimensionError("qp_min: start length != n")
 
-    # Integer data: rows[i] = ells[i] [W_i | w_i]; scale H = h_int and
-    # scale h = lin.  The iterate is x = x_num / x_den in lowest terms, and
-    # grad = scale x_den (2 H x + h).  Every system below is the rational
-    # one with rows scaled by positive factors and its columns by a common
-    # one, so pivots, solutions and tie-breaks are those of the Fraction loop.
-    rows, ells = _integer_system(poly)
+    # Integer data, kept on poly and obj: rows[i] = ells[i] [W_i | w_i];
+    # scale H = h_int and scale h = lin.  The iterate is x = x_num / x_den
+    # in lowest terms, and grad = scale x_den (2 H x + h).  Every system
+    # below is the rational one with rows scaled by positive factors and
+    # its columns by a common one, so pivots, solutions and tie-breaks are
+    # those of the Fraction loop.
+    rows, ells = integer_system(poly)
     a_rows = [row[:-1] for row in rows]
     x_num, x_den = integer_row(start)
     if given and any(_idot(a, x_num) > row[-1] * x_den for a, row in zip(a_rows, rows)):
         raise PreconditionError("qp_min: start lies outside the polyhedron")
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
-    flat, scale = integer_row([v for row in obj.h_mat for v in row] + list(obj.h_vec))
-    h_int = [flat[i * n:(i + 1) * n] for i in range(n)]
-    lin = flat[n * n:]
+    h_int, lin, scale = obj.integer_form()
     h_x = [_idot(row, x_num) for row in h_int]
     grad = [2 * u + x_den * c for u, c in zip(h_x, lin)]
 

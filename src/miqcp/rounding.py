@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .linalg import (
     Matrix,
     Vector,
+    _idot,
     dot,
     integer_row,
     inverse_with_det,
@@ -33,8 +34,8 @@ from .linalg import (
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, _fulldim_probe, lp_min
-from .qp import recession_cone
+from .polyhedra import Polyhedron, _fulldim_probe, integer_system, lp_min
+from .qp import QpObjective, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL
 
@@ -223,6 +224,53 @@ def _start_on_cut(lp_x: Vector, minimizer: Vector, row: Vector, rhs) -> Vector:
     return [a + lam * (b - a) for a, b in zip(lp_x, minimizer)]
 
 
+def _half_space_run(obj: QpObjective, row: Vector):
+    """probe(t) -> (v, x_num, x_den): the minimum v of a definite q over the
+    half-space {row . x <= t} and its minimizer x = x_num / x_den, x_den > 0.
+
+    With xbar the free minimizer, q(x) = q(xbar) + (x - xbar)^T H (x - xbar).
+    u = H^-1 row, g = row . u > 0 and s = row . xbar are computed once per
+    run, on ints.  If s <= t the minimizer is xbar; otherwise the one active
+    row gives x = xbar - lam u with lam = (s - t) / g and
+    v = q(xbar) + (s - t) lam.
+    """
+    (xb_num, xb_den), (hi_num, hi_den), q_bar = obj.free_minimum()
+    r, ell = integer_row(row)  # the cut is r . x <= ell t
+    u_num = [_idot(h, r) for h in hi_num]  # u = u_num / hi_den
+    g_num = _idot(r, u_num)  # g = g_num / hi_den
+    s_num = _idot(r, xb_num)  # s = s_num / xb_den
+
+    def probe(t):
+        tn, td = ell * t.numerator, t.denominator
+        dn = s_num * td - tn * xb_den  # s - t = dn / (xb_den td)
+        if dn <= 0:
+            return q_bar, xb_num, xb_den
+        x_num = [a * td * g_num - dn * c for a, c in zip(xb_num, u_num)]
+        v = q_bar + Rat(dn * dn * hi_den, xb_den * xb_den * td * td * g_num)
+        return v, x_num, xb_den * td * g_num
+
+    return probe
+
+
+def _decide_in_closed_form(q: ConvexQuadraticSet, probe, rhs) -> Tuple[bool, Optional[Vector]]:
+    """(True, answer) when the half-space minimizer decides the probe at
+    rhs, with answer the point `quadratic_feasible_point` returns on the cut
+    polyhedron, or None; (False, None) when P binds.
+
+    The half-space contains P and the cut, so v > eta means no point of the
+    cut has q <= eta.  A minimizer x in P minimizes q over the cut too, and
+    a definite q has one minimizer there, so x is the QP's point.
+    """
+    v, x_num, x_den = probe(rhs)
+    if v > q.eta:
+        return True, None
+    rows, _ = integer_system(q.poly)
+    # r is [A_i | b_i]; _idot stops at the n entries of x_num
+    if all(_idot(r, x_num) <= r[-1] * x_den for r in rows):
+        return True, [Rat(c, x_den) for c in x_num]
+    return False, None
+
+
 def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Optional[Vector]:
     """A point of Q whose projection may replace vertex i of sim at a 3/2
     push, or None when facet i admits none.
@@ -234,39 +282,46 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     vertex i and its facet and doubles while points are found, so a long
     run of accepted pushes costs one probe per doubling.
 
-    One LP per run, min row . x over P (phase 2 on P's kept start), serves
-    every probe of the run.  A cut below its minimum misses P, so the run
-    ends there with no QP, exactly where the infeasible QP ended it.  When
-    H is definite the probe's minimizer is unique, so its QP starts on the
-    cut instead of at a phase-1 point of the cut polyhedron: on the segment
-    from the LP argmin to the last minimizer known in P (q's minimum over
-    P, then the run's last accepted point), see `_start_on_cut`.  Either
-    way every probe returns the point it returned from a phase-1 start.
+    When H is definite, q's minimizer over the half-space row . x <= rhs
+    decides the probe first (`_decide_in_closed_form`).  Only where P binds
+    does a probe take the path of a semidefinite q.  There one LP per run,
+    min row . x over P (phase 2 on P's kept start), run on the first probe
+    that needs it, serves every later probe: a cut below its minimum misses
+    P, so the run ends there with no QP, exactly where the infeasible QP
+    ended it.  When H is definite the probe's QP starts on the cut instead
+    of at a phase-1 point of the cut polyhedron: on the segment from the LP
+    argmin to the last minimizer known in P (the run's last accepted point,
+    else q's minimum over P), see `_start_on_cut`.  Every probe returns the
+    point it returned from a phase-1 start.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
-    # q's minimum over P: optimal when H is definite and P is not empty
-    face_min = _level_case(q)[1] if q.obj.definite else None
+    definite = q.obj.definite
     for sense in (1, -1):
         row = _lift_direction([-sense * v for v in normal], q.n)
         rhs0 = -sense * offset
-        lp = lp_min(row, q.poly)
-        bounded = lp.is_optimal
-        known = face_min.x if bounded and face_min is not None else None
+        probe = _half_space_run(q.obj, row) if definite else None
+        lp = None
         last_good = None
         step = step0
         for _k in range(_MAX_ESCALATION):
             rhs = rhs0 - step
-            if bounded and lp.value > rhs:
-                break
-            start = None if known is None else _start_on_cut(lp.x, known, row, rhs)
-            cut = q.poly.with_rows([row], [rhs])
-            pt = quadratic_feasible_point(q.obj, cut, q.eta, start)
+            decided, pt = (False, None) if probe is None else _decide_in_closed_form(q, probe, rhs)
+            if not decided:
+                if lp is None:
+                    lp = lp_min(row, q.poly)
+                if lp.is_optimal and lp.value > rhs:
+                    break
+                start = None
+                if definite and lp.is_optimal:
+                    # q's minimum over P: optimal when H is definite and P is not empty
+                    known = last_good if last_good is not None else _level_case(q)[1].x
+                    start = _start_on_cut(lp.x, known, row, rhs)
+                cut = q.poly.with_rows([row], [rhs])
+                pt = quadratic_feasible_point(q.obj, cut, q.eta, start)
             if pt is None:
                 break
             last_good = pt
-            if known is not None:
-                known = pt
             step = step * 2
         if last_good is not None:
             return _simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)

@@ -10,6 +10,7 @@ from miqcp.polyhedra import (
     Polyhedron,
     fulldim_reduce_polyhedron,
     implicit_equalities,
+    integer_system,
     is_fulldim_polyhedron,
     lp_min,
     recession_ray_check,
@@ -267,6 +268,25 @@ def test_with_box_and_pins_match_the_reference_rows():
     assert short.w_rhs[6:] == [3, -2]
     with pytest.raises(DimensionError):
         box([0], [1]).with_box([Rat(0)], [Rat(1), Rat(2)])
+
+
+def test_with_rows_extends_the_kept_integer_rows():
+    rng = random.Random(3132)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        parent = box([-3] * n, [Rat(5, 2)] * n, p=n)
+        rows = [[Rat(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)] for _ in range(2)]
+        rhs = [Rat(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+        integer_system(parent)
+        child = parent.with_rows(rows, rhs)
+        assert child._ints is not None
+        fresh = Polyhedron(child.w_mat, child.w_rhs, child.p)
+        assert integer_system(child) == integer_system(fresh)
+        ints, ells = integer_system(child)
+        for r, b, a, ell in zip(child.w_mat, child.w_rhs, ints, ells):
+            assert ell > 0 and a == [ell * v for v in r + [b]]
+    # a parent that never scaled its rows leaves the child to scale its own
+    assert box([0], [1]).with_rows([[Rat(1)]], [Rat(1, 2)])._ints is None
 
 
 def test_recession_ray_check_cases():

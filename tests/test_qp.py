@@ -585,6 +585,20 @@ def test_definite_flag_reads_the_psd_pivots():
     assert QpObjective([], []).definite  # n = 0: no pivot fails
 
 
+def test_objective_memos_take_no_part_in_equality():
+    obj = QpObjective(mat([[2, 1], [1, 2]]), [Rat(1, 2), Rat(-3)])
+    (xb_num, xb_den), (hi_num, hi_den), value = obj.free_minimum()
+    xbar = [Rat(v, xb_den) for v in xb_num]
+    assert obj.gradient(xbar) == [0, 0] and value == obj.value(xbar)
+    assert mat_mul(hi_num, obj.h_mat) == [[hi_den, 0], [0, hi_den]]
+    h_int, lin, scale = obj.integer_form()
+    assert (h_int, lin, scale) == ([[4, 2], [2, 4]], [1, -6], 2)
+    fresh = QpObjective(mat([[2, 1], [1, 2]]), [Rat(1, 2), Rat(-3)])
+    assert obj == fresh and repr(obj) == repr(fresh)
+    with pytest.raises(PreconditionError):  # H singular: no free minimizer
+        QpObjective(mat([[1, 1], [1, 1]]), [ZERO, ZERO]).free_minimum()
+
+
 def test_qp_start_outside_the_polyhedron_is_refused():
     obj = QpObjective(identity(2), [Rat(-2), Rat(1)])
     poly = box([0, 0], [1, 1])

@@ -8,6 +8,7 @@ import pytest
 import miqcp.cli
 import miqcp.cqs
 import miqcp.polyhedra
+import miqcp.qp
 import miqcp.rounding as rounding
 import miqcp.solver
 from miqcp.cqs import (
@@ -17,7 +18,9 @@ from miqcp.cqs import (
     slice_point,
 )
 from miqcp.errors import PreconditionError
-from miqcp.linalg import det, dot, identity, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub
+from miqcp.linalg import (
+    det, dot, identity, inverse, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub,
+)
 from miqcp.polyhedra import Polyhedron, _fulldim_probe, implicit_equalities, lp_min
 from miqcp.qp import QpObjective, recession_cone
 from miqcp.rational import Rat, ZERO, ONE
@@ -488,12 +491,13 @@ def test_grow_trajectory_unchanged_when_the_run_lp_is_unbounded(monkeypatch):
     assert UNBOUNDED in statuses and OPTIMAL in statuses
 
 
-def _load_pdepth_family():
+def _load_bench_family(name):
+    """perfbench's `<name>_family` builder, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
     spec = importlib.util.spec_from_file_location("_perfbench_instances", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.pdepth_family
+    return getattr(module, name + "_family")
 
 
 def _sandwiched_sets(monkeypatch, inst):
@@ -511,12 +515,13 @@ def _sandwiched_sets(monkeypatch, inst):
     return seen
 
 
-# pdepth_p2 and gen_24 sandwich definite and semidefinite sets; on gen_24
-# and gen_27 a warm start of the semidefinite QPs moves the trajectory
-@pytest.mark.parametrize("source", ["pdepth_p2", "gen_24", "gen_27"])
+# the pdepth, radius and gen_24 sets are definite and semidefinite; on
+# gen_24 and gen_27 a warm start of the semidefinite QPs moves the trajectory
+@pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27"])
 def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
-    if source.startswith("pdepth"):
-        entry = next(e for e in _load_pdepth_family()(2024) if e["name"] == source)
+    family = source.split("_")[0]
+    if family in ("pdepth", "radius"):
+        entry = next(e for e in _load_bench_family(family)(2024) if e["name"] == source)
         inst = miqcp.cli.parse_instance(entry["text"]).micqp
     else:
         inst = dict(corpus.corpus())[source]
@@ -561,3 +566,124 @@ def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
     monkeypatch.setattr(rounding, "_push", _reference_push)
     grow_simplex(q, 1, s0, CENTER, check=False)
     assert len(qps) == 4  # one infeasible QP per (facet, sense) run
+
+
+def _primitive_row(rng, n):
+    while True:
+        ints = [rng.randint(-3, 3) for _ in range(n)]
+        if any(ints):
+            g = gcd(*ints)
+            return [Rat(v // g) for v in ints]
+
+
+def _cut_rhs_values(obj, poly, row):
+    """Right-hand sides t of the cut row . x <= t: xbar on the cut, xbar
+    inside the half-space and beyond it, and every t whose half-space
+    minimizer lands on the hyperplane of a row of P."""
+    h_inv = inverse(obj.h_mat)
+    xbar = [-v / 2 for v in mat_vec(h_inv, obj.h_vec)]
+    u = mat_vec(h_inv, row)
+    s, g = dot(row, xbar), dot(row, u)
+    out = [s, s + 1, s - Rat(1, 3), s - 2, s - 7]
+    for a, b in zip(poly.w_mat, poly.w_rhs):
+        au = dot(a, u)
+        if au != 0:
+            lam = (dot(a, xbar) - b) / au
+            if lam > 0:
+                out.append(s - lam * g)
+    return out
+
+
+def test_closed_form_probe_matches_the_cut_qp():
+    rng = random.Random(1401)
+    seen = set()
+    for k in range(30):
+        n = 1 + k % 5
+        radius = rng.randint(2, 5)
+        poly = box([-radius] * n, [radius] * n, p=n)
+        if k % 3:
+            clip = _primitive_row(rng, n)
+            poly = poly.with_rows([clip], [Rat(rng.randint(0, radius))])
+        gram = _gram(rng, rng.randint(0, n), n)
+        h_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(gram)]
+        # the free minimizer c: inside the box, or outside it every other set
+        c = [Rat(rng.randint(-2 * radius, 2 * radius), rng.randint(1, 3)) for _ in range(n)]
+        if k % 2:
+            c[0] = Rat(radius + rng.randint(1, 3))
+        obj = QpObjective(h_mat, [-2 * v for v in mat_vec(h_mat, c)])
+        (xb_num, xb_den), _, q_bar = obj.free_minimum()
+        xbar = [Rat(a, xb_den) for a in xb_num]
+        assert xbar == c and q_bar == obj.value(c)
+        seen.add("xbar outside P" if not poly.contains(c) else "xbar in P")
+        for _ in range(2):
+            row = _primitive_row(rng, n)
+            for t in _cut_rhs_values(obj, poly, row):
+                probe = rounding._half_space_run(obj, row)
+                v, x_num, x_den = probe(t)
+                x = [Rat(a, x_den) for a in x_num]
+                for eta in (v, v + rng.randint(0, 30), v - Rat(1, 7)):
+                    q = ConvexQuadraticSet(poly, obj, eta)
+                    decided, pt = rounding._decide_in_closed_form(q, probe, t)
+                    ref = quadratic_feasible_point(obj, poly.with_rows([row], [t]), eta)
+                    if decided:
+                        assert pt == ref
+                        if pt is not None:
+                            assert pt == x
+                            seen.add("accepted")
+                            seen.add("eta = v" if eta == v else "eta > v")
+                            if 0 in poly.slacks(pt):
+                                seen.add("on a facet of P")
+                            if dot(row, xbar) == t:
+                                seen.add("xbar on the cut")
+                        else:
+                            seen.add("rejected")
+                    else:
+                        assert v <= eta and not poly.contains(x)
+                        seen.add("P binds")
+    assert seen == {"xbar outside P", "xbar in P", "accepted", "eta = v", "eta > v",
+                    "on a facet of P", "xbar on the cut", "rejected", "P binds"}
+
+
+def _disc(*cut):
+    """x1^2 + x2^2 <= 4 on [-3, 3]^2 (p = 2), with extra rows (row, rhs)."""
+    poly = box([-3, -3], [3, 3], p=2)
+    if cut:
+        poly = poly.with_rows([list(r) for r, _ in cut], [b for _, b in cut])
+    return ConvexQuadraticSet(poly, QpObjective(identity(2), [ZERO, ZERO]), Rat(4))
+
+
+def _grow_costs(monkeypatch, q, push):
+    """(qp_min calls, lp_min calls, grow probes through
+    quadratic_feasible_point) of one grow_simplex with push as `_push`."""
+    s0, anchor = _grow_inputs(q, 2)
+    calls = {"qp": 0, "lp": 0, "probe": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.cqs, "qp_min", counted("qp", miqcp.cqs.qp_min))
+        m.setattr(miqcp.qp, "lp_min", counted("lp", miqcp.qp.lp_min))
+        m.setattr(rounding, "lp_min", counted("lp", rounding.lp_min))
+        m.setattr(rounding, "quadratic_feasible_point",
+                  counted("probe", rounding.quadratic_feasible_point))
+        m.setattr(rounding, "_push", push)
+        _, trace = grow_simplex(q, 2, s0, anchor, check=False)
+    assert len(trace) > 1
+    return calls["qp"], calls["lp"], calls["probe"]
+
+
+def test_disc_grows_in_closed_form(monkeypatch):
+    q = _disc()
+    assert _grow_costs(monkeypatch, q, rounding._push) == (0, 0, 0)
+    qps, lps, _ = _grow_costs(monkeypatch, q, _reference_push)
+    assert qps > 0 and lps > 0
+
+
+def test_clipped_disc_sends_the_probes_where_p_binds_to_the_qp(monkeypatch):
+    q = _disc(([ONE, ONE], ONE))
+    qps, lps, probes = _grow_costs(monkeypatch, q, rounding._push)
+    assert qps == probes > 0 and lps > 0

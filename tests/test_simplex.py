@@ -14,8 +14,8 @@ import pytest
 
 import miqcp.polyhedra
 from miqcp.linalg import _dot, integer_row, rank
-from miqcp.polyhedra import Polyhedron, lp_min
-from miqcp.qp import _independent_active_rows, _integer_system
+from miqcp.polyhedra import Polyhedron, integer_system, lp_min
+from miqcp.qp import _independent_active_rows
 from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -391,6 +391,6 @@ def test_independent_active_rows_match_greedy_rank():
             tight = rng.random() < 0.7
             rhs.append(_naive_dot(row, x) + (0 if tight else Fraction(rng.randint(1, 4))))
         poly = Polyhedron(rows, rhs, _n_hint=n)
-        rows, _ = _integer_system(poly)
+        rows, _ = integer_system(poly)
         chosen = _independent_active_rows(rows, *integer_row(x))
         assert chosen == _greedy_rank_rows(poly, x)
