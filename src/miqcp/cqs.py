@@ -26,6 +26,7 @@ from .polyhedra import (
     _fulldim_probe,
     fulldim_reduce_polyhedron,
     implicit_equalities,
+    integer_system,
 )
 from .qp import QpObjective, QpResult, qp_min
 from .rational import Rat, ZERO, ONE, denom, numer, rfloor, rround, size_of_seq
@@ -61,7 +62,19 @@ class ConvexQuadraticSet:
         return self.poly.p
 
     def contains(self, x: Vector) -> bool:
-        return self.poly.contains(x) and self.obj.value(x) <= self.eta
+        """x in Q, decided on ints: with x = num / den over one lcm den, P's
+        rows (`integer_system`) as A num <= b den and q (`integer_form`) as
+        num^T H num + den h.num <= eta scale den^2, cleared of eta's
+        denominator."""
+        if len(x) != self.n:
+            raise DimensionError("contains: point length != n")
+        num, den = integer_row(x)
+        rows, _ = integer_system(self.poly)
+        if any(_idot(row, num) > row[-1] * den for row in rows):
+            return False
+        h_int, lin, scale = self.obj.integer_form()
+        lhs = _idot(num, [_idot(row, num) for row in h_int]) + den * _idot(lin, num)
+        return lhs * self.eta.denominator <= self.eta.numerator * scale * den * den
 
     def map_through(self, tau: AffineParam) -> "ConvexQuadraticSet":
         """Substitute x = xbar + M x'; eta' = eta - q(xbar) keeps the set exact."""

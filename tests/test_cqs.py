@@ -19,7 +19,7 @@ from miqcp.cqs import (
     tangent_face,
 )
 from miqcp.diophantine import EMPTY, Empty
-from miqcp.errors import PreconditionError
+from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import det, gauss_solve, mat, mat_mul, mat_vec, transpose
 import miqcp.cqs
 import miqcp.polyhedra
@@ -366,6 +366,26 @@ def _random_level_set(rng):
         if res.is_optimal:
             eta = res.value
     return ConvexQuadraticSet(poly, obj, eta)
+
+
+def test_contains_on_ints_matches_the_rational_test():
+    # points on the box faces and on the level set, with mixed denominators
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(150):
+        q = _random_level_set(rng)
+        res = qp_min(q.obj, q.poly)
+        points = [res.x] if res.is_optimal else []
+        points += [[Rat(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(q.n)]
+                   for _ in range(6)]
+        points += [[Rat(rng.choice([-2, 2, 0])) for _ in range(q.n)]]
+        for x in points:
+            want = q.poly.contains(x) and q.obj.value(x) <= q.eta
+            assert q.contains(x) == want
+            seen.add(want)
+    assert seen == {True, False}
+    with pytest.raises(DimensionError):
+        q.contains([Rat(0)] * (q.n + 1))
 
 
 def test_classify_agrees_with_reduction():

@@ -13,16 +13,20 @@ from fractions import Fraction
 import pytest
 
 import miqcp.polyhedra
+import miqcp.simplex
 from miqcp.linalg import _dot, integer_row, rank
 from miqcp.polyhedra import Polyhedron, integer_system, lp_min
 from miqcp.qp import _independent_active_rows
-from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, phase1, solve_lp
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
-def _reference_solve_lp(w_mat, w_rhs, c):
-    """min c^T x s.t. W x <= w on a Fraction tableau (Bland's rule)."""
+def _reference_solve_lp(w_mat, w_rhs, c, trace=None):
+    """min c^T x s.t. W x <= w on a Fraction tableau (Bland's rule).
+
+    Each pivot appends (row, entering variable) to trace when one is given.
+    """
     m = len(w_mat)
     n = len(c)
     if m == 0:
@@ -55,6 +59,8 @@ def _reference_solve_lp(w_mat, w_rhs, c):
     basis = [ncols + i for i in range(m)]
 
     def pivot(r, jcol):
+        if trace is not None:
+            trace.append((r, jcol))
         inv = ONE / tab[r][jcol]
         rr = tab[r]
         if inv != 1:
@@ -228,6 +234,93 @@ def test_integer_tableau_matches_fraction_tableau():
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
+def _msplit_lp(rng):
+    """An LP shaped like a market-split node: n = 5..9 in the 0/1 box, m =
+    16..28 rows, equality pairs a.x = b with integer a in 0..20.
+
+    Most systems put a 0/1 vertex on every pair, where the box rows are
+    tight too (a degenerate vertex); the others take b = floor(sum a / 2),
+    the market-split choice, some with a last pair beyond sum a, which
+    empties the box.  Some upper bounds are dropped; when x_0's is, and no
+    pair holds x_0, the LP can be unbounded.
+    """
+    n = rng.randint(5, 9)
+    m = rng.randint(max(16, 2 * n + 2), 28)
+    vertex = [rng.randint(0, 1) for _ in range(n)]
+    free = rng.random() < 0.2
+    rows, rhs = [], []
+    for i in range(n):
+        if rng.random() < 0.9 and not (free and i == 0):
+            rows.append([ONE if j == i else ZERO for j in range(n)])
+            rhs.append(ONE)
+        rows.append([-ONE if j == i else ZERO for j in range(n)])
+        rhs.append(ZERO)
+    kind = rng.random()
+    while len(rows) < m:
+        a = [Fraction(0 if free and j == 0 else rng.randint(0, 20)) for j in range(n)]
+        if kind < 0.6:
+            b = _naive_dot(a, vertex)
+        elif kind < 0.9 or len(rows) + 2 < m:
+            b = Fraction(int(sum(a)) // 2)
+        else:
+            b = sum(a) + 1
+        rows.append(a)
+        rhs.append(b)
+        if len(rows) < m:
+            rows.append([-v for v in a])
+            rhs.append(-b)
+    c = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+    return rows, rhs, c
+
+
+def _record_pivots(monkeypatch):
+    """(trace, kinds): the (row, entering variable) list of every pivot
+    ``solve_lp`` takes, and the set of its kinds seen: an implicit slack
+    entering, an artificial leaving for a stored column, a negated row."""
+    trace, kinds = [], set()
+    tableau = miqcp.simplex._Tableau
+    pivot = tableau.pivot
+
+    def recorded(self, r, col, j, k):
+        trace.append((r, j))
+        artificial = self.basis[r] >= 2 * self.n + self.m
+        kinds.update(kind for kind, here in (("implicit", k is None),
+                                             ("artificial", artificial and k is not None),
+                                             ("negated", col[r] < 0)) if here)
+        return pivot(self, r, col, j, k)
+
+    monkeypatch.setattr(tableau, "pivot", recorded)
+    return trace, kinds
+
+
+@pytest.mark.parametrize("shape", ["random", "msplit"])
+def test_same_pivots_as_the_fraction_tableau(monkeypatch, shape):
+    # the compact integer dictionary takes the reference's pivots, one by
+    # one, through phase 1, the drive-out and phase 2; every feasible start
+    # keeps n + 1 ints per row
+    got, kinds = _record_pivots(monkeypatch)
+    rng = random.Random(1999)
+    make, count = (_random_lp, 300) if shape == "random" else (_msplit_lp, 40)
+    seen = set()
+    for _ in range(count):
+        w_mat, w_rhs, c = make(rng)
+        want = []
+        got.clear()
+        res = solve_lp(w_mat, w_rhs, c)
+        assert res == _reference_solve_lp(w_mat, w_rhs, c, want)
+        assert got == want
+        _check_certificate(res, w_mat, w_rhs, c)
+        seen.add(res.status)
+        n = len(c)
+        start = phase1(w_mat, w_rhs, n)
+        if start.farkas is None:
+            assert len(start.keys) == n
+            assert all(len(row) == n + 1 and all(type(v) is int for v in row)
+                       for row in start.rows)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert kinds == {"implicit", "artificial", "negated"}
+
+
 @pytest.mark.parametrize("w_mat, w_rhs, c", [
     ([], [], [ONE, ZERO, -ONE]),
     ([], [], [ZERO, ZERO]),
@@ -327,7 +420,8 @@ def test_phase1_runs_once_per_object(monkeypatch):
 
 def test_results_share_no_list_with_the_start():
     # mutating what lp_min returned must leave the next result and the
-    # kept start unchanged
+    # kept start unchanged: rows, basis and keys, which phase 2's pivots
+    # rewrite in its copies
     rng = random.Random(7)
     statuses = set()
     for _ in range(150):
@@ -347,6 +441,7 @@ def test_results_share_no_list_with_the_start():
                     vec[0] += 1
                     vec.append(ONE)
             assert lp_min(c, poly) == want
+            assert poly._start.keys == kept.keys
             assert poly._start == kept
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
