@@ -62,13 +62,15 @@ class ConvexQuadraticSet:
         return self.poly.p
 
     def contains(self, x: Vector) -> bool:
-        """x in Q, decided on ints: with x = num / den over one lcm den, P's
-        rows (`integer_system`) as A num <= b den and q (`integer_form`) as
-        num^T H num + den h.num <= eta scale den^2, cleared of eta's
-        denominator."""
         if len(x) != self.n:
             raise DimensionError("contains: point length != n")
-        num, den = integer_row(x)
+        return self._contains_ints(*integer_row(x))
+
+    def _contains_ints(self, num: List[int], den: int) -> bool:
+        """x = num / den in Q (den > 0), decided on ints: P's rows
+        (`integer_system`) as A num <= b den and q (`integer_form`) as
+        num^T H num + den h.num <= eta scale den^2, cleared of eta's
+        denominator."""
         rows, _ = integer_system(self.poly)
         if any(_idot(row, num) > row[-1] * den for row in rows):
             return False

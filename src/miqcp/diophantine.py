@@ -9,8 +9,8 @@ affine image of a lower-dimensional mixed-integer space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .errors import DimensionError
 from .linalg import (
@@ -19,6 +19,7 @@ from .linalg import (
     Vector,
     column_reduce_unimodular,
     identity,
+    integer_row,
     inverse,
     mat_mul,
     mat_vec,
@@ -79,6 +80,18 @@ class AffineParam:
     m: Matrix
     p_prime: int
     n_prime: int
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def integer_form(self) -> tuple:
+        """((cols, m_den), (x_num, x_den)): the columns of M and xbar, each
+        as ints over one positive denominator; kept on first use, outside
+        equality and repr."""
+        if self._ints is None:
+            n, k = len(self.xbar), self.n_prime
+            flat, m_den = integer_row([self.m[i][j] for j in range(k) for i in range(n)])
+            cols = [flat[j * n:(j + 1) * n] for j in range(k)]
+            object.__setattr__(self, "_ints", ((cols, m_den), integer_row(self.xbar)))
+        return self._ints
 
     def apply(self, xprime: Vector) -> Vector:
         return vec_add(self.xbar, mat_vec(self.m, xprime))

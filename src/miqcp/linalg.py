@@ -233,19 +233,15 @@ def null_space(a: Matrix) -> Matrix:
     return out
 
 
-def inverse_with_det(a: Matrix) -> tuple:
-    """(A^-1, det A) from one elimination of [A | I]; raises if A is singular."""
+def inverse(a: Matrix) -> Matrix:
+    """A^-1 from one elimination of [A | I]; raises if A is singular."""
     m, n = shape(a)
     if m != n:
         raise DimensionError("inverse of a non-square matrix")
-    work, pivots, _, d, sign, scale = _eliminate([row + e for row, e in zip(a, identity(n))])
+    work, pivots, _, d, _, _ = _eliminate([row + e for row, e in zip(a, identity(n))])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular")
-    return [[Rat(x, d) for x in row[n:]] for row in work], Rat(sign * d, scale)
-
-
-def inverse(a: Matrix) -> Matrix:
-    return inverse_with_det(a)[0]
+    return [[Rat(x, d) for x in row[n:]] for row in work]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ parametrization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import List, Optional, Tuple, Union
 
 from .diophantine import (
@@ -20,7 +21,7 @@ from .diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, dot, integer_row
+from .linalg import Matrix, Vector, _idot, dot, integer_row
 from .rational import Rat, ZERO, ONE
 from .simplex import (
     INFEASIBLE,
@@ -133,17 +134,32 @@ class Polyhedron:
         Rows that map to 0 <= nonnegative are dropped; a row mapping to
         0 <= negative is kept as an explicit infeasibility witness (this
         happens when tau parametrizes a hyperplane missing the set).
+
+        Computed on ints from this polyhedron's `integer_system` [A_i | b_i]
+        (ell_i times row i) and tau's integer form (M = M_i / m,
+        xbar = X / x): row i maps to [x A_i M_i | m (x b_i - A_i . X)] over
+        ell_i m x.  Divided by the gcd of that denominator and the row, it
+        is the child's integer row, which the child keeps.
         """
-        rows, rhs = [], []
-        for row, b in zip(self.w_mat, self.w_rhs):
-            new_row = [dot(row, [tau.m[i][j] for i in range(len(row))])
-                       for j in range(tau.n_prime)]
-            new_b = b - dot(row, tau.xbar)
-            if all(v == 0 for v in new_row) and new_b >= 0:
+        (cols, m_den), (x_num, x_den) = tau.integer_form()
+        rows, rhs, int_rows, ells = [], [], [], []
+        for full, ell in zip(*integer_system(self)):
+            # _idot stops at the n entries of a column, before b_i
+            new = [x_den * _idot(full, col) for col in cols]
+            new.append(m_den * (x_den * full[-1] - _idot(full, x_num)))
+            if new[-1] >= 0 and not any(new[:-1]):
                 continue
-            rows.append(new_row)
-            rhs.append(new_b)
-        return Polyhedron(rows, rhs, tau.p_prime, _n_hint=tau.n_prime)
+            den = ell * m_den * x_den
+            g = gcd(den, *new)
+            den //= g
+            new = [v // g for v in new]
+            rows.append([Rat(v, den) for v in new[:-1]])
+            rhs.append(Rat(new[-1], den))
+            int_rows.append(new)
+            ells.append(den)
+        out = Polyhedron(rows, rhs, tau.p_prime, _n_hint=tau.n_prime)
+        out._ints = (int_rows, ells)
+        return out
 
 
 def lp_min(c: Vector, poly: Polyhedron) -> LpResult:

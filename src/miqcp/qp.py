@@ -33,7 +33,6 @@ from .linalg import (
     ldlt_psd_check,
     mat_vec,
     quad_form,
-    transpose,
     vec_add,
     vec_scale,
 )
@@ -52,9 +51,10 @@ class QpObjective:
     every objective is PSD: a non-square or mis-sized H raises
     DimensionError, an asymmetric one PreconditionError, and one that is
     not PSD NotPsdError (with the failing pivot).  A reduced objective
-    M^T H M is PSD whenever H is, so its check always passes.  The same
-    pivots decide `definite`: H is positive definite iff every one is
-    positive, and then q has one minimizer over any nonempty polyhedron.
+    M^T H M is PSD whenever H is, so its check always passes; `map_through`
+    skips it for the child of a definite objective.  The same pivots
+    decide `definite`: H is positive definite iff every one is positive,
+    and then q has one minimizer over any nonempty polyhedron.
 
     Two memos are computed on first use and, like `definite`, take no part
     in equality or repr: `integer_form` and, for a definite objective,
@@ -116,14 +116,37 @@ class QpObjective:
         """Objective in x' coordinates under x = xbar + M x' (constant dropped).
 
         H' = M^T H M and h' = M^T (2 H xbar + h); the dropped constant is
-        xbar^T H xbar + h^T xbar.
+        xbar^T H xbar + h^T xbar.  Computed on ints from this objective's
+        `integer_form` (H_i, h_i, s) and tau's (M = M_i / m, xbar = X / x):
+        H' = M_i^T H_i M_i / (s m^2) and h' = M_i^T (2 H_i X + x h_i) / (s m x).
+        Over the one denominator s m^2 x, divided by its gcd with every
+        numerator, that is the child's `integer_form`, so the child keeps it.
+        M has full column rank, so M^T H M is definite when H is: such a
+        child skips the LDL^T check.  A semidefinite H may still give a
+        definite child (H = diag(1, 0), M = e_1), so the check runs then.
         """
-        mt = transpose(tau.m)  # the columns of M
-        h_cols = [mat_vec(self.h_mat, col) for col in mt]  # the columns of H M
-        h_new = [mat_vec(h_cols, col) for col in mt]
-        lin = self.gradient(tau.xbar)
-        h_vec_new = [dot(col, lin) for col in mt]
-        return QpObjective(h_new, h_vec_new)
+        h_int, lin, scale = self.integer_form()
+        (cols, m_den), (x_num, x_den) = tau.integer_form()
+        hm = [[_idot(row, col) for row in h_int] for col in cols]  # columns of H_i M_i
+        grad = [2 * _idot(row, x_num) + x_den * v for row, v in zip(h_int, lin)]
+        h_num = [[x_den * _idot(a, b) for b in hm] for a in cols]
+        lin_num = [m_den * _idot(a, grad) for a in cols]
+        den = scale * m_den * m_den * x_den
+        g = gcd(den, *lin_num, *(v for row in h_num for v in row))
+        den //= g
+        h_num = [[v // g for v in row] for row in h_num]
+        lin_num = [v // g for v in lin_num]
+        h_mat = [[Rat(v, den) for v in row] for row in h_num]
+        h_vec = [Rat(v, den) for v in lin_num]
+        if self.definite:
+            out = object.__new__(QpObjective)
+            for name, value in (("h_mat", h_mat), ("h_vec", h_vec), ("definite", True),
+                                ("_free", None)):
+                object.__setattr__(out, name, value)
+        else:
+            out = QpObjective(h_mat, h_vec)
+        object.__setattr__(out, "_ints", (h_num, lin_num, den))
+        return out
 
 
 @dataclass

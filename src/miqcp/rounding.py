@@ -10,14 +10,14 @@ the projection of the set onto the leading p coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .cqs import (
     FULL_DIM,
     ConvexQuadraticSet,
     _level_case,
-    _round_to_grid,
     classify_fulldim,
     quadratic_feasible_point,
     slice_point,
@@ -26,16 +26,16 @@ from .errors import PreconditionError
 from .linalg import (
     Matrix,
     Vector,
+    _eliminate,
     _idot,
     dot,
     integer_row,
-    inverse_with_det,
     mat_vec,
     null_space,
     vec_add,
 )
 from .polyhedra import Polyhedron, _fulldim_probe, integer_system, lp_min
-from .qp import QpObjective, recession_cone
+from .qp import recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL
 
@@ -55,33 +55,58 @@ class Simplex:
     """Full-dimensional simplex in R^p on copies of its vertices
     v_0..v_p, which nothing writes to after construction.
 
-    One inverse of the edge matrix E (column j is v_{j+1} - v_0) gives
-    b_mat = E^-1, volume = |det E| and the facets: b_mat_i . (v_j - v_0) is
-    [j = i + 1], so -b_mat_i is normal to the facet opposite v_{i+1} and
-    sum_i b_mat_i to the one opposite v_0.  Normals are primitive integer
-    vectors (small normals keep the probe subproblems small), and
-    facets[i] = (normal, offset) has normal . v_j = offset for j != i and
-    normal . v_i < offset.  Affinely dependent vertices raise
-    PreconditionError (E is singular).
+    One fraction-free elimination (`linalg._eliminate`) of the integer
+    matrix [D E | I] gives the facts, with E the edge matrix (column j is
+    v_{j+1} - v_0) and D the lcm of the vertex denominators.  It leaves
+    d (D E)^-1 in the right half, with d = det(D E) its last pivot, so
+    volume = |det E| = |d| / D^p and b_mat = E^-1 = D (d (D E)^-1) / d.
+    Row b_i of E^-1 has b_i . (v_j - v_0) = [j = i + 1], so -b_i is
+    normal to the facet opposite v_{i+1} and sum_i b_i to the one opposite
+    v_0: each normal is the integer row (or row sum), negated when d > 0
+    for -b_i and when d < 0 for the sum, divided by its gcd.  So normals are
+    primitive vectors of Python ints (small normals keep the probe
+    subproblems small), and facets[i] = (normal, offset) has
+    normal . v_j = offset for j != i and normal . v_i < offset.  b_mat is
+    built on first read.
+    Affinely dependent vertices raise PreconditionError (E is singular).
     """
 
     vertices: List[Vector]
-    b_mat: Matrix = field(init=False, repr=False, compare=False)
     volume: Rat = field(init=False, repr=False, compare=False)
     facets: List[Tuple[Vector, Rat]] = field(init=False, repr=False, compare=False)
+    _inv: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = [list(v) for v in self.vertices]
-        self.b_mat, det_e = inverse_with_det(self.edge_matrix())
-        self.volume = abs(det_e)
-        normals = [_primitive([sum(col) for col in zip(*self.b_mat)])]
-        normals += [_primitive([-v for v in row]) for row in self.b_mat]
-        v0, v1 = self.vertices[0], self.vertices[1]
-        self.facets = [(nrm, dot(nrm, v1 if i == 0 else v0)) for i, nrm in enumerate(normals)]
+        p = self.p
+        den = lcm(*[x.denominator for v in self.vertices for x in v])
+        ints = [[x.numerator * (den // x.denominator) for x in v] for v in self.vertices]
+        v0 = ints[0]
+        work, pivots, _, d, _, _ = _eliminate(
+            [[ints[j + 1][i] - v0[i] for j in range(p)] + [int(i == j) for j in range(p)]
+             for i in range(p)])
+        if pivots != list(range(p)):
+            raise PreconditionError("Simplex: the vertices are affinely dependent")
+        inv = [row[p:] for row in work]
+        self._inv = (inv, d, den)
+        self.volume = Rat(abs(d), den ** p)
+        sign = 1 if d > 0 else -1
+        normals = [[sign * sum(col) for col in zip(*inv)]] + [[-sign * v for v in row] for row in inv]
+        self.facets = []
+        for i, nrm in enumerate(normals):
+            g = gcd(*nrm)
+            nrm = [v // g for v in nrm]
+            self.facets.append((nrm, Rat(_idot(nrm, ints[1] if i == 0 else v0), den)))
 
     @property
     def p(self) -> int:
         return len(self.vertices) - 1
+
+    @cached_property
+    def b_mat(self) -> Matrix:
+        """E^-1, built on first read."""
+        inv, d, den = self._inv
+        return [[Rat(den * v, d) for v in row] for row in inv]
 
     def edge_matrix(self) -> Matrix:
         v0 = self.vertices[0]
@@ -98,14 +123,6 @@ class Simplex:
                 elif val != offset:
                     return False
         return True
-
-
-def _primitive(normal: Vector) -> Vector:
-    """The positive multiple of a nonzero rational vector that is a
-    primitive integer vector."""
-    ints, _ = integer_row(normal)
-    g = gcd(*ints)
-    return [Rat(v // g) for v in ints]
 
 
 def cqs_is_bounded(q: ConvexQuadraticSet) -> bool:
@@ -198,17 +215,33 @@ def _simplify_accepted_point(
     iterations; any point of Q with cut_row . x <= cut_rhs0 expands the
     simplex just as validly, so mix slightly toward an interior anchor and
     round to a coarse grid, verifying everything exactly.
+
+    Every candidate is an int vector over a positive denominator: with
+    pt = P / a and anchor = A / b, the mix a fraction 1/k of the way to
+    the anchor is ((k - 1) b P + a A) / (k a b), and the grid point of
+    2^bits nearest num / den, ties toward +infinity as `rround`, has
+    numerators (2^(bits+1) num + den) // (2 den).  Only the point returned
+    is built as Rat.
     """
-    base = pt
-    for theta in (Rat(1, 8), Rat(1, 64)):
-        mix = [a + theta * (b - a) for a, b in zip(pt, anchor)]
-        if dot(cut_row, mix) <= cut_rhs0 and q.contains(mix):
-            base = mix
+    pn, pd = integer_row(pt)
+    an, ad = integer_row(anchor)
+    r, ell = integer_row(cut_row)
+    cn, cd = ell * cut_rhs0.numerator, cut_rhs0.denominator  # the cut is r . x <= cn / cd
+
+    def keeps(num, den):
+        return _idot(r, num) * cd <= cn * den and q._contains_ints(num, den)
+
+    base, base_den = pn, pd
+    for k in (8, 64):
+        mix = [(k - 1) * ad * u + pd * v for u, v in zip(pn, an)]
+        if keeps(mix, k * pd * ad):
+            base, base_den = mix, k * pd * ad
             break
     for bits in (4, 8, 16, 32, 64):
-        rounded = _round_to_grid(base, bits)
-        if dot(cut_row, rounded) <= cut_rhs0 and q.contains(rounded):
-            return rounded
+        twice = 2 * base_den
+        rounded = [((v << (bits + 1)) + base_den) // twice for v in base]
+        if keeps(rounded, 1 << bits):
+            return [Rat(v, 1 << bits) for v in rounded]
     return pt
 
 
@@ -224,45 +257,53 @@ def _start_on_cut(lp_x: Vector, minimizer: Vector, row: Vector, rhs) -> Vector:
     return [a + lam * (b - a) for a, b in zip(lp_x, minimizer)]
 
 
-def _half_space_run(obj: QpObjective, row: Vector):
-    """probe(t) -> (v, x_num, x_den): the minimum v of a definite q over the
-    half-space {row . x <= t} and its minimizer x = x_num / x_den, x_den > 0.
+def _half_space_run(q: ConvexQuadraticSet, row: Vector):
+    """probe(t_num, t_den) -> (fits, x_num, x_den): the minimizer
+    x = x_num / x_den (x_den > 0) of q over the half-space
+    {row . x <= t_num / t_den} (t_den > 0), and whether its value v is at
+    most eta.  q's objective must be definite.
 
     With xbar the free minimizer, q(x) = q(xbar) + (x - xbar)^T H (x - xbar).
-    u = H^-1 row, g = row . u > 0 and s = row . xbar are computed once per
-    run, on ints.  If s <= t the minimizer is xbar; otherwise the one active
-    row gives x = xbar - lam u with lam = (s - t) / g and
-    v = q(xbar) + (s - t) lam.
+    u = H^-1 row, g = row . u > 0, s = row . xbar and the slack
+    eta - q(xbar) are computed once per run, on ints.  If s <= t the
+    minimizer is xbar; otherwise the one active row gives x = xbar - lam u
+    with lam = (s - t) / g and v = q(xbar) + (s - t) lam, and v <= eta is
+    decided by cross-multiplying (s - t)^2 / g against the slack.
     """
-    (xb_num, xb_den), (hi_num, hi_den), q_bar = obj.free_minimum()
+    (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
     r, ell = integer_row(row)  # the cut is r . x <= ell t
     u_num = [_idot(h, r) for h in hi_num]  # u = u_num / hi_den
     g_num = _idot(r, u_num)  # g = g_num / hi_den
     s_num = _idot(r, xb_num)  # s = s_num / xb_den
+    slack = q.eta - q_bar
+    e_num, e_den = slack.numerator, slack.denominator
 
-    def probe(t):
-        tn, td = ell * t.numerator, t.denominator
+    def probe(t_num, t_den):
+        tn, td = ell * t_num, t_den
         dn = s_num * td - tn * xb_den  # s - t = dn / (xb_den td)
         if dn <= 0:
-            return q_bar, xb_num, xb_den
-        x_num = [a * td * g_num - dn * c for a, c in zip(xb_num, u_num)]
-        v = q_bar + Rat(dn * dn * hi_den, xb_den * xb_den * td * td * g_num)
-        return v, x_num, xb_den * td * g_num
+            return e_num >= 0, xb_num, xb_den
+        den = xb_den * td
+        # v - q(xbar) = dn^2 hi_den / (den^2 g_num)
+        fits = dn * dn * hi_den * e_den <= e_num * den * den * g_num
+        return fits, [a * td * g_num - dn * c for a, c in zip(xb_num, u_num)], den * g_num
 
     return probe
 
 
-def _decide_in_closed_form(q: ConvexQuadraticSet, probe, rhs) -> Tuple[bool, Optional[Vector]]:
-    """(True, answer) when the half-space minimizer decides the probe at
-    rhs, with answer the point `quadratic_feasible_point` returns on the cut
-    polyhedron, or None; (False, None) when P binds.
+def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
+                           t_den: int) -> Tuple[bool, Optional[Vector]]:
+    """(True, answer) when the half-space minimizer decides the probe at the
+    right-hand side t_num / t_den, with answer the point
+    `quadratic_feasible_point` returns on the cut polyhedron, or None;
+    (False, None) when P binds.
 
     The half-space contains P and the cut, so v > eta means no point of the
     cut has q <= eta.  A minimizer x in P minimizes q over the cut too, and
     a definite q has one minimizer there, so x is the QP's point.
     """
-    v, x_num, x_den = probe(rhs)
-    if v > q.eta:
+    fits, x_num, x_den = probe(t_num, t_den)
+    if not fits:
         return True, None
     rows, _ = integer_system(q.poly)
     # r is [A_i | b_i]; _idot stops at the n entries of x_num
@@ -296,18 +337,21 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    den = lcm(offset.denominator, step0.denominator)
     definite = q.obj.definite
     for sense in (1, -1):
         row = _lift_direction([-sense * v for v in normal], q.n)
-        rhs0 = -sense * offset
-        probe = _half_space_run(q.obj, row) if definite else None
+        # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
+        top = -sense * offset.numerator * (den // offset.denominator)
+        bot = step0.numerator * (den // step0.denominator)
+        probe = _half_space_run(q, row) if definite else None
         lp = None
         last_good = None
-        step = step0
-        for _k in range(_MAX_ESCALATION):
-            rhs = rhs0 - step
-            decided, pt = (False, None) if probe is None else _decide_in_closed_form(q, probe, rhs)
+        for k in range(_MAX_ESCALATION):
+            t_num = top - (bot << k)
+            decided, pt = (False, None) if probe is None else _decide_in_closed_form(q, probe, t_num, den)
             if not decided:
+                rhs = Rat(t_num, den)
                 if lp is None:
                     lp = lp_min(row, q.poly)
                 if lp.is_optimal and lp.value > rhs:
@@ -322,9 +366,8 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
             if pt is None:
                 break
             last_good = pt
-            step = step * 2
         if last_good is not None:
-            return _simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)
+            return _simplify_accepted_point(q, last_good, anchor, row, Rat(top - bot, den))
     return None
 
 

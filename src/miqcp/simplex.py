@@ -52,18 +52,43 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LpResult:
-    status: str
-    x: Optional[Vector] = None
-    value: Optional[Rat] = None
-    dual: Optional[Vector] = None     # mu >= 0 with c + W^T mu = 0 at an optimum
-    ray: Optional[Vector] = None      # W ray <= 0 and c^T ray < 0 when unbounded
-    farkas: Optional[Vector] = None   # mu >= 0, mu^T W = 0, mu^T w < 0 when infeasible
+    """An LP's status and certificates.
+
+    x and value at an optimum, where dual is mu >= 0 with c + W^T mu = 0;
+    x and ray with W ray <= 0, c^T ray < 0 when unbounded; farkas is
+    mu >= 0 with mu^T W = 0, mu^T w < 0 when infeasible.  `phase2` hands
+    over the duals as ints over one denominator (``dual_ints``), and the
+    list of Rats is built on first read.
+    """
+
+    __slots__ = ("status", "x", "value", "_dual", "_dual_ints", "ray", "farkas")
+    _FIELDS = ("status", "x", "value", "dual", "ray", "farkas")
+
+    def __init__(self, status: str, x: Optional[Vector] = None, value: Optional[Rat] = None,
+                 dual: Optional[Vector] = None, ray: Optional[Vector] = None,
+                 farkas: Optional[Vector] = None, dual_ints: Optional[tuple] = None):
+        self.status, self.x, self.value, self.ray, self.farkas = status, x, value, ray, farkas
+        self._dual, self._dual_ints = dual, dual_ints
+
+    @property
+    def dual(self) -> Optional[Vector]:
+        if self._dual_ints is not None:
+            nums, den = self._dual_ints
+            self._dual, self._dual_ints = [Rat(v, den) for v in nums], None
+        return self._dual
 
     @property
     def is_optimal(self):
         return self.status == OPTIMAL
+
+    def __eq__(self, other):
+        if not isinstance(other, LpResult):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        return "LpResult(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,7 +393,7 @@ def phase2(start: LpStart, c: Vector) -> LpResult:
         j, col, _ = enter
         ray = t.x_part([(j, t.d)] + [(b, -a) for b, a in zip(t.basis, col)])
         return LpResult(UNBOUNDED, x=x, ray=ray)
-    return LpResult(OPTIMAL, x, dot(c, x), dual=[Rat(v, lc * t.d) for v in t.slack_reds(red2)])
+    return LpResult(OPTIMAL, x, dot(c, x), dual_ints=(t.slack_reds(red2), lc * t.d))
 
 
 def solve_lp(w_mat: Matrix, w_rhs: Vector, c: Vector) -> LpResult:

@@ -48,3 +48,29 @@ def test_changed_and_missing_metrics_are_listed(tmp_path, capsys):
     b.write_text(json.dumps(change))
     assert tool.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == want
+
+
+def _bench(**runs):
+    """A ``tools/bench_json.py`` file holding the given traced runs."""
+    return {"command": "python3 tools/bench_json.py --out BENCH.json", "seed": 1,
+            "workloads": {name: {"trace0": _run(), "trace1": run} for name, run in runs.items()}}
+
+
+def test_bench_files_compare_workload_by_workload(tmp_path, capsys):
+    tool = _bench_diff()
+    moved = _run(**{"solver.nodes": (34, "count"), "lattice.flatness.point_ratio": (0.5, "ratio"),
+                    "simplex.solve_lp.max_bits": (31, "bits"), "traced.solve_s": (0.9, "s")})
+    parent = _bench(pdepth=PARENT, radius=PARENT)
+    assert tool.differences(parent, _bench(pdepth=PARENT, radius=PARENT)) == []
+    want = ["msplit: missing -> present",
+            "pdepth: solver.nodes: 33 -> 34",
+            "radius: present -> missing"]
+    assert tool.differences(parent, _bench(pdepth=moved, msplit=PARENT)) == want
+    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
+    a.write_text(json.dumps(parent))
+    b.write_text(json.dumps(_bench(pdepth=moved, msplit=PARENT)))
+    assert tool.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == want
+    # the committed files of two changes that kept every counter
+    root = BENCH_DIFF_PY.parent.parent
+    assert tool.main([str(root / "BENCH_14.json"), str(root / "BENCH_15.json")]) == 0

@@ -18,14 +18,17 @@ from miqcp.cqs import (
     stationary_affine_subspace,
     tangent_face,
 )
-from miqcp.diophantine import EMPTY, Empty
+from miqcp.diophantine import EMPTY, AffineParam, Empty
 from miqcp.errors import DimensionError, PreconditionError
-from miqcp.linalg import det, gauss_solve, mat, mat_mul, mat_vec, transpose
+from miqcp.linalg import (
+    det, dot, gauss_solve, identity, mat, mat_mul, mat_vec, null_space, rank, transpose,
+)
 import miqcp.cqs
 import miqcp.polyhedra
 from miqcp.polyhedra import (
     Polyhedron,
     fulldim_reduce_polyhedron,
+    integer_system,
     is_fulldim_polyhedron,
     lp_min,
 )
@@ -624,3 +627,73 @@ def test_reduce_substitution_identity_randomized():
                 assert q.contains(x)
                 assert all(is_integral(v) for v in x[:p])
         reduced_count += 1
+
+
+def _reference_map_polyhedron(poly, tau):
+    """`Polyhedron.map_through` on Fractions, the construction the integer
+    one replaced."""
+    rows, rhs = [], []
+    for row, b in zip(poly.w_mat, poly.w_rhs):
+        new_row = [dot(row, [tau.m[i][j] for i in range(len(row))]) for j in range(tau.n_prime)]
+        new_b = b - dot(row, tau.xbar)
+        if all(v == 0 for v in new_row) and new_b >= 0:
+            continue
+        rows.append(new_row)
+        rhs.append(new_b)
+    return Polyhedron(rows, rhs, tau.p_prime, _n_hint=tau.n_prime)
+
+
+def _reference_map_objective(obj, tau):
+    """`QpObjective.map_through` on Fractions, through the checked constructor."""
+    mt = transpose(tau.m) if tau.n_prime else []
+    h_cols = [mat_vec(obj.h_mat, col) for col in mt]
+    lin = obj.gradient(tau.xbar)
+    return QpObjective([[dot(a, b) for b in h_cols] for a in mt], [dot(col, lin) for col in mt])
+
+
+def _random_param(rng, n):
+    """x = xbar + M x' with M of full column rank n' <= n, rational M and
+    xbar, and p' <= n'."""
+    while True:
+        n_prime = rng.randint(0, n)
+        m = [[Rat(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 10 ** 6 + 3])) for _ in range(n_prime)]
+             for _ in range(n)]
+        if rank(m) == n_prime:
+            xbar = [Rat(rng.randint(-9, 9), rng.choice([1, 2, 5, 2 ** 31 - 1])) for _ in range(n)]
+            return AffineParam(xbar, m, rng.randint(0, n_prime), n_prime)
+
+
+def test_map_through_on_ints_matches_the_fraction_reference():
+    rng = random.Random(1616)
+    seen = set()
+    for _ in range(300):
+        q = _random_level_set(rng)
+        n = q.n
+        tau = _random_param(rng, n)
+        poly = q.poly
+        # rows with r . M = 0 map to 0 <= r . (x - xbar) <= ...: dropped when
+        # the right-hand side is >= 0, kept (an infeasibility witness) when < 0
+        left = null_space(transpose(tau.m)) if tau.n_prime else identity(n)
+        for j in range(len(left[0]) if left else 0):
+            row = [left[i][j] for i in range(n)]
+            for slack in (0, 1, -Rat(1, 3)):
+                poly = poly.with_rows([row], [dot(row, tau.xbar) + slack])
+        q = ConvexQuadraticSet(poly, q.obj, q.eta)
+        got = q.map_through(tau)
+        want_poly = _reference_map_polyhedron(poly, tau)
+        want_obj = _reference_map_objective(q.obj, tau)
+        assert (got.poly.w_mat, got.poly.w_rhs) == (want_poly.w_mat, want_poly.w_rhs)
+        assert (got.poly.n, got.poly.p) == (tau.n_prime, tau.p_prime)
+        assert got.obj == want_obj and got.obj.definite == want_obj.definite
+        assert got.eta == q.eta - q.obj.value(tau.xbar)
+        # the kept integer data is what a fresh computation gives
+        assert got.poly._ints == integer_system(want_poly)
+        assert got.obj._ints == want_obj.integer_form()
+        seen.add(f"n' = {tau.n_prime}" if tau.n_prime == 0 else "n' > 0")
+        seen.add("definite" if q.obj.definite else "semidefinite")
+        if want_poly.m < poly.m:
+            seen.add("row dropped")
+        if any(not any(r) and b < 0 for r, b in zip(want_poly.w_mat, want_poly.w_rhs)):
+            seen.add("0 <= negative kept")
+    assert seen == {"n' = 0", "n' > 0", "definite", "semidefinite", "row dropped",
+                    "0 <= negative kept"}

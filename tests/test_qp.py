@@ -578,6 +578,36 @@ def test_map_through_matches_triple_loop():
         assert mapped.h_vec == [dot(mt[i], lin) for i in range(n_prime)]
 
 
+def test_mapped_objective_definiteness():
+    # M has full column rank, so a definite H maps to a definite M^T H M,
+    # but not only then: H = diag(1, 0) is semidefinite and M = e_1 gives [1]
+    obj = QpObjective(mat([[1, 0], [0, 0]]), [ZERO, ONE])
+    assert not obj.definite
+    child = obj.map_through(AffineParam([ZERO, Rat(3)], mat([[1], [0]]), 0, 1))
+    assert child.definite
+    assert child == QpObjective(mat([[1]]), [ZERO])
+    # while the identity map keeps it semidefinite
+    assert not obj.map_through(AffineParam([ZERO, ZERO], identity(2), 0, 2)).definite
+    # n' = 0 from either kind of parent: the empty objective, which is definite
+    for parent in (obj, QpObjective(identity(2), [ONE, ZERO])):
+        child = parent.map_through(AffineParam([ONE, Rat(-1, 2)], [[], []], 0, 0))
+        assert child == QpObjective([], []) and child.definite
+        assert child.integer_form() == ([], [], 1)
+    # a definite parent's child skips the LDL^T check, and equals, field and
+    # flag, the objective the checked constructor builds from its fields
+    rng = random.Random(1602)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        parent = _random_objective(rng, n, "full")
+        assert parent.definite
+        k = rng.randint(1, n)
+        m = [row[:k] for row in _random_objective(rng, n, "full").h_mat]  # full column rank
+        child = parent.map_through(AffineParam([_rat(rng, True) for _ in range(n)], m, 0, k))
+        fresh = QpObjective(child.h_mat, child.h_vec)
+        assert child == fresh and child.definite and fresh.definite
+        assert child.integer_form() == fresh.integer_form()
+
+
 def test_definite_flag_reads_the_psd_pivots():
     assert QpObjective(mat([[2, 1], [1, 2]]), [ZERO, ZERO]).definite
     assert not QpObjective(mat([[1, 1], [1, 1]]), [ZERO, ZERO]).definite  # rank 1

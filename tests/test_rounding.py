@@ -23,7 +23,7 @@ from miqcp.linalg import (
 )
 from miqcp.polyhedra import Polyhedron, _fulldim_probe, implicit_equalities, lp_min
 from miqcp.qp import QpObjective, recession_cone
-from miqcp.rational import Rat, ZERO, ONE
+from miqcp.rational import Rat, ZERO, ONE, rround
 from miqcp.simplex import OPTIMAL, UNBOUNDED
 from miqcp.rounding import (
     SandwichResult,
@@ -618,12 +618,15 @@ def test_closed_form_probe_matches_the_cut_qp():
         for _ in range(2):
             row = _primitive_row(rng, n)
             for t in _cut_rhs_values(obj, poly, row):
-                probe = rounding._half_space_run(obj, row)
-                v, x_num, x_den = probe(t)
+                t_num, t_den = t.numerator, t.denominator
+                _, x_num, x_den = rounding._half_space_run(
+                    ConvexQuadraticSet(poly, obj, q_bar), row)(t_num, t_den)
                 x = [Rat(a, x_den) for a in x_num]
+                v = obj.value(x)
                 for eta in (v, v + rng.randint(0, 30), v - Rat(1, 7)):
                     q = ConvexQuadraticSet(poly, obj, eta)
-                    decided, pt = rounding._decide_in_closed_form(q, probe, t)
+                    probe = rounding._half_space_run(q, row)
+                    decided, pt = rounding._decide_in_closed_form(q, probe, t_num, t_den)
                     ref = quadratic_feasible_point(obj, poly.with_rows([row], [t]), eta)
                     if decided:
                         assert pt == ref
@@ -687,3 +690,70 @@ def test_clipped_disc_sends_the_probes_where_p_binds_to_the_qp(monkeypatch):
     q = _disc(([ONE, ONE], ONE))
     qps, lps, probes = _grow_costs(monkeypatch, q, rounding._push)
     assert qps == probes > 0 and lps > 0
+
+
+def _reference_simplify_accepted_point(q, pt, anchor, cut_row, cut_rhs0, seen):
+    """`rounding._simplify_accepted_point` on Fractions, the construction
+    the integer one replaced, with membership read from P's rows and q's
+    value; seen collects why candidates failed and which rounded on a tie."""
+    def keeps(x):
+        if dot(cut_row, x) > cut_rhs0:
+            seen.add("rejected by the cut")
+            return False
+        if not (q.poly.contains(x) and q.obj.value(x) <= q.eta):
+            seen.add("rejected by q")
+            return False
+        return True
+
+    base = pt
+    for theta in (Rat(1, 8), Rat(1, 64)):
+        mix = [a + theta * (b - a) for a, b in zip(pt, anchor)]
+        if keeps(mix):
+            seen.add("mixed")
+            base = mix
+            break
+    for bits in (4, 8, 16, 32, 64):
+        scale = 1 << bits
+        if any((v * scale).denominator == 2 for v in base):
+            seen.add("half-grid tie")
+        rounded = [Rat(rround(v * scale), scale) for v in base]
+        if keeps(rounded):
+            seen.add("rounded")
+            return rounded
+    seen.add("kept pt")
+    return pt
+
+
+def _grid_entry(rng, radius):
+    """A coordinate in [-radius, radius] on a grid that makes ties likely."""
+    den = rng.choice([1, 2, 4, 32, 64, 3, 7, 2 ** 17 + 1])
+    return Rat(rng.randint(-radius * den, radius * den), den)
+
+
+def test_simplify_accepted_point_matches_the_fraction_reference():
+    rng = random.Random(1616)
+    seen = set()
+    for k in range(400):
+        n = 1 + k % 3
+        radius = rng.randint(1, 4)
+        poly = box([-radius] * n, [radius] * n, p=n)
+        if k % 2:
+            poly = poly.with_rows([_primitive_row(rng, n)], [Rat(rng.randint(0, radius))])
+        gram = _gram(rng, rng.randint(0, n), n)
+        h_mat = [[v + (i == j) * rng.randint(0, 1) for j, v in enumerate(row)]
+                 for i, row in enumerate(gram)]
+        obj = QpObjective(h_mat, [_grid_entry(rng, 2) for _ in range(n)])
+        pt = [_grid_entry(rng, radius) for _ in range(n)]
+        anchor = [_grid_entry(rng, radius) for _ in range(n)]
+        if any(v < 0 for v in pt):
+            seen.add("negative coordinate")
+        eta = obj.value(pt) + rng.choice([0, 0, Rat(1, 64), 1, 10])
+        q = ConvexQuadraticSet(poly, obj, eta)
+        row = _primitive_row(rng, n)
+        rhs = dot(row, pt) + rng.choice([0, 0, Rat(1, 16), 1, -Rat(1, 32)])
+        want = _reference_simplify_accepted_point(q, pt, anchor, row, rhs, seen)
+        got = rounding._simplify_accepted_point(q, pt, anchor, row, rhs)
+        assert got == want
+        assert all(isinstance(v, Rat) for v in got)
+    assert seen == {"negative coordinate", "rejected by the cut", "rejected by q", "mixed",
+                    "half-grid tie", "rounded", "kept pt"}

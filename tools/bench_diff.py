@@ -4,11 +4,14 @@ Run from the repository root:
 
     python3 tools/bench_diff.py PARENT.json CHANGE.json
 
-Each file is the output of ``perfbench/run.py --trace 1``.  Every metric
-whose unit is count, ratio or bits is compared; times and memory are not,
-because they vary from run to run.  Each difference is printed as
-``metric: parent -> change``, with ``missing`` for a metric only one file
-has.  Exit code 0 means no difference, 1 means some.
+Each file is the output of ``perfbench/run.py --trace 1``, or a
+``BENCH_*.json`` file of ``tools/bench_json.py``, whose traced run of each
+workload (``workloads.<name>.trace1``) is compared with the other file's
+run of the same workload.  Every metric whose unit is count, ratio or bits
+is compared; times and memory are not, because they vary from run to run.
+Each difference is printed as ``metric: parent -> change``, prefixed with
+``workload: `` for BENCH files, with ``missing`` for a metric or workload
+only one file has.  Exit code 0 means no difference, 1 means some.
 """
 
 from __future__ import annotations
@@ -27,14 +30,29 @@ def deterministic_metrics(run: dict) -> dict:
             if entry["unit"] in UNITS}
 
 
+def traced_runs(doc: dict) -> dict:
+    """{workload: traced run} of a BENCH file, or {"": doc} for one run."""
+    if "workloads" in doc:
+        return {name: runs["trace1"] for name, runs in doc["workloads"].items()}
+    return {"": doc}
+
+
 def differences(parent: dict, change: dict) -> list:
     """Lines ``metric: parent -> change`` for every metric that differs."""
-    old, new = deterministic_metrics(parent), deterministic_metrics(change)
+    old_runs, new_runs = traced_runs(parent), traced_runs(change)
     lines = []
-    for name in sorted(old.keys() | new.keys()):
-        a, b = old.get(name, "missing"), new.get(name, "missing")
-        if a != b:
-            lines.append(f"{name}: {a} -> {b}")
+    for workload in sorted(old_runs.keys() | new_runs.keys()):
+        prefix = f"{workload}: " if workload else ""
+        if workload not in old_runs or workload not in new_runs:
+            lines.append(f"{workload or 'run'}: {'missing' if workload not in old_runs else 'present'}"
+                         f" -> {'missing' if workload not in new_runs else 'present'}")
+            continue
+        old = deterministic_metrics(old_runs[workload])
+        new = deterministic_metrics(new_runs[workload])
+        for name in sorted(old.keys() | new.keys()):
+            a, b = old.get(name, "missing"), new.get(name, "missing")
+            if a != b:
+                lines.append(f"{prefix}{name}: {a} -> {b}")
     return lines
 
 
