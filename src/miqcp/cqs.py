@@ -24,13 +24,15 @@ from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
 from .polyhedra import (
     Polyhedron,
     _fulldim_probe,
+    content_key,
     fulldim_reduce_polyhedron,
     implicit_equalities,
     integer_system,
 )
-from .qp import QpObjective, QpResult, qp_min
+from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, ONE, denom, numer, rfloor, rround, size_of_seq
 from .simplex import INFEASIBLE
+from .table import remember
 
 
 @dataclass
@@ -80,11 +82,8 @@ class ConvexQuadraticSet:
 
     def map_through(self, tau: AffineParam) -> "ConvexQuadraticSet":
         """Substitute x = xbar + M x'; eta' = eta - q(xbar) keeps the set exact."""
-        return ConvexQuadraticSet(
-            self.poly.map_through(tau),
-            self.obj.map_through(tau),
-            self.eta - self.obj.value(tau.xbar),
-        )
+        obj, q_xbar = self.obj.substitute(tau)
+        return ConvexQuadraticSet(self.poly.map_through(tau), obj, self.eta - q_xbar)
 
 
 FULL_DIM = "full_dim"
@@ -108,8 +107,8 @@ def quadratic_feasible_point(
 
 def slice_point(q: ConvexQuadraticSet, y: Vector) -> Optional[Vector]:
     """A point x of Q with leading coordinates x[:len(y)] = y, or None
-    (exact decision)."""
-    return quadratic_feasible_point(q.obj, q.poly.with_first_coords_fixed(y), q.eta)
+    (exact decision), read from the slice minimum `qp_min_on_slice`."""
+    return _point_below(q.obj, q.eta, qp_min_on_slice(q.obj, q.poly, y))
 
 
 def set_feasible_point(q: ConvexQuadraticSet) -> Optional[Vector]:
@@ -313,7 +312,9 @@ def _level_case(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     of -infinity (or an empty P) is FULL_DIM.  The minimum over all of
     space is computed only when face_min equals eta.  An identically-zero q
     makes Q = P (or empty when eta < 0) and needs no QP; face_min is then
-    None.  The answer depends on q alone, so it is kept on q.
+    None.  The answer depends on q alone, so it is kept on q; face_min
+    does not depend on eta, so in a solve it is kept for P and q's
+    objective (`table`).
     """
     if q._level is None:
         q._level = _split_level(q)
@@ -324,7 +325,8 @@ def _split_level(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     obj, eta = q.obj, q.eta
     if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
         return (EMPTY_SET if eta < 0 else FULL_DIM), None
-    face_min = qp_min(obj, q.poly)
+    face_min = remember(lambda: ("face_min", content_key(q.poly), objective_key(obj)),
+                        lambda: qp_min(obj, q.poly))
     if not face_min.is_optimal or face_min.value < eta:
         return FULL_DIM, face_min
     if face_min.value > eta:
@@ -400,9 +402,8 @@ def _reduce_step(
     if isinstance(out, Empty):
         return EMPTY
     tau, reduced = out
-    obj = cur.obj
-    q2 = ConvexQuadraticSet(reduced, obj.map_through(tau), cur.eta - obj.value(tau.xbar))
-    return tau_acc.compose(tau), q2
+    obj, q_xbar = cur.obj.substitute(tau)
+    return tau_acc.compose(tau), ConvexQuadraticSet(reduced, obj, cur.eta - q_xbar)
 
 
 def fulldim_reduce_cqs(

@@ -144,6 +144,12 @@ def integer_row(row: Vector) -> tuple:
     return [e.numerator * (ell // de) for e, de in zip(row, dens)], ell
 
 
+def integer_rows(w_mat: Matrix, w_rhs: Vector) -> tuple:
+    """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, by `integer_row`."""
+    pairs = [integer_row(list(row) + [b]) for row, b in zip(w_mat, w_rhs)]
+    return [row for row, _ in pairs], [ell for _, ell in pairs]
+
+
 def _eliminate(a: Matrix, forward_only: bool = False) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer-scaled rows.
 

@@ -5,11 +5,18 @@ variables.  The reduction maps a non-full-dimensional polyhedron to a
 full-dimensional isomorphic one in lower dimension while preserving the
 mixed-integer points, via the implicit-equality system and the diophantine
 parametrization.
+
+A polyhedron keeps what it costs to learn about itself (its probe, its
+phase-1 start, its integer rows).  Inside a solve (`table`), the probe and
+the reduction are also kept by content, so equal polyhedra that the
+optimality probes build again share one answer; `content_key` is that
+key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import List, Optional, Tuple, Union
 
@@ -21,7 +28,7 @@ from .diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, _idot, dot, integer_row
+from .linalg import Matrix, Vector, _idot, dot, integer_rows
 from .rational import Rat, ZERO, ONE
 from .simplex import (
     INFEASIBLE,
@@ -33,6 +40,7 @@ from .simplex import (
     phase2,
     solve_lp,
 )
+from .table import remember
 
 
 @dataclass
@@ -40,14 +48,17 @@ class Polyhedron:
     """{x in R^n : W x <= w} with the first p variables marked integer.
 
     Nothing writes to w_mat or w_rhs after construction, so a polyhedron
-    keeps three memos, each computed at most once per object and taking no
+    keeps four memos, each computed at most once per object and taking no
     part in equality or repr:
 
     - `_probe`, its `_fulldim_probe` (one LP);
     - `_start`, the simplex phase-1 state of W x <= w (tableau, basis and
-      d, or the Farkas vector), from which `lp_min` runs only phase 2;
+      d, or the Farkas vector), built from `_ints`, from which `lp_min`
+      runs only phase 2;
     - `_ints`, its `integer_system`, which `with_rows` extends by the new
-      rows when the parent already holds it.
+      rows when the parent already holds it;
+    - `_key`, its `content_key`, built when a solve's table is first asked
+      about it.
 
     `_box`, also outside equality and repr, is the declared box (lo, hi)
     when the solver built this polyhedron as another cut by that box.
@@ -82,6 +93,7 @@ class Polyhedron:
         default=None, init=False, repr=False, compare=False)
     _ints: Optional[Tuple[List[List[int]], List[int]]] = field(
         default=None, init=False, repr=False, compare=False)
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _box: Optional[Tuple[Vector, Vector]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -99,7 +111,7 @@ class Polyhedron:
             _n_hint=self.n,
         )
         if self._ints is not None:
-            new_rows, new_ells = _integer_rows(rows, rhs)
+            new_rows, new_ells = integer_rows(rows, rhs)
             out._ints = (self._ints[0] + new_rows, self._ints[1] + new_ells)
         return out
 
@@ -165,13 +177,14 @@ class Polyhedron:
 def lp_min(c: Vector, poly: Polyhedron) -> LpResult:
     """Exact min of c^T x over the polyhedron, with certificates.
 
-    Phase 1 runs on the first call for a polyhedron object, and each call
-    runs phase 2 from its start, so the result equals solve_lp's.
+    Phase 1 runs on the first call for a polyhedron object, on the rows
+    of its `integer_system`, and each call runs phase 2 from its start, so
+    the result equals solve_lp's.
     """
     if len(c) != poly.n:
         raise DimensionError("lp_min: objective length != n")
     if poly._start is None:
-        poly._start = phase1(poly.w_mat, poly.w_rhs, poly.n)
+        poly._start = phase1(poly.w_mat, poly.w_rhs, poly.n, integer_system(poly))
     return phase2(poly._start, c)
 
 
@@ -179,13 +192,20 @@ def integer_system(poly: Polyhedron) -> Tuple[List[List[int]], List[int]]:
     """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, ells[i] > 0,
     computed once per polyhedron object.  Nothing writes to the lists."""
     if poly._ints is None:
-        poly._ints = _integer_rows(poly.w_mat, poly.w_rhs)
+        poly._ints = integer_rows(poly.w_mat, poly.w_rhs)
     return poly._ints
 
 
-def _integer_rows(w_mat: Matrix, w_rhs: Vector) -> Tuple[List[List[int]], List[int]]:
-    pairs = [integer_row(list(row) + [b]) for row, b in zip(w_mat, w_rhs)]
-    return [row for row, _ in pairs], [ell for _, ell in pairs]
+def content_key(poly: Polyhedron) -> tuple:
+    """(p, n, ells..., rows...): p, n and `integer_system` in one flat
+    tuple, the rows one after another (m is len // (n + 2)).  Equal for two
+    polyhedra exactly when their w_mat, w_rhs, p and n are equal, because
+    ells[i] is the least common denominator of row i.  Built once per
+    polyhedron object."""
+    if poly._key is None:
+        rows, ells = integer_system(poly)
+        poly._key = (poly.p, poly.n, *ells, *chain.from_iterable(rows))
+    return poly._key
 
 
 def recession_ray_check(poly: Polyhedron, ray: Vector) -> bool:
@@ -203,9 +223,10 @@ class _FulldimProbe:
 
 def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
     """One LP (max t : Wx + t <= w) deciding empty / flat / full-dimensional,
-    run once per polyhedron object."""
+    run once per polyhedron object, and once per content in a solve
+    (`table`)."""
     if poly._probe is None:
-        poly._probe = _probe_lp(poly)
+        poly._probe = remember(lambda: ("probe", content_key(poly)), lambda: _probe_lp(poly))
     return poly._probe
 
 
@@ -274,8 +295,13 @@ def fulldim_reduce_polyhedron(
 
     Returns Empty when P has no mixed-integer point detectable from the
     implicit-equality system (including P = empty set); otherwise a map
-    tau with P = tau(P') and P' full-dimensional.
+    tau with P = tau(P') and P' full-dimensional.  In a solve, polyhedra
+    of equal content share one answer (`table`).
     """
+    return remember(lambda: ("reduce", content_key(poly)), lambda: _reduce_polyhedron(poly))
+
+
+def _reduce_polyhedron(poly: Polyhedron) -> Union[Empty, Tuple[AffineParam, Polyhedron]]:
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return EMPTY

@@ -18,6 +18,7 @@ scale; iteration counts are reported on every result for observability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import List, Optional
 
@@ -36,9 +37,10 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .polyhedra import Polyhedron, integer_system, lp_min
+from .polyhedra import Polyhedron, content_key, integer_system, lp_min
 from .rational import Rat, ZERO
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from .table import remember
 
 _ITERATION_CAP_FACTOR = 60
 
@@ -113,22 +115,31 @@ class QpObjective:
         return all(v == 0 for row in self.h_mat for v in row)
 
     def map_through(self, tau) -> "QpObjective":
-        """Objective in x' coordinates under x = xbar + M x' (constant dropped).
+        """Objective in x' coordinates under x = xbar + M x' (constant dropped)."""
+        return self.substitute(tau)[0]
 
-        H' = M^T H M and h' = M^T (2 H xbar + h); the dropped constant is
-        xbar^T H xbar + h^T xbar.  Computed on ints from this objective's
-        `integer_form` (H_i, h_i, s) and tau's (M = M_i / m, xbar = X / x):
-        H' = M_i^T H_i M_i / (s m^2) and h' = M_i^T (2 H_i X + x h_i) / (s m x).
+    def substitute(self, tau) -> tuple:
+        """(child, q(xbar)): x = xbar + M x' turns q into child(x') + q(xbar).
+
+        H' = M^T H M and h' = M^T (2 H xbar + h); the constant is
+        q(xbar) = xbar^T H xbar + h^T xbar.  Computed on ints from this
+        objective's `integer_form` (H_i, h_i, s) and tau's (M = M_i / m,
+        xbar = X / x): H' = M_i^T H_i M_i / (s m^2),
+        h' = M_i^T (2 H_i X + x h_i) / (s m x) and
+        q(xbar) = (X^T H_i X + x h_i^T X) / (s x^2).
         Over the one denominator s m^2 x, divided by its gcd with every
-        numerator, that is the child's `integer_form`, so the child keeps it.
-        M has full column rank, so M^T H M is definite when H is: such a
-        child skips the LDL^T check.  A semidefinite H may still give a
-        definite child (H = diag(1, 0), M = e_1), so the check runs then.
+        numerator, H' and h' are the child's `integer_form`, so the child
+        keeps it.  M has full column rank, so M^T H M is definite when H
+        is: such a child skips the LDL^T check.  A semidefinite H may still
+        give a definite child (H = diag(1, 0), M = e_1), so the check runs
+        then.
         """
         h_int, lin, scale = self.integer_form()
         (cols, m_den), (x_num, x_den) = tau.integer_form()
         hm = [[_idot(row, col) for row in h_int] for col in cols]  # columns of H_i M_i
-        grad = [2 * _idot(row, x_num) + x_den * v for row, v in zip(h_int, lin)]
+        h_x = [_idot(row, x_num) for row in h_int]
+        grad = [2 * u + x_den * v for u, v in zip(h_x, lin)]
+        constant = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
         h_num = [[x_den * _idot(a, b) for b in hm] for a in cols]
         lin_num = [m_den * _idot(a, grad) for a in cols]
         den = scale * m_den * m_den * x_den
@@ -146,7 +157,15 @@ class QpObjective:
         else:
             out = QpObjective(h_mat, h_vec)
         object.__setattr__(out, "_ints", (h_num, lin_num, den))
-        return out
+        return out, constant
+
+
+def objective_key(obj: QpObjective) -> tuple:
+    """(s, h_i..., H_i rows...): `integer_form` in one flat tuple.  Equal
+    for two objectives exactly when their H and h are equal, s being the
+    least common denominator."""
+    h_int, lin, scale = obj.integer_form()
+    return (scale, *lin, *chain.from_iterable(h_int))
 
 
 @dataclass
@@ -386,8 +405,12 @@ def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult
 
 
 def qp_min_on_slice(obj: QpObjective, poly: Polyhedron, fixed: Vector) -> QpResult:
-    """qp_min with the first len(fixed) coordinates pinned by equality rows."""
-    return qp_min(obj, poly.with_first_coords_fixed(fixed))
+    """qp_min with the first len(fixed) coordinates pinned by equality rows.
+
+    In a solve, equal objectives, polyhedra and pins share one answer
+    (`table`)."""
+    return remember(lambda: ("slice", content_key(poly), objective_key(obj), tuple(fixed)),
+                    lambda: qp_min(obj, poly.with_first_coords_fixed(fixed)))
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

@@ -34,7 +34,8 @@ start for phase 2 (Dantzig's two-phase method; Chvatal 1983, ch. 8).  So
 the artificials are driven out, or the Farkas vector), and ``phase2``
 restarts from a copy of it for each cost.  ``solve_lp`` is the one after the
 other; a ``Polyhedron`` keeps its start, so many objectives over one
-polyhedron pay for phase 1 once.
+polyhedron pay for phase 1 once, and hands phase 1 the integer rows it
+keeps, so phase 1 scales none of them again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import lcm
 from typing import List, Optional
 
 from .errors import DimensionError
-from .linalg import Matrix, Vector, dot, integer_row
+from .linalg import Matrix, Vector, dot, integer_row, integer_rows
 from .rational import Rat, ZERO, ONE
 
 OPTIMAL = "optimal"
@@ -305,10 +306,14 @@ class _Tableau:
         return [Rat(v, self.d) for v in out]
 
 
-def phase1(w_mat: Matrix, w_rhs: Vector, n: int) -> LpStart:
+def phase1(w_mat: Matrix, w_rhs: Vector, n: int, ints: Optional[tuple] = None) -> LpStart:
     """A feasible start for min c^T x s.t. W x <= w, x in R^n, any c.
 
     Rows of W must have length n; ``solve_lp`` and ``Polyhedron`` check that.
+    ints, when given, is (rows, scales) with rows[i] = scales[i] [W_i | w_i]
+    as ints and scales[i] the lcm of row i's denominators, as
+    ``polyhedra.integer_system`` keeps it; phase 1 then reads the rows from
+    it instead of scaling them again, and the start is the same.
     """
     m = len(w_mat)
     if m == 0:
@@ -327,14 +332,10 @@ def phase1(w_mat: Matrix, w_rhs: Vector, n: int) -> LpStart:
     # integer and artificial i becomes s_i a_i, so its column stays e_i and
     # slack i's is sigma_i s_i e_i, implicit.  The dictionary starts with
     # the x+ columns and the right-hand side, d = 1 (Bareiss 1968).
-    sigma = [(-1 if w_rhs[i] < 0 else 1) for i in range(m)]
+    rows, scale = ints if ints is not None else integer_rows(w_mat, w_rhs)
+    sigma = [(-1 if row[-1] < 0 else 1) for row in rows]
     ncols = 2 * n + m
-    scale = []
-    tab = []
-    for i in range(m):
-        ints, si = integer_row(w_mat[i] + [w_rhs[i]])
-        tab.append([sigma[i] * v for v in ints])
-        scale.append(si)
+    tab = [row if sg == 1 else [-v for v in row] for row, sg in zip(rows, sigma)]
     t = _Tableau(n, tab, [ncols + i for i in range(m)], list(range(n)), 1,
                  [sg * si for sg, si in zip(sigma, scale)])
 

@@ -14,6 +14,11 @@ Once a candidate value v is in hand (the slice-QP optimum of the best known
 integer assignment), a single probe at v - 1/(2 D^2) decides optimality,
 where D bounds the denominator of every candidate value; midpoint probes
 tighten the bracket when the candidate improves too slowly.
+
+`optimize`, `feasibility` and `boundedness` each run with one table per
+top-level call (`table`): the probes share every full-dimensionality
+probe, polyhedron reduction, minimum of q over P and slice minimum, which
+do not depend on eta.  The table is dropped on return or on an exception.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
+from .table import per_solve
 
 OPTIMAL_STATUS = "optimal"
 INFEASIBLE_STATUS = "infeasible"
@@ -159,6 +165,7 @@ def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
     return ConvexQuadraticSet(q.poly.with_box(lo, hi), q.obj, q.eta)
 
 
+@per_solve
 def feasibility(
     q: ConvexQuadraticSet,
     declared_box: Optional[Tuple[Vector, Vector]] = None,
@@ -259,6 +266,7 @@ class BoundednessResult:
     ray: Optional[Vector] = None
 
 
+@per_solve
 def boundedness(inst: MicqpInstance, trace: Optional[Trace] = None) -> BoundednessResult:
     """Unbounded iff a mixed-integer feasible point and a descent ray coexist.
 
@@ -302,6 +310,7 @@ def _denominator_bound(inst: MicqpInstance) -> int:
     return ell_obj * d_point * d_point
 
 
+@per_solve
 def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     """Accurate solve: feasibility, boundedness, then the exact optimum.
 
@@ -329,7 +338,11 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
 
     P is boxed once per call: the MILP check and every level-set probe run
     on that one new polyhedron object, which `feasibility` keeps as it is,
-    so its full-dimensionality probe and phase 1 run once.
+    so its full-dimensionality probe and phase 1 run once.  The probes
+    share one table (`table`, keyed by the content of polyhedra and
+    objectives): a reduction, a minimum of q over P or a slice minimum that
+    an earlier probe computed is read back, not run again.  Each is
+    independent of the level, so answers and traces are those without it.
     """
     box = inst.declared_box
     poly = inst.poly if box is None else _box_poly(inst.poly, box)

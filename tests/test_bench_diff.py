@@ -47,6 +47,8 @@ def test_changed_and_missing_metrics_are_listed(tmp_path, capsys):
     a.write_text(json.dumps(PARENT))
     b.write_text(json.dumps(change))
     assert tool.main([str(a), str(b)]) == 1
+    # the printed lines tag what BENCHMARK.json ranks, when both runs have it
+    want[-1] += " (worse)"
     assert capsys.readouterr().out.splitlines() == want
 
 
@@ -70,7 +72,34 @@ def test_bench_files_compare_workload_by_workload(tmp_path, capsys):
     a.write_text(json.dumps(parent))
     b.write_text(json.dumps(_bench(pdepth=moved, msplit=PARENT)))
     assert tool.main([str(a), str(b)]) == 1
+    want[1] += " (worse)"
     assert capsys.readouterr().out.splitlines() == want
     # the committed files of two changes that kept every counter
     root = BENCH_DIFF_PY.parent.parent
     assert tool.main([str(root / "BENCH_14.json"), str(root / "BENCH_15.json")]) == 0
+
+
+def test_per_layer_differences_are_tagged_by_direction(tmp_path, capsys):
+    tool = _bench_diff()
+    better = tool.directions(json.loads(tool.BENCHMARK.read_text()))
+    assert better["qp.qp_min.calls"] == "lower"
+    assert better["lattice.flatness.point_ratio"] == "higher"
+    parent = _run(**{"qp.qp_min.calls": (419, "count"), "lattice.flatness.point_ratio": (0.5, "ratio"),
+                     "rounding.grow_simplex.accept_ratio": (0.9, "ratio"),
+                     "simplex.solve_lp.max_bits": (31, "bits"), "unranked.count": (1, "count")})
+    change = _run(**{"qp.qp_min.calls": (306, "count"), "lattice.flatness.point_ratio": (0.25, "ratio"),
+                     "rounding.grow_simplex.accept_ratio": (1.0, "ratio"),
+                     "simplex.solve_lp.max_bits": (40, "bits"), "unranked.count": (2, "count")})
+    want = ["lattice.flatness.point_ratio: 0.5 -> 0.25 (worse)",
+            "qp.qp_min.calls: 419 -> 306 (better)",
+            "rounding.grow_simplex.accept_ratio: 0.9 -> 1.0 (better)",
+            "simplex.solve_lp.max_bits: 31 -> 40 (worse)",
+            "unranked.count: 1 -> 2"]
+    assert tool.differences(parent, change, better) == want
+    # untagged without directions, and the exit code does not read the tags
+    assert tool.differences(parent, change) == [line.split(" (")[0] for line in want]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(parent))
+    b.write_text(json.dumps(change))
+    assert tool.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == want

@@ -578,6 +578,20 @@ def test_map_through_matches_triple_loop():
         assert mapped.h_vec == [dot(mt[i], lin) for i in range(n_prime)]
 
 
+def test_substitute_gives_the_child_and_q_at_xbar():
+    # tau of any rank: the constant from the integer products is q(xbar)
+    rng = random.Random(1719)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        n_prime = rng.randint(0, n)
+        obj = _random_objective(rng, n, rng.choice(("full", "singular", "zero")))
+        m = [[_rat(rng, rng.random() < 0.3) for _ in range(n_prime)] for _ in range(n)]
+        tau = AffineParam([_rat(rng) for _ in range(n)], m, 0, n_prime)
+        child, constant = obj.substitute(tau)
+        assert child == obj.map_through(tau)
+        assert constant == obj.value(tau.xbar)
+
+
 def test_mapped_objective_definiteness():
     # M has full column rank, so a definite H maps to a definite M^T H M,
     # but not only then: H = diag(1, 0) is semidefinite and M = e_1 gives [1]

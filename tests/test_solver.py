@@ -1,3 +1,4 @@
+import contextlib
 import random
 from math import lcm
 
@@ -5,6 +6,7 @@ import pytest
 
 import miqcp.polyhedra
 import miqcp.solver
+import miqcp.table
 from miqcp.bounds import magnitude_bound, scaled_integer_system_size
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
@@ -339,7 +341,9 @@ def test_declared_box_that_misses_the_polyhedron_raises():
 def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
     # the MILP check and every level-set probe share one boxed polyhedron;
     # boxing afresh for each of them (as before) gives the same answer and
-    # the same recursion, but probes an equal polyhedron once per call
+    # the same recursion, but probes an equal polyhedron once per call.
+    # The reference runs with the solve table shut, which would otherwise
+    # hand every equal polyhedron the first one's probe.
     probed = []
     probe_lp = miqcp.polyhedra._probe_lp
     monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
@@ -351,6 +355,7 @@ def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(miqcp.solver, "_box_poly",
                       lambda poly, b: _merge_duplicate_rows(poly.with_box(*b)))
+            m.setattr(miqcp.table, "open_table", contextlib.nullcontext)
             probed.clear()
             ref_trace = Trace()
             ref = optimize(inst, ref_trace)

@@ -11,7 +11,9 @@ run of the same workload.  Every metric whose unit is count, ratio or bits
 is compared; times and memory are not, because they vary from run to run.
 Each difference is printed as ``metric: parent -> change``, prefixed with
 ``workload: `` for BENCH files, with ``missing`` for a metric or workload
-only one file has.  Exit code 0 means no difference, 1 means some.
+only one file has.  A per-layer metric of ``BENCHMARK.json`` present in
+both runs is tagged ``(better)`` or ``(worse)`` by its ``better``
+direction.  Exit code 0 means no difference, 1 means some.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 UNITS = ("count", "ratio", "bits")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def deterministic_metrics(run: dict) -> dict:
@@ -37,8 +41,23 @@ def traced_runs(doc: dict) -> dict:
     return {"": doc}
 
 
-def differences(parent: dict, change: dict) -> list:
-    """Lines ``metric: parent -> change`` for every metric that differs."""
+def directions(benchmark: dict) -> dict:
+    """{metric: "lower" or "higher"} over the per-layer metrics of a
+    ``BENCHMARK.json`` document."""
+    return {entry["name"]: entry["better"] for entry in benchmark["per_layer"]}
+
+
+def _tag(name: str, a, b, better: dict) -> str:
+    """`` (better)`` or `` (worse)`` when name has a direction and both
+    values are present, else nothing."""
+    if name not in better or "missing" in (a, b):
+        return ""
+    return " (better)" if (b < a) == (better[name] == "lower") else " (worse)"
+
+
+def differences(parent: dict, change: dict, better: Optional[dict] = None) -> list:
+    """Lines ``metric: parent -> change`` for every metric that differs,
+    tagged by the directions in better (see `directions`) when given."""
     old_runs, new_runs = traced_runs(parent), traced_runs(change)
     lines = []
     for workload in sorted(old_runs.keys() | new_runs.keys()):
@@ -52,7 +71,7 @@ def differences(parent: dict, change: dict) -> list:
         for name in sorted(old.keys() | new.keys()):
             a, b = old.get(name, "missing"), new.get(name, "missing")
             if a != b:
-                lines.append(f"{prefix}{name}: {a} -> {b}")
+                lines.append(f"{prefix}{name}: {a} -> {b}{_tag(name, a, b, better or {})}")
     return lines
 
 
@@ -61,7 +80,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     args = ap.parse_args(argv)
-    lines = differences(json.loads(args.parent.read_text()), json.loads(args.change.read_text()))
+    lines = differences(json.loads(args.parent.read_text()), json.loads(args.change.read_text()),
+                        directions(json.loads(BENCHMARK.read_text())))
     for line in lines:
         print(line)
     return 1 if lines else 0
