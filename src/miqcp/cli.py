@@ -322,11 +322,11 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
             if isinstance(out, Empty):
                 return 0, {"status": "empty"}
             tau, q2 = out
-            obj2 = parsed.micqp.obj.map_through(tau)
+            obj2, offset = parsed.micqp.obj.substitute(tau)
             return 0, {
                 "status": "reduced",
                 "instance": _reduced_instance_json(q2, obj2),
-                "objective_offset": rat_str(parsed.micqp.obj.value(tau.xbar)),
+                "objective_offset": rat_str(offset),
                 "tau": _emit_tau(tau),
             }
     except MiqcpError as exc:  # InstanceParseError included

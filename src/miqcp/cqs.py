@@ -24,6 +24,7 @@ from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
 from .polyhedra import (
     Polyhedron,
     _fulldim_probe,
+    _shared_probe,
     content_key,
     fulldim_reduce_polyhedron,
     implicit_equalities,
@@ -377,7 +378,7 @@ def classify_fulldim(q: ConvexQuadraticSet) -> FulldimCertificate:
     `fulldim_reduce_cqs` returned this runs no LP or QP beyond the ones the
     inner polytope needs anyway."""
     poly, obj = q.poly, q.obj
-    probe = _fulldim_probe(poly)
+    probe = _shared_probe(poly)
     if probe.status == "empty":
         return FulldimCertificate(EMPTY_SET)
     tag, _ = _level_case(q)

@@ -7,8 +7,9 @@ mixed-integer points, via the implicit-equality system and the diophantine
 parametrization.
 
 A polyhedron keeps what it costs to learn about itself (its probe, its
-phase-1 start, its integer rows).  Inside a solve (`table`), the probe and
-the reduction are also kept by content, so equal polyhedra that the
+phase-1 start, its integer rows).  Inside a solve (`table`), the reduction
+and the probe of a polyhedron that does not depend on eta
+(`_shared_probe`) are also kept by content, so equal polyhedra that the
 optimality probes build again share one answer; `content_key` is that
 key.
 """
@@ -223,8 +224,16 @@ class _FulldimProbe:
 
 def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
     """One LP (max t : Wx + t <= w) deciding empty / flat / full-dimensional,
-    run once per polyhedron object, and once per content in a solve
-    (`table`)."""
+    run once per polyhedron object."""
+    if poly._probe is None:
+        poly._probe = _probe_lp(poly)
+    return poly._probe
+
+
+def _shared_probe(poly: Polyhedron) -> _FulldimProbe:
+    """`_fulldim_probe`, run once per content in a solve (`table`).  For the
+    polyhedra that do not depend on eta (the reduced, classified and boxed
+    ones), which the optimality probes build again."""
     if poly._probe is None:
         poly._probe = remember(lambda: ("probe", content_key(poly)), lambda: _probe_lp(poly))
     return poly._probe
@@ -302,7 +311,7 @@ def fulldim_reduce_polyhedron(
 
 
 def _reduce_polyhedron(poly: Polyhedron) -> Union[Empty, Tuple[AffineParam, Polyhedron]]:
-    probe = _fulldim_probe(poly)
+    probe = _shared_probe(poly)
     if probe.status == "empty":
         return EMPTY
     if probe.status == "full_dim":

@@ -53,7 +53,7 @@ class QpObjective:
     every objective is PSD: a non-square or mis-sized H raises
     DimensionError, an asymmetric one PreconditionError, and one that is
     not PSD NotPsdError (with the failing pivot).  A reduced objective
-    M^T H M is PSD whenever H is, so its check always passes; `map_through`
+    M^T H M is PSD whenever H is, so its check always passes; `substitute`
     skips it for the child of a definite objective.  The same pivots
     decide `definite`: H is positive definite iff every one is positive,
     and then q has one minimizer over any nonempty polyhedron.
@@ -113,10 +113,6 @@ class QpObjective:
 
     def is_zero_quadratic(self) -> bool:
         return all(v == 0 for row in self.h_mat for v in row)
-
-    def map_through(self, tau) -> "QpObjective":
-        """Objective in x' coordinates under x = xbar + M x' (constant dropped)."""
-        return self.substitute(tau)[0]
 
     def substitute(self, tau) -> tuple:
         """(child, q(xbar)): x = xbar + M x' turns q into child(x') + q(xbar).

@@ -16,9 +16,9 @@ where D bounds the denominator of every candidate value; midpoint probes
 tighten the bracket when the candidate improves too slowly.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
-top-level call (`table`): the probes share every full-dimensionality
-probe, polyhedron reduction, minimum of q over P and slice minimum, which
-do not depend on eta.  The table is dropped on return or on an exception.
+top-level call (`table`): the probes share the polyhedron reductions,
+full-dimensionality probes, minima of q over P and slice minima, which do
+not depend on eta.  The table is dropped on return or on an exception.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .diophantine import Empty, parametrize_mixed_integer_solutions
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
-from .polyhedra import Polyhedron, _fulldim_probe, lp_min
+from .polyhedra import Polyhedron, _shared_probe, lp_min
 from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -192,8 +192,8 @@ def _check_box(boxed: Polyhedron, poly: Polyhedron) -> None:
     probed the boxed polyhedron already unless q is linear and nonzero;
     the unboxed probe runs only when the boxed polyhedron is empty.
     """
-    if (_fulldim_probe(boxed).status == "empty"
-            and _fulldim_probe(poly).status != "empty"):
+    if (_shared_probe(boxed).status == "empty"
+            and _shared_probe(poly).status != "empty"):
         raise PreconditionError(
             "box: the declared box misses the nonempty constraint polyhedron")
 

@@ -12,7 +12,8 @@ polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
 (`qp.objective_key`) where one is involved.
 
-- `polyhedra._fulldim_probe`, the full-dimensionality probe;
+- `polyhedra._shared_probe`, the full-dimensionality probe of a polyhedron
+  that does not depend on eta (one being reduced, classified or boxed);
 - `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
   Empty; a hit hands back the same reduced object, with the probe,
   phase-1 start and integer rows it keeps;

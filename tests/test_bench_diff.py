@@ -28,7 +28,7 @@ def test_times_differ_but_no_counter_does(tmp_path):
     tool = _bench_diff()
     change = _run(**{"solver.nodes": (33, "count"), "lattice.flatness.point_ratio": (0.5, "ratio"),
                      "simplex.solve_lp.max_bits": (31, "bits"), "traced.solve_s": (0.5, "s")})
-    assert tool.differences(PARENT, change) == []
+    assert tool.differences(PARENT, change, {}) == []
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(PARENT))
     b.write_text(json.dumps(change))
@@ -42,7 +42,7 @@ def test_changed_and_missing_metrics_are_listed(tmp_path, capsys):
     want = ["simplex.solve_lp.max_bits: 31 -> missing",
             "solver.bands: missing -> 2",
             "solver.nodes: 33 -> 34"]
-    assert tool.differences(PARENT, change) == want
+    assert tool.differences(PARENT, change, {}) == want
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(PARENT))
     b.write_text(json.dumps(change))
@@ -63,11 +63,11 @@ def test_bench_files_compare_workload_by_workload(tmp_path, capsys):
     moved = _run(**{"solver.nodes": (34, "count"), "lattice.flatness.point_ratio": (0.5, "ratio"),
                     "simplex.solve_lp.max_bits": (31, "bits"), "traced.solve_s": (0.9, "s")})
     parent = _bench(pdepth=PARENT, radius=PARENT)
-    assert tool.differences(parent, _bench(pdepth=PARENT, radius=PARENT)) == []
+    assert tool.differences(parent, _bench(pdepth=PARENT, radius=PARENT), {}) == []
     want = ["msplit: missing -> present",
             "pdepth: solver.nodes: 33 -> 34",
             "radius: present -> missing"]
-    assert tool.differences(parent, _bench(pdepth=moved, msplit=PARENT)) == want
+    assert tool.differences(parent, _bench(pdepth=moved, msplit=PARENT), {}) == want
     a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
     a.write_text(json.dumps(parent))
     b.write_text(json.dumps(_bench(pdepth=moved, msplit=PARENT)))
@@ -96,8 +96,7 @@ def test_per_layer_differences_are_tagged_by_direction(tmp_path, capsys):
             "simplex.solve_lp.max_bits: 31 -> 40 (worse)",
             "unranked.count: 1 -> 2"]
     assert tool.differences(parent, change, better) == want
-    # untagged without directions, and the exit code does not read the tags
-    assert tool.differences(parent, change) == [line.split(" (")[0] for line in want]
+    # the exit code does not read the tags
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(parent))
     b.write_text(json.dumps(change))

@@ -644,7 +644,8 @@ def _reference_map_polyhedron(poly, tau):
 
 
 def _reference_map_objective(obj, tau):
-    """`QpObjective.map_through` on Fractions, through the checked constructor."""
+    """The child of `QpObjective.substitute` on Fractions, through the checked
+    constructor."""
     mt = transpose(tau.m) if tau.n_prime else []
     h_cols = [mat_vec(obj.h_mat, col) for col in mt]
     lin = obj.gradient(tau.xbar)

@@ -573,7 +573,7 @@ def test_map_through_matches_triple_loop():
         h_new = [[sum((mt[i][a] * h_cols[a][j] for a in range(n)), ZERO)
                   for j in range(n_prime)] for i in range(n_prime)]
         lin = obj.gradient(tau.xbar)
-        mapped = obj.map_through(tau)
+        mapped, _ = obj.substitute(tau)
         assert mapped.h_mat == h_new
         assert mapped.h_vec == [dot(mt[i], lin) for i in range(n_prime)]
 
@@ -588,7 +588,6 @@ def test_substitute_gives_the_child_and_q_at_xbar():
         m = [[_rat(rng, rng.random() < 0.3) for _ in range(n_prime)] for _ in range(n)]
         tau = AffineParam([_rat(rng) for _ in range(n)], m, 0, n_prime)
         child, constant = obj.substitute(tau)
-        assert child == obj.map_through(tau)
         assert constant == obj.value(tau.xbar)
 
 
@@ -597,14 +596,14 @@ def test_mapped_objective_definiteness():
     # but not only then: H = diag(1, 0) is semidefinite and M = e_1 gives [1]
     obj = QpObjective(mat([[1, 0], [0, 0]]), [ZERO, ONE])
     assert not obj.definite
-    child = obj.map_through(AffineParam([ZERO, Rat(3)], mat([[1], [0]]), 0, 1))
+    child, _ = obj.substitute(AffineParam([ZERO, Rat(3)], mat([[1], [0]]), 0, 1))
     assert child.definite
     assert child == QpObjective(mat([[1]]), [ZERO])
     # while the identity map keeps it semidefinite
-    assert not obj.map_through(AffineParam([ZERO, ZERO], identity(2), 0, 2)).definite
+    assert not obj.substitute(AffineParam([ZERO, ZERO], identity(2), 0, 2))[0].definite
     # n' = 0 from either kind of parent: the empty objective, which is definite
     for parent in (obj, QpObjective(identity(2), [ONE, ZERO])):
-        child = parent.map_through(AffineParam([ONE, Rat(-1, 2)], [[], []], 0, 0))
+        child, _ = parent.substitute(AffineParam([ONE, Rat(-1, 2)], [[], []], 0, 0))
         assert child == QpObjective([], []) and child.definite
         assert child.integer_form() == ([], [], 1)
     # a definite parent's child skips the LDL^T check, and equals, field and
@@ -616,7 +615,7 @@ def test_mapped_objective_definiteness():
         assert parent.definite
         k = rng.randint(1, n)
         m = [row[:k] for row in _random_objective(rng, n, "full").h_mat]  # full column rank
-        child = parent.map_through(AffineParam([_rat(rng, True) for _ in range(n)], m, 0, k))
+        child, _ = parent.substitute(AffineParam([_rat(rng, True) for _ in range(n)], m, 0, k))
         fresh = QpObjective(child.h_mat, child.h_vec)
         assert child == fresh and child.definite and fresh.definite
         assert child.integer_form() == fresh.integer_form()

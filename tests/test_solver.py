@@ -342,12 +342,13 @@ def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
     # the MILP check and every level-set probe share one boxed polyhedron;
     # boxing afresh for each of them (as before) gives the same answer and
     # the same recursion, but probes an equal polyhedron once per call.
-    # The reference runs with the solve table shut, which would otherwise
-    # hand every equal polyhedron the first one's probe.
+    # Both arms run with the solve table shut, which would otherwise hand
+    # every equal polyhedron the first one's probe and hide a re-boxing.
     probed = []
     probe_lp = miqcp.polyhedra._probe_lp
     monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
                         lambda poly: probed.append(poly) or probe_lp(poly))
+    monkeypatch.setattr(miqcp.table, "open_table", contextlib.nullcontext)
     cases = [inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:16]
     repeated = 0
     for inst in cases:
@@ -355,7 +356,6 @@ def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(miqcp.solver, "_box_poly",
                       lambda poly, b: _merge_duplicate_rows(poly.with_box(*b)))
-            m.setattr(miqcp.table, "open_table", contextlib.nullcontext)
             probed.clear()
             ref_trace = Trace()
             ref = optimize(inst, ref_trace)

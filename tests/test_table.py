@@ -13,11 +13,13 @@ import pytest
 
 import miqcp.polyhedra
 import miqcp.table
+from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
-from miqcp.linalg import mat, rank
-from miqcp.polyhedra import _fulldim_probe
+from miqcp.linalg import identity, mat, rank
+from miqcp.polyhedra import _fulldim_probe, content_key
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat
+from miqcp.rounding import sandwich
 from miqcp.simplex import phase1
 from miqcp.solver import MicqpInstance, Trace, optimize
 
@@ -104,6 +106,18 @@ def test_the_table_is_dropped_when_a_solve_raises(monkeypatch):
     _fulldim_probe(box([0], [3], p=1))
     _fulldim_probe(box([0], [3], p=1))
     assert len(probed) == 2
+
+
+def test_only_probes_of_level_free_polyhedra_are_kept():
+    # sandwich classifies Q's polyhedron, whose probe the table keeps, and
+    # anchors its grow loop at the probe of the inner cube, which depends on
+    # eta: that probe stays on the cube object alone
+    poly = box([0, 0], [4, 4], p=2)
+    q = ConvexQuadraticSet(poly, QpObjective(identity(2), [Rat(-4), Rat(-4)]), Rat(-7))
+    with miqcp.table.open_table():
+        sandwich(q, 2)
+        kept = [key[1] for key in miqcp.table._TABLE.get() if key[0] == "probe"]
+    assert kept == [content_key(poly)]
 
 
 def test_a_nested_solve_shares_the_open_table():

@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 UNITS = ("count", "ratio", "bits")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -55,9 +54,9 @@ def _tag(name: str, a, b, better: dict) -> str:
     return " (better)" if (b < a) == (better[name] == "lower") else " (worse)"
 
 
-def differences(parent: dict, change: dict, better: Optional[dict] = None) -> list:
+def differences(parent: dict, change: dict, better: dict) -> list:
     """Lines ``metric: parent -> change`` for every metric that differs,
-    tagged by the directions in better (see `directions`) when given."""
+    tagged by the directions in better (see `directions`)."""
     old_runs, new_runs = traced_runs(parent), traced_runs(change)
     lines = []
     for workload in sorted(old_runs.keys() | new_runs.keys()):
@@ -71,7 +70,7 @@ def differences(parent: dict, change: dict, better: Optional[dict] = None) -> li
         for name in sorted(old.keys() | new.keys()):
             a, b = old.get(name, "missing"), new.get(name, "missing")
             if a != b:
-                lines.append(f"{prefix}{name}: {a} -> {b}{_tag(name, a, b, better or {})}")
+                lines.append(f"{prefix}{name}: {a} -> {b}{_tag(name, a, b, better)}")
     return lines
 
 
