@@ -16,7 +16,7 @@ from .cqs import ConvexQuadraticSet, fulldim_reduce_cqs
 from .diophantine import AffineParam, Empty, integer_reflexive_ginv
 from .errors import InstanceParseError, MiqcpError, NotPsdError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness
-from .linalg import dot, is_integer_mat, mat_eq, mat_mul, mat_vec
+from .linalg import dot, is_integer_mat, mat_eq, mat_mul, mat_vec, rank
 from .polyhedra import Polyhedron, recession_ray_check
 from .qp import QpObjective
 from .rational import RationalParseError, rat, rat_str
@@ -261,8 +261,12 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
         if command == "flatness":
             data = _json_object(text, ("B", "a", "r"))
             b_mat = _matrix_at(data.get("B"), "B")
+            if any(len(row) != len(b_mat) for row in b_mat) or rank(b_mat) < len(b_mat):
+                raise InstanceParseError("B", "lattice basis must be square and nonsingular")
             a_vec = _vector_at(data.get("a"), "a", len(b_mat))
             r_val = _rat_at(data.get("r"), "r")
+            if r_val < 0:
+                raise InstanceParseError("r", "must be >= 0")
             out = flatness(a_vec, r_val, LatticeBasis(b_mat))
             if out.tag == LATTICE_POINT:
                 return 0, {"outcome": "lattice_point", "z": _emit_vec(out.z)}
@@ -270,43 +274,15 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
 
         parsed = parse_instance(text)
 
-        if command == "solve" or command == "oracle":
-            if command == "solve":
-                res = optimize(parsed.micqp, tr)
-            else:
-                res = oracle_optimize(parsed.micqp)
-            payload = _solve_payload(res, parsed.micqp)
-            if tr is not None:
-                payload["trace"] = tr.as_dict()
-            return 0, payload
-
-        if command == "feasible":
-            q = _cqs_or_milp(parsed)
-            x = feasibility(q, parsed.micqp.declared_box, tr)
-            if x is None:
-                payload = {"status": "infeasible"}
-            else:
-                payload = {"status": "feasible", "x": _emit_vec(x)}
-            if tr is not None:
-                payload["trace"] = tr.as_dict()
-            return 0, payload
-
-        if command == "bounded":
-            res = boundedness(parsed.micqp, trace=tr)
-            if res.unbounded:
-                return 0, {
-                    "status": "unbounded",
-                    "point": _emit_vec(res.point),
-                    "ray": _emit_vec(res.ray),
-                }
-            return 0, {"status": "bounded"}
+        if command == "oracle":
+            return 0, _solve_payload(oracle_optimize(parsed.micqp), parsed.micqp)
 
         if command == "sandwich":
             if parsed.quad is None:
-                return 2, {"error": "sandwich requires quad_constraint"}
+                raise InstanceParseError("quad_constraint", "sandwich needs one")
             p = parsed.micqp.poly.p
             if p < 1:
-                return 2, {"error": "sandwich requires p >= 1"}
+                raise InstanceParseError("p", "sandwich needs p >= 1")
             res = sandwich(parsed.quad, p)
             return 0, {
                 "B": _emit_mat(res.b_mat),
@@ -329,9 +305,31 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
                 "objective_offset": rat_str(offset),
                 "tau": _emit_tau(tau),
             }
+
+        # solve, feasible and bounded run the recursion that --trace prints
+        if command == "solve":
+            payload = _solve_payload(optimize(parsed.micqp, tr), parsed.micqp)
+        elif command == "feasible":
+            x = feasibility(_cqs_or_milp(parsed), parsed.micqp.declared_box, tr)
+            if x is None:
+                payload = {"status": "infeasible"}
+            else:
+                payload = {"status": "feasible", "x": _emit_vec(x)}
+        else:
+            res = boundedness(parsed.micqp, trace=tr)
+            if res.unbounded:
+                payload = {
+                    "status": "unbounded",
+                    "point": _emit_vec(res.point),
+                    "ray": _emit_vec(res.ray),
+                }
+            else:
+                payload = {"status": "bounded"}
+        if tr is not None:
+            payload["trace"] = tr.as_dict()
+        return 0, payload
     except MiqcpError as exc:  # InstanceParseError included
         return 2, {"error": str(exc)}
-    raise AssertionError("unreachable")
 
 
 def main(argv=None) -> int:

@@ -24,11 +24,9 @@ from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
 from .polyhedra import (
     Polyhedron,
     _fulldim_probe,
-    _shared_probe,
     content_key,
     fulldim_reduce_polyhedron,
     implicit_equalities,
-    integer_system,
 )
 from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, ONE, denom, numer, rfloor, rround, size_of_seq
@@ -70,12 +68,11 @@ class ConvexQuadraticSet:
         return self._contains_ints(*integer_row(x))
 
     def _contains_ints(self, num: List[int], den: int) -> bool:
-        """x = num / den in Q (den > 0), decided on ints: P's rows
-        (`integer_system`) as A num <= b den and q (`integer_form`) as
+        """x = num / den in Q (den > 0), decided on ints: P's rows by
+        `Polyhedron.contains_ints` and q (`integer_form`) as
         num^T H num + den h.num <= eta scale den^2, cleared of eta's
         denominator."""
-        rows, _ = integer_system(self.poly)
-        if any(_idot(row, num) > row[-1] * den for row in rows):
+        if not self.poly.contains_ints(num, den):
             return False
         h_int, lin, scale = self.obj.integer_form()
         lhs = _idot(num, [_idot(row, num) for row in h_int]) + den * _idot(lin, num)
@@ -378,7 +375,7 @@ def classify_fulldim(q: ConvexQuadraticSet) -> FulldimCertificate:
     `fulldim_reduce_cqs` returned this runs no LP or QP beyond the ones the
     inner polytope needs anyway."""
     poly, obj = q.poly, q.obj
-    probe = _shared_probe(poly)
+    probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return FulldimCertificate(EMPTY_SET)
     tag, _ = _level_case(q)

@@ -228,26 +228,48 @@ def gauss_solve(a: Matrix, b: Vector) -> Optional[Vector]:
     return x
 
 
+def null_basis(rows: Matrix, n: int) -> tuple:
+    """(cols, d): int columns spanning {z in Q^n : rows z = 0}, one per free
+    column j, d times the basis vector that is 1 at j (d the last Bareiss
+    pivot, of either sign; 1 without rows).  rows may hold Rats or ints."""
+    work, pivots, _, d, _, _ = _eliminate(rows)
+    cols = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        col = [0] * n
+        col[j] = d
+        for row, c in zip(work, pivots):
+            col[c] = -row[j]
+        cols.append(col)
+    return cols, d
+
+
 def null_space(a: Matrix) -> Matrix:
-    """Columns spanning {x : A x = 0}, as an n x k matrix (k = n - rank)."""
-    _, n = shape(a)
-    work, pivots, _, d, _, _ = _eliminate(a)
-    free = [j for j in range(n) if j not in pivots]
-    out = [[ONE if i == j else ZERO for j in free] for i in range(n)]
-    for row, col in zip(work, pivots):
-        out[col] = [Rat(-row[j], d) for j in free]
-    return out
+    """Columns spanning {x : A x = 0}, as an n x k matrix (k = n - rank):
+    `null_basis` over its d."""
+    n = shape(a)[1]
+    cols, d = null_basis(a, n)
+    return [[Rat(col[i], d) for col in cols] for i in range(n)]
 
 
-def inverse(a: Matrix) -> Matrix:
-    """A^-1 from one elimination of [A | I]; raises if A is singular."""
+def integer_inverse(a: Matrix) -> tuple:
+    """(d A^-1 as ints, d) from one elimination of [A | I], d the last
+    Bareiss pivot; raises if A is singular.  A may hold Rats or ints."""
     m, n = shape(a)
     if m != n:
         raise DimensionError("inverse of a non-square matrix")
-    work, pivots, _, d, _, _ = _eliminate([row + e for row, e in zip(a, identity(n))])
+    work, pivots, _, d, _, _ = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular")
-    return [[Rat(x, d) for x in row[n:]] for row in work]
+    return [row[n:] for row in work], d
+
+
+def inverse(a: Matrix) -> Matrix:
+    """A^-1: `integer_inverse` over its d."""
+    inv, d = integer_inverse(a)
+    return [[Rat(x, d) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

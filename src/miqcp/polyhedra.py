@@ -7,11 +7,11 @@ mixed-integer points, via the implicit-equality system and the diophantine
 parametrization.
 
 A polyhedron keeps what it costs to learn about itself (its probe, its
-phase-1 start, its integer rows).  Inside a solve (`table`), the reduction
-and the probe of a polyhedron that does not depend on eta
-(`_shared_probe`) are also kept by content, so equal polyhedra that the
-optimality probes build again share one answer; `content_key` is that
-key.
+phase-1 start, its integer rows).  Inside a solve (`table`), its reduction
+is also kept by content, so equal polyhedra that the optimality probes
+build again share one answer, and with it the reduced polyhedron's own
+probe; `content_key` is that key.  The probe itself has one path,
+`_fulldim_probe`, kept per object.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ class Polyhedron:
     - `_key`, its `content_key`, built when a solve's table is first asked
       about it.
 
-    `_box`, also outside equality and repr, is the declared box (lo, hi)
-    when the solver built this polyhedron as another cut by that box.
+    `_box` and `_unboxed`, also outside equality and repr, are set when
+    the solver built this polyhedron as another cut by a declared box:
+    the box (lo, hi), and the polyhedron the box's promise is checked
+    against (`solver._box_poly`).
     """
 
     w_mat: Matrix
@@ -97,9 +99,17 @@ class Polyhedron:
     _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _box: Optional[Tuple[Vector, Vector]] = field(
         default=None, init=False, repr=False, compare=False)
+    _unboxed: Optional["Polyhedron"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
         return all(dot(row, x) <= b for row, b in zip(self.w_mat, self.w_rhs))
+
+    def contains_ints(self, num: List[int], den: int) -> bool:
+        """x = num / den in P (den > 0), decided on the rows of
+        `integer_system` [A_i | b_i] as A_i . num <= b_i den."""
+        # _idot stops at the n entries of num, before b_i
+        return all(_idot(row, num) <= row[-1] * den for row in integer_system(self)[0])
 
     def slacks(self, x: Vector) -> Vector:
         return [b - dot(row, x) for row, b in zip(self.w_mat, self.w_rhs)]
@@ -185,7 +195,7 @@ def lp_min(c: Vector, poly: Polyhedron) -> LpResult:
     if len(c) != poly.n:
         raise DimensionError("lp_min: objective length != n")
     if poly._start is None:
-        poly._start = phase1(poly.w_mat, poly.w_rhs, poly.n, integer_system(poly))
+        poly._start = phase1(integer_system(poly), poly.n)
     return phase2(poly._start, c)
 
 
@@ -227,15 +237,6 @@ def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
     run once per polyhedron object."""
     if poly._probe is None:
         poly._probe = _probe_lp(poly)
-    return poly._probe
-
-
-def _shared_probe(poly: Polyhedron) -> _FulldimProbe:
-    """`_fulldim_probe`, run once per content in a solve (`table`).  For the
-    polyhedra that do not depend on eta (the reduced, classified and boxed
-    ones), which the optimality probes build again."""
-    if poly._probe is None:
-        poly._probe = remember(lambda: ("probe", content_key(poly)), lambda: _probe_lp(poly))
     return poly._probe
 
 
@@ -311,7 +312,7 @@ def fulldim_reduce_polyhedron(
 
 
 def _reduce_polyhedron(poly: Polyhedron) -> Union[Empty, Tuple[AffineParam, Polyhedron]]:
-    probe = _shared_probe(poly)
+    probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return EMPTY
     if probe.status == "full_dim":

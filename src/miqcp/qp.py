@@ -33,6 +33,7 @@ from .linalg import (
     inverse,
     ldlt_psd_check,
     mat_vec,
+    null_basis,
     quad_form,
     vec_add,
     vec_scale,
@@ -217,28 +218,6 @@ def _independent_active_rows(rows: List[List[int]], x_num: List[int], x_den: int
     return chosen
 
 
-def _null_basis(rows: List[List[int]], n: int) -> List[List[int]]:
-    """Integer columns spanning {z : rows z = 0}, one per free column.
-
-    Each is d times the corresponding column of `linalg.null_space` (d the
-    last Bareiss pivot, of either sign): the step and the descent
-    orientation qp_min derives from a basis are unchanged by scaling it.
-    """
-    if not rows:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
-    work, pivots, _, d, _, _ = _eliminate(rows)
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        col = [0] * n
-        col[j] = d
-        for row, c in zip(work, pivots):
-            col[c] = -row[j]
-        basis.append(col)
-    return basis
-
-
 def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
@@ -277,7 +256,7 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
     rows, ells = integer_system(poly)
     a_rows = [row[:-1] for row in rows]
     x_num, x_den = integer_row(start)
-    if given and any(_idot(a, x_num) > row[-1] * x_den for a, row in zip(a_rows, rows)):
+    if given and not poly.contains_ints(x_num, x_den):
         raise PreconditionError("qp_min: start lies outside the polyhedron")
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
@@ -295,8 +274,10 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
             raise RuntimeError("qp_min: active-set iteration cap exceeded")
         if active != basis_for:
             basis_for = list(active)
-            # the working-set rows are independent, so n of them leave no freedom
-            basis = [] if len(active) == n else _null_basis([a_rows[i] for i in active], n)
+            # the working-set rows are independent, so n of them leave no
+            # freedom; scaling the basis by null_basis's d, of either sign,
+            # changes neither the step nor the descent orientation
+            basis = [] if len(active) == n else null_basis([a_rows[i] for i in active], n)[0]
             h_basis = [[_idot(row, z) for row in h_int] for z in basis]
             red_hess = [[2 * _idot(z, hz) for hz in h_basis] for z in basis]
 
@@ -311,7 +292,7 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
             if pivots and pivots[-1] == k:
                 # relaxed subproblem unbounded: move along a null direction
                 # of the reduced Hessian with nonzero reduced gradient
-                for col in _null_basis(red_hess, k):
+                for col in null_basis(red_hess, k)[0]:
                     t = _idot(red_grad, col)
                     if t != 0:
                         coef = col if t < 0 else [-v for v in col]

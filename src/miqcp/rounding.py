@@ -26,15 +26,15 @@ from .errors import PreconditionError
 from .linalg import (
     Matrix,
     Vector,
-    _eliminate,
     _idot,
     dot,
+    integer_inverse,
     integer_row,
     mat_vec,
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, _fulldim_probe, integer_system, lp_min
+from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL
@@ -55,11 +55,11 @@ class Simplex:
     """Full-dimensional simplex in R^p on copies of its vertices
     v_0..v_p, which nothing writes to after construction.
 
-    One fraction-free elimination (`linalg._eliminate`) of the integer
-    matrix [D E | I] gives the facts, with E the edge matrix (column j is
-    v_{j+1} - v_0) and D the lcm of the vertex denominators.  It leaves
-    d (D E)^-1 in the right half, with d = det(D E) its last pivot, so
-    volume = |det E| = |d| / D^p and b_mat = E^-1 = D (d (D E)^-1) / d.
+    One integer inverse (`linalg.integer_inverse`) of D E gives the facts,
+    with E the edge matrix (column j is v_{j+1} - v_0) and D the lcm of the
+    vertex denominators.  It returns d (D E)^-1 and d = +-det(D E), the last
+    Bareiss pivot, so volume = |det E| = |d| / D^p and
+    b_mat = E^-1 = D (d (D E)^-1) / d.
     Row b_i of E^-1 has b_i . (v_j - v_0) = [j = i + 1], so -b_i is
     normal to the facet opposite v_{i+1} and sum_i b_i to the one opposite
     v_0: each normal is the integer row (or row sum), negated when d > 0
@@ -82,12 +82,11 @@ class Simplex:
         den = lcm(*[x.denominator for v in self.vertices for x in v])
         ints = [[x.numerator * (den // x.denominator) for x in v] for v in self.vertices]
         v0 = ints[0]
-        work, pivots, _, d, _, _ = _eliminate(
-            [[ints[j + 1][i] - v0[i] for j in range(p)] + [int(i == j) for j in range(p)]
-             for i in range(p)])
-        if pivots != list(range(p)):
-            raise PreconditionError("Simplex: the vertices are affinely dependent")
-        inv = [row[p:] for row in work]
+        try:
+            inv, d = integer_inverse([[ints[j + 1][i] - v0[i] for j in range(p)]
+                                      for i in range(p)])
+        except PreconditionError:
+            raise PreconditionError("Simplex: the vertices are affinely dependent") from None
         self._inv = (inv, d, den)
         self.volume = Rat(abs(d), den ** p)
         sign = 1 if d > 0 else -1
@@ -305,9 +304,7 @@ def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
     fits, x_num, x_den = probe(t_num, t_den)
     if not fits:
         return True, None
-    rows, _ = integer_system(q.poly)
-    # r is [A_i | b_i]; _idot stops at the n entries of x_num
-    if all(_idot(r, x_num) <= r[-1] * x_den for r in rows):
+    if q.poly.contains_ints(x_num, x_den):
         return True, [Rat(c, x_den) for c in x_num]
     return False, None
 

@@ -30,12 +30,12 @@ read from the slacks' reduced costs: stored, implicit, or 0 when basic.
 
 Phase 1 depends only on (W, w), not on c, and any feasible basis is a valid
 start for phase 2 (Dantzig's two-phase method; Chvatal 1983, ch. 8).  So
-``phase1`` turns (W, w) into an ``LpStart`` (the rows, keys, basis and d after
-the artificials are driven out, or the Farkas vector), and ``phase2``
-restarts from a copy of it for each cost.  ``solve_lp`` is the one after the
-other; a ``Polyhedron`` keeps its start, so many objectives over one
-polyhedron pay for phase 1 once, and hands phase 1 the integer rows it
-keeps, so phase 1 scales none of them again.
+``phase1`` turns the integer rows of (W, w) into an ``LpStart`` (the rows,
+keys, basis and d after the artificials are driven out, or the Farkas
+vector), and ``phase2`` restarts from a copy of it for each cost.
+``solve_lp`` scales the rows and runs the one after the other; a
+``Polyhedron`` keeps its start, so many objectives over one polyhedron pay
+for phase 1 once, and hands phase 1 the integer rows it keeps.
 """
 
 from __future__ import annotations
@@ -306,20 +306,20 @@ class _Tableau:
         return [Rat(v, self.d) for v in out]
 
 
-def phase1(w_mat: Matrix, w_rhs: Vector, n: int, ints: Optional[tuple] = None) -> LpStart:
+def phase1(ints: tuple, n: int) -> LpStart:
     """A feasible start for min c^T x s.t. W x <= w, x in R^n, any c.
 
-    Rows of W must have length n; ``solve_lp`` and ``Polyhedron`` check that.
-    ints, when given, is (rows, scales) with rows[i] = scales[i] [W_i | w_i]
-    as ints and scales[i] the lcm of row i's denominators, as
-    ``polyhedra.integer_system`` keeps it; phase 1 then reads the rows from
-    it instead of scaling them again, and the start is the same.
+    ints is (rows, scales) with rows[i] = scales[i] [W_i | w_i] as ints and
+    scales[i] > 0 the lcm of row i's denominators, as ``integer_rows``
+    builds it and ``polyhedra.integer_system`` keeps it.  Rows must have
+    length n + 1; ``solve_lp`` and ``Polyhedron`` check that.
     """
-    m = len(w_mat)
+    rows, scale = ints
+    m = len(rows)
     if m == 0:
         return LpStart(n, 0, [], [], [])
     if n == 0:
-        bad = next((i for i in range(m) if w_rhs[i] < 0), None)
+        bad = next((i for i in range(m) if rows[i][-1] < 0), None)
         if bad is None:
             return LpStart(0, m, [], [], [])
         farkas = [ZERO] * m
@@ -332,7 +332,6 @@ def phase1(w_mat: Matrix, w_rhs: Vector, n: int, ints: Optional[tuple] = None) -
     # integer and artificial i becomes s_i a_i, so its column stays e_i and
     # slack i's is sigma_i s_i e_i, implicit.  The dictionary starts with
     # the x+ columns and the right-hand side, d = 1 (Bareiss 1968).
-    rows, scale = ints if ints is not None else integer_rows(w_mat, w_rhs)
     sigma = [(-1 if row[-1] < 0 else 1) for row in rows]
     ncols = 2 * n + m
     tab = [row if sg == 1 else [-v for v in row] for row, sg in zip(rows, sigma)]
@@ -402,4 +401,4 @@ def solve_lp(w_mat: Matrix, w_rhs: Vector, c: Vector) -> LpResult:
     n = len(c)
     if any(len(row) != n for row in w_mat) or len(w_rhs) != len(w_mat):
         raise DimensionError("solve_lp: inconsistent shapes")
-    return phase2(phase1(w_mat, w_rhs, n), c)
+    return phase2(phase1(integer_rows(w_mat, w_rhs), n), c)

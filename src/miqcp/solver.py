@@ -17,8 +17,10 @@ tighten the bracket when the candidate improves too slowly.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
 top-level call (`table`): the probes share the polyhedron reductions,
-full-dimensionality probes, minima of q over P and slice minima, which do
-not depend on eta.  The table is dropped on return or on an exception.
+minima of q over P and slice minima, which do not depend on eta.  A
+shared reduction hands back the same reduced polyhedron, with the
+full-dimensionality probe it keeps.  The table is dropped on return or on
+an exception.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .diophantine import Empty, parametrize_mixed_integer_solutions
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
-from .polyhedra import Polyhedron, _shared_probe, lp_min
+from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -137,10 +139,11 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
 
 def _box_poly(poly: Polyhedron, declared_box) -> Polyhedron:
     """A new polyhedron: P cut by the declared box, duplicate rows merged,
-    which remembers the box it was cut by."""
+    which remembers the box and what `_check_box` holds it to: P, or
+    itself when the box cut nothing off P."""
     lo, hi = declared_box
     boxed = _merge_duplicate_rows(poly.with_box(lo, hi))
-    boxed._box = declared_box
+    boxed._box, boxed._unboxed = declared_box, poly if boxed != poly else boxed
     return boxed
 
 
@@ -175,12 +178,13 @@ def feasibility(
 
     A declared box that misses a nonempty polyhedron breaks its promise in
     the one way that is cheap to see: instead of None, PreconditionError
-    (see `_check_box`).
+    (see `_check_box`).  A set that `_box_poly` boxed already is checked
+    against the polyhedron it cut.
     """
     boxed = _boxed(q, declared_box)
     x = _feas_rec(boxed, 0, trace)
     if x is None and declared_box is not None:
-        _check_box(boxed.poly, q.poly)
+        _check_box(boxed.poly, q.poly._unboxed if boxed is q else q.poly)
     return x
 
 
@@ -189,11 +193,12 @@ def _check_box(boxed: Polyhedron, poly: Polyhedron) -> None:
     nonempty poly.
 
     A caller runs it only on a None answer, whose first reduction has
-    probed the boxed polyhedron already unless q is linear and nonzero;
-    the unboxed probe runs only when the boxed polyhedron is empty.
+    probed the boxed polyhedron already unless q is linear and nonzero or
+    the solve's table handed that reduction back.  The unboxed probe runs
+    only when the boxed polyhedron is empty.
     """
-    if (_shared_probe(boxed).status == "empty"
-            and _shared_probe(poly).status != "empty"):
+    if (_fulldim_probe(boxed).status == "empty"
+            and _fulldim_probe(poly).status != "empty"):
         raise PreconditionError(
             "box: the declared box misses the nonempty constraint polyhedron")
 
@@ -348,8 +353,6 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     poly = inst.poly if box is None else _box_poly(inst.poly, box)
     x_feas = feasibility(_milp_cqs(poly), box, trace)
     if x_feas is None:
-        if box is not None:
-            _check_box(poly, inst.poly)
         return SolveStatus(INFEASIBLE_STATUS)
     cont = qp_min(inst.obj, inst.poly)
     if cont.status == UNBOUNDED:

@@ -7,16 +7,16 @@ not depend on eta, so every probe after the first would compute them again.
 outermost of them opens a table, a nested one shares it, and the table is
 dropped when that call returns or raises.  Outside a solve nothing is kept.
 
-The table holds four kinds of result, each keyed by content: a
+The table holds three kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
 (`qp.objective_key`) where one is involved.
 
-- `polyhedra._shared_probe`, the full-dimensionality probe of a polyhedron
-  that does not depend on eta (one being reduced, classified or boxed);
 - `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
   Empty; a hit hands back the same reduced object, with the probe,
-  phase-1 start and integer rows it keeps;
+  phase-1 start and integer rows it keeps, so a repeated polyhedron is
+  answered before its full-dimensionality probe is asked for (the probe
+  is kept per object only, `polyhedra._fulldim_probe`);
 - the start-less minimum of q over P in `cqs._split_level`;
 - `qp.qp_min_on_slice`, the minimum of q with leading coordinates pinned,
   which `cqs.slice_point` reads too.
@@ -24,7 +24,7 @@ n (`polyhedra.content_key`), and an objective's `integer_form`
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and
 the recursion are those of a solve without the table.  A miss calls the
-same module attribute as before (`_probe_lp`, `qp_min`, ...).
+same module attribute as before (`_reduce_polyhedron`, `qp_min`, ...).
 """
 
 from __future__ import annotations

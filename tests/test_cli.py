@@ -305,6 +305,50 @@ def test_trace_flag(tmp_path, capsys):
     assert "trace" in payload and payload["trace"]["nodes"]
 
 
+def test_bounded_trace_flag_prints_the_trace(capsys):
+    rc = main(["bounded", fixture("halfpoint.json"), "--trace"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "bounded"
+    assert payload["trace"]["nodes"]
+
+
+def test_oracle_trace_flag_prints_no_trace(capsys):
+    # the oracle enumerates; no recursion runs, so there is no trace to print
+    rc = main(["oracle", fixture("halfpoint.json"), "--trace"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == "1/4"
+    assert "trace" not in payload
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"B": [[1]], "a": ["1/2"], "r": -1}, "r"),
+        ({"B": [[1, 0]], "a": ["1/2"], "r": 1}, "B"),
+        ({"B": [[1, 2], [2, 4]], "a": [0, 0], "r": 1}, "B"),
+    ],
+)
+def test_flatness_bad_input_exit2_with_its_path(tmp_path, data, path):
+    code, payload = run("flatness", write_instance(tmp_path, data))
+    assert code == 2
+    assert payload["error"].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        (MINIMAL, "quad_constraint"),
+        (dict(MINIMAL, p=0, quad_constraint={"H": [[1]], "h": [0], "eta": 1}), "p"),
+    ],
+)
+def test_sandwich_bad_input_exit2_with_its_path(tmp_path, data, path):
+    code, payload = run("sandwich", write_instance(tmp_path, data))
+    assert code == 2
+    assert payload["error"].startswith(f"{path}: ")
+
+
 def test_console_entrypoint_subprocess():
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     proc = subprocess.run(

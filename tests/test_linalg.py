@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miqcp.errors import NotPsdError, PreconditionError
+from miqcp.errors import DimensionError, NotPsdError, PreconditionError
 from miqcp.linalg import (
     UnimodularCert,
     _eliminate,
@@ -11,6 +11,7 @@ from miqcp.linalg import (
     det,
     gauss_solve,
     identity,
+    integer_inverse,
     inverse,
     is_integer_mat,
     is_psd,
@@ -19,6 +20,7 @@ from miqcp.linalg import (
     mat_eq,
     mat_mul,
     mat_vec,
+    null_basis,
     null_space,
     rank,
     rank_with_basis,
@@ -339,3 +341,43 @@ def test_psd_randomized_gram_matrices():
 def test_rank_transpose_property(rows):
     a = mat(rows)
     assert rank(a) == rank(transpose(a))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """m x n matrices, 1 <= m, n <= 4, of small fractions; the few values
+    make singular and rank-deficient ones common."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    entry = st.sampled_from([Rat(v, d) for v in range(-3, 4) for d in (1, 2, 3)])
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_null_space_is_the_integer_basis_over_d(a):
+    n = shape(a)[1]
+    cols, d = null_basis(a, n)
+    assert all(type(v) is int for col in cols for v in col)
+    ns = null_space(a)
+    assert ns == [[Rat(col[i], d) for col in cols] for i in range(n)]
+    assert len(cols) == n - rank(a)
+    assert all(v == 0 for col in cols for v in mat_vec(a, col))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_matrices(square=True), rational_matrices()))
+def test_inverse_times_a_is_the_identity(a):
+    m, n = shape(a)
+    if m != n:
+        with pytest.raises(DimensionError):
+            inverse(a)
+        return
+    if rank(a) < n:
+        with pytest.raises(PreconditionError):
+            integer_inverse(a)
+        return
+    inv, d = integer_inverse(a)
+    assert all(type(v) is int for row in inv for v in row)
+    assert inverse(a) == [[Rat(v, d) for v in row] for row in inv]
+    assert mat_eq(mat_mul(inverse(a), a), identity(n))

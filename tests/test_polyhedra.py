@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miqcp.diophantine import EMPTY, AffineParam, Empty
 from miqcp.errors import DimensionError, PreconditionError
-from miqcp.linalg import det, dot, gauss_solve, mat, mat_vec
+from miqcp.linalg import det, dot, gauss_solve, integer_row, mat, mat_vec
 from miqcp.polyhedra import (
     Polyhedron,
     fulldim_reduce_polyhedron,
@@ -295,3 +296,21 @@ def test_recession_ray_check_cases():
     assert recession_ray_check(poly, [Rat(1), Rat(2)])
     poly2 = Polyhedron(mat([[1]]), [Rat(1)])
     assert not recession_ray_check(poly2, [Rat(1)])
+
+
+_SMALL = st.sampled_from([Rat(v, d) for v in range(-4, 5) for d in (1, 2, 3, 5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_SMALL, min_size=n, max_size=n), max_size=5),
+    st.lists(_SMALL, min_size=n, max_size=n),
+    st.lists(st.sampled_from([-1, 0, 0, Rat(1, 7), 2]), min_size=5, max_size=5),
+)))
+def test_contains_ints_agrees_with_contains(data):
+    # rows through the point (slack 0) put it on the boundary, a negative
+    # slack outside
+    rows, x, slacks = data
+    rhs = [dot(row, x) + s for row, s in zip(rows, slacks)]
+    poly = Polyhedron(rows, rhs, _n_hint=len(x))
+    assert poly.contains_ints(*integer_row(x)) == poly.contains(x)

@@ -539,9 +539,9 @@ def test_definite_grow_runs_no_phase1_on_a_cut(monkeypatch):
     starts = []
     phase1 = miqcp.polyhedra.phase1
 
-    def recording(w_mat, w_rhs, n, ints=None):
-        starts.append(len(w_mat))
-        return phase1(w_mat, w_rhs, n, ints)
+    def recording(ints, n):
+        starts.append(len(ints[0]))
+        return phase1(ints, n)
 
     monkeypatch.setattr(miqcp.polyhedra, "phase1", recording)
     _, trace = grow_simplex(q, 2, s0, anchor, check=False)

@@ -14,7 +14,7 @@ import pytest
 
 import miqcp.polyhedra
 import miqcp.simplex
-from miqcp.linalg import _dot, integer_row, rank
+from miqcp.linalg import _dot, integer_row, integer_rows, rank
 from miqcp.polyhedra import Polyhedron, integer_system, lp_min
 from miqcp.qp import _independent_active_rows
 from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, phase1, solve_lp
@@ -312,7 +312,7 @@ def test_same_pivots_as_the_fraction_tableau(monkeypatch, shape):
         _check_certificate(res, w_mat, w_rhs, c)
         seen.add(res.status)
         n = len(c)
-        start = phase1(w_mat, w_rhs, n)
+        start = phase1(integer_rows(w_mat, w_rhs), n)
         if start.farkas is None:
             assert len(start.keys) == n
             assert all(len(row) == n + 1 and all(type(v) is int for v in row)

@@ -338,6 +338,16 @@ def test_declared_box_that_misses_the_polyhedron_raises():
     assert optimize(MicqpInstance(obj, empty, far)).status == INFEASIBLE_STATUS
 
 
+def test_a_set_boxed_by_the_solver_is_checked_against_its_unboxed_polyhedron():
+    # the box cuts [0, 3] down to nothing: on the boxed set itself the miss
+    # shows only against the polyhedron the box was cut from
+    poly = box([0], [3], p=1)
+    far = ([Rat(5)], [Rat(6)])
+    boxed = miqcp.solver._box_poly(poly, far)
+    with pytest.raises(PreconditionError, match="box"):
+        feasibility(cqs_of(boxed, [[1]], [0], 100), far)
+
+
 def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
     # the MILP check and every level-set probe share one boxed polyhedron;
     # boxing afresh for each of them (as before) gives the same answer and

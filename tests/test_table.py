@@ -8,18 +8,19 @@ definitions.
 """
 
 import contextlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import miqcp.polyhedra
 import miqcp.table
-from miqcp.cqs import ConvexQuadraticSet
 from miqcp.errors import PreconditionError
-from miqcp.linalg import identity, mat, rank
-from miqcp.polyhedra import _fulldim_probe, content_key
+from miqcp.linalg import integer_rows, mat, rank
+from miqcp.polyhedra import _fulldim_probe
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat
-from miqcp.rounding import sandwich
 from miqcp.simplex import phase1
 from miqcp.solver import MicqpInstance, Trace, optimize
 
@@ -42,24 +43,33 @@ def open_pass():
 
     Returns {name: (status, trace nodes)}, the number of `_probe_lp` runs,
     every (objective, tau, child, q(xbar)) of `QpObjective.substitute` and
-    every (w_mat, w_rhs, n, start) of a phase 1 handed integer rows.
+    every (w_mat, w_rhs, kept integer rows) of a polyhedron that `lp_min`
+    ran phase 1 on.
     """
     maps, starts = [], []
     substitute = QpObjective.substitute
+    integer_system = miqcp.polyhedra.integer_system
+    asked = [None]  # the polyhedron of the last `integer_system` in polyhedra
 
     def recorded_substitute(self, tau):
         child, constant = substitute(self, tau)
         maps.append((self, tau, child, constant))
         return child, constant
 
-    def recorded_phase1(w_mat, w_rhs, n, ints=None):
-        start = phase1(w_mat, w_rhs, n, ints)
-        if ints is not None:
-            starts.append((w_mat, w_rhs, n, start))
-        return start
+    def recorded_integer_system(poly):
+        asked[0] = poly
+        return integer_system(poly)
+
+    def recorded_phase1(ints, n):
+        # lp_min hands phase 1 the rows it has just asked its polyhedron for
+        poly = asked[0]
+        assert poly._ints is ints and poly.n == n
+        starts.append((poly.w_mat, poly.w_rhs, ints))
+        return phase1(ints, n)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(QpObjective, "substitute", recorded_substitute)
+        m.setattr(miqcp.polyhedra, "integer_system", recorded_integer_system)
         m.setattr(miqcp.polyhedra, "phase1", recorded_phase1)
         probed = _count_probe_lps(m)
         runs = {}
@@ -76,7 +86,8 @@ def test_the_table_changes_no_answer_and_no_node(open_pass, monkeypatch):
     for name, inst in corpus():
         trace = Trace()
         assert (optimize(inst, trace), trace.nodes) == runs[name], name
-    # the table was in use: equal polyhedra of later probes shared a probe LP
+    # the table was in use: equal polyhedra of later probes shared a
+    # reduction, and with it the reduced polyhedron's probe LP
     assert open_probes < len(probed)
 
 
@@ -106,18 +117,6 @@ def test_the_table_is_dropped_when_a_solve_raises(monkeypatch):
     _fulldim_probe(box([0], [3], p=1))
     _fulldim_probe(box([0], [3], p=1))
     assert len(probed) == 2
-
-
-def test_only_probes_of_level_free_polyhedra_are_kept():
-    # sandwich classifies Q's polyhedron, whose probe the table keeps, and
-    # anchors its grow loop at the probe of the inner cube, which depends on
-    # eta: that probe stays on the cube object alone
-    poly = box([0, 0], [4, 4], p=2)
-    q = ConvexQuadraticSet(poly, QpObjective(identity(2), [Rat(-4), Rat(-4)]), Rat(-7))
-    with miqcp.table.open_table():
-        sandwich(q, 2)
-        kept = [key[1] for key in miqcp.table._TABLE.get() if key[0] == "probe"]
-    assert kept == [content_key(poly)]
 
 
 def test_a_nested_solve_shares_the_open_table():
@@ -156,8 +155,18 @@ def test_every_solver_substitution_keeps_its_contract(open_pass):
 
 def test_phase1_on_kept_integer_rows_matches_the_rational_rows(open_pass):
     # every polyhedron the corpus solve ran phase 1 on, mapped children among
-    # them: the kept rows give the start of the rows scaled afresh
+    # them: the kept rows, after the whole pass, are the rows scaled afresh
     _, _, _, starts = open_pass
     assert len(starts) > 500
-    for w_mat, w_rhs, n, start in starts:
-        assert phase1(w_mat, w_rhs, n) == start
+    for w_mat, w_rhs, ints in starts:
+        assert ints == integer_rows(w_mat, w_rhs)
+
+
+def test_table_traffic_tool_prints_the_three_kinds():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "table_traffic.py"
+    out = subprocess.run([sys.executable, str(tool), "--workload", "msplit"],
+                         capture_output=True, text=True, check=True).stdout
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert list(lines) == ["reduce", "face_min", "slice", "total"]
+    # every feasibility node reduces its set: the tool saw the lookups
+    assert not lines["reduce"].endswith(" 0")
