@@ -5,6 +5,12 @@ in the package: ``integer_reflexive_ginv`` builds a reflexive generalized
 inverse A# with A#A integer, and ``parametrize_mixed_integer_solutions``
 turns the solution set of W x = w with leading integer variables into an
 affine image of a lower-dimensional mixed-integer space.
+
+A parametrization is two steps.  The rhs-free one (`_param_family`) builds
+the two g-inverses, the projector, M, p' and n' from W and p alone; the
+rhs step turns one right-hand side into d, ybar, the integrality test and
+zbar.  The solver's thin nodes ask for many right-hand sides of one W, so
+in a solve the rhs-free part is kept by W's content and p (`table`).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .linalg import (
     zeros,
 )
 from .rational import ZERO, ONE, is_integral
+from .table import remember
 
 
 @dataclass(frozen=True)
@@ -136,24 +143,52 @@ class Empty:
 EMPTY = Empty()
 
 
-def parametrize_mixed_integer_solutions(
-    w: Matrix, rhs: Vector, p: int
-) -> Union[Empty, AffineParam]:
-    """Mixed-integer solutions of W x = rhs with x in Z^p x R^(n-p).
-
-    Splits W = [A | B] at column p, forms C = (I - B B#) A and d = (I - B B#) rhs,
-    and tests (i) C#_I d integer, (ii) C C#_I d = d.  On success returns the
-    affine parametrization assembled from the trailing columns of the
-    unimodular factors U_C, U_B; on failure returns Empty.
+@dataclass(frozen=True)
+class _ParamFamily:
+    """The rhs-free part of parametrizing W x = rhs: everything that depends
+    on W and p alone.  proj = I - B B#, C = proj A and its integer reflexive
+    g-inverse C#, B#, B# A, and the map M = [[R, 0], [S, T]] with p' and n'.
+    C and C# are None when p = 0, B# when p = n, and B# A when either is.
+    Nothing writes to a family after it is built, so every parametrization
+    it makes shares M.
     """
+
+    proj: Matrix
+    c: Optional[Matrix]
+    csharp: Optional[Matrix]
+    bsharp: Optional[Matrix]
+    ba: Optional[Matrix]
+    m: Matrix
+    p_prime: int
+    n_prime: int
+
+    def solve(self, rhs: Vector) -> Union[Empty, AffineParam]:
+        """The rhs step: d = proj rhs, ybar = C# d, the two tests of
+        `parametrize_mixed_integer_solutions`, and zbar = B# rhs - B# A ybar."""
+        d = mat_vec(self.proj, rhs)
+        if self.c is not None:
+            ybar = mat_vec(self.csharp, d)
+            if any(not is_integral(v) for v in ybar):
+                return EMPTY
+            if mat_vec(self.c, ybar) != d:
+                return EMPTY
+        else:
+            # condition (i) is vacuous; (ii) degenerates to linear consistency
+            if any(v != 0 for v in d):
+                return EMPTY
+            ybar = []
+        if self.bsharp is None:
+            zbar = []
+        elif self.ba is None:
+            zbar = mat_vec(self.bsharp, rhs)
+        else:
+            zbar = vec_sub(mat_vec(self.bsharp, rhs), mat_vec(self.ba, ybar))
+        return AffineParam(ybar + zbar, self.m, self.p_prime, self.n_prime)
+
+
+def _param_family(w: Matrix, p: int) -> _ParamFamily:
     m = len(w)
-    if m == 0:
-        raise DimensionError("parametrize: empty system (caller handles m = 0)")
     n = len(w[0])
-    if len(rhs) != m:
-        raise DimensionError("parametrize: len(rhs) != rows of W")
-    if not 0 <= p <= n:
-        raise DimensionError(f"parametrize: p={p} out of range for n={n}")
     q = n - p
     a = [row[:p] for row in w]
     b = [row[p:] for row in w]
@@ -166,26 +201,16 @@ def parametrize_mixed_integer_solutions(
         bsharp, r_b, u_b = None, 0, []
         bb = zeros(m, m)
     proj = [[(ONE if i == j else ZERO) - bb[i][j] for j in range(m)] for i in range(m)]
-    d = mat_vec(proj, rhs)
 
     if p > 0:
         c = mat_mul(proj, a)
         c_g = integer_reflexive_ginv(c)
-        ybar = mat_vec(c_g.asharp, d)
-        if any(not is_integral(v) for v in ybar):
-            return EMPTY
-        if mat_vec(c, ybar) != d:
-            return EMPTY
-        r_c, u_c = c_g.r, c_g.u.u
+        csharp, r_c, u_c = c_g.asharp, c_g.r, c_g.u.u
     else:
-        # condition (i) is vacuous; (ii) degenerates to linear consistency
-        if any(v != 0 for v in d):
-            return EMPTY
-        ybar, r_c, u_c = [], 0, []
+        c, csharp, r_c, u_c = None, None, 0, []
 
     p_prime = p - r_c
     q_prime = q - r_b
-    n_prime = p_prime + q_prime
 
     # The trailing n - r columns of each unimodular factor span the solution
     # lattice of the homogeneous system; negating them is a bijection of the
@@ -193,20 +218,47 @@ def parametrize_mixed_integer_solutions(
     r_blk = [[u_c[i][r_c + j] for j in range(p_prime)] for i in range(p)]
     t_blk = [[u_b[i][r_b + j] for j in range(q_prime)] for i in range(q)]
 
-    if q > 0:
-        if p > 0:
-            ba = mat_mul(bsharp, a)
-            s_blk = [[-v for v in row] for row in mat_mul(ba, r_blk)]
-            ba_ybar = mat_vec(ba, ybar)
-        else:
-            s_blk = [[] for _ in range(q)]
-            ba_ybar = [ZERO] * q
-        zbar = vec_sub(mat_vec(bsharp, rhs), ba_ybar)
+    ba = None
+    if q > 0 and p > 0:
+        ba = mat_mul(bsharp, a)
+        s_blk = [[-v for v in row] for row in mat_mul(ba, r_blk)]
     else:
-        s_blk, zbar = [], []
+        s_blk = [[] for _ in range(q)]
 
-    xbar = list(ybar) + list(zbar)
     m_map = [r_blk[i] + [ZERO] * q_prime for i in range(p)] + [
         s_blk[i] + t_blk[i] for i in range(q)
     ]
-    return AffineParam(xbar, m_map, p_prime, n_prime)
+    return _ParamFamily(proj, c, csharp, bsharp, ba, m_map, p_prime, p_prime + q_prime)
+
+
+def parametrize_mixed_integer_solutions(
+    w: Matrix, rhs: Vector, p: int
+) -> Union[Empty, AffineParam]:
+    """Mixed-integer solutions of W x = rhs with x in Z^p x R^(n-p).
+
+    Splits W = [A | B] at column p, forms C = (I - B B#) A and d = (I - B B#) rhs,
+    and tests (i) C#_I d integer, (ii) C C#_I d = d.  On success returns the
+    affine parametrization assembled from the trailing columns of the
+    unimodular factors U_C, U_B; on failure returns Empty.
+
+    The g-inverses, the projector, M, p' and n' depend on W and p alone
+    (`_param_family`); in a solve, equal W and p share them (`table`), so
+    the bands of one thin node, which differ only in rhs, and the
+    parametrizations they return share one M.
+    """
+    m = len(w)
+    if m == 0:
+        raise DimensionError("parametrize: empty system (caller handles m = 0)")
+    n = len(w[0])
+    if len(rhs) != m:
+        raise DimensionError("parametrize: len(rhs) != rows of W")
+    if not 0 <= p <= n:
+        raise DimensionError(f"parametrize: p={p} out of range for n={n}")
+    return remember(lambda: _family_key(w, p), lambda: _param_family(w, p)).solve(rhs)
+
+
+def _family_key(w: Matrix, p: int) -> tuple:
+    """("param", p, m, n, ell, ell W...): W's content as one scale ell,
+    the lcm of its denominators, and its entries times ell, row by row."""
+    ints, ell = integer_row([v for row in w for v in row])
+    return ("param", p, len(w), len(w[0]), ell, *ints)

@@ -29,8 +29,8 @@ from .linalg import (
     _eliminate,
     _idot,
     dot,
+    integer_inverse,
     integer_row,
-    inverse,
     ldlt_psd_check,
     mat_vec,
     null_basis,
@@ -90,16 +90,22 @@ class QpObjective:
     def free_minimum(self) -> tuple:
         """((xb_num, xb_den), (hi_num, hi_den), q(xbar)): the minimizer
         xbar = -H^-1 h / 2 of q over all of space and H^-1, each as ints
-        over one positive denominator.  H must be definite: a singular H
-        raises PreconditionError."""
+        over its least positive denominator, as `integer_row` gives them.
+        H must be definite: a singular H raises PreconditionError.
+
+        Computed from `integer_form` (s H = H_i, s h = h_i) by one
+        `integer_inverse` (d H_i^-1 = I_d): H^-1 = s I_d / d,
+        xbar = -I_d h_i / (2 d), and q(xbar) = h . xbar / 2, as
+        2 H xbar = -h."""
         if self._free is None:
+            h_int, lin, scale = self.integer_form()
+            inv, d = integer_inverse(h_int)
+            xb_num, xb_den = _lowest([-_idot(row, lin) for row in inv], 2 * d)
+            flat, hi_den = _lowest([scale * v for row in inv for v in row], d)
             n = self.n
-            h_inv = inverse(self.h_mat)
-            xbar = [-v / 2 for v in mat_vec(h_inv, self.h_vec)]
-            flat, den = integer_row([v for row in h_inv for v in row])
             hi_num = [flat[i * n:(i + 1) * n] for i in range(n)]
-            object.__setattr__(
-                self, "_free", (integer_row(xbar), (hi_num, den), self.value(xbar)))
+            q_bar = Rat(_idot(lin, xb_num), 2 * scale * xb_den)
+            object.__setattr__(self, "_free", ((xb_num, xb_den), (hi_num, hi_den), q_bar))
         return self._free
 
     @property
@@ -155,6 +161,15 @@ class QpObjective:
             out = QpObjective(h_mat, h_vec)
         object.__setattr__(out, "_ints", (h_num, lin_num, den))
         return out, constant
+
+
+def _lowest(num: List[int], den: int) -> tuple:
+    """(num, den) divided by the gcd of den and every entry, den made
+    positive: the ints over the least positive common denominator."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return [v // g for v in num], den // g
 
 
 def objective_key(obj: QpObjective) -> tuple:

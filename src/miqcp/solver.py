@@ -7,7 +7,9 @@ between two balls, and ask the lattice for either an integer point in the
 inner ball (lift it by a slice QP) or a thin integer direction (enumerate
 the few hyperplane slices it allows, each with at least one fewer integer
 variable).  Work grows with the number of integer variables, not with the
-count of continuous ones.
+count of continuous ones.  When the objective is definite, a slice whose
+hyperplane misses the level ellipsoid is closed in closed form
+(`_band_misses`), with the node its child would have recorded.
 
 Optimization runs the feasibility recursion on level sets of the objective.
 Once a candidate value v is in hand (the slice-QP optimum of the best known
@@ -17,10 +19,10 @@ tighten the bracket when the candidate improves too slowly.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
 top-level call (`table`): the probes share the polyhedron reductions,
-minima of q over P and slice minima, which do not depend on eta.  A
-shared reduction hands back the same reduced polyhedron, with the
-full-dimensionality probe it keeps.  The table is dropped on return or on
-an exception.
+minima of q over P, slice minima and the rhs-free parts of the band
+parametrizations, which do not depend on eta.  A shared reduction hands
+back the same reduced polyhedron, with the full-dimensionality probe it
+keeps.  The table is dropped on return or on an exception.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
+from .rounding import _half_space_run, ceil_sqrt, cqs_is_bounded, sandwich
 from .table import per_solve
 
 OPTIMAL_STATUS = "optimal"
@@ -253,15 +255,47 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
             band_bound_sq=gamma_band_bound_sq(p2),
         )
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
+    # Every band is parametrized (the bands share W = [c], so one rhs-free
+    # part), and the parametrizable ones become children.  When q2 is
+    # definite, a band whose hyperplane misses {q <= eta} is closed here:
+    # its child's reduction would find it empty, so the same node is
+    # recorded without building the child.
+    misses = _band_misses(q2, c_ext) if q2.obj.definite else None
     for gamma in range(gamma_lo, gamma_hi + 1):
         param = parametrize_mixed_integer_solutions([c_ext], [Rat(gamma)], p2)
         if isinstance(param, Empty):
             continue
         assert param.p_prime <= p2 - 1
+        if misses is not None and misses(gamma):
+            if trace is not None:
+                trace.record(depth=depth + 1, p=param.p_prime, event="empty_after_reduction")
+            continue
         sub = _feas_rec(q2.map_through(param), depth + 1, trace)
         if sub is not None:
             return tau.apply(param.apply(sub))
     return None
+
+
+def _band_misses(q: ConvexQuadraticSet, c: Vector):
+    """gamma -> whether the hyperplane c . x = gamma misses the ellipsoid
+    {q <= eta} of a definite q whose set is full-dimensional.
+
+    With xbar q's free minimizer, the least value of q on the hyperplane is
+    phi(gamma) = q(xbar) + (c . xbar - gamma)^2 / (c^T H^-1 c), which is
+    q's minimum over the half-space the hyperplane bounds away from xbar:
+    {c . x <= gamma} below c . xbar, {-c . x <= -gamma} above it.
+    `rounding._half_space_run` decides phi(gamma) <= eta on ints, one run
+    per sense.  A hyperplane through xbar never misses, since
+    q(xbar) <= min q over P < eta; both runs then fit.
+
+    A missed band's child is mapped into that hyperplane, so its minimum
+    of q is at least phi(gamma) > eta: its reduction returns Empty at its
+    polyhedron step or at its first level case, and, as a face descent
+    needs a minimum equal to eta, records no node before that.
+    """
+    below = _half_space_run(q, c)
+    above = _half_space_run(q, [-v for v in c])
+    return lambda gamma: not (below(gamma, 1)[0] and above(-gamma, 1)[0])
 
 
 @dataclass

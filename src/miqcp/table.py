@@ -7,10 +7,11 @@ not depend on eta, so every probe after the first would compute them again.
 outermost of them opens a table, a nested one shares it, and the table is
 dropped when that call returns or raises.  Outside a solve nothing is kept.
 
-The table holds three kinds of result, each keyed by content: a
+The table holds four kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
-(`qp.objective_key`) where one is involved.
+(`qp.objective_key`) where one is involved; or an equality system's
+matrix, scaled to ints, with p (`diophantine._family_key`).
 
 - `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
   Empty; a hit hands back the same reduced object, with the probe,
@@ -19,12 +20,18 @@ n (`polyhedra.content_key`), and an objective's `integer_form`
   is kept per object only, `polyhedra._fulldim_probe`);
 - the start-less minimum of q over P in `cqs._split_level`;
 - `qp.qp_min_on_slice`, the minimum of q with leading coordinates pinned,
-  which `cqs.slice_point` reads too.
+  which `cqs.slice_point` reads too;
+- the rhs-free part of `diophantine.parametrize_mixed_integer_solutions`
+  (its g-inverses, projector and M, `diophantine._param_family`), keyed by
+  W and p: the bands of a thin node differ only in the right-hand side,
+  so they share one, and so do equal nodes of later probes.
 
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and
 the recursion are those of a solve without the table.  A miss calls the
 same module attribute as before (`_reduce_polyhedron`, `qp_min`, ...).
+A shared family hands its M to every parametrization it makes; nothing
+writes to an `AffineParam`'s M.
 """
 
 from __future__ import annotations

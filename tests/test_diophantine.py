@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from miqcp.diophantine import (
     EMPTY,
     AffineParam,
     Empty,
+    identity_param,
     integer_reflexive_ginv,
     parametrize_mixed_integer_solutions,
 )
@@ -25,7 +27,10 @@ from miqcp.linalg import (
     shape,
     zeros,
 )
+from miqcp.polyhedra import Polyhedron
+from miqcp.qp import QpObjective
 from miqcp.rational import Rat, is_integral
+from miqcp.table import open_table
 
 
 def ginv_identities_hold(a, g):
@@ -266,3 +271,112 @@ def test_parametrized_points_always_solve_system(rows, planted, p, coeffs):
     x = out.apply(xprime)
     assert mat_vec(w, x) == rhs
     assert all(is_integral(v) for v in x[:p])
+
+
+def _reference_parametrize(w, rhs, p):
+    """`parametrize_mixed_integer_solutions` before its split into an
+    rhs-free family and an rhs step: every matrix built afresh per call."""
+    m = len(w)
+    n = len(w[0])
+    q = n - p
+    a = [row[:p] for row in w]
+    b = [row[p:] for row in w]
+
+    if q > 0:
+        b_g = integer_reflexive_ginv(b)
+        bsharp, r_b, u_b = b_g.asharp, b_g.r, b_g.u.u
+        bb = mat_mul(b, bsharp)
+    else:
+        bsharp, r_b, u_b = None, 0, []
+        bb = zeros(m, m)
+    proj = [[(Rat(1) if i == j else Rat(0)) - bb[i][j] for j in range(m)] for i in range(m)]
+    d = mat_vec(proj, rhs)
+
+    if p > 0:
+        c = mat_mul(proj, a)
+        c_g = integer_reflexive_ginv(c)
+        ybar = mat_vec(c_g.asharp, d)
+        if any(not is_integral(v) for v in ybar):
+            return EMPTY
+        if mat_vec(c, ybar) != d:
+            return EMPTY
+        r_c, u_c = c_g.r, c_g.u.u
+    else:
+        if any(v != 0 for v in d):
+            return EMPTY
+        ybar, r_c, u_c = [], 0, []
+
+    p_prime = p - r_c
+    q_prime = q - r_b
+    n_prime = p_prime + q_prime
+    r_blk = [[u_c[i][r_c + j] for j in range(p_prime)] for i in range(p)]
+    t_blk = [[u_b[i][r_b + j] for j in range(q_prime)] for i in range(q)]
+
+    if q > 0:
+        if p > 0:
+            ba = mat_mul(bsharp, a)
+            s_blk = [[-v for v in row] for row in mat_mul(ba, r_blk)]
+            ba_ybar = mat_vec(ba, ybar)
+        else:
+            s_blk = [[] for _ in range(q)]
+            ba_ybar = [Rat(0)] * q
+        zbar = [u - v for u, v in zip(mat_vec(bsharp, rhs), ba_ybar)]
+    else:
+        s_blk, zbar = [], []
+
+    xbar = list(ybar) + list(zbar)
+    m_map = [r_blk[i] + [Rat(0)] * q_prime for i in range(p)] + [
+        s_blk[i] + t_blk[i] for i in range(q)
+    ]
+    return AffineParam(xbar, m_map, p_prime, n_prime)
+
+
+_entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _systems(draw):
+    """W (1-3 rows, n <= 4, entries of denominator <= 3), p, and several
+    right-hand sides: some of a planted mixed-integer point, some drawn."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    w = [[Rat(v) for v in row] for row in rows]
+    p = draw(st.integers(0, n))
+    rhs_list = []
+    for planted in draw(st.lists(st.booleans(), min_size=2, max_size=5)):
+        if planted:
+            x = [Rat(draw(st.integers(-3, 3))) for _ in range(p)] + [
+                Rat(draw(_entry)) for _ in range(n - p)]
+            rhs_list.append(mat_vec(w, x))
+        else:
+            rhs_list.append([Rat(draw(_entry)) for _ in w])
+    return w, p, rhs_list
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(), st.booleans())
+def test_the_split_parametrization_matches_the_reference(case, table_open):
+    # one family per W and p, kept in an open table and shared by every
+    # rhs; with the table shut each call builds its own
+    w, p, rhs_list = case
+    expected = [_reference_parametrize(w, rhs, p) for rhs in rhs_list]
+    with open_table() if table_open else contextlib.nullcontext():
+        got = [parametrize_mixed_integer_solutions(w, rhs, p) for rhs in rhs_list]
+    assert got == expected
+    params = [(g, e) for g, e in zip(got, expected) if isinstance(g, AffineParam)]
+    if table_open and len(params) > 1:
+        assert all(g.m is params[0][0].m for g, _ in params)  # siblings share M
+    # nothing that reads a parametrization writes to its (shared) M
+    n = len(w[0])
+    poly = Polyhedron([[Rat(1)] * n, [Rat(-1)] * n], [Rat(5), Rat(5)], p)
+    obj = QpObjective(identity(n), [Rat(1)] * n)
+    for g, _ in params:
+        g.integer_form()
+        g.apply_inverse(g.apply([Rat(1)] * g.n_prime))
+        g.compose(identity_param(g.n_prime, g.p_prime))
+        if g.n_prime:
+            identity_param(n, p).compose(g)
+        poly.map_through(g)
+        obj.substitute(g)
+    for g, e in params:
+        assert g.m == e.m and g.xbar == e.xbar

@@ -22,6 +22,8 @@ from miqcp.linalg import (
     dot,
     gauss_solve,
     identity,
+    integer_row,
+    inverse,
     mat,
     mat_mul,
     mat_vec,
@@ -697,3 +699,30 @@ def test_definite_qp_answer_does_not_depend_on_the_start(case):
     assert from_phase1.is_optimal and from_z.is_optimal
     assert (from_z.x, from_z.value) == (from_phase1.x, from_phase1.value)
     assert check_kkt(obj, poly, from_phase1) and check_kkt(obj, poly, from_z)
+
+
+@st.composite
+def _definite_objective(draw):
+    """H = (L^T L + I) / k, definite, and h with denominators up to 5."""
+    n = draw(st.integers(1, 4))
+    l_mat = draw(st.lists(st.lists(_small, min_size=n, max_size=n), max_size=n))
+    gram = mat_mul(transpose(l_mat), l_mat) if l_mat else [[ZERO] * n for _ in range(n)]
+    k = draw(st.integers(1, 6))
+    h_mat = [[Rat(v + (i == j), k) for j, v in enumerate(row)] for i, row in enumerate(gram)]
+    h_vec = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=5),
+                          min_size=n, max_size=n))
+    return QpObjective(h_mat, [Rat(v) for v in h_vec])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_definite_objective())
+def test_free_minimum_matches_the_fraction_computation(obj):
+    # xbar = -H^-1 h / 2, H^-1 and q(xbar) from Fraction inverse and
+    # products, each vector or matrix as ints over its least denominator
+    n = obj.n
+    h_inv = inverse(obj.h_mat)
+    xbar = [-v / 2 for v in mat_vec(h_inv, obj.h_vec)]
+    flat, den = integer_row([v for row in h_inv for v in row])
+    expected = (integer_row(xbar), ([flat[i * n:(i + 1) * n] for i in range(n)], den),
+                obj.value(xbar))
+    assert obj.free_minimum() == expected

@@ -8,7 +8,9 @@ import miqcp.polyhedra
 import miqcp.solver
 import miqcp.table
 from miqcp.bounds import magnitude_bound, scaled_integer_system_size
-from miqcp.cqs import ConvexQuadraticSet
+from miqcp.cli import parse_instance
+from miqcp.cqs import ConvexQuadraticSet, fulldim_reduce_cqs
+from miqcp.diophantine import Empty, parametrize_mixed_integer_solutions
 from miqcp.errors import PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
@@ -32,6 +34,7 @@ from miqcp.solver import (
 
 from corpus import corpus
 from test_polyhedra import box
+from test_rounding import _load_bench_family
 
 
 def cqs_of(poly, h_rows, h_vec, eta):
@@ -353,22 +356,25 @@ def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
     # boxing afresh for each of them (as before) gives the same answer and
     # the same recursion, but probes an equal polyhedron once per call.
     # Both arms run with the solve table shut, which would otherwise hand
-    # every equal polyhedron the first one's probe and hide a re-boxing.
+    # every equal polyhedron the first one's probe and hide a re-boxing,
+    # and each on its own build of the instance, so that no probe kept on
+    # the user's polyhedron by one arm serves the other.
     probed = []
     probe_lp = miqcp.polyhedra._probe_lp
     monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
                         lambda poly: probed.append(poly) or probe_lp(poly))
     monkeypatch.setattr(miqcp.table, "open_table", contextlib.nullcontext)
-    cases = [inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:16]
+    ref_cases, cases = ([inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:16]
+                        for _ in range(2))
     repeated = 0
-    for inst in cases:
+    for ref_inst, inst in zip(ref_cases, cases):
         boxed = _merge_duplicate_rows(inst.poly.with_box(*inst.declared_box))
         with monkeypatch.context() as m:
             m.setattr(miqcp.solver, "_box_poly",
                       lambda poly, b: _merge_duplicate_rows(poly.with_box(*b)))
             probed.clear()
             ref_trace = Trace()
-            ref = optimize(inst, ref_trace)
+            ref = optimize(ref_inst, ref_trace)
             ref_probes = sum(poly == boxed for poly in probed)
         probed.clear()
         trace = Trace()
@@ -377,6 +383,61 @@ def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
         assert sum(poly == boxed for poly in probed) == 1
         repeated += ref_probes > 1
     assert repeated >= 5
+
+
+def _closure_cases():
+    """(name, instance) for every corpus instance and the pdepth and radius
+    families at family seed 2024, built afresh on each call."""
+    cases = list(corpus())
+    for family in ("pdepth", "radius"):
+        cases += [(e["name"], parse_instance(e["text"]).micqp)
+                  for e in _load_bench_family(family)(2024)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def closed_bands():
+    """One `optimize` pass over `_closure_cases` as it runs: {name: (answer,
+    trace nodes)}, and (q2, c, gamma) for every band the closure closed."""
+    closed = []
+    band_misses = miqcp.solver._band_misses
+
+    def recording(q, c):
+        misses = band_misses(q, c)
+
+        def recorded(gamma):
+            out = misses(gamma)
+            if out:
+                closed.append((q, c, gamma))
+            return out
+
+        return recorded
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(miqcp.solver, "_band_misses", recording)
+        for name, inst in _closure_cases():
+            trace = Trace()
+            runs[name] = (optimize(inst, trace), trace.nodes)
+    return runs, closed
+
+
+def test_closing_the_missed_bands_keeps_every_answer_and_node(closed_bands, monkeypatch):
+    # a closed band records the node its child's reduction would have
+    # recorded, so the whole trajectory is that of building every child
+    runs, closed = closed_bands
+    assert len(closed) > 100
+    monkeypatch.setattr(miqcp.solver, "_band_misses", lambda q, c: lambda gamma: False)
+    for name, inst in _closure_cases():
+        trace = Trace()
+        assert (optimize(inst, trace), trace.nodes) == runs[name], name
+
+
+def test_every_closed_band_reduces_to_empty(closed_bands):
+    _, closed = closed_bands
+    for q2, c, gamma in closed:
+        param = parametrize_mixed_integer_solutions([c], [Rat(gamma)], q2.p)
+        assert isinstance(fulldim_reduce_cqs(q2.map_through(param)), Empty)
 
 
 def test_a_set_boxed_by_the_solver_is_not_boxed_again():
