@@ -60,11 +60,6 @@ class Polyhedron:
       rows when the parent already holds it;
     - `_key`, its `content_key`, built when a solve's table is first asked
       about it.
-
-    `_box` and `_unboxed`, also outside equality and repr, are set when
-    the solver built this polyhedron as another cut by a declared box:
-    the box (lo, hi), and the polyhedron the box's promise is checked
-    against (`solver._box_poly`).
     """
 
     w_mat: Matrix
@@ -97,10 +92,6 @@ class Polyhedron:
     _ints: Optional[Tuple[List[List[int]], List[int]]] = field(
         default=None, init=False, repr=False, compare=False)
     _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _box: Optional[Tuple[Vector, Vector]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _unboxed: Optional["Polyhedron"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
         return all(dot(row, x) <= b for row, b in zip(self.w_mat, self.w_rhs))

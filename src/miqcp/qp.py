@@ -132,10 +132,11 @@ class QpObjective:
         q(xbar) = (X^T H_i X + x h_i^T X) / (s x^2).
         Over the one denominator s m^2 x, divided by its gcd with every
         numerator, H' and h' are the child's `integer_form`, so the child
-        keeps it.  M has full column rank, so M^T H M is definite when H
-        is: such a child skips the LDL^T check.  A semidefinite H may still
-        give a definite child (H = diag(1, 0), M = e_1), so the check runs
-        then.
+        keeps it.  When H is definite and M has full column rank (its
+        integer columns have n' pivots), M^T H M is definite: such a child
+        skips the LDL^T check.  Any other child runs it, as a rank-deficient
+        M gives a singular H' and a semidefinite H may still give a definite
+        child (H = diag(1, 0), M = e_1).
         """
         h_int, lin, scale = self.integer_form()
         (cols, m_den), (x_num, x_den) = tau.integer_form()
@@ -152,7 +153,7 @@ class QpObjective:
         lin_num = [v // g for v in lin_num]
         h_mat = [[Rat(v, den) for v in row] for row in h_num]
         h_vec = [Rat(v, den) for v in lin_num]
-        if self.definite:
+        if self.definite and len(_eliminate(cols, forward_only=True)[1]) == len(cols):
             out = object.__new__(QpObjective)
             for name, value in (("h_mat", h_mat), ("h_vec", h_vec), ("definite", True),
                                 ("_free", None)):

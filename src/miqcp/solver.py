@@ -18,11 +18,12 @@ where D bounds the denominator of every candidate value; midpoint probes
 tighten the bracket when the candidate improves too slowly.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
-top-level call (`table`): the probes share the polyhedron reductions,
-minima of q over P, slice minima and the rhs-free parts of the band
-parametrizations, which do not depend on eta.  A shared reduction hands
-back the same reduced polyhedron, with the full-dimensionality probe it
-keeps.  The table is dropped on return or on an exception.
+top-level call (`table`): the probes share P cut by the declared box, the
+polyhedron reductions, minima of q over P, slice minima and the rhs-free
+parts of the band parametrizations, which do not depend on eta.  A shared
+reduction hands back the same reduced polyhedron, with the
+full-dimensionality probe it keeps.  The table is dropped on return or on
+an exception.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from .diophantine import Empty, parametrize_mixed_integer_solutions
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
-from .polyhedra import Polyhedron, _fulldim_probe, lp_min
+from .polyhedra import Polyhedron, _fulldim_probe, content_key, lp_min
 from .qp import QpObjective, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import _half_space_run, ceil_sqrt, cqs_is_bounded, sandwich
-from .table import per_solve
+from .table import per_solve, remember
 
 OPTIMAL_STATUS = "optimal"
 INFEASIBLE_STATUS = "infeasible"
@@ -73,11 +74,17 @@ class MicqpInstance:
         if self.obj.n != self.poly.n:
             raise DimensionError("objective and constraints disagree on n")
         if self.declared_box is not None:
-            lo, hi = self.declared_box
-            if len(lo) != self.poly.n or len(hi) != self.poly.n:
-                raise DimensionError("declared box has wrong dimension")
-            if any(a > b for a, b in zip(lo, hi)):
-                raise DimensionError("declared box has lo > hi")
+            _check_box_shape(self.declared_box, self.poly.n)
+
+
+def _check_box_shape(declared_box, n: int) -> None:
+    """DimensionError unless the box (lo, hi) bounds all n coordinates and
+    lo <= hi."""
+    lo, hi = declared_box
+    if len(lo) != n or len(hi) != n:
+        raise DimensionError("declared box has wrong dimension")
+    if any(a > b for a, b in zip(lo, hi)):
+        raise DimensionError("declared box has lo > hi")
 
 
 @dataclass
@@ -139,25 +146,16 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
     return Polyhedron(rows, rhs, poly.p, _n_hint=poly.n)
 
 
-def _box_poly(poly: Polyhedron, declared_box) -> Polyhedron:
-    """A new polyhedron: P cut by the declared box, duplicate rows merged,
-    which remembers the box and what `_check_box` holds it to: P, or
-    itself when the box cut nothing off P."""
-    lo, hi = declared_box
-    boxed = _merge_duplicate_rows(poly.with_box(lo, hi))
-    boxed._box, boxed._unboxed = declared_box, poly if boxed != poly else boxed
-    return boxed
-
-
 def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
     """Q cut by the declared box, or, without one, by the symbolic bound
-    when Q is unbounded.  A set whose polyhedron `_box_poly` cut by this
-    box already, as `optimize` hands its probes, is returned as it is, so
-    its polyhedron's kept probe and phase-1 start serve again."""
+    when Q is unbounded.  P cut by the box, duplicate rows merged, is kept
+    in the solve's table (`table`), so all probes of one solve share it."""
     if declared_box is not None:
-        if q.poly._box == declared_box:
-            return q
-        return ConvexQuadraticSet(_box_poly(q.poly, declared_box), q.obj, q.eta)
+        _check_box_shape(declared_box, q.n)
+        lo, hi = declared_box
+        poly = remember(lambda: ("box", content_key(q.poly), *lo, *hi),
+                        lambda: _merge_duplicate_rows(q.poly.with_box(lo, hi)))
+        return ConvexQuadraticSet(poly, q.obj, q.eta)
     if cqs_is_bounded(q):
         return q
     warnings.warn(
@@ -180,13 +178,12 @@ def feasibility(
 
     A declared box that misses a nonempty polyhedron breaks its promise in
     the one way that is cheap to see: instead of None, PreconditionError
-    (see `_check_box`).  A set that `_box_poly` boxed already is checked
-    against the polyhedron it cut.
+    (see `_check_box`), the box held to q's own polyhedron.
     """
     boxed = _boxed(q, declared_box)
-    x = _feas_rec(boxed, 0, trace)
+    x = _feas_rec(boxed, 0, _ignore if trace is None else trace.record)
     if x is None and declared_box is not None:
-        _check_box(boxed.poly, q.poly._unboxed if boxed is q else q.poly)
+        _check_box(boxed.poly, q.poly)
     return x
 
 
@@ -194,26 +191,30 @@ def _check_box(boxed: Polyhedron, poly: Polyhedron) -> None:
     """PreconditionError when the box that made boxed out of poly misses a
     nonempty poly.
 
-    A caller runs it only on a None answer, whose first reduction has
-    probed the boxed polyhedron already unless q is linear and nonzero or
-    the solve's table handed that reduction back.  The unboxed probe runs
-    only when the boxed polyhedron is empty.
+    A box that cut nothing off poly (boxed == poly) cannot miss it.  A
+    caller runs it only on a None answer, whose first reduction has probed
+    the boxed polyhedron already unless q is linear and nonzero or the
+    solve's table handed that reduction back.  The unboxed probe runs only
+    when the boxed polyhedron is empty.
     """
+    if boxed == poly:
+        return
     if (_fulldim_probe(boxed).status == "empty"
             and _fulldim_probe(poly).status != "empty"):
         raise PreconditionError(
             "box: the declared box misses the nonempty constraint polyhedron")
 
 
-def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Optional[Vector]:
-    on_descent = None
-    if trace is not None:
-        on_descent = lambda dim: trace.record(depth=depth, p=q.p,
-                                              event="face_descent", ambient_dim=dim)
-    out = _fulldim_reduce_cqs_impl(q, on_descent=on_descent)
+def _ignore(**node) -> None:
+    """The node recorder of an untraced solve."""
+
+
+def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
+    out = _fulldim_reduce_cqs_impl(
+        q, on_descent=lambda dim: record(depth=depth, p=q.p, event="face_descent",
+                                         ambient_dim=dim))
     if isinstance(out, Empty):
-        if trace is not None:
-            trace.record(depth=depth, p=q.p, event="empty_after_reduction")
+        record(depth=depth, p=q.p, event="empty_after_reduction")
         return None
     tau, q2 = out
     p2 = q2.p
@@ -221,8 +222,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     if p2 == 0:
         point = set_feasible_point(q2)
         assert point is not None, "full-dimensional reduced set cannot be empty"
-        if trace is not None:
-            trace.record(depth=depth, p=q.p, event="continuous")
+        record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
     sw = sandwich(q2, p2, check=False)
@@ -233,8 +233,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
         assert all(is_integral(v) for v in y)
         point = slice_point(q2, y)
         assert point is not None, "inner-ball lattice point must lift"
-        if trace is not None:
-            trace.record(depth=depth, p=q.p, event="lattice_point")
+        record(depth=depth, p=q.p, event="lattice_point")
         return tau.apply(point)
 
     # thin direction: every mixed-integer point lies on one of few hyperplanes
@@ -246,14 +245,8 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
     gamma_lo = rceil(da - radius_term)
     gamma_hi = rfloor(da + radius_term)
     count = max(0, gamma_hi - gamma_lo + 1)
-    if trace is not None:
-        trace.record(
-            depth=depth,
-            p=q.p,
-            event="thin_direction",
-            band_count=count,
-            band_bound_sq=gamma_band_bound_sq(p2),
-        )
+    record(depth=depth, p=q.p, event="thin_direction", band_count=count,
+           band_bound_sq=gamma_band_bound_sq(p2))
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
     # Every band is parametrized (the bands share W = [c], so one rhs-free
     # part), and the parametrizable ones become children.  When q2 is
@@ -267,10 +260,9 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, trace: Optional[Trace]) -> Opti
             continue
         assert param.p_prime <= p2 - 1
         if misses is not None and misses(gamma):
-            if trace is not None:
-                trace.record(depth=depth + 1, p=param.p_prime, event="empty_after_reduction")
+            record(depth=depth + 1, p=param.p_prime, event="empty_after_reduction")
             continue
-        sub = _feas_rec(q2.map_through(param), depth + 1, trace)
+        sub = _feas_rec(q2.map_through(param), depth + 1, record)
         if sub is not None:
             return tau.apply(param.apply(sub))
     return None
@@ -375,17 +367,17 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     So at most M + 1 blocks of 8 successes complete: <= 8 (M + 2) successes
     and <= M + 1 failures.
 
-    P is boxed once per call: the MILP check and every level-set probe run
-    on that one new polyhedron object, which `feasibility` keeps as it is,
-    so its full-dimensionality probe and phase 1 run once.  The probes
+    Every `feasibility` call gets the user's P and box, and the probes
     share one table (`table`, keyed by the content of polyhedra and
-    objectives): a reduction, a minimum of q over P or a slice minimum that
-    an earlier probe computed is read back, not run again.  Each is
-    independent of the level, so answers and traces are those without it.
+    objectives): P cut by the box is built once, so the MILP check and
+    every level-set probe run on one boxed polyhedron, whose
+    full-dimensionality probe and phase 1 run once; a reduction, a minimum
+    of q over P or a slice minimum that an earlier probe computed is read
+    back, not run again.  Each is independent of the level, so answers and
+    traces are those without it.
     """
     box = inst.declared_box
-    poly = inst.poly if box is None else _box_poly(inst.poly, box)
-    x_feas = feasibility(_milp_cqs(poly), box, trace)
+    x_feas = feasibility(_milp_cqs(inst.poly), box, trace)
     if x_feas is None:
         return SolveStatus(INFEASIBLE_STATUS)
     cont = qp_min(inst.obj, inst.poly)
@@ -414,7 +406,7 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
             midpoint = (lo + v) / 2
             if midpoint < probe_at:
                 probe_at = midpoint
-        found = feasibility(ConvexQuadraticSet(poly, inst.obj, probe_at), box, trace)
+        found = feasibility(ConvexQuadraticSet(inst.poly, inst.obj, probe_at), box, trace)
         if found is None:
             if probe_at == v - gap:
                 break  # no candidate below v: v is the optimum

@@ -7,11 +7,11 @@ not depend on eta, so every probe after the first would compute them again.
 outermost of them opens a table, a nested one shares it, and the table is
 dropped when that call returns or raises.  Outside a solve nothing is kept.
 
-The table holds four kinds of result, each keyed by content: a
+The table holds five kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
-(`qp.objective_key`) where one is involved; or an equality system's
-matrix, scaled to ints, with p (`diophantine._family_key`).
+(`qp.objective_key`) or a declared box where one is involved; or an
+equality system's matrix, scaled to ints, with p (`diophantine._family_key`).
 
 - `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
   Empty; a hit hands back the same reduced object, with the probe,
@@ -24,7 +24,11 @@ matrix, scaled to ints, with p (`diophantine._family_key`).
 - the rhs-free part of `diophantine.parametrize_mixed_integer_solutions`
   (its g-inverses, projector and M, `diophantine._param_family`), keyed by
   W and p: the bands of a thin node differ only in the right-hand side,
-  so they share one, and so do equal nodes of later probes.
+  so they share one, and so do equal nodes of later probes;
+- P cut by a declared box, duplicate rows merged (`solver._boxed`), keyed
+  by P and the box's lo and hi: the MILP check and every level-set probe
+  of `optimize` run on one boxed object, with its kept probe and phase-1
+  start.
 
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and

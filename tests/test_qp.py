@@ -623,6 +623,32 @@ def test_mapped_objective_definiteness():
         assert child.integer_form() == fresh.integer_form()
 
 
+def test_a_rank_deficient_map_gives_a_checked_child():
+    # M = [[1, 1], [0, 0]] has rank 1 < n' = 2: the definite identity maps
+    # to the singular H' = [[1, 1], [1, 1]], which is not definite
+    parent = QpObjective(identity(2), [ZERO, ZERO])
+    child, _ = parent.substitute(AffineParam([ZERO, ZERO], mat([[1, 1], [0, 0]]), 0, 2))
+    assert child.h_mat == mat([[1, 1], [1, 1]])
+    assert not child.definite
+    with pytest.raises(PreconditionError):
+        child.free_minimum()
+    # definite parents under maps of any rank: the flag is the checked one
+    rng = random.Random(2038)
+    deficient = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        parent = _random_objective(rng, n, "full")
+        k = rng.randint(1, n)
+        m = [[_rat(rng, rng.random() < 0.5) for _ in range(k)] for _ in range(n)]
+        if k > 1 and rng.random() < 0.5:
+            for row in m:
+                row[-1] = 2 * row[0]
+        child, _ = parent.substitute(AffineParam([_rat(rng) for _ in range(n)], m, 0, k))
+        assert child.definite == QpObjective(child.h_mat, child.h_vec).definite
+        deficient += not child.definite
+    assert deficient >= 5
+
+
 def test_definite_flag_reads_the_psd_pivots():
     assert QpObjective(mat([[2, 1], [1, 2]]), [ZERO, ZERO]).definite
     assert not QpObjective(mat([[1, 1], [1, 1]]), [ZERO, ZERO]).definite  # rank 1

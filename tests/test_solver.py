@@ -1,4 +1,3 @@
-import contextlib
 import random
 from math import lcm
 
@@ -11,7 +10,7 @@ from miqcp.bounds import magnitude_bound, scaled_integer_system_size
 from miqcp.cli import parse_instance
 from miqcp.cqs import ConvexQuadraticSet, fulldim_reduce_cqs
 from miqcp.diophantine import Empty, parametrize_mixed_integer_solutions
-from miqcp.errors import PreconditionError
+from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective
@@ -341,48 +340,52 @@ def test_declared_box_that_misses_the_polyhedron_raises():
     assert optimize(MicqpInstance(obj, empty, far)).status == INFEASIBLE_STATUS
 
 
-def test_a_set_boxed_by_the_solver_is_checked_against_its_unboxed_polyhedron():
-    # the box cuts [0, 3] down to nothing: on the boxed set itself the miss
-    # shows only against the polyhedron the box was cut from
-    poly = box([0], [3], p=1)
-    far = ([Rat(5)], [Rat(6)])
-    boxed = miqcp.solver._box_poly(poly, far)
-    with pytest.raises(PreconditionError, match="box"):
-        feasibility(cqs_of(boxed, [[1]], [0], 100), far)
-
-
-def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
-    # the MILP check and every level-set probe share one boxed polyhedron;
-    # boxing afresh for each of them (as before) gives the same answer and
-    # the same recursion, but probes an equal polyhedron once per call.
-    # Both arms run with the solve table shut, which would otherwise hand
-    # every equal polyhedron the first one's probe and hide a re-boxing,
-    # and each on its own build of the instance, so that no probe kept on
-    # the user's polyhedron by one arm serves the other.
+def test_a_box_that_cuts_nothing_off_is_not_checked(monkeypatch):
+    # an empty P that is its own box: the answer None costs no probe of P
+    # itself, since such a box cannot miss P
+    poly = box([0, 0], [1, 1], p=2).with_rows([[Rat(1), Rat(1)]], [Rat(-1)])
     probed = []
     probe_lp = miqcp.polyhedra._probe_lp
     monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
                         lambda poly: probed.append(poly) or probe_lp(poly))
-    monkeypatch.setattr(miqcp.table, "open_table", contextlib.nullcontext)
-    ref_cases, cases = ([inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:16]
+    unit = ([Rat(0), Rat(0)], [Rat(1), Rat(1)])
+    assert feasibility(cqs_of(poly, [[0, 0], [0, 0]], [0, 0], 0), unit) is None
+    assert probed == [poly] and probed[0] is not poly
+
+
+def test_optimize_probes_the_boxed_polyhedron_once(monkeypatch):
+    # the MILP check and every level-set probe share one boxed polyhedron,
+    # built once and kept in the solve's table, with its probe; boxing
+    # afresh for each of them gives the same answer and the same recursion.
+    # Each arm runs on its own build of the instance, so that nothing kept
+    # on the user's polyhedron by one arm serves the other.
+    merged, probed = [], []
+    merge = miqcp.solver._merge_duplicate_rows
+    monkeypatch.setattr(miqcp.solver, "_merge_duplicate_rows",
+                        lambda poly: merged.append(poly) or merge(poly))
+    probe_lp = miqcp.polyhedra._probe_lp
+    monkeypatch.setattr(miqcp.polyhedra, "_probe_lp",
+                        lambda poly: probed.append(poly) or probe_lp(poly))
+    ref_cases, cases = ([inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:24]
                         for _ in range(2))
     repeated = 0
     for ref_inst, inst in zip(ref_cases, cases):
-        boxed = _merge_duplicate_rows(inst.poly.with_box(*inst.declared_box))
+        boxed = merge(inst.poly.with_box(*inst.declared_box))
         with monkeypatch.context() as m:
-            m.setattr(miqcp.solver, "_box_poly",
-                      lambda poly, b: _merge_duplicate_rows(poly.with_box(*b)))
-            probed.clear()
+            m.setattr(miqcp.solver, "remember", lambda key, compute: compute())
+            merged.clear()
             ref_trace = Trace()
             ref = optimize(ref_inst, ref_trace)
-            ref_probes = sum(poly == boxed for poly in probed)
+            ref_boxings = len(merged)
+        merged.clear()
         probed.clear()
         trace = Trace()
         assert optimize(inst, trace) == ref
         assert trace.nodes == ref_trace.nodes
+        assert len(merged) == 1
         assert sum(poly == boxed for poly in probed) == 1
-        repeated += ref_probes > 1
-    assert repeated >= 5
+        repeated += ref_boxings > 1
+    assert repeated >= 8
 
 
 def _closure_cases():
@@ -441,19 +444,38 @@ def test_every_closed_band_reduces_to_empty(closed_bands):
 
 
 def test_a_set_boxed_by_the_solver_is_not_boxed_again():
+    # inside one solve's table, equal polyhedra under one box share one
+    # boxed object; another box gets another one
     poly = box([0, 0], [4, 4], p=2).with_rows([[Rat(1), Rat(1)]], [Rat(5)])
+    twin = Polyhedron(poly.w_mat, poly.w_rhs, 2)
     declared = ([Rat(1), Rat(0)], [Rat(3), Rat(4)])
-    boxed = miqcp.solver._box_poly(poly, declared)
-    q = cqs_of(boxed, [[1, 0], [0, 1]], [0, 0], 9)
-    assert miqcp.solver._boxed(q, declared) is q
-    # a caller's polyhedron is boxed afresh, even one with the box's rows
-    again = miqcp.solver._boxed(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 9), declared).poly
-    assert again == boxed and again is not boxed
-    same_rows = cqs_of(Polyhedron(boxed.w_mat, boxed.w_rhs, 2), [[1, 0], [0, 1]], [0, 0], 9)
-    assert miqcp.solver._boxed(same_rows, declared).poly is not same_rows.poly
-    # and so is the solver's under another box
     other = ([Rat(2), Rat(0)], [Rat(3), Rat(4)])
-    assert miqcp.solver._boxed(q, other).poly == miqcp.solver._box_poly(poly, other)
+    with miqcp.table.open_table():
+        boxed = miqcp.solver._boxed(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 9), declared).poly
+        assert boxed == _merge_duplicate_rows(poly.with_box(*declared))
+        assert miqcp.solver._boxed(cqs_of(twin, [[1, 0], [0, 0]], [1, 0], 2), declared).poly is boxed
+        again = miqcp.solver._boxed(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 9), other).poly
+        assert again == _merge_duplicate_rows(poly.with_box(*other)) and again is not boxed
+    # outside a solve nothing is kept
+    assert miqcp.solver._boxed(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 9), declared).poly is not boxed
+
+
+def _assert_bad_box(declared):
+    poly = box([0, 0], [4, 4], p=2)
+    with pytest.raises(DimensionError):
+        feasibility(cqs_of(poly, [[1, 0], [0, 1]], [0, 0], 100), declared)
+    with pytest.raises(DimensionError):
+        MicqpInstance(QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)]), poly, declared)
+
+
+def test_a_declared_box_must_bound_every_coordinate():
+    # n = 2 under a box on x1 alone
+    _assert_bad_box(([Rat(1)], [Rat(2)]))
+
+
+def test_a_declared_box_must_have_lo_at_most_hi():
+    # lo > hi on x1: a shape error, not a box that misses the polyhedron
+    _assert_bad_box(([Rat(3), Rat(0)], [Rat(1), Rat(4)]))
 
 
 def _reference_gamma_band_bound_sq(p):
