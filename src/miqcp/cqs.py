@@ -91,16 +91,14 @@ LOW_DIM_POLY = "low_dim_poly"
 EMPTY_SET = "empty_set"
 
 
-def quadratic_feasible_point(
-    obj: QpObjective, poly: Polyhedron, eta, start: Optional[Vector] = None
-) -> Optional[Vector]:
+def quadratic_feasible_point(obj: QpObjective, poly: Polyhedron, eta) -> Optional[Vector]:
     """A point of {x in poly : q(x) <= eta}, or None (exact decision).
 
-    Minimizes q over the polyhedron; when that is unbounded below, walks the
-    certified descent ray (H r = 0, h.r = -1) far enough to clear eta.
-    start, a point of poly, is handed to `qp_min` as its first iterate.
+    Minimizes q over the polyhedron (`qp_min`); when that is unbounded
+    below, walks the certified descent ray (H r = 0, h.r = -1) far enough
+    to clear eta.
     """
-    return _point_below(obj, eta, qp_min(obj, poly, start))
+    return _point_below(obj, eta, qp_min(obj, poly))
 
 
 def slice_point(q: ConvexQuadraticSet, y: Vector) -> Optional[Vector]:

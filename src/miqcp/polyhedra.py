@@ -29,7 +29,7 @@ from .diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, _idot, dot, integer_rows
+from .linalg import Matrix, Vector, _idot, dot, integer_row, integer_rows
 from .rational import Rat, ZERO, ONE
 from .simplex import (
     INFEASIBLE,
@@ -94,7 +94,11 @@ class Polyhedron:
     _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
-        return all(dot(row, x) <= b for row, b in zip(self.w_mat, self.w_rhs))
+        """x in P, decided by `contains_ints` on x's integer form; a point
+        whose length is not n raises DimensionError."""
+        if len(x) != self.n:
+            raise DimensionError("contains: point length != n")
+        return self.contains_ints(*integer_row(x))
 
     def contains_ints(self, num: List[int], den: int) -> bool:
         """x = num / den in P (den > 0), decided on the rows of

@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd
 from typing import List, Optional
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError
 from .linalg import (
     Matrix,
     Vector,
@@ -234,7 +234,7 @@ def _independent_active_rows(rows: List[List[int]], x_num: List[int], x_den: int
     return chosen
 
 
-def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -> QpResult:
+def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
     Returns Infeasible, Optimal with an exact KKT certificate, or Unbounded
@@ -245,23 +245,15 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
     other row has rate <= 0, z^T H z = 0 gives H z = 0 (H is PSD), and the
     reduced gradient gives h^T z < 0.
 
-    The loop starts at start, a point of the polyhedron, or, when start is
-    None, at the simplex phase-1 point of `lp_min`.  A start outside the
-    polyhedron raises PreconditionError.  When obj is definite the answer
-    (x and value) is the one minimizer whatever the start; the working set,
-    multipliers and iteration count may differ.
+    The loop starts at the simplex phase-1 point of `lp_min`, which the
+    polyhedron keeps.
     """
     if obj.n != poly.n:
         raise DimensionError("qp_min: objective and polyhedron dimensions differ")
     n = obj.n
-    given = start is not None
-    if not given:
-        feas = lp_min([ZERO] * n, poly)
-        if feas.status == INFEASIBLE:
-            return QpResult(INFEASIBLE)
-        start = feas.x
-    elif len(start) != n:
-        raise DimensionError("qp_min: start length != n")
+    feas = lp_min([ZERO] * n, poly)
+    if feas.status == INFEASIBLE:
+        return QpResult(INFEASIBLE)
 
     # Integer data, kept on poly and obj: rows[i] = ells[i] [W_i | w_i];
     # scale H = h_int and scale h = lin.  The iterate is x = x_num / x_den
@@ -271,9 +263,7 @@ def qp_min(obj: QpObjective, poly: Polyhedron, start: Optional[Vector] = None) -
     # those of the Fraction loop.
     rows, ells = integer_system(poly)
     a_rows = [row[:-1] for row in rows]
-    x_num, x_den = integer_row(start)
-    if given and not poly.contains_ints(x_num, x_den):
-        raise PreconditionError("qp_min: start lies outside the polyhedron")
+    x_num, x_den = integer_row(feas.x)
     if n == 0:
         return QpResult(OPTIMAL, [], ZERO, active=[], lam=[], iterations=0)
     h_int, lin, scale = obj.integer_form()

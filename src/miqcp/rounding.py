@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 from .cqs import (
     FULL_DIM,
     ConvexQuadraticSet,
-    _level_case,
     classify_fulldim,
     quadratic_feasible_point,
     slice_point,
@@ -244,18 +243,6 @@ def _simplify_accepted_point(
     return pt
 
 
-def _start_on_cut(lp_x: Vector, minimizer: Vector, row: Vector, rhs) -> Vector:
-    """The point of P nearest minimizer on the segment [lp_x, minimizer]
-    that satisfies row . x <= rhs, given row . lp_x <= rhs: minimizer itself,
-    or where the segment meets row . x = rhs."""
-    far = dot(row, minimizer)
-    if far <= rhs:
-        return minimizer
-    near = dot(row, lp_x)
-    lam = (rhs - near) / (far - near)
-    return [a + lam * (b - a) for a, b in zip(lp_x, minimizer)]
-
-
 def _half_space_run(q: ConvexQuadraticSet, row: Vector):
     """probe(t_num, t_den) -> (fits, x_num, x_den): the minimizer
     x = x_num / x_den (x_den > 0) of q over the half-space
@@ -326,22 +313,18 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     min row . x over P (phase 2 on P's kept start), run on the first probe
     that needs it, serves every later probe: a cut below its minimum misses
     P, so the run ends there with no QP, exactly where the infeasible QP
-    ended it.  When H is definite the probe's QP starts on the cut instead
-    of at a phase-1 point of the cut polyhedron: on the segment from the LP
-    argmin to the last minimizer known in P (the run's last accepted point,
-    else q's minimum over P), see `_start_on_cut`.  Every probe returns the
-    point it returned from a phase-1 start.
+    ended it.  Every other probe is one `quadratic_feasible_point` on the
+    cut polyhedron, whose QP starts at that polyhedron's phase-1 point.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
     den = lcm(offset.denominator, step0.denominator)
-    definite = q.obj.definite
     for sense in (1, -1):
         row = _lift_direction([-sense * v for v in normal], q.n)
         # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
         top = -sense * offset.numerator * (den // offset.denominator)
         bot = step0.numerator * (den // step0.denominator)
-        probe = _half_space_run(q, row) if definite else None
+        probe = _half_space_run(q, row) if q.obj.definite else None
         lp = None
         last_good = None
         for k in range(_MAX_ESCALATION):
@@ -353,13 +336,7 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
                     lp = lp_min(row, q.poly)
                 if lp.is_optimal and lp.value > rhs:
                     break
-                start = None
-                if definite and lp.is_optimal:
-                    # q's minimum over P: optimal when H is definite and P is not empty
-                    known = last_good if last_good is not None else _level_case(q)[1].x
-                    start = _start_on_cut(lp.x, known, row, rhs)
-                cut = q.poly.with_rows([row], [rhs])
-                pt = quadratic_feasible_point(q.obj, cut, q.eta, start)
+                pt = quadratic_feasible_point(q.obj, q.poly.with_rows([row], [rhs]), q.eta)
             if pt is None:
                 break
             last_good = pt

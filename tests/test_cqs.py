@@ -383,7 +383,8 @@ def test_contains_on_ints_matches_the_rational_test():
                    for _ in range(6)]
         points += [[Rat(rng.choice([-2, 2, 0])) for _ in range(q.n)]]
         for x in points:
-            want = q.poly.contains(x) and q.obj.value(x) <= q.eta
+            want = (all(dot(row, x) <= b for row, b in zip(q.poly.w_mat, q.poly.w_rhs))
+                    and q.obj.value(x) <= q.eta)
             assert q.contains(x) == want
             seen.add(want)
     assert seen == {True, False}

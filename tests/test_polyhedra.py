@@ -309,8 +309,17 @@ _SMALL = st.sampled_from([Rat(v, d) for v in range(-4, 5) for d in (1, 2, 3, 5)]
 )))
 def test_contains_ints_agrees_with_contains(data):
     # rows through the point (slack 0) put it on the boundary, a negative
-    # slack outside
+    # slack outside; the reference is the rational test row by row
     rows, x, slacks = data
     rhs = [dot(row, x) + s for row, s in zip(rows, slacks)]
     poly = Polyhedron(rows, rhs, _n_hint=len(x))
-    assert poly.contains_ints(*integer_row(x)) == poly.contains(x)
+    want = all(dot(row, x) <= b for row, b in zip(rows, rhs))
+    assert poly.contains_ints(*integer_row(x)) == poly.contains(x) == want
+
+
+def test_contains_refuses_a_point_of_the_wrong_length():
+    with pytest.raises(DimensionError):
+        Polyhedron([], [], _n_hint=2).contains([Rat(1)])
+    with pytest.raises(DimensionError):
+        Polyhedron(mat([[1, 0]]), [Rat(1)]).contains([Rat(0)] * 3)
+    assert Polyhedron([], [], _n_hint=2).contains([Rat(1), Rat(-7, 3)])

@@ -670,63 +670,6 @@ def test_objective_memos_take_no_part_in_equality():
         QpObjective(mat([[1, 1], [1, 1]]), [ZERO, ZERO]).free_minimum()
 
 
-def test_qp_start_outside_the_polyhedron_is_refused():
-    obj = QpObjective(identity(2), [Rat(-2), Rat(1)])
-    poly = box([0, 0], [1, 1])
-    with pytest.raises(PreconditionError):
-        qp_min(obj, poly, [Rat(3, 2), Rat(1, 2)])
-    with pytest.raises(PreconditionError):
-        qp_min(obj, poly, [Rat(1, 2), Rat(-1, 10 ** 9)])
-    with pytest.raises(DimensionError):
-        qp_min(obj, poly, [Rat(1, 2)])
-    # a start on the boundary is inside
-    res = qp_min(obj, poly, [ONE, ZERO])
-    assert res.is_optimal and res.x == [1, 0] and check_kkt(obj, poly, res)
-    # n = 0: the start [] lies outside an empty system 0 <= -1
-    with pytest.raises(PreconditionError):
-        qp_min(QpObjective([], []), Polyhedron([[]], [Rat(-1)]), [])
-
-
-def test_qp_start_skips_the_phase1_lp(monkeypatch):
-    calls = []
-    monkeypatch.setattr(miqcp.qp, "lp_min", lambda *a: calls.append(a) or lp_min(*a))
-    obj = QpObjective(identity(2), [Rat(-3), ZERO])
-    poly = box([0, 0], [1, 1])
-    res = qp_min(obj, poly, [Rat(1, 3), Rat(1, 7)])
-    assert not calls and res.x == [1, 0]
-    assert qp_min(obj, poly).x == [1, 0] and len(calls) == 1
-
-
-@st.composite
-def _definite_start_case(draw):
-    """PD H = L^T L + I on a box cut by rows that keep a drawn point z, so z
-    is a feasible start."""
-    n = draw(st.integers(1, 3))
-    l_mat = draw(st.lists(st.lists(_small, min_size=n, max_size=n), max_size=n))
-    gram = mat_mul(transpose(l_mat), l_mat) if l_mat else [[ZERO] * n for _ in range(n)]
-    h_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(gram)]
-    h_vec = draw(st.lists(_small, min_size=n, max_size=n))
-    z = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
-                      min_size=n, max_size=n))
-    rows = draw(st.lists(st.lists(_small, min_size=n, max_size=n), max_size=5))
-    slacks = draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4),
-                           min_size=len(rows), max_size=len(rows)))
-    poly = box([-3] * n, [3] * n).with_rows(rows, [dot(r, z) + s for r, s in zip(rows, slacks)])
-    return QpObjective(h_mat, h_vec), poly, [Rat(v) for v in z]
-
-
-@settings(max_examples=120, deadline=None)
-@given(_definite_start_case())
-def test_definite_qp_answer_does_not_depend_on_the_start(case):
-    obj, poly, z = case
-    assert obj.definite and poly.contains(z)
-    from_phase1 = qp_min(obj, poly)
-    from_z = qp_min(obj, poly, z)
-    assert from_phase1.is_optimal and from_z.is_optimal
-    assert (from_z.x, from_z.value) == (from_phase1.x, from_phase1.value)
-    assert check_kkt(obj, poly, from_phase1) and check_kkt(obj, poly, from_z)
-
-
 @st.composite
 def _definite_objective(draw):
     """H = (L^T L + I) / k, definite, and h with denominators up to 5."""

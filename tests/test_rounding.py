@@ -7,7 +7,6 @@ import pytest
 
 import miqcp.cli
 import miqcp.cqs
-import miqcp.polyhedra
 import miqcp.qp
 import miqcp.rounding as rounding
 import miqcp.solver
@@ -373,7 +372,7 @@ def test_sandwich_facet_certificate():
             assert abs(offset - normal[0] * yval) <= Rat(3, 2) * gap
 
 
-# --- the grow loop's LP bracket and definite warm start -----------------------
+# --- the grow loop's closed form and LP bracket ------------------------------
 
 
 def _reference_cut_feasible_point(q, cut_row, cut_rhs):
@@ -383,8 +382,8 @@ def _reference_cut_feasible_point(q, cut_row, cut_rhs):
 
 
 def _reference_push(q, sim, i, anchor):
-    """`rounding._push` before the LP bracket and the definite warm start:
-    one QP from a phase-1 point on every cut of a run."""
+    """`rounding._push` without the closed form and the LP bracket: one QP
+    from a phase-1 point on every cut of a run."""
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
     for sense in (1, -1):
@@ -515,9 +514,12 @@ def _sandwiched_sets(monkeypatch, inst):
     return seen
 
 
-# the pdepth, radius and gen_24 sets are definite and semidefinite; on
-# gen_24 and gen_27 a warm start of the semidefinite QPs moves the trajectory
-@pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27"])
+# the pdepth, radius, gen_24 and gen_34 sets are definite and semidefinite;
+# on gen_24 and gen_27 a warm start of the semidefinite QPs moves the
+# trajectory; only on gen_34 does a definite set send a probe past the
+# closed form to a QP
+@pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27",
+                                    "gen_34"])
 def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
     family = source.split("_")[0]
     if family in ("pdepth", "radius"):
@@ -528,29 +530,13 @@ def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
     sets = _sandwiched_sets(monkeypatch, inst)
     assert any(not q.obj.definite for q, _ in sets)
     assert any(q.obj.definite for q, _ in sets) == (source != "gen_27")
+    definite_qps = []
+    feasible_point = rounding.quadratic_feasible_point
+    monkeypatch.setattr(rounding, "quadratic_feasible_point",
+                        lambda obj, *a: definite_qps.append(obj.definite) or feasible_point(obj, *a))
     for q, p in sets:
         _assert_same_trajectory(monkeypatch, q, p)
-
-
-def test_definite_grow_runs_no_phase1_on_a_cut(monkeypatch):
-    rng = random.Random(1303)
-    q = _pd_set(rng, 3, 2)
-    s0, anchor = _grow_inputs(q, 2)  # keeps q's minimum over P and P's start
-    starts = []
-    phase1 = miqcp.polyhedra.phase1
-
-    def recording(ints, n):
-        starts.append(len(ints[0]))
-        return phase1(ints, n)
-
-    monkeypatch.setattr(miqcp.polyhedra, "phase1", recording)
-    _, trace = grow_simplex(q, 2, s0, anchor, check=False)
-    assert len(trace) > 2
-    assert starts == []
-    # the phase-1 start runs one on every cut polyhedron it probes
-    monkeypatch.setattr(rounding, "_push", _reference_push)
-    grow_simplex(q, 2, s0, anchor, check=False)
-    assert starts and set(starts) == {q.poly.m + 1}
+    assert any(definite_qps) == (source == "gen_34")
 
 
 def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
