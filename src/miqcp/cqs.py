@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bounds import magnitude_bound, scaled_integer_system_size
 from .diophantine import EMPTY, AffineParam, Empty, identity_param
@@ -30,7 +30,7 @@ from .polyhedra import (
 )
 from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, ONE, denom, numer, rfloor, rround, size_of_seq
-from .simplex import INFEASIBLE
+from .simplex import INFEASIBLE, LpResult
 from .table import remember
 
 
@@ -39,8 +39,9 @@ class ConvexQuadraticSet:
     """{x : W x <= w, x^T H x + h^T x <= eta} with leading integer variables.
 
     Nothing writes to poly, obj or eta after construction, so a set keeps
-    its `_level_case` (computed once per object); the memo takes no part in
-    equality or repr.
+    two memos, which take no part in equality or repr: its `_level_case`
+    (computed once per object) and `_brackets`, the grow loop's LPs
+    min row . x over P, keyed by the row (`rounding._run_lp`).
     """
 
     poly: Polyhedron
@@ -48,6 +49,8 @@ class ConvexQuadraticSet:
     eta: Rat
     _level: Optional[Tuple[str, Optional[QpResult]]] = field(
         default=None, init=False, repr=False, compare=False)
+    _brackets: Dict[tuple, LpResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.obj.n != self.poly.n:
@@ -319,7 +322,7 @@ def _level_case(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
 
 def _split_level(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     obj, eta = q.obj, q.eta
-    if obj.is_zero_quadratic() and all(v == 0 for v in obj.h_vec):
+    if obj.is_zero():
         return (EMPTY_SET if eta < 0 else FULL_DIM), None
     face_min = remember(lambda: ("face_min", content_key(q.poly), objective_key(obj)),
                         lambda: qp_min(obj, q.poly))

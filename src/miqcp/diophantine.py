@@ -16,6 +16,7 @@ in a solve the rhs-free part is kept by W's content and p (`table`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import DimensionError
@@ -80,24 +81,28 @@ class AffineParam:
 
     The first p entries of xbar are integers, M has full column rank, and
     tau restricts to a bijection between Z^p' x R^(n'-p') and the
-    mixed-integer points of the target set.
+    mixed-integer points of the target set.  _family, when given, is the
+    `_ParamFamily` that made it, whose M it shares, and which scales M to
+    ints once for all of its parametrizations; like the kept integer form,
+    it takes no part in equality or repr.
     """
 
     xbar: Vector
     m: Matrix
     p_prime: int
     n_prime: int
+    _family: Optional["_ParamFamily"] = field(default=None, repr=False, compare=False)
     _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def integer_form(self) -> tuple:
         """((cols, m_den), (x_num, x_den)): the columns of M and xbar, each
-        as ints over one positive denominator; kept on first use, outside
-        equality and repr."""
+        as ints over one positive denominator; kept on first use."""
         if self._ints is None:
-            n, k = len(self.xbar), self.n_prime
-            flat, m_den = integer_row([self.m[i][j] for j in range(k) for i in range(n)])
-            cols = [flat[j * n:(j + 1) * n] for j in range(k)]
-            object.__setattr__(self, "_ints", ((cols, m_den), integer_row(self.xbar)))
+            if self._family is None:
+                m_ints = integer_columns(self.m, len(self.xbar), self.n_prime)
+            else:
+                m_ints = self._family.m_ints
+            object.__setattr__(self, "_ints", (m_ints, integer_row(self.xbar)))
         return self._ints
 
     def apply(self, xprime: Vector) -> Vector:
@@ -121,6 +126,13 @@ class AffineParam:
             inner.p_prime,
             inner.n_prime,
         )
+
+
+def integer_columns(m: Matrix, n: int, k: int) -> tuple:
+    """(cols, m_den): the k columns of the n x k matrix M as ints over one
+    positive denominator, M = cols^T / m_den."""
+    flat, m_den = integer_row([m[i][j] for j in range(k) for i in range(n)])
+    return [flat[j * n:(j + 1) * n] for j in range(k)], m_den
 
 
 def identity_param(n: int, p: int) -> AffineParam:
@@ -150,7 +162,9 @@ class _ParamFamily:
     g-inverse C#, B#, B# A, and the map M = [[R, 0], [S, T]] with p' and n'.
     C and C# are None when p = 0, B# when p = n, and B# A when either is.
     Nothing writes to a family after it is built, so every parametrization
-    it makes shares M.
+    it makes shares M, and M's `integer_columns`, computed at most once
+    per family (`m_ints`), so that a parametrization's integer form scales
+    only its xbar.
     """
 
     proj: Matrix
@@ -183,7 +197,13 @@ class _ParamFamily:
             zbar = mat_vec(self.bsharp, rhs)
         else:
             zbar = vec_sub(mat_vec(self.bsharp, rhs), mat_vec(self.ba, ybar))
-        return AffineParam(ybar + zbar, self.m, self.p_prime, self.n_prime)
+        return AffineParam(ybar + zbar, self.m, self.p_prime, self.n_prime, self)
+
+    @cached_property
+    def m_ints(self) -> tuple:
+        """M's `integer_columns`, on the first read of a parametrization's
+        integer form."""
+        return integer_columns(self.m, len(self.m), self.n_prime)
 
 
 def _param_family(w: Matrix, p: int) -> _ParamFamily:

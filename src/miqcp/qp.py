@@ -121,6 +121,10 @@ class QpObjective:
     def is_zero_quadratic(self) -> bool:
         return all(v == 0 for row in self.h_mat for v in row)
 
+    def is_zero(self) -> bool:
+        """H = 0 and h = 0: q is identically zero."""
+        return self.is_zero_quadratic() and not any(self.h_vec)
+
     def substitute(self, tau) -> tuple:
         """(child, q(xbar)): x = xbar + M x' turns q into child(x') + q(xbar).
 

@@ -36,7 +36,7 @@ from .linalg import (
 from .polyhedra import Polyhedron, _fulldim_probe, lp_min
 from .qp import recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
-from .simplex import OPTIMAL
+from .simplex import OPTIMAL, UNBOUNDED
 
 _MAX_ESCALATION = 128
 _MAX_SWEEPS = 100000
@@ -160,8 +160,10 @@ def seed_simplex(q: ConvexQuadraticSet, p: int, inner: Polyhedron) -> List[Vecto
     inner is a full-dimensional polytope contained in Q, such as the one
     `classify_fulldim` certifies.  The projected set grows one direction at
     a time: minimize and maximize a lifted normal direction over inner; at
-    least one of the two optima leaves the current affine hull.  An inner
-    that is empty, unbounded or flat raises PreconditionError.
+    least one of the two optima leaves the current affine hull.  The
+    maximum is run only when the minimum stays in the hull, and the first
+    minimum, over e_1, is points[0] itself.  An inner that is empty,
+    unbounded or flat raises PreconditionError.
     """
     n = q.n
     if not 1 <= p <= n:
@@ -177,12 +179,13 @@ def seed_simplex(q: ConvexQuadraticSet, p: int, inner: Polyhedron) -> List[Vecto
             ns = null_space(rows)
             c_proj = [ns[i][0] for i in range(p)]
         c_full = _lift_direction(c_proj, n)
-        lo = _project(_inner_argmin(c_full, inner), p)
-        hi = _project(_inner_argmin([-v for v in c_full], inner), p)
+        lo = points[0] if t == 0 else _project(_inner_argmin(c_full, inner), p)
         base = dot(c_proj, points[0])
         if dot(c_proj, lo) != base:
             points.append(lo)
-        elif dot(c_proj, hi) != base:
+            continue
+        hi = _project(_inner_argmin([-v for v in c_full], inner), p)
+        if dot(c_proj, hi) != base:
             points.append(hi)
         else:
             raise PreconditionError(
@@ -244,37 +247,42 @@ def _simplify_accepted_point(
 
 
 def _half_space_run(q: ConvexQuadraticSet, row: Vector):
-    """probe(t_num, t_den) -> (fits, x_num, x_den): the minimizer
-    x = x_num / x_den (x_den > 0) of q over the half-space
-    {row . x <= t_num / t_den} (t_den > 0), and whether its value v is at
-    most eta.  q's objective must be definite.
+    """(below, above): the probes of the cuts row . x <= t and
+    -row . x <= t.  Each is probe(t_num, t_den) -> (fits, x_num, x_den):
+    the minimizer x = x_num / x_den (x_den > 0) of q over the half-space
+    of the cut with t = t_num / t_den (t_den > 0), and whether its value v
+    is at most eta.  q's objective must be definite.
 
     With xbar the free minimizer, q(x) = q(xbar) + (x - xbar)^T H (x - xbar).
     u = H^-1 row, g = row . u > 0, s = row . xbar and the slack
-    eta - q(xbar) are computed once per run, on ints.  If s <= t the
-    minimizer is xbar; otherwise the one active row gives x = xbar - lam u
-    with lam = (s - t) / g and v = q(xbar) + (s - t) lam, and v <= eta is
+    eta - q(xbar) are computed once for both senses, on ints; the sense
+    -row negates u and s and keeps g.  If s <= t the minimizer is xbar;
+    otherwise the one active row gives x = xbar - lam u with
+    lam = (s - t) / g and v = q(xbar) + (s - t) lam, and v <= eta is
     decided by cross-multiplying (s - t)^2 / g against the slack.
     """
     (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
     r, ell = integer_row(row)  # the cut is r . x <= ell t
     u_num = [_idot(h, r) for h in hi_num]  # u = u_num / hi_den
     g_num = _idot(r, u_num)  # g = g_num / hi_den
-    s_num = _idot(r, xb_num)  # s = s_num / xb_den
     slack = q.eta - q_bar
     e_num, e_den = slack.numerator, slack.denominator
 
-    def probe(t_num, t_den):
-        tn, td = ell * t_num, t_den
-        dn = s_num * td - tn * xb_den  # s - t = dn / (xb_den td)
-        if dn <= 0:
-            return e_num >= 0, xb_num, xb_den
-        den = xb_den * td
-        # v - q(xbar) = dn^2 hi_den / (den^2 g_num)
-        fits = dn * dn * hi_den * e_den <= e_num * den * den * g_num
-        return fits, [a * td * g_num - dn * c for a, c in zip(xb_num, u_num)], den * g_num
+    def run(u_num, s_num):  # s = s_num / xb_den
+        def probe(t_num, t_den):
+            tn, td = ell * t_num, t_den
+            dn = s_num * td - tn * xb_den  # s - t = dn / (xb_den td)
+            if dn <= 0:
+                return e_num >= 0, xb_num, xb_den
+            den = xb_den * td
+            # v - q(xbar) = dn^2 hi_den / (den^2 g_num)
+            fits = dn * dn * hi_den * e_den <= e_num * den * den * g_num
+            return fits, [a * td * g_num - dn * c for a, c in zip(xb_num, u_num)], den * g_num
 
-    return probe
+        return probe
+
+    s_num = _idot(r, xb_num)
+    return run(u_num, s_num), run([-v for v in u_num], -s_num)
 
 
 def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
@@ -296,6 +304,47 @@ def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
     return False, None
 
 
+def _run_lp(q: ConvexQuadraticSet, row: Vector):
+    """min row . x over P (phase 2 on P's kept start), kept on q by row, so
+    a facet normal that survives an accepted push runs no LP again."""
+    key = tuple(row)
+    lp = q._brackets.get(key)
+    if lp is None:
+        lp = q._brackets[key] = lp_min(row, q.poly)
+    return lp
+
+
+def _cut_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int) -> bool:
+    """Whether the cut row . x <= t_num / den lies below the run LP's
+    minimum, so that it misses P and with it Q."""
+    lp = _run_lp(q, row)
+    return lp.is_optimal and lp.value > Rat(t_num, den)
+
+
+def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, top: int, bot: int,
+                      den: int) -> Optional[int]:
+    """The last k < _MAX_ESCALATION whose cut
+    row . x <= t_k = (top - (bot << k)) / den meets P, or None when the
+    first one misses it (bot > 0, den > 0).
+
+    t_k falls with k, so the cuts that meet P are k = 0..k*.  With the run
+    LP's minimum v = vn / vd (vd > 0), t_k >= v reads
+    (bot vd) 2^k <= top vd - vn den, so k* is the bit length of the floor
+    of their quotient, less one.  An unbounded LP meets every cut; an
+    infeasible one (P empty) none.
+    """
+    lp = _run_lp(q, row)
+    if lp.status == UNBOUNDED:
+        return _MAX_ESCALATION - 1
+    if not lp.is_optimal:
+        return None
+    vn, vd = lp.value.numerator, lp.value.denominator
+    room, unit = top * vd - vn * den, bot * vd
+    if room < unit:
+        return None
+    return min((room // unit).bit_length() - 1, _MAX_ESCALATION - 1)
+
+
 def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Optional[Vector]:
     """A point of Q whose projection may replace vertex i of sim at a 3/2
     push, or None when facet i admits none.
@@ -305,41 +354,52 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     normal . y <= offset - step (behind vertex i), so row = -sense normal
     and rhs = -sense offset - step.  step starts at 3/2 of the gap between
     vertex i and its facet and doubles while points are found, so a long
-    run of accepted pushes costs one probe per doubling.
+    run of accepted pushes costs one probe per doubling.  The run's point
+    is the one `quadratic_feasible_point` gives on its last cut that
+    meets Q, whose QP starts at that cut polyhedron's phase-1 point.
 
-    When H is definite, q's minimizer over the half-space row . x <= rhs
-    decides the probe first (`_decide_in_closed_form`).  Only where P binds
-    does a probe take the path of a semidefinite q.  There one LP per run,
-    min row . x over P (phase 2 on P's kept start), run on the first probe
-    that needs it, serves every later probe: a cut below its minimum misses
-    P, so the run ends there with no QP, exactly where the infeasible QP
-    ended it.  Every other probe is one `quadratic_feasible_point` on the
-    cut polyhedron, whose QP starts at that polyhedron's phase-1 point.
+    The run LP, min row . x over P (`_run_lp`, kept on q), brackets every
+    probe: a cut below its minimum misses P.  When q is identically zero
+    and eta >= 0, Q = P, so the LP decides every probe of the run: the
+    last cut that meets P is found in closed form (`_last_meeting_cut`)
+    and one QP runs, on that cut.
+    Otherwise each probe is decided by the first of: for a definite H,
+    q's minimizer over the half-space row . x <= rhs
+    (`_decide_in_closed_form`, both senses from one `_half_space_run`);
+    the run LP, run on the first probe that needs it, which ends the run
+    at a cut below its minimum with no QP; and a QP on the cut.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
     den = lcm(offset.denominator, step0.denominator)
-    for sense in (1, -1):
-        row = _lift_direction([-sense * v for v in normal], q.n)
-        # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
-        top = -sense * offset.numerator * (den // offset.denominator)
-        bot = step0.numerator * (den // step0.denominator)
-        probe = _half_space_run(q, row) if q.obj.definite else None
-        lp = None
+    # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
+    off = offset.numerator * (den // offset.denominator)
+    bot = step0.numerator * (den // step0.denominator)
+    up = _lift_direction([-v for v in normal], q.n)  # the row of sense +1
+    zero = q.obj.is_zero() and q.eta >= 0
+    probes = _half_space_run(q, up) if q.obj.definite else (None, None)
+    for sense, probe in zip((1, -1), probes):
+        row = up if sense == 1 else [-v for v in up]
+        top = -sense * off
         last_good = None
-        for k in range(_MAX_ESCALATION):
-            t_num = top - (bot << k)
-            decided, pt = (False, None) if probe is None else _decide_in_closed_form(q, probe, t_num, den)
-            if not decided:
-                rhs = Rat(t_num, den)
-                if lp is None:
-                    lp = lp_min(row, q.poly)
-                if lp.is_optimal and lp.value > rhs:
+        if zero:
+            k = _last_meeting_cut(q, row, top, bot, den)
+            if k is not None:
+                cut = q.poly.with_rows([row], [Rat(top - (bot << k), den)])
+                last_good = quadratic_feasible_point(q.obj, cut, q.eta)
+        else:
+            for k in range(_MAX_ESCALATION):
+                t_num = top - (bot << k)
+                decided, pt = ((False, None) if probe is None
+                               else _decide_in_closed_form(q, probe, t_num, den))
+                if not decided:
+                    if _cut_misses(q, row, t_num, den):
+                        break
+                    cut = q.poly.with_rows([row], [Rat(t_num, den)])
+                    pt = quadratic_feasible_point(q.obj, cut, q.eta)
+                if pt is None:
                     break
-                pt = quadratic_feasible_point(q.obj, q.poly.with_rows([row], [rhs]), q.eta)
-            if pt is None:
-                break
-            last_good = pt
+                last_good = pt
         if last_good is not None:
             return _simplify_accepted_point(q, last_good, anchor, row, Rat(top - bot, den))
     return None

@@ -276,17 +276,16 @@ def _band_misses(q: ConvexQuadraticSet, c: Vector):
     phi(gamma) = q(xbar) + (c . xbar - gamma)^2 / (c^T H^-1 c), which is
     q's minimum over the half-space the hyperplane bounds away from xbar:
     {c . x <= gamma} below c . xbar, {-c . x <= -gamma} above it.
-    `rounding._half_space_run` decides phi(gamma) <= eta on ints, one run
-    per sense.  A hyperplane through xbar never misses, since
-    q(xbar) <= min q over P < eta; both runs then fit.
+    `rounding._half_space_run` decides phi(gamma) <= eta on ints, both
+    senses from one computation.  A hyperplane through xbar never misses,
+    since q(xbar) <= min q over P < eta; both runs then fit.
 
     A missed band's child is mapped into that hyperplane, so its minimum
     of q is at least phi(gamma) > eta: its reduction returns Empty at its
     polyhedron step or at its first level case, and, as a face descent
     needs a minimum equal to eta, records no node before that.
     """
-    below = _half_space_run(q, c)
-    above = _half_space_run(q, [-v for v in c])
+    below, above = _half_space_run(q, c)
     return lambda gamma: not (below(gamma, 1)[0] and above(-gamma, 1)[0])
 
 

@@ -1,5 +1,7 @@
 import importlib.util
 import random
+import subprocess
+import sys
 from math import gcd, lcm
 from pathlib import Path
 
@@ -140,13 +142,16 @@ def test_cqs_is_bounded_runs_one_phase1(monkeypatch):
 
 
 def test_seed_simplex_runs_one_phase1(monkeypatch):
-    # p = 3: 2p + 1 LPs over the inner polytope, one phase 1 among them
+    # p = 3: the first point's LP, then one or two LPs per direction (the
+    # first direction reuses that point as its minimum, and a maximum runs
+    # only when the minimum stays in the hull): 6 LPs over the inner
+    # polytope here, one phase 1 among them
     q = inactive_quadratic_box([0, 0, 0], [2, 1, 3], 3)
     inner = box([0, 0, 0], [2, 1, 3], p=3)
     lps = _LpCount(monkeypatch)
     points = seed_simplex(q, 3, inner)
     assert len(points) == 4
-    assert (lps.solves, lps.phase1) == (7, 1)
+    assert (lps.solves, lps.phase1) == (6, 1)
 
 
 def test_implicit_equalities_run_one_phase1(monkeypatch):
@@ -554,6 +559,120 @@ def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
     assert len(qps) == 4  # one infeasible QP per (facet, sense) run
 
 
+def _zero_set(poly):
+    """Q = P: the identically-zero objective with eta = 0."""
+    n = poly.n
+    return ConvexQuadraticSet(poly, QpObjective([[ZERO] * n for _ in range(n)], [ZERO] * n), ZERO)
+
+
+def _pushes_match_the_reference(monkeypatch, q, sim, anchor):
+    """_push and `_reference_push` agree on every facet of sim.  Returns,
+    per facet, the QPs `_push` ran and the values `_last_meeting_cut`
+    returned."""
+    qps, cuts = [], []
+    feasible_point, last_cut = rounding.quadratic_feasible_point, rounding._last_meeting_cut
+    for i in range(sim.p + 1):
+        ran, ks = [], []
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "quadratic_feasible_point",
+                      lambda *a: ran.append(a) or feasible_point(*a))
+            m.setattr(rounding, "_last_meeting_cut", lambda *a: ks.append(last_cut(*a)) or ks[-1])
+            got = rounding._push(q, sim, i, anchor)
+        assert got == _reference_push(q, sim, i, anchor)
+        assert len(ran) == (got is not None)  # one QP per accepted push, none otherwise
+        qps.append(len(ran))
+        cuts.append(ks)
+    return qps, cuts
+
+
+def test_zero_objective_push_matches_the_reference_when_the_run_lp_is_unbounded(monkeypatch):
+    # P = {x2 >= -1, x1 + x2 <= 4} is unbounded toward x1 = -infinity
+    poly = Polyhedron(mat([[0, -1], [1, 1]]), [Rat(1), Rat(4)], p=2)
+    sim = Simplex([[ZERO, ZERO], [ONE, ZERO], [ZERO, ONE]])
+    qps, cuts = _pushes_match_the_reference(monkeypatch, _zero_set(poly), sim, [ZERO, ZERO])
+    assert rounding._MAX_ESCALATION - 1 in sum(cuts, [])
+    assert sum(qps) > 0
+
+
+def test_zero_objective_push_runs_no_qp_when_the_first_cut_misses(monkeypatch):
+    # [0, 1] is all of proj P, so the first cut of each run misses P
+    q = _zero_set(box([0, 0], [1, 1], p=1))
+    sim = Simplex([[ZERO], [ONE]])
+    qps, cuts = _pushes_match_the_reference(monkeypatch, q, sim, CENTER)
+    assert qps == [0, 0] and cuts == [[None, None], [None, None]]
+
+
+def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch):
+    rng = random.Random(2201)
+    ks = []
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        zero = [[ZERO] * n for _ in range(n)]
+        q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
+        s0, anchor = _grow_inputs(q, q.p)
+        qps, cuts = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
+        ks += [k for run in cuts for k in run if k is not None]
+    assert any(0 < k < rounding._MAX_ESCALATION - 1 for k in ks)
+
+
+def test_zero_objective_grow_runs_one_qp_per_accepted_push(monkeypatch):
+    rng = random.Random(2202)
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        zero = [[ZERO] * n for _ in range(n)]
+        q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
+        s0, anchor = _grow_inputs(q, q.p)
+        qps = []
+        feasible_point = rounding.quadratic_feasible_point
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "quadratic_feasible_point",
+                      lambda *a: qps.append(a) or feasible_point(*a))
+            _, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+        assert len(qps) == len(trace) - 1 > 0
+
+
+def test_the_run_lps_of_a_set_are_kept_by_row(monkeypatch):
+    # a facet normal that survives an accepted push asks for its run LP
+    # again; the set answers from its memo
+    rng = random.Random(2203)
+    reused = 0
+    for _ in range(4):
+        n = rng.randint(2, 3)
+        zero = [[ZERO] * n for _ in range(n)]
+        q = _zero_set(_seeded_set(rng, n, n, zero, [ZERO] * n).poly)
+        s0, anchor = _grow_inputs(q, q.p)
+        lps, runs = [], []
+        lp, run_lp = rounding.lp_min, rounding._run_lp
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "lp_min", lambda c, poly: lps.append(tuple(c)) or lp(c, poly))
+            m.setattr(rounding, "_run_lp", lambda *a: runs.append(a) or run_lp(*a))
+            grown, _ = grow_simplex(q, q.p, s0, anchor, check=False)
+            reused += len(runs) - len(lps)
+            kept = list(lps)
+            # a second grow of the same set runs no LP at all
+            assert grow_simplex(q, q.p, s0, anchor, check=False)[0].vertices == grown.vertices
+        assert lps == kept and sorted(lps) == sorted(set(lps)) == sorted(q._brackets)
+        assert all(res == lp_min(list(row), q.poly) for row, res in q._brackets.items())
+    assert reused > 0
+
+
+def test_grow_probes_tool_prints_the_four_kinds():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "grow_probes.py"
+    out = subprocess.run([sys.executable, str(tool), "--workload", "radius"],
+                         capture_output=True, text=True, check=True).stdout
+    lines = {}
+    for line in out.splitlines():
+        kind, cols = line.split(": ")
+        lines[kind] = {name: int(v) for name, v in (col.split(" ") for col in cols.split(" / "))}
+    assert list(lines) == ["definite", "semidefinite", "linear", "zero", "total"]
+    zero, definite = lines["zero"], lines["definite"]
+    # the run LP decides every zero-objective probe but one QP per accepted push
+    assert zero["qp"] == zero["accepted"] > 0 and zero["run_lp"] > 0 and zero["closed_form"] == 0
+    # the MILP check's sets are zero; the optimality probes' sets are definite
+    assert definite["closed_form"] > 0 and definite["qp"] == 0
+    assert all(sum(c[k] for c in list(lines.values())[:4]) == lines["total"][k] for k in zero)
+
+
 def _primitive_row(rng, n):
     while True:
         ints = [rng.randint(-3, 3) for _ in range(n)]
@@ -606,12 +725,12 @@ def test_closed_form_probe_matches_the_cut_qp():
             for t in _cut_rhs_values(obj, poly, row):
                 t_num, t_den = t.numerator, t.denominator
                 _, x_num, x_den = rounding._half_space_run(
-                    ConvexQuadraticSet(poly, obj, q_bar), row)(t_num, t_den)
+                    ConvexQuadraticSet(poly, obj, q_bar), row)[0](t_num, t_den)
                 x = [Rat(a, x_den) for a in x_num]
                 v = obj.value(x)
                 for eta in (v, v + rng.randint(0, 30), v - Rat(1, 7)):
                     q = ConvexQuadraticSet(poly, obj, eta)
-                    probe = rounding._half_space_run(q, row)
+                    probe = rounding._half_space_run(q, row)[0]
                     decided, pt = rounding._decide_in_closed_form(q, probe, t_num, t_den)
                     ref = quadratic_feasible_point(obj, poly.with_rows([row], [t]), eta)
                     if decided:
@@ -631,6 +750,25 @@ def test_closed_form_probe_matches_the_cut_qp():
                         seen.add("P binds")
     assert seen == {"xbar outside P", "xbar in P", "accepted", "eta = v", "eta > v",
                     "on a facet of P", "xbar on the cut", "rejected", "P binds"}
+
+
+def test_the_second_probe_is_the_first_probe_of_the_negated_row():
+    # one computation serves both senses: -row negates u and s and keeps g
+    rng = random.Random(1402)
+    for k in range(20):
+        n = 1 + k % 4
+        gram = _gram(rng, rng.randint(0, n), n)
+        h_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(gram)]
+        obj = QpObjective(h_mat, [Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+        q = ConvexQuadraticSet(box([-3] * n, [3] * n, p=n), obj, Rat(rng.randint(-2, 9)))
+        row = [Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        if not any(row):
+            continue
+        above = rounding._half_space_run(q, row)[1]
+        negated = rounding._half_space_run(q, [-v for v in row])[0]
+        for _ in range(6):
+            t_num, t_den = rng.randint(-40, 40), rng.randint(1, 5)
+            assert above(t_num, t_den) == negated(t_num, t_den)
 
 
 def _disc(*cut):
