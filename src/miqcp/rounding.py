@@ -33,10 +33,11 @@ from .linalg import (
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, _fulldim_probe, lp_min
+from .polyhedra import Polyhedron, _fulldim_probe, content_key, lp_min
 from .qp import recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL, UNBOUNDED
+from .table import remember
 
 _MAX_ESCALATION = 128
 _MAX_SWEEPS = 100000
@@ -464,6 +465,13 @@ def sandwich(q: ConvexQuadraticSet, p: int, check: bool = True) -> SandwichResul
     `classify_fulldim` and normalizes by the grown simplex's b_mat.  Growing
     needs Q bounded; check verifies that (2n LPs), for callers that have
     not shown it.
+
+    The grow loop starts from the seed simplex and the anchor, the inner
+    polytope's probe point.  Both depend on the inner polytope and p alone
+    (`seed_simplex` reads only q.n, which is inner's n), so inside a solve
+    they are kept in its table (`table`) by the inner polytope's content:
+    the level-set probes of `optimize` often build equal cubes, and each
+    is seeded once per solve.  Nothing writes to a kept start.
     """
     cert = classify_fulldim(q)
     if cert.tag != FULL_DIM:
@@ -471,9 +479,10 @@ def sandwich(q: ConvexQuadraticSet, p: int, check: bool = True) -> SandwichResul
     if check and not cqs_is_bounded(q):
         raise PreconditionError("sandwich: Q is unbounded")
     inner = cert.polytope
-    seed = seed_simplex(q, p, inner)
-    anchor = _fulldim_probe(inner).point
-    grown, _trace = grow_simplex(q, p, Simplex(seed), anchor, check=False)
+    s0, anchor = remember(
+        lambda: ("start", content_key(inner), p),
+        lambda: (Simplex(seed_simplex(q, p, inner)), _fulldim_probe(inner).point))
+    grown, _trace = grow_simplex(q, p, s0, anchor, check=False)
     b_mat = grown.b_mat
     k = ceil_sqrt(p)
     r = Rat(1, p + k)

@@ -556,3 +556,50 @@ def test_scaled_sizes_match_the_references():
         assert _denominator_bound(inst) == _reference_denominator_bound(inst)
         args = ([inst.poly.w_mat, inst.obj.h_mat], [inst.poly.w_rhs, inst.obj.h_vec], [eta])
         assert scaled_integer_system_size(*args) == _reference_scaled_integer_system_size(*args)
+
+
+def _probes_inside_box_checks(monkeypatch) -> list:
+    """[checks, probe LPs]: `_check_box` runs, and `_probe_lp` runs inside them."""
+    counts = [0, 0]
+    inside = [False]
+    check_box = miqcp.solver._check_box
+
+    def counted_check(boxed, poly):
+        counts[0] += 1
+        inside[0] = True
+        try:
+            return check_box(boxed, poly)
+        finally:
+            inside[0] = False
+
+    probe_lp = miqcp.polyhedra._probe_lp
+
+    def counted_probe(poly):
+        counts[1] += inside[0]
+        return probe_lp(poly)
+
+    monkeypatch.setattr(miqcp.solver, "_check_box", counted_check)
+    monkeypatch.setattr(miqcp.polyhedra, "_probe_lp", counted_probe)
+    return counts
+
+
+def test_the_box_check_of_a_linear_objective_runs_no_lp(monkeypatch):
+    # min x1 + x2 over x1 + 2 x2 >= 3/2, 0 <= x <= 5: the level-set probes
+    # below the optimum answer None, and their box check runs no LP: a box
+    # equal to P's bounds cuts nothing off, and one that cuts P reads the
+    # probe the MILP check ran on the one boxed polyhedron of the solve
+    counts = _probes_inside_box_checks(monkeypatch)
+    obj = QpObjective(mat([[0, 0], [0, 0]]), [Rat(1), Rat(1)])
+    for hi in (5, 4):
+        poly = box([0, 0], [5, 5], p=2).with_rows([[Rat(-1), Rat(-2)]], [Rat(-3, 2)])
+        counts[:] = [0, 0]
+        res = optimize(MicqpInstance(obj, poly, ([Rat(0)] * 2, [Rat(hi)] * 2)))
+        assert (res.status, res.value) == (OPTIMAL_STATUS, 1)
+        assert counts == [1, 0], hi
+    # a direct call whose level set is empty has probed only the cut set,
+    # so there the probe of the boxed polyhedron is the check itself
+    poly = box([0, 0], [5, 5], p=2).with_rows([[Rat(-1), Rat(-2)]], [Rat(-3, 2)])
+    counts[:] = [0, 0]
+    q = ConvexQuadraticSet(poly, obj, Rat(1, 2))
+    assert feasibility(q, ([Rat(0)] * 2, [Rat(4)] * 2)) is None
+    assert counts == [1, 1]
