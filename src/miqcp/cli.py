@@ -131,7 +131,7 @@ def parse_instance(text: str) -> ParsedInstance:
         raise InstanceParseError("W", f"rows must have length n={n}")
     w_rhs = _vector_at(data.get("w"), "w", len(w_mat))
     obj = _objective_at(data.get("objective"), "objective", n)
-    poly = Polyhedron(w_mat, w_rhs, p, _n_hint=n)
+    poly = Polyhedron(w_mat, w_rhs, p, n)
 
     box = None
     if data.get("box") is not None:

@@ -29,7 +29,7 @@ from .polyhedra import (
     implicit_equalities,
 )
 from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
-from .rational import Rat, ZERO, ONE, denom, numer, rfloor, rround, size_of_seq
+from .rational import Rat, ZERO, ONE, rfloor, rround, size_of_seq
 from .simplex import INFEASIBLE, LpResult
 from .table import remember
 
@@ -265,7 +265,7 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     if n > 12 or delta >= 1:
         return delta
     inv = ONE / delta
-    k_max = (numer(inv) // denom(inv)).bit_length() - 1
+    k_max = rfloor(inv).bit_length() - 1
     if k_max <= 0:
         return delta
 
@@ -280,7 +280,7 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
         pairs.append((abs(_idot(g, s)), _idot(s, [_idot(row, s) for row in h])))
 
     def cube_ok(rad):
-        num, den = numer(rad), denom(rad)
+        num, den = rad.numerator, rad.denominator
         lin, quad, cap = num * den, num * num, slack * den * den
         return all(lin * a + quad * b <= cap for a, b in pairs)
 
@@ -296,7 +296,7 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     # radius in [best/2, best] is still certified, and a small denominator
     # keeps every downstream subproblem small
     inv_best = ONE / best
-    j = max(1, (numer(inv_best) // denom(inv_best)).bit_length() + 1)
+    j = max(1, rfloor(inv_best).bit_length() + 1)
     dyadic = Rat(rfloor(best * (1 << j)), 1 << j)
     if dyadic > 0 and cube_ok(dyadic):
         return dyadic
@@ -330,7 +330,7 @@ def _split_level(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
         return FULL_DIM, face_min
     if face_min.value > eta:
         return EMPTY_SET, face_min
-    free_min = qp_min(obj, Polyhedron([], [], _n_hint=q.n))
+    free_min = qp_min(obj, Polyhedron([], [], n=q.n))
     if free_min.is_optimal and free_min.value == eta:
         return LOW_DIM_AFFINE, face_min
     return LOW_DIM_FACE, face_min

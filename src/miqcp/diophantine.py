@@ -16,7 +16,6 @@ in a solve the rhs-free part is kept by W's content and p (`table`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union
 
 from .errors import DimensionError
@@ -81,28 +80,21 @@ class AffineParam:
 
     The first p entries of xbar are integers, M has full column rank, and
     tau restricts to a bijection between Z^p' x R^(n'-p') and the
-    mixed-integer points of the target set.  _family, when given, is the
-    `_ParamFamily` that made it, whose M it shares, and which scales M to
-    ints once for all of its parametrizations; like the kept integer form,
-    it takes no part in equality or repr.
+    mixed-integer points of the target set.
     """
 
     xbar: Vector
     m: Matrix
     p_prime: int
     n_prime: int
-    _family: Optional["_ParamFamily"] = field(default=None, repr=False, compare=False)
     _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def integer_form(self) -> tuple:
         """((cols, m_den), (x_num, x_den)): the columns of M and xbar, each
         as ints over one positive denominator; kept on first use."""
         if self._ints is None:
-            if self._family is None:
-                m_ints = integer_columns(self.m, len(self.xbar), self.n_prime)
-            else:
-                m_ints = self._family.m_ints
-            object.__setattr__(self, "_ints", (m_ints, integer_row(self.xbar)))
+            cols = integer_columns(self.m, len(self.xbar), self.n_prime)
+            object.__setattr__(self, "_ints", (cols, integer_row(self.xbar)))
         return self._ints
 
     def apply(self, xprime: Vector) -> Vector:
@@ -162,9 +154,7 @@ class _ParamFamily:
     g-inverse C#, B#, B# A, and the map M = [[R, 0], [S, T]] with p' and n'.
     C and C# are None when p = 0, B# when p = n, and B# A when either is.
     Nothing writes to a family after it is built, so every parametrization
-    it makes shares M, and M's `integer_columns`, computed at most once
-    per family (`m_ints`), so that a parametrization's integer form scales
-    only its xbar.
+    it makes shares M.
     """
 
     proj: Matrix
@@ -197,13 +187,7 @@ class _ParamFamily:
             zbar = mat_vec(self.bsharp, rhs)
         else:
             zbar = vec_sub(mat_vec(self.bsharp, rhs), mat_vec(self.ba, ybar))
-        return AffineParam(ybar + zbar, self.m, self.p_prime, self.n_prime, self)
-
-    @cached_property
-    def m_ints(self) -> tuple:
-        """M's `integer_columns`, on the first read of a parametrization's
-        integer form."""
-        return integer_columns(self.m, len(self.m), self.n_prime)
+        return AffineParam(ybar + zbar, self.m, self.p_prime, self.n_prime)
 
 
 def _param_family(w: Matrix, p: int) -> _ParamFamily:

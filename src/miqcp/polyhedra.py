@@ -48,6 +48,8 @@ from .table import remember
 class Polyhedron:
     """{x in R^n : W x <= w} with the first p variables marked integer.
 
+    n is read from the rows; an explicit n is needed only when there are
+    none, and one that differs from the rows' length raises DimensionError.
     Nothing writes to w_mat or w_rhs after construction, so a polyhedron
     keeps four memos, each computed at most once per object and taking no
     part in equality or repr:
@@ -65,10 +67,18 @@ class Polyhedron:
     w_mat: Matrix
     w_rhs: Vector
     p: int = 0
+    n: Optional[int] = None
 
     def __post_init__(self):
-        if self.w_mat and any(len(r) != len(self.w_mat[0]) for r in self.w_mat):
-            raise DimensionError("ragged constraint matrix")
+        if self.w_mat:
+            n = len(self.w_mat[0])
+            if any(len(r) != n for r in self.w_mat):
+                raise DimensionError("ragged constraint matrix")
+            if self.n not in (None, n):
+                raise DimensionError(f"n={self.n} but the rows have length {n}")
+            self.n = n
+        elif self.n is None:
+            self.n = 0
         if len(self.w_rhs) != len(self.w_mat):
             raise DimensionError("len(w) != number of rows")
         if not 0 <= self.p <= self.n:
@@ -78,13 +88,6 @@ class Polyhedron:
     def m(self) -> int:
         return len(self.w_mat)
 
-    @property
-    def n(self) -> int:
-        if self.w_mat:
-            return len(self.w_mat[0])
-        return self._n_hint
-
-    _n_hint: int = field(default=0, repr=False)
     _probe: Optional[_FulldimProbe] = field(
         default=None, init=False, repr=False, compare=False)
     _start: Optional[LpStart] = field(
@@ -114,7 +117,7 @@ class Polyhedron:
             [r[:] for r in self.w_mat] + [r[:] for r in rows],
             list(self.w_rhs) + list(rhs),
             self.p,
-            _n_hint=self.n,
+            self.n,
         )
         if self._ints is not None:
             new_rows, new_ells = integer_rows(rows, rhs)
@@ -175,7 +178,7 @@ class Polyhedron:
             rhs.append(Rat(new[-1], den))
             int_rows.append(new)
             ells.append(den)
-        out = Polyhedron(rows, rhs, tau.p_prime, _n_hint=tau.n_prime)
+        out = Polyhedron(rows, rhs, tau.p_prime, tau.n_prime)
         out._ints = (int_rows, ells)
         return out
 
@@ -236,12 +239,16 @@ def _fulldim_probe(poly: Polyhedron) -> _FulldimProbe:
 
 
 def _probe_lp(poly: Polyhedron) -> _FulldimProbe:
-    n, m = poly.n, poly.m
-    if m == 0:
+    """The LP on the rows of `integer_system`: row i of Wx + t <= w times
+    ell_i is [A_i, ell_i | b_i].  Phase 1 weighs these rows alike, so when
+    the ell_i differ the point may not be the one the rational rows
+    [W_i, 1] would give; the status is the same."""
+    n = poly.n
+    if poly.m == 0:
         return _FulldimProbe("full_dim", [ZERO] * n)
-    ext_rows = [row[:] + [ONE] for row in poly.w_mat]
-    c = [ZERO] * n + [-ONE]
-    res = solve_lp(ext_rows, poly.w_rhs, c)
+    rows, ells = integer_system(poly)
+    res = solve_lp([row[:-1] + [ell] for row, ell in zip(rows, ells)],
+                   [row[-1] for row in rows], [ZERO] * n + [-ONE])
     if res.status == UNBOUNDED:
         # push along the ray until the slack variable is >= 1
         t0, dt = res.x[n], res.ray[n]

@@ -43,24 +43,16 @@ def rat_str(x) -> str:
     return str(Rat(x))
 
 
-def numer(x) -> int:
-    return int(x.numerator)
-
-
-def denom(x) -> int:
-    return int(x.denominator)
-
-
 def is_integral(x) -> bool:
     return x.denominator == 1
 
 
 def rfloor(x) -> int:
-    return numer(x) // denom(x)
+    return x.numerator // x.denominator
 
 
 def rceil(x) -> int:
-    return -((-numer(x)) // denom(x))
+    return -(-x.numerator // x.denominator)
 
 
 def rround(x) -> int:
@@ -96,7 +88,7 @@ def size_of(x) -> int:
     Uses m.bit_length() == ceil(log2(m+1)) for integers m >= 0.
     """
     x = Rat(x)
-    return 1 + abs(numer(x)).bit_length() + denom(x).bit_length()
+    return 1 + abs(x.numerator).bit_length() + x.denominator.bit_length()
 
 
 def size_of_seq(xs: Iterable) -> int:

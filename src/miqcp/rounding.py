@@ -134,7 +134,7 @@ def cqs_is_bounded(q: ConvexQuadraticSet) -> bool:
     """
     n = q.n
     rows, rhs = recession_cone(q.obj, q.poly)
-    capped = Polyhedron(rows, rhs, _n_hint=n).with_box([-ONE] * n, [ONE] * n)
+    capped = Polyhedron(rows, rhs, n=n).with_box([-ONE] * n, [ONE] * n)
     for i in range(n):
         for sign in (ONE, -ONE):
             c = [ZERO] * n

@@ -143,7 +143,7 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
             order.append(key)
     rows = [list(k) for k in order]
     rhs = [seen[k] for k in order]
-    return Polyhedron(rows, rhs, poly.p, _n_hint=poly.n)
+    return Polyhedron(rows, rhs, poly.p, poly.n)
 
 
 def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:

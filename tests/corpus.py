@@ -29,7 +29,7 @@ def _boxed_instance(n, p, radius, extra_rows, extra_rhs, h_rows, h_vec, name):
 
 def _raw_instance(rows, rhs, p, h_rows, h_vec, radius, name):
     n = len(rows[0]) if rows else len(h_vec)
-    poly = Polyhedron(mat(rows) if rows else [], [Rat(v) for v in rhs], p, _n_hint=n)
+    poly = Polyhedron(mat(rows) if rows else [], [Rat(v) for v in rhs], p, n=n)
     obj = QpObjective(mat(h_rows), [Rat(v) for v in h_vec])
     box_decl = ([Rat(-radius)] * n, [Rat(radius)] * n)
     return name, MicqpInstance(obj, poly, box_decl)

@@ -33,7 +33,7 @@ from miqcp.polyhedra import (
     lp_min,
 )
 from miqcp.qp import QpObjective, qp_min
-from miqcp.rational import ONE, Rat, denom, is_integral, numer, rfloor
+from miqcp.rational import ONE, Rat, is_integral, rfloor
 from miqcp.simplex import OPTIMAL, UNBOUNDED
 from miqcp.solver import _milp_cqs
 
@@ -145,7 +145,7 @@ def test_inner_polytope_rejects_a_flat_polyhedron():
 def test_inner_polytope_unbounded_min_walks_the_ray():
     # min of x1 over {x1 free} is -inf; the witness is a point on qp_min's
     # certified ray, so no search box is needed
-    poly = Polyhedron([], [], _n_hint=1)
+    poly = Polyhedron([], [], n=1)
     q = cqs(poly, [[0]], [1], 0)
     assert qp_min(q.obj, poly).status == UNBOUNDED
     pol = inner_polytope(q)
@@ -161,7 +161,7 @@ def _reference_enlarge_cube(q, xbar, delta):
     if n > 12 or delta >= 1:
         return delta
     inv = ONE / delta
-    k_max = (numer(inv) // denom(inv)).bit_length() - 1
+    k_max = rfloor(inv).bit_length() - 1
     if k_max <= 0:
         return delta
 
@@ -184,7 +184,7 @@ def _reference_enlarge_cube(q, xbar, delta):
     # radius in [best/2, best] is still certified, and a small denominator
     # keeps every downstream subproblem small
     inv_best = ONE / best
-    j = max(1, (numer(inv_best) // denom(inv_best)).bit_length() + 1)
+    j = max(1, rfloor(inv_best).bit_length() + 1)
     dyadic = Rat(rfloor(best * (1 << j)), 1 << j)
     if dyadic > 0 and cube_ok(dyadic):
         return dyadic
@@ -213,7 +213,7 @@ def _cube_case(rng, n, kind, far):
     eta = obj.value(xbar) + slack
     scale = 1 + sum(abs(v) for v in obj.gradient(xbar)) + n * sum(abs(v) for row in h_mat for v in row)
     delta = min(Rat(1, 3), slack / (scale * rng.randint(1, 1 << 20)))
-    q = ConvexQuadraticSet(Polyhedron([], [], _n_hint=n), obj, eta)
+    q = ConvexQuadraticSet(Polyhedron([], [], n=n), obj, eta)
     return q, xbar, delta
 
 
@@ -250,10 +250,10 @@ def test_enlarge_cube_accepts_a_vertex_on_the_level(n):
 
 def test_enlarge_cube_early_returns():
     # n = 13 skips the 2^n vertex bound; a floor >= 1 is already the cap
-    q13 = cqs(Polyhedron([], [], _n_hint=13), [[Rat(i == j) for j in range(13)] for i in range(13)],
+    q13 = cqs(Polyhedron([], [], n=13), [[Rat(i == j) for j in range(13)] for i in range(13)],
               [0] * 13, 1000)
     assert miqcp.cqs._enlarge_cube(q13, [Rat(0)] * 13, Rat(1, 1024)) == Rat(1, 1024)
-    q2 = cqs(Polyhedron([], [], _n_hint=2), [[1, 0], [0, 1]], [0, 0], 1000)
+    q2 = cqs(Polyhedron([], [], n=2), [[1, 0], [0, 1]], [0, 0], 1000)
     for delta in (Rat(1), Rat(3, 2)):
         assert miqcp.cqs._enlarge_cube(q2, [Rat(0)] * 2, delta) is delta
 
@@ -641,7 +641,7 @@ def _reference_map_polyhedron(poly, tau):
             continue
         rows.append(new_row)
         rhs.append(new_b)
-    return Polyhedron(rows, rhs, tau.p_prime, _n_hint=tau.n_prime)
+    return Polyhedron(rows, rhs, tau.p_prime, n=tau.n_prime)
 
 
 def _reference_map_objective(obj, tau):

@@ -3,7 +3,6 @@ import itertools
 import random
 
 import pytest
-import miqcp.diophantine
 from hypothesis import given, settings, strategies as st
 
 from miqcp.diophantine import (
@@ -381,22 +380,3 @@ def test_the_split_parametrization_matches_the_reference(case, table_open):
         obj.substitute(g)
     for g, e in params:
         assert g.m == e.m and g.xbar == e.xbar
-
-
-def test_the_parametrizations_of_a_family_scale_m_once(monkeypatch):
-    # the bands of a thin node: one W, many right-hand sides, one family
-    scaled = []
-    columns = miqcp.diophantine.integer_columns
-    monkeypatch.setattr(miqcp.diophantine, "integer_columns",
-                        lambda *a: scaled.append(a) or columns(*a))
-    w = [[Rat(2), Rat(3), Rat(1, 2)]]
-    with open_table():
-        params = [parametrize_mixed_integer_solutions(w, [Rat(g)], 2) for g in range(-3, 4)]
-    params = [g for g in params if isinstance(g, AffineParam)]
-    assert len(params) > 1
-    forms = [g.integer_form() for g in params]
-    assert len(scaled) == 1 and all(f[0] is forms[0][0] for f in forms)
-    # each is the integer form the parametrization computes on its own
-    for g, form in zip(params, forms):
-        assert form == AffineParam(g.xbar, g.m, g.p_prime, g.n_prime).integer_form()
-    assert len(scaled) == 1 + len(params)

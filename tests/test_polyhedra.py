@@ -9,6 +9,7 @@ from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import det, dot, gauss_solve, integer_row, mat, mat_vec
 from miqcp.polyhedra import (
     Polyhedron,
+    _fulldim_probe,
     fulldim_reduce_polyhedron,
     implicit_equalities,
     integer_system,
@@ -16,8 +17,8 @@ from miqcp.polyhedra import (
     lp_min,
     recession_ray_check,
 )
-from miqcp.rational import Rat, is_integral
-from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from miqcp.rational import ONE, ZERO, Rat, is_integral
+from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def box(lo, hi, p=0):
@@ -253,7 +254,7 @@ def test_with_box_and_pins_match_the_reference_rows():
         m = rng.randint(0, 3)
         poly = Polyhedron([[Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                            for _ in range(m)],
-                          [Rat(rng.randint(-5, 5)) for _ in range(m)], rng.randint(0, n), _n_hint=n)
+                          [Rat(rng.randint(-5, 5)) for _ in range(m)], rng.randint(0, n), n=n)
         lo = [Rat(rng.randint(-9, 0), rng.randint(1, 4)) for _ in range(n)]
         hi = [a + rng.randint(0, 5) for a in lo]
         for got, want in [
@@ -312,14 +313,87 @@ def test_contains_ints_agrees_with_contains(data):
     # slack outside; the reference is the rational test row by row
     rows, x, slacks = data
     rhs = [dot(row, x) + s for row, s in zip(rows, slacks)]
-    poly = Polyhedron(rows, rhs, _n_hint=len(x))
+    poly = Polyhedron(rows, rhs, n=len(x))
     want = all(dot(row, x) <= b for row, b in zip(rows, rhs))
     assert poly.contains_ints(*integer_row(x)) == poly.contains(x) == want
 
 
 def test_contains_refuses_a_point_of_the_wrong_length():
     with pytest.raises(DimensionError):
-        Polyhedron([], [], _n_hint=2).contains([Rat(1)])
+        Polyhedron([], [], n=2).contains([Rat(1)])
     with pytest.raises(DimensionError):
         Polyhedron(mat([[1, 0]]), [Rat(1)]).contains([Rat(0)] * 3)
-    assert Polyhedron([], [], _n_hint=2).contains([Rat(1), Rat(-7, 3)])
+    assert Polyhedron([], [], n=2).contains([Rat(1), Rat(-7, 3)])
+
+
+def test_n_is_read_from_the_rows():
+    rows, rhs = mat([[1, -2], [0, 3]]), [Rat(1), Rat(5, 2)]
+    assert Polyhedron(rows, rhs).n == 2
+    assert Polyhedron(rows, rhs) == Polyhedron(rows, rhs, n=2)
+    assert Polyhedron([], []).n == 0
+    assert Polyhedron([], [], n=2) != Polyhedron([], [], n=3)
+    with pytest.raises(DimensionError):
+        Polyhedron(rows, rhs, n=3)
+    with pytest.raises(DimensionError):
+        Polyhedron([], [], p=1)
+
+
+def _reference_probe(poly):
+    """(status, point, branch) of the probe LP max t : W x + t <= w,
+    solved by `solve_lp` on the rational rows [W_i, 1]; branch names the
+    way out: no rows, an unbounded ray, or an optimum."""
+    n = poly.n
+    if poly.m == 0:
+        return "full_dim", [ZERO] * n, "no rows"
+    res = solve_lp([row + [ONE] for row in poly.w_mat], poly.w_rhs, [ZERO] * n + [-ONE])
+    if res.status == UNBOUNDED:
+        k = max(ONE, (ONE - res.x[n]) / res.ray[n])
+        return "full_dim", [a + k * b for a, b in zip(res.x[:n], res.ray[:n])], "ray"
+    tstar = -res.value
+    if tstar < 0:
+        return "empty", None, "optimum"
+    return ("full_dim" if tstar > 0 else "flat"), res.x[:n], "optimum"
+
+
+def _random_polyhedron(rng, den):
+    n = rng.randint(0, 4)
+    m = rng.randint(0, 6)
+    rows = [[Rat(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(n)] for _ in range(m)]
+    rhs = [Rat(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(m)]
+    if m and rng.random() < 0.3:  # a pinned coordinate makes P flat
+        rows += [rows[0], [-v for v in rows[0]]]
+        rhs += [rhs[0], -rhs[0]]
+    return Polyhedron(rows, rhs, n=n)
+
+
+def test_probe_matches_the_rational_rows_lp():
+    # on integer rows [A_i | b_i] (every ell_i = 1) the probe's LP on
+    # [A_i, ell_i | b_i] is the reference LP row for row: the same status
+    # and the same point, through all branches
+    rng = random.Random(2424)
+    seen = set()
+    for _ in range(300):
+        poly = _random_polyhedron(rng, 1)
+        probe = _fulldim_probe(poly)
+        status, point, branch = _reference_probe(poly)
+        assert (probe.status, probe.point) == (status, point)
+        seen.add((status, branch, poly.n == 0))
+    assert {("full_dim", "ray", False), ("full_dim", "optimum", False), ("flat", "optimum", False),
+            ("empty", "optimum", False), ("full_dim", "no rows", False),
+            ("full_dim", "optimum", True), ("flat", "optimum", True),
+            ("empty", "optimum", True), ("full_dim", "no rows", True)} <= seen
+
+
+def test_probe_of_rational_rows_decides_like_the_reference():
+    # with rational rows, phase 1 weighs row i of [A_i, ell_i | b_i] by 1
+    # and the reference weighs it by 1 / ell_i, so the two LPs may end at
+    # different optimal points; the status is the same, and the point
+    # witnesses it: interior when full_dim, in P when flat
+    rng = random.Random(2425)
+    for _ in range(300):
+        poly = _random_polyhedron(rng, 6)
+        probe = _fulldim_probe(poly)
+        assert probe.status == _reference_probe(poly)[0]
+        if probe.status != "empty":
+            slacks = poly.slacks(probe.point)
+            assert all(s > 0 for s in slacks) if probe.status == "full_dim" else min(slacks) == 0

@@ -112,14 +112,14 @@ def test_objective_rejects_asymmetric_or_misshapen_h():
 def test_qp_unconstrained_min():
     # min over R^2: H = I, h = (-2, 0): minimizer (1, 0), value -1
     obj = QpObjective(mat([[1, 0], [0, 1]]), [Rat(-2), Rat(0)])
-    res = qp_min(obj, Polyhedron([], [], _n_hint=2))
+    res = qp_min(obj, Polyhedron([], [], n=2))
     assert res.status == OPTIMAL
     assert res.x == [1, 0] and res.value == -1
 
 
 def test_qp_unconstrained_unbounded_singular():
     obj = QpObjective(mat([[1, 0], [0, 0]]), [Rat(0), Rat(1)])
-    res = qp_min(obj, Polyhedron([], [], _n_hint=2))
+    res = qp_min(obj, Polyhedron([], [], n=2))
     assert res.status == UNBOUNDED
     assert res.ray == [0, -1]
 
@@ -306,7 +306,7 @@ def descent_ray(obj, poly):
     n = obj.n
     rows, rhs = recession_cone(obj, poly)
     rhs[-1] = -ONE
-    res = lp_min([ZERO] * n, Polyhedron(rows, rhs, _n_hint=n))
+    res = lp_min([ZERO] * n, Polyhedron(rows, rhs, n=n))
     if res.status == OPTIMAL:
         return res.x
     return None
@@ -478,7 +478,7 @@ def _random_qp(rng):
             row = [_rat(rng) for _ in range(n)]  # contradicting pair
             rows += [row, [-v for v in row]]
             rhs += [ONE, -2 * ONE]
-    return obj, Polyhedron(rows, rhs, _n_hint=n)
+    return obj, Polyhedron(rows, rhs, n=n)
 
 
 def _assert_unbounded_certificate(obj, poly, res):
@@ -528,7 +528,7 @@ def _qp_case(draw):
     h_vec = draw(st.lists(_small, min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(_small, min_size=n, max_size=n), max_size=6))
     rhs = draw(st.lists(_small, min_size=len(rows), max_size=len(rows)))
-    return QpObjective(h_mat, h_vec), Polyhedron(rows, rhs, _n_hint=n)
+    return QpObjective(h_mat, h_vec), Polyhedron(rows, rhs, n=n)
 
 
 @settings(max_examples=150, deadline=None)

@@ -99,7 +99,7 @@ def _reference_cqs_is_bounded(q):
         for sign in (ONE, -ONE):
             cap = [ZERO] * n
             cap[i] = sign
-            res = lp_min([-v for v in cap], Polyhedron(rows + [cap], rhs + [ONE], _n_hint=n))
+            res = lp_min([-v for v in cap], Polyhedron(rows + [cap], rhs + [ONE], n=n))
             assert res.status == OPTIMAL
             if res.value < 0:
                 return False
@@ -115,7 +115,7 @@ def _random_cone_set(rng):
     ell = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
     h_mat = [[Rat(sum(row[i] * row[j] for row in ell)) for j in range(n)] for i in range(n)]
     h_vec = [Rat(rng.randint(-3, 3)) if rng.random() < 0.6 else ZERO for _ in range(n)]
-    poly = Polyhedron(w_mat, w_rhs, _n_hint=n)
+    poly = Polyhedron(w_mat, w_rhs, n=n)
     return ConvexQuadraticSet(poly, QpObjective(h_mat, h_vec), Rat(rng.randint(0, 9)))
 
 

@@ -381,7 +381,7 @@ def test_lp_min_from_the_kept_start_matches_reference(monkeypatch):
     for system in systems:
         w_mat, w_rhs = system[:2]
         n = len(w_mat[0]) if w_mat else system[2]
-        poly = Polyhedron(w_mat, w_rhs, _n_hint=n)
+        poly = Polyhedron(w_mat, w_rhs, n=n)
         farkas = set()
         runs.clear()
         for c in [_random_objective(rng, n) for _ in range(5)] + [[ZERO] * n]:
@@ -485,7 +485,7 @@ def test_independent_active_rows_match_greedy_rank():
             rows.append(row)
             tight = rng.random() < 0.7
             rhs.append(_naive_dot(row, x) + (0 if tight else Fraction(rng.randint(1, 4))))
-        poly = Polyhedron(rows, rhs, _n_hint=n)
+        poly = Polyhedron(rows, rhs, n=n)
         rows, _ = integer_system(poly)
         chosen = _independent_active_rows(rows, *integer_row(x))
         assert chosen == _greedy_rank_rows(poly, x)

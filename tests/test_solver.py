@@ -14,7 +14,7 @@ from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective
-from miqcp.rational import Rat, denom, is_integral, numer, size_of
+from miqcp.rational import Rat, is_integral, size_of
 from miqcp.rounding import ceil_sqrt
 from miqcp.solver import (
     INFEASIBLE_STATUS,
@@ -22,6 +22,7 @@ from miqcp.solver import (
     UNBOUNDED_STATUS,
     MicqpInstance,
     Trace,
+    _check_box,
     _denominator_bound,
     _merge_duplicate_rows,
     boundedness,
@@ -144,7 +145,7 @@ def test_boundedness_unbounded_ray():
 
 def test_boundedness_quadratic_blocks_ray():
     # min x^2 over R: H r = 0 forces r = 0, conflicts h r <= -1
-    poly = Polyhedron([], [], p=1, _n_hint=1)
+    poly = Polyhedron([], [], p=1, n=1)
     obj = QpObjective(mat([[1]]), [Rat(0)])
     inst = MicqpInstance(obj, poly, BOX5_1D)
     assert not boundedness(inst).unbounded
@@ -497,21 +498,21 @@ def _reference_denominator_bound(inst):
     ell_obj = 1
     for row in inst.obj.h_mat:
         for v in row:
-            ell_obj = lcm(ell_obj, denom(2 * v))
+            ell_obj = lcm(ell_obj, (2 * v).denominator)
     for v in inst.obj.h_vec:
-        ell_obj = lcm(ell_obj, denom(v))
+        ell_obj = lcm(ell_obj, v.denominator)
     ell = ell_obj
     for row, b in zip(inst.poly.w_mat, inst.poly.w_rhs):
         for v in row:
-            ell = lcm(ell, denom(v))
-        ell = lcm(ell, denom(b))
+            ell = lcm(ell, v.denominator)
+        ell = lcm(ell, b.denominator)
     amax = ell
     for row in inst.obj.h_mat:
         for v in row:
-            amax = max(amax, abs(numer(2 * v)) * (ell // denom(2 * v)))
+            amax = max(amax, abs((2 * v).numerator) * (ell // (2 * v).denominator))
     for row in inst.poly.w_mat:
         for v in row:
-            amax = max(amax, abs(numer(v)) * (ell // denom(v)))
+            amax = max(amax, abs(v.numerator) * (ell // v.denominator))
     d_point = (2 * n * amax * amax) ** max(1, n)
     return ell_obj * d_point * d_point
 
@@ -523,13 +524,13 @@ def _reference_scaled_integer_system_size(matrices, vectors, scalars):
     dims = 0
     for a, b in zip(list(matrices), list(vectors)):
         for row, rhs in zip(a, b + [Rat(0)] * (len(a) - len(b))):
-            ell = lcm(*([denom(v) for v in row] + [denom(rhs)]))
+            ell = lcm(*([v.denominator for v in row] + [rhs.denominator]))
             for v in row:
-                total += size_of(Rat(numer(v) * (ell // denom(v))))
-            total += size_of(Rat(numer(rhs) * (ell // denom(rhs))))
+                total += size_of(Rat(v.numerator * (ell // v.denominator)))
+            total += size_of(Rat(rhs.numerator * (ell // rhs.denominator)))
             dims += 1 + len(row)
     for s in scalars:
-        total += size_of(Rat(numer(s))) + size_of(Rat(denom(s)))
+        total += size_of(Rat(s.numerator)) + size_of(Rat(s.denominator))
     return max(1, total + dims)
 
 
@@ -544,7 +545,7 @@ def _random_rational_instance(rng):
     h_mat = [[sum((row[i] * row[j] for row in l_mat), Rat(0)) for j in range(n)]
              for i in range(n)]
     poly = Polyhedron([[r() for _ in range(n)] for _ in range(m)], [r() for _ in range(m)],
-                      rng.randint(0, n), _n_hint=n)
+                      rng.randint(0, n), n=n)
     return MicqpInstance(QpObjective(h_mat, [r() for _ in range(n)]), poly), r()
 
 
@@ -603,3 +604,13 @@ def test_the_box_check_of_a_linear_objective_runs_no_lp(monkeypatch):
     q = ConvexQuadraticSet(poly, obj, Rat(1, 2))
     assert feasibility(q, ([Rat(0)] * 2, [Rat(4)] * 2)) is None
     assert counts == [1, 1]
+
+
+def test_a_box_that_cuts_nothing_off_is_not_probed():
+    # the boxed polyhedron equals P whether or not P was given n, so the
+    # box check returns before either probe LP
+    poly = box([0, -1], [3, 2], p=2)
+    boxed = _merge_duplicate_rows(poly.with_box([Rat(0), Rat(-1)], [Rat(3), Rat(2)]))
+    assert boxed == poly
+    _check_box(boxed, poly)
+    assert boxed._probe is None and poly._probe is None
