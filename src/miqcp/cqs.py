@@ -39,9 +39,11 @@ class ConvexQuadraticSet:
     """{x : W x <= w, x^T H x + h^T x <= eta} with leading integer variables.
 
     Nothing writes to poly, obj or eta after construction, so a set keeps
-    two memos, which take no part in equality or repr: its `_level_case`
-    (computed once per object) and `_brackets`, the grow loop's LPs
-    min row . x over P, keyed by the row (`rounding._run_lp`).
+    three memos, which take no part in equality or repr: its `_level_case`
+    (computed once per object), `_brackets`, the grow loop's LPs
+    min row . x over P, keyed by the row (`rounding._run_lp`), and
+    `_cut_bounds`, what the grow loop's cut QPs proved about the cuts of a
+    row, keyed by the row (`rounding._kept_bound_misses`).
     """
 
     poly: Polyhedron
@@ -50,6 +52,8 @@ class ConvexQuadraticSet:
     _level: Optional[Tuple[str, Optional[QpResult]]] = field(
         default=None, init=False, repr=False, compare=False)
     _brackets: Dict[tuple, LpResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _cut_bounds: Dict[tuple, list] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

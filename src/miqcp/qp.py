@@ -238,6 +238,25 @@ def _independent_active_rows(rows: List[List[int]], x_num: List[int], x_den: int
     return chosen
 
 
+def _kkt_multipliers(working: List[List[int]], grad: List[int]) -> Optional[tuple]:
+    """(mult, d) with d > 0 and sum_j mult[j] working[j] = -d grad: the
+    multipliers of the working rows at a point, as ints over d, or None
+    when grad is not in the span of those rows.  The rows must be
+    independent, so the multipliers are unique.  At x = x_num / x_den with
+    working rows ells[i] W_i and grad = scale x_den (2 H x + h), as in
+    `qp_min`, row i's multiplier is ells[i] mult / (d scale x_den).
+    """
+    m_a = len(working)
+    work, pivots, _, d, _, _ = _eliminate(
+        [list(col) + [-g] for col, g in zip(zip(*working), grad)])
+    if pivots and pivots[-1] == m_a:
+        return None
+    mult = [0] * m_a
+    for row, c in zip(work, pivots):
+        mult[c] = row[m_a] if d > 0 else -row[m_a]
+    return mult, abs(d)
+
+
 def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     """Exact minimum of x^T H x + h^T x over {W x <= w}.
 
@@ -326,18 +345,14 @@ def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
                 if any(grad):
                     raise AssertionError("stationarity must hold with empty working set")
                 return _optimal(x_num, x_den, h_x, lin, scale, [], [], iterations)
-            m_a = len(active)
-            work, pivots, _, d, _, _ = _eliminate(
-                [list(col) + [-g] for col, g in zip(zip(*(a_rows[i] for i in active)), grad)])
-            if pivots and pivots[-1] == m_a:
+            solved = _kkt_multipliers([a_rows[i] for i in active], grad)
+            if solved is None:
                 raise AssertionError("EQP-optimal point must admit multipliers")
-            # lam_i = ells[i] mult_i / (|d| scale x_den)
-            mult = [0] * m_a
-            for row, c in zip(work, pivots):
-                mult[c] = row[m_a] if d > 0 else -row[m_a]
+            # lam_i = ells[i] mult_i / (d scale x_den)
+            mult, d = solved
             drop = next((i for i, v in zip(active, mult) if v < 0), None)
             if drop is None:
-                lam_den = abs(d) * scale * x_den
+                lam_den = d * scale * x_den
                 lam = [Rat(ells[i] * v, lam_den) for i, v in zip(active, mult)]
                 return _optimal(x_num, x_den, h_x, lin, scale, list(active), lam, iterations)
             active.remove(drop)

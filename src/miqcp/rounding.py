@@ -33,8 +33,8 @@ from .linalg import (
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, _fulldim_probe, content_key, lp_min
-from .qp import recession_cone
+from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
+from .qp import _independent_active_rows, _kkt_multipliers, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL, UNBOUNDED
 from .table import remember
@@ -322,6 +322,57 @@ def _cut_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int) -> boo
     return lp.is_optimal and lp.value > Rat(t_num, den)
 
 
+def _kept_bound_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int) -> bool:
+    """Whether the cut QPs already run on row's cuts prove that the cut
+    row . x <= t_num / den holds no point of Q.
+
+    phi(t) = min {q(x) : x in P, row . x <= t} is convex and nonincreasing
+    in t (Ritter 1962; Best 1996), +infinity where the cut misses P.  So a
+    cut QP that failed at t_f fails every t <= t_f, and a kept supporting
+    line phi(t) >= a - mu t (`_keep_cut_bound`), held as (c, mu) with
+    c = a - eta, fails every t with c > mu t.  Both are decided on ints.
+    """
+    kept = q._cut_bounds.get(tuple(row))
+    if kept is None:
+        return False
+    fail, lines = kept
+    if fail is not None and t_num * fail.denominator <= fail.numerator * den:
+        return True
+    return any(c.numerator * mu.denominator * den > mu.numerator * c.denominator * t_num
+               for c, mu in lines)
+
+
+def _keep_cut_bound(q: ConvexQuadraticSet, row: Vector, t: Rat, cut: Polyhedron,
+                    pt: Optional[Vector]) -> None:
+    """Keep on q, by row, what the QP on cut (P and row . x <= t) proved:
+    the largest failing t when pt is None; otherwise, when the cut is tight
+    at pt and exact multipliers of pt's tight rows (`_kkt_multipliers`)
+    are all >= 0, the line phi(s) >= q(pt) + mu (t - s), mu > 0 being the
+    cut's.  Those multipliers certify that pt minimizes q + mu row . x over
+    P, so every y in P with row . y <= s has q(y) >= q(pt) + mu (t - s),
+    whichever tight rows the solve picks.
+    """
+    kept = q._cut_bounds.setdefault(tuple(row), [None, []])
+    if pt is None:
+        kept[0] = t  # above the kept t, or `_kept_bound_misses` would have run no QP
+        return
+    rows, ells = integer_system(cut)
+    x_num, x_den = integer_row(pt)
+    active = _independent_active_rows(rows, x_num, x_den)
+    if not active or active[-1] != len(rows) - 1:  # the cut is slack or not chosen
+        return
+    h_int, lin, scale = q.obj.integer_form()
+    h_x = [_idot(r, x_num) for r in h_int]
+    solved = _kkt_multipliers([rows[i][:-1] for i in active],
+                              [2 * u + x_den * c for u, c in zip(h_x, lin)])
+    if solved is None or min(solved[0]) < 0 or not solved[0][-1]:
+        return
+    mult, d = solved
+    mu = Rat(ells[-1] * mult[-1], d * scale * x_den)
+    value = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
+    kept[1].append((value + mu * t - q.eta, mu))
+
+
 def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, top: int, bot: int,
                       den: int) -> Optional[int]:
     """The last k < _MAX_ESCALATION whose cut
@@ -368,7 +419,11 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     q's minimizer over the half-space row . x <= rhs
     (`_decide_in_closed_form`, both senses from one `_half_space_run`);
     the run LP, run on the first probe that needs it, which ends the run
-    at a cut below its minimum with no QP; and a QP on the cut.
+    at a cut below its minimum with no QP; the bounds that earlier cut
+    QPs of the row kept on q (`_kept_bound_misses`), which end the run at
+    a cut they prove empty with no QP; and a QP on the cut, whose answer
+    adds to those bounds (`_keep_cut_bound`).  The kept bounds only ever
+    decide a cut that fails, so every accepted point is the QP's.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
@@ -394,10 +449,12 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
                 decided, pt = ((False, None) if probe is None
                                else _decide_in_closed_form(q, probe, t_num, den))
                 if not decided:
-                    if _cut_misses(q, row, t_num, den):
+                    if _cut_misses(q, row, t_num, den) or _kept_bound_misses(q, row, t_num, den):
                         break
-                    cut = q.poly.with_rows([row], [Rat(t_num, den)])
+                    t = Rat(t_num, den)
+                    cut = q.poly.with_rows([row], [t])
                     pt = quadratic_feasible_point(q.obj, cut, q.eta)
+                    _keep_cut_bound(q, row, t, cut, pt)
                 if pt is None:
                     break
                 last_good = pt

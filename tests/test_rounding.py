@@ -25,7 +25,7 @@ from miqcp.linalg import (
 from miqcp.polyhedra import Polyhedron, _fulldim_probe, implicit_equalities, lp_min
 from miqcp.qp import QpObjective, recession_cone
 from miqcp.rational import Rat, ZERO, ONE, rround
-from miqcp.simplex import OPTIMAL, UNBOUNDED
+from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from miqcp.rounding import (
     SandwichResult,
     Simplex,
@@ -670,6 +670,8 @@ def test_grow_probes_tool_prints_the_four_kinds():
     assert zero["qp"] == zero["accepted"] > 0 and zero["run_lp"] > 0 and zero["closed_form"] == 0
     # the MILP check's sets are zero; the optimality probes' sets are definite
     assert definite["closed_form"] > 0 and definite["qp"] == 0
+    # no cut QP runs on a nonzero objective, so none has kept a bound
+    assert lines["total"]["kept"] == 0
     assert all(sum(c[k] for c in list(lines.values())[:4]) == lines["total"][k] for k in zero)
 
 
@@ -814,6 +816,75 @@ def test_clipped_disc_sends_the_probes_where_p_binds_to_the_qp(monkeypatch):
     q = _disc(([ONE, ONE], ONE))
     qps, lps, probes = _grow_costs(monkeypatch, q, rounding._push)
     assert qps == probes > 0 and lps > 0
+
+
+# --- bounds kept from the grow loop's cut QPs --------------------------------
+
+
+def _semidefinite_set(rng):
+    n = rng.randint(2, 3)
+    gram = _gram(rng, rng.randint(1, n - 1), n)  # rank < n
+    return _seeded_set(rng, n, rng.randint(1, n), gram, [Rat(rng.randint(-3, 3)) for _ in range(n)])
+
+
+def _cut_values(kept_t):
+    """Right-hand sides of a grid around a kept t."""
+    return [kept_t + d for d in (-5, -2, -1, Rat(-1, 7), 0, Rat(1, 3), 1, 3)]
+
+
+def test_kept_cut_bounds_hold_on_a_grid_of_cuts():
+    # phi(t) = min {q(x) : x in P, row . x <= t}: every kept line is below
+    # phi, and every t at or below a row's failing threshold fails
+    rng = random.Random(2501)
+    seen = {"definite": 0, "semidefinite": 0, "line": 0, "threshold": 0}
+    for k in range(16):
+        n = rng.randint(1, 3)
+        q = _pd_set(rng, n, rng.randint(1, n)) if k % 2 else _semidefinite_set(rng)
+        s0, anchor = _grow_inputs(q, q.p)
+        grow_simplex(q, q.p, s0, anchor, check=False)
+        for row, (fail, lines) in q._cut_bounds.items():
+            seen["definite" if q.obj.definite else "semidefinite"] += 1
+            ts = sum((_cut_values(c / mu) for c, mu in lines), [])
+            ts += _cut_values(fail) if fail is not None else []
+            for t in ts:
+                res = miqcp.qp.qp_min(q.obj, q.poly.with_rows([list(row)], [t]))
+                assert res.status in (OPTIMAL, INFEASIBLE)
+                for c, mu in lines:
+                    assert mu > 0
+                    if res.is_optimal:
+                        assert res.value - q.eta >= c - mu * t
+                    seen["line"] += 1
+                if fail is not None and t <= fail:
+                    assert not res.is_optimal or res.value > q.eta
+                    seen["threshold"] += 1
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def _grow_qps(monkeypatch, q, p, decider):
+    """(vertices, trace, qp_min calls) of growing a fresh copy of q with
+    decider as `_kept_bound_misses`."""
+    q = ConvexQuadraticSet(q.poly, q.obj, q.eta)
+    s0, anchor = _grow_inputs(q, p)
+    qps = []
+    qp_min = miqcp.cqs.qp_min
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.cqs, "qp_min", lambda *a: qps.append(a) or qp_min(*a))
+        m.setattr(rounding, "_kept_bound_misses", decider)
+        grown, trace = grow_simplex(q, p, s0, anchor, check=False)
+    return grown.vertices, trace, len(qps)
+
+
+@pytest.mark.parametrize("source", ["gen_24", "gen_27"])
+def test_kept_cut_bounds_save_qps_and_keep_the_trajectory(monkeypatch, source):
+    sets = _sandwiched_sets(monkeypatch, dict(corpus.corpus())[source])
+    kept_qps = stubbed_qps = 0
+    for q, p in sets:
+        verts, trace, kept = _grow_qps(monkeypatch, q, p, rounding._kept_bound_misses)
+        ref_verts, ref_trace, stubbed = _grow_qps(monkeypatch, q, p, lambda *a: False)
+        assert verts == ref_verts and trace == ref_trace
+        kept_qps += kept
+        stubbed_qps += stubbed
+    assert kept_qps < stubbed_qps
 
 
 def _reference_simplify_accepted_point(q, pt, anchor, cut_row, cut_rhs0, seen):

@@ -16,10 +16,14 @@ for k = 0, 1, ... until a cut misses Q.  Each probe is decided by one of:
   minimum (``_cut_misses``) or, for an identically-zero objective with
   eta >= 0, every cut of the run but the one handed to the QP
   (``_last_meeting_cut``);
+- ``kept``: what earlier cut QPs of the same row on the same set proved,
+  a failing cut at or above this one or a supporting line of the cut
+  minimum above eta (``_kept_bound_misses``);
 - ``qp``: a ``quadratic_feasible_point`` on the cut polyhedron.
 
 ``accepted`` counts the pushes that found a point.  One line per objective
-kind is printed, ``kind: closed_form C / run_lp L / qp Q / accepted A``,
+kind is printed,
+``kind: closed_form C / run_lp L / kept K / qp Q / accepted A``,
 for the kinds of ``KINDS`` in that order, and a total line.  The kind is
 the set's objective: ``definite`` (H positive definite), ``semidefinite``
 (H != 0 singular), ``linear`` (H = 0, h != 0) or ``zero`` (H = 0, h = 0).
@@ -43,7 +47,7 @@ import miqcp.rounding as rounding  # noqa: E402
 import miqcp.solver  # noqa: E402
 
 KINDS = ("definite", "semidefinite", "linear", "zero")
-COLUMNS = ("closed_form", "run_lp", "qp", "accepted")
+COLUMNS = ("closed_form", "run_lp", "kept", "qp", "accepted")
 
 
 def objective_kind(obj) -> str:
@@ -64,6 +68,7 @@ def _last_cut(tally, k):
 TALLIES = {
     "_decide_in_closed_form": lambda c, out: c.update(closed_form=out[0]),
     "_cut_misses": lambda c, out: c.update(run_lp=out),
+    "_kept_bound_misses": lambda c, out: c.update(kept=out),
     "_last_meeting_cut": _last_cut,
     "quadratic_feasible_point": lambda c, out: c.update(qp=1),
 }
