@@ -109,7 +109,7 @@ def _json_object(text: str, known) -> dict:
     first top-level key that is not in known)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InstanceParseError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceParseError("$", "top level must be an object")
@@ -231,7 +231,7 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
     try:
         with open(instance_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 too
         return 2, {"error": f"cannot read {instance_path}: {exc}"}
 
     tr = Trace() if trace else None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .bounds import magnitude_bound, scaled_integer_system_size
 from .diophantine import EMPTY, AffineParam, Empty, identity_param
@@ -30,7 +30,7 @@ from .polyhedra import (
 )
 from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, ONE, rfloor, rround, size_of_seq
-from .simplex import INFEASIBLE, LpResult
+from .simplex import INFEASIBLE
 from .table import remember
 
 
@@ -39,11 +39,9 @@ class ConvexQuadraticSet:
     """{x : W x <= w, x^T H x + h^T x <= eta} with leading integer variables.
 
     Nothing writes to poly, obj or eta after construction, so a set keeps
-    three memos, which take no part in equality or repr: its `_level_case`
-    (computed once per object), `_brackets`, the grow loop's LPs
-    min row . x over P, keyed by the row (`rounding._run_lp`), and
-    `_cut_bounds`, what the grow loop's cut QPs proved about the cuts of a
-    row, keyed by the row (`rounding._kept_bound_misses`).
+    one memo, `_level`, its `_level_case` (computed once per object), which
+    takes no part in equality or repr.  What a grow of the sandwich learns
+    about the set is kept by the grow (`rounding._RowRuns`).
     """
 
     poly: Polyhedron
@@ -51,10 +49,6 @@ class ConvexQuadraticSet:
     eta: Rat
     _level: Optional[Tuple[str, Optional[QpResult]]] = field(
         default=None, init=False, repr=False, compare=False)
-    _brackets: Dict[tuple, LpResult] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _cut_bounds: Dict[tuple, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.obj.n != self.poly.n:

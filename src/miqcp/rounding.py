@@ -9,6 +9,7 @@ the projection of the set onto the leading p coordinates.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
@@ -36,7 +37,7 @@ from .linalg import (
 from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
 from .qp import _independent_active_rows, _kkt_multipliers, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
-from .simplex import OPTIMAL, UNBOUNDED
+from .simplex import OPTIMAL, UNBOUNDED, LpResult
 from .table import remember
 
 _MAX_ESCALATION = 128
@@ -305,24 +306,31 @@ def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
     return False, None
 
 
-def _run_lp(q: ConvexQuadraticSet, row: Vector):
-    """min row . x over P (phase 2 on P's kept start), kept on q by row, so
-    a facet normal that survives an accepted push runs no LP again."""
-    key = tuple(row)
-    lp = q._brackets.get(key)
-    if lp is None:
-        lp = q._brackets[key] = lp_min(row, q.poly)
-    return lp
+@dataclass
+class _RowRuns:
+    """One row's run LP and what its cut QPs proved, kept for one grow."""
+
+    lp: Optional[LpResult] = None
+    fail: Optional[Rat] = None
+    lines: List[Tuple[Rat, Rat]] = field(default_factory=list)
 
 
-def _cut_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int) -> bool:
+def _run_lp(q: ConvexQuadraticSet, row: Vector, run: _RowRuns) -> LpResult:
+    """min row . x over P (phase 2 on P's kept start), kept on run, so a
+    facet normal that survives an accepted push runs no LP again."""
+    if run.lp is None:
+        run.lp = lp_min(row, q.poly)
+    return run.lp
+
+
+def _cut_misses(q: ConvexQuadraticSet, row: Vector, run: _RowRuns, t_num: int, den: int) -> bool:
     """Whether the cut row . x <= t_num / den lies below the run LP's
     minimum, so that it misses P and with it Q."""
-    lp = _run_lp(q, row)
+    lp = _run_lp(q, row, run)
     return lp.is_optimal and lp.value > Rat(t_num, den)
 
 
-def _kept_bound_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int) -> bool:
+def _kept_bound_misses(run: _RowRuns, t_num: int, den: int) -> bool:
     """Whether the cut QPs already run on row's cuts prove that the cut
     row . x <= t_num / den holds no point of Q.
 
@@ -332,29 +340,25 @@ def _kept_bound_misses(q: ConvexQuadraticSet, row: Vector, t_num: int, den: int)
     line phi(t) >= a - mu t (`_keep_cut_bound`), held as (c, mu) with
     c = a - eta, fails every t with c > mu t.  Both are decided on ints.
     """
-    kept = q._cut_bounds.get(tuple(row))
-    if kept is None:
-        return False
-    fail, lines = kept
+    fail = run.fail
     if fail is not None and t_num * fail.denominator <= fail.numerator * den:
         return True
     return any(c.numerator * mu.denominator * den > mu.numerator * c.denominator * t_num
-               for c, mu in lines)
+               for c, mu in run.lines)
 
 
-def _keep_cut_bound(q: ConvexQuadraticSet, row: Vector, t: Rat, cut: Polyhedron,
+def _keep_cut_bound(q: ConvexQuadraticSet, run: _RowRuns, t: Rat, cut: Polyhedron,
                     pt: Optional[Vector]) -> None:
-    """Keep on q, by row, what the QP on cut (P and row . x <= t) proved:
-    the largest failing t when pt is None; otherwise, when the cut is tight
+    """Keep on run what the QP on cut (P and row . x <= t) proved: the
+    largest failing t when pt is None; otherwise, when the cut is tight
     at pt and exact multipliers of pt's tight rows (`_kkt_multipliers`)
     are all >= 0, the line phi(s) >= q(pt) + mu (t - s), mu > 0 being the
     cut's.  Those multipliers certify that pt minimizes q + mu row . x over
     P, so every y in P with row . y <= s has q(y) >= q(pt) + mu (t - s),
     whichever tight rows the solve picks.
     """
-    kept = q._cut_bounds.setdefault(tuple(row), [None, []])
     if pt is None:
-        kept[0] = t  # above the kept t, or `_kept_bound_misses` would have run no QP
+        run.fail = t  # above the kept t, or `_kept_bound_misses` would have run no QP
         return
     rows, ells = integer_system(cut)
     x_num, x_den = integer_row(pt)
@@ -370,11 +374,11 @@ def _keep_cut_bound(q: ConvexQuadraticSet, row: Vector, t: Rat, cut: Polyhedron,
     mult, d = solved
     mu = Rat(ells[-1] * mult[-1], d * scale * x_den)
     value = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
-    kept[1].append((value + mu * t - q.eta, mu))
+    run.lines.append((value + mu * t - q.eta, mu))
 
 
-def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, top: int, bot: int,
-                      den: int) -> Optional[int]:
+def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, run: _RowRuns, top: int,
+                      bot: int, den: int) -> Optional[int]:
     """The last k < _MAX_ESCALATION whose cut
     row . x <= t_k = (top - (bot << k)) / den meets P, or None when the
     first one misses it (bot > 0, den > 0).
@@ -385,7 +389,7 @@ def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, top: int, bot: int,
     of their quotient, less one.  An unbounded LP meets every cut; an
     infeasible one (P empty) none.
     """
-    lp = _run_lp(q, row)
+    lp = _run_lp(q, row, run)
     if lp.status == UNBOUNDED:
         return _MAX_ESCALATION - 1
     if not lp.is_optimal:
@@ -397,7 +401,8 @@ def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, top: int, bot: int,
     return min((room // unit).bit_length() - 1, _MAX_ESCALATION - 1)
 
 
-def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Optional[Vector]:
+def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
+          runs: defaultdict[tuple, _RowRuns]) -> Optional[Vector]:
     """A point of Q whose projection may replace vertex i of sim at a 3/2
     push, or None when facet i admits none.
 
@@ -410,20 +415,19 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     is the one `quadratic_feasible_point` gives on its last cut that
     meets Q, whose QP starts at that cut polyhedron's phase-1 point.
 
-    The run LP, min row . x over P (`_run_lp`, kept on q), brackets every
-    probe: a cut below its minimum misses P.  When q is identically zero
-    and eta >= 0, Q = P, so the LP decides every probe of the run: the
-    last cut that meets P is found in closed form (`_last_meeting_cut`)
-    and one QP runs, on that cut.
-    Otherwise each probe is decided by the first of: for a definite H,
-    q's minimizer over the half-space row . x <= rhs
-    (`_decide_in_closed_form`, both senses from one `_half_space_run`);
-    the run LP, run on the first probe that needs it, which ends the run
-    at a cut below its minimum with no QP; the bounds that earlier cut
-    QPs of the row kept on q (`_kept_bound_misses`), which end the run at
-    a cut they prove empty with no QP; and a QP on the cut, whose answer
-    adds to those bounds (`_keep_cut_bound`).  The kept bounds only ever
-    decide a cut that fails, so every accepted point is the QP's.
+    runs holds the grow's `_RowRuns` by tuple(row).  Each probe is decided by
+    the first of: for a definite H, q's minimizer over the half-space
+    row . x <= rhs (`_decide_in_closed_form`, both senses from one
+    `_half_space_run`); the run LP, min row . x over P, run on the first
+    probe that needs it, which ends the run at a cut below its minimum
+    with no QP; the bounds that earlier cut QPs of the row kept
+    (`_kept_bound_misses`), which end the run at a cut they prove empty
+    with no QP; and a QP on the cut, whose answer adds to those bounds
+    (`_keep_cut_bound`).  The kept bounds only ever decide a cut that
+    fails, so every accepted point is the QP's.  When q is identically
+    zero and eta >= 0, Q = P, so every cut up to the last one that meets
+    P (`_last_meeting_cut`) meets Q: the run starts there, or runs no
+    probe when there is none, and keeps no bound (phi = 0 where cuts meet P).
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
@@ -436,28 +440,27 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector) -> Option
     probes = _half_space_run(q, up) if q.obj.definite else (None, None)
     for sense, probe in zip((1, -1), probes):
         row = up if sense == 1 else [-v for v in up]
+        run = runs[tuple(row)]
         top = -sense * off
+        first = _last_meeting_cut(q, row, run, top, bot, den) if zero else 0
+        if first is None:  # the first cut misses P
+            continue
         last_good = None
-        if zero:
-            k = _last_meeting_cut(q, row, top, bot, den)
-            if k is not None:
-                cut = q.poly.with_rows([row], [Rat(top - (bot << k), den)])
-                last_good = quadratic_feasible_point(q.obj, cut, q.eta)
-        else:
-            for k in range(_MAX_ESCALATION):
-                t_num = top - (bot << k)
-                decided, pt = ((False, None) if probe is None
-                               else _decide_in_closed_form(q, probe, t_num, den))
-                if not decided:
-                    if _cut_misses(q, row, t_num, den) or _kept_bound_misses(q, row, t_num, den):
-                        break
-                    t = Rat(t_num, den)
-                    cut = q.poly.with_rows([row], [t])
-                    pt = quadratic_feasible_point(q.obj, cut, q.eta)
-                    _keep_cut_bound(q, row, t, cut, pt)
-                if pt is None:
+        for k in range(first, _MAX_ESCALATION):
+            t_num = top - (bot << k)
+            decided, pt = ((False, None) if probe is None
+                           else _decide_in_closed_form(q, probe, t_num, den))
+            if not decided:
+                if _cut_misses(q, row, run, t_num, den) or _kept_bound_misses(run, t_num, den):
                     break
-                last_good = pt
+                t = Rat(t_num, den)
+                cut = q.poly.with_rows([row], [t])
+                pt = quadratic_feasible_point(q.obj, cut, q.eta)
+                if not zero:
+                    _keep_cut_bound(q, run, t, cut, pt)
+            if pt is None:
+                break
+            last_good = pt
         if last_good is not None:
             return _simplify_accepted_point(q, last_good, anchor, row, Rat(top - bot, den))
     return None
@@ -485,9 +488,10 @@ def grow_simplex(
         raise PreconditionError("grow_simplex: seed vertex outside proj(Q)")
     sim = s0
     vol_trace = [sim.volume]
+    runs = defaultdict(_RowRuns)  # by tuple(row), for this grow only
     for _ in range(_MAX_SWEEPS):
         for i in range(p + 1):
-            found = _push(q, sim, i, anchor)
+            found = _push(q, sim, i, anchor, runs)
             if found is not None:
                 break
         else:

@@ -288,6 +288,35 @@ def test_parse_error_exit2(tmp_path):
     assert "error" in payload
 
 
+def test_instance_that_is_not_utf8_exit2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"n":1}')
+    code, payload = run("solve", str(path))
+    assert code == 2
+    assert payload["error"].startswith(f"cannot read {path}: ")
+    assert main(["solve", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve", "[" * 100000 + "]" * 100000),
+        ("ginv", '{"A": ' + "[" * 100000 + "]" * 100000 + "}"),
+        ("solve", json.dumps(MINIMAL).replace('"w": [1, 0]', '"w": [1' + "0" * 5000 + ", 0]")),
+    ],
+    ids=["nested", "nested-ginv", "long-integer"],
+)
+def test_json_the_parser_refuses_exit2_at_the_top(tmp_path, command, text):
+    # nesting past the parser's recursion, or an integer past Python's
+    # digit limit: an invalid instance, not a crash
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, payload = run(command, str(path))
+    assert code == 2
+    assert payload["error"].startswith("$: invalid JSON: ")
+
+
 def test_byte_identical_output(tmp_path, capsys):
     outs = []
     for _ in range(2):

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from math import gcd, lcm
 from pathlib import Path
 
@@ -386,9 +387,10 @@ def _reference_cut_feasible_point(q, cut_row, cut_rhs):
     return quadratic_feasible_point(q.obj, poly, q.eta)
 
 
-def _reference_push(q, sim, i, anchor):
+def _reference_push(q, sim, i, anchor, runs):
     """`rounding._push` without the closed form and the LP bracket: one QP
-    from a phase-1 point on every cut of a run."""
+    from a phase-1 point on every cut of a run.  runs, the grow's records,
+    is not read."""
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
     for sense in (1, -1):
@@ -577,8 +579,8 @@ def _pushes_match_the_reference(monkeypatch, q, sim, anchor):
             m.setattr(rounding, "quadratic_feasible_point",
                       lambda *a: ran.append(a) or feasible_point(*a))
             m.setattr(rounding, "_last_meeting_cut", lambda *a: ks.append(last_cut(*a)) or ks[-1])
-            got = rounding._push(q, sim, i, anchor)
-        assert got == _reference_push(q, sim, i, anchor)
+            got = rounding._push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
+        assert got == _reference_push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
         assert len(ran) == (got is not None)  # one QP per accepted push, none otherwise
         qps.append(len(ran))
         cuts.append(ks)
@@ -631,9 +633,23 @@ def test_zero_objective_grow_runs_one_qp_per_accepted_push(monkeypatch):
         assert len(qps) == len(trace) - 1 > 0
 
 
-def test_the_run_lps_of_a_set_are_kept_by_row(monkeypatch):
+def _grow_records(monkeypatch, q, s0, anchor):
+    """(vertices, trace, lp_min calls by row, _run_lp calls, the grow's
+    records by row) of one grow_simplex of q."""
+    lps, run_lps, records = [], [], []
+    lp, run_lp, push = rounding.lp_min, rounding._run_lp, rounding._push
+    with monkeypatch.context() as m:
+        m.setattr(rounding, "lp_min", lambda c, poly: lps.append(tuple(c)) or lp(c, poly))
+        m.setattr(rounding, "_run_lp", lambda *a: run_lps.append(a) or run_lp(*a))
+        m.setattr(rounding, "_push", lambda *a: records.append(a[-1]) or push(*a))
+        grown, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+    assert all(runs is records[0] for runs in records)  # one record map for the whole grow
+    return grown.vertices, trace, lps, len(run_lps), records[0]
+
+
+def test_the_run_lps_are_kept_by_row_within_one_grow(monkeypatch):
     # a facet normal that survives an accepted push asks for its run LP
-    # again; the set answers from its memo
+    # again; the grow answers from its record of the row
     rng = random.Random(2203)
     reused = 0
     for _ in range(4):
@@ -641,19 +657,41 @@ def test_the_run_lps_of_a_set_are_kept_by_row(monkeypatch):
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, n, zero, [ZERO] * n).poly)
         s0, anchor = _grow_inputs(q, q.p)
-        lps, runs = [], []
-        lp, run_lp = rounding.lp_min, rounding._run_lp
-        with monkeypatch.context() as m:
-            m.setattr(rounding, "lp_min", lambda c, poly: lps.append(tuple(c)) or lp(c, poly))
-            m.setattr(rounding, "_run_lp", lambda *a: runs.append(a) or run_lp(*a))
-            grown, _ = grow_simplex(q, q.p, s0, anchor, check=False)
-            reused += len(runs) - len(lps)
-            kept = list(lps)
-            # a second grow of the same set runs no LP at all
-            assert grow_simplex(q, q.p, s0, anchor, check=False)[0].vertices == grown.vertices
-        assert lps == kept and sorted(lps) == sorted(set(lps)) == sorted(q._brackets)
-        assert all(res == lp_min(list(row), q.poly) for row, res in q._brackets.items())
+        verts, _, lps, run_lps, runs = _grow_records(monkeypatch, q, s0, anchor)
+        reused += run_lps - len(lps)
+        # a zero objective asks every run's LP (`_last_meeting_cut`)
+        assert sorted(lps) == sorted(set(lps)) == sorted(runs)
+        assert all(run.lp == lp_min(list(row), q.poly) for row, run in runs.items())
+        # a second grow of the same set runs the same LPs again
+        again, _, lps_again, _, _ = _grow_records(monkeypatch, q, s0, anchor)
+        assert again == verts and lps_again == lps
     assert reused > 0
+
+
+def test_growing_a_set_twice_repeats_the_grow_and_leaves_the_set_as_it_was(monkeypatch):
+    # the grow's records are its own: a second grow of the set runs the
+    # same LPs and QPs again, and the set holds its data and `_level` only
+    rng = random.Random(2601)
+    n = rng.randint(2, 3)
+    zero = [[ZERO] * n for _ in range(n)]
+    sets = [_pd_set(rng, 2, 2), _semidefinite_set(rng), _disc(([ONE, ONE], ONE)),
+            _zero_set(_seeded_set(rng, n, n, zero, [ZERO] * n).poly)]
+    total = Counter()
+    lp, qp_min = rounding.lp_min, miqcp.cqs.qp_min
+    for q in sets:
+        s0, anchor = _grow_inputs(q, q.p)
+        grows = []
+        for _ in range(2):
+            calls = Counter()
+            with monkeypatch.context() as m:
+                m.setattr(rounding, "lp_min", lambda *a: calls.update(["lp"]) or lp(*a))
+                m.setattr(miqcp.cqs, "qp_min", lambda *a: calls.update(["qp"]) or qp_min(*a))
+                grown, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+            grows.append((grown.vertices, trace, calls))
+            total += calls
+        assert grows[0] == grows[1]
+        assert set(vars(q)) == {"poly", "obj", "eta", "_level"}
+    assert total["lp"] > 0 and total["qp"] > 0
 
 
 def test_grow_probes_tool_prints_the_four_kinds():
@@ -832,7 +870,7 @@ def _cut_values(kept_t):
     return [kept_t + d for d in (-5, -2, -1, Rat(-1, 7), 0, Rat(1, 3), 1, 3)]
 
 
-def test_kept_cut_bounds_hold_on_a_grid_of_cuts():
+def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
     # phi(t) = min {q(x) : x in P, row . x <= t}: every kept line is below
     # phi, and every t at or below a row's failing threshold fails
     rng = random.Random(2501)
@@ -841,8 +879,18 @@ def test_kept_cut_bounds_hold_on_a_grid_of_cuts():
         n = rng.randint(1, 3)
         q = _pd_set(rng, n, rng.randint(1, n)) if k % 2 else _semidefinite_set(rng)
         s0, anchor = _grow_inputs(q, q.p)
-        grow_simplex(q, q.p, s0, anchor, check=False)
-        for row, (fail, lines) in q._cut_bounds.items():
+        records = {}
+        keep = rounding._keep_cut_bound
+
+        def kept(q, run, t, cut, pt):
+            records[tuple(cut.w_mat[-1])] = run  # the cut is cut's last row
+            return keep(q, run, t, cut, pt)
+
+        with monkeypatch.context() as m:
+            m.setattr(rounding, "_keep_cut_bound", kept)
+            grow_simplex(q, q.p, s0, anchor, check=False)
+        for row, run in records.items():
+            fail, lines = run.fail, run.lines
             seen["definite" if q.obj.definite else "semidefinite"] += 1
             ts = sum((_cut_values(c / mu) for c, mu in lines), [])
             ts += _cut_values(fail) if fail is not None else []

@@ -14,8 +14,8 @@ for k = 0, 1, ... until a cut misses Q.  Each probe is decided by one of:
   (``_decide_in_closed_form`` answered);
 - ``run_lp``: the run's LP min row . x over P, either a cut below its
   minimum (``_cut_misses``) or, for an identically-zero objective with
-  eta >= 0, every cut of the run but the one handed to the QP
-  (``_last_meeting_cut``);
+  eta >= 0, every cut before the last one that meets P, where the run
+  starts (``_last_meeting_cut``), or the first cut when none meets P;
 - ``kept``: what earlier cut QPs of the same row on the same set proved,
   a failing cut at or above this one or a supporting line of the cut
   minimum above eta (``_kept_bound_misses``);
@@ -59,8 +59,9 @@ def objective_kind(obj) -> str:
 
 
 def _last_cut(tally, k):
-    # the run LP decides the cuts before k and the miss after it
-    tally["run_lp"] += 1 if k is None else k + (k < rounding._MAX_ESCALATION - 1)
+    # the run LP decides the cuts before k, or the first cut when k is None;
+    # the miss after k is a `_cut_misses`
+    tally["run_lp"] += 1 if k is None else k
 
 
 # what each decider adds to its set's Counter, given what it returned; each
