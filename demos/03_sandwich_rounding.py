@@ -19,7 +19,7 @@ q = ConvexQuadraticSet(
     poly, QpObjective(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [Rat(0)] * 3), Rat(60)
 )
 
-res = sandwich(q, 2)
+res = sandwich(q)
 print("p = 2:   r =", rat_str(res.r), "  R =", rat_str(res.big_r),
       "  R/r =", rat_str(res.big_r / res.r), " <= ", 4 * ceil_sqrt(2) ** 3)
 print("center a =", [rat_str(v) for v in res.a])

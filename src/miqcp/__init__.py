@@ -5,13 +5,13 @@ active-set engines, the diophantine reductions, the lattice routines, and
 the top-level solver all return exact values with checkable certificates.
 """
 
-from .bounds import magnitude_bound
 from .cqs import (
     ConvexQuadraticSet,
     FulldimCertificate,
     classify_fulldim,
     fulldim_reduce_cqs,
     inner_polytope,
+    magnitude_bound,
     stationary_affine_subspace,
     tangent_face,
 )

@@ -280,10 +280,9 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
         if command == "sandwich":
             if parsed.quad is None:
                 raise InstanceParseError("quad_constraint", "sandwich needs one")
-            p = parsed.micqp.poly.p
-            if p < 1:
+            if parsed.quad.p < 1:
                 raise InstanceParseError("p", "sandwich needs p >= 1")
-            res = sandwich(parsed.quad, p)
+            res = sandwich(parsed.quad)
             return 0, {
                 "B": _emit_mat(res.b_mat),
                 "a": _emit_vec(res.a),

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
-from .bounds import magnitude_bound, scaled_integer_system_size
 from .diophantine import EMPTY, AffineParam, Empty, identity_param
 from .errors import DimensionError, PreconditionError
 from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
@@ -29,7 +28,7 @@ from .polyhedra import (
     implicit_equalities,
 )
 from .qp import QpObjective, QpResult, objective_key, qp_min, qp_min_on_slice
-from .rational import Rat, ZERO, ONE, rfloor, rround, size_of_seq
+from .rational import Rat, ZERO, ONE, rfloor, rround, size_of, size_of_seq
 from .simplex import INFEASIBLE
 from .table import remember
 
@@ -179,6 +178,35 @@ def _small_witness(q: ConvexQuadraticSet, xbar: Vector) -> Vector:
         if s < best_size and q.poly.contains(cand) and q.obj.value(cand) < q.eta:
             best, best_size = cand, s
     return best
+
+
+def magnitude_bound(s: int) -> Rat:
+    """2 ** (2**5 * s**2) as an exact rational: the coordinate bound of the
+    feasibility argument for data of bit size s.  It is astronomically
+    large and only used when an instance declares no box."""
+    if s < 1:
+        raise ValueError("size must be >= 1")
+    return Rat(1 << (32 * s * s))
+
+
+def scaled_integer_system_size(matrices: Iterable, vectors: Iterable, scalars: Iterable) -> int:
+    """Bit size of the system after scaling all data to integers.
+
+    Each matrix row is scaled by the lcm of its denominators together with
+    the matching vector entry; scalars are scaled by their own denominators.
+    The result is the total bit size of the integer data plus the dimensions.
+    """
+    total = 0
+    dims = 0
+    for a, b in zip(matrices, vectors):
+        for row, rhs in zip(a, b + [Rat(0)] * (len(a) - len(b))):
+            ints, _ = integer_row(list(row) + [rhs])
+            total += sum(size_of(v) for v in ints)
+            dims += 1 + len(row)
+    for s in scalars:
+        ints, ell = integer_row([s])
+        total += size_of(ints[0]) + size_of(ell)
+    return max(1, total + dims)
 
 
 def cqs_bit_size(q: ConvexQuadraticSet) -> int:
@@ -349,11 +377,6 @@ def tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
         raise PreconditionError(
             "tangent_face: needs min over P = eta > min over all of space"
         )
-    return _tangent_face(q)
-
-
-def _tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
-    """`tangent_face` for a caller that has shown its preconditions."""
     poly, obj = q.poly, q.obj
     xbar = _level_case(q)[1].x
     normal = obj.gradient(xbar)
@@ -386,7 +409,7 @@ def classify_fulldim(q: ConvexQuadraticSet) -> FulldimCertificate:
     if probe.status != "full_dim":
         return FulldimCertificate(LOW_DIM_POLY, implicit_rows=implicit_equalities(poly))
     if tag == LOW_DIM_FACE:
-        return FulldimCertificate(LOW_DIM_FACE, face=_tangent_face(q))
+        return FulldimCertificate(LOW_DIM_FACE, face=tangent_face(q))
     return FulldimCertificate(FULL_DIM, polytope=inner_polytope(q))
 
 
@@ -441,7 +464,7 @@ def fulldim_reduce_cqs(
             return _reduce_step(tau_acc, cur, sys_poly)
 
         # tangent-face descent: dimension strictly decreases
-        face = _tangent_face(cur)
+        face = tangent_face(cur)
         if on_descent is not None:
             on_descent(cur.n)
         cur = ConvexQuadraticSet(face, cur.obj, cur.eta)

@@ -145,10 +145,6 @@ class Polyhedron:
             rhs.append(-Rat(a))
         return self.with_rows(rows, rhs)
 
-    def with_first_coords_fixed(self, values: Vector) -> "Polyhedron":
-        """P with x_i = values[i] on the leading len(values) coordinates."""
-        return self.with_box(values, values)
-
     def map_through(self, tau: AffineParam) -> "Polyhedron":
         """Image description {x' : W M x' <= w - W xbar}.
 

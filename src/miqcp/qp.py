@@ -412,7 +412,7 @@ def qp_min_on_slice(obj: QpObjective, poly: Polyhedron, fixed: Vector) -> QpResu
     In a solve, equal objectives, polyhedra and pins share one answer
     (`table`)."""
     return remember(lambda: ("slice", content_key(poly), objective_key(obj), tuple(fixed)),
-                    lambda: qp_min(obj, poly.with_first_coords_fixed(fixed)))
+                    lambda: qp_min(obj, poly.with_box(fixed, fixed)))
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

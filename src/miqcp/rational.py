@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from fractions import Fraction as Rat
 from typing import Iterable, Union
 
@@ -24,18 +25,28 @@ class RationalParseError(ValueError):
 
 _TOKEN = re.compile(r"-?\d+(/\d+)?", re.ASCII)
 
+# the offending value as an error shows it: one short line, however long
+# the string or however deep and wide the list it came from
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_ECHO.maxlist = _ECHO.maxdict = 4
+_ECHO.maxstring = _ECHO.maxother = 32
+
 
 def rat(value: RatLike) -> Rat:
-    """Coerce an int (not a bool), ``-?\\d+(/\\d+)?`` string, or rational to a canonical Rat."""
+    """Coerce an int (not a bool), ``-?\\d+(/\\d+)?`` string, or rational to a canonical Rat.
+
+    Anything else raises RationalParseError, and so does a string whose
+    integers pass Python's int-digit limit."""
     if isinstance(value, float):
         raise RationalParseError(f"refusing float {value!r}; use 'a/b' strings")
     if not (type(value) is int or isinstance(value, Rat)
             or isinstance(value, str) and _TOKEN.fullmatch(value)):
-        raise RationalParseError(f"not a rational: {value!r}")
+        raise RationalParseError(f"not a rational: {_ECHO.repr(value)}")
     try:
         return Rat(value)
-    except ZeroDivisionError as exc:
-        raise RationalParseError(f"not a rational: {value!r} ({exc})") from exc
+    except (ZeroDivisionError, ValueError) as exc:  # ValueError: past the digit limit
+        raise RationalParseError(f"not a rational: {_ECHO.repr(value)} ({exc})") from exc
 
 
 def rat_str(x) -> str:

@@ -15,13 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
-from .cqs import (
-    FULL_DIM,
-    ConvexQuadraticSet,
-    classify_fulldim,
-    quadratic_feasible_point,
-    slice_point,
-)
+from .cqs import ConvexQuadraticSet, inner_polytope, quadratic_feasible_point, slice_point
 from .errors import PreconditionError
 from .linalg import (
     Matrix,
@@ -156,18 +150,19 @@ def _lift_direction(c_proj: Vector, n: int) -> Vector:
     return list(c_proj) + [ZERO] * (n - len(c_proj))
 
 
-def seed_simplex(q: ConvexQuadraticSet, p: int, inner: Polyhedron) -> List[Vector]:
-    """p+1 points of proj_p(Q) that are affinely independent.
+def seed_simplex(inner: Polyhedron) -> List[Vector]:
+    """p+1 affinely independent points of the projection of inner onto its
+    leading p = inner.p coordinates.
 
-    inner is a full-dimensional polytope contained in Q, such as the one
-    `classify_fulldim` certifies.  The projected set grows one direction at
-    a time: minimize and maximize a lifted normal direction over inner; at
-    least one of the two optima leaves the current affine hull.  The
-    maximum is run only when the minimum stays in the hull, and the first
-    minimum, over e_1, is points[0] itself.  An inner that is empty,
-    unbounded or flat raises PreconditionError.
+    inner is a full-dimensional polytope, such as the `inner_polytope` of a
+    set Q, so the points lie in proj_p(Q).  The projected set grows one
+    direction at a time: minimize and maximize a lifted normal direction
+    over inner; at least one of the two optima leaves the current affine
+    hull.  The maximum is run only when the minimum stays in the hull, and
+    the first minimum, over e_1, is points[0] itself.  An inner that is
+    empty, unbounded or flat raises PreconditionError.
     """
-    n = q.n
+    n, p = inner.n, inner.p
     if not 1 <= p <= n:
         raise PreconditionError("seed_simplex needs 1 <= p <= n")
     points = [_project(_inner_argmin(_lift_direction([ONE], n), inner), p)]
@@ -468,12 +463,11 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
 
 def grow_simplex(
     q: ConvexQuadraticSet,
-    p: int,
     s0: Simplex,
     anchor: Vector,
     check: bool = True,
 ) -> Tuple[Simplex, List]:
-    """Expand s0 inside proj_p(Q) until no facet admits a 3/2 push.
+    """Expand s0 inside proj_p(Q), p = q.p, until no facet admits a 3/2 push.
 
     Each accepted point is mixed toward anchor, a point of Q that is best
     interior (`sandwich` passes its inner polytope's probe point), and
@@ -482,7 +476,8 @@ def grow_simplex(
     final simplex and the exact trace of edge-matrix determinants (each
     accepted push multiplies the volume by >= 3/2).
     """
-    if len(s0.vertices) != p + 1:
+    p = q.p
+    if s0.p != p:
         raise PreconditionError("grow_simplex: simplex has wrong vertex count")
     if check and any(slice_point(q, v) is None for v in s0.vertices):
         raise PreconditionError("grow_simplex: seed vertex outside proj(Q)")
@@ -519,31 +514,30 @@ class SandwichResult:
     simplex: Simplex
 
 
-def sandwich(q: ConvexQuadraticSet, p: int, check: bool = True) -> SandwichResult:
-    """Two concentric balls sandwiching the normalized projection of Q.
+def sandwich(q: ConvexQuadraticSet, check: bool = True) -> SandwichResult:
+    """Two concentric balls sandwiching the normalized projection of Q onto
+    its leading p = q.p coordinates.
 
-    Seeds and grows a simplex inside the inner polytope of
-    `classify_fulldim` and normalizes by the grown simplex's b_mat.  Growing
-    needs Q bounded; check verifies that (2n LPs), for callers that have
-    not shown it.
+    Seeds and grows a simplex inside Q's `inner_polytope`, which raises
+    PreconditionError when Q is not full-dimensional, and normalizes by the
+    grown simplex's b_mat.  Growing needs Q bounded; check verifies that
+    (2n LPs), for callers that have not shown it.
 
     The grow loop starts from the seed simplex and the anchor, the inner
-    polytope's probe point.  Both depend on the inner polytope and p alone
-    (`seed_simplex` reads only q.n, which is inner's n), so inside a solve
-    they are kept in its table (`table`) by the inner polytope's content:
-    the level-set probes of `optimize` often build equal cubes, and each
-    is seeded once per solve.  Nothing writes to a kept start.
+    polytope's probe point.  Both are functions of the inner polytope
+    alone, whose content key holds p, so inside a solve they are kept in
+    its table (`table`) by that key: the level-set probes of `optimize`
+    often build equal cubes, and each is seeded once per solve.  Nothing
+    writes to a kept start.
     """
-    cert = classify_fulldim(q)
-    if cert.tag != FULL_DIM:
-        raise PreconditionError("sandwich: Q is not full-dimensional")
+    inner = inner_polytope(q)
     if check and not cqs_is_bounded(q):
         raise PreconditionError("sandwich: Q is unbounded")
-    inner = cert.polytope
     s0, anchor = remember(
-        lambda: ("start", content_key(inner), p),
-        lambda: (Simplex(seed_simplex(q, p, inner)), _fulldim_probe(inner).point))
-    grown, _trace = grow_simplex(q, p, s0, anchor, check=False)
+        lambda: ("start", content_key(inner)),
+        lambda: (Simplex(seed_simplex(inner)), _fulldim_probe(inner).point))
+    grown, _trace = grow_simplex(q, s0, anchor, check=False)
+    p = q.p
     b_mat = grown.b_mat
     k = ceil_sqrt(p)
     r = Rat(1, p + k)

@@ -225,7 +225,7 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
         record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
-    sw = sandwich(q2, p2, check=False)
+    sw = sandwich(q2, check=False)
     outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
 
     if outcome.tag == LATTICE_POINT:
@@ -443,7 +443,7 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
     witness = None
     for assign in itertools.product(*ranges):
         pins = [Rat(v) for v in assign]
-        probe = lp_min([ZERO] * inst.poly.n, inst.poly.with_first_coords_fixed(pins))
+        probe = lp_min([ZERO] * inst.poly.n, inst.poly.with_box(pins, pins))
         if probe.status != INFEASIBLE:
             feasible_slices.append(pins)
             if witness is None:

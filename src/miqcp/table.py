@@ -10,8 +10,8 @@ dropped when that call returns or raises.  Outside a solve nothing is kept.
 The table holds six kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
-(`qp.objective_key`), a declared box or the sandwich's p where one is
-involved; or an equality system's matrix, scaled to ints, with p
+(`qp.objective_key`) and a declared box where one is involved; or an
+equality system's matrix, scaled to ints, with p
 (`diophantine._family_key`).
 
 - `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
@@ -31,9 +31,10 @@ involved; or an equality system's matrix, scaled to ints, with p
   of `optimize` run on one boxed object, with its kept probe and phase-1
   start;
 - a sandwich's start (`rounding.sandwich`), the seed `Simplex` and the
-  anchor, the inner polytope's probe point, keyed by the inner polytope
-  and p: the inner cube depends on eta, but its radius is rounded to a
-  dyadic number, so the probes of one solve often build equal ones.
+  anchor, the inner polytope's probe point, keyed by the inner polytope,
+  the one argument of `rounding.seed_simplex`: the inner cube depends on
+  eta, but its radius is rounded to a dyadic number, so the probes of one
+  solve often build equal ones.
 
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and

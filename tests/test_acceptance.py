@@ -270,7 +270,7 @@ def test_criterion_4_sandwich():
             q = ConvexQuadraticSet(poly, obj, eta)
             if classify_fulldim(q).tag != FULL_DIM:
                 continue
-            res = sandwich(q, p)
+            res = sandwich(q)
             assert res.r == Rat(1, p + ceil_sqrt(p))
             assert res.big_r == 2 * ceil_sqrt(p)
             # inner containment: sampled ball points map into proj(Q)

@@ -69,6 +69,6 @@ def test_sandwich_probes_through_the_hooked_feasible_point(monkeypatch):
     poly = Polyhedron(rows, [Rat(3)] * 4 + [Rat(1)], 2)
     q = ConvexQuadraticSet(poly, QpObjective([[Rat(1), Rat(0)], [Rat(0), Rat(1)]],
                                              [Rat(0), Rat(0)]), Rat(4))
-    rounding.sandwich(q, 2)
+    rounding.sandwich(q)
     assert probes["in_grow"] > 0
     assert probes["outside"] == 0

@@ -317,6 +317,45 @@ def test_json_the_parser_refuses_exit2_at_the_top(tmp_path, command, text):
     assert payload["error"].startswith("$: invalid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "command, payload, path",
+    [
+        ("solve", dict(MINIMAL, w=["1" * 5000, 0]), "w[0]"),
+        ("ginv", {"A": [["1/" + "7" * 5000]]}, "A[0][0]"),
+    ],
+    ids=["solve", "ginv"],
+)
+def test_rational_string_past_the_digit_limit_exit2_with_its_path(tmp_path, capsys, command,
+                                                                  payload, path):
+    # a JSON string of more than 4300 digits passes the parser; reading it
+    # as a rational passes Python's int-digit limit
+    inst = write_instance(tmp_path, payload)
+    code, out = run(command, inst)
+    assert code == 2
+    assert out["error"].startswith(f"{path}: not a rational: ")
+    assert main([command, inst]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 300
+
+
+@pytest.mark.parametrize(
+    "command, text, path",
+    [
+        ("solve", json.dumps(dict(MINIMAL, w=["x" * 100000, 0])), "w[0]"),
+        ("ginv", '{"A": [[' + "[" * 900 + "]" * 900 + "]]}", "A[0][0]"),
+        ("ginv", json.dumps({"A": [[["1/2"] * 10000]]}), "A[0][0]"),
+    ],
+    ids=["long-string", "deep-list", "wide-list"],
+)
+def test_a_large_bad_value_is_echoed_in_one_short_line(tmp_path, capsys, command, text, path):
+    inst = tmp_path / "large.json"
+    inst.write_text(text)
+    assert main([command, str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: not a rational: ")
+    assert err.count("\n") == 1 and len(err) < 100
+
+
 def test_byte_identical_output(tmp_path, capsys):
     outs = []
     for _ in range(2):

@@ -213,11 +213,12 @@ def test_reduce_furthermore_clause():
     assert is_fulldim_polyhedron(reduced)
 
 
-def test_with_first_coords_fixed_rejects_too_many_pins():
+def test_pins_by_with_box_reject_too_many_pins():
     poly = box([0, 0], [1, 1])
-    assert poly.with_first_coords_fixed([Rat(0), Rat(1)]).contains([Rat(0), Rat(1)])
+    pins = [Rat(0), Rat(1)]
+    assert poly.with_box(pins, pins).contains([Rat(0), Rat(1)])
     with pytest.raises(DimensionError):
-        poly.with_first_coords_fixed([Rat(0), Rat(0), Rat(0)])
+        poly.with_box([Rat(0)] * 3, [Rat(0)] * 3)
 
 
 def _reference_with_box(poly, lo, hi):
@@ -237,7 +238,7 @@ def _reference_with_box(poly, lo, hi):
     return poly.with_rows(rows, rhs)
 
 
-def _reference_with_first_coords_fixed(poly, values):
+def _reference_pins(poly, values):
     """One `with_equality` per pin: the loop `with_box(v, v)` replaced."""
     out = poly
     for i, v in enumerate(values):
@@ -259,9 +260,8 @@ def test_with_box_and_pins_match_the_reference_rows():
         hi = [a + rng.randint(0, 5) for a in lo]
         for got, want in [
             (poly.with_box(lo, hi), _reference_with_box(poly, lo, hi)),
-            (poly.with_first_coords_fixed(lo[:n - 1]),
-             _reference_with_first_coords_fixed(poly, lo[:n - 1])),
-            (poly.with_first_coords_fixed(hi), _reference_with_first_coords_fixed(poly, hi)),
+            (poly.with_box(lo[:n - 1], lo[:n - 1]), _reference_pins(poly, lo[:n - 1])),
+            (poly.with_box(hi, hi), _reference_pins(poly, hi)),
         ]:
             assert (got.w_mat, got.w_rhs, got.p, got.n) == (want.w_mat, want.w_rhs, want.p, want.n)
     # a shorter box bounds only the leading coordinates

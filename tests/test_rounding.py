@@ -150,7 +150,7 @@ def test_seed_simplex_runs_one_phase1(monkeypatch):
     q = inactive_quadratic_box([0, 0, 0], [2, 1, 3], 3)
     inner = box([0, 0, 0], [2, 1, 3], p=3)
     lps = _LpCount(monkeypatch)
-    points = seed_simplex(q, 3, inner)
+    points = seed_simplex(inner)
     assert len(points) == 4
     assert (lps.solves, lps.phase1) == (6, 1)
 
@@ -165,7 +165,7 @@ def test_implicit_equalities_run_one_phase1(monkeypatch):
 
 def test_seed_simplex_interval():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    pts = seed_simplex(q, 1, classify_fulldim(q).polytope)
+    pts = seed_simplex(classify_fulldim(q).polytope)
     assert len(pts) == 2
     assert pts[0] != pts[1]
     for y in pts:
@@ -175,7 +175,7 @@ def test_seed_simplex_interval():
 
 def test_seed_simplex_3d_projected_to_2d():
     q = inactive_quadratic_box([0, 0, 0], [1, 1, 1], 2)
-    pts = seed_simplex(q, 2, classify_fulldim(q).polytope)
+    pts = seed_simplex(classify_fulldim(q).polytope)
     assert len(pts) == 3
     sim = Simplex(pts)
     assert sim.volume > 0
@@ -183,15 +183,14 @@ def test_seed_simplex_3d_projected_to_2d():
 
 def test_seed_simplex_rejects_flat_set():
     # a flat inner polytope (the segment x1 = 0) is a caller's error
-    q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    flat = box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(0))
-    with pytest.raises(PreconditionError):
-        seed_simplex(q, 1, flat)
+    flat = box([0, 0], [1, 1], p=1).with_equality([Rat(1), Rat(0)], Rat(0))
+    with pytest.raises(PreconditionError, match="not full-dimensional"):
+        seed_simplex(flat)
     # and so are an empty and an unbounded one
-    with pytest.raises(PreconditionError):
-        seed_simplex(q, 1, box([0, 0], [1, 1]).with_equality([Rat(1), Rat(0)], Rat(2)))
-    with pytest.raises(PreconditionError):
-        seed_simplex(q, 1, Polyhedron(mat([[1, 0]]), [Rat(0)]))
+    with pytest.raises(PreconditionError, match="nonempty polytope"):
+        seed_simplex(box([0, 0], [1, 1], p=1).with_equality([Rat(1), Rat(0)], Rat(2)))
+    with pytest.raises(PreconditionError, match="nonempty polytope"):
+        seed_simplex(Polyhedron(mat([[1, 0]]), [Rat(0)], p=1))
 
 
 def test_sandwich_refuses_flat_or_unbounded_sets():
@@ -199,12 +198,12 @@ def test_sandwich_refuses_flat_or_unbounded_sets():
     flat = box([0, 0], [1, 1], p=1).with_equality([Rat(1), Rat(0)], Rat(0))
     disc = QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)])
     with pytest.raises(PreconditionError, match="full-dimensional"):
-        sandwich(ConvexQuadraticSet(flat, disc, Rat(9)), 1)
+        sandwich(ConvexQuadraticSet(flat, disc, Rat(9)))
     # x1^2 <= 9 over the half-plane x2 >= 0 is full-dimensional but unbounded
     half_plane = Polyhedron(mat([[0, -1]]), [Rat(0)], p=1)
     strip = ConvexQuadraticSet(half_plane, QpObjective(mat([[1, 0], [0, 0]]), [Rat(0), Rat(0)]), Rat(9))
     with pytest.raises(PreconditionError, match="unbounded"):
-        sandwich(strip, 1)
+        sandwich(strip)
 
 
 def test_compute_facets_normalization():
@@ -283,7 +282,7 @@ def test_grow_interval_spec_example():
     # proj interval [0, 1]; seed [0, 1/8] grows to width >= 2/3 quickly
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
     s0 = Simplex([[Rat(0)], [Rat(1, 8)]])
-    grown, trace = grow_simplex(q, 1, s0, CENTER)
+    grown, trace = grow_simplex(q, s0, CENTER)
     width = abs(grown.vertices[1][0] - grown.vertices[0][0])
     assert width >= Rat(2, 3)
     # every accepted expansion multiplied the volume by >= 3/2
@@ -299,7 +298,7 @@ def test_grow_fixed_point():
     # a simplex already certified maximal stays unchanged
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
     s0 = Simplex([[Rat(0)], [Rat(1)]])
-    grown, trace = grow_simplex(q, 1, s0, CENTER)
+    grown, trace = grow_simplex(q, s0, CENTER)
     assert sorted(v[0] for v in grown.vertices) == [0, 1]
     assert len(trace) == 1
 
@@ -308,12 +307,12 @@ def test_grow_rejects_outside_seed():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
     s0 = Simplex([[Rat(0)], [Rat(7)]])
     with pytest.raises(PreconditionError):
-        grow_simplex(q, 1, s0, CENTER)
+        grow_simplex(q, s0, CENTER)
 
 
 def test_sandwich_formulas_p1():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    res = sandwich(q, 1)
+    res = sandwich(q)
     assert res.r == Rat(1, 2)
     assert res.big_r == 2
     assert res.big_r / res.r == 4 == 4 * ceil_sqrt(1) ** 3
@@ -347,7 +346,7 @@ def _ball_samples_inside(a, r, p):
 
 def test_sandwich_inner_ball_membership_box2d():
     q = inactive_quadratic_box([0, 0], [1, 1], 2)
-    res = sandwich(q, 2)
+    res = sandwich(q)
     from miqcp.linalg import inverse
     binv = inverse(res.b_mat)
     for z in _ball_samples_inside(res.a, res.r, 2):
@@ -357,7 +356,7 @@ def test_sandwich_inner_ball_membership_box2d():
 
 def test_sandwich_outer_ball_contains_integer_points():
     q = inactive_quadratic_box([-2, -2], [2, 2], 2)
-    res = sandwich(q, 2)
+    res = sandwich(q)
     for x1 in range(-2, 3):
         for x2 in range(-2, 3):
             x = [Rat(x1), Rat(x2)]
@@ -368,7 +367,7 @@ def test_sandwich_outer_ball_contains_integer_points():
 
 def test_sandwich_facet_certificate():
     q = inactive_quadratic_box([0, 0], [1, 1], 1)
-    res = sandwich(q, 1)
+    res = sandwich(q)
     sim = res.simplex
     assert sim.check_facets()
     # certified: for each facet, all of proj(Q) is within 3/2 the facet gap
@@ -409,18 +408,18 @@ def _reference_push(q, sim, i, anchor, runs):
     return None
 
 
-def _grow_inputs(q, p):
+def _grow_inputs(q):
     """The seed simplex and anchor `sandwich` hands `grow_simplex`."""
     inner = classify_fulldim(q).polytope
-    return Simplex(seed_simplex(q, p, inner)), _fulldim_probe(inner).point
+    return Simplex(seed_simplex(inner)), _fulldim_probe(inner).point
 
 
-def _assert_same_trajectory(monkeypatch, q, p):
-    s0, anchor = _grow_inputs(q, p)
-    grown, trace = grow_simplex(q, p, s0, anchor, check=False)
+def _assert_same_trajectory(monkeypatch, q):
+    s0, anchor = _grow_inputs(q)
+    grown, trace = grow_simplex(q, s0, anchor, check=False)
     with monkeypatch.context() as m:
         m.setattr(rounding, "_push", _reference_push)
-        ref_grown, ref_trace = grow_simplex(q, p, s0, anchor, check=False)
+        ref_grown, ref_trace = grow_simplex(q, s0, anchor, check=False)
     assert grown.vertices == ref_grown.vertices
     assert trace == ref_trace
     return len(trace) - 1
@@ -456,7 +455,7 @@ def test_grow_trajectory_unchanged_on_definite_sets(monkeypatch):
         n = rng.randint(1, 3)
         q = _pd_set(rng, n, rng.randint(1, n))
         assert q.obj.definite
-        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+        moved += _assert_same_trajectory(monkeypatch, q)
     assert moved > 8
 
 
@@ -469,13 +468,13 @@ def test_grow_trajectory_unchanged_on_singular_and_zero_quadratics(monkeypatch):
         q = _seeded_set(rng, n, rng.randint(1, n), gram,
                         [Rat(rng.randint(-3, 3)) for _ in range(n)])
         assert not q.obj.definite
-        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+        moved += _assert_same_trajectory(monkeypatch, q)
     for _ in range(4):
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n)
         q = ConvexQuadraticSet(q.poly, q.obj, ZERO)  # q = 0: Q = P
-        moved += _assert_same_trajectory(monkeypatch, q, q.p)
+        moved += _assert_same_trajectory(monkeypatch, q)
     assert moved > 8
 
 
@@ -493,7 +492,7 @@ def test_grow_trajectory_unchanged_when_the_run_lp_is_unbounded(monkeypatch):
     poly = Polyhedron(mat([[0, -1], [1, 1]]), [Rat(1), Rat(4)], p=2)
     q = ConvexQuadraticSet(poly, QpObjective(identity(2), [ZERO, ZERO]), Rat(9))
     assert cqs_is_bounded(q)
-    assert _assert_same_trajectory(monkeypatch, q, 2) > 0
+    assert _assert_same_trajectory(monkeypatch, q) > 0
     assert UNBOUNDED in statuses and OPTIMAL in statuses
 
 
@@ -507,13 +506,13 @@ def _load_bench_family(name):
 
 
 def _sandwiched_sets(monkeypatch, inst):
-    """Every (Q, p) that `optimize` hands `sandwich` on inst."""
+    """Every Q that `optimize` hands `sandwich` on inst."""
     seen = []
     sandwich_fn = miqcp.solver.sandwich
 
-    def recording(q, p, check=True):
-        seen.append((q, p))
-        return sandwich_fn(q, p, check)
+    def recording(q, check=True):
+        seen.append(q)
+        return sandwich_fn(q, check)
 
     with monkeypatch.context() as m:
         m.setattr(miqcp.solver, "sandwich", recording)
@@ -535,14 +534,14 @@ def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
     else:
         inst = dict(corpus.corpus())[source]
     sets = _sandwiched_sets(monkeypatch, inst)
-    assert any(not q.obj.definite for q, _ in sets)
-    assert any(q.obj.definite for q, _ in sets) == (source != "gen_27")
+    assert any(not q.obj.definite for q in sets)
+    assert any(q.obj.definite for q in sets) == (source != "gen_27")
     definite_qps = []
     feasible_point = rounding.quadratic_feasible_point
     monkeypatch.setattr(rounding, "quadratic_feasible_point",
                         lambda obj, *a: definite_qps.append(obj.definite) or feasible_point(obj, *a))
-    for q, p in sets:
-        _assert_same_trajectory(monkeypatch, q, p)
+    for q in sets:
+        _assert_same_trajectory(monkeypatch, q)
     assert any(definite_qps) == (source == "gen_34")
 
 
@@ -554,10 +553,10 @@ def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
     qps = []
     qp_min = miqcp.cqs.qp_min
     monkeypatch.setattr(miqcp.cqs, "qp_min", lambda *a: qps.append(a) or qp_min(*a))
-    grown, trace = grow_simplex(q, 1, s0, CENTER, check=False)
+    grown, trace = grow_simplex(q, s0, CENTER, check=False)
     assert len(trace) == 1 and qps == []
     monkeypatch.setattr(rounding, "_push", _reference_push)
-    grow_simplex(q, 1, s0, CENTER, check=False)
+    grow_simplex(q, s0, CENTER, check=False)
     assert len(qps) == 4  # one infeasible QP per (facet, sense) run
 
 
@@ -611,7 +610,7 @@ def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch)
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
-        s0, anchor = _grow_inputs(q, q.p)
+        s0, anchor = _grow_inputs(q)
         qps, cuts = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
         ks += [k for run in cuts for k in run if k is not None]
     assert any(0 < k < rounding._MAX_ESCALATION - 1 for k in ks)
@@ -623,13 +622,13 @@ def test_zero_objective_grow_runs_one_qp_per_accepted_push(monkeypatch):
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
-        s0, anchor = _grow_inputs(q, q.p)
+        s0, anchor = _grow_inputs(q)
         qps = []
         feasible_point = rounding.quadratic_feasible_point
         with monkeypatch.context() as m:
             m.setattr(rounding, "quadratic_feasible_point",
                       lambda *a: qps.append(a) or feasible_point(*a))
-            _, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+            _, trace = grow_simplex(q, s0, anchor, check=False)
         assert len(qps) == len(trace) - 1 > 0
 
 
@@ -642,7 +641,7 @@ def _grow_records(monkeypatch, q, s0, anchor):
         m.setattr(rounding, "lp_min", lambda c, poly: lps.append(tuple(c)) or lp(c, poly))
         m.setattr(rounding, "_run_lp", lambda *a: run_lps.append(a) or run_lp(*a))
         m.setattr(rounding, "_push", lambda *a: records.append(a[-1]) or push(*a))
-        grown, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+        grown, trace = grow_simplex(q, s0, anchor, check=False)
     assert all(runs is records[0] for runs in records)  # one record map for the whole grow
     return grown.vertices, trace, lps, len(run_lps), records[0]
 
@@ -656,7 +655,7 @@ def test_the_run_lps_are_kept_by_row_within_one_grow(monkeypatch):
         n = rng.randint(2, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, n, zero, [ZERO] * n).poly)
-        s0, anchor = _grow_inputs(q, q.p)
+        s0, anchor = _grow_inputs(q)
         verts, _, lps, run_lps, runs = _grow_records(monkeypatch, q, s0, anchor)
         reused += run_lps - len(lps)
         # a zero objective asks every run's LP (`_last_meeting_cut`)
@@ -679,14 +678,14 @@ def test_growing_a_set_twice_repeats_the_grow_and_leaves_the_set_as_it_was(monke
     total = Counter()
     lp, qp_min = rounding.lp_min, miqcp.cqs.qp_min
     for q in sets:
-        s0, anchor = _grow_inputs(q, q.p)
+        s0, anchor = _grow_inputs(q)
         grows = []
         for _ in range(2):
             calls = Counter()
             with monkeypatch.context() as m:
                 m.setattr(rounding, "lp_min", lambda *a: calls.update(["lp"]) or lp(*a))
                 m.setattr(miqcp.cqs, "qp_min", lambda *a: calls.update(["qp"]) or qp_min(*a))
-                grown, trace = grow_simplex(q, q.p, s0, anchor, check=False)
+                grown, trace = grow_simplex(q, s0, anchor, check=False)
             grows.append((grown.vertices, trace, calls))
             total += calls
         assert grows[0] == grows[1]
@@ -822,7 +821,7 @@ def _disc(*cut):
 def _grow_costs(monkeypatch, q, push):
     """(qp_min calls, lp_min calls, grow probes through
     quadratic_feasible_point) of one grow_simplex with push as `_push`."""
-    s0, anchor = _grow_inputs(q, 2)
+    s0, anchor = _grow_inputs(q)
     calls = {"qp": 0, "lp": 0, "probe": 0}
 
     def counted(key, fn):
@@ -838,7 +837,7 @@ def _grow_costs(monkeypatch, q, push):
         m.setattr(rounding, "quadratic_feasible_point",
                   counted("probe", rounding.quadratic_feasible_point))
         m.setattr(rounding, "_push", push)
-        _, trace = grow_simplex(q, 2, s0, anchor, check=False)
+        _, trace = grow_simplex(q, s0, anchor, check=False)
     assert len(trace) > 1
     return calls["qp"], calls["lp"], calls["probe"]
 
@@ -878,7 +877,7 @@ def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
     for k in range(16):
         n = rng.randint(1, 3)
         q = _pd_set(rng, n, rng.randint(1, n)) if k % 2 else _semidefinite_set(rng)
-        s0, anchor = _grow_inputs(q, q.p)
+        s0, anchor = _grow_inputs(q)
         records = {}
         keep = rounding._keep_cut_bound
 
@@ -888,7 +887,7 @@ def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(rounding, "_keep_cut_bound", kept)
-            grow_simplex(q, q.p, s0, anchor, check=False)
+            grow_simplex(q, s0, anchor, check=False)
         for row, run in records.items():
             fail, lines = run.fail, run.lines
             seen["definite" if q.obj.definite else "semidefinite"] += 1
@@ -908,17 +907,17 @@ def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
     assert all(v > 0 for v in seen.values()), seen
 
 
-def _grow_qps(monkeypatch, q, p, decider):
+def _grow_qps(monkeypatch, q, decider):
     """(vertices, trace, qp_min calls) of growing a fresh copy of q with
     decider as `_kept_bound_misses`."""
     q = ConvexQuadraticSet(q.poly, q.obj, q.eta)
-    s0, anchor = _grow_inputs(q, p)
+    s0, anchor = _grow_inputs(q)
     qps = []
     qp_min = miqcp.cqs.qp_min
     with monkeypatch.context() as m:
         m.setattr(miqcp.cqs, "qp_min", lambda *a: qps.append(a) or qp_min(*a))
         m.setattr(rounding, "_kept_bound_misses", decider)
-        grown, trace = grow_simplex(q, p, s0, anchor, check=False)
+        grown, trace = grow_simplex(q, s0, anchor, check=False)
     return grown.vertices, trace, len(qps)
 
 
@@ -926,9 +925,9 @@ def _grow_qps(monkeypatch, q, p, decider):
 def test_kept_cut_bounds_save_qps_and_keep_the_trajectory(monkeypatch, source):
     sets = _sandwiched_sets(monkeypatch, dict(corpus.corpus())[source])
     kept_qps = stubbed_qps = 0
-    for q, p in sets:
-        verts, trace, kept = _grow_qps(monkeypatch, q, p, rounding._kept_bound_misses)
-        ref_verts, ref_trace, stubbed = _grow_qps(monkeypatch, q, p, lambda *a: False)
+    for q in sets:
+        verts, trace, kept = _grow_qps(monkeypatch, q, rounding._kept_bound_misses)
+        ref_verts, ref_trace, stubbed = _grow_qps(monkeypatch, q, lambda *a: False)
         assert verts == ref_verts and trace == ref_trace
         kept_qps += kept
         stubbed_qps += stubbed

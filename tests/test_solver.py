@@ -6,9 +6,13 @@ import pytest
 import miqcp.polyhedra
 import miqcp.solver
 import miqcp.table
-from miqcp.bounds import magnitude_bound, scaled_integer_system_size
 from miqcp.cli import parse_instance
-from miqcp.cqs import ConvexQuadraticSet, fulldim_reduce_cqs
+from miqcp.cqs import (
+    ConvexQuadraticSet,
+    fulldim_reduce_cqs,
+    magnitude_bound,
+    scaled_integer_system_size,
+)
 from miqcp.diophantine import Empty, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
@@ -119,6 +123,22 @@ def test_continuous_leaf_reuses_the_reduction_qp(monkeypatch):
     x = feasibility(q, BOX5_2D)
     assert x is not None and q.contains(x)
     assert len(calls) == 1
+
+
+def test_a_set_on_a_tangent_face_descends_once():
+    # the unit disc on [1, 3] x [-3, 3] (p = 1) is the point (1, 0), on
+    # P's face x1 = 1: one tangent-face descent in R^2, then a continuous leaf
+    def disc():
+        return cqs_of(box([1, -3], [3, 3], p=1), [[1, 0], [0, 1]], [0, 0], 1)
+
+    calls = []
+    out = fulldim_reduce_cqs(disc(), on_descent=calls.append)
+    assert not isinstance(out, Empty) and out[1].n == 0
+    assert calls == [2]
+    trace = Trace()
+    assert feasibility(disc(), trace=trace) == [1, 0]
+    assert [(node["event"], node.get("ambient_dim")) for node in trace.nodes] == [
+        ("face_descent", 2), ("continuous", None)]
 
 
 def test_feasibility_trace_depth_le_p():

@@ -103,8 +103,8 @@ def _record_starts(monkeypatch) -> tuple:
     starts, seeds = [], []
     grow, seed = miqcp.rounding.grow_simplex, miqcp.rounding.seed_simplex
     monkeypatch.setattr(miqcp.rounding, "grow_simplex",
-                        lambda q, p, s0, anchor, check: starts.append((s0, anchor))
-                        or grow(q, p, s0, anchor, check))
+                        lambda q, s0, anchor, check: starts.append((s0, anchor))
+                        or grow(q, s0, anchor, check))
     monkeypatch.setattr(miqcp.rounding, "seed_simplex",
                         lambda *args: seeds.append(True) or seed(*args))
     return starts, seeds
@@ -141,21 +141,22 @@ def test_one_seed_simplex_per_inner_polytope(monkeypatch):
     inners = [classify_fulldim(q).polytope for q in (ten, hundred, two)]
     assert inners[0] is not inners[1]
     assert content_key(inners[0]) == content_key(inners[1]) != content_key(inners[2])
+    ten_p1 = ConvexQuadraticSet(box([-5, -5], [5, 5], p=1), disc, Rat(10))
     starts, seeds = _record_starts(monkeypatch)
     with miqcp.table.open_table():
-        sandwich(ten, 2)
-        sandwich(hundred, 2)
+        sandwich(ten)
+        sandwich(hundred)
         assert len(seeds) == 1
         assert starts[1][0] is starts[0][0] and starts[1][1] is starts[0][1]
-        sandwich(ten, 1)  # another p
+        sandwich(ten_p1)  # another p
         assert len(seeds) == 2
-        sandwich(two, 2)  # another inner polytope
+        sandwich(two)  # another inner polytope
         assert len(starts) == 4 and len(seeds) == 3
     # outside a solve nothing is kept: equal starts, built twice
     starts.clear()
     seeds.clear()
-    sandwich(ten, 2)
-    sandwich(hundred, 2)
+    sandwich(ten)
+    sandwich(hundred)
     assert len(seeds) == 2
     assert starts[1][0] is not starts[0][0]
     assert starts[1][0].vertices == starts[0][0].vertices and starts[1][1] == starts[0][1]
