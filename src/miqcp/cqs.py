@@ -286,6 +286,13 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
     for every pair.  That is the vertex test q <= eta (a vertex on q = eta
     passes) multiplied through by positive numbers, so every radius the
     search certifies is the one the vertex loop certified.
+
+    The radius returned is the certified one, best, shrunk to the nearby
+    dyadic floor(best 2^j) / 2^j, whose small denominator keeps every
+    downstream subproblem small.  With 0 < best <= 1 and
+    j = bitlen(floor(1/best)) + 1 we have 1/best < 2^(j-1), so
+    best 2^j > 2 and the dyadic radius lies in (best/2, best]; both terms
+    of the test grow with the radius (s^T H s >= 0), so it is certified too.
     """
     n = q.n
     if n > 12 or delta >= 1:
@@ -318,15 +325,8 @@ def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
         else:
             hi_k = mid - 1
     best = delta * (1 << lo_k)
-    # shrink to a nearby dyadic radius: containment is monotone, so any
-    # radius in [best/2, best] is still certified, and a small denominator
-    # keeps every downstream subproblem small
-    inv_best = ONE / best
-    j = max(1, rfloor(inv_best).bit_length() + 1)
-    dyadic = Rat(rfloor(best * (1 << j)), 1 << j)
-    if dyadic > 0 and cube_ok(dyadic):
-        return dyadic
-    return best
+    j = rfloor(ONE / best).bit_length() + 1
+    return Rat(rfloor(best * (1 << j)), 1 << j)
 
 
 def _level_case(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:

@@ -31,7 +31,7 @@ from .linalg import (
 from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
 from .qp import _independent_active_rows, _kkt_multipliers, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
-from .simplex import OPTIMAL, UNBOUNDED, LpResult
+from .simplex import OPTIMAL, LpResult
 from .table import remember
 
 _MAX_ESCALATION = 128
@@ -202,12 +202,14 @@ def _inner_argmin(c: Vector, inner: Polyhedron) -> Vector:
 
 def _simplify_accepted_point(
     q: ConvexQuadraticSet,
-    pt: Vector,
+    pn: List[int],
+    pd: int,
     anchor: Vector,
     cut_row: Vector,
     cut_rhs0,
 ) -> Vector:
-    """A small-bit-size substitute for pt, still in Q and beyond the base cut.
+    """A small-bit-size substitute for the point pt = pn / pd (pd > 0),
+    still in Q and beyond the base cut, as a Rat vector.
 
     Probe points are KKT solutions whose denominators compound across grow
     iterations; any point of Q with cut_row . x <= cut_rhs0 expands the
@@ -221,7 +223,6 @@ def _simplify_accepted_point(
     numerators (2^(bits+1) num + den) // (2 den).  Only the point returned
     is built as Rat.
     """
-    pn, pd = integer_row(pt)
     an, ad = integer_row(anchor)
     r, ell = integer_row(cut_row)
     cn, cd = ell * cut_rhs0.numerator, cut_rhs0.denominator  # the cut is r . x <= cn / cd
@@ -240,7 +241,7 @@ def _simplify_accepted_point(
         rounded = [((v << (bits + 1)) + base_den) // twice for v in base]
         if keeps(rounded, 1 << bits):
             return [Rat(v, 1 << bits) for v in rounded]
-    return pt
+    return [Rat(v, pd) for v in pn]
 
 
 def _half_space_run(q: ConvexQuadraticSet, row: Vector):
@@ -283,11 +284,11 @@ def _half_space_run(q: ConvexQuadraticSet, row: Vector):
 
 
 def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
-                           t_den: int) -> Tuple[bool, Optional[Vector]]:
+                           t_den: int) -> Tuple[bool, Optional[tuple]]:
     """(True, answer) when the half-space minimizer decides the probe at the
-    right-hand side t_num / t_den, with answer the point
-    `quadratic_feasible_point` returns on the cut polyhedron, or None;
-    (False, None) when P binds.
+    right-hand side t_num / t_den, with answer (x_num, x_den), the point
+    x_num / x_den (x_den > 0) that `quadratic_feasible_point` returns on the
+    cut polyhedron, or None; (False, None) when P binds.
 
     The half-space contains P and the cut, so v > eta means no point of the
     cut has q <= eta.  A minimizer x in P minimizes q over the cut too, and
@@ -297,66 +298,67 @@ def _decide_in_closed_form(q: ConvexQuadraticSet, probe, t_num: int,
     if not fits:
         return True, None
     if q.poly.contains_ints(x_num, x_den):
-        return True, [Rat(c, x_den) for c in x_num]
+        return True, (x_num, x_den)
     return False, None
 
 
 @dataclass
 class _RowRuns:
-    """One row's run LP and what its cut QPs proved, kept for one grow."""
+    """One row's run LP and the cuts row . x <= t proven to hold no point
+    of Q, kept for one grow: t < bound, or t <= bound when closed.
+
+    phi(t) = min {q(x) : x in P, row . x <= t} is convex and nonincreasing
+    in t (Ritter 1962; Best 1996), +infinity where the cut misses P, so
+    every fact about the row's cuts is one such half-line.  The run LP's
+    minimum v starts it (open, `_run_lp`); a cut QP that fails at t, and
+    a supporting line of phi that crosses eta at t', raise it to
+    (t, closed) and (t', open) (`_keep_cut_bound`).
+    """
 
     lp: Optional[LpResult] = None
-    fail: Optional[Rat] = None
-    lines: List[Tuple[Rat, Rat]] = field(default_factory=list)
+    bound: Optional[Rat] = None
+    closed: bool = False
 
 
 def _run_lp(q: ConvexQuadraticSet, row: Vector, run: _RowRuns) -> LpResult:
-    """min row . x over P (phase 2 on P's kept start), kept on run, so a
-    facet normal that survives an accepted push runs no LP again."""
+    """min row . x over P (phase 2 on P's kept start), kept on run with its
+    minimum as the bound, so a facet normal that survives an accepted push
+    runs no LP again."""
     if run.lp is None:
         run.lp = lp_min(row, q.poly)
+        if run.lp.is_optimal:
+            run.bound = run.lp.value
     return run.lp
 
 
 def _cut_misses(q: ConvexQuadraticSet, row: Vector, run: _RowRuns, t_num: int, den: int) -> bool:
-    """Whether the cut row . x <= t_num / den lies below the run LP's
-    minimum, so that it misses P and with it Q."""
-    lp = _run_lp(q, row, run)
-    return lp.is_optimal and lp.value > Rat(t_num, den)
-
-
-def _kept_bound_misses(run: _RowRuns, t_num: int, den: int) -> bool:
-    """Whether the cut QPs already run on row's cuts prove that the cut
-    row . x <= t_num / den holds no point of Q.
-
-    phi(t) = min {q(x) : x in P, row . x <= t} is convex and nonincreasing
-    in t (Ritter 1962; Best 1996), +infinity where the cut misses P.  So a
-    cut QP that failed at t_f fails every t <= t_f, and a kept supporting
-    line phi(t) >= a - mu t (`_keep_cut_bound`), held as (c, mu) with
-    c = a - eta, fails every t with c > mu t.  Both are decided on ints.
-    """
-    fail = run.fail
-    if fail is not None and t_num * fail.denominator <= fail.numerator * den:
-        return True
-    return any(c.numerator * mu.denominator * den > mu.numerator * c.denominator * t_num
-               for c, mu in run.lines)
+    """Whether run proves that the cut row . x <= t_num / den (den > 0)
+    holds no point of Q, decided on ints; the run LP runs first."""
+    _run_lp(q, row, run)
+    bound = run.bound
+    if bound is None:
+        return False
+    lhs, rhs = t_num * bound.denominator, bound.numerator * den
+    return lhs <= rhs if run.closed else lhs < rhs
 
 
 def _keep_cut_bound(q: ConvexQuadraticSet, run: _RowRuns, t: Rat, cut: Polyhedron,
-                    pt: Optional[Vector]) -> None:
-    """Keep on run what the QP on cut (P and row . x <= t) proved: the
-    largest failing t when pt is None; otherwise, when the cut is tight
-    at pt and exact multipliers of pt's tight rows (`_kkt_multipliers`)
-    are all >= 0, the line phi(s) >= q(pt) + mu (t - s), mu > 0 being the
-    cut's.  Those multipliers certify that pt minimizes q + mu row . x over
-    P, so every y in P with row . y <= s has q(y) >= q(pt) + mu (t - s),
-    whichever tight rows the solve picks.
+                    pt: Optional[tuple]) -> None:
+    """Raise run's bound by what the QP on cut (P and row . x <= t) proved:
+    (t, closed) when it found no point, pt = None; otherwise, with
+    pt = (x_num, x_den), when the cut is tight at x and exact multipliers
+    of x's tight rows (`_kkt_multipliers`) are all >= 0, the line
+    phi(s) >= q(x) + mu (t - s), mu > 0 being the cut's, gives
+    (t + (q(x) - eta) / mu, open), where it crosses eta.  Those
+    multipliers certify that x minimizes q + mu row . x over P, so every y
+    in P with row . y <= s has q(y) >= q(x) + mu (t - s), whichever tight
+    rows the solve picks.
     """
     if pt is None:
-        run.fail = t  # above the kept t, or `_kept_bound_misses` would have run no QP
+        run.bound, run.closed = t, True  # t is not proven empty, so not below the bound
         return
+    x_num, x_den = pt
     rows, ells = integer_system(cut)
-    x_num, x_den = integer_row(pt)
     active = _independent_active_rows(rows, x_num, x_den)
     if not active or active[-1] != len(rows) - 1:  # the cut is slack or not chosen
         return
@@ -369,31 +371,9 @@ def _keep_cut_bound(q: ConvexQuadraticSet, run: _RowRuns, t: Rat, cut: Polyhedro
     mult, d = solved
     mu = Rat(ells[-1] * mult[-1], d * scale * x_den)
     value = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
-    run.lines.append((value + mu * t - q.eta, mu))
-
-
-def _last_meeting_cut(q: ConvexQuadraticSet, row: Vector, run: _RowRuns, top: int,
-                      bot: int, den: int) -> Optional[int]:
-    """The last k < _MAX_ESCALATION whose cut
-    row . x <= t_k = (top - (bot << k)) / den meets P, or None when the
-    first one misses it (bot > 0, den > 0).
-
-    t_k falls with k, so the cuts that meet P are k = 0..k*.  With the run
-    LP's minimum v = vn / vd (vd > 0), t_k >= v reads
-    (bot vd) 2^k <= top vd - vn den, so k* is the bit length of the floor
-    of their quotient, less one.  An unbounded LP meets every cut; an
-    infeasible one (P empty) none.
-    """
-    lp = _run_lp(q, row, run)
-    if lp.status == UNBOUNDED:
-        return _MAX_ESCALATION - 1
-    if not lp.is_optimal:
-        return None
-    vn, vd = lp.value.numerator, lp.value.denominator
-    room, unit = top * vd - vn * den, bot * vd
-    if room < unit:
-        return None
-    return min((room // unit).bit_length() - 1, _MAX_ESCALATION - 1)
+    crossing = t + (value - q.eta) / mu
+    if run.bound is None or crossing > run.bound:
+        run.bound, run.closed = crossing, False
 
 
 def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
@@ -413,16 +393,16 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
     runs holds the grow's `_RowRuns` by tuple(row).  Each probe is decided by
     the first of: for a definite H, q's minimizer over the half-space
     row . x <= rhs (`_decide_in_closed_form`, both senses from one
-    `_half_space_run`); the run LP, min row . x over P, run on the first
-    probe that needs it, which ends the run at a cut below its minimum
-    with no QP; the bounds that earlier cut QPs of the row kept
-    (`_kept_bound_misses`), which end the run at a cut they prove empty
-    with no QP; and a QP on the cut, whose answer adds to those bounds
-    (`_keep_cut_bound`).  The kept bounds only ever decide a cut that
+    `_half_space_run`); the row's bound (`_cut_misses`), which ends the
+    run at a cut it proves empty with no QP, the run LP running on the
+    first probe that needs it; and a QP on the cut, whose answer raises the
+    bound (`_keep_cut_bound`).  The bound only ever decides a cut that
     fails, so every accepted point is the QP's.  When q is identically
-    zero and eta >= 0, Q = P, so every cut up to the last one that meets
-    P (`_last_meeting_cut`) meets Q: the run starts there, or runs no
-    probe when there is none, and keeps no bound (phi = 0 where cuts meet P).
+    zero and eta >= 0, Q = P, so a cut the bound does not prove empty meets
+    Q: the QP is skipped while the next cut is not proven empty either, and
+    runs only on the last such cut, raising no bound (phi = 0 where cuts
+    meet P).  Points stay (x_num, x_den) ints until
+    `_simplify_accepted_point` builds the vertex.
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
@@ -437,27 +417,29 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
         row = up if sense == 1 else [-v for v in up]
         run = runs[tuple(row)]
         top = -sense * off
-        first = _last_meeting_cut(q, row, run, top, bot, den) if zero else 0
-        if first is None:  # the first cut misses P
-            continue
         last_good = None
-        for k in range(first, _MAX_ESCALATION):
+        for k in range(_MAX_ESCALATION):
             t_num = top - (bot << k)
             decided, pt = ((False, None) if probe is None
                            else _decide_in_closed_form(q, probe, t_num, den))
             if not decided:
-                if _cut_misses(q, row, run, t_num, den) or _kept_bound_misses(run, t_num, den):
+                if _cut_misses(q, row, run, t_num, den):
                     break
+                if (zero and k + 1 < _MAX_ESCALATION
+                        and not _cut_misses(q, row, run, t_num - (bot << k), den)):
+                    continue  # the next cut meets Q too
                 t = Rat(t_num, den)
                 cut = q.poly.with_rows([row], [t])
                 pt = quadratic_feasible_point(q.obj, cut, q.eta)
+                if pt is not None:
+                    pt = integer_row(pt)
                 if not zero:
                     _keep_cut_bound(q, run, t, cut, pt)
             if pt is None:
                 break
             last_good = pt
         if last_good is not None:
-            return _simplify_accepted_point(q, last_good, anchor, row, Rat(top - bot, den))
+            return _simplify_accepted_point(q, *last_good, anchor, row, Rat(top - bot, den))
     return None
 
 

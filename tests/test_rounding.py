@@ -21,7 +21,8 @@ from miqcp.cqs import (
 )
 from miqcp.errors import PreconditionError
 from miqcp.linalg import (
-    det, dot, identity, inverse, mat, mat_mul, mat_vec, norm_sq, null_space, vec_sub,
+    det, dot, identity, integer_row, inverse, mat, mat_mul, mat_vec, norm_sq, null_space,
+    vec_sub,
 )
 from miqcp.polyhedra import Polyhedron, _fulldim_probe, implicit_equalities, lp_min
 from miqcp.qp import QpObjective, recession_cone
@@ -404,7 +405,8 @@ def _reference_push(q, sim, i, anchor, runs):
             last_good = pt
             step = step * 2
         if last_good is not None:
-            return rounding._simplify_accepted_point(q, last_good, anchor, row, rhs0 - step0)
+            return rounding._simplify_accepted_point(q, *integer_row(last_good), anchor, row,
+                                                     rhs0 - step0)
     return None
 
 
@@ -566,23 +568,34 @@ def _zero_set(poly):
     return ConvexQuadraticSet(poly, QpObjective([[ZERO] * n for _ in range(n)], [ZERO] * n), ZERO)
 
 
+def _cut_index(sim, i, row, t):
+    """The k of the cut row . x <= t of a run of facet i's push: t is
+    rhs0 - 2^k step0 (see `rounding._push`)."""
+    normal, offset = sim.facets[i]
+    sense = 1 if list(row[:sim.p]) == [-v for v in normal] else -1
+    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    ratio = (-sense * offset - t) / step0
+    k = ratio.numerator.bit_length() - 1
+    assert ratio == 1 << k
+    return k
+
+
 def _pushes_match_the_reference(monkeypatch, q, sim, anchor):
     """_push and `_reference_push` agree on every facet of sim.  Returns,
-    per facet, the QPs `_push` ran and the values `_last_meeting_cut`
-    returned."""
+    per facet, the QPs `_push` ran and the cut index of each, read from
+    the last row of its cut polyhedron."""
     qps, cuts = [], []
-    feasible_point, last_cut = rounding.quadratic_feasible_point, rounding._last_meeting_cut
+    feasible_point = rounding.quadratic_feasible_point
     for i in range(sim.p + 1):
-        ran, ks = [], []
+        ran = []
         with monkeypatch.context() as m:
             m.setattr(rounding, "quadratic_feasible_point",
                       lambda *a: ran.append(a) or feasible_point(*a))
-            m.setattr(rounding, "_last_meeting_cut", lambda *a: ks.append(last_cut(*a)) or ks[-1])
             got = rounding._push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
         assert got == _reference_push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
         assert len(ran) == (got is not None)  # one QP per accepted push, none otherwise
         qps.append(len(ran))
-        cuts.append(ks)
+        cuts.append([_cut_index(sim, i, cut.w_mat[-1], cut.w_rhs[-1]) for _, cut, _ in ran])
     return qps, cuts
 
 
@@ -599,8 +612,14 @@ def test_zero_objective_push_runs_no_qp_when_the_first_cut_misses(monkeypatch):
     # [0, 1] is all of proj P, so the first cut of each run misses P
     q = _zero_set(box([0, 0], [1, 1], p=1))
     sim = Simplex([[ZERO], [ONE]])
+    tests = []
+    misses = rounding._cut_misses
+    monkeypatch.setattr(rounding, "_cut_misses",
+                        lambda *a: tests.append(misses(*a)) or tests[-1])
     qps, cuts = _pushes_match_the_reference(monkeypatch, q, sim, CENTER)
-    assert qps == [0, 0] and cuts == [[None, None], [None, None]]
+    assert qps == [0, 0] and cuts == [[], []]
+    # each of the four runs asked one bound test, on its first cut, which missed
+    assert tests == [True] * 4
 
 
 def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch):
@@ -612,7 +631,7 @@ def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch)
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
         s0, anchor = _grow_inputs(q)
         qps, cuts = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
-        ks += [k for run in cuts for k in run if k is not None]
+        ks += sum(cuts, [])
     assert any(0 < k < rounding._MAX_ESCALATION - 1 for k in ks)
 
 
@@ -658,7 +677,7 @@ def test_the_run_lps_are_kept_by_row_within_one_grow(monkeypatch):
         s0, anchor = _grow_inputs(q)
         verts, _, lps, run_lps, runs = _grow_records(monkeypatch, q, s0, anchor)
         reused += run_lps - len(lps)
-        # a zero objective asks every run's LP (`_last_meeting_cut`)
+        # a zero objective asks every run's LP (`_cut_misses` on its first cut)
         assert sorted(lps) == sorted(set(lps)) == sorted(runs)
         assert all(run.lp == lp_min(list(row), q.poly) for row, run in runs.items())
         # a second grow of the same set runs the same LPs again
@@ -770,9 +789,10 @@ def test_closed_form_probe_matches_the_cut_qp():
                 for eta in (v, v + rng.randint(0, 30), v - Rat(1, 7)):
                     q = ConvexQuadraticSet(poly, obj, eta)
                     probe = rounding._half_space_run(q, row)[0]
-                    decided, pt = rounding._decide_in_closed_form(q, probe, t_num, t_den)
+                    decided, answer = rounding._decide_in_closed_form(q, probe, t_num, t_den)
                     ref = quadratic_feasible_point(obj, poly.with_rows([row], [t]), eta)
                     if decided:
+                        pt = None if answer is None else [Rat(v, answer[1]) for v in answer[0]]
                         assert pt == ref
                         if pt is not None:
                             assert pt == x
@@ -870,53 +890,56 @@ def _cut_values(kept_t):
 
 
 def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
-    # phi(t) = min {q(x) : x in P, row . x <= t}: every kept line is below
-    # phi, and every t at or below a row's failing threshold fails
+    # phi(t) = min {q(x) : x in P, row . x <= t}: every bound a cut QP sets,
+    # from its failure or from a supporting line of phi, proves only cuts
+    # that hold no point of Q
     rng = random.Random(2501)
-    seen = {"definite": 0, "semidefinite": 0, "line": 0, "threshold": 0}
+    seen = Counter()
     for k in range(16):
         n = rng.randint(1, 3)
         q = _pd_set(rng, n, rng.randint(1, n)) if k % 2 else _semidefinite_set(rng)
+        kind = "definite" if q.obj.definite else "semidefinite"
         s0, anchor = _grow_inputs(q)
-        records = {}
+        bounds = []  # (row, bound, closed, what set it)
         keep = rounding._keep_cut_bound
 
         def kept(q, run, t, cut, pt):
-            records[tuple(cut.w_mat[-1])] = run  # the cut is cut's last row
-            return keep(q, run, t, cut, pt)
+            before = (run.bound, run.closed)
+            keep(q, run, t, cut, pt)
+            if (run.bound, run.closed) != before:
+                bounds.append((cut.w_mat[-1], run.bound, run.closed,  # the cut's row is last
+                               "failure" if pt is None else "line"))
 
         with monkeypatch.context() as m:
             m.setattr(rounding, "_keep_cut_bound", kept)
             grow_simplex(q, s0, anchor, check=False)
-        for row, run in records.items():
-            fail, lines = run.fail, run.lines
-            seen["definite" if q.obj.definite else "semidefinite"] += 1
-            ts = sum((_cut_values(c / mu) for c, mu in lines), [])
-            ts += _cut_values(fail) if fail is not None else []
-            for t in ts:
+        for row, bound, closed, source in bounds:
+            assert closed == (source == "failure")
+            seen[kind, source] += 1
+            for t in _cut_values(bound):
+                if not (t < bound or closed and t == bound):
+                    continue
                 res = miqcp.qp.qp_min(q.obj, q.poly.with_rows([list(row)], [t]))
                 assert res.status in (OPTIMAL, INFEASIBLE)
-                for c, mu in lines:
-                    assert mu > 0
-                    if res.is_optimal:
-                        assert res.value - q.eta >= c - mu * t
-                    seen["line"] += 1
-                if fail is not None and t <= fail:
-                    assert not res.is_optimal or res.value > q.eta
-                    seen["threshold"] += 1
-    assert all(v > 0 for v in seen.values()), seen
+                assert not res.is_optimal or res.value > q.eta
+                seen[kind, source, "proven empty"] += 1
+    # both sources set bounds, on definite and on semidefinite sets, and
+    # each source's bounds proved some grid cut empty
+    pairs = {(kind, source) for kind in ("definite", "semidefinite")
+             for source in ("failure", "line")}
+    assert set(seen) == pairs | {pair + ("proven empty",) for pair in pairs}, seen
 
 
-def _grow_qps(monkeypatch, q, decider):
+def _grow_qps(monkeypatch, q, keep):
     """(vertices, trace, qp_min calls) of growing a fresh copy of q with
-    decider as `_kept_bound_misses`."""
+    keep as `_keep_cut_bound`."""
     q = ConvexQuadraticSet(q.poly, q.obj, q.eta)
     s0, anchor = _grow_inputs(q)
     qps = []
     qp_min = miqcp.cqs.qp_min
     with monkeypatch.context() as m:
         m.setattr(miqcp.cqs, "qp_min", lambda *a: qps.append(a) or qp_min(*a))
-        m.setattr(rounding, "_kept_bound_misses", decider)
+        m.setattr(rounding, "_keep_cut_bound", keep)
         grown, trace = grow_simplex(q, s0, anchor, check=False)
     return grown.vertices, trace, len(qps)
 
@@ -926,8 +949,8 @@ def test_kept_cut_bounds_save_qps_and_keep_the_trajectory(monkeypatch, source):
     sets = _sandwiched_sets(monkeypatch, dict(corpus.corpus())[source])
     kept_qps = stubbed_qps = 0
     for q in sets:
-        verts, trace, kept = _grow_qps(monkeypatch, q, rounding._kept_bound_misses)
-        ref_verts, ref_trace, stubbed = _grow_qps(monkeypatch, q, lambda *a: False)
+        verts, trace, kept = _grow_qps(monkeypatch, q, rounding._keep_cut_bound)
+        ref_verts, ref_trace, stubbed = _grow_qps(monkeypatch, q, lambda *a: None)
         assert verts == ref_verts and trace == ref_trace
         kept_qps += kept
         stubbed_qps += stubbed
@@ -994,7 +1017,7 @@ def test_simplify_accepted_point_matches_the_fraction_reference():
         row = _primitive_row(rng, n)
         rhs = dot(row, pt) + rng.choice([0, 0, Rat(1, 16), 1, -Rat(1, 32)])
         want = _reference_simplify_accepted_point(q, pt, anchor, row, rhs, seen)
-        got = rounding._simplify_accepted_point(q, pt, anchor, row, rhs)
+        got = rounding._simplify_accepted_point(q, *integer_row(pt), anchor, row, rhs)
         assert got == want
         assert all(isinstance(v, Rat) for v in got)
     assert seen == {"negative coordinate", "rejected by the cut", "rejected by q", "mixed",

@@ -2,6 +2,7 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import miqcp.polyhedra
 import miqcp.solver
@@ -248,6 +249,42 @@ def test_optimize_matches_oracle_small():
     assert a.status == b.status == OPTIMAL_STATUS
     assert a.value == b.value
     assert is_integral(a.x[0]) and is_integral(a.x[1])
+
+
+@st.composite
+def _boxed_instances(draw):
+    """n <= 3, 1 <= p <= n, H a Gram matrix of rank at most 0..n, fractional
+    h and w: 0-3 rows, an optional equality as a row pair, and a box of
+    radius 1-3 that is also a row block of P, so the declared box keeps
+    its promise."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, n))
+    small = st.integers(-2, 2)
+    frac = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+    ell = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+    h_mat = [[Rat(sum(r[i] * r[j] for r in ell)) for j in range(n)] for i in range(n)]
+    h_vec = draw(st.lists(frac, min_size=n, max_size=n))
+    nonzero = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(nonzero, max_size=3))
+    rhs = draw(st.lists(frac, min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        a, b = draw(nonzero), draw(frac)
+        rows, rhs = rows + [a, [-v for v in a]], rhs + [b, -b]
+    radius = draw(st.integers(1, 3))
+    lo, hi = [Rat(-radius)] * n, [Rat(radius)] * n
+    poly = box(lo, hi, p=p).with_rows([[Rat(v) for v in r] for r in rows], rhs)
+    return MicqpInstance(QpObjective(h_mat, h_vec), poly, (lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxed_instances())
+def test_optimize_matches_the_oracle_on_random_boxed_instances(inst):
+    got, want = optimize(inst), oracle_optimize(inst)
+    assert got.status == want.status  # P lies in the box, so never unbounded
+    if got.is_optimal:
+        assert got.value == want.value
+        assert inst.poly.contains(got.x) and all(is_integral(v) for v in got.x[:inst.poly.p])
+        assert inst.obj.value(got.x) == got.value
 
 
 def test_feasibility_without_declared_box_bounded_set():

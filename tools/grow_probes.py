@@ -13,13 +13,17 @@ for k = 0, 1, ... until a cut misses Q.  Each probe is decided by one of:
 - ``closed_form``: the half-space minimizer of a definite objective
   (``_decide_in_closed_form`` answered);
 - ``run_lp``: the run's LP min row . x over P, either a cut below its
-  minimum (``_cut_misses``) or, for an identically-zero objective with
-  eta >= 0, every cut before the last one that meets P, where the run
-  starts (``_last_meeting_cut``), or the first cut when none meets P;
-- ``kept``: what earlier cut QPs of the same row on the same set proved,
+  minimum that the row's bound proves empty (``_cut_misses``) or, for an
+  identically-zero objective with eta >= 0, a cut that meets P and so Q,
+  skipped because the next one does too;
+- ``kept``: a cut at or above the LP minimum that the row's bound proves
+  empty, as earlier cut QPs of the same row on the same set raised it, by
   a failing cut at or above this one or a supporting line of the cut
-  minimum above eta (``_kept_bound_misses``);
+  minimum above eta (``_cut_misses``);
 - ``qp``: a ``quadratic_feasible_point`` on the cut polyhedron.
+
+A cut that ``_cut_misses`` is asked about twice in one push (a
+zero-objective run tests the next cut before it moves on) counts once.
 
 ``accepted`` counts the pushes that found a point.  One line per objective
 kind is printed,
@@ -45,6 +49,7 @@ import instances  # noqa: E402
 import miqcp.cli  # noqa: E402
 import miqcp.rounding as rounding  # noqa: E402
 import miqcp.solver  # noqa: E402
+from miqcp.rational import Rat  # noqa: E402
 
 KINDS = ("definite", "semidefinite", "linear", "zero")
 COLUMNS = ("closed_form", "run_lp", "kept", "qp", "accepted")
@@ -58,44 +63,47 @@ def objective_kind(obj) -> str:
     return "zero" if obj.is_zero() else "linear"
 
 
-def _last_cut(tally, k):
-    # the run LP decides the cuts before k, or the first cut when k is None;
-    # the miss after k is a `_cut_misses`
-    tally["run_lp"] += 1 if k is None else k
-
-
-# what each decider adds to its set's Counter, given what it returned; each
-# is called only inside `_push`
-TALLIES = {
-    "_decide_in_closed_form": lambda c, out: c.update(closed_form=out[0]),
-    "_cut_misses": lambda c, out: c.update(run_lp=out),
-    "_kept_bound_misses": lambda c, out: c.update(kept=out),
-    "_last_meeting_cut": _last_cut,
-    "quadratic_feasible_point": lambda c, out: c.update(qp=1),
-}
-
-
 def count_probes(workload: str) -> dict:
     """kind -> Counter of COLUMNS over one pass of workload."""
     counts = {kind: Counter() for kind in KINDS}
-    pushing = [None]  # the kind of the set whose push runs
-    originals = {name: getattr(rounding, name) for name in (*TALLIES, "_push")}
+    names = ("_decide_in_closed_form", "_cut_misses", "quadratic_feasible_point", "_push")
+    originals = {name: getattr(rounding, name) for name in names}
+    # this push's closed-form answers, and its bound tests and QPs by (row, t)
+    closed, tested, ran = [0], {}, set()
 
-    def tallied(name, tally):
-        def wrapper(*args):
-            out = originals[name](*args)
-            tally(counts[pushing[0]], out)
-            return out
-        return wrapper
-
-    def push(q, *args):
-        pushing[0] = objective_kind(q.obj)
-        out = originals["_push"](q, *args)
-        counts[pushing[0]]["accepted"] += out is not None
+    def closed_form(*args):
+        out = originals["_decide_in_closed_form"](*args)
+        closed[0] += out[0]
         return out
 
-    for name, tally in TALLIES.items():
-        setattr(rounding, name, tallied(name, tally))
+    def cut_misses(q, row, run, t_num, den):
+        out = originals["_cut_misses"](q, row, run, t_num, den)
+        t = Rat(t_num, den)
+        below_lp = run.lp.is_optimal and t < run.lp.value
+        tested[tuple(row), t] = ("run_lp" if below_lp else "kept") if out else None
+        return out
+
+    def feasible_point(obj, cut, eta):
+        ran.add((tuple(cut.w_mat[-1]), cut.w_rhs[-1]))
+        return originals["quadratic_feasible_point"](obj, cut, eta)
+
+    def push(q, *args):
+        closed[0] = 0
+        tested.clear()
+        ran.clear()
+        out = originals["_push"](q, *args)
+        c = counts[objective_kind(q.obj)]
+        c["closed_form"] += closed[0]
+        for cut, decider in tested.items():
+            # a cut that passed the bound test and ran no QP is a skipped
+            # zero-objective cut, which meets P
+            c[decider or ("qp" if cut in ran else "run_lp")] += 1
+        c["accepted"] += out is not None
+        return out
+
+    rounding._decide_in_closed_form = closed_form
+    rounding._cut_misses = cut_misses
+    rounding.quadratic_feasible_point = feasible_point
     rounding._push = push
     try:
         for entry in instances.WORKLOADS[workload]():
