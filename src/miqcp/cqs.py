@@ -6,9 +6,11 @@ over the polyhedron and eta_tilde for its minimum over all of space, Q
 falls into exactly one of: empty (eta_bar > eta), full-dimensional
 (eta_bar < eta), contained in the stationary affine subspace
 (eta_bar = eta_tilde = eta), or contained in a proper tangent face of the
-polyhedron (eta_tilde < eta_bar = eta).  The reduction walks tangent faces
-until the full-dimensional case is reached, composing mixed-integer
-preserving affine maps along the way.
+polyhedron (eta_tilde < eta_bar = eta).  The reduction maps a
+low-dimensional Q through the parametrization of an affine subspace that
+contains it (the stationary subspace or the tangent face's hyperplane), as
+a thin-direction band is mapped, until the full-dimensional case is
+reached, composing the mixed-integer preserving affine maps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .diophantine import EMPTY, AffineParam, Empty, identity_param
+from .diophantine import (
+    EMPTY, AffineParam, Empty, identity_param, parametrize_mixed_integer_solutions,
+)
 from .errors import DimensionError, PreconditionError
 from .linalg import Matrix, Vector, _idot, dot, integer_row, vec_add, vec_scale
 from .polyhedra import (
@@ -366,28 +370,22 @@ def tangent_face(q: ConvexQuadraticSet) -> Polyhedron:
     """The proper face of P containing Q when min over P equals eta.
 
     Requires P full-dimensional and the LOW_DIM_FACE case of `_level_case`
-    (min over P = eta > min over all of space).  The supporting hyperplane
-    is grad q(xbar)^T (x - xbar) = 0 at the minimizer xbar of q over P kept
-    in q's level case (h^T x = eta when H = 0).  The face is returned as P's
-    system with its tight rows set to equality.
+    (min over P = eta > min over all of space).  With xbar the minimizer of
+    q over P kept in q's level case and g = grad q(xbar) (h when H = 0),
+    first-order optimality gives g.x >= g.xbar on P, so the face is P cut
+    by its supporting half-space g.x <= g.xbar.
     """
     if _fulldim_probe(q.poly).status != "full_dim":
         raise PreconditionError("tangent_face: P must be full-dimensional")
-    if _level_case(q)[0] != LOW_DIM_FACE:
+    tag, face_min = _level_case(q)
+    if tag != LOW_DIM_FACE:
         raise PreconditionError(
             "tangent_face: needs min over P = eta > min over all of space"
         )
-    poly, obj = q.poly, q.obj
-    xbar = _level_case(q)[1].x
-    normal = obj.gradient(xbar)
+    normal = q.obj.gradient(face_min.x)
     if all(v == 0 for v in normal):
         raise AssertionError("zero gradient contradicts eta_tilde < eta")
-    hyper = poly.with_equality(normal, dot(normal, xbar))
-    tight = implicit_equalities(hyper)
-    own = [i for i in tight if i < poly.m]
-    face_rows = [[-v for v in poly.w_mat[i]] for i in own]
-    face_rhs = [-poly.w_rhs[i] for i in own]
-    return poly.with_rows(face_rows, face_rhs)
+    return q.poly.with_rows([normal], [dot(normal, face_min.x)])
 
 
 def classify_fulldim(q: ConvexQuadraticSet) -> FulldimCertificate:
@@ -431,7 +429,11 @@ def fulldim_reduce_cqs(
 ) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
     """Empty, or tau and a full-dimensional Q' with Q = tau(Q') and
     mixed-integer points in bijection.  on_descent(dim), when given, is
-    called at each tangent-face descent."""
+    called at each tangent-face descent.  A low-dimensional Q lies in the
+    stationary subspace 2 H x = -h or in the hyperplane g.x = g.xbar, with
+    xbar the minimizer over P and g = grad q(xbar) (on Q,
+    q(x) <= eta = q(xbar) <= q(xbar) + g.(x - xbar) <= q(x)), and is
+    mapped through that subspace's mixed-integer parametrization."""
     tau_acc = identity_param(q.n, q.p)
     cur = q
     for _ in range(q.n + 2):
@@ -451,23 +453,22 @@ def fulldim_reduce_cqs(
         if cur.obj.is_zero_quadratic():
             continue  # substitution may have killed H; restart on the new face
 
-        tag, _ = _level_case(cur)
+        tag, face_min = _level_case(cur)
         if tag == EMPTY_SET:
             return EMPTY
         if tag == FULL_DIM:
             return tau_acc, cur
         if tag == LOW_DIM_AFFINE:
-            # Q = F intersected with the stationary subspace; finish as polyhedron
-            sys_poly = cur.poly
-            for row, b in zip(*stationary_affine_subspace(cur.obj)):
-                sys_poly = sys_poly.with_equality(row, b)
-            return _reduce_step(tau_acc, cur, sys_poly)
-
-        # tangent-face descent: dimension strictly decreases
-        face = tangent_face(cur)
-        if on_descent is not None:
-            on_descent(cur.n)
-        cur = ConvexQuadraticSet(face, cur.obj, cur.eta)
+            rows, rhs = stationary_affine_subspace(cur.obj)
+        else:
+            g = cur.obj.gradient(face_min.x)
+            rows, rhs = [g], [dot(g, face_min.x)]
+            if on_descent is not None:
+                on_descent(cur.n)
+        tau = parametrize_mixed_integer_solutions(rows, rhs, cur.p)
+        if isinstance(tau, Empty):
+            return EMPTY
+        tau_acc, cur = tau_acc.compose(tau), cur.map_through(tau)
     raise AssertionError("face descent failed to terminate within n iterations")
 
 

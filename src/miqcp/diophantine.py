@@ -25,6 +25,7 @@ from .linalg import (
     Vector,
     column_reduce_unimodular,
     identity,
+    integer_columns,
     integer_row,
     inverse,
     mat_mul,
@@ -118,13 +119,6 @@ class AffineParam:
             inner.p_prime,
             inner.n_prime,
         )
-
-
-def integer_columns(m: Matrix, n: int, k: int) -> tuple:
-    """(cols, m_den): the k columns of the n x k matrix M as ints over one
-    positive denominator, M = cols^T / m_den."""
-    flat, m_den = integer_row([m[i][j] for j in range(k) for i in range(n)])
-    return [flat[j * n:(j + 1) * n] for j in range(k)], m_den
 
 
 def identity_param(n: int, p: int) -> AffineParam:

@@ -14,11 +14,12 @@ whose width over the ball is at most p * 2^(p(p-1)/4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, UnimodularCert, Vector, _idot, inverse, norm_sq, vec_sub
+from .linalg import (
+    Matrix, UnimodularCert, Vector, _idot, integer_columns, integer_row, inverse, norm_sq, vec_sub,
+)
 from .rational import Rat
 
 
@@ -51,9 +52,7 @@ def _integral_gso(basis: LatticeBasis) -> tuple:
     """
     basis.validate()
     b_mat, p = basis.b_mat, basis.p
-    s = lcm(*(e.denominator for row in b_mat for e in row))
-    cols = [[b_mat[i][j].numerator * (s // b_mat[i][j].denominator) for i in range(p)]
-            for j in range(p)]
+    cols, s = integer_columns(b_mat, p, p)
     d = [1] + [0] * p
     lam = [[0] * p for _ in range(p)]
     for k in range(p):
@@ -140,8 +139,8 @@ def babai_nearest_plane(reduced: LatticeBasis, target: Vector) -> Vector:
     p = reduced.p
     if len(target) != p:
         raise DimensionError("babai_nearest_plane: target has wrong dimension")
-    t = lcm(*(x.denominator for x in target))
-    vec = [x.numerator * (t // x.denominator) * s for x in target]
+    num, t = integer_row(target)
+    vec = [x * s for x in num]
     lt = [0] * p
     for j in range(p):
         u = _idot(vec, cols[j])

@@ -8,7 +8,7 @@ One fraction-free kernel, ``_eliminate``, serves rank, det, solve, null space, i
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
@@ -148,6 +148,22 @@ def integer_rows(w_mat: Matrix, w_rhs: Vector) -> tuple:
     """(rows, ells): rows[i] = ells[i] [W_i | w_i] as ints, by `integer_row`."""
     pairs = [integer_row(list(row) + [b]) for row, b in zip(w_mat, w_rhs)]
     return [row for row, _ in pairs], [ell for _, ell in pairs]
+
+
+def integer_columns(m: Matrix, n: int, k: int) -> tuple:
+    """(cols, m_den): the k columns of the n x k matrix M as ints over one
+    positive denominator, M = cols^T / m_den."""
+    flat, m_den = integer_row([m[i][j] for j in range(k) for i in range(n)])
+    return [flat[j * n:(j + 1) * n] for j in range(k)], m_den
+
+
+def lowest_terms(num: list, den: int) -> tuple:
+    """(num, den) divided by the gcd of den and every entry, den made
+    positive: the ints over the least positive common denominator."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return [v // g for v in num], den // g
 
 
 def _eliminate(a: Matrix, forward_only: bool = False) -> tuple:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from math import gcd
 from typing import List, Optional, Tuple, Union
 
 from .diophantine import (
@@ -29,7 +28,7 @@ from .diophantine import (
     parametrize_mixed_integer_solutions,
 )
 from .errors import DimensionError, PreconditionError
-from .linalg import Matrix, Vector, _idot, dot, integer_row, integer_rows
+from .linalg import Matrix, Vector, _idot, dot, integer_row, integer_rows, lowest_terms
 from .rational import Rat, ZERO, ONE
 from .simplex import (
     INFEASIBLE,
@@ -166,10 +165,7 @@ class Polyhedron:
             new.append(m_den * (x_den * full[-1] - _idot(full, x_num)))
             if new[-1] >= 0 and not any(new[:-1]):
                 continue
-            den = ell * m_den * x_den
-            g = gcd(den, *new)
-            den //= g
-            new = [v // g for v in new]
+            new, den = lowest_terms(new, ell * m_den * x_den)
             rows.append([Rat(v, den) for v in new[:-1]])
             rhs.append(Rat(new[-1], den))
             int_rows.append(new)

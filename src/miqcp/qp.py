@@ -32,6 +32,7 @@ from .linalg import (
     integer_inverse,
     integer_row,
     ldlt_psd_check,
+    lowest_terms,
     mat_vec,
     null_basis,
     quad_form,
@@ -100,8 +101,8 @@ class QpObjective:
         if self._free is None:
             h_int, lin, scale = self.integer_form()
             inv, d = integer_inverse(h_int)
-            xb_num, xb_den = _lowest([-_idot(row, lin) for row in inv], 2 * d)
-            flat, hi_den = _lowest([scale * v for row in inv for v in row], d)
+            xb_num, xb_den = lowest_terms([-_idot(row, lin) for row in inv], 2 * d)
+            flat, hi_den = lowest_terms([scale * v for row in inv for v in row], d)
             n = self.n
             hi_num = [flat[i * n:(i + 1) * n] for i in range(n)]
             q_bar = Rat(_idot(lin, xb_num), 2 * scale * xb_den)
@@ -150,11 +151,10 @@ class QpObjective:
         constant = Rat(_idot(x_num, h_x) + x_den * _idot(lin, x_num), scale * x_den * x_den)
         h_num = [[x_den * _idot(a, b) for b in hm] for a in cols]
         lin_num = [m_den * _idot(a, grad) for a in cols]
-        den = scale * m_den * m_den * x_den
-        g = gcd(den, *lin_num, *(v for row in h_num for v in row))
-        den //= g
-        h_num = [[v // g for v in row] for row in h_num]
-        lin_num = [v // g for v in lin_num]
+        k = len(cols)
+        flat, den = lowest_terms([v for row in h_num for v in row] + lin_num,
+                                 scale * m_den * m_den * x_den)
+        h_num, lin_num = [flat[i * k:(i + 1) * k] for i in range(k)], flat[k * k:]
         h_mat = [[Rat(v, den) for v in row] for row in h_num]
         h_vec = [Rat(v, den) for v in lin_num]
         if self.definite and len(_eliminate(cols, forward_only=True)[1]) == len(cols):
@@ -166,15 +166,6 @@ class QpObjective:
             out = QpObjective(h_mat, h_vec)
         object.__setattr__(out, "_ints", (h_num, lin_num, den))
         return out, constant
-
-
-def _lowest(num: List[int], den: int) -> tuple:
-    """(num, den) divided by the gcd of den and every entry, den made
-    positive: the ints over the least positive common denominator."""
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
-    return [v // g for v in num], den // g
 
 
 def objective_key(obj: QpObjective) -> tuple:
@@ -393,8 +384,7 @@ def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
             x_den *= rate
             active.append(blocking)
             active.sort()
-        g = gcd(x_den, *x_num)
-        x_num, x_den = [v // g for v in x_num], x_den // g
+        x_num, x_den = lowest_terms(x_num, x_den)
         h_x = [_idot(row, x_num) for row in h_int]
         grad = [2 * u + x_den * c for u, c in zip(h_x, lin)]
 

@@ -406,10 +406,8 @@ def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
     """
     normal, offset = sim.facets[i]
     step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
-    den = lcm(offset.denominator, step0.denominator)
     # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
-    off = offset.numerator * (den // offset.denominator)
-    bot = step0.numerator * (den // step0.denominator)
+    (off, bot), den = integer_row([offset, step0])
     up = _lift_direction([-v for v in normal], q.n)  # the row of sense +1
     zero = q.obj.is_zero() and q.eta >= 0
     probes = _half_space_run(q, up) if q.obj.definite else (None, None)

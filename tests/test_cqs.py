@@ -558,11 +558,12 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
     q = cqs(poly, [[1, 0], [0, 0]], [0, 0], 1)
     lps = _LpCount(monkeypatch)
     out = fulldim_reduce_cqs(q)
-    # the face descent reuses the reduction's verdict on its full-dimensional
-    # polyhedron and its face minimum instead of computing them again; each
-    # polyhedron runs simplex phase 1 once for all of its LPs, and each QP
-    # decides unboundedness in its own loop, with no recession-cone LP
-    assert (lps.solves, lps.phase1) == (13, 8)
+    # the face is reached by one parametrization of the supporting
+    # hyperplane, read from the kept face minimum, with no implicit-equality
+    # pass on the hyperplane; each polyhedron runs simplex phase 1 once for
+    # all of its LPs, and each QP decides unboundedness in its own loop,
+    # with no recession-cone LP
+    assert (lps.solves, lps.phase1) == (4, 4)
     assert not isinstance(out, Empty)
     tau, q2 = out
     assert tau.p_prime == 1 and tau.n_prime == 1
@@ -579,6 +580,52 @@ def test_reduce_tangent_descent_spec_example(monkeypatch):
         if q2.contains(xp):
             mapped.add(tuple(tau.apply(xp)))
     assert mapped == originals
+
+
+def test_reduce_keeps_integer_points_through_face_and_stationary_steps():
+    # eta on the minimum over P makes Q low-dimensional: it lies in a
+    # tangent face or in the stationary subspace, and the reduction maps it
+    # through that subspace's parametrization.  tau must carry the reduced
+    # set's integer points onto Q's, and Empty must mean Q has none.
+    rng = random.Random(7)
+    steps = set()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        poly = box([-2] * n, [2] * n, p=n)
+        for _ in range(rng.randint(0, 2)):
+            row = [Rat(rng.randint(-2, 2)) for _ in range(n)]
+            if any(row):
+                poly = poly.with_rows([row], [Rat(rng.randint(-1, 3))])
+        h_mat = [[Rat(0)] * n for _ in range(n)]
+        while not any(v for row in h_mat for v in row):
+            l_mat = [[Rat(rng.randint(-2, 2)) for _ in range(n)]
+                     for _ in range(rng.randint(1, n))]
+            h_mat = mat_mul(transpose(l_mat), l_mat)
+        obj = QpObjective(h_mat, [Rat(rng.randint(-3, 3)) for _ in range(n)])
+        res = qp_min(obj, poly)
+        if not res.is_optimal:
+            continue  # P is empty
+        q = ConvexQuadraticSet(poly, obj, res.value)
+        originals = {x for x in itertools.product(range(-2, 3), repeat=n)
+                     if q.contains([Rat(v) for v in x])}
+        descents = []
+        out = fulldim_reduce_cqs(q, on_descent=descents.append)
+        if isinstance(out, Empty):
+            assert originals == set()
+            continue
+        tau, q2 = out
+        mapped = set()
+        for xp in itertools.product(range(-12, 13), repeat=tau.n_prime):
+            if q2.contains([Rat(v) for v in xp]):
+                x = tau.apply([Rat(v) for v in xp])
+                assert all(is_integral(v) for v in x)
+                mapped.add(tuple(int(v) for v in x))
+        assert mapped == originals
+        if descents:
+            steps.add(LOW_DIM_FACE)
+        if classify_fulldim(q).tag == LOW_DIM_AFFINE:
+            steps.add(LOW_DIM_AFFINE)
+    assert steps == {LOW_DIM_FACE, LOW_DIM_AFFINE}
 
 
 def test_reduce_fractional_point_empty():
