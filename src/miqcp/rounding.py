@@ -28,11 +28,10 @@ from .linalg import (
     null_space,
     vec_add,
 )
-from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
+from .polyhedra import Polyhedron, _fulldim_probe, integer_system, lp_min
 from .qp import _independent_active_rows, _kkt_multipliers, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL, LpResult
-from .table import remember
 
 _MAX_ESCALATION = 128
 _MAX_SWEEPS = 100000
@@ -504,18 +503,12 @@ def sandwich(q: ConvexQuadraticSet, check: bool = True) -> SandwichResult:
     (2n LPs), for callers that have not shown it.
 
     The grow loop starts from the seed simplex and the anchor, the inner
-    polytope's probe point.  Both are functions of the inner polytope
-    alone, whose content key holds p, so inside a solve they are kept in
-    its table (`table`) by that key: the level-set probes of `optimize`
-    often build equal cubes, and each is seeded once per solve.  Nothing
-    writes to a kept start.
+    polytope's probe point.
     """
     inner = inner_polytope(q)
     if check and not cqs_is_bounded(q):
         raise PreconditionError("sandwich: Q is unbounded")
-    s0, anchor = remember(
-        lambda: ("start", content_key(inner)),
-        lambda: (Simplex(seed_simplex(inner)), _fulldim_probe(inner).point))
+    s0, anchor = Simplex(seed_simplex(inner)), _fulldim_probe(inner).point
     grown, _trace = grow_simplex(q, s0, anchor, check=False)
     p = q.p
     b_mat = grown.b_mat

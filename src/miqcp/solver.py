@@ -15,7 +15,9 @@ Optimization runs the feasibility recursion on level sets of the objective.
 Once a candidate value v is in hand (the slice-QP optimum of the best known
 integer assignment), a single probe at v - 1/(2 D^2) decides optimality,
 where D bounds the denominator of every candidate value; midpoint probes
-tighten the bracket when the candidate improves too slowly.
+tighten the bracket when the candidate improves too slowly.  The first
+candidate v0 is the better of two slices: at the MILP check's point and at
+the continuous minimizer rounded to the nearest integers.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
 top-level call (`table`): the probes share P cut by the declared box, the
@@ -45,8 +47,8 @@ from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
 from .polyhedra import Polyhedron, _fulldim_probe, content_key, lp_min
-from .qp import QpObjective, qp_min, qp_min_on_slice
-from .rational import Rat, ZERO, is_integral, rceil, rfloor, sqrt_upper_bound
+from .qp import QpObjective, QpResult, qp_min, qp_min_on_slice
+from .rational import Rat, ZERO, is_integral, rceil, rfloor, rround, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import _half_space_run, ceil_sqrt, cqs_is_bounded, sandwich
 from .table import per_solve, remember
@@ -340,6 +342,20 @@ def _denominator_bound(inst: MicqpInstance) -> int:
     return ell_obj * d_point * d_point
 
 
+def _rounded_slice(inst: MicqpInstance, x: Vector) -> Optional[QpResult]:
+    """The slice-QP optimum at x's integer coordinates rounded to the
+    nearest integers, or None when that point leaves the declared box or
+    its slice misses P: simple rounding, the first primal heuristic of
+    mixed-integer solvers (Berthold 2006), made exact by the slice QP."""
+    p = inst.poly.p
+    rounded = [Rat(rround(c)) for c in x[:p]]
+    box = inst.declared_box
+    if box is not None and not all(a <= c <= b for a, c, b in zip(box[0], rounded, box[1])):
+        return None
+    res = qp_min_on_slice(inst.obj, inst.poly, rounded)
+    return res if res.is_optimal else None
+
+
 @per_solve
 def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     """Accurate solve: feasibility, boundedness, then the exact optimum.
@@ -347,6 +363,13 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     One continuous QP over the whole polyhedron decides boundedness (its
     certified ray, with the mixed-integer feasible point) and, when
     bounded, gives the optimum for p = 0 and the lower bracket lo otherwise.
+
+    The first candidate v0 is the slice-QP optimum at the MILP check's
+    point, or the one at the continuous minimizer's integer coordinates
+    rounded to the nearest integers (`_rounded_slice`) when that is lower.
+    The rounded point is often optimal, and then one failing probe ends
+    the loop.  It only lowers v0, and a slice-QP optimum is a candidate
+    like any other, so the bound below holds as it did without it.
 
     The probe loop keeps lo < v: lo a level no feasible value is below (the
     continuous minimum, then failed probe levels), v the best candidate (a
@@ -391,6 +414,9 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     best = qp_min_on_slice(inst.obj, inst.poly, x_feas[:p])
     assert best.is_optimal
     x_best, v = best.x, best.value
+    near = _rounded_slice(inst, cont.x)
+    if near is not None and near.value < v:
+        x_best, v = near.x, near.value
 
     dbound = _denominator_bound(inst)
     gap = Rat(1, 2 * dbound * dbound)

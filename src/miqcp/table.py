@@ -7,7 +7,7 @@ not depend on eta, so every probe after the first would compute them again.
 outermost of them opens a table, a nested one shares it, and the table is
 dropped when that call returns or raises.  Outside a solve nothing is kept.
 
-The table holds six kinds of result, each keyed by content: a
+The table holds five kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
 (`qp.objective_key`) and a declared box where one is involved; or an
@@ -29,21 +29,14 @@ equality system's matrix, scaled to ints, with p
 - P cut by a declared box, duplicate rows merged (`solver._boxed`), keyed
   by P and the box's lo and hi: the MILP check and every level-set probe
   of `optimize` run on one boxed object, with its kept probe and phase-1
-  start;
-- a sandwich's start (`rounding.sandwich`), the seed `Simplex` and the
-  anchor, the inner polytope's probe point, keyed by the inner polytope,
-  the one argument of `rounding.seed_simplex`: the inner cube depends on
-  eta, but its radius is rounded to a dyadic number, so the probes of one
-  solve often build equal ones.
+  start.
 
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and
 the recursion are those of a solve without the table.  A miss calls the
 same module attribute as before (`_reduce_polyhedron`, `qp_min`, ...).
 A shared family hands its M to every parametrization it makes; nothing
-writes to an `AffineParam`'s M.  Nothing writes to a kept start: the grow
-loop builds a new `Simplex` for every accepted push and only reads the
-anchor.
+writes to an `AffineParam`'s M.
 """
 
 from __future__ import annotations

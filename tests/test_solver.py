@@ -18,7 +18,7 @@ from miqcp.diophantine import Empty, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
-from miqcp.qp import QpObjective
+from miqcp.qp import QpObjective, qp_min_on_slice
 from miqcp.rational import Rat, is_integral, size_of
 from miqcp.rounding import ceil_sqrt
 from miqcp.solver import (
@@ -30,6 +30,7 @@ from miqcp.solver import (
     _check_box,
     _denominator_bound,
     _merge_duplicate_rows,
+    _rounded_slice,
     boundedness,
     feasibility,
     gamma_band_bound_sq,
@@ -316,6 +317,71 @@ def test_optimize_without_declared_box():
     assert res.value == -2
 
 
+def test_optimize_without_any_bound_starts_at_the_rounded_minimizer():
+    # min x^2 - x over the integers: the MILP check's point is a vertex of
+    # the symbolic box, thousands of bits long, and a probe loop descending
+    # from its value ran for minutes; the continuous minimizer 1/2 rounds
+    # to an optimal point, so one failing probe ends the loop
+    inst = parse_instance('{"n":1,"p":1,"W":[],"w":[],"objective":{"H":[[1]],"h":[-1]}}').micqp
+    with pytest.warns(RuntimeWarning):
+        res = optimize(inst)
+    assert res.status == OPTIMAL_STATUS and res.value == 0
+
+
+def _record_feasibility_answers(monkeypatch) -> list:
+    """A list that gets the answer of every later `feasibility` call of
+    `optimize`, the MILP check's first."""
+    answers = []
+    feas = miqcp.solver.feasibility
+    monkeypatch.setattr(miqcp.solver, "feasibility",
+                        lambda *args: answers.append(feas(*args)) or answers[-1])
+    return answers
+
+
+def test_the_rounded_minimizer_becomes_the_incumbent(monkeypatch):
+    # x1^2 - 7 x1 + x2^2 - 13 x2 in a box of radius 10^6: the continuous
+    # minimizer (7/2, 13/2) rounds to (4, 7), an integer optimum, so after
+    # the MILP check only the probe that proves it optimal runs
+    r = Rat(10 ** 6)
+    poly = box([-r, -r], [r, r], p=2)
+    obj = QpObjective(mat([[1, 0], [0, 1]]), [Rat(-7), Rat(-13)])
+    answers = _record_feasibility_answers(monkeypatch)
+    res = optimize(MicqpInstance(obj, poly, ([-r, -r], [r, r])))
+    assert res.status == OPTIMAL_STATUS
+    assert res.value == -54 and res.x == [Rat(4), Rat(7)]
+    assert len(answers) == 2 and answers[1] is None
+
+
+def test_a_rounding_outside_the_box_or_off_p_gives_no_incumbent():
+    # 7/2 rounds to 4: outside the box [0, 3] no slice is solved, inside
+    # [0, 5] the slice is the point 4; on 16/5 <= x <= 18/5 the slice at 4
+    # misses P
+    wide = Polyhedron(mat([[1], [-1]]), [Rat(10), Rat(10)], p=1)
+    obj = QpObjective(mat([[1]]), [Rat(-7)])
+    half = [Rat(7, 2)]
+    assert _rounded_slice(MicqpInstance(obj, wide, ([Rat(0)], [Rat(3)])), half) is None
+    near = _rounded_slice(MicqpInstance(obj, wide, ([Rat(0)], [Rat(5)])), half)
+    assert near.x == [Rat(4)] and near.value == -12
+    narrow = Polyhedron(mat([[1], [-1]]), [Rat(18, 5), Rat(-16, 5)], p=1)
+    assert _rounded_slice(MicqpInstance(obj, narrow), half) is None
+
+
+def test_the_rounded_incumbent_never_raises_the_value(monkeypatch):
+    # optimize returns at most the slice value at the MILP check's point
+    answers = _record_feasibility_answers(monkeypatch)
+    checked = 0
+    for name, inst in corpus():
+        answers.clear()
+        res = optimize(inst)
+        p = inst.poly.p
+        if res.status != OPTIMAL_STATUS or p == 0:
+            continue
+        milp = qp_min_on_slice(inst.obj, inst.poly, answers[0][:p])
+        assert res.value <= milp.value, name
+        checked += 1
+    assert checked > 30
+
+
 def test_optimize_matches_oracle_randomized():
     import random
 
@@ -375,6 +441,9 @@ def test_probe_after_failed_midpoint_is_the_optimality_probe(monkeypatch):
         return feas(*args)
 
     monkeypatch.setattr(miqcp.solver, "feasibility", counted)
+    # the rounded minimizer is optimal here; without it the loop descends
+    # from the MILP check's point through failed midpoints, as it stalled
+    monkeypatch.setattr(miqcp.solver, "_rounded_slice", lambda inst, x: None)
     res = optimize(inst)
     assert res.is_optimal
     assert res.value == Rat(-8330531235901806030625)

@@ -16,15 +16,12 @@ import pytest
 
 import miqcp.cli
 import miqcp.polyhedra
-import miqcp.rounding
 import miqcp.table
-from miqcp.cqs import ConvexQuadraticSet, classify_fulldim
 from miqcp.errors import PreconditionError
 from miqcp.linalg import integer_rows, mat, rank
-from miqcp.polyhedra import _fulldim_probe, content_key
+from miqcp.polyhedra import _fulldim_probe
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat
-from miqcp.rounding import sandwich
 from miqcp.simplex import phase1
 from miqcp.solver import MicqpInstance, Trace, optimize
 
@@ -96,70 +93,21 @@ def test_the_table_changes_no_answer_and_no_node(open_pass, monkeypatch):
     assert open_probes < len(probed)
 
 
-def _record_starts(monkeypatch) -> tuple:
-    """(starts, seeds): the (s0, anchor) of every later `grow_simplex`
-    call, one per sandwich, and one entry per `seed_simplex` run; a kept
-    start runs no seed."""
-    starts, seeds = [], []
-    grow, seed = miqcp.rounding.grow_simplex, miqcp.rounding.seed_simplex
-    monkeypatch.setattr(miqcp.rounding, "grow_simplex",
-                        lambda q, s0, anchor, check: starts.append((s0, anchor))
-                        or grow(q, s0, anchor, check))
-    monkeypatch.setattr(miqcp.rounding, "seed_simplex",
-                        lambda *args: seeds.append(True) or seed(*args))
-    return starts, seeds
-
-
 @pytest.mark.parametrize("family", ["radius", "pdepth"])
-def test_kept_starts_change_no_answer_and_no_node(monkeypatch, family):
-    # the level-set probes of one solve often build inner cubes of equal
-    # content, and share their sandwich start; shutting the table changes
-    # no answer and no node
+def test_the_table_changes_no_answer_and_no_node_on_a_bench_family(monkeypatch, family):
     insts = [miqcp.cli.parse_instance(e["text"]).micqp for e in _load_bench_family(family)(2024)]
-    starts, seeds = _record_starts(monkeypatch)
+    probed = _count_probe_lps(monkeypatch)
     runs = []
     for inst in insts:
         trace = Trace()
         runs.append((optimize(inst, trace), trace.nodes))
-    sandwiches, seeded = len(starts), len(seeds)
-    assert seeded < sandwiches if family == "radius" else seeded <= sandwiches
+    open_probes = len(probed)
     monkeypatch.setattr(miqcp.table, "open_table", contextlib.nullcontext)
-    starts.clear()
-    seeds.clear()
+    probed.clear()
     for inst, run in zip(insts, runs):
         trace = Trace()
         assert (optimize(inst, trace), trace.nodes) == run
-    assert len(starts) == len(seeds) == sandwiches
-
-
-def test_one_seed_simplex_per_inner_polytope(monkeypatch):
-    # x1^2 + x2^2 <= eta on [-5, 5]^2: the inner cubes of eta = 10 and
-    # eta = 100 are equal polyhedra, built apart; eta = 2 gives a smaller one
-    poly = box([-5, -5], [5, 5], p=2)
-    disc = QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)])
-    ten, hundred, two = (ConvexQuadraticSet(poly, disc, Rat(eta)) for eta in (10, 100, 2))
-    inners = [classify_fulldim(q).polytope for q in (ten, hundred, two)]
-    assert inners[0] is not inners[1]
-    assert content_key(inners[0]) == content_key(inners[1]) != content_key(inners[2])
-    ten_p1 = ConvexQuadraticSet(box([-5, -5], [5, 5], p=1), disc, Rat(10))
-    starts, seeds = _record_starts(monkeypatch)
-    with miqcp.table.open_table():
-        sandwich(ten)
-        sandwich(hundred)
-        assert len(seeds) == 1
-        assert starts[1][0] is starts[0][0] and starts[1][1] is starts[0][1]
-        sandwich(ten_p1)  # another p
-        assert len(seeds) == 2
-        sandwich(two)  # another inner polytope
-        assert len(starts) == 4 and len(seeds) == 3
-    # outside a solve nothing is kept: equal starts, built twice
-    starts.clear()
-    seeds.clear()
-    sandwich(ten)
-    sandwich(hundred)
-    assert len(seeds) == 2
-    assert starts[1][0] is not starts[0][0]
-    assert starts[1][0].vertices == starts[0][0].vertices and starts[1][1] == starts[0][1]
+    assert open_probes < len(probed)
 
 
 def test_a_second_solve_repeats_the_first(monkeypatch):
@@ -233,17 +181,15 @@ def test_phase1_on_kept_integer_rows_matches_the_rational_rows(open_pass):
         assert ints == integer_rows(w_mat, w_rhs)
 
 
-def test_table_traffic_tool_prints_the_six_kinds():
+def test_table_traffic_tool_prints_the_five_kinds():
     tool = Path(__file__).resolve().parent.parent / "tools" / "table_traffic.py"
     out = subprocess.run([sys.executable, str(tool), "--workload", "msplit"],
                          capture_output=True, text=True, check=True).stdout
     lines = dict(line.split(": ") for line in out.splitlines())
-    assert list(lines) == ["reduce", "face_min", "slice", "param", "box", "start", "total"]
+    assert list(lines) == ["reduce", "face_min", "slice", "param", "box", "total"]
     # every feasibility node reduces its set: the tool saw the lookups
     assert not lines["reduce"].endswith(" 0")
     # the bands of a thin node share one parametrization family
     assert not lines["param"].startswith("hits 0 ")
     # every feasibility solve of a boxed instance asks for its boxed polyhedron
     assert not lines["box"].endswith(" 0")
-    # every sandwich asks for its start
-    assert not lines["start"].endswith(" 0")
