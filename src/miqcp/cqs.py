@@ -15,7 +15,6 @@ reached, composing the mixed-integer preserving affine maps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -151,39 +150,6 @@ def stationary_affine_subspace(obj: QpObjective) -> Tuple[Matrix, Vector]:
     return rows, rhs
 
 
-def _round_to_grid(x: Vector, bits: int) -> Vector:
-    scale = 1 << bits
-    return [Rat(rround(v * scale), scale) for v in x]
-
-
-def _small_witness(q: ConvexQuadraticSet, xbar: Vector) -> Vector:
-    """A feasible point with q-value < eta and small bit size, if one is easy.
-
-    The inner-cube construction only needs some feasible point with strictly
-    slack quadratic; a coarser witness gives a much larger cube because the
-    cube radius divides by 2^size(witness).
-    """
-    probe = _fulldim_probe(q.poly)
-    candidates = []
-    if probe.point is not None and q.obj.value(probe.point) < q.eta:
-        mid = vec_scale(Rat(1, 2), vec_add(xbar, probe.point))
-        candidates.extend([probe.point, mid])
-    best = xbar
-    best_size = size_of_seq(xbar)
-    for cand in candidates:
-        for bits in (0, 2, 4, 8, 16, 24):
-            rounded = _round_to_grid(cand, bits)
-            if q.poly.contains(rounded) and q.obj.value(rounded) < q.eta:
-                s = size_of_seq(rounded)
-                if s < best_size:
-                    best, best_size = rounded, s
-                break
-        s = size_of_seq(cand)
-        if s < best_size and q.poly.contains(cand) and q.obj.value(cand) < q.eta:
-            best, best_size = cand, s
-    return best
-
-
 def magnitude_bound(s: int) -> Rat:
     """2 ** (2**5 * s**2) as an exact rational: the coordinate bound of the
     feasibility argument for data of bit size s.  It is astronomically
@@ -236,8 +202,11 @@ def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
     Otherwise the cube is centred at a witness xbar with q(xbar) < eta:
     the minimizer, or, when the minimum over P is -infinity, a point on
     the certified ray (H r = 0 and h.r = -1, so q falls by lambda along
-    lambda r).  Its radius delta comes from an exact Lipschitz bound for
-    the quadratic on [-beta, beta]^n.
+    lambda r).  An exact Lipschitz bound for the quadratic on
+    [-beta, beta]^n, with beta set by xbar's bit size, gives the floor
+    radius delta; `_enlarge_cube` doubles it while the one-pair certificate
+    (||g||_1, sum |H_ij|) keeps the cube inside {q <= eta}, so the witness's
+    size sets where that search starts, not where it can reach.
     """
     poly, obj, eta = q.poly, q.obj, q.eta
     n = q.n
@@ -259,7 +228,6 @@ def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
         # q(point + lam ray) = q(point) - lam, and lam > q(point) - eta
         lam = Rat(max(0, rfloor(obj.value(res.point) - eta)) + 1)
         xbar = vec_add(res.point, vec_scale(lam, res.ray))
-    xbar = _small_witness(q, xbar)
     qval = obj.value(xbar)
     alpha = Rat(1 << size_of_seq([v for row in obj.h_mat for v in row] + list(obj.h_vec)))
     beta = Rat(1 << size_of_seq(xbar)) + 1
@@ -272,54 +240,42 @@ def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
 
 
 def _enlarge_cube(q: ConvexQuadraticSet, xbar: Vector, delta):
-    """Largest delta * 2^k <= 1 whose cube around xbar stays inside the
-    quadratic level set.
+    """The largest delta * 2^k <= 1 for which one integer pair certifies
+    that the cube around xbar lies in the quadratic level set, made dyadic.
 
-    The maximum of the convex quadratic over a box sits at a box vertex, so
-    checking the 2^n vertices certifies the whole cube; containment is
-    monotone in the radius, so binary search applies.  The Lipschitz delta
-    stays as the guaranteed floor.
-
-    No vertex is evaluated.  With g = 2 H xbar + h, the vertex xbar + rho s
-    of sign vector s has q(xbar + rho s) - q(xbar) = rho g.s + rho^2 s^T H s,
-    and s and -s share s^T H s, so the worse of the two exceeds q(xbar) by
-    rho |g.s| + rho^2 s^T H s.  g, H and the slack eta - q(xbar) are scaled
-    to integers by one positive factor, the pair (|g.s|, s^T H s) is kept
-    for each of the 2^(n-1) sign vectors with s[0] = +1, and a radius
-    rho = num/den passes when num den |g.s| + num^2 s^T H s <= slack den^2
-    for every pair.  That is the vertex test q <= eta (a vertex on q = eta
-    passes) multiplied through by positive numbers, so every radius the
-    search certifies is the one the vertex loop certified.
+    With g = 2 H xbar + h, the vertex xbar + rho s of sign vector s has
+    q(xbar + rho s) - q(xbar) = rho g.s + rho^2 s^T H s, and for every s,
+    |g.s| <= G = ||g||_1 and s^T H s <= S = sum |H_ij|.  The maximum of the
+    convex quadratic over a box sits at a vertex, so the cube of radius rho
+    lies in {q <= eta} when rho G + rho^2 S <= eta - q(xbar).  g, H and the
+    slack are scaled to integers by one positive factor, and a radius
+    rho = num/den passes when num den G + num^2 S <= slack den^2: O(n^2)
+    work at any n.  Both terms grow with the radius, so binary search over
+    k applies; the Lipschitz delta stays as the guaranteed floor.
 
     The radius returned is the certified one, best, shrunk to the nearby
     dyadic floor(best 2^j) / 2^j, whose small denominator keeps every
     downstream subproblem small.  With 0 < best <= 1 and
     j = bitlen(floor(1/best)) + 1 we have 1/best < 2^(j-1), so
-    best 2^j > 2 and the dyadic radius lies in (best/2, best]; both terms
-    of the test grow with the radius (s^T H s >= 0), so it is certified too.
+    best 2^j > 2 and the dyadic radius lies in (best/2, best], which the
+    test certifies too.
     """
-    n = q.n
-    if n > 12 or delta >= 1:
+    if delta >= 1:
         return delta
-    inv = ONE / delta
-    k_max = rfloor(inv).bit_length() - 1
+    k_max = rfloor(ONE / delta).bit_length() - 1
     if k_max <= 0:
         return delta
 
-    obj = q.obj
+    n, obj = q.n, q.obj
     scaled, _ = integer_row(obj.gradient(xbar) + [v for row in obj.h_mat for v in row]
                             + [q.eta - obj.value(xbar)])
-    g, slack = scaled[:n], scaled[-1]
-    h = [scaled[n * (i + 1):n * (i + 2)] for i in range(n)]
-    pairs = []
-    for tail in itertools.product((1, -1), repeat=n - 1):
-        s = (1,) + tail
-        pairs.append((abs(_idot(g, s)), _idot(s, [_idot(row, s) for row in h])))
+    lin_cap = sum(abs(v) for v in scaled[:n])
+    quad_cap = sum(abs(v) for v in scaled[n:-1])
+    slack = scaled[-1]
 
     def cube_ok(rad):
         num, den = rad.numerator, rad.denominator
-        lin, quad, cap = num * den, num * num, slack * den * den
-        return all(lin * a + quad * b <= cap for a, b in pairs)
+        return num * den * lin_cap + num * num * quad_cap <= slack * den * den
 
     lo_k, hi_k = 0, k_max
     while lo_k < hi_k:

@@ -39,10 +39,9 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .polyhedra import Polyhedron, content_key, integer_system, lp_min
+from .polyhedra import Polyhedron, integer_system, lp_min
 from .rational import Rat, ZERO
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from .table import remember
 
 _ITERATION_CAP_FACTOR = 60
 
@@ -397,12 +396,8 @@ def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult
 
 
 def qp_min_on_slice(obj: QpObjective, poly: Polyhedron, fixed: Vector) -> QpResult:
-    """qp_min with the first len(fixed) coordinates pinned by equality rows.
-
-    In a solve, equal objectives, polyhedra and pins share one answer
-    (`table`)."""
-    return remember(lambda: ("slice", content_key(poly), objective_key(obj), tuple(fixed)),
-                    lambda: qp_min(obj, poly.with_box(fixed, fixed)))
+    """qp_min with the first len(fixed) coordinates pinned by equality rows."""
+    return qp_min(obj, poly.with_box(fixed, fixed))
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

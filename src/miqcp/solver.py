@@ -21,8 +21,8 @@ the continuous minimizer rounded to the nearest integers.
 
 `optimize`, `feasibility` and `boundedness` each run with one table per
 top-level call (`table`): the probes share P cut by the declared box, the
-polyhedron reductions, minima of q over P, slice minima and the rhs-free
-parts of the band parametrizations, which do not depend on eta.  A shared
+polyhedron reductions, minima of q over P and the rhs-free parts of the
+band parametrizations, which do not depend on eta.  A shared
 reduction hands back the same reduced polyhedron, with the
 full-dimensionality probe it keeps.  The table is dropped on return or on
 an exception.
@@ -393,9 +393,9 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     share one table (`table`, keyed by the content of polyhedra and
     objectives): P cut by the box is built once, so the MILP check and
     every level-set probe run on one boxed polyhedron, whose
-    full-dimensionality probe and phase 1 run once; a reduction, a minimum
-    of q over P or a slice minimum that an earlier probe computed is read
-    back, not run again.  Each is independent of the level, so answers and
+    full-dimensionality probe and phase 1 run once; a reduction or a
+    minimum of q over P that an earlier probe computed is read back, not
+    run again.  Each is independent of the level, so answers and
     traces are those without it.
     """
     box = inst.declared_box

@@ -7,7 +7,7 @@ not depend on eta, so every probe after the first would compute them again.
 outermost of them opens a table, a nested one shares it, and the table is
 dropped when that call returns or raises.  Outside a solve nothing is kept.
 
-The table holds five kinds of result, each keyed by content: a
+The table holds four kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
 (`qp.objective_key`) and a declared box where one is involved; or an
@@ -20,8 +20,6 @@ equality system's matrix, scaled to ints, with p
   answered before its full-dimensionality probe is asked for (the probe
   is kept per object only, `polyhedra._fulldim_probe`);
 - the start-less minimum of q over P in `cqs._split_level`;
-- `qp.qp_min_on_slice`, the minimum of q with leading coordinates pinned,
-  which `cqs.slice_point` reads too;
 - the rhs-free part of `diophantine.parametrize_mixed_integer_solutions`
   (its g-inverses, projector and M, `diophantine._param_family`), keyed by
   W and p: the bands of a thin node differ only in the right-hand side,

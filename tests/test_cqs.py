@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import (
     det, dot, gauss_solve, identity, mat, mat_mul, mat_vec, null_space, rank, transpose,
 )
+import miqcp.cli
 import miqcp.cqs
 import miqcp.polyhedra
 from miqcp.polyhedra import (
@@ -35,7 +38,7 @@ from miqcp.polyhedra import (
 from miqcp.qp import QpObjective, qp_min
 from miqcp.rational import ONE, Rat, is_integral, rfloor
 from miqcp.simplex import OPTIMAL, UNBOUNDED
-from miqcp.solver import _milp_cqs
+from miqcp.solver import _milp_cqs, optimize
 
 from test_polyhedra import box, enumerate_vertices
 
@@ -154,28 +157,29 @@ def test_inner_polytope_unbounded_min_walks_the_ray():
         assert q.contains(v)
 
 
+def _cube_in_level(q, xbar, rad):
+    """The vertex loop: q on Fractions at all 2^n vertices of the cube
+    xbar +- rad is at most eta (the maximum of a convex q over a box sits
+    at a vertex, so this decides the whole cube)."""
+    return all(q.obj.value([x + s * rad for x, s in zip(xbar, signs)]) <= q.eta
+               for signs in itertools.product((-1, 1), repeat=q.n))
+
+
 def _reference_enlarge_cube(q, xbar, delta):
-    """The vertex loop `_enlarge_cube` replaced: q on Fractions at all 2^n
-    vertices of each cube the binary search and the dyadic shrink test."""
-    n = q.n
-    if n > 12 or delta >= 1:
+    """The exact vertex search `_enlarge_cube` replaced: binary search of
+    delta 2^k <= 1 and the dyadic shrink, each cube decided by
+    `_cube_in_level`.  It certifies the largest radius a search over those
+    cubes can, so it bounds `_enlarge_cube` from above."""
+    if delta >= 1:
         return delta
     inv = ONE / delta
     k_max = rfloor(inv).bit_length() - 1
     if k_max <= 0:
         return delta
-
-    def cube_ok(rad):
-        for signs in itertools.product((-1, 1), repeat=n):
-            vertex = [x + s * rad for x, s in zip(xbar, signs)]
-            if q.obj.value(vertex) > q.eta:
-                return False
-        return True
-
     lo_k, hi_k = 0, k_max
     while lo_k < hi_k:
         mid = (lo_k + hi_k + 1) // 2
-        if cube_ok(delta * (1 << mid)):
+        if _cube_in_level(q, xbar, delta * (1 << mid)):
             lo_k = mid
         else:
             hi_k = mid - 1
@@ -186,9 +190,14 @@ def _reference_enlarge_cube(q, xbar, delta):
     inv_best = ONE / best
     j = max(1, rfloor(inv_best).bit_length() + 1)
     dyadic = Rat(rfloor(best * (1 << j)), 1 << j)
-    if dyadic > 0 and cube_ok(dyadic):
+    if dyadic > 0 and _cube_in_level(q, xbar, dyadic):
         return dyadic
     return best
+
+
+def _is_dyadic(v):
+    d = v.denominator
+    return d & (d - 1) == 0
 
 
 def _cube_case(rng, n, kind, far):
@@ -218,6 +227,10 @@ def _cube_case(rng, n, kind, far):
 
 
 def test_enlarge_cube_matches_vertex_reference():
+    # the one-pair certificate is sound: every vertex of the returned cube
+    # is in the level set, and it never certifies more than the exact
+    # vertex search; it keeps the floor (up to the dyadic shrink, which
+    # keeps more than half of any radius) and grows past it on some cases
     rng = random.Random(1212)
     grown = 0
     for n in range(1, 7):
@@ -226,36 +239,103 @@ def test_enlarge_cube_matches_vertex_reference():
                 for _ in range(3):
                     q, xbar, delta = _cube_case(rng, n, kind, far)
                     got = miqcp.cqs._enlarge_cube(q, xbar, delta)
-                    assert got == _reference_enlarge_cube(q, xbar, delta)
+                    assert _cube_in_level(q, xbar, got)
+                    assert got <= _reference_enlarge_cube(q, xbar, delta)
+                    assert got > delta / 2 and _is_dyadic(got)
                     grown += got > delta
     assert grown > 0  # the search did certify larger cubes, not only the floor
 
 
+def _aligned_case(rng, n, kind):
+    """(q, xbar, s): a seeded quadratic of the given kind whose gradient g
+    at xbar and Hessian H have the sign pattern of the sign vector s
+    (s_i g_i >= 0 and s_i s_j H_ij >= 0), so s attains both one-pair
+    bounds, g.s = ||g||_1 and s^T H s = sum |H_ij|; eta puts the vertex
+    xbar + s/16 exactly on q = eta."""
+    s = [rng.choice((-1, 1)) for _ in range(n)]
+    if kind == "linear":
+        a_mat = [[Rat(0)] * n for _ in range(n)]
+    else:
+        rank = n if kind == "pd" else rng.randint(0, n - 1)
+        l_mat = [[Rat(rng.randint(0, 3)) for _ in range(n)] for _ in range(rank)]
+        a_mat = mat_mul(transpose(l_mat), l_mat) if rank else [[Rat(0)] * n for _ in range(n)]
+        if kind == "pd":
+            a_mat = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(a_mat)]
+    h_mat = [[s[i] * s[j] * a_mat[i][j] for j in range(n)] for i in range(n)]
+    xbar = [Rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(10 ** 8, 10 ** 9)) for _ in range(n)]
+    g = [si * Rat(rng.randint(1, 50), rng.randint(1, 9)) for si in s]
+    h_vec = [gi - 2 * hx for gi, hx in zip(g, mat_vec(h_mat, xbar))]
+    obj = QpObjective(h_mat, h_vec)
+    rad = Rat(1, 16)
+    eta = obj.value(xbar) + rad * sum(abs(v) for v in g) + rad * rad * sum(
+        abs(v) for row in h_mat for v in row)
+    return ConvexQuadraticSet(Polyhedron([], [], n=n), obj, eta), xbar, s
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_enlarge_cube_accepts_a_vertex_on_the_level(n):
-    # eta is the largest q over the vertices of the cube of radius 2^-4, and
-    # the floor 2^-10 is dyadic, so that radius is certified only if a
-    # vertex with q = eta passes
+    # the one-pair bound is tight at radius 2^-4 (a vertex of that cube has
+    # q = eta), and the floor 2^-10 is dyadic, so that radius is certified
+    # only if the comparison accepts equality
     rng = random.Random(n)
+    rad = Rat(1, 16)
     for kind in ("pd", "singular", "linear"):
-        q, xbar, _ = _cube_case(rng, n, kind, far=False)
-        rad = Rat(1, 16)
-        eta = max(q.obj.value([x + s * rad for x, s in zip(xbar, signs)])
-                  for signs in itertools.product((-1, 1), repeat=n))
-        q = ConvexQuadraticSet(q.poly, q.obj, eta)
+        q, xbar, s = _aligned_case(rng, n, kind)
+        assert q.obj.value([x + si * rad for x, si in zip(xbar, s)]) == q.eta
         delta = Rat(1, 1 << 10)
         assert miqcp.cqs._enlarge_cube(q, xbar, delta) == rad
         assert _reference_enlarge_cube(q, xbar, delta) == rad
 
 
 def test_enlarge_cube_early_returns():
-    # n = 13 skips the 2^n vertex bound; a floor >= 1 is already the cap
+    # at n = 13 the cube grows from the floor to the cap 1
+    # (13 rho^2 <= 1000); a floor >= 1 is already the cap
     q13 = cqs(Polyhedron([], [], n=13), [[Rat(i == j) for j in range(13)] for i in range(13)],
               [0] * 13, 1000)
-    assert miqcp.cqs._enlarge_cube(q13, [Rat(0)] * 13, Rat(1, 1024)) == Rat(1, 1024)
+    assert miqcp.cqs._enlarge_cube(q13, [Rat(0)] * 13, Rat(1, 1024)) == 1
     q2 = cqs(Polyhedron([], [], n=2), [[1, 0], [0, 1]], [0, 0], 1000)
     for delta in (Rat(1), Rat(3, 2)):
         assert miqcp.cqs._enlarge_cube(q2, [Rat(0)] * 2, delta) is delta
+
+
+def _windowed(n):
+    """perfbench's p = 2, box radius 10 instance `_windowed` at dimension
+    n and seed 2024, loaded from its file and parsed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    entry = module._windowed(random.Random(2024), n, 2, 10, f"windowed_n{n}")
+    return miqcp.cli.parse_instance(entry["text"]).micqp
+
+
+def test_optimize_past_twelve_continuous_dimensions():
+    # the inner cube is certified in O(n^2) work at any n, so the sandwich
+    # grows from a cube above the Lipschitz floor and n = 13 takes a
+    # fraction of a second
+    res = optimize(_windowed(13))
+    assert res.status == "optimal"
+    assert res.value == Rat(-204477973705918201, 176672519347513)
+
+
+def test_inner_polytope_grows_past_the_floor_at_sixteen_dimensions(monkeypatch):
+    inst = _windowed(16)
+    q = ConvexQuadraticSet(inst.poly, inst.obj, qp_min(inst.obj, inst.poly).value + 1)
+    calls = []
+    enlarge = miqcp.cqs._enlarge_cube
+
+    def recording(q_arg, xbar, delta):
+        rad = enlarge(q_arg, xbar, delta)
+        calls.append((xbar, delta, rad))
+        return rad
+
+    monkeypatch.setattr(miqcp.cqs, "_enlarge_cube", recording)
+    inner_polytope(q)
+    [(xbar, delta, rad)] = calls
+    assert rad > delta
+    rng = random.Random(16)
+    for _ in range(64):
+        assert q.contains([x + rng.choice((-1, 1)) * rad for x in xbar])
 
 
 @pytest.mark.parametrize("n", [2, 6])

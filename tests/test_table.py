@@ -181,12 +181,12 @@ def test_phase1_on_kept_integer_rows_matches_the_rational_rows(open_pass):
         assert ints == integer_rows(w_mat, w_rhs)
 
 
-def test_table_traffic_tool_prints_the_five_kinds():
+def test_table_traffic_tool_prints_the_four_kinds():
     tool = Path(__file__).resolve().parent.parent / "tools" / "table_traffic.py"
     out = subprocess.run([sys.executable, str(tool), "--workload", "msplit"],
                          capture_output=True, text=True, check=True).stdout
     lines = dict(line.split(": ") for line in out.splitlines())
-    assert list(lines) == ["reduce", "face_min", "slice", "param", "box", "total"]
+    assert list(lines) == ["reduce", "face_min", "param", "box", "total"]
     # every feasibility node reduces its set: the tool saw the lookups
     assert not lines["reduce"].endswith(" 0")
     # the bands of a thin node share one parametrization family

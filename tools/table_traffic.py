@@ -28,7 +28,7 @@ import miqcp.cli  # noqa: E402
 import miqcp.table  # noqa: E402
 
 # the kinds of result the table holds, as `miqcp.table` lists them
-KINDS = ("reduce", "face_min", "slice", "param", "box")
+KINDS = ("reduce", "face_min", "param", "box")
 
 
 def count_traffic(workload: str) -> tuple:
