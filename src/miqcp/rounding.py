@@ -33,7 +33,6 @@ from .qp import _independent_active_rows, _kkt_multipliers, recession_cone
 from .rational import Rat, ZERO, ONE, isqrt_ceil
 from .simplex import OPTIMAL, LpResult
 
-_MAX_ESCALATION = 128
 _MAX_SWEEPS = 100000
 
 
@@ -309,9 +308,9 @@ class _RowRuns:
     phi(t) = min {q(x) : x in P, row . x <= t} is convex and nonincreasing
     in t (Ritter 1962; Best 1996), +infinity where the cut misses P, so
     every fact about the row's cuts is one such half-line.  The run LP's
-    minimum v starts it (open, `_run_lp`); a cut QP that fails at t, and
-    a supporting line of phi that crosses eta at t', raise it to
-    (t, closed) and (t', open) (`_keep_cut_bound`).
+    minimum starts it (open, `_run_lp`); a cut QP that fails at t, and a
+    supporting line of phi that crosses eta at t', raise it to (t, closed)
+    and (t', open) (`_keep_cut_bound`).  `_push` reads the LP's vertex.
     """
 
     lp: Optional[LpResult] = None
@@ -332,7 +331,8 @@ def _run_lp(q: ConvexQuadraticSet, row: Vector, run: _RowRuns) -> LpResult:
 
 def _cut_misses(q: ConvexQuadraticSet, row: Vector, run: _RowRuns, t_num: int, den: int) -> bool:
     """Whether run proves that the cut row . x <= t_num / den (den > 0)
-    holds no point of Q, decided on ints; the run LP runs first."""
+    holds no point of Q, decided on ints; the run LP runs first, and a cut
+    left open holds its vertex, as the bound is at least its minimum."""
     _run_lp(q, row, run)
     bound = run.bound
     if bound is None:
@@ -375,68 +375,64 @@ def _keep_cut_bound(q: ConvexQuadraticSet, run: _RowRuns, t: Rat, cut: Polyhedro
         run.bound, run.closed = crossing, False
 
 
+def _slide(q: ConvexQuadraticSet, a: tuple, v: tuple) -> tuple:
+    """a + (v - a) / 2^j in Q for the least j <= 64, else a; (x_num, x_den) ints."""
+    (an, ad), (vn, vd) = a, v
+    for j in range(1, 65):
+        num = [((1 << j) - 1) * vd * x + ad * y for x, y in zip(an, vn)]
+        if q._contains_ints(num, (ad * vd) << j):
+            return num, (ad * vd) << j
+    return a
+
+
 def _push(q: ConvexQuadraticSet, sim: Simplex, i: int, anchor: Vector,
           runs: defaultdict[tuple, _RowRuns]) -> Optional[Vector]:
     """A point of Q whose projection may replace vertex i of sim at a 3/2
     push, or None when facet i admits none.
 
-    Both expansion sets are one cut row . x <= rhs on Q: sense +1 asks for
+    Both expansion sets are one cut row . x <= t on Q, with step 3/2 of the
+    gap between vertex i and its facet: sense +1 asks for
     normal . y >= offset + step (beyond the facet), sense -1 for
     normal . y <= offset - step (behind vertex i), so row = -sense normal
-    and rhs = -sense offset - step.  step starts at 3/2 of the gap between
-    vertex i and its facet and doubles while points are found, so a long
-    run of accepted pushes costs one probe per doubling.  The run's point
-    is the one `quadratic_feasible_point` gives on its last cut that
-    meets Q, whose QP starts at that cut polyhedron's phase-1 point.
-
-    runs holds the grow's `_RowRuns` by tuple(row).  Each probe is decided by
-    the first of: for a definite H, q's minimizer over the half-space
-    row . x <= rhs (`_decide_in_closed_form`, both senses from one
-    `_half_space_run`); the row's bound (`_cut_misses`), which ends the
-    run at a cut it proves empty with no QP, the run LP running on the
-    first probe that needs it; and a QP on the cut, whose answer raises the
-    bound (`_keep_cut_bound`).  The bound only ever decides a cut that
-    fails, so every accepted point is the QP's.  When q is identically
-    zero and eta >= 0, Q = P, so a cut the bound does not prove empty meets
-    Q: the QP is skipped while the next cut is not proven empty either, and
-    runs only on the last such cut, raising no bound (phi = 0 where cuts
-    meet P).  Points stay (x_num, x_den) ints until
-    `_simplify_accepted_point` builds the vertex.
+    and t = -sense offset - step.  Each sense asks this one question, and
+    the first answer stands: a definite q's minimizer over the half-space
+    (`_decide_in_closed_form`, both senses from one `_half_space_run`);
+    the row's bound (`_cut_misses`, which runs the run LP); the LP's
+    vertex v, which lies in P and the cut, when it lies in Q (always, for
+    q = 0 and eta >= 0); else one QP on the cut, which raises the bound
+    (`_keep_cut_bound`) and whose point a slides toward v (`_slide`), as
+    the segment from a to v lies in P and the cut.  runs holds the grow's
+    `_RowRuns` by tuple(row).  None comes only from cuts proven to hold no
+    point of Q, so the grow ends at the fixed point the sandwich needs.
+    Points stay ints until `_simplify_accepted_point` builds the vertex.
     """
     normal, offset = sim.facets[i]
-    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
-    # the k-th cut of the run is row . x <= rhs0 - 2^k step0 = (top - (bot << k)) / den
-    (off, bot), den = integer_row([offset, step0])
+    step = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    (off, stp), den = integer_row([offset, step])
     up = _lift_direction([-v for v in normal], q.n)  # the row of sense +1
-    zero = q.obj.is_zero() and q.eta >= 0
     probes = _half_space_run(q, up) if q.obj.definite else (None, None)
     for sense, probe in zip((1, -1), probes):
         row = up if sense == 1 else [-v for v in up]
-        run = runs[tuple(row)]
-        top = -sense * off
-        last_good = None
-        for k in range(_MAX_ESCALATION):
-            t_num = top - (bot << k)
-            decided, pt = ((False, None) if probe is None
-                           else _decide_in_closed_form(q, probe, t_num, den))
-            if not decided:
-                if _cut_misses(q, row, run, t_num, den):
-                    break
-                if (zero and k + 1 < _MAX_ESCALATION
-                        and not _cut_misses(q, row, run, t_num - (bot << k), den)):
-                    continue  # the next cut meets Q too
+        t_num = -sense * off - stp  # the cut is row . x <= t_num / den
+        decided, pt = ((False, None) if probe is None
+                       else _decide_in_closed_form(q, probe, t_num, den))
+        if not decided:
+            run = runs[tuple(row)]
+            if _cut_misses(q, row, run, t_num, den):
+                continue
+            v = integer_row(run.lp.x) if run.lp.is_optimal else None
+            if v is not None and q._contains_ints(*v):
+                pt = v
+            else:
                 t = Rat(t_num, den)
                 cut = q.poly.with_rows([row], [t])
                 pt = quadratic_feasible_point(q.obj, cut, q.eta)
-                if pt is not None:
-                    pt = integer_row(pt)
-                if not zero:
-                    _keep_cut_bound(q, run, t, cut, pt)
-            if pt is None:
-                break
-            last_good = pt
-        if last_good is not None:
-            return _simplify_accepted_point(q, *last_good, anchor, row, Rat(top - bot, den))
+                pt = None if pt is None else integer_row(pt)
+                _keep_cut_bound(q, run, t, cut, pt)
+                if pt is not None and v is not None:
+                    pt = _slide(q, pt, v)
+        if pt is not None:
+            return _simplify_accepted_point(q, *pt, anchor, row, Rat(t_num, den))
     return None
 
 

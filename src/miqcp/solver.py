@@ -31,6 +31,7 @@ an exception.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -160,11 +161,14 @@ def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
         return ConvexQuadraticSet(poly, q.obj, q.eta)
     if cqs_is_bounded(q):
         return q
+    frame, level = sys._getframe(), 1  # warn at the first frame outside miqcp
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         "no declared box; appending the symbolic magnitude bound "
         "(arithmetic on numbers with ~2^(2^5 s^2) bits)",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
     lo, hi = theoretical_box(q)
     return ConvexQuadraticSet(q.poly.with_box(lo, hi), q.obj, q.eta)

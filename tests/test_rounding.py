@@ -387,26 +387,41 @@ def _reference_cut_feasible_point(q, cut_row, cut_rhs):
     return quadratic_feasible_point(q.obj, poly, q.eta)
 
 
+def _minimizes_over_half_space(obj, row, t, x):
+    """Whether x minimizes q over the half-space row . x <= t: KKT with
+    gradient 2 H x + h = -mu row, mu >= 0, and the cut tight when mu > 0."""
+    grad = [2 * dot(r, x) + c for r, c in zip(obj.h_mat, obj.h_vec)]
+    k = next(j for j, r in enumerate(row) if r != 0)
+    mu = -grad[k] / row[k]
+    return (mu >= 0 and all(g == -mu * r for g, r in zip(grad, row))
+            and dot(row, x) <= t and (mu == 0 or dot(row, x) == t))
+
+
 def _reference_push(q, sim, i, anchor, runs):
-    """`rounding._push` without the closed form and the LP bracket: one QP
-    from a phase-1 point on every cut of a run.  runs, the grow's records,
-    is not read."""
+    """`rounding._push` from the cut QP alone: one `quadratic_feasible_point`
+    on the 3/2 cut of every sense, with no closed form and no kept bound;
+    runs, the grow's records, is not read.  A cut that meets Q gives its
+    QP point a when a minimizes a definite q over the whole half-space (the
+    closed form's point), else the run LP's vertex v when v lies in Q,
+    else the first a + (v - a) / 2^j, j = 1..64, in Q, else a."""
     normal, offset = sim.facets[i]
-    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+    step = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
     for sense in (1, -1):
         row = rounding._lift_direction([-sense * v for v in normal], q.n)
-        rhs0 = -sense * offset
-        last_good = None
-        step = step0
-        for _k in range(rounding._MAX_ESCALATION):
-            pt = _reference_cut_feasible_point(q, row, rhs0 - step)
-            if pt is None:
-                break
-            last_good = pt
-            step = step * 2
-        if last_good is not None:
-            return rounding._simplify_accepted_point(q, *integer_row(last_good), anchor, row,
-                                                     rhs0 - step0)
+        t = -sense * offset - step
+        a = _reference_cut_feasible_point(q, row, t)
+        if a is None:
+            continue
+        lp = lp_min(row, q.poly)
+        v = lp.x if lp.is_optimal else None
+        if v is None or q.obj.definite and _minimizes_over_half_space(q.obj, row, t, a):
+            pt = a
+        elif q.contains(v):
+            pt = v
+        else:
+            slid = ([x + (y - x) / 2 ** j for x, y in zip(a, v)] for j in range(1, 65))
+            pt = next((x for x in slid if q.contains(x)), a)
+        return rounding._simplify_accepted_point(q, *integer_row(pt), anchor, row, t)
     return None
 
 
@@ -507,8 +522,21 @@ def _load_bench_family(name):
     return getattr(module, name + "_family")
 
 
-def _sandwiched_sets(monkeypatch, inst):
-    """Every Q that `optimize` hands `sandwich` on inst."""
+def _solve(source):
+    """Solve the corpus instance named source, or the seed-2024 bench
+    instance of that name, as perfbench/run.py solves it."""
+    family = source.split("_")[0]
+    if family not in ("pdepth", "radius", "msplit"):
+        return miqcp.solver.optimize(dict(corpus.corpus())[source])
+    entry = next(e for e in _load_bench_family(family)(2024) if e["name"] == source)
+    parsed = miqcp.cli.parse_instance(entry["text"])
+    if entry["kind"] == "optimize":
+        return miqcp.solver.optimize(parsed.micqp)
+    return miqcp.solver.feasibility(parsed.quad, parsed.micqp.declared_box)
+
+
+def _sandwiched_sets(monkeypatch, source):
+    """Every Q that the solve of source (`_solve`) hands `sandwich`."""
     seen = []
     sandwich_fn = miqcp.solver.sandwich
 
@@ -518,26 +546,19 @@ def _sandwiched_sets(monkeypatch, inst):
 
     with monkeypatch.context() as m:
         m.setattr(miqcp.solver, "sandwich", recording)
-        miqcp.solver.optimize(inst)
+        _solve(source)
     return seen
 
 
-# the pdepth, radius, gen_24 and gen_34 sets are definite and semidefinite;
-# on gen_24 and gen_27 a warm start of the semidefinite QPs moves the
-# trajectory; only on gen_34 does a definite set send a probe past the
-# closed form to a QP
+# the pdepth, radius and gen_34 sets are definite and not; gen_24 and
+# gen_27 sandwich only semidefinite and zero objectives; only on gen_34
+# does a definite set send a probe past the closed form to a QP
 @pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27",
                                     "gen_34"])
 def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
-    family = source.split("_")[0]
-    if family in ("pdepth", "radius"):
-        entry = next(e for e in _load_bench_family(family)(2024) if e["name"] == source)
-        inst = miqcp.cli.parse_instance(entry["text"]).micqp
-    else:
-        inst = dict(corpus.corpus())[source]
-    sets = _sandwiched_sets(monkeypatch, inst)
+    sets = _sandwiched_sets(monkeypatch, source)
     assert any(not q.obj.definite for q in sets)
-    assert any(q.obj.definite for q in sets) == (source != "gen_27")
+    assert any(q.obj.definite for q in sets) == (source not in ("gen_24", "gen_27"))
     definite_qps = []
     feasible_point = rounding.quadratic_feasible_point
     monkeypatch.setattr(rounding, "quadratic_feasible_point",
@@ -545,6 +566,37 @@ def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
     for q in sets:
         _assert_same_trajectory(monkeypatch, q)
     assert any(definite_qps) == (source == "gen_34")
+
+
+def test_every_grow_ends_at_a_fixed_point(monkeypatch):
+    # the sandwich's bound R/r <= 4 ceil(sqrt(p))^3 rests on the grown
+    # simplex alone: no facet's 3/2 cut, in either sense, holds a point of
+    # Q, and every vertex lies in proj_p(Q)
+    grows = []
+    grow = rounding.grow_simplex
+
+    def recording(q, *args, **kwargs):
+        out = grow(q, *args, **kwargs)
+        grows.append((q, out[0]))
+        return out
+
+    monkeypatch.setattr(rounding, "grow_simplex", recording)
+    sources = ["gen_18", "gen_24", "gen_27", "gen_34", "pdepth_p2", "pdepth_p3", "radius_1e12",
+               "msplit_0"]
+    facet_senses = 0
+    for source in sources:
+        before = len(grows)
+        _solve(source)
+        assert len(grows) > before
+    for q, sim in grows:
+        assert all(slice_point(q, v) is not None for v in sim.vertices)
+        for i, (normal, offset) in enumerate(sim.facets):
+            step = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
+            for sense in (1, -1):
+                row = rounding._lift_direction([-sense * v for v in normal], q.n)
+                assert _reference_cut_feasible_point(q, row, -sense * offset - step) is None
+                facet_senses += 1
+    assert len(grows) > len(sources) and facet_senses > 4 * len(grows)
 
 
 def test_cut_below_the_bracket_runs_no_qp(monkeypatch):
@@ -568,23 +620,10 @@ def _zero_set(poly):
     return ConvexQuadraticSet(poly, QpObjective([[ZERO] * n for _ in range(n)], [ZERO] * n), ZERO)
 
 
-def _cut_index(sim, i, row, t):
-    """The k of the cut row . x <= t of a run of facet i's push: t is
-    rhs0 - 2^k step0 (see `rounding._push`)."""
-    normal, offset = sim.facets[i]
-    sense = 1 if list(row[:sim.p]) == [-v for v in normal] else -1
-    step0 = Rat(3, 2) * (offset - dot(normal, sim.vertices[i]))
-    ratio = (-sense * offset - t) / step0
-    k = ratio.numerator.bit_length() - 1
-    assert ratio == 1 << k
-    return k
-
-
 def _pushes_match_the_reference(monkeypatch, q, sim, anchor):
     """_push and `_reference_push` agree on every facet of sim.  Returns,
-    per facet, the QPs `_push` ran and the cut index of each, read from
-    the last row of its cut polyhedron."""
-    qps, cuts = [], []
+    per facet, the QPs `_push` ran and whether it found a point."""
+    qps, found = [], []
     feasible_point = rounding.quadratic_feasible_point
     for i in range(sim.p + 1):
         ran = []
@@ -593,49 +632,61 @@ def _pushes_match_the_reference(monkeypatch, q, sim, anchor):
                       lambda *a: ran.append(a) or feasible_point(*a))
             got = rounding._push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
         assert got == _reference_push(q, sim, i, anchor, defaultdict(rounding._RowRuns))
-        assert len(ran) == (got is not None)  # one QP per accepted push, none otherwise
+        assert len(ran) <= 2  # at most one QP per sense
         qps.append(len(ran))
-        cuts.append([_cut_index(sim, i, cut.w_mat[-1], cut.w_rhs[-1]) for _, cut, _ in ran])
-    return qps, cuts
+        found.append(got is not None)
+    return qps, found
 
 
 def test_zero_objective_push_matches_the_reference_when_the_run_lp_is_unbounded(monkeypatch):
-    # P = {x2 >= -1, x1 + x2 <= 4} is unbounded toward x1 = -infinity
+    # P = {x2 >= -1, x1 + x2 <= 4} is unbounded toward x1 = -infinity: a
+    # run with no LP vertex asks its cut QP, and the push keeps its point
     poly = Polyhedron(mat([[0, -1], [1, 1]]), [Rat(1), Rat(4)], p=2)
     sim = Simplex([[ZERO, ZERO], [ONE, ZERO], [ZERO, ONE]])
-    qps, cuts = _pushes_match_the_reference(monkeypatch, _zero_set(poly), sim, [ZERO, ZERO])
-    assert rounding._MAX_ESCALATION - 1 in sum(cuts, [])
-    assert sum(qps) > 0
+    statuses = []
+    lp = rounding.lp_min
+
+    def recording(c, poly):
+        res = lp(c, poly)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(rounding, "lp_min", recording)
+    qps, found = _pushes_match_the_reference(monkeypatch, _zero_set(poly), sim, [ZERO, ZERO])
+    assert UNBOUNDED in statuses
+    assert any(n > 0 and f for n, f in zip(qps, found))
 
 
-def test_zero_objective_push_runs_no_qp_when_the_first_cut_misses(monkeypatch):
-    # [0, 1] is all of proj P, so the first cut of each run misses P
+def test_zero_objective_push_runs_no_qp_when_the_cut_misses(monkeypatch):
+    # [0, 1] is all of proj P, so the cut of each run misses P
     q = _zero_set(box([0, 0], [1, 1], p=1))
     sim = Simplex([[ZERO], [ONE]])
     tests = []
     misses = rounding._cut_misses
     monkeypatch.setattr(rounding, "_cut_misses",
                         lambda *a: tests.append(misses(*a)) or tests[-1])
-    qps, cuts = _pushes_match_the_reference(monkeypatch, q, sim, CENTER)
-    assert qps == [0, 0] and cuts == [[], []]
-    # each of the four runs asked one bound test, on its first cut, which missed
+    qps, found = _pushes_match_the_reference(monkeypatch, q, sim, CENTER)
+    assert qps == [0, 0] and found == [False, False]
+    # each of the four runs asked one bound test, which missed
     assert tests == [True] * 4
 
 
 def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch):
+    # Q = P with a bounded P: every cut the run LP leaves open holds its
+    # vertex, which lies in Q, so no push runs a QP
     rng = random.Random(2201)
-    ks = []
+    pushes = Counter()
     for _ in range(6):
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
         s0, anchor = _grow_inputs(q)
-        qps, cuts = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
-        ks += sum(cuts, [])
-    assert any(0 < k < rounding._MAX_ESCALATION - 1 for k in ks)
+        qps, found = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
+        pushes.update(zip(qps, found))
+    assert set(pushes) == {(0, True), (0, False)}
 
 
-def test_zero_objective_grow_runs_one_qp_per_accepted_push(monkeypatch):
+def test_zero_objective_grow_runs_no_qp(monkeypatch):
     rng = random.Random(2202)
     for _ in range(4):
         n = rng.randint(1, 3)
@@ -648,7 +699,7 @@ def test_zero_objective_grow_runs_one_qp_per_accepted_push(monkeypatch):
             m.setattr(rounding, "quadratic_feasible_point",
                       lambda *a: qps.append(a) or feasible_point(*a))
             _, trace = grow_simplex(q, s0, anchor, check=False)
-        assert len(qps) == len(trace) - 1 > 0
+        assert qps == [] and len(trace) > 1
 
 
 def _grow_records(monkeypatch, q, s0, anchor):
@@ -677,7 +728,7 @@ def test_the_run_lps_are_kept_by_row_within_one_grow(monkeypatch):
         s0, anchor = _grow_inputs(q)
         verts, _, lps, run_lps, runs = _grow_records(monkeypatch, q, s0, anchor)
         reused += run_lps - len(lps)
-        # a zero objective asks every run's LP (`_cut_misses` on its first cut)
+        # a zero objective asks every run's LP (`_cut_misses` on its cut)
         assert sorted(lps) == sorted(set(lps)) == sorted(runs)
         assert all(run.lp == lp_min(list(row), q.poly) for row, run in runs.items())
         # a second grow of the same set runs the same LPs again
@@ -722,11 +773,13 @@ def test_grow_probes_tool_prints_the_four_kinds():
         lines[kind] = {name: int(v) for name, v in (col.split(" ") for col in cols.split(" / "))}
     assert list(lines) == ["definite", "semidefinite", "linear", "zero", "total"]
     zero, definite = lines["zero"], lines["definite"]
-    # the run LP decides every zero-objective probe but one QP per accepted push
-    assert zero["qp"] == zero["accepted"] > 0 and zero["run_lp"] > 0 and zero["closed_form"] == 0
+    # the run LP decides every zero-objective question: it proves the cut
+    # empty, or its vertex is the accepted point
+    assert zero["qp"] == 0 and zero["vertex"] == zero["accepted"] > 0 and zero["run_lp"] > 0
+    assert zero["closed_form"] == 0
     # the MILP check's sets are zero; the optimality probes' sets are definite
     assert definite["closed_form"] > 0 and definite["qp"] == 0
-    # no cut QP runs on a nonzero objective, so none has kept a bound
+    # no cut QP runs, so none has kept a bound
     assert lines["total"]["kept"] == 0
     assert all(sum(c[k] for c in list(lines.values())[:4]) == lines["total"][k] for k in zero)
 
@@ -895,7 +948,7 @@ def test_kept_cut_bounds_hold_on_a_grid_of_cuts(monkeypatch):
     # that hold no point of Q
     rng = random.Random(2501)
     seen = Counter()
-    for k in range(16):
+    for k in range(64):  # definite cut QPs that fail are rare: the closed form decides most
         n = rng.randint(1, 3)
         q = _pd_set(rng, n, rng.randint(1, n)) if k % 2 else _semidefinite_set(rng)
         kind = "definite" if q.obj.definite else "semidefinite"
@@ -946,7 +999,7 @@ def _grow_qps(monkeypatch, q, keep):
 
 @pytest.mark.parametrize("source", ["gen_24", "gen_27"])
 def test_kept_cut_bounds_save_qps_and_keep_the_trajectory(monkeypatch, source):
-    sets = _sandwiched_sets(monkeypatch, dict(corpus.corpus())[source])
+    sets = _sandwiched_sets(monkeypatch, source)
     kept_qps = stubbed_qps = 0
     for q in sets:
         verts, trace, kept = _grow_qps(monkeypatch, q, rounding._keep_cut_bound)

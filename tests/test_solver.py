@@ -1,4 +1,5 @@
 import random
+import warnings
 from math import lcm
 
 import pytest
@@ -298,14 +299,27 @@ def test_feasibility_without_declared_box_bounded_set():
 
 def test_feasibility_without_declared_box_unbounded_set():
     # the symbolic magnitude box kicks in, with a cost warning
-    import warnings
-
     poly = Polyhedron(mat([[-1]]), [Rat(-7, 2)], p=1)  # x >= 7/2
     q = cqs_of(poly, [[0]], [0], 0)
     with pytest.warns(RuntimeWarning):
         x = feasibility(q, None)
     assert x is not None
     assert is_integral(x[0]) and x[0] >= Rat(7, 2)
+
+
+def test_the_no_box_warning_names_the_caller():
+    # the warning points at the line that called into miqcp, whichever
+    # entry point and however deep inside the package it was raised
+    text = '{"n":2,"p":1,"W":[[1,0]],"w":[1],"objective":{"H":[[1,0],[0,1]],"h":[0,0]}}'
+    inst = parse_instance(text).micqp
+    q = cqs_of(inst.poly, [[0, 0], [0, 0]], [0, 0], 0)  # Q = P, unbounded
+    for call in (lambda: optimize(inst), lambda: feasibility(q, None),
+                 lambda: boundedness(inst)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert caught[0].filename == __file__
 
 
 def test_optimize_without_declared_box():

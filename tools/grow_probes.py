@@ -1,4 +1,4 @@
-"""Count what decides the sandwich's grow probes, per objective kind, over one pass of a workload.
+"""Count what decides the sandwich's grow pushes, per objective kind, over one pass of a workload.
 
 Run from the repository root:
 
@@ -6,28 +6,24 @@ Run from the repository root:
 
 Every instance of the ``perfbench/instances.py`` family is solved once, as
 ``perfbench/run.py`` solves it, with the deciders of ``miqcp.rounding._push``
-wrapped from the outside.  A grow probe is one cut of a push run (see
-``_push``): the k-th cut row . x <= rhs0 - 2^k step0 of a facet and sense,
-for k = 0, 1, ... until a cut misses Q.  Each probe is decided by one of:
+wrapped from the outside.  A push asks one question per facet and sense:
+does the 3/2 cut row . x <= t hold a point of Q (see ``_push``)?  Each
+question is decided by the first of:
 
 - ``closed_form``: the half-space minimizer of a definite objective
   (``_decide_in_closed_form`` answered);
-- ``run_lp``: the run's LP min row . x over P, either a cut below its
-  minimum that the row's bound proves empty (``_cut_misses``) or, for an
-  identically-zero objective with eta >= 0, a cut that meets P and so Q,
-  skipped because the next one does too;
+- ``run_lp``: a cut below the minimum of the run's LP min row . x over P,
+  which the row's bound proves empty (``_cut_misses``);
 - ``kept``: a cut at or above the LP minimum that the row's bound proves
   empty, as earlier cut QPs of the same row on the same set raised it, by
   a failing cut at or above this one or a supporting line of the cut
   minimum above eta (``_cut_misses``);
+- ``vertex``: the run LP's vertex, which lies in Q;
 - ``qp``: a ``quadratic_feasible_point`` on the cut polyhedron.
-
-A cut that ``_cut_misses`` is asked about twice in one push (a
-zero-objective run tests the next cut before it moves on) counts once.
 
 ``accepted`` counts the pushes that found a point.  One line per objective
 kind is printed,
-``kind: closed_form C / run_lp L / kept K / qp Q / accepted A``,
+``kind: closed_form C / run_lp L / kept K / vertex V / qp Q / accepted A``,
 for the kinds of ``KINDS`` in that order, and a total line.  The kind is
 the set's objective: ``definite`` (H positive definite), ``semidefinite``
 (H != 0 singular), ``linear`` (H = 0, h != 0) or ``zero`` (H = 0, h = 0).
@@ -52,7 +48,7 @@ import miqcp.solver  # noqa: E402
 from miqcp.rational import Rat  # noqa: E402
 
 KINDS = ("definite", "semidefinite", "linear", "zero")
-COLUMNS = ("closed_form", "run_lp", "kept", "qp", "accepted")
+COLUMNS = ("closed_form", "run_lp", "kept", "vertex", "qp", "accepted")
 
 
 def objective_kind(obj) -> str:
@@ -68,37 +64,31 @@ def count_probes(workload: str) -> dict:
     counts = {kind: Counter() for kind in KINDS}
     names = ("_decide_in_closed_form", "_cut_misses", "quadratic_feasible_point", "_push")
     originals = {name: getattr(rounding, name) for name in names}
-    # this push's closed-form answers, and its bound tests and QPs by (row, t)
-    closed, tested, ran = [0], {}, set()
+    push_counts = [None]  # the Counter of the running push's objective kind
 
     def closed_form(*args):
         out = originals["_decide_in_closed_form"](*args)
-        closed[0] += out[0]
+        push_counts[0]["closed_form"] += out[0]
         return out
 
     def cut_misses(q, row, run, t_num, den):
         out = originals["_cut_misses"](q, row, run, t_num, den)
-        t = Rat(t_num, den)
-        below_lp = run.lp.is_optimal and t < run.lp.value
-        tested[tuple(row), t] = ("run_lp" if below_lp else "kept") if out else None
+        if out:
+            below_lp = run.lp.is_optimal and Rat(t_num, den) < run.lp.value
+            push_counts[0]["run_lp" if below_lp else "kept"] += 1
+        else:  # the vertex decides an open cut unless a cut QP follows
+            push_counts[0]["vertex"] += 1
         return out
 
     def feasible_point(obj, cut, eta):
-        ran.add((tuple(cut.w_mat[-1]), cut.w_rhs[-1]))
+        push_counts[0]["vertex"] -= 1
+        push_counts[0]["qp"] += 1
         return originals["quadratic_feasible_point"](obj, cut, eta)
 
     def push(q, *args):
-        closed[0] = 0
-        tested.clear()
-        ran.clear()
+        push_counts[0] = counts[objective_kind(q.obj)]
         out = originals["_push"](q, *args)
-        c = counts[objective_kind(q.obj)]
-        c["closed_form"] += closed[0]
-        for cut, decider in tested.items():
-            # a cut that passed the bound test and ran no QP is a skipped
-            # zero-objective cut, which meets P
-            c[decider or ("qp" if cut in ran else "run_lp")] += 1
-        c["accepted"] += out is not None
+        push_counts[0]["accepted"] += out is not None
         return out
 
     rounding._decide_in_closed_form = closed_form
