@@ -298,7 +298,7 @@ def _level_case(q: ConvexQuadraticSet) -> Tuple[str, Optional[QpResult]]:
     space is computed only when face_min equals eta.  An identically-zero q
     makes Q = P (or empty when eta < 0) and needs no QP; face_min is then
     None.  The answer depends on q alone, so it is kept on q; face_min
-    does not depend on eta, so in a solve it is kept for P and q's
+    does not depend on eta, so inside `optimize` it is kept for P and q's
     objective (`table`).
     """
     if q._level is None:
@@ -371,8 +371,11 @@ def _reduce_step(
     tau_acc: AffineParam, cur: ConvexQuadraticSet, poly: Polyhedron
 ) -> Union[Empty, Tuple[AffineParam, ConvexQuadraticSet]]:
     """Reduce poly, a subset of cur's polyhedron, and carry cur's quadratic
-    through its map x = xbar + M x' (eta' = eta - q(xbar))."""
-    out = fulldim_reduce_polyhedron(poly)
+    through its map x = xbar + M x' (eta' = eta - q(xbar)).  The reduction
+    does not depend on eta, so inside `optimize` it is kept for poly's
+    content (`table`)."""
+    out = remember(lambda: ("reduce", content_key(poly)),
+                   lambda: fulldim_reduce_polyhedron(poly))
     if isinstance(out, Empty):
         return EMPTY
     tau, reduced = out

@@ -9,8 +9,8 @@ affine image of a lower-dimensional mixed-integer space.
 A parametrization is two steps.  The rhs-free one (`_param_family`) builds
 the two g-inverses, the projector, M, p' and n' from W and p alone; the
 rhs step turns one right-hand side into d, ybar, the integrality test and
-zbar.  The solver's thin nodes ask for many right-hand sides of one W, so
-in a solve the rhs-free part is kept by W's content and p (`table`).
+zbar.  A thin node of the solver asks for many right-hand sides of one W:
+it builds the family once and solves it for each band.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .linalg import (
     zeros,
 )
 from .rational import ZERO, ONE, is_integral
-from .table import remember
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,7 @@ def parametrize_mixed_integer_solutions(
     unimodular factors U_C, U_B; on failure returns Empty.
 
     The g-inverses, the projector, M, p' and n' depend on W and p alone
-    (`_param_family`); in a solve, equal W and p share them (`table`), so
-    the bands of one thin node, which differ only in rhs, and the
-    parametrizations they return share one M.
+    (`_param_family`); this builds them and takes the rhs step once.
     """
     m = len(w)
     if m == 0:
@@ -252,11 +249,4 @@ def parametrize_mixed_integer_solutions(
         raise DimensionError("parametrize: len(rhs) != rows of W")
     if not 0 <= p <= n:
         raise DimensionError(f"parametrize: p={p} out of range for n={n}")
-    return remember(lambda: _family_key(w, p), lambda: _param_family(w, p)).solve(rhs)
-
-
-def _family_key(w: Matrix, p: int) -> tuple:
-    """("param", p, m, n, ell, ell W...): W's content as one scale ell,
-    the lcm of its denominators, and its entries times ell, row by row."""
-    ints, ell = integer_row([v for row in w for v in row])
-    return ("param", p, len(w), len(w[0]), ell, *ints)
+    return _param_family(w, p).solve(rhs)

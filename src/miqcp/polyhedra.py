@@ -7,11 +7,10 @@ mixed-integer points, via the implicit-equality system and the diophantine
 parametrization.
 
 A polyhedron keeps what it costs to learn about itself (its probe, its
-phase-1 start, its integer rows).  Inside a solve (`table`), its reduction
-is also kept by content, so equal polyhedra that the optimality probes
-build again share one answer, and with it the reduced polyhedron's own
-probe; `content_key` is that key.  The probe itself has one path,
-`_fulldim_probe`, kept per object.
+phase-1 start, its integer rows).  The probe has one path,
+`_fulldim_probe`, kept per object.  `content_key` keys a polyhedron by its
+content; `optimize`'s table (`table`) keeps reductions under it, so equal
+polyhedra that the optimality probes build again share one answer.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .simplex import (
     phase2,
     solve_lp,
 )
-from .table import remember
 
 
 @dataclass
@@ -59,8 +57,8 @@ class Polyhedron:
       runs only phase 2;
     - `_ints`, its `integer_system`, which `with_rows` extends by the new
       rows when the parent already holds it;
-    - `_key`, its `content_key`, built when a solve's table is first asked
-      about it.
+    - `_key`, its `content_key`, built when `optimize`'s table is first
+      asked about it.
     """
 
     w_mat: Matrix
@@ -299,13 +297,10 @@ def fulldim_reduce_polyhedron(
 
     Returns Empty when P has no mixed-integer point detectable from the
     implicit-equality system (including P = empty set); otherwise a map
-    tau with P = tau(P') and P' full-dimensional.  In a solve, polyhedra
-    of equal content share one answer (`table`).
+    tau with P = tau(P') and P' full-dimensional.  Inside `optimize`,
+    `cqs._reduce_step` shares one answer among polyhedra of equal content
+    (`table`).
     """
-    return remember(lambda: ("reduce", content_key(poly)), lambda: _reduce_polyhedron(poly))
-
-
-def _reduce_polyhedron(poly: Polyhedron) -> Union[Empty, Tuple[AffineParam, Polyhedron]]:
     probe = _fulldim_probe(poly)
     if probe.status == "empty":
         return EMPTY

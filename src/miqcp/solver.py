@@ -19,13 +19,13 @@ tighten the bracket when the candidate improves too slowly.  The first
 candidate v0 is the better of two slices: at the MILP check's point and at
 the continuous minimizer rounded to the nearest integers.
 
-`optimize`, `feasibility` and `boundedness` each run with one table per
-top-level call (`table`): the probes share P cut by the declared box, the
-polyhedron reductions, minima of q over P and the rhs-free parts of the
-band parametrizations, which do not depend on eta.  A shared
-reduction hands back the same reduced polyhedron, with the
-full-dimensionality probe it keeps.  The table is dropped on return or on
-an exception.
+`optimize` runs with one table (`table`): its probes share P cut by the
+declared box, the polyhedron reductions and the minima of q over P, which
+do not depend on eta.  A shared reduction hands back the same reduced
+polyhedron, with the full-dimensionality probe it keeps.  The table is
+dropped on return or on an exception.  A lone `feasibility` or
+`boundedness` call runs one recursion and opens none.  A thin node
+parametrizes its bands from one rhs-free family (`diophantine._param_family`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cqs import (
     slice_point,
     theoretical_box,
 )
-from .diophantine import Empty, parametrize_mixed_integer_solutions
+from .diophantine import Empty, _param_family
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
@@ -151,15 +151,17 @@ def _merge_duplicate_rows(poly: Polyhedron) -> Polyhedron:
 
 def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
     """Q cut by the declared box, or, without one, by the symbolic bound
-    when Q is unbounded.  P cut by the box, duplicate rows merged, is kept
-    in the solve's table (`table`), so all probes of one solve share it."""
+    when Q is unbounded and P is not empty (an empty set is bounded, though
+    its recession cone may not say so).  P cut by the box, duplicate rows
+    merged, is kept in `optimize`'s table (`table`), so all its probes
+    share it."""
     if declared_box is not None:
         _check_box_shape(declared_box, q.n)
         lo, hi = declared_box
         poly = remember(lambda: ("box", content_key(q.poly), *lo, *hi),
                         lambda: _merge_duplicate_rows(q.poly.with_box(lo, hi)))
         return ConvexQuadraticSet(poly, q.obj, q.eta)
-    if cqs_is_bounded(q):
+    if cqs_is_bounded(q) or _fulldim_probe(q.poly).status == "empty":
         return q
     frame, level = sys._getframe(), 1  # warn at the first frame outside miqcp
     while frame is not None and frame.f_globals.get("__package__") == __package__:
@@ -174,7 +176,6 @@ def _boxed(q: ConvexQuadraticSet, declared_box) -> ConvexQuadraticSet:
     return ConvexQuadraticSet(q.poly.with_box(lo, hi), q.obj, q.eta)
 
 
-@per_solve
 def feasibility(
     q: ConvexQuadraticSet,
     declared_box: Optional[Tuple[Vector, Vector]] = None,
@@ -199,9 +200,9 @@ def _check_box(boxed: Polyhedron, poly: Polyhedron) -> None:
 
     A box that cut nothing off poly (boxed == poly) cannot miss it.  A
     caller runs it only on a None answer, whose first reduction has probed
-    the boxed polyhedron already unless q is linear and nonzero or the
-    solve's table handed that reduction back.  The unboxed probe runs only
-    when the boxed polyhedron is empty.
+    the boxed polyhedron already unless q is linear and nonzero or
+    `optimize`'s table handed that reduction back.  The unboxed probe runs
+    only when the boxed polyhedron is empty.
     """
     if boxed == poly:
         return
@@ -253,15 +254,18 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
     count = max(0, gamma_hi - gamma_lo + 1)
     record(depth=depth, p=q.p, event="thin_direction", band_count=count,
            band_bound_sq=gamma_band_bound_sq(p2))
+    if count == 0:
+        return None
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
-    # Every band is parametrized (the bands share W = [c], so one rhs-free
-    # part), and the parametrizable ones become children.  When q2 is
-    # definite, a band whose hyperplane misses {q <= eta} is closed here:
-    # its child's reduction would find it empty, so the same node is
-    # recorded without building the child.
+    # The bands share W = [c], so one rhs-free family parametrizes them all,
+    # and the parametrizable ones become children.  When q2 is definite, a
+    # band whose hyperplane misses {q <= eta} is closed here: its child's
+    # reduction would find it empty, so the same node is recorded without
+    # building the child.
+    family = _param_family([c_ext], p2)
     misses = _band_misses(q2, c_ext) if q2.obj.definite else None
     for gamma in range(gamma_lo, gamma_hi + 1):
-        param = parametrize_mixed_integer_solutions([c_ext], [Rat(gamma)], p2)
+        param = family.solve([Rat(gamma)])
         if isinstance(param, Empty):
             continue
         assert param.p_prime <= p2 - 1
@@ -302,7 +306,6 @@ class BoundednessResult:
     ray: Optional[Vector] = None
 
 
-@per_solve
 def boundedness(inst: MicqpInstance, trace: Optional[Trace] = None) -> BoundednessResult:
     """Unbounded iff a mixed-integer feasible point and a descent ray coexist.
 
@@ -393,14 +396,14 @@ def optimize(inst: MicqpInstance, trace: Optional[Trace] = None) -> SolveStatus:
     So at most M + 1 blocks of 8 successes complete: <= 8 (M + 2) successes
     and <= M + 1 failures.
 
-    Every `feasibility` call gets the user's P and box, and the probes
-    share one table (`table`, keyed by the content of polyhedra and
-    objectives): P cut by the box is built once, so the MILP check and
-    every level-set probe run on one boxed polyhedron, whose
+    Every `feasibility` call gets the user's P and box, and the MILP check
+    and the probes share one table, opened here and nowhere else (`table`,
+    keyed by the content of polyhedra and objectives): P cut by the box is
+    built once, so they all run on one boxed polyhedron, whose
     full-dimensionality probe and phase 1 run once; a reduction or a
     minimum of q over P that an earlier probe computed is read back, not
-    run again.  Each is independent of the level, so answers and
-    traces are those without it.
+    run again.  Each is independent of the level, so answers and traces
+    are those without it.
     """
     box = inst.declared_box
     x_feas = feasibility(_milp_cqs(inst.poly), box, trace)

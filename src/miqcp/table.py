@@ -1,29 +1,25 @@
-"""One table per top-level solve: the results that do not depend on eta.
+"""One table per `optimize` call: the results that do not depend on eta.
 
 `optimize` runs the feasibility recursion on many level sets {q <= eta} of
 one instance.  The reduction of a polyhedron and the minimum of q over it do
 not depend on eta, so every probe after the first would compute them again.
-`optimize`, `feasibility` and `boundedness` run under `per_solve`: the
-outermost of them opens a table, a nested one shares it, and the table is
-dropped when that call returns or raises.  Outside a solve nothing is kept.
+`optimize` runs under `per_solve`, which opens a table and drops it when the
+call returns or raises; it is the only caller that opens one.  A lone
+`feasibility` or `boundedness` call runs one recursion, which repeats none
+of these, so it keeps nothing, nor does any other code outside `optimize`.
 
-The table holds four kinds of result, each keyed by content: a
+The table holds three kinds of result, each keyed by content: a
 polyhedron's `polyhedra.integer_system` (rows and their scales) with p and
 n (`polyhedra.content_key`), and an objective's `integer_form`
-(`qp.objective_key`) and a declared box where one is involved; or an
-equality system's matrix, scaled to ints, with p
-(`diophantine._family_key`).
+(`qp.objective_key`) or a declared box where one is involved.
 
-- `polyhedra.fulldim_reduce_polyhedron`, (tau, reduced polyhedron) or
-  Empty; a hit hands back the same reduced object, with the probe,
-  phase-1 start and integer rows it keeps, so a repeated polyhedron is
-  answered before its full-dimensionality probe is asked for (the probe
-  is kept per object only, `polyhedra._fulldim_probe`);
+- `polyhedra.fulldim_reduce_polyhedron`'s (tau, reduced polyhedron) or
+  Empty, looked up in `cqs._reduce_step`; a hit hands back the same
+  reduced object, with the probe, phase-1 start and integer rows it keeps,
+  so a repeated polyhedron is answered before its full-dimensionality
+  probe is asked for (the probe is kept per object only,
+  `polyhedra._fulldim_probe`);
 - the start-less minimum of q over P in `cqs._split_level`;
-- the rhs-free part of `diophantine.parametrize_mixed_integer_solutions`
-  (its g-inverses, projector and M, `diophantine._param_family`), keyed by
-  W and p: the bands of a thin node differ only in the right-hand side,
-  so they share one, and so do equal nodes of later probes;
 - P cut by a declared box, duplicate rows merged (`solver._boxed`), keyed
   by P and the box's lo and hi: the MILP check and every level-set probe
   of `optimize` run on one boxed object, with its kept probe and phase-1
@@ -32,9 +28,8 @@ equality system's matrix, scaled to ints, with p
 Each is a deterministic function of its key and nothing writes to a kept
 result, so a hit returns what a miss would compute: answers, traces and
 the recursion are those of a solve without the table.  A miss calls the
-same module attribute as before (`_reduce_polyhedron`, `qp_min`, ...).
-A shared family hands its M to every parametrization it makes; nothing
-writes to an `AffineParam`'s M.
+computing function through its module attribute (`fulldim_reduce_polyhedron`,
+`qp_min`, ...), so a wrapper installed there counts every computation.
 """
 
 from __future__ import annotations
@@ -52,10 +47,7 @@ _MISSING = object()
 
 @contextmanager
 def open_table():
-    """A table for the duration of the block, unless one is open already."""
-    if _TABLE.get() is not None:
-        yield
-        return
+    """A new table for the duration of the block."""
     token = _TABLE.set({})
     try:
         yield

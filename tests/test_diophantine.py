@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import random
 
@@ -9,6 +8,7 @@ from miqcp.diophantine import (
     EMPTY,
     AffineParam,
     Empty,
+    _param_family,
     identity_param,
     integer_reflexive_ginv,
     parametrize_mixed_integer_solutions,
@@ -30,7 +30,6 @@ from miqcp.linalg import (
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat, is_integral
-from miqcp.table import open_table
 
 
 def ginv_identities_hold(a, g):
@@ -354,18 +353,19 @@ def _systems(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_systems(), st.booleans())
-def test_the_split_parametrization_matches_the_reference(case, table_open):
-    # one family per W and p, kept in an open table and shared by every
-    # rhs; with the table shut each call builds its own
+@given(_systems())
+def test_the_split_parametrization_matches_the_reference(case):
+    # one family per W and p, solved for every rhs as a thin node solves
+    # its bands: each answer is the reference's, and the parametrizations
+    # of one family share its M
     w, p, rhs_list = case
     expected = [_reference_parametrize(w, rhs, p) for rhs in rhs_list]
-    with open_table() if table_open else contextlib.nullcontext():
-        got = [parametrize_mixed_integer_solutions(w, rhs, p) for rhs in rhs_list]
+    family = _param_family(w, p)
+    got = [family.solve(rhs) for rhs in rhs_list]
     assert got == expected
+    assert [parametrize_mixed_integer_solutions(w, rhs, p) for rhs in rhs_list] == expected
     params = [(g, e) for g, e in zip(got, expected) if isinstance(g, AffineParam)]
-    if table_open and len(params) > 1:
-        assert all(g.m is params[0][0].m for g, _ in params)  # siblings share M
+    assert all(g.m is family.m for g, _ in params)
     # nothing that reads a parametrization writes to its (shared) M
     n = len(w[0])
     poly = Polyhedron([[Rat(1)] * n, [Rat(-1)] * n], [Rat(5), Rat(5)], p)

@@ -15,7 +15,7 @@ from miqcp.cqs import (
     magnitude_bound,
     scaled_integer_system_size,
 )
-from miqcp.diophantine import Empty, parametrize_mixed_integer_solutions
+from miqcp.diophantine import AffineParam, Empty, _ParamFamily, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
 from miqcp.linalg import dot, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
@@ -322,6 +322,19 @@ def test_the_no_box_warning_names_the_caller():
         assert caught[0].filename == __file__
 
 
+def test_an_empty_polyhedron_takes_no_symbolic_box():
+    # P = {x : 0 x <= -1} is empty, but its recession cone is all of R, so
+    # `cqs_is_bounded` calls Q unbounded; an empty set is bounded, and no
+    # entry point warns about or builds the symbolic box
+    poly = Polyhedron(mat([[0]]), [Rat(-1)], p=1)
+    inst = MicqpInstance(QpObjective(mat([[1]]), [Rat(0)]), poly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimize(inst).status == INFEASIBLE_STATUS
+        assert feasibility(cqs_of(poly, [[0]], [0], 1), None) is None
+        assert boundedness(inst).unbounded is False
+
+
 def test_optimize_without_declared_box():
     poly = box([0], [3], p=1)
     obj = QpObjective(mat([[1]]), [Rat(-3)])
@@ -582,6 +595,46 @@ def test_every_closed_band_reduces_to_empty(closed_bands):
     for q2, c, gamma in closed:
         param = parametrize_mixed_integer_solutions([c], [Rat(gamma)], q2.p)
         assert isinstance(fulldim_reduce_cqs(q2.map_through(param)), Empty)
+
+
+def test_the_bands_of_a_thin_node_share_one_parametrization(monkeypatch):
+    # a thin node with bands builds one rhs-free family for W = [c], and
+    # every band it parametrizes takes that family's M, which nothing writes
+    # to; each parametrization is the one a lone call gives
+    families, solved = [], []
+    build = miqcp.solver._param_family
+    solve = _ParamFamily.solve
+
+    def built(w, p):
+        family = build(w, p)
+        families.append((family, w, p, [list(row) for row in family.m]))
+        return family
+
+    def recorded(family, rhs):
+        out = solve(family, rhs)
+        solved.append((family, rhs, out))
+        return out
+
+    nodes = []
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "_param_family", built)
+        m.setattr(_ParamFamily, "solve", recorded)
+        for _, inst in corpus():
+            trace = Trace()
+            optimize(inst, trace)
+            nodes += trace.band_entries()
+    assert len(families) == sum(node["band_count"] > 0 for node in nodes) > 50
+    shared = 0
+    for family, w, p, m in families:
+        params = [(rhs, out) for f, rhs, out in solved if f is family]
+        assert params
+        for rhs, out in params:
+            assert out == parametrize_mixed_integer_solutions(w, rhs, p)
+            if isinstance(out, AffineParam):
+                assert out.m is family.m
+        shared += sum(isinstance(out, AffineParam) for _, out in params) > 1
+        assert family.m == m
+    assert shared > 30
 
 
 def test_a_set_boxed_by_the_solver_is_not_boxed_again():

@@ -1,10 +1,10 @@
-"""The per-solve table (`miqcp.table`) and the data a corpus solve builds.
+"""`optimize`'s table (`miqcp.table`) and the data a corpus solve builds.
 
 With the table open, `optimize` gives the answers and the recursion it
-gives with the table shut; nothing is kept between solves or after one
-raises.  The same pass records every objective substitution and every
-phase 1 on kept integer rows, which are checked against their rational
-definitions.
+gives with the table shut; only `optimize` opens it, and nothing is kept
+between solves or after one raises.  The same pass records every objective
+substitution and every phase 1 on kept integer rows, which are checked
+against their rational definitions.
 """
 
 import contextlib
@@ -15,15 +15,18 @@ from pathlib import Path
 import pytest
 
 import miqcp.cli
+import miqcp.cqs
 import miqcp.polyhedra
+import miqcp.solver
 import miqcp.table
 from miqcp.errors import PreconditionError
 from miqcp.linalg import integer_rows, mat, rank
 from miqcp.polyhedra import _fulldim_probe
+from miqcp.cqs import ConvexQuadraticSet
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat
 from miqcp.simplex import phase1
-from miqcp.solver import MicqpInstance, Trace, optimize
+from miqcp.solver import MicqpInstance, Trace, boundedness, feasibility, optimize
 
 from corpus import corpus
 from test_polyhedra import box
@@ -95,16 +98,22 @@ def test_the_table_changes_no_answer_and_no_node(open_pass, monkeypatch):
 
 @pytest.mark.parametrize("family", ["radius", "pdepth"])
 def test_the_table_changes_no_answer_and_no_node_on_a_bench_family(monkeypatch, family):
-    insts = [miqcp.cli.parse_instance(e["text"]).micqp for e in _load_bench_family(family)(2024)]
+    # each arm solves its own build of the family, so probes kept on the
+    # user's polyhedra by the first arm do not serve the second: only a
+    # table that pays probes less
+    def fresh():
+        return [miqcp.cli.parse_instance(e["text"]).micqp
+                for e in _load_bench_family(family)(2024)]
+
     probed = _count_probe_lps(monkeypatch)
     runs = []
-    for inst in insts:
+    for inst in fresh():
         trace = Trace()
         runs.append((optimize(inst, trace), trace.nodes))
     open_probes = len(probed)
     monkeypatch.setattr(miqcp.table, "open_table", contextlib.nullcontext)
     probed.clear()
-    for inst, run in zip(insts, runs):
+    for inst, run in zip(fresh(), runs):
         trace = Trace()
         assert (optimize(inst, trace), trace.nodes) == run
     assert open_probes < len(probed)
@@ -138,7 +147,7 @@ def test_the_table_is_dropped_when_a_solve_raises(monkeypatch):
     assert len(probed) == 2
 
 
-def test_a_nested_solve_shares_the_open_table():
+def test_remember_with_no_table_open_computes_every_time():
     keys = []
 
     def compute():
@@ -146,17 +155,54 @@ def test_a_nested_solve_shares_the_open_table():
         return len(keys)
 
     assert miqcp.table.remember(lambda: keys.append("key"), compute) == 1
-    assert keys == ["computed"]  # no table: no key, no entry
-    keys.clear()
-    with miqcp.table.open_table():
-        outer = miqcp.table._TABLE.get()
-        assert miqcp.table.remember(lambda: "k", compute) == 1
-        with miqcp.table.open_table():
-            assert miqcp.table._TABLE.get() is outer
-            assert miqcp.table.remember(lambda: "k", compute) == 1
-        assert miqcp.table._TABLE.get() is outer
-    assert keys == ["computed"]
-    assert miqcp.table._TABLE.get() is None
+    assert miqcp.table.remember(lambda: keys.append("key"), compute) == 2
+    assert keys == ["computed", "computed"]  # no table: no key, no entry
+
+
+def _tables_at_remember(monkeypatch) -> list:
+    """A list that grows by the open table (or None) at each later
+    `remember`, in every module that imports it."""
+    seen = []
+    remember = miqcp.table.remember
+
+    def recorded(key, compute):
+        seen.append(miqcp.table._TABLE.get())
+        return remember(key, compute)
+
+    for module in (miqcp.cqs, miqcp.solver):
+        monkeypatch.setattr(module, "remember", recorded)
+    return seen
+
+
+def test_only_optimize_opens_the_table(monkeypatch):
+    holders = sorted(name for name, module in sys.modules.items()
+                     if name.startswith("miqcp.") and name != "miqcp.table"
+                     and getattr(module, "remember", None) is miqcp.table.remember)
+    assert holders == ["miqcp.cqs", "miqcp.solver"]
+    seen = _tables_at_remember(monkeypatch)
+    cases = [inst for _, inst in corpus() if inst.poly.p and inst.declared_box][:12]
+    # a lone recursion keeps nothing
+    for inst in cases:
+        feasibility(ConvexQuadraticSet(inst.poly, inst.obj, Rat(100)), inst.declared_box)
+        boundedness(inst)
+    assert len(seen) > 50 and all(table is None for table in seen)
+    # the MILP check and every probe of one `optimize` share one table
+    at_feasibility = []
+    feasible = miqcp.solver.feasibility
+    monkeypatch.setattr(
+        miqcp.solver, "feasibility",
+        lambda *args: at_feasibility.append(miqcp.table._TABLE.get()) or feasible(*args))
+    probes = 0
+    for _, inst in corpus():
+        seen.clear()
+        at_feasibility.clear()
+        optimize(inst)
+        table = at_feasibility[0]
+        assert table is not None
+        assert all(t is table for t in at_feasibility + seen)
+        assert miqcp.table._TABLE.get() is None
+        probes += len(at_feasibility) - 1
+    assert probes > 30
 
 
 def test_every_solver_substitution_keeps_its_contract(open_pass):
@@ -181,15 +227,19 @@ def test_phase1_on_kept_integer_rows_matches_the_rational_rows(open_pass):
         assert ints == integer_rows(w_mat, w_rhs)
 
 
-def test_table_traffic_tool_prints_the_four_kinds():
+def _table_traffic(workload: str) -> dict:
     tool = Path(__file__).resolve().parent.parent / "tools" / "table_traffic.py"
-    out = subprocess.run([sys.executable, str(tool), "--workload", "msplit"],
+    out = subprocess.run([sys.executable, str(tool), "--workload", workload],
                          capture_output=True, text=True, check=True).stdout
-    lines = dict(line.split(": ") for line in out.splitlines())
-    assert list(lines) == ["reduce", "face_min", "param", "box", "total"]
-    # every feasibility node reduces its set: the tool saw the lookups
-    assert not lines["reduce"].endswith(" 0")
-    # the bands of a thin node share one parametrization family
-    assert not lines["param"].startswith("hits 0 ")
-    # every feasibility solve of a boxed instance asks for its boxed polyhedron
-    assert not lines["box"].endswith(" 0")
+    return dict(line.split(": ") for line in out.splitlines())
+
+
+def test_table_traffic_tool_prints_the_three_kinds():
+    lines = _table_traffic("pdepth")
+    assert list(lines) == ["reduce", "face_min", "box", "total"]
+    # later probes meet the reductions, the minima of q over P and the
+    # boxed polyhedron of earlier ones
+    for kind in ("reduce", "face_min", "box"):
+        assert not lines[kind].startswith("hits 0 "), kind
+    # msplit solves by lone feasibility calls, which open no table
+    assert _table_traffic("msplit")["total"] == "hits 0 / lookups 0"

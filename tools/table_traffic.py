@@ -1,4 +1,4 @@
-"""Count the per-solve table's hits and misses, per kind, over one pass of a workload.
+"""Count `optimize`'s table hits and misses, per kind, over one pass of a workload.
 
 Run from the repository root:
 
@@ -10,7 +10,8 @@ the outside in every module that imported it.  A lookup is a call of
 ``remember`` with a table open; it is a hit when the table held the key.
 One line per kind is printed, ``kind: hits H / lookups L``, and a total:
 the kinds of ``KINDS`` always, in that order, and then any other kind a
-lookup used.  Calls with no table open (outside a solve) are not lookups.
+lookup used.  Calls with no table open (outside `optimize`, as in a lone
+`feasibility` solve) are not lookups.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import miqcp.cli  # noqa: E402
 import miqcp.table  # noqa: E402
 
 # the kinds of result the table holds, as `miqcp.table` lists them
-KINDS = ("reduce", "face_min", "param", "box")
+KINDS = ("reduce", "face_min", "box")
 
 
 def count_traffic(workload: str) -> tuple:
