@@ -2,12 +2,16 @@
 
 Given a ball and a lattice, either a lattice point lies inside the ball, or
 there is an integer direction along which the ball is provably thin; the
-thin direction is what the solver branches on.
+thin direction is what the solver branches on.  The same LLL, run on a
+Gram matrix, asks the question of an ellipsoid in its own metric, where it
+is a ball: the solver does this for a definite objective whose level set
+lies inside the constraints.
 """
 
 from miqcp import LatticeBasis, flatness, lll_reduce
-from miqcp.lattice import width_bound_sq
-from miqcp.linalg import mat, norm_sq
+from miqcp.lattice import ellipsoid_flatness, width_bound_sq
+from miqcp.linalg import dot, inverse, mat, mat_vec, norm_sq
+from miqcp.qp import QpObjective
 from miqcp.rational import Rat, rat_str
 
 skew = LatticeBasis(mat([[1, 1000001], [0, 1]]))
@@ -27,3 +31,22 @@ print("unit lattice, ball radius 1/4 at 1/2:", narrow.tag,
 lhs = 4 * Rat(1, 4) ** 2 * norm_sq(narrow.d)
 print("width certificate: 4 r^2 |d|^2 =", rat_str(lhs),
       "<=", rat_str(width_bound_sq(1)))
+print()
+
+# q(x) = 8 x1^2 + 12 x1 x2 + 5 x2^2 - 2 x1 - 2 x2: its level set {q <= eta}
+# is the ellipsoid (x - c)^T H (x - c) <= eta - q(c) about the free
+# minimizer c, and flatness is asked of it in H's metric (shape H^-1)
+obj = QpObjective(mat([[8, 6], [6, 5]]), [Rat(-2), Rat(-2)])
+shape = inverse(obj.h_mat)
+c = [-v / 2 for v in mat_vec(shape, obj.h_vec)]
+print("free minimizer c =", [rat_str(v) for v in c], " q(c) =", rat_str(obj.value(c)))
+for eta in (Rat(5), Rat(-1, 8)):
+    rho = eta - obj.value(c)
+    out = ellipsoid_flatness(shape, c, rho)
+    if out.tag == "lattice_point":
+        print(f"eta = {rat_str(eta)}:", out.tag, [rat_str(v) for v in out.z],
+              " q =", rat_str(obj.value(out.z)))
+    else:
+        width_sq = 4 * rho * dot(out.d, mat_vec(shape, out.d))
+        print(f"eta = {rat_str(eta)}:", out.tag, [rat_str(v) for v in out.d],
+              " width^2 =", rat_str(width_sq), "<=", rat_str(width_bound_sq(2)))

@@ -2,13 +2,20 @@
 
 The lattice generated by the columns of an invertible rational matrix is
 reduced with delta = 3/4 by integral LLL (de Weger 1987; Cohen 1993,
-Alg. 2.6.7): the columns are scaled by the lcm s of their denominators, and
-the Gram determinants d_i and the numbers lambda_ij = d_{j+1} mu_ij, all
-Python ints, are updated in place by each size reduction and each swap, so
-no Gram-Schmidt vector is ever formed.  The flatness routine then either
+Alg. 2.6.7) on its Gram matrix: the columns are scaled by the lcm s of
+their denominators, and from their integer inner products the Gram
+determinants d_i and the numbers lambda_ij = d_{j+1} mu_ij, all Python
+ints, are updated in place by each size reduction and each swap, so no
+Gram-Schmidt vector is ever formed.  The flatness routine then either
 places a lattice point inside a given ball (Babai's nearest plane, on the
 same integers of the reduced basis) or certifies a thin integer direction
 whose width over the ball is at most p * 2^(p(p-1)/4).
+
+As Cohen's steps read only d_i and lambda_ij, the same loop reduces Z^p
+under the inner product of a positive definite S, given by the integer
+Gram matrix sigma S: `ellipsoid_flatness` asks the flatness question of
+an ellipsoid {(y - c)^T S (y - c) <= rho} in S's own metric, where it is
+a ball (Lenstra 1983).
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from typing import List, Optional, Tuple
 
 from .errors import DimensionError, PreconditionError
 from .linalg import (
-    Matrix, UnimodularCert, Vector, _idot, integer_columns, integer_row, inverse, norm_sq, vec_sub,
+    Matrix, UnimodularCert, Vector, _idot, integer_columns, integer_inverse, integer_row, inverse,
+    lowest_terms, norm_sq, quad_form, vec_sub,
 )
 from .rational import Rat
 
@@ -42,23 +50,22 @@ class LatticeBasis:
             raise DimensionError("lattice basis must be square")
 
 
-def _integral_gso(basis: LatticeBasis) -> tuple:
-    """(s, cols, d, lam): the columns times the lcm s of every denominator,
-    as ints, their Gram determinants d[0] = 1, d[i+1] = |b*_0|^2 ... |b*_i|^2,
-    and lam[i][j] = d[j+1] mu_ij for j < i, all ints (Cohen 1993, 2.6.7).
+def _integral_gso(gram: List[List[int]]) -> tuple:
+    """(d, lam) of the lattice whose integer Gram matrix is gram: the Gram
+    determinants d[0] = 1, d[i+1] = |b*_0|^2 ... |b*_i|^2 and
+    lam[i][j] = d[j+1] mu_ij for j < i, all ints (Cohen 1993, 2.6.7).
+    Only gram[k][j] with j <= k is read.
 
-    Raises PreconditionError when some d_i is 0, that is, when the columns
-    are linearly dependent.
+    Raises PreconditionError when some d_i is 0, that is, when the basis
+    is linearly dependent.
     """
-    basis.validate()
-    b_mat, p = basis.b_mat, basis.p
-    cols, s = integer_columns(b_mat, p, p)
+    p = len(gram)
     d = [1] + [0] * p
     lam = [[0] * p for _ in range(p)]
     for k in range(p):
         lk = lam[k]
         for j in range(k + 1):
-            u = _idot(cols[k], cols[j])
+            u = gram[k][j]
             lj = lam[j]
             for i in range(j):
                 u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
@@ -68,21 +75,35 @@ def _integral_gso(basis: LatticeBasis) -> tuple:
                 raise PreconditionError("lattice basis is singular")
             else:
                 d[k + 1] = u
-    return s, cols, d, lam
+    return d, lam
 
 
-def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
-    """LLL with delta = 3/4; returns the reduced basis and U with Bred = B U.
+def _gram(cols: List[List[int]]) -> List[List[int]]:
+    """The lower triangle of the Gram matrix of cols, all `_integral_gso` reads."""
+    return [[_idot(a, b) for b in cols[:k + 1]] for k, a in enumerate(cols)]
+
+
+def _combine(coefs: List[int], cols: List[List[int]]) -> List[int]:
+    """sum_i coefs[i] cols[i]."""
+    return [_idot(coefs, entries) for entries in zip(*cols)]
+
+
+def _lll(gram: List[List[int]]) -> tuple:
+    """(d, lam, ucols, uinv): integral LLL with delta = 3/4 on the basis
+    whose integer Gram matrix is gram.  ucols are the columns of U, the
+    reduced basis being B U, uinv the rows of U^-1, and d, lam the reduced
+    basis's `_integral_gso` data.
 
     Column k is size-reduced against j = k-1 down to 0 (Cohen's REDI,
     q = round(mu_kj) with ties toward +infinity, only where 2 |mu_kj| > 1),
     then tested by Lovasz's condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2)
     |b*_{k-1}|^2, which reads 4 d_{k+1} d_{k-1} >= 3 d_k^2 - 4 lam_{k,k-1}^2
     on the integers; a failed test swaps columns k-1 and k (Cohen's SWAPI)
-    and steps back to max(k-1, 1).
+    and steps back to max(k-1, 1).  Every step reads only d and lam, so the
+    basis itself is never needed.
     """
-    s, cols, d, lam = _integral_gso(basis)
-    p = basis.p
+    d, lam = _integral_gso(gram)
+    p = len(gram)
     ucols = [[int(i == j) for i in range(p)] for j in range(p)]  # columns of U
     uinv = [[int(i == j) for j in range(p)] for i in range(p)]  # rows of U^-1
 
@@ -93,7 +114,6 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
             dj, l = d[j + 1], lk[j]
             if 2 * abs(l) > dj:
                 q = (2 * l + dj) // (2 * dj)
-                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
                 ucols[k] = [a - q * b for a, b in zip(ucols[k], ucols[j])]
                 uinv[j] = [a + q * b for a, b in zip(uinv[j], uinv[k])]
                 lk[j] = l - q * dj
@@ -104,7 +124,6 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
         if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * l * l:
             k += 1
             continue
-        cols[k - 1], cols[k] = cols[k], cols[k - 1]
         ucols[k - 1], ucols[k] = ucols[k], ucols[k - 1]
         uinv[k - 1], uinv[k] = uinv[k], uinv[k - 1]
         lk1 = lam[k - 1]
@@ -119,8 +138,51 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
             li[k - 1] = (b * t + l * li[k]) // dk1
         d[k] = b
         k = max(k - 1, 1)
+    return d, lam, ucols, uinv
 
-    reduced = LatticeBasis([[Rat(cols[j][i], s) for j in range(p)] for i in range(p)])
+
+def _nearest_plane(d: List[int], lam: List[List[int]], lt: List[int], t: int) -> List[int]:
+    """Babai's coefficients: the integers c with sum c_i b_i the
+    nearest-plane point of a target, given the basis's `_integral_gso`
+    data and lt[j], t times the target's inner product with b_j (t > 0).
+
+    This is size reduction of one more vector, the target, against the
+    basis, from the last column down, rounding every coefficient (ties
+    toward +infinity); lt becomes t times the target's lam row.
+    """
+    p = len(lt)
+    lt = list(lt)
+    for j in range(p):
+        u = lt[j]
+        lj = lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lt[i] * lj[i]) // d[i]
+        lt[j] = u
+    coefs = [0] * p
+    for i in range(p - 1, -1, -1):
+        tdi = t * d[i + 1]
+        q = (2 * lt[i] + tdi) // (2 * tdi)
+        if q:
+            coefs[i] = q
+            li = lam[i]
+            for j in range(i):
+                lt[j] -= q * t * li[j]
+    return coefs
+
+
+def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
+    """LLL with delta = 3/4; returns the reduced basis and U with Bred = B U.
+
+    The columns, scaled to ints by the lcm s of their denominators, give
+    the integer Gram matrix that `_lll` reduces (de Weger 1987; Cohen
+    1993, Alg. 2.6.7); the reduced columns are B U.
+    """
+    basis.validate()
+    p = basis.p
+    cols, s = integer_columns(basis.b_mat, p, p)
+    _, _, ucols, uinv = _lll(_gram(cols))
+    red = [_combine(u, cols) for u in ucols]
+    reduced = LatticeBasis([[Rat(red[j][i], s) for j in range(p)] for i in range(p)])
     u = [[Rat(ucols[j][i]) for j in range(p)] for i in range(p)]
     return reduced, UnimodularCert(u, [[Rat(x) for x in row] for row in uinv])
 
@@ -128,35 +190,20 @@ def lll_reduce(basis: LatticeBasis) -> Tuple[LatticeBasis, UnimodularCert]:
 def babai_nearest_plane(reduced: LatticeBasis, target: Vector) -> Vector:
     """Nearest-plane rounding of target in the (reduced) basis; a lattice point.
 
-    This is size reduction of one more vector, the target, against the
-    basis, from the last column down, rounding every coefficient
-    (ties toward +infinity), on the integral Gram-Schmidt data of b_mat as
-    it is at the call.  The target is scaled by the lcm t of its
-    denominators on top of the basis scale s, so its lam_j are t times the
-    true ones.
+    `_nearest_plane` on the integral Gram-Schmidt data of b_mat as it is at
+    the call.  The target is scaled by the lcm t of its denominators on
+    top of the basis scale s, so its inner products are t times the true
+    ones in the basis's scale.
     """
-    s, cols, d, lam = _integral_gso(reduced)
+    reduced.validate()
     p = reduced.p
+    cols, s = integer_columns(reduced.b_mat, p, p)
+    d, lam = _integral_gso(_gram(cols))
     if len(target) != p:
         raise DimensionError("babai_nearest_plane: target has wrong dimension")
     num, t = integer_row(target)
     vec = [x * s for x in num]
-    lt = [0] * p
-    for j in range(p):
-        u = _idot(vec, cols[j])
-        lj = lam[j]
-        for i in range(j):
-            u = (d[i + 1] * u - lt[i] * lj[i]) // d[i]
-        lt[j] = u
-    z = [0] * p
-    for i in range(p - 1, -1, -1):
-        tdi = t * d[i + 1]
-        q = (2 * lt[i] + tdi) // (2 * tdi)
-        if q:
-            z = [a + q * b for a, b in zip(z, cols[i])]
-            li = lam[i]
-            for j in range(i):
-                lt[j] -= q * t * li[j]
+    z = _combine(_nearest_plane(d, lam, [_idot(vec, c) for c in cols], t), cols)
     return [Rat(x, s) for x in z]
 
 
@@ -198,3 +245,37 @@ def flatness(a: Vector, r, basis: LatticeBasis) -> FlatnessOutcome:
     if 4 * r * r * norm_sq(best) > width_bound_sq(p):
         raise AssertionError("flatness width bound violated; LLL reduction broken")
     return FlatnessOutcome(THIN_DIRECTION, d=list(best))
+
+
+def ellipsoid_flatness(shape: Matrix, center: Vector, rho) -> FlatnessOutcome:
+    """Either an integer point of E = {y : (y - c)^T S (y - c) <= rho},
+    S = shape^-1 positive definite, or a thin integral direction of E.
+
+    This is `flatness` for Z^p in S's metric, where E is a ball: `_lll`
+    reduces the Gram matrix sigma S, made ints by one `integer_inverse` of
+    shape, and Babai's nearest plane to c runs on the same integers.  Its
+    point z is returned when it lies in E.  Otherwise d is the row of U^-1
+    (an integral dual basis vector) with the least d^T shape d, the first
+    on ties, and 4 rho d^T shape d <= width_bound_sq(p): the width of E
+    along d, 2 sqrt(rho d^T shape d), is at most p 2^(p(p-1)/4).
+    """
+    rho = Rat(rho)
+    if rho < 0:
+        raise PreconditionError("ellipsoid_flatness needs rho >= 0")
+    p = len(center)
+    if len(shape) != p:
+        raise DimensionError("ellipsoid_flatness: center has wrong dimension")
+    inv, det_ = integer_inverse(shape)
+    flat, sigma = lowest_terms([v for row in inv for v in row], det_)  # S = gram / sigma
+    gram = [flat[i * p:(i + 1) * p] for i in range(p)]
+    d, lam, ucols, uinv = _lll(gram)
+    num, t = integer_row(center)
+    g_c = [_idot(row, num) for row in gram]  # t sigma S c
+    z = _combine(_nearest_plane(d, lam, [_idot(g_c, u) for u in ucols], t), ucols)
+    w = [t * a - b for a, b in zip(z, num)]  # t (z - c)
+    if Rat(_idot(w, [_idot(row, w) for row in gram]), t * t * sigma) <= rho:
+        return FlatnessOutcome(LATTICE_POINT, z=[Rat(v) for v in z])
+    best = min(uinv, key=lambda row: quad_form(shape, row))
+    if 4 * rho * quad_form(shape, best) > width_bound_sq(p):
+        raise AssertionError("flatness width bound violated; LLL reduction broken")
+    return FlatnessOutcome(THIN_DIRECTION, d=[Rat(v) for v in best])

@@ -11,6 +11,18 @@ count of continuous ones.  When the objective is definite, a slice whose
 hyperplane misses the level ellipsoid is closed in closed form
 (`_band_misses`), with the node its child would have recorded.
 
+An ellipsoidal node needs no sandwich.  When the objective is definite and
+its level ellipsoid E = {q <= eta} lies inside P (`_ellipsoid_inside`,
+decided on ints row by row), the set is E, and its projection onto the
+integer variables is the ellipsoid (y - c_I)^T S (y - c_I) <= eta - q(c),
+c q's free minimizer and S^-1 = (H^-1)_II.  The lattice question is asked
+of it exactly, in S's metric (`lattice.ellipsoid_flatness`): an integer
+point of it is lifted by the slice QP, or a thin direction d opens exactly
+the integers gamma whose hyperplane meets it, at most
+1 + p 2^(p(p-1)/4) of them, so no band is missed.  A band's child keeps
+its ellipsoid inside its polyhedron, so a whole subtree stays on this
+path.
+
 Optimization runs the feasibility recursion on level sets of the objective.
 Once a candidate value v is in hand (the slice-QP optimum of the best known
 integer assignment), a single probe at v - 1/(2 D^2) decides optimality,
@@ -34,6 +46,7 @@ import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import List, Optional, Tuple
 
 from .cqs import (
@@ -45,9 +58,9 @@ from .cqs import (
 )
 from .diophantine import Empty, _param_family
 from .errors import DimensionError, PreconditionError
-from .lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
-from .linalg import Vector, dot, integer_row, mat_vec, norm_sq
-from .polyhedra import Polyhedron, _fulldim_probe, content_key, lp_min
+from .lattice import LATTICE_POINT, LatticeBasis, ellipsoid_flatness, flatness, width_bound_sq
+from .linalg import Vector, _idot, dot, integer_row, mat_vec, norm_sq, quad_form
+from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
 from .qp import QpObjective, QpResult, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, is_integral, rceil, rfloor, rround, sqrt_upper_bound
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -232,25 +245,16 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
         record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
-    sw = sandwich(q2, check=False)
-    outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
-
-    if outcome.tag == LATTICE_POINT:
-        y = mat_vec(sw.simplex.edge_matrix(), outcome.z)  # y = B^-1 z
-        assert all(is_integral(v) for v in y)
+    inside = q2.obj.definite and _ellipsoid_inside(q2)
+    y, bands = (_ellipsoid_question if inside else _sandwich_question)(q2)
+    if y is not None:
         point = slice_point(q2, y)
-        assert point is not None, "inner-ball lattice point must lift"
+        assert point is not None, "a lattice point of proj Q must lift"
         record(depth=depth, p=q.p, event="lattice_point")
         return tau.apply(point)
 
     # thin direction: every mixed-integer point lies on one of few hyperplanes
-    d = outcome.d
-    c_int = [dot([sw.b_mat[i][j] for i in range(p2)], d) for j in range(p2)]
-    assert all(is_integral(v) for v in c_int)
-    da = dot(d, sw.a)
-    radius_term = sw.big_r * sqrt_upper_bound(norm_sq(d))
-    gamma_lo = rceil(da - radius_term)
-    gamma_hi = rfloor(da + radius_term)
+    c_int, gamma_lo, gamma_hi = bands
     count = max(0, gamma_hi - gamma_lo + 1)
     record(depth=depth, p=q.p, event="thin_direction", band_count=count,
            band_bound_sq=gamma_band_bound_sq(p2))
@@ -258,12 +262,13 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
         return None
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
     # The bands share W = [c], so one rhs-free family parametrizes them all,
-    # and the parametrizable ones become children.  When q2 is definite, a
-    # band whose hyperplane misses {q <= eta} is closed here: its child's
-    # reduction would find it empty, so the same node is recorded without
-    # building the child.
+    # and the parametrizable ones become children.  When q2 is definite and
+    # sandwiched, a band whose hyperplane misses {q <= eta} is closed here:
+    # its child's reduction would find it empty, so the same node is
+    # recorded without building the child.  An ellipsoid node's bands all
+    # meet {q <= eta}.
     family = _param_family([c_ext], p2)
-    misses = _band_misses(q2, c_ext) if q2.obj.definite else None
+    misses = _band_misses(q2, c_ext) if q2.obj.definite and not inside else None
     for gamma in range(gamma_lo, gamma_hi + 1):
         param = family.solve([Rat(gamma)])
         if isinstance(param, Empty):
@@ -276,6 +281,75 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
         if sub is not None:
             return tau.apply(param.apply(sub))
     return None
+
+
+def _sandwich_question(q: ConvexQuadraticSet) -> tuple:
+    """The lattice question asked of Q's sandwich B(a, r) <= B proj_p(Q)
+    <= B(a, R): (y, None) with y = B^-1 z an integer point of proj_p(Q),
+    z the lattice point `flatness` places in the inner ball, or (None,
+    (c, lo, hi)): c = B^T d integral for the thin direction d, and
+    c . y in [lo, hi] on the outer ball, so on proj_p(Q)."""
+    p = q.p
+    sw = sandwich(q, check=False)
+    outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
+    if outcome.tag == LATTICE_POINT:
+        y = mat_vec(sw.simplex.edge_matrix(), outcome.z)
+        assert all(is_integral(v) for v in y)
+        return y, None
+    d = outcome.d
+    c_int = [dot([sw.b_mat[i][j] for i in range(p)], d) for j in range(p)]
+    assert all(is_integral(v) for v in c_int)
+    da = dot(d, sw.a)
+    radius_term = sw.big_r * sqrt_upper_bound(norm_sq(d))
+    return None, (c_int, rceil(da - radius_term), rfloor(da + radius_term))
+
+
+def _ellipsoid_inside(q: ConvexQuadraticSet) -> bool:
+    """Whether the level ellipsoid E = {x : q(x) <= eta} of a definite q
+    lies inside P; an E that touches a facet counts as inside.
+
+    With c q's free minimizer and rho = eta - q(c), the most a . x gets on
+    E is a . c + sqrt(rho a^T H^-1 a), so the row a . x <= b holds on all
+    of E iff a . c <= b and rho a^T H^-1 a <= (b - a . c)^2.  Decided on
+    ints, from P's `integer_system` rows and `free_minimum`'s c and H^-1.
+    """
+    (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
+    rho = q.eta - q_bar
+    lhs, rhs = rho.numerator * xb_den * xb_den, rho.denominator * hi_den
+    for row in integer_system(q.poly)[0]:  # _idot stops at the n entries of a
+        slack = row[-1] * xb_den - _idot(row, xb_num)  # xb_den (b - a . c)
+        if slack < 0 or lhs * _idot(row, [_idot(h, row) for h in hi_num]) > rhs * slack * slack:
+            return False
+    return True
+
+
+def _ellipsoid_question(q: ConvexQuadraticSet) -> tuple:
+    """The lattice question asked of Q = E, the level ellipsoid of a
+    definite q inside P (`_ellipsoid_inside`), with no sandwich.
+
+    proj_p E = {y : (y - c_I)^T S (y - c_I) <= rho}, c q's free minimizer,
+    S^-1 = (H^-1)_II and rho = eta - q(c), and `ellipsoid_flatness` asks
+    the question of it exactly: (y, None) with y an integer point of
+    proj_p E, or (None, (d, lo, hi)) with [lo, hi] exactly the integers
+    gamma whose hyperplane d . y = gamma meets proj_p E, those with
+    (gamma - d . c_I)^2 <= rho d^T S^-1 d.  Writing d . c_I = m / t,
+    those are the gamma with |t gamma - m| <= s = isqrt(floor(t^2 rho
+    d^T S^-1 d)).  (hi - lo)^2 <= 4 rho d^T S^-1 d <= width_bound_sq(p),
+    which is at most `gamma_band_bound_sq`(p).
+    """
+    p = q.p
+    (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
+    shape = [[Rat(v, hi_den) for v in row[:p]] for row in hi_num[:p]]
+    center = [Rat(v, xb_den) for v in xb_num[:p]]
+    rho = q.eta - q_bar
+    outcome = ellipsoid_flatness(shape, center, rho)
+    if outcome.tag == LATTICE_POINT:
+        return outcome.z, None
+    d = outcome.d
+    mc = dot(d, center)
+    m, t = mc.numerator, mc.denominator
+    s = isqrt(rfloor(rho * quad_form(shape, d) * t * t))
+    return None, (d, -((s - m) // t), (m + s) // t)
 
 
 def _band_misses(q: ConvexQuadraticSet, c: Vector):

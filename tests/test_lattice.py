@@ -4,7 +4,8 @@ Fraction Gram-Schmidt LLL it replaced.
 ``_reference_lll_reduce`` and ``_reference_babai_nearest_plane`` recompute
 the whole Gram-Schmidt basis in Fractions after every step.  The integral
 versions must take the same steps, so the reduced basis, U, U^-1, Babai's
-point and every flatness outcome agree field for field.
+point and every flatness outcome agree field for field.  ``ellipsoid_flatness``
+on the Gram matrix B^T B must take the steps of ``flatness`` on B.
 """
 
 import random
@@ -12,13 +13,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miqcp.errors import PreconditionError
+from miqcp.errors import DimensionError, PreconditionError
 from miqcp.lattice import (
     LATTICE_POINT,
     THIN_DIRECTION,
     FlatnessOutcome,
     LatticeBasis,
     babai_nearest_plane,
+    ellipsoid_flatness,
     flatness,
     lll_reduce,
     width_bound_sq,
@@ -358,3 +360,74 @@ def test_lll_result_keeps_no_shared_state():
     edited = babai_nearest_plane(red, target)
     assert edited == _reference_babai_nearest_plane(red, target)
     assert edited != _reference_babai_nearest_plane(again, target)
+
+
+# ---------------------------------------------------------------------------
+# flatness of an ellipsoid in its own metric
+
+
+def _assert_gram_form_is_flatness(b_mat, a, r):
+    """Z^p with the inner product S = B^T B is the lattice B Z^p, and the
+    ball B(a, r) is the ellipsoid (y - B^-1 a)^T S (y - B^-1 a) <= r^2:
+    `ellipsoid_flatness` on shape S^-1 takes `flatness`'s steps, so its
+    point is B^-1 z and its direction B^T d.  The tag, or None when B is
+    singular."""
+    if det(b_mat) == 0:
+        return None
+    p = len(b_mat)
+    gram = mat_mul([list(col) for col in zip(*b_mat)], b_mat)
+    out = ellipsoid_flatness(inverse(gram), mat_vec(inverse(b_mat), a), r * r)
+    want = flatness(a, r, LatticeBasis(b_mat))
+    assert out.tag == want.tag
+    if out.tag == LATTICE_POINT:
+        assert mat_vec(b_mat, out.z) == want.z
+    else:
+        assert out.d == [dot([b_mat[i][j] for i in range(p)], want.d) for j in range(p)]
+    return out.tag
+
+
+def test_ellipsoid_flatness_is_flatness_in_the_gram_metric():
+    rng = random.Random(34)
+    tags = [_assert_gram_form_is_flatness(*_random_case(rng, kind, p))
+            for kind in ("rational", "msplit", "near") for p in range(1, 7) for _ in range(6)]
+    assert {LATTICE_POINT, THIN_DIRECTION} <= set(tags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_case())
+def test_ellipsoid_flatness_is_flatness_in_the_gram_metric_property(case):
+    _assert_gram_form_is_flatness(*case)
+
+
+def test_ellipsoid_flatness_invariants_randomized():
+    # a point of E, or an integral d along which E is at most
+    # p 2^(p(p-1)/4) wide
+    rng = random.Random(35)
+    tags = []
+    for _ in range(200):
+        p = rng.randint(1, 5)
+        ell = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(p + 1)]
+        shape = [[sum(r[i] * r[j] for r in ell) + (Rat(1, rng.randint(1, 4)) if i == j else ZERO)
+                  for j in range(p)] for i in range(p)]
+        center = [Rat(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(p)]
+        rho = Rat(rng.randint(0, 30), rng.randint(1, 5))
+        out = ellipsoid_flatness(shape, center, rho)
+        s_mat = inverse(shape)
+        if out.tag == LATTICE_POINT:
+            assert all(is_integral(v) for v in out.z)
+            off = vec_sub(out.z, center)
+            assert dot(off, mat_vec(s_mat, off)) <= rho
+        else:
+            assert all(is_integral(v) for v in out.d) and any(out.d)
+            assert 4 * rho * dot(out.d, mat_vec(shape, out.d)) <= width_bound_sq(p)
+        tags.append(out.tag)
+    assert len(set(tags)) == 2
+
+
+def test_ellipsoid_flatness_refuses_bad_input():
+    with pytest.raises(PreconditionError):
+        ellipsoid_flatness(identity(2), [ZERO, ZERO], Rat(-1))
+    with pytest.raises(DimensionError):
+        ellipsoid_flatness(identity(2), [ZERO], Rat(1))
+    with pytest.raises(PreconditionError):
+        ellipsoid_flatness(mat([[1, 1], [1, 1]]), [ZERO, ZERO], Rat(1))

@@ -535,28 +535,29 @@ def _solve(source):
     return miqcp.solver.feasibility(parsed.quad, parsed.micqp.declared_box)
 
 
-def _sandwiched_sets(monkeypatch, source):
-    """Every Q that the solve of source (`_solve`) hands `sandwich`."""
+def _solver_sets(monkeypatch, source):
+    """Every reduced Q that the solve of source (`_solve`) asks its lattice
+    question of: the sets it sandwiches and the level ellipsoids inside P
+    it asks directly (`solver._ellipsoid_question`).  Each is a bounded
+    full-dimensional set that a sandwich may be grown in."""
     seen = []
-    sandwich_fn = miqcp.solver.sandwich
-
-    def recording(q, check=True):
-        seen.append(q)
-        return sandwich_fn(q, check)
-
     with monkeypatch.context() as m:
-        m.setattr(miqcp.solver, "sandwich", recording)
+        for name in ("_sandwich_question", "_ellipsoid_question"):
+            question = getattr(miqcp.solver, name)
+            m.setattr(miqcp.solver, name, lambda q, question=question: seen.append(q) or question(q))
         _solve(source)
     return seen
 
 
-# the pdepth, radius and gen_34 sets are definite and not; gen_24 and
-# gen_27 sandwich only semidefinite and zero objectives; only on gen_34
-# does a definite set send a probe past the closed form to a QP
+# the pdepth, radius and gen_34 sets are definite and not (the definite
+# pdepth and radius sets are level ellipsoids inside P, which the solver
+# asks with no sandwich, and are grown here all the same); gen_24 and
+# gen_27 meet only semidefinite and zero objectives; only on gen_34 does a
+# definite set send a probe past the closed form to a QP
 @pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27",
                                     "gen_34"])
 def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
-    sets = _sandwiched_sets(monkeypatch, source)
+    sets = _solver_sets(monkeypatch, source)
     assert any(not q.obj.definite for q in sets)
     assert any(q.obj.definite for q in sets) == (source not in ("gen_24", "gen_27"))
     definite_qps = []
@@ -763,25 +764,39 @@ def test_growing_a_set_twice_repeats_the_grow_and_leaves_the_set_as_it_was(monke
     assert total["lp"] > 0 and total["qp"] > 0
 
 
-def test_grow_probes_tool_prints_the_four_kinds():
+def _grow_probe_lines(workload):
+    """{kind: {column: count}} as `tools/grow_probes.py` prints them."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "grow_probes.py"
-    out = subprocess.run([sys.executable, str(tool), "--workload", "radius"],
+    out = subprocess.run([sys.executable, str(tool), "--workload", workload],
                          capture_output=True, text=True, check=True).stdout
     lines = {}
     for line in out.splitlines():
         kind, cols = line.split(": ")
         lines[kind] = {name: int(v) for name, v in (col.split(" ") for col in cols.split(" / "))}
     assert list(lines) == ["definite", "semidefinite", "linear", "zero", "total"]
+    assert all(sum(c[k] for c in list(lines.values())[:4]) == lines["total"][k]
+               for k in lines["total"])
+    return lines
+
+
+def test_grow_probes_tool_prints_the_four_kinds():
+    lines = _grow_probe_lines("radius")
     zero, definite = lines["zero"], lines["definite"]
     # the run LP decides every zero-objective question: it proves the cut
     # empty, or its vertex is the accepted point
     assert zero["qp"] == 0 and zero["vertex"] == zero["accepted"] > 0 and zero["run_lp"] > 0
     assert zero["closed_form"] == 0
-    # the MILP check's sets are zero; the optimality probes' sets are definite
-    assert definite["closed_form"] > 0 and definite["qp"] == 0
+    # the MILP check's sets are zero; the optimality probes' sets are
+    # definite level ellipsoids inside P, asked with no sandwich, so no
+    # definite question is grown
+    assert not any(definite.values())
     # no cut QP runs, so none has kept a bound
     assert lines["total"]["kept"] == 0
-    assert all(sum(c[k] for c in list(lines.values())[:4]) == lines["total"][k] for k in zero)
+    # the corpus still sandwiches definite sets that stick out of P: the
+    # closed form decides some of their questions, and only theirs
+    corpus_lines = _grow_probe_lines("corpus")
+    assert corpus_lines["definite"]["closed_form"] > 0
+    assert all(corpus_lines[kind]["closed_form"] == 0 for kind in ("semidefinite", "linear", "zero"))
 
 
 def _primitive_row(rng, n):
@@ -999,7 +1014,7 @@ def _grow_qps(monkeypatch, q, keep):
 
 @pytest.mark.parametrize("source", ["gen_24", "gen_27"])
 def test_kept_cut_bounds_save_qps_and_keep_the_trajectory(monkeypatch, source):
-    sets = _sandwiched_sets(monkeypatch, source)
+    sets = _solver_sets(monkeypatch, source)
     kept_qps = stubbed_qps = 0
     for q in sets:
         verts, trace, kept = _grow_qps(monkeypatch, q, rounding._keep_cut_bound)

@@ -14,14 +14,17 @@ from miqcp.cqs import (
     fulldim_reduce_cqs,
     magnitude_bound,
     scaled_integer_system_size,
+    slice_point,
 )
 from miqcp.diophantine import AffineParam, Empty, _ParamFamily, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
-from miqcp.linalg import dot, mat, mat_vec
+from miqcp.lattice import width_bound_sq
+from miqcp.linalg import dot, inverse, mat, mat_vec
 from miqcp.polyhedra import Polyhedron
-from miqcp.qp import QpObjective, qp_min_on_slice
+from miqcp.qp import QpObjective, qp_min, qp_min_on_slice
 from miqcp.rational import Rat, is_integral, size_of
 from miqcp.rounding import ceil_sqrt
+from miqcp.simplex import INFEASIBLE
 from miqcp.solver import (
     INFEASIBLE_STATUS,
     OPTIMAL_STATUS,
@@ -30,6 +33,7 @@ from miqcp.solver import (
     Trace,
     _check_box,
     _denominator_bound,
+    _ellipsoid_inside,
     _merge_duplicate_rows,
     _rounded_slice,
     boundedness,
@@ -581,9 +585,11 @@ def closed_bands():
 
 def test_closing_the_missed_bands_keeps_every_answer_and_node(closed_bands, monkeypatch):
     # a closed band records the node its child's reduction would have
-    # recorded, so the whole trajectory is that of building every child
+    # recorded, so the whole trajectory is that of building every child;
+    # only sandwiched nodes close bands, as an ellipsoid node opens none
+    # that miss its level set
     runs, closed = closed_bands
-    assert len(closed) > 100
+    assert len(closed) > 30
     monkeypatch.setattr(miqcp.solver, "_band_misses", lambda q, c: lambda gamma: False)
     for name, inst in _closure_cases():
         trace = Trace()
@@ -635,6 +641,133 @@ def test_the_bands_of_a_thin_node_share_one_parametrization(monkeypatch):
         shared += sum(isinstance(out, AffineParam) for _, out in params) > 1
         assert family.m == m
     assert shared > 30
+
+
+def _definite_objective(rng, n):
+    """x^T H x + h^T x with H = L^T L + I, L of 0..n rows in [-2, 2]."""
+    ell = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    h_mat = [[Rat(sum(r[i] * r[j] for r in ell) + (i == j)) for j in range(n)] for i in range(n)]
+    return QpObjective(h_mat, [Rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+
+
+def _reference_row_holds_on_level_set(obj, eta, a, b):
+    """a . x <= b on all of {q <= eta} iff q >= eta on {a . x >= b}: the
+    QP minimum of q over that half-space, a touching row giving eta (a
+    zero row with b > 0 gives an empty one)."""
+    res = qp_min(obj, Polyhedron([[-v for v in a]], [-b]))
+    return res.status == INFEASIBLE or res.value >= eta
+
+
+def test_the_ellipsoid_decision_matches_the_half_space_minima():
+    # random definite H with n <= 5; one row a touches E = {q <= eta} at
+    # both ends (eta - q(c) = t^2 / (a^T H^-1 a), so b = a . c + t and
+    # -a . c + t), and rows near them lie inside E's slab, cut it or touch it
+    rng = random.Random(34)
+    inside = outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        obj = _definite_objective(rng, n)
+        h_inv = inverse(obj.h_mat)
+        c = [-v / 2 for v in mat_vec(h_inv, obj.h_vec)]
+        a = [Rat(rng.randint(-3, 3)) for _ in range(n)]
+        if not any(a):
+            a[0] = Rat(1)
+        t = Rat(rng.randint(1, 9), rng.randint(1, 4))
+        eta = obj.value(c) + t * t / dot(a, mat_vec(h_inv, a))
+        rows = [(a, dot(a, c) + t), ([-v for v in a], t - dot(a, c))]
+        for _ in range(rng.randint(0, 4)):
+            row = [Rat(rng.randint(-3, 3)) for _ in range(n)]
+            rows.append((row, dot(row, c) + Rat(rng.randint(-4, 30), rng.randint(1, 3))))
+        want = [_reference_row_holds_on_level_set(obj, eta, row, b) for row, b in rows]
+        assert want[0] and want[1]
+        for row, b in rows:
+            q = ConvexQuadraticSet(Polyhedron([row], [b], p=rng.randint(0, n)), obj, eta)
+            single = _ellipsoid_inside(q)
+            assert single == _reference_row_holds_on_level_set(obj, eta, row, b)
+            inside += single
+            outside += not single
+        for k in range(2, len(rows) + 1):
+            poly = Polyhedron([row for row, _ in rows[:k]], [b for _, b in rows[:k]], p=n)
+            assert _ellipsoid_inside(ConvexQuadraticSet(poly, obj, eta)) == all(want[:k])
+    assert inside > 150 and outside > 20
+
+
+def _ellipsoid_nodes(monkeypatch):
+    """(q, outcome) for every `_ellipsoid_question` of one `optimize` pass
+    over `_closure_cases`, and every set a `_band_misses` was built for."""
+    asked, misses = [], []
+    question, band_misses = miqcp.solver._ellipsoid_question, miqcp.solver._band_misses
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "_ellipsoid_question",
+                  lambda q: asked.append((q, question(q))) or asked[-1][1])
+        m.setattr(miqcp.solver, "_band_misses",
+                  lambda q, c: misses.append(q) or band_misses(q, c))
+        for _, inst in _closure_cases():
+            optimize(inst)
+    return asked, misses
+
+
+def test_an_ellipsoid_node_opens_exactly_the_bands_that_meet_it(monkeypatch):
+    # every gamma in [lo, hi] gives a hyperplane d . y = gamma that meets
+    # E = {q <= eta} and lo - 1, hi + 1 do not, so no band of such a node is
+    # ever missed and `_band_misses` runs only on sandwiched nodes; the
+    # count obeys flatness in S's metric, (count - 1)^2 <= width_bound_sq(p)
+    asked, misses = _ellipsoid_nodes(monkeypatch)
+    thin = [(q, bands) for q, (y, bands) in asked if y is None]
+    points = [(q, y) for q, (y, _) in asked if y is not None]
+    assert len(thin) > 60 and len(points) > 5
+    assert not any(q is q2 for q2 in misses for q, _ in asked)
+    for q, (d, lo, hi) in thin:
+        assert all(is_integral(v) for v in d) and any(d)
+        count = max(0, hi - lo + 1)
+        assert (count - 1) ** 2 <= width_bound_sq(q.p) <= gamma_band_bound_sq(q.p)
+        missed = miqcp.solver._band_misses(q, list(d) + [Rat(0)] * (q.n - q.p))
+        assert missed(lo - 1) and missed(hi + 1)
+        assert not any(missed(gamma) for gamma in range(lo, hi + 1))
+    for q, y in points:
+        assert all(is_integral(v) for v in y)
+        assert slice_point(q, y) is not None
+
+
+@st.composite
+def _wide_definite_instances(draw):
+    """n <= 3, 1 <= p <= min(n, 2), H = L^T L + I with L in [-1, 1], q's
+    free minimizer c with half-integral integer coordinates and the others
+    in [-2, 2], and a box of radius 5 or 6, cut by at most one row r . x
+    <= b with b in [18, 24].  The rounded c's value is below
+    q(c) + 10 p / 4, and the eigenvalues of H are at least 1, so that level
+    set lies within sqrt(5) < 2.3 of c, inside the box and the row: the
+    first optimality probe asks its question of an ellipsoid."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, min(n, 2)))
+    unit = st.integers(-1, 1)
+    ell = draw(st.lists(st.lists(unit, min_size=n, max_size=n), max_size=n))
+    h_mat = [[Rat(sum(r[i] * r[j] for r in ell) + (i == j)) for j in range(n)] for i in range(n)]
+    c = draw(st.lists(st.integers(-2, 1).map(lambda k: Rat(2 * k + 1, 2)), min_size=p, max_size=p))
+    c += draw(st.lists(st.integers(-6, 6).map(lambda k: Rat(k, 3)), min_size=n - p, max_size=n - p))
+    h_vec = [-2 * v for v in mat_vec(h_mat, c)]
+    radius = draw(st.integers(5, 6))
+    lo, hi = [Rat(-radius)] * n, [Rat(radius)] * n
+    poly = box(lo, hi, p=p)
+    if draw(st.booleans()):
+        row = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        poly = poly.with_rows([[Rat(v) for v in row]], [Rat(draw(st.integers(18, 24)))])
+    return MicqpInstance(QpObjective(h_mat, h_vec), poly, (lo, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_definite_instances())
+def test_optimize_matches_the_oracle_on_wide_definite_instances(inst):
+    asked = []
+    question = miqcp.solver._ellipsoid_question
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(miqcp.solver, "_ellipsoid_question", lambda q: asked.append(q) or question(q))
+        got = optimize(inst)
+    want = oracle_optimize(inst)
+    assert got.status == want.status == OPTIMAL_STATUS
+    assert got.value == want.value
+    assert inst.poly.contains(got.x) and all(is_integral(v) for v in got.x[:inst.poly.p])
+    assert asked
 
 
 def test_a_set_boxed_by_the_solver_is_not_boxed_again():
