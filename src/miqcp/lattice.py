@@ -6,16 +6,19 @@ Alg. 2.6.7) on its Gram matrix: the columns are scaled by the lcm s of
 their denominators, and from their integer inner products the Gram
 determinants d_i and the numbers lambda_ij = d_{j+1} mu_ij, all Python
 ints, are updated in place by each size reduction and each swap, so no
-Gram-Schmidt vector is ever formed.  The flatness routine then either
-places a lattice point inside a given ball (Babai's nearest plane, on the
-same integers of the reduced basis) or certifies a thin integer direction
-whose width over the ball is at most p * 2^(p(p-1)/4).
+Gram-Schmidt vector is ever formed.
 
 As Cohen's steps read only d_i and lambda_ij, the same loop reduces Z^p
 under the inner product of a positive definite S, given by the integer
-Gram matrix sigma S: `ellipsoid_flatness` asks the flatness question of
+Gram matrix sigma S.  `ellipsoid_flatness` asks the flatness question of
 an ellipsoid {(y - c)^T S (y - c) <= rho} in S's own metric, where it is
-a ball (Lenstra 1983).
+a ball (Lenstra 1983): it either places an integer point inside it
+(Babai's nearest plane, on the same integers) or certifies a thin integer
+direction along which it is at most p * 2^(p(p-1)/4) wide.  This is the
+one implementation of the dichotomy.  `flatness`, for a ball B(a, r) and
+the lattice B Z^p, is its case S = B^T B: in y = B^-1 z the ball is the
+ellipsoid of shape B^-1 B^-T, and a sandwich B(a, r) <= B proj Q <=
+B(a, R) is the pair of concentric ellipsoids of shape E E^T, E = B^-1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Optional, Tuple
 from .errors import DimensionError, PreconditionError
 from .linalg import (
     Matrix, UnimodularCert, Vector, _idot, integer_columns, integer_inverse, integer_row, inverse,
-    lowest_terms, norm_sq, quad_form, vec_sub,
+    lowest_terms, mat_mul, mat_vec, transpose,
 )
 from .rational import Rat
 
@@ -226,38 +229,37 @@ def width_bound_sq(p: int) -> Rat:
 def flatness(a: Vector, r, basis: LatticeBasis) -> FlatnessOutcome:
     """Either a lattice point in B(a, r), or a thin integral direction.
 
-    The returned direction d has B^T d integral and satisfies
-    4 r^2 |d|^2 <= (p 2^(p(p-1)/4))^2 exactly; among the dual rows of the
-    reduced basis the one of smallest norm is chosen.
+    The ball case of `ellipsoid_flatness`: in y = B^-1 z the lattice B Z^p
+    is Z^p and B(a, r) is the ellipsoid of shape B^-1 B^-T, center B^-1 a
+    and rho = r^2.  Its point y gives z = B y; its direction c gives
+    d = B^-T c, the dual row of the reduced basis of smallest norm, with
+    B^T d = c integral and 4 r^2 |d|^2 <= (p 2^(p(p-1)/4))^2 exactly.
     """
     r = Rat(r)
     if r < 0:
         raise PreconditionError("flatness needs r >= 0")
     if len(a) != basis.p:
         raise DimensionError("flatness: center has wrong dimension")
-    reduced, _u = lll_reduce(basis)
-    z = babai_nearest_plane(reduced, a)
-    if norm_sq(vec_sub(z, a)) <= r * r:
-        return FlatnessOutcome(LATTICE_POINT, z=list(z))
-    dual_rows = inverse(reduced.b_mat)
-    best = min(dual_rows, key=norm_sq)
-    p = basis.p
-    if 4 * r * r * norm_sq(best) > width_bound_sq(p):
-        raise AssertionError("flatness width bound violated; LLL reduction broken")
-    return FlatnessOutcome(THIN_DIRECTION, d=list(best))
+    basis.validate()
+    e = inverse(basis.b_mat)
+    out = ellipsoid_flatness(mat_mul(e, transpose(e)), mat_vec(e, a), r * r)
+    if out.tag == LATTICE_POINT:
+        return FlatnessOutcome(LATTICE_POINT, z=mat_vec(basis.b_mat, out.z))
+    return FlatnessOutcome(THIN_DIRECTION, d=mat_vec(transpose(e), out.d))
 
 
 def ellipsoid_flatness(shape: Matrix, center: Vector, rho) -> FlatnessOutcome:
     """Either an integer point of E = {y : (y - c)^T S (y - c) <= rho},
     S = shape^-1 positive definite, or a thin integral direction of E.
 
-    This is `flatness` for Z^p in S's metric, where E is a ball: `_lll`
-    reduces the Gram matrix sigma S, made ints by one `integer_inverse` of
-    shape, and Babai's nearest plane to c runs on the same integers.  Its
-    point z is returned when it lies in E.  Otherwise d is the row of U^-1
-    (an integral dual basis vector) with the least d^T shape d, the first
-    on ties, and 4 rho d^T shape d <= width_bound_sq(p): the width of E
-    along d, 2 sqrt(rho d^T shape d), is at most p 2^(p(p-1)/4).
+    This is flatness for Z^p in S's metric, where E is a ball.  The shape
+    is made ints by one lcm ell, and its `integer_inverse` gives the
+    integer Gram matrix sigma S that `_lll` reduces; Babai's nearest plane
+    to c runs on the same integers.  Its point z is returned when it lies
+    in E.  Otherwise d is the row of U^-1 (an integral dual basis vector)
+    with the least d^T shape d, ranked on ints, the first on ties, and
+    4 rho d^T shape d <= width_bound_sq(p): the width of E along d,
+    2 sqrt(rho d^T shape d), is at most p 2^(p(p-1)/4).
     """
     rho = Rat(rho)
     if rho < 0:
@@ -265,17 +267,20 @@ def ellipsoid_flatness(shape: Matrix, center: Vector, rho) -> FlatnessOutcome:
     p = len(center)
     if len(shape) != p:
         raise DimensionError("ellipsoid_flatness: center has wrong dimension")
-    inv, det_ = integer_inverse(shape)
-    flat, sigma = lowest_terms([v for row in inv for v in row], det_)  # S = gram / sigma
+    ints, ell = integer_row([v for row in shape for v in row])
+    ishape = [ints[i * p:(i + 1) * p] for i in range(p)]  # ell shape
+    inv, det_ = integer_inverse(ishape)
+    flat, sigma = lowest_terms([v for row in inv for v in row], det_)  # S = ell gram / sigma
     gram = [flat[i * p:(i + 1) * p] for i in range(p)]
     d, lam, ucols, uinv = _lll(gram)
     num, t = integer_row(center)
-    g_c = [_idot(row, num) for row in gram]  # t sigma S c
+    g_c = [_idot(row, num) for row in gram]  # t sigma S c / ell
     z = _combine(_nearest_plane(d, lam, [_idot(g_c, u) for u in ucols], t), ucols)
     w = [t * a - b for a, b in zip(z, num)]  # t (z - c)
-    if Rat(_idot(w, [_idot(row, w) for row in gram]), t * t * sigma) <= rho:
+    if Rat(ell * _idot(w, [_idot(row, w) for row in gram]), t * t * sigma) <= rho:
         return FlatnessOutcome(LATTICE_POINT, z=[Rat(v) for v in z])
-    best = min(uinv, key=lambda row: quad_form(shape, row))
-    if 4 * rho * quad_form(shape, best) > width_bound_sq(p):
+    norms = [_idot(row, [_idot(s, row) for s in ishape]) for row in uinv]  # ell d^T shape d
+    k = norms.index(min(norms))
+    if 4 * rho * norms[k] > ell * width_bound_sq(p):
         raise AssertionError("flatness width bound violated; LLL reduction broken")
-    return FlatnessOutcome(THIN_DIRECTION, d=[Rat(v) for v in best])
+    return FlatnessOutcome(THIN_DIRECTION, d=[Rat(v) for v in uinv[k]])

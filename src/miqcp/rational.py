@@ -79,20 +79,6 @@ def isqrt_ceil(n: int) -> int:
     return k if k * k == n else k + 1
 
 
-def sqrt_upper_bound(q) -> Rat:
-    """Rational U with U >= sqrt(q) and U - sqrt(q) <= 2**-32 (q >= 0).
-
-    Computed from the integer square root of the ceiling of q * 4**32, so
-    the bound is exact; no floating point is involved.
-    """
-    q = Rat(q)
-    if q < 0:
-        raise ValueError("sqrt_upper_bound of a negative number")
-    scale = 1 << 32
-    scaled = q * scale * scale
-    return Rat(isqrt_ceil(rceil(scaled)), scale)
-
-
 def size_of(x) -> int:
     """Bit size of one rational: 1 + ceil(log2(|num|+1)) + ceil(log2(den+1)).
 

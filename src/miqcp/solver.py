@@ -3,11 +3,13 @@ exact optimization, and the enumeration oracle.
 
 The feasibility recursion: box the set, reduce it to a full-dimensional
 convex quadratic set, sandwich the projection onto the integer variables
-between two balls, and ask the lattice for either an integer point in the
-inner ball (lift it by a slice QP) or a thin integer direction (enumerate
-the few hyperplane slices it allows, each with at least one fewer integer
-variable).  Work grows with the number of integer variables, not with the
-count of continuous ones.  When the objective is definite, a slice whose
+between two concentric ellipsoids of shape E E^T, E the grown simplex's
+edge matrix, and ask the lattice in their metric (`_lattice_question`)
+for either an integer point in the inner ellipsoid (lift it by a slice QP)
+or a thin integer direction (enumerate the few hyperplane slices that
+meet the outer one, each with at least one fewer integer variable).  Work
+grows with the number of integer variables, not with the count of
+continuous ones.  When the objective is definite, a slice whose
 hyperplane misses the level ellipsoid is closed in closed form
 (`_band_misses`), with the node its child would have recorded.
 
@@ -15,10 +17,10 @@ An ellipsoidal node needs no sandwich.  When the objective is definite and
 its level ellipsoid E = {q <= eta} lies inside P (`_ellipsoid_inside`,
 decided on ints row by row), the set is E, and its projection onto the
 integer variables is the ellipsoid (y - c_I)^T S (y - c_I) <= eta - q(c),
-c q's free minimizer and S^-1 = (H^-1)_II.  The lattice question is asked
-of it exactly, in S's metric (`lattice.ellipsoid_flatness`): an integer
-point of it is lifted by the slice QP, or a thin direction d opens exactly
-the integers gamma whose hyperplane meets it, at most
+c q's free minimizer and S^-1 = (H^-1)_II.  The same lattice question is
+asked of it exactly, in S's metric (`lattice.ellipsoid_flatness`): an
+integer point of it is lifted by the slice QP, or a thin direction d opens
+exactly the integers gamma whose hyperplane meets it, at most
 1 + p 2^(p(p-1)/4) of them, so no band is missed.  A band's child keeps
 its ellipsoid inside its polyhedron, so a whole subtree stays on this
 path.
@@ -58,11 +60,11 @@ from .cqs import (
 )
 from .diophantine import Empty, _param_family
 from .errors import DimensionError, PreconditionError
-from .lattice import LATTICE_POINT, LatticeBasis, ellipsoid_flatness, flatness, width_bound_sq
-from .linalg import Vector, _idot, dot, integer_row, mat_vec, norm_sq, quad_form
+from .lattice import LATTICE_POINT, ellipsoid_flatness, width_bound_sq
+from .linalg import Vector, _idot, dot, integer_columns, integer_row, mat_vec, quad_form
 from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
 from .qp import QpObjective, QpResult, qp_min, qp_min_on_slice
-from .rational import Rat, ZERO, is_integral, rceil, rfloor, rround, sqrt_upper_bound
+from .rational import Rat, ZERO, rceil, rfloor, rround
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from .rounding import _half_space_run, ceil_sqrt, cqs_is_bounded, sandwich
 from .table import per_solve, remember
@@ -285,23 +287,41 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
 
 def _sandwich_question(q: ConvexQuadraticSet) -> tuple:
     """The lattice question asked of Q's sandwich B(a, r) <= B proj_p(Q)
-    <= B(a, R): (y, None) with y = B^-1 z an integer point of proj_p(Q),
-    z the lattice point `flatness` places in the inner ball, or (None,
-    (c, lo, hi)): c = B^T d integral for the thin direction d, and
-    c . y in [lo, hi] on the outer ball, so on proj_p(Q)."""
-    p = q.p
+    <= B(a, R), B = E^-1 and E the grown simplex's edge matrix.  In
+    y = E z it is the pair of concentric ellipsoids of shape E E^T and
+    center E a, rho_in = r^2 inside proj_p(Q) and rho_out = R^2 around it
+    (`_lattice_question`).  The shape is formed on ints as (D E)(D E)^T,
+    D E integral, and both rho are divided by D^2, which keeps the
+    ellipsoids."""
     sw = sandwich(q, check=False)
-    outcome = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
+    e = sw.simplex.edge_matrix()
+    cols, den = integer_columns(e, q.p, q.p)  # D E = cols^T
+    rows = list(zip(*cols))
+    shape = [[_idot(a, b) for b in rows] for a in rows]
+    scale = Rat(1, den * den)
+    return _lattice_question(shape, mat_vec(e, sw.a), sw.r * sw.r * scale,
+                             sw.big_r * sw.big_r * scale)
+
+
+def _lattice_question(shape, center, rho_in, rho_out) -> tuple:
+    """`ellipsoid_flatness` asked of E(rho) = {y : (y - c)^T shape^-1
+    (y - c) <= rho} with E(rho_in) <= proj_p(Q) <= E(rho_out): (y, None)
+    with y an integer point of E(rho_in), or (None, (d, lo, hi)) with
+    [lo, hi] exactly the integers gamma whose hyperplane d . y = gamma
+    meets E(rho_out), those with (gamma - d . c)^2 <= rho_out d^T shape d.
+    Writing d . c = m / t, those are the gamma with |t gamma - m| <= s =
+    isqrt(floor(t^2 rho_out d^T shape d)).  (hi - lo)^2 <= 4 rho_out
+    d^T shape d <= (rho_out / rho_in) width_bound_sq(p), which is at most
+    `gamma_band_bound_sq`(p).
+    """
+    outcome = ellipsoid_flatness(shape, center, rho_in)
     if outcome.tag == LATTICE_POINT:
-        y = mat_vec(sw.simplex.edge_matrix(), outcome.z)
-        assert all(is_integral(v) for v in y)
-        return y, None
+        return outcome.z, None
     d = outcome.d
-    c_int = [dot([sw.b_mat[i][j] for i in range(p)], d) for j in range(p)]
-    assert all(is_integral(v) for v in c_int)
-    da = dot(d, sw.a)
-    radius_term = sw.big_r * sqrt_upper_bound(norm_sq(d))
-    return None, (c_int, rceil(da - radius_term), rfloor(da + radius_term))
+    mc = dot(d, center)
+    m, t = mc.numerator, mc.denominator
+    s = isqrt(rfloor(rho_out * quad_form(shape, d) * t * t))
+    return None, (d, -((s - m) // t), (m + s) // t)
 
 
 def _ellipsoid_inside(q: ConvexQuadraticSet) -> bool:
@@ -328,28 +348,16 @@ def _ellipsoid_question(q: ConvexQuadraticSet) -> tuple:
     definite q inside P (`_ellipsoid_inside`), with no sandwich.
 
     proj_p E = {y : (y - c_I)^T S (y - c_I) <= rho}, c q's free minimizer,
-    S^-1 = (H^-1)_II and rho = eta - q(c), and `ellipsoid_flatness` asks
-    the question of it exactly: (y, None) with y an integer point of
-    proj_p E, or (None, (d, lo, hi)) with [lo, hi] exactly the integers
-    gamma whose hyperplane d . y = gamma meets proj_p E, those with
-    (gamma - d . c_I)^2 <= rho d^T S^-1 d.  Writing d . c_I = m / t,
-    those are the gamma with |t gamma - m| <= s = isqrt(floor(t^2 rho
-    d^T S^-1 d)).  (hi - lo)^2 <= 4 rho d^T S^-1 d <= width_bound_sq(p),
-    which is at most `gamma_band_bound_sq`(p).
+    S^-1 = (H^-1)_II and rho = eta - q(c), so `_lattice_question` asks it
+    with rho_in = rho_out = rho: its bands are exactly those that meet
+    proj_p E, and (hi - lo)^2 <= width_bound_sq(p).
     """
     p = q.p
     (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
     shape = [[Rat(v, hi_den) for v in row[:p]] for row in hi_num[:p]]
     center = [Rat(v, xb_den) for v in xb_num[:p]]
     rho = q.eta - q_bar
-    outcome = ellipsoid_flatness(shape, center, rho)
-    if outcome.tag == LATTICE_POINT:
-        return outcome.z, None
-    d = outcome.d
-    mc = dot(d, center)
-    m, t = mc.numerator, mc.denominator
-    s = isqrt(rfloor(rho * quad_form(shape, d) * t * t))
-    return None, (d, -((s - m) // t), (m + s) // t)
+    return _lattice_question(shape, center, rho, rho)
 
 
 def _band_misses(q: ConvexQuadraticSet, c: Vector):

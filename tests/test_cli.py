@@ -144,6 +144,12 @@ def test_flatness_command(tmp_path):
     assert code == 0
     assert payload == {"outcome": "lattice_point", "z": ["0"]}
 
+    # p = 0: the empty basis's one lattice point lies in every ball
+    path3 = write_instance(tmp_path, {"B": [], "a": [], "r": 1})
+    code, payload = run("flatness", path3)
+    assert code == 0
+    assert payload == {"outcome": "lattice_point", "z": []}
+
 
 def test_bounded_command(tmp_path):
     unbounded = {

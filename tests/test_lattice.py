@@ -5,7 +5,8 @@ Fraction Gram-Schmidt LLL it replaced.
 the whole Gram-Schmidt basis in Fractions after every step.  The integral
 versions must take the same steps, so the reduced basis, U, U^-1, Babai's
 point and every flatness outcome agree field for field.  ``ellipsoid_flatness``
-on the Gram matrix B^T B must take the steps of ``flatness`` on B.
+on the Gram matrix B^T B must take the steps of the Fraction reference
+flatness on B, since ``flatness`` itself wraps it.
 """
 
 import random
@@ -304,6 +305,8 @@ def test_integral_lll_matches_fraction_reference():
     found = {tag for kind, tag in tags if kind != "singular"}
     assert found == {LATTICE_POINT, THIN_DIRECTION}
     assert sum(tag is None for _, tag in tags) <= 90
+    # p = 0: the empty basis's one lattice point, z = [], lies in every ball
+    assert _assert_matches_reference([], [], Rat(1)) == LATTICE_POINT
 
 
 _entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -369,15 +372,15 @@ def test_lll_result_keeps_no_shared_state():
 def _assert_gram_form_is_flatness(b_mat, a, r):
     """Z^p with the inner product S = B^T B is the lattice B Z^p, and the
     ball B(a, r) is the ellipsoid (y - B^-1 a)^T S (y - B^-1 a) <= r^2:
-    `ellipsoid_flatness` on shape S^-1 takes `flatness`'s steps, so its
-    point is B^-1 z and its direction B^T d.  The tag, or None when B is
-    singular."""
+    `ellipsoid_flatness` on shape S^-1 takes the steps of the Fraction
+    reference flatness on B's reference reduction, so its point is B^-1 z
+    and its direction B^T d.  The tag, or None when B is singular."""
     if det(b_mat) == 0:
         return None
     p = len(b_mat)
     gram = mat_mul([list(col) for col in zip(*b_mat)], b_mat)
     out = ellipsoid_flatness(inverse(gram), mat_vec(inverse(b_mat), a), r * r)
-    want = flatness(a, r, LatticeBasis(b_mat))
+    want = _reference_flatness(a, r, _reference_lll_reduce(LatticeBasis(b_mat))[0])
     assert out.tag == want.tag
     if out.tag == LATTICE_POINT:
         assert mat_vec(b_mat, out.z) == want.z

@@ -18,11 +18,11 @@ from miqcp.cqs import (
 )
 from miqcp.diophantine import AffineParam, Empty, _ParamFamily, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
-from miqcp.lattice import width_bound_sq
-from miqcp.linalg import dot, inverse, mat, mat_vec
+from miqcp.lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
+from miqcp.linalg import dot, inverse, mat, mat_vec, norm_sq, transpose
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective, qp_min, qp_min_on_slice
-from miqcp.rational import Rat, is_integral, size_of
+from miqcp.rational import Rat, is_integral, rceil, rfloor, size_of
 from miqcp.rounding import ceil_sqrt
 from miqcp.simplex import INFEASIBLE
 from miqcp.solver import (
@@ -45,7 +45,7 @@ from miqcp.solver import (
 
 from corpus import corpus
 from test_polyhedra import box
-from test_rounding import _load_bench_family
+from test_rounding import _load_bench_family, _solve
 
 
 def cqs_of(poly, h_rows, h_vec, eta):
@@ -727,6 +727,53 @@ def test_an_ellipsoid_node_opens_exactly_the_bands_that_meet_it(monkeypatch):
     for q, y in points:
         assert all(is_integral(v) for v in y)
         assert slice_point(q, y) is not None
+
+
+def _sandwich_answers(monkeypatch):
+    """(sw, answer) for every `_sandwich_question` of one `optimize` pass
+    over the corpus and one solve of each seed-2024 `msplit` instance: the
+    sandwich it grew and the (y, bands) it returned."""
+    sws, answers = [], []
+    question, grow = miqcp.solver._sandwich_question, miqcp.solver.sandwich
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "sandwich",
+                  lambda q, check: sws.append(grow(q, check=check)) or sws[-1])
+        m.setattr(miqcp.solver, "_sandwich_question",
+                  lambda q: answers.append(question(q)) or answers[-1])
+        for _, inst in corpus():
+            optimize(inst)
+        for entry in _load_bench_family("msplit")(2024):
+            _solve(entry["name"])
+    assert len(sws) == len(answers)
+    return list(zip(sws, answers))
+
+
+def test_the_sandwich_question_keeps_the_ball_answers(monkeypatch):
+    # in y = E z the sandwich B(a, r) <= B proj Q <= B(a, R), B = E^-1, is
+    # a pair of concentric ellipsoids of shape E E^T: the lattice point is
+    # E z and the direction c = B^T d for flatness's answer on the inner
+    # ball, and [lo, hi] are exactly the integers gamma with
+    # (gamma - c . E a)^2 <= R^2 c^T E E^T c, which the symmetric range
+    # holds, if any, at floor or ceil of c . E a
+    points = thin = 0
+    for sw, (y, bands) in _sandwich_answers(monkeypatch):
+        p = len(sw.a)
+        e = sw.simplex.edge_matrix()
+        want = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
+        if want.tag == LATTICE_POINT:
+            assert bands is None and y == mat_vec(e, want.z)
+            points += 1
+            continue
+        assert y is None
+        c, lo, hi = bands
+        assert c == [dot([sw.b_mat[i][j] for i in range(p)], want.d) for j in range(p)]
+        mid = dot(c, mat_vec(e, sw.a))
+        reach = sw.big_r ** 2 * norm_sq(mat_vec(transpose(e), c))
+        for gamma in {lo - 1, hi + 1, rfloor(mid), rceil(mid), *range(lo, hi + 1)}:
+            assert ((gamma - mid) ** 2 <= reach) == (lo <= gamma <= hi)
+        assert (max(0, hi - lo + 1) - 1) ** 2 <= gamma_band_bound_sq(p)
+        thin += 1
+    assert points > 50 and thin > 60
 
 
 @st.composite
