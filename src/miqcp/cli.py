@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from .cqs import ConvexQuadraticSet, fulldim_reduce_cqs
 from .diophantine import AffineParam, Empty, integer_reflexive_ginv
-from .errors import InstanceParseError, MiqcpError, NotPsdError
+from .errors import InstanceParseError, MiqcpError, NotPsdError, PreconditionError
 from .lattice import LATTICE_POINT, LatticeBasis, flatness
 from .linalg import dot, is_integer_mat, mat_eq, mat_mul, mat_vec, rank
 from .polyhedra import Polyhedron, recession_ray_check
@@ -282,7 +282,10 @@ def run(command: str, instance_path: str, trace: bool = False) -> Tuple[int, dic
                 raise InstanceParseError("quad_constraint", "sandwich needs one")
             if parsed.quad.p < 1:
                 raise InstanceParseError("p", "sandwich needs p >= 1")
-            res = sandwich(parsed.quad)
+            try:
+                res = sandwich(parsed.quad)
+            except PreconditionError as exc:  # not full-dimensional, or unbounded
+                raise InstanceParseError("quad_constraint", str(exc)) from exc
             return 0, {
                 "B": _emit_mat(res.b_mat),
                 "a": _emit_vec(res.a),

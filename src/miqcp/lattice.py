@@ -9,16 +9,14 @@ ints, are updated in place by each size reduction and each swap, so no
 Gram-Schmidt vector is ever formed.
 
 As Cohen's steps read only d_i and lambda_ij, the same loop reduces Z^p
-under the inner product of a positive definite S, given by the integer
-Gram matrix sigma S.  `ellipsoid_flatness` asks the flatness question of
+under the inner product of a positive definite S, given by any positive
+multiple of S on ints.  `ellipsoid_flatness` asks the flatness question of
 an ellipsoid {(y - c)^T S (y - c) <= rho} in S's own metric, where it is
 a ball (Lenstra 1983): it either places an integer point inside it
 (Babai's nearest plane, on the same integers) or certifies a thin integer
 direction along which it is at most p * 2^(p(p-1)/4) wide.  This is the
 one implementation of the dichotomy.  `flatness`, for a ball B(a, r) and
-the lattice B Z^p, is its case S = B^T B: in y = B^-1 z the ball is the
-ellipsoid of shape B^-1 B^-T, and a sandwich B(a, r) <= B proj Q <=
-B(a, R) is the pair of concentric ellipsoids of shape E E^T, E = B^-1.
+the lattice B Z^p, is its case S = B^T B, of shape E E^T, E = B^-1.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from typing import List, Optional, Tuple
 
 from .errors import DimensionError, PreconditionError
 from .linalg import (
-    Matrix, UnimodularCert, Vector, _idot, integer_columns, integer_inverse, integer_row, inverse,
-    lowest_terms, mat_mul, mat_vec, transpose,
+    Matrix, UnimodularCert, Vector, _idot, dot, integer_columns, integer_inverse, integer_row,
 )
 from .rational import Rat
 
@@ -81,9 +78,9 @@ def _integral_gso(gram: List[List[int]]) -> tuple:
     return d, lam
 
 
-def _gram(cols: List[List[int]]) -> List[List[int]]:
-    """The lower triangle of the Gram matrix of cols, all `_integral_gso` reads."""
-    return [[_idot(a, b) for b in cols[:k + 1]] for k, a in enumerate(cols)]
+def _gram(vecs) -> List[List[int]]:
+    """The Gram matrix [a . b] of the int vectors vecs."""
+    return [[_idot(a, b) for b in vecs] for a in vecs]
 
 
 def _combine(coefs: List[int], cols: List[List[int]]) -> List[int]:
@@ -229,11 +226,11 @@ def width_bound_sq(p: int) -> Rat:
 def flatness(a: Vector, r, basis: LatticeBasis) -> FlatnessOutcome:
     """Either a lattice point in B(a, r), or a thin integral direction.
 
-    The ball case of `ellipsoid_flatness`: in y = B^-1 z the lattice B Z^p
-    is Z^p and B(a, r) is the ellipsoid of shape B^-1 B^-T, center B^-1 a
-    and rho = r^2.  Its point y gives z = B y; its direction c gives
-    d = B^-T c, the dual row of the reduced basis of smallest norm, with
-    B^T d = c integral and 4 r^2 |d|^2 <= (p 2^(p(p-1)/4))^2 exactly.
+    The ball case of `ellipsoid_flatness`: in y = E z, E = B^-1, the
+    lattice B Z^p is Z^p and B(a, r) is the ellipsoid of metric B^T B,
+    shape E E^T, center E a and rho = r^2.  Its point y gives z = B y; its
+    direction c gives d = E^T c, the dual row of the reduced basis of
+    smallest norm, with B^T d = c integral and 4 r^2 |d|^2 <= (p 2^(p(p-1)/4))^2.
     """
     r = Rat(r)
     if r < 0:
@@ -241,45 +238,43 @@ def flatness(a: Vector, r, basis: LatticeBasis) -> FlatnessOutcome:
     if len(a) != basis.p:
         raise DimensionError("flatness: center has wrong dimension")
     basis.validate()
-    e = inverse(basis.b_mat)
-    out = ellipsoid_flatness(mat_mul(e, transpose(e)), mat_vec(e, a), r * r)
+    cols, s = integer_columns(basis.b_mat, basis.p, basis.p)  # s B = cols^T
+    inv, d = integer_inverse(basis.b_mat)  # d E
+    out = ellipsoid_flatness((_gram(cols), s * s), (_gram(inv), d * d),
+                             [dot(row, a) / d for row in inv], r * r)
     if out.tag == LATTICE_POINT:
-        return FlatnessOutcome(LATTICE_POINT, z=mat_vec(basis.b_mat, out.z))
-    return FlatnessOutcome(THIN_DIRECTION, d=mat_vec(transpose(e), out.d))
+        return FlatnessOutcome(LATTICE_POINT, z=[dot(row, out.z) for row in basis.b_mat])
+    return FlatnessOutcome(THIN_DIRECTION, d=[dot(col, out.d) / d for col in zip(*inv)])
 
 
-def ellipsoid_flatness(shape: Matrix, center: Vector, rho) -> FlatnessOutcome:
+def ellipsoid_flatness(metric: tuple, shape: tuple, center: Vector, rho) -> FlatnessOutcome:
     """Either an integer point of E = {y : (y - c)^T S (y - c) <= rho},
-    S = shape^-1 positive definite, or a thin integral direction of E.
+    S positive definite, or a thin integral direction of E.
 
-    This is flatness for Z^p in S's metric, where E is a ball.  The shape
-    is made ints by one lcm ell, and its `integer_inverse` gives the
-    integer Gram matrix sigma S that `_lll` reduces; Babai's nearest plane
-    to c runs on the same integers.  Its point z is returned when it lies
-    in E.  Otherwise d is the row of U^-1 (an integral dual basis vector)
-    with the least d^T shape d, ranked on ints, the first on ties, and
-    4 rho d^T shape d <= width_bound_sq(p): the width of E along d,
-    2 sqrt(rho d^T shape d), is at most p 2^(p(p-1)/4).
+    This is flatness for Z^p in S's metric, where E is a ball.  metric =
+    (gram, sigma) is S = gram / sigma and shape = (ishape, ell) must be
+    S^-1 = ishape / ell (unchecked), symmetric ints over rationals > 0.
+    `_lll` reduces gram, and Babai's nearest plane to c runs on the same
+    integers.  Its point z is returned when it lies in E.  Otherwise d is
+    the row of U^-1 (an integral dual basis vector) with the least
+    d^T ishape d, the first on ties, and 4 rho d^T S^-1 d <= width_bound_sq(p):
+    the width of E along d, 2 sqrt(rho d^T S^-1 d), is at most p 2^(p(p-1)/4).
     """
     rho = Rat(rho)
     if rho < 0:
         raise PreconditionError("ellipsoid_flatness needs rho >= 0")
     p = len(center)
-    if len(shape) != p:
+    (gram, sigma), (ishape, ell) = metric, shape
+    if len(gram) != p or len(ishape) != p:
         raise DimensionError("ellipsoid_flatness: center has wrong dimension")
-    ints, ell = integer_row([v for row in shape for v in row])
-    ishape = [ints[i * p:(i + 1) * p] for i in range(p)]  # ell shape
-    inv, det_ = integer_inverse(ishape)
-    flat, sigma = lowest_terms([v for row in inv for v in row], det_)  # S = ell gram / sigma
-    gram = [flat[i * p:(i + 1) * p] for i in range(p)]
     d, lam, ucols, uinv = _lll(gram)
     num, t = integer_row(center)
-    g_c = [_idot(row, num) for row in gram]  # t sigma S c / ell
+    g_c = [_idot(row, num) for row in gram]  # t sigma S c
     z = _combine(_nearest_plane(d, lam, [_idot(g_c, u) for u in ucols], t), ucols)
     w = [t * a - b for a, b in zip(z, num)]  # t (z - c)
-    if Rat(ell * _idot(w, [_idot(row, w) for row in gram]), t * t * sigma) <= rho:
+    if Rat(_idot(w, [_idot(row, w) for row in gram]), t * t) <= rho * sigma:
         return FlatnessOutcome(LATTICE_POINT, z=[Rat(v) for v in z])
-    norms = [_idot(row, [_idot(s, row) for s in ishape]) for row in uinv]  # ell d^T shape d
+    norms = [_idot(row, [_idot(s, row) for s in ishape]) for row in uinv]  # ell d^T S^-1 d
     k = norms.index(min(norms))
     if 4 * rho * norms[k] > ell * width_bound_sq(p):
         raise AssertionError("flatness width bound violated; LLL reduction broken")

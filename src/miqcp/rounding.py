@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 from .cqs import ConvexQuadraticSet, inner_polytope, quadratic_feasible_point, slice_point
 from .errors import PreconditionError
+from .lattice import _gram
 from .linalg import (
     Matrix,
     Vector,
@@ -24,6 +25,7 @@ from .linalg import (
     dot,
     integer_inverse,
     integer_row,
+    lowest_terms,
     mat_vec,
     null_space,
     vec_add,
@@ -52,21 +54,21 @@ class Simplex:
     with E the edge matrix (column j is v_{j+1} - v_0) and D the lcm of the
     vertex denominators.  It returns d (D E)^-1 and d = +-det(D E), the last
     Bareiss pivot, so volume = |det E| = |d| / D^p and
-    b_mat = E^-1 = D (d (D E)^-1) / d.
+    E^-1 = D (d (D E)^-1) / d.  The ints D v_j are kept with them.
     Row b_i of E^-1 has b_i . (v_j - v_0) = [j = i + 1], so -b_i is
     normal to the facet opposite v_{i+1} and sum_i b_i to the one opposite
     v_0: each normal is the integer row (or row sum), negated when d > 0
     for -b_i and when d < 0 for the sum, divided by its gcd.  So normals are
     primitive vectors of Python ints (small normals keep the probe
     subproblems small), and facets[i] = (normal, offset) has
-    normal . v_j = offset for j != i and normal . v_i < offset.  b_mat is
-    built on first read.
+    normal . v_j = offset for j != i and normal . v_i < offset.
     Affinely dependent vertices raise PreconditionError (E is singular).
     """
 
     vertices: List[Vector]
     volume: Rat = field(init=False, repr=False, compare=False)
     facets: List[Tuple[Vector, Rat]] = field(init=False, repr=False, compare=False)
+    _ints: list = field(init=False, repr=False, compare=False)
     _inv: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,7 +82,7 @@ class Simplex:
                                       for i in range(p)])
         except PreconditionError:
             raise PreconditionError("Simplex: the vertices are affinely dependent") from None
-        self._inv = (inv, d, den)
+        self._ints, self._inv = ints, (inv, d, den)
         self.volume = Rat(abs(d), den ** p)
         sign = 1 if d > 0 else -1
         normals = [[sign * sum(col) for col in zip(*inv)]] + [[-sign * v for v in row] for row in inv]
@@ -93,17 +95,6 @@ class Simplex:
     @property
     def p(self) -> int:
         return len(self.vertices) - 1
-
-    @cached_property
-    def b_mat(self) -> Matrix:
-        """E^-1, built on first read."""
-        inv, d, den = self._inv
-        return [[Rat(den * v, d) for v in row] for row in inv]
-
-    def edge_matrix(self) -> Matrix:
-        v0 = self.vertices[0]
-        return [[self.vertices[j + 1][i] - v0[i] for j in range(self.p)]
-                for i in range(self.p)]
 
     def check_facets(self) -> bool:
         for i, (normal, offset) in enumerate(self.facets):
@@ -476,17 +467,37 @@ def grow_simplex(
 
 @dataclass(frozen=True)
 class SandwichResult:
-    """B(a, r) <= B (proj_p Q) <= B(a, R) with B = simplex.b_mat, the
-    inverse of the grown simplex's edge matrix.
+    """B(a, r) <= B (proj_p Q) <= B(a, R) with B = E^-1, E the grown
+    simplex's edge matrix, and a = (r, ..., r) + B v_0, both built on read.
 
     r = 1/(p + ceil_sqrt(p)) and R = 2 ceil_sqrt(p), so R/r <= 4 ceil_sqrt(p)^3.
     """
 
-    b_mat: Matrix
-    a: Vector
     r: Rat
     big_r: Rat
     simplex: Simplex
+
+    @cached_property
+    def b_mat(self) -> Matrix:
+        inv, d, den = self.simplex._inv
+        return [[Rat(den * v, d) for v in row] for row in inv]
+
+    @property
+    def a(self) -> Vector:
+        return vec_add([self.r] * self.simplex.p, mat_vec(self.b_mat, self.simplex.vertices[0]))
+
+    def ellipsoids(self) -> tuple:
+        """(metric, shape, center, r^2, R^2): the sandwich in y = E z.  With
+        (D E)^-1 = K / k in lowest terms, S = B^T B is the Gram matrix of K's
+        columns over k^2 / D^2, S^-1 = E E^T that of D E's rows over D^2."""
+        ints, (inv, d, den) = self.simplex._ints, self.simplex._inv
+        flat, k = lowest_terms([v for row in inv for v in row], d)  # K / k
+        p, v0, m = len(inv), ints[0], self.r.denominator  # m = 1 / r
+        edges = [[a - b for a, b in zip(v, v0)] for v in ints[1:]]  # columns of D E
+        # c = E a = v_0 + r sum_j (v_j - v_0)
+        center = [Rat(m * x + sum(e), m * den) for x, e in zip(v0, zip(*edges))]
+        return ((_gram([flat[j::p] for j in range(p)]), Rat(k * k, den * den)),
+                (_gram(list(zip(*edges))), den * den), center, self.r ** 2, self.big_r ** 2)
 
 
 def sandwich(q: ConvexQuadraticSet, check: bool = True) -> SandwichResult:
@@ -506,11 +517,5 @@ def sandwich(q: ConvexQuadraticSet, check: bool = True) -> SandwichResult:
         raise PreconditionError("sandwich: Q is unbounded")
     s0, anchor = Simplex(seed_simplex(inner)), _fulldim_probe(inner).point
     grown, _trace = grow_simplex(q, s0, anchor, check=False)
-    p = q.p
-    b_mat = grown.b_mat
-    k = ceil_sqrt(p)
-    r = Rat(1, p + k)
-    big_r = Rat(2 * k)
-    a_tilde = [Rat(1, p + k)] * p
-    a = vec_add(a_tilde, mat_vec(b_mat, grown.vertices[0]))
-    return SandwichResult(b_mat, a, r, big_r, grown)
+    k = ceil_sqrt(q.p)
+    return SandwichResult(Rat(1, q.p + k), Rat(2 * k), grown)

@@ -61,7 +61,7 @@ from .cqs import (
 from .diophantine import Empty, _param_family
 from .errors import DimensionError, PreconditionError
 from .lattice import LATTICE_POINT, ellipsoid_flatness, width_bound_sq
-from .linalg import Vector, _idot, dot, integer_columns, integer_row, mat_vec, quad_form
+from .linalg import Vector, _idot, dot, integer_inverse, integer_row, lowest_terms
 from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, lp_min
 from .qp import QpObjective, QpResult, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, rceil, rfloor, rround
@@ -286,41 +286,30 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
 
 
 def _sandwich_question(q: ConvexQuadraticSet) -> tuple:
-    """The lattice question asked of Q's sandwich B(a, r) <= B proj_p(Q)
-    <= B(a, R), B = E^-1 and E the grown simplex's edge matrix.  In
-    y = E z it is the pair of concentric ellipsoids of shape E E^T and
-    center E a, rho_in = r^2 inside proj_p(Q) and rho_out = R^2 around it
-    (`_lattice_question`).  The shape is formed on ints as (D E)(D E)^T,
-    D E integral, and both rho are divided by D^2, which keeps the
-    ellipsoids."""
-    sw = sandwich(q, check=False)
-    e = sw.simplex.edge_matrix()
-    cols, den = integer_columns(e, q.p, q.p)  # D E = cols^T
-    rows = list(zip(*cols))
-    shape = [[_idot(a, b) for b in rows] for a in rows]
-    scale = Rat(1, den * den)
-    return _lattice_question(shape, mat_vec(e, sw.a), sw.r * sw.r * scale,
-                             sw.big_r * sw.big_r * scale)
+    """The lattice question asked of Q's sandwich, the pair of concentric
+    ellipsoids E(r^2) <= proj_p(Q) <= E(R^2) it is in y (`ellipsoids`)."""
+    return _lattice_question(*sandwich(q, check=False).ellipsoids())
 
 
-def _lattice_question(shape, center, rho_in, rho_out) -> tuple:
-    """`ellipsoid_flatness` asked of E(rho) = {y : (y - c)^T shape^-1
-    (y - c) <= rho} with E(rho_in) <= proj_p(Q) <= E(rho_out): (y, None)
-    with y an integer point of E(rho_in), or (None, (d, lo, hi)) with
-    [lo, hi] exactly the integers gamma whose hyperplane d . y = gamma
-    meets E(rho_out), those with (gamma - d . c)^2 <= rho_out d^T shape d.
-    Writing d . c = m / t, those are the gamma with |t gamma - m| <= s =
-    isqrt(floor(t^2 rho_out d^T shape d)).  (hi - lo)^2 <= 4 rho_out
-    d^T shape d <= (rho_out / rho_in) width_bound_sq(p), which is at most
-    `gamma_band_bound_sq`(p).
+def _lattice_question(metric, shape, center, rho_in, rho_out) -> tuple:
+    """`ellipsoid_flatness` asked of E(rho) = {y : (y - c)^T S (y - c) <= rho}
+    with E(rho_in) <= proj_p(Q) <= E(rho_out), shape = (N, n) and
+    S^-1 = N / n: (y, None) with y an integer point of E(rho_in), or
+    (None, (d, lo, hi)) with [lo, hi] exactly the integers gamma whose
+    hyperplane d . y = gamma meets E(rho_out), those with
+    (gamma - d . c)^2 <= rho_out d^T S^-1 d.  Writing d . c = m / t, those
+    are the gamma with |t gamma - m| <= s = isqrt(floor(t^2 rho_out u)),
+    u = d^T N d / n.  (hi - lo)^2 <= 4 rho_out d^T S^-1 d <=
+    (rho_out / rho_in) width_bound_sq(p), at most `gamma_band_bound_sq`(p).
     """
-    outcome = ellipsoid_flatness(shape, center, rho_in)
+    outcome = ellipsoid_flatness(metric, shape, center, rho_in)
     if outcome.tag == LATTICE_POINT:
         return outcome.z, None
     d = outcome.d
     mc = dot(d, center)
     m, t = mc.numerator, mc.denominator
-    s = isqrt(rfloor(rho_out * quad_form(shape, d) * t * t))
+    (n_ints, n), di = shape, [v.numerator for v in d]
+    s = isqrt(rfloor(rho_out * _idot(di, [_idot(row, di) for row in n_ints]) * t * t / n))
     return None, (d, -((s - m) // t), (m + s) // t)
 
 
@@ -350,14 +339,21 @@ def _ellipsoid_question(q: ConvexQuadraticSet) -> tuple:
     proj_p E = {y : (y - c_I)^T S (y - c_I) <= rho}, c q's free minimizer,
     S^-1 = (H^-1)_II and rho = eta - q(c), so `_lattice_question` asks it
     with rho_in = rho_out = rho: its bands are exactly those that meet
-    proj_p E, and (hi - lo)^2 <= width_bound_sq(p).
+    proj_p E, and (hi - lo)^2 <= width_bound_sq(p).  S is the Schur
+    complement H_II - H_IC H_CC^-1 H_CI, H when n = p; on `integer_form`'s
+    s H = H_i and I_d = d (H_i)_CC^-1 it is (d (H_i)_II - (H_i)_IC I_d (H_i)_CI) / (s d).
     """
     p = q.p
     (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
-    shape = [[Rat(v, hi_den) for v in row[:p]] for row in hi_num[:p]]
-    center = [Rat(v, xb_den) for v in xb_num[:p]]
+    h_int, _, scale = q.obj.integer_form()
+    inv, d = integer_inverse([row[p:] for row in h_int[p:]])  # ([], 1) when n = p
+    hic = [row[p:] for row in h_int[:p]]
+    flat, den = lowest_terms([d * h_int[i][j] - _idot(a, [_idot(row, b) for row in inv])
+                              for i, a in enumerate(hic) for j, b in enumerate(hic)], scale * d)
     rho = q.eta - q_bar
-    return _lattice_question(shape, center, rho, rho)
+    return _lattice_question(([flat[i * p:(i + 1) * p] for i in range(p)], den),
+                             ([row[:p] for row in hi_num[:p]], hi_den),
+                             [Rat(v, xb_den) for v in xb_num[:p]], rho, rho)
 
 
 def _band_misses(q: ConvexQuadraticSet, c: Vector):

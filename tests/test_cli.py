@@ -16,6 +16,11 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def fixture_data(name):
+    with open(fixture(name)) as f:
+        return json.load(f)
+
+
 def write_instance(tmp_path, payload, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -186,6 +191,24 @@ def test_sandwich_command(tmp_path):
     assert code == 0
     assert payload["r"] == "1/2"
     assert payload["R"] == "2"
+
+
+def test_sandwich_payload_is_pinned(tmp_path):
+    # a bounded p = 2 set with a coupled quadratic: B and a are read from
+    # the grown simplex, and they and the simplex stay these exact values
+    inst = {
+        "n": 3,
+        "p": 2,
+        "W": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        "w": [3, 1, "5/2", 0, 1, 1],
+        "objective": {"H": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "h": [0, 0, 0]},
+        "quad_constraint": {"H": [[2, 1, 0], [1, 3, 1], [0, 1, 1]], "h": [-1, "1/3", 0], "eta": 7},
+    }
+    code, payload = run("sandwich", write_instance(tmp_path, inst))
+    assert code == 0
+    assert json.dumps(payload) == (
+        '{"B": [["-64/113", "48/113"], ["-12/113", "-104/113"]], "a": ["217/452", "-489/452"], '
+        '"r": "1/4", "R": "4", "simplex_vertices": [["5/8", "11/8"], ["-1", "25/16"], ["-1/8", "3/8"]]}')
 
 
 def test_reduce_fulldim_roundtrip(tmp_path):
@@ -415,6 +438,12 @@ def test_flatness_bad_input_exit2_with_its_path(tmp_path, data, path):
     [
         (MINIMAL, "quad_constraint"),
         (dict(MINIMAL, p=0, quad_constraint={"H": [[1]], "h": [0], "eta": 1}), "p"),
+        # not full-dimensional: the sandwich needs an interior
+        (fixture_data("stationary_subspace.json"), "quad_constraint"),
+        (fixture_data("tangent_face.json"), "quad_constraint"),
+        # unbounded: x >= 0 with a quadratic that never binds
+        (dict(MINIMAL, W=[[-1]], w=[0], quad_constraint={"H": [[0]], "h": [0], "eta": 1}),
+         "quad_constraint"),
     ],
 )
 def test_sandwich_bad_input_exit2_with_its_path(tmp_path, data, path):

@@ -31,6 +31,7 @@ from miqcp.linalg import (
     det,
     dot,
     identity,
+    integer_row,
     inverse,
     is_integer_mat,
     mat,
@@ -369,17 +370,26 @@ def test_lll_result_keeps_no_shared_state():
 # flatness of an ellipsoid in its own metric
 
 
+def _ints(s_mat):
+    """(M, m) with s_mat = M / m, M ints and m > 0: a Rat matrix in the
+    form `ellipsoid_flatness` takes its metric and its shape."""
+    p = len(s_mat)
+    flat, m = integer_row([v for row in s_mat for v in row])
+    return [flat[i * p:(i + 1) * p] for i in range(p)], m
+
+
 def _assert_gram_form_is_flatness(b_mat, a, r):
     """Z^p with the inner product S = B^T B is the lattice B Z^p, and the
     ball B(a, r) is the ellipsoid (y - B^-1 a)^T S (y - B^-1 a) <= r^2:
-    `ellipsoid_flatness` on shape S^-1 takes the steps of the Fraction
-    reference flatness on B's reference reduction, so its point is B^-1 z
-    and its direction B^T d.  The tag, or None when B is singular."""
+    `ellipsoid_flatness` on metric S and shape S^-1 takes the steps of the
+    Fraction reference flatness on B's reference reduction, so its point
+    is B^-1 z and its direction B^T d.  The tag, or None when B is
+    singular."""
     if det(b_mat) == 0:
         return None
     p = len(b_mat)
     gram = mat_mul([list(col) for col in zip(*b_mat)], b_mat)
-    out = ellipsoid_flatness(inverse(gram), mat_vec(inverse(b_mat), a), r * r)
+    out = ellipsoid_flatness(_ints(gram), _ints(inverse(gram)), mat_vec(inverse(b_mat), a), r * r)
     want = _reference_flatness(a, r, _reference_lll_reduce(LatticeBasis(b_mat))[0])
     assert out.tag == want.tag
     if out.tag == LATTICE_POINT:
@@ -414,8 +424,8 @@ def test_ellipsoid_flatness_invariants_randomized():
                   for j in range(p)] for i in range(p)]
         center = [Rat(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(p)]
         rho = Rat(rng.randint(0, 30), rng.randint(1, 5))
-        out = ellipsoid_flatness(shape, center, rho)
         s_mat = inverse(shape)
+        out = ellipsoid_flatness(_ints(s_mat), _ints(shape), center, rho)
         if out.tag == LATTICE_POINT:
             assert all(is_integral(v) for v in out.z)
             off = vec_sub(out.z, center)
@@ -428,9 +438,12 @@ def test_ellipsoid_flatness_invariants_randomized():
 
 
 def test_ellipsoid_flatness_refuses_bad_input():
+    unit = _ints(identity(2))
     with pytest.raises(PreconditionError):
-        ellipsoid_flatness(identity(2), [ZERO, ZERO], Rat(-1))
+        ellipsoid_flatness(unit, unit, [ZERO, ZERO], Rat(-1))
     with pytest.raises(DimensionError):
-        ellipsoid_flatness(identity(2), [ZERO], Rat(1))
+        ellipsoid_flatness(unit, unit, [ZERO], Rat(1))
+    with pytest.raises(DimensionError):
+        ellipsoid_flatness(_ints(identity(3)), unit, [ZERO, ZERO], Rat(1))
     with pytest.raises(PreconditionError):
-        ellipsoid_flatness(mat([[1, 1], [1, 1]]), [ZERO, ZERO], Rat(1))
+        ellipsoid_flatness(_ints(mat([[1, 1], [1, 1]])), unit, [ZERO, ZERO], Rat(1))

@@ -270,8 +270,9 @@ def test_simplex_facts_match_null_space_reference():
         sim = Simplex(vertices)
         assert sim.facets == _reference_compute_facets(vertices)
         assert all(v.denominator == 1 for normal, _ in sim.facets for v in normal)
-        assert sim.volume == abs(det(e_mat)) == abs(det(sim.edge_matrix()))
-        assert mat_mul(sim.b_mat, e_mat) == identity(p)
+        edges = [[v[i] - sim.vertices[0][i] for v in sim.vertices[1:]] for i in range(p)]
+        assert sim.volume == abs(det(e_mat)) == abs(det(edges))
+        assert mat_mul(SandwichResult(ONE, ONE, sim).b_mat, e_mat) == identity(p)
         assert sim.check_facets()
     assert 2 < degenerate < 30
 

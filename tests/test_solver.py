@@ -19,7 +19,7 @@ from miqcp.cqs import (
 from miqcp.diophantine import AffineParam, Empty, _ParamFamily, parametrize_mixed_integer_solutions
 from miqcp.errors import DimensionError, PreconditionError
 from miqcp.lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
-from miqcp.linalg import dot, inverse, mat, mat_vec, norm_sq, transpose
+from miqcp.linalg import dot, identity, inverse, mat, mat_mul, mat_vec, norm_sq, transpose
 from miqcp.polyhedra import Polyhedron
 from miqcp.qp import QpObjective, qp_min, qp_min_on_slice
 from miqcp.rational import Rat, is_integral, rceil, rfloor, size_of
@@ -748,6 +748,74 @@ def _sandwich_answers(monkeypatch):
     return list(zip(sws, answers))
 
 
+def _edges(sim):
+    """E, column j = v_{j+1} - v_0, from the simplex's vertices."""
+    v0 = sim.vertices[0]
+    return [[v[i] - v0[i] for v in sim.vertices[1:]] for i in range(sim.p)]
+
+
+def _over_scale(pair):
+    """M / m, the Rat matrix of an (M, m) pair: ints over a positive scale."""
+    ints, scale = pair
+    assert scale > 0
+    return [[Rat(v) / scale for v in row] for row in ints]
+
+
+def test_the_sandwich_pair_is_its_metric_and_its_shape(monkeypatch):
+    # the pair read by `_sandwich_question` is the sandwich in y = E z:
+    # metric B^T B and shape E E^T, exactly inverse, center E a and
+    # rho r^2 inside, R^2 outside
+    sws = [sw for sw, _ in _sandwich_answers(monkeypatch)]
+    assert len(sws) > 100
+    for sw in sws:
+        metric, shape, center, rho_in, rho_out = sw.ellipsoids()
+        s_mat, s_inv, e = _over_scale(metric), _over_scale(shape), _edges(sw.simplex)
+        assert mat_mul(s_mat, s_inv) == identity(sw.simplex.p)
+        assert s_mat == mat_mul(transpose(sw.b_mat), sw.b_mat)
+        assert s_inv == mat_mul(e, transpose(e))
+        assert center == mat_vec(e, sw.a)
+        assert (rho_in, rho_out) == (sw.r ** 2, sw.big_r ** 2)
+
+
+def _ellipsoid_pair(monkeypatch, q):
+    """The pair `_ellipsoid_question` hands `_lattice_question` for q."""
+    pairs = []
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "_lattice_question", lambda *pair: pairs.append(pair) or (None, None))
+        miqcp.solver._ellipsoid_question(q)
+    return pairs[0]
+
+
+def test_the_ellipsoid_pair_is_the_schur_complement_and_its_inverse(monkeypatch):
+    # for a definite H the projection of {q <= eta} onto the first p
+    # coordinates has shape (H^-1)_II and metric its inverse, the Schur
+    # complement H_II - H_IC H_CC^-1 H_CI, which is H when n = p
+    rng = random.Random(36)
+    wide = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        p = rng.randint(1, n)
+        ell = [[Rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        h_mat = [[sum((r[i] * r[j] for r in ell), Rat(int(i == j), rng.randint(1, 5)))
+                  for j in range(n)] for i in range(n)]
+        h_vec = [Rat(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+        obj = QpObjective(h_mat, h_vec)
+        eta = Rat(rng.randint(0, 50))
+        metric, shape, center, rho_in, rho_out = _ellipsoid_pair(
+            monkeypatch, ConvexQuadraticSet(box([-9] * n, [9] * n, p=p), obj, eta))
+        s_mat, s_inv = _over_scale(metric), _over_scale(shape)
+        h_inv = inverse(h_mat)
+        assert s_inv == [row[:p] for row in h_inv[:p]]
+        assert s_mat == inverse(s_inv)
+        assert mat_mul(s_mat, s_inv) == identity(p)
+        if n == p:
+            assert s_mat == h_mat
+        c = [-v / 2 for v in mat_vec(h_inv, h_vec)]
+        assert center == c[:p] and rho_in == rho_out == eta - obj.value(c)
+        wide += n > p
+    assert 20 < wide < 70
+
+
 def test_the_sandwich_question_keeps_the_ball_answers(monkeypatch):
     # in y = E z the sandwich B(a, r) <= B proj Q <= B(a, R), B = E^-1, is
     # a pair of concentric ellipsoids of shape E E^T: the lattice point is
@@ -758,7 +826,7 @@ def test_the_sandwich_question_keeps_the_ball_answers(monkeypatch):
     points = thin = 0
     for sw, (y, bands) in _sandwich_answers(monkeypatch):
         p = len(sw.a)
-        e = sw.simplex.edge_matrix()
+        e = _edges(sw.simplex)
         want = flatness(sw.a, sw.r, LatticeBasis(sw.b_mat))
         if want.tag == LATTICE_POINT:
             assert bands is None and y == mat_vec(e, want.z)
