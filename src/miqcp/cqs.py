@@ -193,12 +193,14 @@ def theoretical_box(q: ConvexQuadraticSet):
 
 
 def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
-    """A full-dimensional polytope (P intersected with a cube) inside Q.
+    """A full-dimensional polyhedron inside Q: P itself, or P intersected
+    with a cube.
 
     Requires P full-dimensional, which P's kept probe decides (no LP after
     `classify_fulldim`), and the FULL_DIM case of q's `_level_case`
     (min q over P < eta), whose minimum it reads.  An identically-zero q
-    makes Q = P: the cube is the unit cube around P's probe point.
+    makes Q = P, so P itself is returned, with the probe and phase 1 it
+    keeps; it is a polytope when Q is bounded, as the sandwich needs.
     Otherwise the cube is centred at a witness xbar with q(xbar) < eta:
     the minimizer, or, when the minimum over P is -infinity, a point on
     the certified ray (H r = 0 and h.r = -1, so q falls by lambda along
@@ -218,10 +220,8 @@ def inner_polytope(q: ConvexQuadraticSet) -> Polyhedron:
     tag, res = _level_case(q)
     if tag != FULL_DIM:
         raise PreconditionError("inner_polytope: min over P is not below eta")
-    if res is None:
-        # the quadratic is identically zero: Q is the polyhedron itself
-        center = probe.point
-        return poly.with_box([v - 1 for v in center], [v + 1 for v in center])
+    if res is None:  # the quadratic is identically zero: Q is the polyhedron itself
+        return poly
     if res.is_optimal:
         xbar = res.x
     else:

@@ -510,7 +510,9 @@ def sandwich(q: ConvexQuadraticSet, check: bool = True) -> SandwichResult:
     (2n LPs), for callers that have not shown it.
 
     The grow loop starts from the seed simplex and the anchor, the inner
-    polytope's probe point.
+    polytope's probe point.  When q is identically zero, the inner polytope
+    is P itself, so the seed LPs run on P's phase 1 and the anchor is the
+    probe point P keeps, read back rather than solved again.
     """
     inner = inner_polytope(q)
     if check and not cqs_is_bounded(q):

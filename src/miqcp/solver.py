@@ -13,6 +13,11 @@ continuous ones.  When the objective is definite, a slice whose
 hyperplane misses the level ellipsoid is closed in closed form
 (`_band_misses`), with the node its child would have recorded.
 
+A polyhedral node, one whose objective is identically zero so that Q = P
+(the MILP check, and every node below it), rounds P's probe point before it
+sandwiches, seeds the sandwich in P itself, and opens only the bands whose
+hyperplane meets P (`_feas_rec`).
+
 An ellipsoidal node needs no sandwich.  When the objective is definite and
 its level ellipsoid E = {q <= eta} lies inside P (`_ellipsoid_inside`,
 decided on ints row by row), the set is E, and its projection onto the
@@ -232,6 +237,17 @@ def _ignore(**node) -> None:
 
 
 def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
+    """A point of Q with integer leading coordinates, or None: one node of
+    the recursion, which reports each node it closes to record.
+
+    A node whose reduced objective is identically zero asks about P itself.
+    It rounds the leading coordinates of the probe point P keeps and lifts
+    them by one slice LP first (simple rounding, Berthold 2006), and is
+    sandwiched only when that slice misses P.  Of the bands that meet the
+    outer ellipsoid (`band_count`, which `gamma_band_bound_sq` bounds), it
+    opens only those whose hyperplane meets P (`open_band_count`), from
+    the minimum and maximum of c . x over P, two LPs on P's phase 1.
+    """
     out = _fulldim_reduce_cqs_impl(
         q, on_descent=lambda dim: record(depth=depth, p=q.p, event="face_descent",
                                          ambient_dim=dim))
@@ -247,6 +263,12 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
         record(depth=depth, p=q.p, event="continuous")
         return tau.apply(point)
 
+    polyhedral = q2.obj.is_zero()  # Q = P
+    if polyhedral:
+        point = slice_point(q2, [Rat(rround(v)) for v in _fulldim_probe(q2.poly).point[:p2]])
+        if point is not None:
+            record(depth=depth, p=q.p, event="lattice_point")
+            return tau.apply(point)
     inside = q2.obj.definite and _ellipsoid_inside(q2)
     y, bands = (_ellipsoid_question if inside else _sandwich_question)(q2)
     if y is not None:
@@ -258,11 +280,16 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
     # thin direction: every mixed-integer point lies on one of few hyperplanes
     c_int, gamma_lo, gamma_hi = bands
     count = max(0, gamma_hi - gamma_lo + 1)
-    record(depth=depth, p=q.p, event="thin_direction", band_count=count,
-           band_bound_sq=gamma_band_bound_sq(p2))
-    if count == 0:
-        return None
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
+    if polyhedral and count:
+        # open only the gamma whose hyperplane meets P: two LPs on P's phase 1
+        gamma_lo = max(gamma_lo, rceil(lp_min(c_ext, q2.poly).value))
+        gamma_hi = min(gamma_hi, rfloor(-lp_min([-v for v in c_ext], q2.poly).value))
+    opened = max(0, gamma_hi - gamma_lo + 1)
+    record(depth=depth, p=q.p, event="thin_direction", band_count=count,
+           open_band_count=opened, band_bound_sq=gamma_band_bound_sq(p2))
+    if opened == 0:
+        return None
     # The bands share W = [c], so one rhs-free family parametrizes them all,
     # and the parametrizable ones become children.  When q2 is definite and
     # sandwiched, a band whose hyperplane misses {q <= eta} is closed here:

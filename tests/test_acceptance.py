@@ -388,6 +388,8 @@ def test_criterion_8_recursion_shape(corpus_results):
         max_depth_seen = max(max_depth_seen, depth)
         for entry in tr.band_entries():
             count = entry["band_count"]
+            # the bands opened are those of the count that also meet P
+            assert 0 <= entry["open_band_count"] <= count, name
             if count >= 1:
                 # count <= bound + 1, compared through the exact squared bound
                 assert Rat((count - 1) ** 2) <= entry["band_bound_sq"], name

@@ -145,6 +145,15 @@ def test_inner_polytope_rejects_a_flat_polyhedron():
         inner_polytope(cqs(flat, [[0, 0], [0, 0]], [0, 0], 9))
 
 
+def test_inner_polytope_of_a_zero_set_is_its_polyhedron():
+    # q = 0 makes Q = P, so the sandwich seeds and anchors in P itself, on
+    # the probe and phase 1 that P keeps, with no cube cut off it
+    poly = box([0, -2], [3, 5], p=1).with_rows([[Rat(1), Rat(1)]], [Rat(6)])
+    q = cqs(poly, [[0, 0], [0, 0]], [0, 0], 0)
+    assert inner_polytope(q) is q.poly
+    assert classify_fulldim(q).polytope is q.poly
+
+
 def test_inner_polytope_unbounded_min_walks_the_ray():
     # min of x1 over {x1 free} is -inf; the witness is a point on qp_min's
     # certified ray, so no search box is needed

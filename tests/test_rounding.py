@@ -16,9 +16,11 @@ import miqcp.solver
 from miqcp.cqs import (
     ConvexQuadraticSet,
     classify_fulldim,
+    fulldim_reduce_cqs,
     quadratic_feasible_point,
     slice_point,
 )
+from miqcp.diophantine import Empty
 from miqcp.errors import PreconditionError
 from miqcp.linalg import (
     det, dot, identity, integer_row, inverse, mat, mat_mul, mat_vec, norm_sq, null_space,
@@ -523,38 +525,63 @@ def _load_bench_family(name):
     return getattr(module, name + "_family")
 
 
+def _bench_entry(source):
+    """(kind, parsed) of the seed-2024 bench instance named source, or
+    None for a corpus name; parsed as perfbench/run.py parses it."""
+    family = source.split("_")[0]
+    if family not in ("pdepth", "radius", "msplit"):
+        return None
+    entry = next(e for e in _load_bench_family(family)(2024) if e["name"] == source)
+    return entry["kind"], miqcp.cli.parse_instance(entry["text"])
+
+
 def _solve(source):
     """Solve the corpus instance named source, or the seed-2024 bench
     instance of that name, as perfbench/run.py solves it."""
-    family = source.split("_")[0]
-    if family not in ("pdepth", "radius", "msplit"):
+    bench = _bench_entry(source)
+    if bench is None:
         return miqcp.solver.optimize(dict(corpus.corpus())[source])
-    entry = next(e for e in _load_bench_family(family)(2024) if e["name"] == source)
-    parsed = miqcp.cli.parse_instance(entry["text"])
-    if entry["kind"] == "optimize":
+    kind, parsed = bench
+    if kind == "optimize":
         return miqcp.solver.optimize(parsed.micqp)
     return miqcp.solver.feasibility(parsed.quad, parsed.micqp.declared_box)
+
+
+def _milp_set(source):
+    """The reduced set of source's MILP check, the identically-zero
+    objective over its polyhedron cut by its box (`solver._boxed`), or None
+    when the reduction leaves it empty or with no integer variable.  The
+    solver rounds P's probe point before it sandwiches such a set, so a
+    test that grows one builds it here."""
+    bench = _bench_entry(source)
+    inst = dict(corpus.corpus())[source] if bench is None else bench[1].micqp
+    out = fulldim_reduce_cqs(miqcp.solver._boxed(miqcp.solver._milp_cqs(inst.poly),
+                                                 inst.declared_box))
+    return None if isinstance(out, Empty) or out[1].p == 0 else out[1]
 
 
 def _solver_sets(monkeypatch, source):
     """Every reduced Q that the solve of source (`_solve`) asks its lattice
     question of: the sets it sandwiches and the level ellipsoids inside P
-    it asks directly (`solver._ellipsoid_question`).  Each is a bounded
-    full-dimensional set that a sandwich may be grown in."""
+    it asks directly (`solver._ellipsoid_question`), and its MILP check's
+    set (`_milp_set`).  Each is a bounded full-dimensional set that a
+    sandwich may be grown in."""
     seen = []
     with monkeypatch.context() as m:
         for name in ("_sandwich_question", "_ellipsoid_question"):
             question = getattr(miqcp.solver, name)
             m.setattr(miqcp.solver, name, lambda q, question=question: seen.append(q) or question(q))
         _solve(source)
-    return seen
+    milp = _milp_set(source)
+    return seen if milp is None else seen + [milp]
 
 
 # the pdepth, radius and gen_34 sets are definite and not (the definite
 # pdepth and radius sets are level ellipsoids inside P, which the solver
-# asks with no sandwich, and are grown here all the same); gen_24 and
-# gen_27 meet only semidefinite and zero objectives; only on gen_34 does a
-# definite set send a probe past the closed form to a QP
+# asks with no sandwich, and their MILP checks' zero sets, which it rounds
+# first, are grown here all the same); gen_24 and gen_27 meet only
+# semidefinite and zero objectives; only on gen_34 does a definite set
+# send a probe past the closed form to a QP
 @pytest.mark.parametrize("source", ["pdepth_p2", "pdepth_p3", "radius_1e12", "gen_24", "gen_27",
                                     "gen_34"])
 def test_grow_trajectory_unchanged_on_solver_sets(monkeypatch, source):
@@ -589,6 +616,8 @@ def test_every_grow_ends_at_a_fixed_point(monkeypatch):
     for source in sources:
         before = len(grows)
         _solve(source)
+        # the MILP check's zero set is rounded first, so it is sandwiched here
+        sandwich(_milp_set(source))
         assert len(grows) > before
     for q, sim in grows:
         assert all(slice_point(q, v) is not None for v in sim.vertices)
@@ -673,6 +702,15 @@ def test_zero_objective_push_runs_no_qp_when_the_cut_misses(monkeypatch):
     assert tests == [True] * 4
 
 
+def _unit_cube_inputs(q):
+    """The seed simplex and anchor of a zero set q grown from P cut by the
+    unit cube around P's probe point, a seed that leaves pushes to accept
+    (a seed in P itself may already span the grown simplex)."""
+    center = _fulldim_probe(q.poly).point
+    inner = q.poly.with_box([v - 1 for v in center], [v + 1 for v in center])
+    return Simplex(seed_simplex(inner)), _fulldim_probe(inner).point
+
+
 def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch):
     # Q = P with a bounded P: every cut the run LP leaves open holds its
     # vertex, which lies in Q, so no push runs a QP
@@ -682,7 +720,7 @@ def test_zero_objective_push_matches_the_reference_on_ordinary_runs(monkeypatch)
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
-        s0, anchor = _grow_inputs(q)
+        s0, anchor = _unit_cube_inputs(q)
         qps, found = _pushes_match_the_reference(monkeypatch, q, s0, anchor)
         pushes.update(zip(qps, found))
     assert set(pushes) == {(0, True), (0, False)}
@@ -694,7 +732,7 @@ def test_zero_objective_grow_runs_no_qp(monkeypatch):
         n = rng.randint(1, 3)
         zero = [[ZERO] * n for _ in range(n)]
         q = _zero_set(_seeded_set(rng, n, rng.randint(1, n), zero, [ZERO] * n).poly)
-        s0, anchor = _grow_inputs(q)
+        s0, anchor = _unit_cube_inputs(q)
         qps = []
         feasible_point = rounding.quadratic_feasible_point
         with monkeypatch.context() as m:
@@ -781,18 +819,19 @@ def _grow_probe_lines(workload):
 
 
 def test_grow_probes_tool_prints_the_four_kinds():
-    lines = _grow_probe_lines("radius")
-    zero, definite = lines["zero"], lines["definite"]
-    # the run LP decides every zero-objective question: it proves the cut
-    # empty, or its vertex is the accepted point
+    # radius grows nothing: its MILP checks round P's probe point to a
+    # point, and its optimality probes' sets are definite level ellipsoids
+    # inside P, asked with no sandwich
+    assert not any(any(cols.values()) for cols in _grow_probe_lines("radius").values())
+    # msplit grows only zero sets, and the run LP decides every question:
+    # it proves the cut empty, or its vertex is the accepted point
+    lines = _grow_probe_lines("msplit")
+    zero = lines["zero"]
     assert zero["qp"] == 0 and zero["vertex"] == zero["accepted"] > 0 and zero["run_lp"] > 0
     assert zero["closed_form"] == 0
-    # the MILP check's sets are zero; the optimality probes' sets are
-    # definite level ellipsoids inside P, asked with no sandwich, so no
-    # definite question is grown
-    assert not any(definite.values())
+    assert lines["total"] == zero
     # no cut QP runs, so none has kept a bound
-    assert lines["total"]["kept"] == 0
+    assert zero["kept"] == 0
     # the corpus still sandwiches definite sets that stick out of P: the
     # closed form decides some of their questions, and only theirs
     corpus_lines = _grow_probe_lines("corpus")

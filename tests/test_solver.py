@@ -20,7 +20,7 @@ from miqcp.diophantine import AffineParam, Empty, _ParamFamily, parametrize_mixe
 from miqcp.errors import DimensionError, PreconditionError
 from miqcp.lattice import LATTICE_POINT, LatticeBasis, flatness, width_bound_sq
 from miqcp.linalg import dot, identity, inverse, mat, mat_mul, mat_vec, norm_sq, transpose
-from miqcp.polyhedra import Polyhedron
+from miqcp.polyhedra import Polyhedron, lp_min
 from miqcp.qp import QpObjective, qp_min, qp_min_on_slice
 from miqcp.rational import Rat, is_integral, rceil, rfloor, size_of
 from miqcp.rounding import ceil_sqrt
@@ -45,7 +45,7 @@ from miqcp.solver import (
 
 from corpus import corpus
 from test_polyhedra import box
-from test_rounding import _load_bench_family, _solve
+from test_rounding import _bench_entry, _load_bench_family, _milp_set, _primitive_row, _solve
 
 
 def cqs_of(poly, h_rows, h_vec, eta):
@@ -359,6 +359,29 @@ def test_optimize_without_any_bound_starts_at_the_rounded_minimizer():
     assert res.status == OPTIMAL_STATUS and res.value == 0
 
 
+# Unboxed instances that once ran away on the symbolic box: the MILP
+# check's point now comes from P's rounded probe point, or from bands cut to
+# those that meet P, so each answers its boxed optimum.  An infeasible
+# unboxed instance still searches the whole symbolic box (ROADMAP item 3).
+_STRIP = ('{"n":2,"p":2,"W":[[1,-3],[-1,3]],"w":["1/3","1/3"],'
+          '"objective":{"H":[[1,0],[0,1]],"h":["-39/5","-12/5"]}}')
+_EQ4 = ('{"n":4,"p":3,"W":[[2,3,1,1],[-2,-3,-1,-1]],"w":[1,-1],'
+        '"objective":{"H":[[1,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]],"h":[-1,0,0,0]}}')
+_EQ3 = ('{"n":3,"p":2,"W":[[2,3,1],[-2,-3,-1]],"w":[1,-1],'
+        '"objective":{"H":[[1,1,0],[1,1,0],[0,0,1]],"h":[-1,0,0]}}')
+
+
+@pytest.mark.parametrize("text, value", [(_STRIP, Rat(-79, 5)), (_EQ3, Rat(-1)), (_EQ4, Rat(-1))],
+                         ids=["strip", "eq3", "eq4"])
+def test_an_unboxed_instance_answers_its_boxed_optimum(text, value):
+    inst = parse_instance(text).micqp
+    with pytest.warns(RuntimeWarning):
+        res = optimize(inst)
+    assert res.status == OPTIMAL_STATUS and res.value == value
+    assert inst.poly.contains(res.x) and all(is_integral(v) for v in res.x[:inst.poly.p])
+    assert inst.obj.value(res.x) == value
+
+
 def _record_feasibility_answers(monkeypatch) -> list:
     """A list that gets the answer of every later `feasibility` call of
     `optimize`, the MILP check's first."""
@@ -629,7 +652,7 @@ def test_the_bands_of_a_thin_node_share_one_parametrization(monkeypatch):
             trace = Trace()
             optimize(inst, trace)
             nodes += trace.band_entries()
-    assert len(families) == sum(node["band_count"] > 0 for node in nodes) > 50
+    assert len(families) == sum(node["open_band_count"] > 0 for node in nodes) > 50
     shared = 0
     for family, w, p, m in families:
         params = [(rhs, out) for f, rhs, out in solved if f is family]
@@ -641,6 +664,66 @@ def test_the_bands_of_a_thin_node_share_one_parametrization(monkeypatch):
         shared += sum(isinstance(out, AffineParam) for _, out in params) > 1
         assert family.m == m
     assert shared > 30
+
+
+def test_a_polyhedral_node_opens_exactly_the_bands_that_meet_p(monkeypatch):
+    # on Q = P a thin answer's range [lo, hi] in a random primitive d is
+    # cut to the gamma whose hyperplane d . y = gamma meets P: each of them
+    # is opened, by one solve of the band family, and no other gamma is,
+    # where an LP over P cut by the hyperplane decides which gamma meet P;
+    # band_count stays the count of [lo, hi]
+    rng = random.Random(37)
+    feas_rec, solve = miqcp.solver._feas_rec, _ParamFamily.solve
+    opened = clipped = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = rng.randint(1, n)
+        lo = [Rat(rng.randint(-6, 0), rng.randint(1, 2)) for _ in range(n)]
+        poly = box(lo, [a + Rat(rng.randint(1, 6), rng.randint(1, 2)) for a in lo], p=p)
+        if rng.random() < 0.5:
+            row = [Rat(rng.randint(-2, 2)) for _ in range(n)]
+            poly = poly.with_rows([row], [dot(row, lo) + Rat(rng.randint(1, 4), 2)])
+        d = _primitive_row(rng, p)
+        band_lo = rng.randint(-30, 2)
+        band_hi = rng.choice([30, band_lo + rng.randint(-1, 6)])
+        asked, gammas = [], []
+        trace = Trace()
+        with monkeypatch.context() as m:
+            m.setattr(miqcp.solver, "slice_point", lambda q, y: None)  # rounding finds no point
+            m.setattr(miqcp.solver, "_sandwich_question",
+                      lambda q: asked.append(q) or (None, (d, band_lo, band_hi)))
+            m.setattr(miqcp.solver, "_feas_rec", lambda q, depth, record: None)  # no child has one
+            m.setattr(_ParamFamily, "solve", lambda f, rhs: gammas.append(rhs[0]) or solve(f, rhs))
+            assert feas_rec(miqcp.solver._milp_cqs(poly), 0, trace.record) is None
+        reduced = asked[0].poly
+        c = d + [Rat(0)] * (reduced.n - p)
+        meets = [g for g in range(band_lo, band_hi + 1)
+                 if lp_min([Rat(0)] * reduced.n, reduced.with_equality(c, Rat(g))).status != INFEASIBLE]
+        assert gammas == meets
+        assert trace.nodes[-1] == {"depth": 0, "p": p, "event": "thin_direction",
+                                   "band_count": max(0, band_hi - band_lo + 1),
+                                   "open_band_count": len(meets),
+                                   "band_bound_sq": gamma_band_bound_sq(p)}
+        opened += len(meets) > 0
+        clipped += len(meets) < band_hi - band_lo + 1
+    assert opened > 20 and clipped > 20
+
+
+def test_the_milp_check_rounds_p_s_probe_point_before_any_sandwich(monkeypatch):
+    # on radius_1e12 the MILP check's set is P, and the rounded leading
+    # coordinates of the probe point P keeps lift to a point of P: one
+    # lattice_point node and no sandwich; the optimality probes ask level
+    # ellipsoids inside P, so the whole solve sandwiches nothing
+    asked = []
+    question = miqcp.solver._sandwich_question
+    monkeypatch.setattr(miqcp.solver, "_sandwich_question", lambda q: asked.append(q) or question(q))
+    inst = _bench_entry("radius_1e12")[1].micqp
+    trace = Trace()
+    x = feasibility(miqcp.solver._milp_cqs(inst.poly), inst.declared_box, trace)
+    assert inst.poly.contains(x) and all(is_integral(v) for v in x[:inst.poly.p])
+    assert trace.nodes == [{"depth": 0, "p": inst.poly.p, "event": "lattice_point"}]
+    assert optimize(inst).status == OPTIMAL_STATUS
+    assert asked == []
 
 
 def _definite_objective(rng, n):
@@ -731,19 +814,23 @@ def test_an_ellipsoid_node_opens_exactly_the_bands_that_meet_it(monkeypatch):
 
 def _sandwich_answers(monkeypatch):
     """(sw, answer) for every `_sandwich_question` of one `optimize` pass
-    over the corpus and one solve of each seed-2024 `msplit` instance: the
-    sandwich it grew and the (y, bands) it returned."""
+    over the corpus and one solve of each seed-2024 `msplit` instance, and
+    of each one's MILP check set (`_milp_set`), which the solver rounds
+    before it sandwiches: the sandwich it grew and the (y, bands) it
+    returned."""
     sws, answers = [], []
     question, grow = miqcp.solver._sandwich_question, miqcp.solver.sandwich
+    sources = [name for name, _ in corpus()] + [e["name"] for e in _load_bench_family("msplit")(2024)]
     with monkeypatch.context() as m:
         m.setattr(miqcp.solver, "sandwich",
                   lambda q, check: sws.append(grow(q, check=check)) or sws[-1])
         m.setattr(miqcp.solver, "_sandwich_question",
                   lambda q: answers.append(question(q)) or answers[-1])
-        for _, inst in corpus():
-            optimize(inst)
-        for entry in _load_bench_family("msplit")(2024):
-            _solve(entry["name"])
+        for source in sources:
+            _solve(source)
+            milp = _milp_set(source)
+            if milp is not None:
+                miqcp.solver._sandwich_question(milp)
     assert len(sws) == len(answers)
     return list(zip(sws, answers))
 
