@@ -53,12 +53,12 @@ class Simplex:
     One integer inverse (`linalg.integer_inverse`) of D E gives the facts,
     with E the edge matrix (column j is v_{j+1} - v_0) and D the lcm of the
     vertex denominators.  It returns d (D E)^-1 and d = +-det(D E), the last
-    Bareiss pivot, so volume = |det E| = |d| / D^p and
-    E^-1 = D (d (D E)^-1) / d.  The ints D v_j are kept with them.
-    Row b_i of E^-1 has b_i . (v_j - v_0) = [j = i + 1], so -b_i is
-    normal to the facet opposite v_{i+1} and sum_i b_i to the one opposite
-    v_0: each normal is the integer row (or row sum), negated when d > 0
-    for -b_i and when d < 0 for the sum, divided by its gcd.  So normals are
+    Bareiss pivot, so volume = |det E| = |d| / D^p.  (D E)^-1 is reduced
+    once to lowest terms K / k, k > 0, so E^-1 = D K / k, and the ints
+    D v_j are kept with K, k and D.  Row b_i of E^-1 has
+    b_i . (v_j - v_0) = [j = i + 1], so -b_i is normal to the facet
+    opposite v_{i+1} and sum_i b_i to the one opposite v_0: each normal is
+    -K's row i (or K's row sum) divided by its gcd.  So normals are
     primitive vectors of Python ints (small normals keep the probe
     subproblems small), and facets[i] = (normal, offset) has
     normal . v_j = offset for j != i and normal . v_i < offset.
@@ -82,10 +82,11 @@ class Simplex:
                                       for i in range(p)])
         except PreconditionError:
             raise PreconditionError("Simplex: the vertices are affinely dependent") from None
-        self._ints, self._inv = ints, (inv, d, den)
+        flat, k = lowest_terms([v for row in inv for v in row], d)
+        inv = [flat[i * p:(i + 1) * p] for i in range(p)]  # K, with E^-1 = D K / k
+        self._ints, self._inv = ints, (inv, k, den)
         self.volume = Rat(abs(d), den ** p)
-        sign = 1 if d > 0 else -1
-        normals = [[sign * sum(col) for col in zip(*inv)]] + [[-sign * v for v in row] for row in inv]
+        normals = [[sum(col) for col in zip(*inv)]] + [[-v for v in row] for row in inv]
         self.facets = []
         for i, nrm in enumerate(normals):
             g = gcd(*nrm)
@@ -479,8 +480,8 @@ class SandwichResult:
 
     @cached_property
     def b_mat(self) -> Matrix:
-        inv, d, den = self.simplex._inv
-        return [[Rat(den * v, d) for v in row] for row in inv]
+        inv, k, den = self.simplex._inv
+        return [[Rat(den * v, k) for v in row] for row in inv]
 
     @property
     def a(self) -> Vector:
@@ -490,13 +491,12 @@ class SandwichResult:
         """(metric, shape, center, r^2, R^2): the sandwich in y = E z.  With
         (D E)^-1 = K / k in lowest terms, S = B^T B is the Gram matrix of K's
         columns over k^2 / D^2, S^-1 = E E^T that of D E's rows over D^2."""
-        ints, (inv, d, den) = self.simplex._ints, self.simplex._inv
-        flat, k = lowest_terms([v for row in inv for v in row], d)  # K / k
-        p, v0, m = len(inv), ints[0], self.r.denominator  # m = 1 / r
+        ints, (inv, k, den) = self.simplex._ints, self.simplex._inv  # (K, k, D)
+        v0, m = ints[0], self.r.denominator  # m = 1 / r
         edges = [[a - b for a, b in zip(v, v0)] for v in ints[1:]]  # columns of D E
         # c = E a = v_0 + r sum_j (v_j - v_0)
         center = [Rat(m * x + sum(e), m * den) for x, e in zip(v0, zip(*edges))]
-        return ((_gram([flat[j::p] for j in range(p)]), Rat(k * k, den * den)),
+        return ((_gram(list(zip(*inv))), Rat(k * k, den * den)),
                 (_gram(list(zip(*edges))), den * den), center, self.r ** 2, self.big_r ** 2)
 
 

@@ -9,9 +9,10 @@ for either an integer point in the inner ellipsoid (lift it by a slice QP)
 or a thin integer direction (enumerate the few hyperplane slices that
 meet the outer one, each with at least one fewer integer variable).  Work
 grows with the number of integer variables, not with the count of
-continuous ones.  When the objective is definite, a slice whose
-hyperplane misses the level ellipsoid is closed in closed form
-(`_band_misses`), with the node its child would have recorded.
+continuous ones.  When the objective is definite, the slices that meet
+the level ellipsoid {q <= eta} form one interval of integers, computed on
+ints as the outer ellipsoid's are (`_band_range` of `_level_projection`),
+and only the slices in both intervals are opened.
 
 A polyhedral node, one whose objective is identically zero so that Q = P
 (the MILP check, and every node below it), rounds P's probe point before it
@@ -71,7 +72,7 @@ from .polyhedra import Polyhedron, _fulldim_probe, content_key, integer_system, 
 from .qp import QpObjective, QpResult, qp_min, qp_min_on_slice
 from .rational import Rat, ZERO, rceil, rfloor, rround
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from .rounding import _half_space_run, ceil_sqrt, cqs_is_bounded, sandwich
+from .rounding import ceil_sqrt, cqs_is_bounded, sandwich
 from .table import per_solve, remember
 
 OPTIMAL_STATUS = "optimal"
@@ -246,7 +247,9 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
     sandwiched only when that slice misses P.  Of the bands that meet the
     outer ellipsoid (`band_count`, which `gamma_band_bound_sq` bounds), it
     opens only those whose hyperplane meets P (`open_band_count`), from
-    the minimum and maximum of c . x over P, two LPs on P's phase 1.
+    the minimum and maximum of c . x over P, two LPs on P's phase 1.  A
+    definite node opens only those whose hyperplane meets {q <= eta}, one
+    interval of integers; the others' children would reduce to Empty.
     """
     out = _fulldim_reduce_cqs_impl(
         q, on_descent=lambda dim: record(depth=depth, p=q.p, event="face_descent",
@@ -281,31 +284,27 @@ def _feas_rec(q: ConvexQuadraticSet, depth: int, record) -> Optional[Vector]:
     c_int, gamma_lo, gamma_hi = bands
     count = max(0, gamma_hi - gamma_lo + 1)
     c_ext = list(c_int) + [ZERO] * (q2.n - p2)
+    # open only the gamma whose hyperplane meets P (q = 0: two LPs on P's
+    # phase 1) or {q <= eta} (q definite: the identity on an ellipsoid node)
     if polyhedral and count:
-        # open only the gamma whose hyperplane meets P: two LPs on P's phase 1
         gamma_lo = max(gamma_lo, rceil(lp_min(c_ext, q2.poly).value))
         gamma_hi = min(gamma_hi, rfloor(-lp_min([-v for v in c_ext], q2.poly).value))
+    elif q2.obj.definite and count:
+        lo, hi = _band_range(c_int, *_level_projection(q2))
+        gamma_lo, gamma_hi = max(gamma_lo, lo), min(gamma_hi, hi)
     opened = max(0, gamma_hi - gamma_lo + 1)
     record(depth=depth, p=q.p, event="thin_direction", band_count=count,
            open_band_count=opened, band_bound_sq=gamma_band_bound_sq(p2))
     if opened == 0:
         return None
     # The bands share W = [c], so one rhs-free family parametrizes them all,
-    # and the parametrizable ones become children.  When q2 is definite and
-    # sandwiched, a band whose hyperplane misses {q <= eta} is closed here:
-    # its child's reduction would find it empty, so the same node is
-    # recorded without building the child.  An ellipsoid node's bands all
-    # meet {q <= eta}.
+    # and the parametrizable ones become children.
     family = _param_family([c_ext], p2)
-    misses = _band_misses(q2, c_ext) if q2.obj.definite and not inside else None
     for gamma in range(gamma_lo, gamma_hi + 1):
         param = family.solve([Rat(gamma)])
         if isinstance(param, Empty):
             continue
         assert param.p_prime <= p2 - 1
-        if misses is not None and misses(gamma):
-            record(depth=depth + 1, p=param.p_prime, event="empty_after_reduction")
-            continue
         sub = _feas_rec(q2.map_through(param), depth + 1, record)
         if sub is not None:
             return tau.apply(param.apply(sub))
@@ -322,22 +321,30 @@ def _lattice_question(metric, shape, center, rho_in, rho_out) -> tuple:
     """`ellipsoid_flatness` asked of E(rho) = {y : (y - c)^T S (y - c) <= rho}
     with E(rho_in) <= proj_p(Q) <= E(rho_out), shape = (N, n) and
     S^-1 = N / n: (y, None) with y an integer point of E(rho_in), or
-    (None, (d, lo, hi)) with [lo, hi] exactly the integers gamma whose
-    hyperplane d . y = gamma meets E(rho_out), those with
-    (gamma - d . c)^2 <= rho_out d^T S^-1 d.  Writing d . c = m / t, those
-    are the gamma with |t gamma - m| <= s = isqrt(floor(t^2 rho_out u)),
-    u = d^T N d / n.  (hi - lo)^2 <= 4 rho_out d^T S^-1 d <=
+    (None, (d, lo, hi)) with [lo, hi] = `_band_range`(d, shape, c, rho_out),
+    exactly the integers gamma whose hyperplane d . y = gamma meets
+    E(rho_out).  (hi - lo)^2 <= 4 rho_out d^T S^-1 d <=
     (rho_out / rho_in) width_bound_sq(p), at most `gamma_band_bound_sq`(p).
     """
     outcome = ellipsoid_flatness(metric, shape, center, rho_in)
     if outcome.tag == LATTICE_POINT:
         return outcome.z, None
-    d = outcome.d
+    return None, (outcome.d, *_band_range(outcome.d, shape, center, rho_out))
+
+
+def _band_range(d: Vector, shape, center: Vector, rho: Rat) -> Tuple[int, int]:
+    """(lo, hi): [lo, hi] is exactly the integers gamma whose hyperplane
+    d . y = gamma meets E(rho) = {y : (y - c)^T S (y - c) <= rho}, those
+    with (gamma - d . c)^2 <= rho d^T S^-1 d, for an integer d,
+    shape = (N, n), S^-1 = N / n and rho >= 0; lo = hi + 1 when there are
+    none.  Writing d . c = m / t, they are the gamma with
+    |t gamma - m| <= s = isqrt(floor(t^2 rho u)), u = d^T N d / n.
+    """
     mc = dot(d, center)
     m, t = mc.numerator, mc.denominator
     (n_ints, n), di = shape, [v.numerator for v in d]
-    s = isqrt(rfloor(rho_out * _idot(di, [_idot(row, di) for row in n_ints]) * t * t / n))
-    return None, (d, -((s - m) // t), (m + s) // t)
+    s = isqrt(rfloor(rho * _idot(di, [_idot(row, di) for row in n_ints]) * t * t / n))
+    return -((s - m) // t), (m + s) // t
 
 
 def _ellipsoid_inside(q: ConvexQuadraticSet) -> bool:
@@ -359,49 +366,38 @@ def _ellipsoid_inside(q: ConvexQuadraticSet) -> bool:
     return True
 
 
+def _level_projection(q: ConvexQuadraticSet) -> tuple:
+    """(shape, center, rho) of proj_p {q <= eta} for a definite q:
+    {y : (y - c_I)^T S (y - c_I) <= rho}, c q's free minimizer,
+    S^-1 = (H^-1)_II as shape = (N, n) with S^-1 = N / n, center c_I and
+    rho = eta - q(c), read from `free_minimum`."""
+    p = q.p
+    (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
+    return (([row[:p] for row in hi_num[:p]], hi_den),
+            [Rat(v, xb_den) for v in xb_num[:p]], q.eta - q_bar)
+
+
 def _ellipsoid_question(q: ConvexQuadraticSet) -> tuple:
     """The lattice question asked of Q = E, the level ellipsoid of a
     definite q inside P (`_ellipsoid_inside`), with no sandwich.
 
-    proj_p E = {y : (y - c_I)^T S (y - c_I) <= rho}, c q's free minimizer,
-    S^-1 = (H^-1)_II and rho = eta - q(c), so `_lattice_question` asks it
-    with rho_in = rho_out = rho: its bands are exactly those that meet
-    proj_p E, and (hi - lo)^2 <= width_bound_sq(p).  S is the Schur
-    complement H_II - H_IC H_CC^-1 H_CI, H when n = p; on `integer_form`'s
-    s H = H_i and I_d = d (H_i)_CC^-1 it is (d (H_i)_II - (H_i)_IC I_d (H_i)_CI) / (s d).
+    proj_p E is `_level_projection`'s ellipsoid, of shape S^-1 = (H^-1)_II,
+    so `_lattice_question` asks it with rho_in = rho_out = rho: its bands
+    are exactly those that meet proj_p E, and
+    (hi - lo)^2 <= width_bound_sq(p).  S is the Schur complement
+    H_II - H_IC H_CC^-1 H_CI, H when n = p; on `integer_form`'s s H = H_i
+    and I_d = d (H_i)_CC^-1 it is
+    (d (H_i)_II - (H_i)_IC I_d (H_i)_CI) / (s d).
     """
     p = q.p
-    (xb_num, xb_den), (hi_num, hi_den), q_bar = q.obj.free_minimum()
     h_int, _, scale = q.obj.integer_form()
     inv, d = integer_inverse([row[p:] for row in h_int[p:]])  # ([], 1) when n = p
     hic = [row[p:] for row in h_int[:p]]
     flat, den = lowest_terms([d * h_int[i][j] - _idot(a, [_idot(row, b) for row in inv])
                               for i, a in enumerate(hic) for j, b in enumerate(hic)], scale * d)
-    rho = q.eta - q_bar
+    shape, center, rho = _level_projection(q)
     return _lattice_question(([flat[i * p:(i + 1) * p] for i in range(p)], den),
-                             ([row[:p] for row in hi_num[:p]], hi_den),
-                             [Rat(v, xb_den) for v in xb_num[:p]], rho, rho)
-
-
-def _band_misses(q: ConvexQuadraticSet, c: Vector):
-    """gamma -> whether the hyperplane c . x = gamma misses the ellipsoid
-    {q <= eta} of a definite q whose set is full-dimensional.
-
-    With xbar q's free minimizer, the least value of q on the hyperplane is
-    phi(gamma) = q(xbar) + (c . xbar - gamma)^2 / (c^T H^-1 c), which is
-    q's minimum over the half-space the hyperplane bounds away from xbar:
-    {c . x <= gamma} below c . xbar, {-c . x <= -gamma} above it.
-    `rounding._half_space_run` decides phi(gamma) <= eta on ints, both
-    senses from one computation.  A hyperplane through xbar never misses,
-    since q(xbar) <= min q over P < eta; both runs then fit.
-
-    A missed band's child is mapped into that hyperplane, so its minimum
-    of q is at least phi(gamma) > eta: its reduction returns Empty at its
-    polyhedron step or at its first level case, and, as a face descent
-    needs a minimum equal to eta, records no node before that.
-    """
-    below, above = _half_space_run(q, c)
-    return lambda gamma: not (below(gamma, 1)[0] and above(-gamma, 1)[0])
+                             shape, center, rho, rho)
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import math
 import random
+import sys
 import warnings
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -580,47 +582,99 @@ def _closure_cases():
 
 
 @pytest.fixture(scope="module")
-def closed_bands():
+def level_clips():
     """One `optimize` pass over `_closure_cases` as it runs: {name: (answer,
-    trace nodes)}, and (q2, c, gamma) for every band the closure closed."""
-    closed = []
-    band_misses = miqcp.solver._band_misses
+    trace nodes)}, and (q, c, gamma) for every gamma of a definite
+    sandwiched node's [lo, hi] that the level clip leaves closed."""
+    runs, closed = {}, []
+    question = miqcp.solver._sandwich_question
 
-    def recording(q, c):
-        misses = band_misses(q, c)
+    def asked(q):
+        y, bands = question(q)
+        if bands is not None and q.obj.definite:
+            d, lo, hi = bands
+            level_lo, level_hi = miqcp.solver._band_range(d, *miqcp.solver._level_projection(q))
+            c = list(d) + [Rat(0)] * (q.n - q.p)
+            closed.extend((q, c, gamma) for gamma in range(lo, hi + 1)
+                          if not level_lo <= gamma <= level_hi)
+        return y, bands
 
-        def recorded(gamma):
-            out = misses(gamma)
-            if out:
-                closed.append((q, c, gamma))
-            return out
-
-        return recorded
-
-    runs = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(miqcp.solver, "_band_misses", recording)
+        m.setattr(miqcp.solver, "_sandwich_question", asked)
         for name, inst in _closure_cases():
             trace = Trace()
             runs[name] = (optimize(inst, trace), trace.nodes)
     return runs, closed
 
 
-def test_closing_the_missed_bands_keeps_every_answer_and_node(closed_bands, monkeypatch):
-    # a closed band records the node its child's reduction would have
-    # recorded, so the whole trajectory is that of building every child;
-    # only sandwiched nodes close bands, as an ellipsoid node opens none
-    # that miss its level set
-    runs, closed = closed_bands
-    assert len(closed) > 30
-    monkeypatch.setattr(miqcp.solver, "_band_misses", lambda q, c: lambda gamma: False)
+def _without_level_clip(monkeypatch, inst):
+    """(answer, nodes, dropped) of `optimize`(inst) with the level clip made
+    vacuous, so a definite node builds the child of every band of [lo, hi]:
+    dropped holds the (start, end) span of trace nodes of each child whose
+    gamma the clip would have left closed."""
+    band_range, feas_rec, solve = (miqcp.solver._band_range, miqcp.solver._feas_rec,
+                                   _ParamFamily.solve)
+    trace, calls, dropped = Trace(), [], []
+
+    def clip(*args):
+        lo_hi = band_range(*args)
+        if sys._getframe(1).f_code.co_name == "_lattice_question":
+            return lo_hi
+        calls[-1]["clip"] = lo_hi
+        return -math.inf, math.inf
+
+    def node(q, depth, record):
+        parent = calls[-1] if calls else {}
+        calls.append({})
+        start = len(trace.nodes)
+        out = feas_rec(q, depth, record)
+        calls.pop()
+        if "clip" in parent and not parent["clip"][0] <= parent["gamma"] <= parent["clip"][1]:
+            assert out is None
+            dropped.append((start, len(trace.nodes)))
+        return out
+
+    def solved(family, rhs):
+        calls[-1]["gamma"] = rhs[0]
+        return solve(family, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(miqcp.solver, "_band_range", clip)
+        m.setattr(miqcp.solver, "_feas_rec", node)
+        m.setattr(_ParamFamily, "solve", solved)
+        answer = optimize(inst, trace)
+    return answer, trace.nodes, dropped
+
+
+def test_clipping_to_the_level_ellipsoid_keeps_every_answer(level_clips, monkeypatch):
+    # a definite node opens only the bands whose hyperplane meets
+    # {q <= eta}; building every band instead gives the same answer and
+    # the same trace, but for open_band_count and one empty_after_reduction
+    # node for each child the clip leaves closed
+    runs, _ = level_clips
+    closed = 0
     for name, inst in _closure_cases():
-        trace = Trace()
-        assert (optimize(inst, trace), trace.nodes) == runs[name], name
+        answer, nodes = runs[name]
+        got, all_nodes, dropped = _without_level_clip(monkeypatch, inst)
+        assert got == answer, name
+        for start, end in dropped:
+            assert [n["event"] for n in all_nodes[start:end]] == ["empty_after_reduction"], name
+        skip = {start for start, _ in dropped}
+        kept = [n for i, n in enumerate(all_nodes) if i not in skip]
+        assert len(kept) == len(nodes), name
+        for got_node, want in zip(kept, nodes):
+            assert ({k: v for k, v in got_node.items() if k != "open_band_count"}
+                    == {k: v for k, v in want.items() if k != "open_band_count"}), name
+            assert want.get("open_band_count", 0) <= got_node.get("open_band_count", 0)
+        closed += len(dropped)
+    assert closed > 30
 
 
-def test_every_closed_band_reduces_to_empty(closed_bands):
-    _, closed = closed_bands
+def test_every_closed_band_reduces_to_empty(level_clips):
+    # every gamma of [lo, hi] outside the level range has a hyperplane
+    # that misses {q <= eta}, so the child it would build reduces to Empty
+    _, closed = level_clips
+    assert len(closed) > 30
     for q2, c, gamma in closed:
         param = parametrize_mixed_integer_solutions([c], [Rat(gamma)], q2.p)
         assert isinstance(fulldim_reduce_cqs(q2.map_through(param)), Empty)
@@ -648,7 +702,7 @@ def test_the_bands_of_a_thin_node_share_one_parametrization(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(miqcp.solver, "_param_family", built)
         m.setattr(_ParamFamily, "solve", recorded)
-        for _, inst in corpus():
+        for _, inst in _closure_cases():
             trace = Trace()
             optimize(inst, trace)
             nodes += trace.band_entries()
@@ -777,39 +831,74 @@ def test_the_ellipsoid_decision_matches_the_half_space_minima():
 
 def _ellipsoid_nodes(monkeypatch):
     """(q, outcome) for every `_ellipsoid_question` of one `optimize` pass
-    over `_closure_cases`, and every set a `_band_misses` was built for."""
-    asked, misses = [], []
-    question, band_misses = miqcp.solver._ellipsoid_question, miqcp.solver._band_misses
+    over `_closure_cases`."""
+    asked = []
+    question = miqcp.solver._ellipsoid_question
     with monkeypatch.context() as m:
         m.setattr(miqcp.solver, "_ellipsoid_question",
                   lambda q: asked.append((q, question(q))) or asked[-1][1])
-        m.setattr(miqcp.solver, "_band_misses",
-                  lambda q, c: misses.append(q) or band_misses(q, c))
         for _, inst in _closure_cases():
             optimize(inst)
-    return asked, misses
+    return asked
 
 
 def test_an_ellipsoid_node_opens_exactly_the_bands_that_meet_it(monkeypatch):
     # every gamma in [lo, hi] gives a hyperplane d . y = gamma that meets
-    # E = {q <= eta} and lo - 1, hi + 1 do not, so no band of such a node is
-    # ever missed and `_band_misses` runs only on sandwiched nodes; the
-    # count obeys flatness in S's metric, (count - 1)^2 <= width_bound_sq(p)
-    asked, misses = _ellipsoid_nodes(monkeypatch)
+    # E = {q <= eta} and lo - 1, hi + 1 do not, in Fractions: with c q's
+    # free minimizer, (gamma - d . c_I)^2 <= (eta - q(c)) d^T (H^-1)_II d;
+    # the count obeys flatness in S's metric, (count - 1)^2 <= width_bound_sq(p)
+    asked = _ellipsoid_nodes(monkeypatch)
     thin = [(q, bands) for q, (y, bands) in asked if y is None]
     points = [(q, y) for q, (y, _) in asked if y is not None]
     assert len(thin) > 60 and len(points) > 5
-    assert not any(q is q2 for q2 in misses for q, _ in asked)
     for q, (d, lo, hi) in thin:
         assert all(is_integral(v) for v in d) and any(d)
         count = max(0, hi - lo + 1)
         assert (count - 1) ** 2 <= width_bound_sq(q.p) <= gamma_band_bound_sq(q.p)
-        missed = miqcp.solver._band_misses(q, list(d) + [Rat(0)] * (q.n - q.p))
-        assert missed(lo - 1) and missed(hi + 1)
-        assert not any(missed(gamma) for gamma in range(lo, hi + 1))
+        h_inv = inverse(q.obj.h_mat)
+        c = [-v / 2 for v in mat_vec(h_inv, q.obj.h_vec)]
+        mid = dot(d, c[:q.p])
+        reach = (q.eta - q.obj.value(c)) * dot(d, mat_vec([row[:q.p] for row in h_inv[:q.p]], d))
+        for gamma in range(lo - 1, hi + 2):
+            assert ((gamma - mid) ** 2 <= reach) == (lo <= gamma <= hi)
     for q, y in points:
         assert all(is_integral(v) for v in y)
         assert slice_point(q, y) is not None
+
+
+def test_band_range_is_the_brute_force_scan():
+    # [lo, hi] holds exactly the integers gamma with
+    # (gamma - d . c)^2 <= rho d^T S^-1 d, S^-1 = N / n for an integer
+    # shape N over a positive scale n, scanned in Fractions; a third of the
+    # cases put an integer gamma0 on the boundary, rho being
+    # (gamma0 - d . c)^2 / (d^T S^-1 d), so that end is tangent, and a
+    # third take a small rho, so that the range is often empty
+    rng = random.Random(38)
+    tangent = empty = 0
+    for _ in range(400):
+        p = rng.randint(1, 4)
+        ell = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(rng.randint(0, p))]
+        n_ints = [[sum(r[i] * r[j] for r in ell) + (i == j) for j in range(p)] for i in range(p)]
+        scale = rng.randint(1, 12)
+        d = _primitive_row(rng, p)
+        center = [Rat(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(p)]
+        mid = dot(d, center)
+        u = Rat(sum(d[i] * n_ints[i][j] * d[j] for i in range(p) for j in range(p)), scale)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rho = (rfloor(mid) + rng.randint(-3, 4) - mid) ** 2 / u
+        else:
+            rho = Rat(rng.randint(0, 40), rng.randint(1, 9) * (1 if kind == 1 else 100))
+        lo, hi = miqcp.solver._band_range(d, (n_ints, scale), center, rho)
+        reach = rho * u
+        radius = isqrt(rceil(reach)) + 1  # at least sqrt(reach)
+        want = [g for g in range(rfloor(mid) - radius, rceil(mid) + radius + 1)
+                if (g - mid) ** 2 <= reach]
+        assert list(range(lo, hi + 1)) == want
+        assert lo <= hi + 1
+        tangent += any((g - mid) ** 2 == reach for g in (lo, hi)) and bool(want)
+        empty += not want
+    assert tangent > 100 and empty > 40
 
 
 def _sandwich_answers(monkeypatch):
