@@ -35,6 +35,7 @@ from .simplex import (
     UNBOUNDED,
     LpResult,
     LpStart,
+    extend,
     phase1,
     phase2,
     solve_lp,
@@ -48,17 +49,21 @@ class Polyhedron:
     n is read from the rows; an explicit n is needed only when there are
     none, and one that differs from the rows' length raises DimensionError.
     Nothing writes to w_mat or w_rhs after construction, so a polyhedron
-    keeps four memos, each computed at most once per object and taking no
-    part in equality or repr:
+    keeps four memos, each computed at most once per object, and one link;
+    none takes part in equality or repr:
 
     - `_probe`, its `_fulldim_probe` (one LP);
-    - `_start`, the simplex phase-1 state of W x <= w (tableau, basis and
-      d, or the Farkas vector), built from `_ints`, from which `lp_min`
-      runs only phase 2;
+    - `_start`, the simplex start of W x <= w (dictionary rows, basis, keys
+      and d, or the Farkas vector), from which `lp_min` runs only phase 2;
+      `lp_min` builds it by `simplex.extend` of the parent's start when
+      `_parent` holds one, else by `phase1` on `_ints`;
     - `_ints`, its `integer_system`, which `with_rows` extends by the new
       rows when the parent already holds it;
     - `_key`, its `content_key`, built when `optimize`'s table is first
-      asked about it.
+      asked about it;
+    - `_parent`, the polyhedron that `with_rows` (and so `with_box` and
+      `with_equality`) added rows to, dropped once `lp_min` has built
+      `_start`.
     """
 
     w_mat: Matrix
@@ -92,6 +97,8 @@ class Polyhedron:
     _ints: Optional[Tuple[List[List[int]], List[int]]] = field(
         default=None, init=False, repr=False, compare=False)
     _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _parent: Optional[Polyhedron] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def contains(self, x: Vector) -> bool:
         """x in P, decided by `contains_ints` on x's integer form; a point
@@ -119,6 +126,7 @@ class Polyhedron:
         if self._ints is not None:
             new_rows, new_ells = integer_rows(rows, rhs)
             out._ints = (self._ints[0] + new_rows, self._ints[1] + new_ells)
+        out._parent = self
         return out
 
     def with_equality(self, row: Vector, b) -> "Polyhedron":
@@ -176,14 +184,25 @@ class Polyhedron:
 def lp_min(c: Vector, poly: Polyhedron) -> LpResult:
     """Exact min of c^T x over the polyhedron, with certificates.
 
-    Phase 1 runs on the first call for a polyhedron object, on the rows
-    of its `integer_system`, and each call runs phase 2 from its start, so
-    the result equals solve_lp's.
+    The first call for a polyhedron object builds its start, and each call
+    runs phase 2 from it.  A polyhedron that `with_rows` made from a parent
+    that already holds its start gets `extend` of that start by the new
+    rows of its `integer_system`, so phase 1 runs only where the parent's
+    vertex breaks a new row; any other runs `phase1` on all of its rows,
+    which opens artificials only on the rows that x = 0 breaks.  Either
+    way the status and the value equal solve_lp's; on ties, the point may
+    differ from it.  An unstarted parent is not started for this.
     """
     if len(c) != poly.n:
         raise DimensionError("lp_min: objective length != n")
     if poly._start is None:
-        poly._start = phase1(integer_system(poly), poly.n)
+        parent = poly._parent
+        if parent is not None and parent._start is not None:
+            rows, ells = integer_system(poly)
+            poly._start = extend(parent._start, (rows[parent.m:], ells[parent.m:]))
+        else:
+            poly._start = phase1(integer_system(poly), poly.n)
+        poly._parent = None
     return phase2(poly._start, c)
 
 
@@ -260,6 +279,14 @@ def is_fulldim_polyhedron(poly: Polyhedron) -> bool:
     return _fulldim_probe(poly).status == "full_dim"
 
 
+def _scaled_slacks(poly: Polyhedron, x: Vector) -> List[int]:
+    """Each row's slack w_i - W_i x times ell_i den > 0, as ints: b_i den -
+    A_i . num on the rows of `integer_system`, for x = num / den."""
+    num, den = integer_row(x)
+    # _idot stops at the n entries of num, before b_i
+    return [row[-1] * den - _idot(row, num) for row in integer_system(poly)[0]]
+
+
 def implicit_equalities(poly: Polyhedron) -> List[int]:
     """Indices i with W_i x = w_i on all of P, found by per-row LPs.
 
@@ -271,10 +298,7 @@ def implicit_equalities(poly: Polyhedron) -> List[int]:
         raise PreconditionError("implicit_equalities: polyhedron is empty")
     if probe.status == "full_dim":
         return []
-    candidates = set()
-    for i, s in enumerate(poly.slacks(probe.point)):
-        if s == 0:
-            candidates.add(i)
+    candidates = {i for i, s in enumerate(_scaled_slacks(poly, probe.point)) if s == 0}
     out = []
     for i in sorted(candidates):
         if i not in candidates:
@@ -284,7 +308,7 @@ def implicit_equalities(poly: Polyhedron) -> List[int]:
         if res.status == OPTIMAL and res.value == poly.w_rhs[i]:
             out.append(i)
         # any feasible point prunes every row it keeps slack on
-        for j, s in enumerate(poly.slacks(res.x)):
+        for j, s in enumerate(_scaled_slacks(poly, res.x)):
             if s > 0:
                 candidates.discard(j)
     return out

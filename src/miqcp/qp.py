@@ -258,8 +258,9 @@ def qp_min(obj: QpObjective, poly: Polyhedron) -> QpResult:
     other row has rate <= 0, z^T H z = 0 gives H z = 0 (H is PSD), and the
     reduced gradient gives h^T z < 0.
 
-    The loop starts at the simplex phase-1 point of `lp_min`, which the
-    polyhedron keeps.
+    The loop starts at the vertex of the simplex start that `lp_min`
+    keeps on the polyhedron: x = 0 when every row holds there, and a
+    child's parent's vertex when the new rows hold there.
     """
     if obj.n != poly.n:
         raise DimensionError("qp_min: objective and polyhedron dimensions differ")

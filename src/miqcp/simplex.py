@@ -21,27 +21,33 @@ leave Bland's choice, the ratio test and its ties unchanged.  Rationals are
 read from the inputs through ``numerator``/``denominator`` and built only
 for the outputs, as ``Rat(int, int)``.
 
-Phase 1 starts n + 1 wide too.  While artificial i is basic, slack i's
-column is a multiple of the artificial's, so it is not stored: Bland's scan
-computes its reduced cost, a slack that enters is pivoted on as that
-column, and when the artificial leaves for another variable, the slack's
-column takes the entering column's place.  Duals and Farkas vectors are
-read from the slacks' reduced costs: stored, implicit, or 0 when basic.
-
 Phase 1 depends only on (W, w), not on c, and any feasible basis is a valid
 start for phase 2 (Dantzig's two-phase method; Chvatal 1983, ch. 8).  So
-``phase1`` turns the integer rows of (W, w) into an ``LpStart`` (the rows,
-keys, basis and d after the artificials are driven out, or the Farkas
-vector), and ``phase2`` restarts from a copy of it for each cost.
-``solve_lp`` scales the rows and runs the one after the other; a
+the start of a system is an ``LpStart`` (the rows, keys, basis and d of a
+feasible dictionary, or a Farkas vector), and ``phase2`` restarts from a
+copy of it for each cost.  There is one way to build a start: ``extend``
+writes new rows into a feasible dictionary (row addition; Chvatal 1983,
+ch. 10).  A row that the current vertex satisfies gets its slack basic; a
+row that it breaks is negated and gets an artificial, and phase 1
+minimizes the sum of those artificials only.  ``phase1`` is ``extend`` of
+the empty dictionary of n free variables, at x = 0, so a fresh system
+opens artificials only on the rows with w_i < 0.  While artificial i is
+basic, slack i's column is a multiple of the artificial's, so it is not
+stored and stays n + 1 wide: when the artificial leaves for another
+variable, the slack's column takes the entering column's place.  Duals
+and Farkas vectors are read from the slacks' reduced costs: stored,
+implicit, or 0 when basic.
+
+``solve_lp`` scales the rows and runs ``phase1`` and ``phase2``; a
 ``Polyhedron`` keeps its start, so many objectives over one polyhedron pay
-for phase 1 once, and hands phase 1 the integer rows it keeps.
+for phase 1 once, and a polyhedron that is its parent plus a few rows
+(``Polyhedron.with_rows``) extends the parent's start by those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import List, Optional
 
 from .errors import DimensionError
@@ -94,15 +100,18 @@ class LpResult:
 
 @dataclass(frozen=True, slots=True)
 class LpStart:
-    """Phase 1's outcome on W x <= w with n variables and m rows.
+    """The start of W x <= w with n variables and m rows, from ``phase1``
+    or ``extend``.
 
-    A feasible system keeps the dictionary after the artificials are driven
-    out: the integer rows, n + 1 ints each (the n nonbasic stored columns in
-    the order of ``keys``, then the right-hand side), the basis and d; an
+    A feasible system keeps a feasible dictionary with no artificial: the
+    integer rows, n + 1 ints each (the n nonbasic stored columns in the
+    order of ``keys``, then the right-hand side), the basis and d; an
     infeasible one keeps only its Farkas vector.  Nothing writes to the
     rows, the basis or the keys: ``phase2`` works on a shallow copy of the
-    row list and copies of the basis and the keys, which is enough because
-    a pivot replaces rows and never writes into one.
+    row list and copies of the basis and the keys, and ``extend`` on new
+    lists, which is enough because a pivot replaces rows and never writes
+    into one.  So an extended start may share rows and keys with its
+    parent's.
     """
 
     n: int
@@ -125,12 +134,13 @@ class _Tableau:
     right-hand side; the column of a basic variable is d e_r and is not
     stored.
 
-    In phase 1, ``art[i]`` = sigma_i s_i and artificial i, while basic,
-    sits in row i (it starts there and never re-enters); slack i's column
-    is then art[i] d e_i, so the slack is implicit: not stored, with
-    reduced cost d rho(i).  When artificial i leaves, slack i's column
-    takes the entering column's place; when slack i itself enters, it is
-    pivoted on as that implicit column and the artificial's is dropped.
+    In phase 1, row i that ``extend`` negated has ``art[i]`` = -s_i, s_i
+    its scale, and artificial i, while basic, sits in row i (it starts
+    there and never re-enters); slack i's column is then art[i] d e_i, so
+    the slack is implicit: not stored, with reduced cost d rho(i) > 0.
+    When artificial i leaves, slack i's column takes the entering column's
+    place; when the drive-out pivots slack i itself in, it is pivoted on as
+    that implicit column and the artificial's is dropped.
     """
 
     __slots__ = ("n", "m", "rows", "basis", "keys", "d", "art", "cost")
@@ -159,12 +169,9 @@ class _Tableau:
         return self.cost[k] - self.cost[k + self.m] * self.art[i]
 
     def implicit_column(self, i):
-        """Slack i's entries while artificial i is basic: art[i] d in row
-        i, and d rho(i) in the reduced-cost row when it rides along."""
+        """Slack i's entries while artificial i is basic: art[i] d in row i."""
         col = [0] * len(self.rows)
         col[i] = self.art[i] * self.d
-        if len(col) > self.m:
-            col[self.m] = self.d * self.rho(i)
         return col
 
     def pivot(self, r, col, j, k):
@@ -223,10 +230,11 @@ class _Tableau:
         """Bland's choice, (variable, column entries, position), or None.
 
         The smallest variable number with a negative reduced cost: x+ j
-        where red < 0, x- j where red > 0, then a stored or implicit slack
-        where red < 0.
+        where red < 0, x- j where red > 0, then a stored slack where
+        red < 0.  An implicit slack never enters here: its reduced cost
+        rho(i) = -art[i] times artificial i's cost is positive.
         """
-        n, m, keys = self.n, self.m, self.keys
+        n, keys = self.n, self.keys
         best = at = None
         for k, (key, v) in enumerate(zip(keys, red)):
             if v < 0:
@@ -237,13 +245,6 @@ class _Tableau:
                 continue
             if best is None or j < best:
                 best, at = j, k
-        if self.art and (best is None or best >= 2 * n):
-            ncols = 2 * n + m
-            limit = ncols if best is None else best
-            i = next((i for i, b in enumerate(self.basis)
-                      if b >= ncols and 2 * n + i < limit and self.rho(i) < 0), None)
-            if i is not None:
-                return 2 * n + i, self.implicit_column(i), None
         if best is None:
             return None
         if n <= best < 2 * n:
@@ -306,64 +307,110 @@ class _Tableau:
         return [Rat(v, self.d) for v in out]
 
 
+def extend(start: LpStart, ints: tuple) -> LpStart:
+    """The start of W x <= w plus k new rows, from the start of W x <= w.
+
+    ints is (rows, scales) for the k new rows, as ``phase1`` takes them.
+    Each new row [a | b] is written in the kept dictionary: d a on the
+    stored x+ keys, minus a_j times the row of each basic x+ j (plus a_j
+    for a basic x- j); its right-hand side is d (b - a . x) at the current
+    vertex x.  Where that is >= 0 the row's slack goes basic; where it is
+    < 0 the row is negated and its artificial goes basic, with the slack
+    implicit.  A slack's column is its scale s_i times e_i and an
+    artificial's is e_i, so to keep d = |det B| (Bareiss 1968) the old rows
+    and d are multiplied by the product L of the slack rows' scales, and
+    slack row i by L / s_i.  Phase 1 then minimizes the sum of those
+    artificials alone, and the ones left basic at 0 are driven out.  An
+    infeasible start gives an infeasible system, with its Farkas vector
+    padded by zeros; k = 0 returns the start.
+    """
+    new_rows, scale = ints
+    k = len(new_rows)
+    n, m = start.n, start.m
+    if k == 0:
+        return start
+    if start.farkas is not None:
+        return LpStart(n, m + k, [], [], [], farkas=start.farkas + [ZERO] * k)
+    m_all = m + k
+    if n == 0:
+        bad = next((i for i, row in enumerate(new_rows) if row[-1] < 0), None)
+        if bad is None:
+            return LpStart(0, m_all, [], [], [])
+        farkas = [ZERO] * m_all
+        farkas[m + bad] = ONE
+        return LpStart(0, m_all, [], [], [], farkas=farkas)
+
+    d, keys = start.d, start.keys
+    basic_x = [(b, row) for b, row in zip(start.basis, start.rows) if b < 2 * n]
+    written = []
+    for row in new_rows:
+        u = [d * row[key] if key < n else 0 for key in keys] + [d * row[-1]]
+        for b, brow in basic_x:
+            f = row[b] if b < n else -row[b - n]
+            if f:
+                u = [v - f * w for v, w in zip(u, brow)]
+        written.append(u)
+    big = prod(ell for u, ell in zip(written, scale) if u[-1] >= 0)
+    rows = [row if big == 1 else [big * v for v in row] for row in start.rows]
+    basis = list(start.basis)
+    ncols = 2 * n + m_all
+    art, arts = [0] * m_all, []
+    for i, (u, ell) in enumerate(zip(written, scale), m):
+        if u[-1] >= 0:
+            share = big // ell
+            rows.append(u if share == 1 else [share * v for v in u])
+            basis.append(2 * n + i)
+        else:
+            rows.append([-big * v for v in u])
+            basis.append(ncols + i)
+            art[i] = -ell
+            arts.append(i)
+    if not arts:
+        return LpStart(n, m_all, rows, basis, keys, d * big)
+
+    # Minimize the artificial sum, times ell = lcm of their scales:
+    # artificial i costs ell / s_i in the scaled variable s_i a_i.
+    t = _Tableau(n, rows, basis, list(keys), d * big, art)
+    ell = lcm(*(scale[i - m] for i in arts))
+    cost = [0] * (ncols + m_all)
+    for i in arts:
+        cost[ncols + i] = ell // scale[i - m]
+    status, red1, _ = t.run(cost)
+    if status != OPTIMAL:
+        raise AssertionError("phase 1 is bounded below by 0 but ended " + status)
+    if -red1[-1] > 0:
+        # the slacks' reduced costs -sigma_i y_i, y the phase-1 duals and
+        # sigma_i = -1 on a negated row, are a Farkas certificate
+        return LpStart(n, m_all, [], [], [], farkas=[Rat(v, ell * t.d) for v in t.slack_reds(red1)])
+
+    # Drive the artificials out of the basis, each on the smallest key with
+    # a nonzero entry in its row.  There always is one: artificial i is
+    # basic only in row i, where its implicit slack's entry art[i] d is
+    # nonzero, so no row is left with an artificial.
+    for i in arts:
+        if t.basis[i] >= ncols:
+            key = min([key for key, v in zip(t.keys, t.rows[i]) if v] + [n + i])
+            if key < n + i:
+                at = t.keys.index(key)
+                t.pivot(i, [row[at] for row in t.rows], key if key < n else n + key, at)
+            else:
+                t.pivot(i, t.implicit_column(i), 2 * n + i, None)
+    if any(b >= ncols for b in t.basis):
+        raise AssertionError("phase 1 left an artificial variable basic")
+    return LpStart(n, m_all, t.rows, t.basis, t.keys, t.d)
+
+
 def phase1(ints: tuple, n: int) -> LpStart:
-    """A feasible start for min c^T x s.t. W x <= w, x in R^n, any c.
+    """A feasible start for min c^T x s.t. W x <= w, x in R^n, any c: the
+    ``extend`` of the empty dictionary of n free variables (keys x+ 0..n-1,
+    d = 1) by every row.
 
     ints is (rows, scales) with rows[i] = scales[i] [W_i | w_i] as ints and
     scales[i] > 0 the lcm of row i's denominators, as ``integer_rows``
     builds it and ``polyhedra.integer_system`` keeps it.  Rows must have
     length n + 1; ``solve_lp`` and ``Polyhedron`` check that.
     """
-    rows, scale = ints
-    m = len(rows)
-    if m == 0:
-        return LpStart(n, 0, [], [], [])
-    if n == 0:
-        bad = next((i for i in range(m) if rows[i][-1] < 0), None)
-        if bad is None:
-            return LpStart(0, m, [], [], [])
-        farkas = [ZERO] * m
-        farkas[bad] = ONE
-        return LpStart(0, m, [], [], [], farkas=farkas)
-
-    # Standard form: z = (x+, x-, s) >= 0 with rows scaled so b >= 0, plus
-    # artificial variables forming the phase-1 identity basis.  Row i is
-    # also multiplied by s_i, the lcm of its denominators: the data turns
-    # integer and artificial i becomes s_i a_i, so its column stays e_i and
-    # slack i's is sigma_i s_i e_i, implicit.  The dictionary starts with
-    # the x+ columns and the right-hand side, d = 1 (Bareiss 1968).
-    sigma = [(-1 if row[-1] < 0 else 1) for row in rows]
-    ncols = 2 * n + m
-    tab = [row if sg == 1 else [-v for v in row] for row, sg in zip(rows, sigma)]
-    t = _Tableau(n, tab, [ncols + i for i in range(m)], list(range(n)), 1,
-                 [sg * si for sg, si in zip(sigma, scale)])
-
-    # Minimize the artificial sum, times ell = lcm(s): artificial i costs
-    # ell / s_i in the scaled variable s_i a_i.
-    ell = lcm(*scale)
-    status, red1, _ = t.run([0] * ncols + [ell // si for si in scale])
-    if status != OPTIMAL:
-        raise AssertionError("phase 1 is bounded below by 0 but ended " + status)
-    if -red1[-1] > 0:
-        # mu = -sigma (1 - y), y the phase-1 duals, is a Farkas certificate;
-        # it is the reduced cost of the slack columns
-        return LpStart(n, m, [], [], [], farkas=[Rat(v, ell * t.d) for v in t.slack_reds(red1)])
-
-    # Drive the artificials out of the basis, each on the smallest key with
-    # a nonzero entry in its row.  There always is one: artificial i is
-    # basic only in row i, where its implicit slack's entry art[i] d is
-    # nonzero, so no row is left with an artificial.
-    for i in range(m):
-        if t.basis[i] >= ncols:
-            key = min([key for key, v in zip(t.keys, t.rows[i]) if v] + [n + i])
-            if key < n + i:
-                k = t.keys.index(key)
-                t.pivot(i, [row[k] for row in t.rows], key if key < n else n + key, k)
-            else:
-                t.pivot(i, t.implicit_column(i), 2 * n + i, None)
-    if any(b >= ncols for b in t.basis):
-        raise AssertionError("phase 1 left an artificial variable basic")
-    return LpStart(n, m, t.rows, t.basis, t.keys, t.d)
+    return extend(LpStart(n, 0, [], [], list(range(n))), ints)
 
 
 def phase2(start: LpStart, c: Vector) -> LpResult:

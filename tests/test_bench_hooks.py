@@ -62,11 +62,11 @@ def test_sandwich_probes_through_the_hooked_feasible_point(monkeypatch):
 
     monkeypatch.setattr(rounding, "grow_simplex", counted_grow)
     monkeypatch.setattr(rounding, "quadratic_feasible_point", counted_point)
-    # x1^2 + x2^2 <= 4 on [-3, 3]^2 cut by x1 + x2 <= 1, p = 2: the cut
+    # x1^2 + x2^2 <= 4 on [-3, 3]^2 cut by x1 + x2 <= 0, p = 2: the cut
     # row binds, so some grow probes need a QP (the closed form decides the rest)
     rows = [[Rat(1), Rat(0)], [Rat(-1), Rat(0)], [Rat(0), Rat(1)], [Rat(0), Rat(-1)],
             [Rat(1), Rat(1)]]
-    poly = Polyhedron(rows, [Rat(3)] * 4 + [Rat(1)], 2)
+    poly = Polyhedron(rows, [Rat(3)] * 4 + [Rat(0)], 2)
     q = ConvexQuadraticSet(poly, QpObjective([[Rat(1), Rat(0)], [Rat(0), Rat(1)]],
                                              [Rat(0), Rat(0)]), Rat(4))
     rounding.sandwich(q)

@@ -207,8 +207,8 @@ def test_sandwich_payload_is_pinned(tmp_path):
     code, payload = run("sandwich", write_instance(tmp_path, inst))
     assert code == 0
     assert json.dumps(payload) == (
-        '{"B": [["-64/113", "48/113"], ["-12/113", "-104/113"]], "a": ["217/452", "-489/452"], '
-        '"r": "1/4", "R": "4", "simplex_vertices": [["5/8", "11/8"], ["-1", "25/16"], ["-1/8", "3/8"]]}')
+        '{"B": [["0", "4/5"], ["-2/5", "-19/25"]], "a": ["1/4", "-2/5"], '
+        '"r": "1/4", "R": "4", "simplex_vertices": [["13/8", "0"], ["-3/4", "5/4"], ["-7/8", "0"]]}')
 
 
 def test_reduce_fulldim_roundtrip(tmp_path):

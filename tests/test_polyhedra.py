@@ -366,6 +366,23 @@ def _random_polyhedron(rng, den):
     return Polyhedron(rows, rhs, n=n)
 
 
+def test_implicit_equalities_match_one_lp_per_row():
+    # the pruning by slacks on the kept integer rows drops no row that an LP
+    # per row, min W_i x = w_i over P, finds tight on all of P
+    rng = random.Random(2426)
+    flat = 0
+    for _ in range(300):
+        poly = _random_polyhedron(rng, 6)
+        if _fulldim_probe(poly).status == "empty":
+            continue
+        ref = Polyhedron(poly.w_mat, poly.w_rhs, n=poly.n)
+        want = [i for i, (row, b) in enumerate(zip(ref.w_mat, ref.w_rhs))
+                if (res := lp_min(row, ref)).is_optimal and res.value == b]
+        assert implicit_equalities(poly) == want
+        flat += bool(want)
+    assert flat > 20
+
+
 def test_probe_matches_the_rational_rows_lp():
     # on integer rows [A_i | b_i] (every ell_i = 1) the probe's LP on
     # [A_i, ell_i | b_i] is the reference LP row for row: the same status

@@ -17,7 +17,8 @@ import miqcp.simplex
 from miqcp.linalg import _dot, integer_row, integer_rows, rank
 from miqcp.polyhedra import Polyhedron, integer_system, lp_min
 from miqcp.qp import _independent_active_rows
-from miqcp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, phase1, solve_lp
+from miqcp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, extend, phase1, phase2,
+                           solve_lp)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -56,7 +57,8 @@ def _reference_solve_lp(w_mat, w_rhs, c, trace=None):
         row[ncols + i] = ONE
         row[total] = sigma[i] * w_rhs[i]
         tab.append(row)
-    basis = [ncols + i for i in range(m)]
+    # slack i basic where w_i >= 0, artificial i where w_i < 0
+    basis = [(2 * n if sigma[i] == 1 else ncols) + i for i in range(m)]
 
     def pivot(r, jcol):
         if trace is not None:
@@ -113,12 +115,13 @@ def _reference_solve_lp(w_mat, w_rhs, c, trace=None):
                     if rr[j] != 0:
                         red[j] -= f * rr[j]
 
-    cost1 = [ZERO] * ncols + [ONE] * m
+    # phase 1 costs only the basic artificials; an artificial never enters
+    cost1 = [ZERO] * ncols + [ZERO if sigma[i] == 1 else ONE for i in range(m)]
     status, red1, _ = run(cost1)
     assert status == OPTIMAL
     if -red1[total] > 0:
-        mu = [-sigma[i] * (ONE - red1[ncols + i]) for i in range(m)]
-        return LpResult(INFEASIBLE, farkas=mu)
+        # the slacks' reduced costs are a Farkas certificate
+        return LpResult(INFEASIBLE, farkas=red1[2 * n:ncols])
 
     for i in range(m):
         if basis[i] >= ncols:
@@ -147,8 +150,7 @@ def _reference_solve_lp(w_mat, w_rhs, c, trace=None):
         return LpResult(UNBOUNDED, x=current_x(), ray=ray)
 
     x = current_x()
-    mu = [-sigma[i] * (-red2[ncols + i]) for i in range(m)]
-    return LpResult(OPTIMAL, x, sum((a * b for a, b in zip(c, x)), ZERO), dual=mu)
+    return LpResult(OPTIMAL, x, sum((a * b for a, b in zip(c, x)), ZERO), dual=red2[2 * n:ncols])
 
 
 def _naive_dot(x, y):
@@ -236,7 +238,8 @@ def test_integer_tableau_matches_fraction_tableau():
 
 def _msplit_lp(rng):
     """An LP shaped like a market-split node: n = 5..9 in the 0/1 box, m =
-    16..28 rows, equality pairs a.x = b with integer a in 0..20.
+    16..28 rows, equality pairs a.x = b with integer a in 0..20, written
+    as a.x <= b, -a.x <= -b and, every other pair, in the reverse order.
 
     Most systems put a 0/1 vertex on every pair, where the box rows are
     tight too (a degenerate vertex); the others take b = floor(sum a / 2),
@@ -255,7 +258,7 @@ def _msplit_lp(rng):
             rhs.append(ONE)
         rows.append([-ONE if j == i else ZERO for j in range(n)])
         rhs.append(ZERO)
-    kind = rng.random()
+    kind, box = rng.random(), len(rows)
     while len(rows) < m:
         a = [Fraction(0 if free and j == 0 else rng.randint(0, 20)) for j in range(n)]
         if kind < 0.6:
@@ -264,11 +267,12 @@ def _msplit_lp(rng):
             b = Fraction(int(sum(a)) // 2)
         else:
             b = sum(a) + 1
-        rows.append(a)
-        rhs.append(b)
-        if len(rows) < m:
-            rows.append([-v for v in a])
-            rhs.append(-b)
+        pair = [(a, b), ([-v for v in a], -b)]
+        if (len(rows) - box) % 4 == 2:
+            pair.reverse()
+        for row, side in pair[:m - len(rows)]:
+            rows.append(row)
+            rhs.append(side)
     c = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
     return rows, rhs, c
 
@@ -418,6 +422,42 @@ def test_phase1_runs_once_per_object(monkeypatch):
     assert first == Polyhedron(rows, rhs) and repr(first) == repr(Polyhedron(rows, rhs))
 
 
+def test_a_child_of_a_started_parent_extends_its_start(monkeypatch):
+    # with_rows, with_box and with_equality children of a parent that holds
+    # its start run `extend` by their new rows and no phase 1, with the
+    # status and value of solve_lp on all their rows; a child of an
+    # unstarted parent runs phase 1 and leaves the parent unstarted
+    runs = _count_phase1(monkeypatch)
+    extended = []
+    monkeypatch.setattr(miqcp.polyhedra, "extend",
+                        lambda start, ints: extended.append(ints) or extend(start, ints))
+    rng = random.Random(20261023)
+    for _ in range(120):
+        w_mat, w_rhs, c = _random_lp(rng)
+        (rows, rhs), (new_rows, new_rhs) = _split(rng, w_mat, w_rhs, 2)
+        n = len(c)
+        parent = Polyhedron(rows, rhs, n=n)
+        kinds = [lambda p: p.with_rows(new_rows, new_rhs),
+                 lambda p: p.with_box([w_rhs[0]] * n, [w_rhs[0] + 1] * n),
+                 lambda p: p.with_equality(w_mat[0], w_rhs[0])]
+        for make in kinds:
+            child = make(parent)
+            want = solve_lp(child.w_mat, child.w_rhs, c)
+            started = parent._start is not None
+            runs.clear()
+            extended.clear()
+            res = lp_min(c, child)
+            assert (res.status, res.value) == (want.status, want.value)
+            _check_certificate(res, child.w_mat, child.w_rhs, c)
+            assert child._parent is None
+            if started:
+                assert runs == [] and len(extended) == 1
+                assert extended[0] == tuple(part[parent.m:] for part in integer_system(child))
+            else:
+                assert len(runs) == 1 and extended == [] and parent._start is None
+            lp_min(c, parent)
+
+
 def test_results_share_no_list_with_the_start():
     # mutating what lp_min returned must leave the next result and the
     # kept start unchanged: rows, basis and keys, which phase 2's pivots
@@ -444,6 +484,94 @@ def test_results_share_no_list_with_the_start():
             assert poly._start.keys == kept.keys
             assert poly._start == kept
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def _split(rng, w_mat, w_rhs, parts):
+    """The rows of W x <= w as parts consecutive (rows, rhs) blocks, each
+    maybe empty."""
+    cuts = sorted(rng.randint(0, len(w_mat)) for _ in range(parts - 1))
+    bounds = list(zip([0] + cuts, cuts + [len(w_mat)]))
+    return [(w_mat[a:b], w_rhs[a:b]) for a, b in bounds]
+
+
+def _extended(blocks, n):
+    """The start of all blocks' rows: `phase1` of the first block, then one
+    `extend` per later block."""
+    start = phase1(integer_rows(*blocks[0]), n)
+    for rows, rhs in blocks[1:]:
+        start = extend(start, integer_rows(rows, rhs))
+    return start
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_extend_gives_the_status_and_value_of_the_joined_rows(parts):
+    # a child (parts = 2) and a grandchild (parts = 3) that extend their
+    # parent's start by rational rows: the same status and value as
+    # solve_lp on all the rows, and a certificate that holds on them
+    rng = random.Random(20261022 + parts)
+    seen, scales = set(), set()
+    for _ in range(300):
+        w_mat, w_rhs, c = _random_lp(rng)
+        blocks = _split(rng, w_mat, w_rhs, parts)
+        start = _extended(blocks, len(c))
+        res = phase2(start, c)
+        want = solve_lp(w_mat, w_rhs, c)
+        assert (res.status, res.value) == (want.status, want.value)
+        _check_certificate(res, w_mat, w_rhs, c)
+        assert start.m == len(w_mat)
+        seen.add(res.status)
+        scales.update(integer_rows(*blocks[-1])[1])
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert max(scales) > 1  # rows with denominators, where ell != 1
+
+
+def test_extend_of_an_infeasible_start_pads_its_farkas_vector():
+    rng = random.Random(31)
+    padded = 0
+    for _ in range(300):
+        w_mat, w_rhs, c = _random_lp(rng)
+        (rows, rhs), child = _split(rng, w_mat, w_rhs, 2)
+        parent = phase1(integer_rows(rows, rhs), len(c))
+        if parent.farkas is None or not child[0]:
+            continue
+        res = phase2(extend(parent, integer_rows(*child)), c)
+        assert res.farkas == parent.farkas + [ZERO] * len(child[0])
+        _check_certificate(res, w_mat, w_rhs, c)
+        padded += 1
+    assert padded > 10
+
+
+def test_extend_by_no_row_returns_the_start():
+    rng = random.Random(32)
+    for _ in range(20):
+        w_mat, w_rhs, c = _random_lp(rng)
+        start = phase1(integer_rows(w_mat, w_rhs), len(c))
+        assert extend(start, ([], [])) is start
+
+
+@pytest.mark.parametrize("w_mat, w_rhs, new_rhs, status", [
+    ([[], []], [ONE, ZERO], [ONE], OPTIMAL),
+    ([[], []], [ONE, ZERO], [ZERO, -ONE, -ONE], INFEASIBLE),
+    ([], [], [-ONE], INFEASIBLE),
+])
+def test_extend_with_no_variable(w_mat, w_rhs, new_rhs, status):
+    # n = 0: a new row 0 <= b holds exactly when b >= 0, and the first
+    # that fails is the Farkas vector
+    start = extend(phase1(integer_rows(w_mat, w_rhs), 0), integer_rows([[]] * len(new_rhs), new_rhs))
+    assert phase2(start, []) == _reference_solve_lp(w_mat + [[]] * len(new_rhs), w_rhs + new_rhs, [])
+    assert phase2(start, []).status == status
+
+
+def test_extend_leaves_the_parent_start_as_it_was():
+    rng = random.Random(33)
+    for _ in range(150):
+        w_mat, w_rhs, c = _random_lp(rng)
+        (rows, rhs), child = _split(rng, w_mat, w_rhs, 2)
+        parent = phase1(integer_rows(rows, rhs), len(c))
+        kept = copy.deepcopy(parent)
+        start = extend(parent, integer_rows(*child))
+        phase2(start, c)
+        assert parent == kept
 
 
 def test_dot_matches_naive_fraction_sum():

@@ -25,7 +25,7 @@ from miqcp.polyhedra import _fulldim_probe
 from miqcp.cqs import ConvexQuadraticSet
 from miqcp.qp import QpObjective
 from miqcp.rational import Rat
-from miqcp.simplex import phase1
+from miqcp.simplex import extend, phase1
 from miqcp.solver import MicqpInstance, Trace, boundedness, feasibility, optimize
 
 from corpus import corpus
@@ -49,7 +49,7 @@ def open_pass():
     Returns {name: (status, trace nodes)}, the number of `_probe_lp` runs,
     every (objective, tau, child, q(xbar)) of `QpObjective.substitute` and
     every (w_mat, w_rhs, kept integer rows) of a polyhedron that `lp_min`
-    ran phase 1 on.
+    ran phase 1 on or built a start for by `extend`.
     """
     maps, starts = [], []
     substitute = QpObjective.substitute
@@ -72,10 +72,19 @@ def open_pass():
         starts.append((poly.w_mat, poly.w_rhs, ints))
         return phase1(ints, n)
 
+    def recorded_extend(start, ints):
+        # a child's start extends its parent's by the child's last rows
+        poly = asked[0]
+        rows, ells = poly._ints
+        assert ints == (rows[start.m:], ells[start.m:]) and start.m + len(ints[0]) == poly.m
+        starts.append((poly.w_mat, poly.w_rhs, poly._ints))
+        return extend(start, ints)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(QpObjective, "substitute", recorded_substitute)
         m.setattr(miqcp.polyhedra, "integer_system", recorded_integer_system)
         m.setattr(miqcp.polyhedra, "phase1", recorded_phase1)
+        m.setattr(miqcp.polyhedra, "extend", recorded_extend)
         probed = _count_probe_lps(m)
         runs = {}
         for name, inst in corpus():
@@ -219,8 +228,9 @@ def test_every_solver_substitution_keeps_its_contract(open_pass):
 
 
 def test_phase1_on_kept_integer_rows_matches_the_rational_rows(open_pass):
-    # every polyhedron the corpus solve ran phase 1 on, mapped children among
-    # them: the kept rows, after the whole pass, are the rows scaled afresh
+    # every polyhedron the corpus solve ran phase 1 or `extend` on, mapped
+    # children among them: the kept rows, after the whole pass, are the rows
+    # scaled afresh
     _, _, _, starts = open_pass
     assert len(starts) > 500
     for w_mat, w_rhs, ints in starts:

@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 tools/answers.py > ANSWERS.json
+    python3 tools/answers.py --values > VALUES.json
 
 Two trees that print the same bytes give the same answers and traces:
 a change meant to leave the program as it is can be checked by running
@@ -15,12 +16,16 @@ this on both and comparing the outputs (``cmp``).  The document holds
   ``miqcp.cli.COMMANDS``, the exit code and payload of ``miqcp.cli.run``
   without and with ``--trace``.
 
+``--values`` prints only each corpus answer's status and value and each
+fixture command's exit code and status, with no point, ray or trace: a
+change that moves a point among tied optima prints the same bytes there.
 Every rational is printed as ``rat_str`` prints it, and keys are sorted.
 A corpus pass takes a few seconds.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -63,6 +68,18 @@ def corpus_answers() -> list:
     return out
 
 
+def _values(answer) -> dict:
+    """The status and value of a corpus answer: an optimize answer's own,
+    or feasible / infeasible for a feasibility point or None."""
+    if isinstance(answer, dict):
+        return {"status": answer["status"], "value": answer["value"]}
+    return {"status": "infeasible" if answer is None else "feasible", "value": None}
+
+
+def corpus_values() -> list:
+    return [{"name": entry["name"], **_values(entry["answer"])} for entry in corpus_answers()]
+
+
 def fixture_outputs() -> dict:
     out = {}
     for path in sorted((ROOT / "fixtures").glob("*.json")):
@@ -73,8 +90,27 @@ def fixture_outputs() -> dict:
     return out
 
 
-def main() -> int:
-    doc = {"corpus": corpus_answers(), "fixtures": fixture_outputs()}
+def fixture_values() -> dict:
+    """Each fixture command's exit code and payload status (None when the
+    payload has none), without --trace."""
+    out = {}
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        out[path.name] = {}
+        for command in miqcp.cli.COMMANDS:
+            code, payload = miqcp.cli.run(command, str(path))
+            out[path.name][command] = [code, payload.get("status")]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--values", action="store_true",
+                        help="print only statuses, values and exit codes")
+    args = parser.parse_args(argv)
+    if args.values:
+        doc = {"corpus": corpus_values(), "fixtures": fixture_values()}
+    else:
+        doc = {"corpus": corpus_answers(), "fixtures": fixture_outputs()}
     print(json.dumps(doc, indent=1, sort_keys=True))
     return 0
 
