@@ -13,7 +13,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import DimensionError, NotPsdError, PreconditionError
-from .rational import Rat, ZERO, ONE, is_integral, rround
+from .rational import Rat, ZERO, ONE, is_integral
 
 Vector = list
 Matrix = list
@@ -39,10 +39,6 @@ def identity(n: int) -> Matrix:
 
 def shape(a: Matrix) -> tuple:
     return (len(a), len(a[0]) if a else 0)
-
-
-def copy_mat(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -320,11 +316,20 @@ def column_reduce_unimodular(a1: Matrix) -> tuple:
     lower triangular with a nonzero diagonal once reduced, so row i depends
     on them exactly when its columns i..n-1 are zero; the loop raises
     PreconditionError there, which covers every rank-deficient A1.
+
+    The loop runs on Python ints: row i is scaled by the lcm ell_i > 0 of
+    its denominators (`integer_row`), which changes neither a quotient
+    a / b of two of its entries nor their order by magnitude, so U, U^-1
+    and K1 are those of the rational loop.  The nearest quotient rounds
+    ties toward +infinity, as `rround` does: (2a + b) // (2b) for b > 0.
+    U, U^-1 and K1 (row i divided back by ell_i) are returned as Rat
+    matrices.
     """
     r, n = shape(a1)
-    work = copy_mat(a1)
-    u = identity(n)
-    uinv = identity(n)
+    pairs = [integer_row(row) for row in a1]
+    work = [row for row, _ in pairs]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    uinv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_swap(c1, c2):
         if c1 == c2:
@@ -346,22 +351,27 @@ def column_reduce_unimodular(a1: Matrix) -> tuple:
         uinv[src] = [x - k * y for x, y in zip(uinv[src], uinv[dst])]
 
     for i in range(r):
+        row = work[i]
         while True:
-            nz = [j for j in range(i, n) if work[i][j] != 0]
+            nz = [j for j in range(i, n) if row[j] != 0]
             if not nz:
                 raise PreconditionError("row became zero; input not full row rank")
             if len(nz) == 1:
                 col_swap(i, nz[0])
                 break
-            piv = min(nz, key=lambda j: (abs(work[i][j]), j))
+            piv = min(nz, key=lambda j: (abs(row[j]), j))
+            b = row[piv]
             for j in nz:
                 if j != piv:
                     # |ratio| >= 1 since piv has the smallest magnitude, so
-                    # k != 0 and each pass strictly shrinks the row
-                    k = rround(work[i][j] / work[i][piv])
+                    # k != 0 and each pass strictly shrinks the row;
+                    # k = rround(row[j] / b), with the sign of b moved up
+                    a = row[j] if b > 0 else -row[j]
+                    k = (2 * a + abs(b)) // (2 * abs(b))
                     col_addmul(j, piv, -k)
-    k1 = [row[:r] for row in work]
-    return UnimodularCert(u, uinv), k1
+    k1 = [[Rat(v, ell) for v in row[:r]] for row, (_, ell) in zip(work, pairs)]
+    return UnimodularCert([[Rat(v) for v in row] for row in u],
+                          [[Rat(v) for v in row] for row in uinv]), k1
 
 
 # ---------------------------------------------------------------------------

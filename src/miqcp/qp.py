@@ -13,6 +13,10 @@ Every integer system is the rational one with positively scaled rows and a
 common column scale, so iterates, tie-breaks and certificates are those of
 the rational method.  Worst-case exponential, which is acceptable at desk
 scale; iteration counts are reported on every result for observability.
+
+A slice x_I = v of P is a map, not a set of rows: `qp_min_on_slice` maps
+P and q through tau(y) = (v, y), as a band child is mapped, and runs the
+loop in the n - k free coordinates, so no pin is a constraint row.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from itertools import chain
 from math import gcd
 from typing import List, Optional
 
+from .diophantine import AffineParam
 from .errors import DimensionError
 from .linalg import (
     Matrix,
@@ -29,6 +34,7 @@ from .linalg import (
     _eliminate,
     _idot,
     dot,
+    identity,
     integer_inverse,
     integer_row,
     ldlt_psd_check,
@@ -397,8 +403,37 @@ def _optimal(x_num, x_den, h_x, lin, scale, active, lam, iterations) -> QpResult
 
 
 def qp_min_on_slice(obj: QpObjective, poly: Polyhedron, fixed: Vector) -> QpResult:
-    """qp_min with the first len(fixed) coordinates pinned by equality rows."""
-    return qp_min(obj, poly.with_box(fixed, fixed))
+    """The minimum of q over the slice {x in P : x_i = v_i, i < k} of P at
+    v = fixed, run in the slice's free coordinates.
+
+    The slice is the image of tau(y) = (v, y): xbar = (v, 0), M = [0; I],
+    n' = n - k, p' = 0.  P is mapped through tau (`map_through`: a row
+    that is constant on the slice is dropped when it holds and kept as a
+    0 <= negative witness when it does not) and q is substituted
+    (`substitute`), as for a band child, and `qp_min` runs on that child
+    in n - k variables.  Its result is lifted: an optimum y* gives
+    x = (v, y*) with value child(y*) + q(xbar); an unbounded child's point
+    y and ray r give (v, y) and (0, r), a ray of q over P since
+    H (0, r) = 0 and h . (0, r) = h' . r = -1.  k = 0 is `qp_min` on P
+    itself and k = n an n = 0 child.  `active` and `lam` are None: they
+    would index the child's rows.  More pins than coordinates, or an
+    objective of another dimension, raise DimensionError.
+    """
+    n, k = poly.n, len(fixed)
+    if k > n or obj.n != n:
+        raise DimensionError("qp_min_on_slice: needs len(fixed) <= n = obj.n")
+    free = n - k
+    tau = AffineParam([Rat(v) for v in fixed] + [ZERO] * free,
+                      [[ZERO] * free for _ in range(k)] + identity(free), 0, free)
+    child, constant = obj.substitute(tau)
+    res = qp_min(child, poly.map_through(tau))
+    if res.status == OPTIMAL:
+        return QpResult(OPTIMAL, tau.xbar[:k] + res.x, res.value + constant,
+                        iterations=res.iterations)
+    if res.status == UNBOUNDED:
+        return QpResult(UNBOUNDED, point=tau.xbar[:k] + res.point,
+                        ray=[ZERO] * k + res.ray, iterations=res.iterations)
+    return res
 
 
 def check_kkt(obj: QpObjective, poly: Polyhedron, res: QpResult) -> bool:

@@ -434,11 +434,14 @@ def _denominator_bound(inst: MicqpInstance) -> int:
     """Integer D with: every candidate optimal value has denominator <= D.
 
     Candidate values are slice-QP optima.  Their points solve KKT systems
-    [2H A^T; A 0] x = rhs with A drawn from rows of W and unit pin rows, so
-    after scaling every row by the global lcm L of all data denominators the
-    system is integer, Hadamard bounds its determinant by (2n Amax^2)^n, and
-    Cramer bounds every point denominator by that.  The value q(x*) then has
-    denominator at most lcm(H, h denominators) times the point bound squared.
+    [2H A^T; A 0] x = rhs with A drawn from rows of W and from unit rows
+    e_i^T x = v_i for the pinned coordinates (`qp_min_on_slice` solves in
+    the free coordinates, which is the same system with those rows
+    eliminated), so after scaling every row by the global lcm L of all
+    data denominators the system is integer, Hadamard bounds its
+    determinant by (2n Amax^2)^n, and Cramer bounds every point
+    denominator by that.  The value q(x*) then has denominator at most
+    lcm(H, h denominators) times the point bound squared.
     """
     n = inst.poly.n
     two_h = [2 * v for row in inst.obj.h_mat for v in row]
@@ -558,7 +561,10 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
     """Brute force over all integer assignments inside the declared box.
 
     Requires declared_box.  Scans assignments lexicographically, so ties
-    resolve to the smallest integer part.
+    resolve to the smallest integer part.  Each assignment's slice is P
+    with its pins as row pairs (`with_box(v, v)`), and `qp_min` runs on
+    that polyhedron in all n coordinates, not `qp_min_on_slice`'s map to
+    the free ones, so the differential tests compare two formulations.
     """
     if inst.declared_box is None:
         raise PreconditionError("oracle_optimize requires a declared box")
@@ -573,24 +579,20 @@ def oracle_optimize(inst: MicqpInstance) -> SolveStatus:
 
     lo, hi = inst.declared_box
     ranges = [range(rceil(lo[i]), rfloor(hi[i]) + 1) for i in range(p)]
-    feasible_slices = []
-    witness = None
+    cont = qp_min(inst.obj, inst.poly)
+    best_x, best_v = None, None
     for assign in itertools.product(*ranges):
         pins = [Rat(v) for v in assign]
-        probe = lp_min([ZERO] * inst.poly.n, inst.poly.with_box(pins, pins))
-        if probe.status != INFEASIBLE:
-            feasible_slices.append(pins)
-            if witness is None:
-                witness = probe.x
-    if not feasible_slices:
-        return SolveStatus(INFEASIBLE_STATUS)
-    cont = qp_min(inst.obj, inst.poly)
-    if cont.status == UNBOUNDED:
-        return SolveStatus(UNBOUNDED_STATUS, point=witness, ray=cont.ray)
-    best_x, best_v = None, None
-    for pins in feasible_slices:
-        res = qp_min_on_slice(inst.obj, inst.poly, pins)
+        sliced = inst.poly.with_box(pins, pins)
+        probe = lp_min([ZERO] * inst.poly.n, sliced)
+        if probe.status == INFEASIBLE:
+            continue
+        if cont.status == UNBOUNDED:
+            return SolveStatus(UNBOUNDED_STATUS, point=probe.x, ray=cont.ray)
+        res = qp_min(inst.obj, sliced)
         assert res.is_optimal
         if best_v is None or res.value < best_v:
             best_x, best_v = res.x, res.value
+    if best_v is None:
+        return SolveStatus(INFEASIBLE_STATUS)
     return SolveStatus(OPTIMAL_STATUS, x=best_x, value=best_v)

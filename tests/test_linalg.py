@@ -28,7 +28,7 @@ from miqcp.linalg import (
     transpose,
     zeros,
 )
-from miqcp.rational import Rat
+from miqcp.rational import Rat, rround
 
 
 def rmat(rng, m, n, lo=-9, hi=9, denoms=(1,)):
@@ -140,6 +140,56 @@ def test_column_reduce_randomized_contract():
         assert is_integer_mat(u.u) and is_integer_mat(u.uinv)
         assert abs(det(u.u)) == 1
         assert mat_eq(mat_mul(u.u, u.uinv), identity(n))
+
+
+def _reference_column_reduce(a1):
+    """The Fraction loop that `column_reduce_unimodular` ran before it
+    scaled each row to ints: the same column operations on the rational
+    rows, quotients rounded by `rround`."""
+    r, n = shape(a1)
+    work = [list(row) for row in a1]
+    u, uinv = identity(n), identity(n)
+    for i in range(r):
+        while True:
+            nz = [j for j in range(i, n) if work[i][j] != 0]
+            if not nz:
+                raise PreconditionError("rank deficient")
+            if len(nz) == 1:
+                c = nz[0]
+                for row in work + u:
+                    row[i], row[c] = row[c], row[i]
+                uinv[i], uinv[c] = uinv[c], uinv[i]
+                break
+            piv = min(nz, key=lambda j: (abs(work[i][j]), j))
+            for j in nz:
+                if j != piv:
+                    k = -rround(work[i][j] / work[i][piv])
+                    for row in work + u:
+                        row[j] += k * row[piv]
+                    uinv[piv] = [x - k * y for x, y in zip(uinv[piv], uinv[j])]
+    return u, uinv, [row[:r] for row in work]
+
+
+def test_column_reduce_matches_the_fraction_loop():
+    """Each row scaled to ints by its own lcm keeps every nearest quotient
+    (ties included) and the magnitude order, so U, U^-1 and K1 are the
+    Fraction loop's, entry for entry."""
+    rng = random.Random(40)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        r = rng.randint(1, n)
+        a1 = rmat(rng, r, n, lo=-12, hi=12, denoms=(1, 2, 3, 4, 7, 10**6 + 3))
+        if rank(a1) < r:
+            with pytest.raises(PreconditionError):
+                column_reduce_unimodular(a1)
+            continue
+        u, k1 = column_reduce_unimodular(a1)
+        assert (u.u, u.uinv, k1) == _reference_column_reduce(a1)
+        assert all(type(v) is Rat for m in (u.u, u.uinv, k1) for row in m for v in row)
+    # quotients +-3/2 round up to 2 and -1 whatever the pivot's sign
+    for a1 in ([[3, 2]], [[-3, 2]], [[3, -2]], [[-3, -2]], [[Rat(3, 4), Rat(1, 2)]]):
+        u, k1 = column_reduce_unimodular(mat(a1))
+        assert (u.u, u.uinv, k1) == _reference_column_reduce(mat(a1))
 
 
 def test_rank_invariant_under_unimodular():

@@ -138,8 +138,10 @@ def test_qp_ray_found_after_dropping_a_row():
 
 def test_qp_slice_rejects_too_many_pins():
     obj = QpObjective(mat([[1]]), [Rat(0)])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="qp_min_on_slice"):
         qp_min_on_slice(obj, box([0], [1]), [Rat(0), Rat(0)])
+    with pytest.raises(DimensionError, match="qp_min_on_slice"):
+        qp_min_on_slice(obj, box([0, 0], [1, 1]), [Rat(0)])
 
 
 def test_qp_slice_pins():
@@ -161,6 +163,76 @@ def test_qp_slice_separable():
     assert res.status == OPTIMAL
     assert res.x == [1, 3]
     assert res.value == Rat(1, 4) + 9 - Rat(1, 4)  # shifted by the -1/4 constant
+
+
+def _slice_pins(rng, poly, k):
+    """k pins: integers, small rationals, the leading coordinates of a
+    point of P (when P is not empty), or integers far out."""
+    shape = rng.random()
+    if shape < 0.3:
+        feasible = lp_min([ZERO] * poly.n, poly)
+        if feasible.status != INFEASIBLE:
+            return feasible.x[:k]
+    if shape < 0.65:
+        return [Rat(rng.randint(-3, 3)) for _ in range(k)]
+    if shape < 0.9:
+        return [_rat(rng) for _ in range(k)]
+    return [Rat(rng.choice((-1, 1)) * rng.randint(11, 40)) for _ in range(k)]
+
+
+def test_qp_slice_matches_the_pin_rows():
+    """`qp_min_on_slice` runs in the free coordinates; the pin rows of
+    `with_box(v, v)` are the formulation it replaced.  Both give the same
+    status and value, and the same point when H is definite (one
+    minimizer); a semidefinite tie or an unbounded witness may move."""
+    rng = random.Random(40)
+    statuses = {}
+    ends = {"none": 0, "all": 0}
+    for _ in range(2400):
+        obj, poly = _random_qp(rng)
+        n = poly.n
+        k = rng.randint(0, n)
+        pins = _slice_pins(rng, poly, k)
+        got = qp_min_on_slice(obj, poly, pins)
+        want = qp_min(obj, poly.with_box(pins, pins))
+        assert got.status == want.status
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+        ends["none"] += k == 0
+        ends["all"] += k == n
+        assert got.active is None and got.lam is None
+        if got.status == OPTIMAL:
+            assert got.value == want.value
+            assert got.x[:k] == pins and poly.contains(got.x)
+            assert obj.value(got.x) == got.value
+            if obj.definite:
+                assert got.x == want.x
+        elif got.status == UNBOUNDED:
+            assert got.point[:k] == pins and not any(got.ray[:k])
+            _assert_unbounded_certificate(obj, poly, got)
+    assert statuses[OPTIMAL] >= 800 and statuses[INFEASIBLE] >= 500
+    assert statuses[UNBOUNDED] >= 50
+    assert ends["none"] >= 300 and ends["all"] >= 300
+
+
+def test_optimize_pins_no_rows(monkeypatch):
+    """Every slice the solver asks about is mapped, not cut: over the
+    corpus, `optimize` builds no `with_box(v, v)` polyhedron."""
+    from corpus import corpus
+    from miqcp.solver import optimize
+
+    pinned = []
+    with_box = Polyhedron.with_box
+
+    def counting(self, lo, hi):
+        if lo and list(lo) == list(hi):
+            pinned.append(lo)
+        return with_box(self, lo, hi)
+
+    monkeypatch.setattr(Polyhedron, "with_box", counting)
+    solved = 0
+    for _name, inst in corpus():
+        solved += optimize(inst).status == OPTIMAL
+    assert solved >= 30 and pinned == []
 
 
 def _grid_min(obj, lo, hi, steps):

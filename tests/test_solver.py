@@ -240,6 +240,26 @@ def test_oracle_four_point_example():
     assert res.x[0] == 1  # lexicographically smallest optimum
 
 
+def test_oracle_keeps_the_pin_rows(monkeypatch):
+    """The oracle solves each slice as P with pin rows, never through
+    `qp_min_on_slice`, so comparing it with `optimize` compares the two
+    slice formulations; an unbounded instance still gets a feasible
+    slice point as its witness."""
+    def no_slice_map(*args):
+        raise AssertionError("oracle_optimize called qp_min_on_slice")
+
+    monkeypatch.setattr(miqcp.solver, "qp_min_on_slice", no_slice_map)
+    poly = box([0], [3], p=1)
+    obj = QpObjective(mat([[1]]), [Rat(-3)])
+    assert oracle_optimize(MicqpInstance(obj, poly, ([Rat(0)], [Rat(3)]))).value == -2
+    # min -x2 over 0 <= x1 <= 1, x2 >= 2 x1 - 1/2: unbounded along x2
+    ray_poly = Polyhedron(mat([[1, 0], [-1, 0], [2, -1]]), [Rat(1), Rat(0), Rat(1, 2)], p=1)
+    res = oracle_optimize(MicqpInstance(
+        QpObjective(mat([[0, 0], [0, 0]]), [Rat(0), Rat(-1)]), ray_poly, BOX5_2D))
+    assert res.status == UNBOUNDED_STATUS and res.ray == [0, 1]
+    assert ray_poly.contains(res.point) and is_integral(res.point[0])
+
+
 def test_oracle_p0_degenerates_to_qp():
     poly = box([0, 0], [1, 1], p=0)
     obj = QpObjective(mat([[1, 0], [0, 1]]), [Rat(0), Rat(0)])
